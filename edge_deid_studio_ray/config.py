@@ -23,9 +23,12 @@ DEFAULT_GROUP_BUCKETS = 128
 
 
 def resolve_group_buckets(override: int | None = None) -> int:
-    """Bucket count for the engine's bucketed ``groupby(bucket).map_groups``
-    stages (LSH bands, connected components, semi/anti joins, per-key
-    windows).
+    """Bucket count for the engine's bucketed co-groups: the
+    ``queries.cogroup`` folds and the ``functions/`` ``map_groups`` stages
+    (LSH bands, connected components, semi/anti joins, per-key windows).
+    The count only decides which bucket a key's rows share; each
+    projection assigns the bucket column itself (``queries._ibuckets`` /
+    ``_kbucket``), and ``cogroup`` owns the fold's output schema.
 
     Must be called on the DRIVER at pipeline-build time and captured in the
     task closures: every task of one run has to assign identical buckets, so

@@ -106,18 +106,23 @@ def _warm_fsspec_http_probe() -> None:
     'HTTPFileSystem'`` (not a ModuleNotFoundError; uncaught).  Cache a
     sentinel module once on the driver thread: ``isinstance(fs, sentinel)``
     is always False, which is exactly the right answer for the local and
-    parquet filesystems these jobs write to."""
+    parquet filesystems these jobs write to.  Only a missing module
+    installs the sentinel; any other ImportError is that transient
+    partial-module race, so the import is retried."""
     import sys
     import types
 
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
+    attempts = 3
+    for attempt in range(attempts):
+        try:
+            from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
 
-        return
-    except ModuleNotFoundError:
-        pass
-    except ImportError:
-        pass
+            return
+        except ModuleNotFoundError:
+            break
+        except ImportError:
+            if attempt == attempts - 1:
+                raise
     mod = types.ModuleType("fsspec.implementations.http")
 
     class HTTPFileSystem:  # sentinel: nothing is ever an instance

@@ -15,6 +15,15 @@ Correctness-harness rules honored throughout:
 Queries with no SQL entry (near-dup, simhash, lang-id, pages flagship) are
 deterministic rows-only checks by design — the byte-level guarantees for
 those come from tests/test_reference_parity.py.
+
+Every pandas co-group (``groupby(key).map_groups``) goes through
+``cogroup(ds, key, fn, schema)``, which owns one contract: the output
+``schema`` is declared once at the call; a fold returns a DataFrame, or
+``None`` for "no rows", which becomes a zero-row table of that schema; and
+the output is Arrow blocks cast to the schema.  Folds therefore build no
+empty frames and fix no dtypes or column order by hand.  Bucket assignment
+stays with each projection (``_ibuckets`` / ``_kbucket``, with the count
+from ``resolve_group_buckets()`` on the driver).
 """
 
 from __future__ import annotations
@@ -43,24 +52,6 @@ from ..stages.deid import make_deid_batch_fn
 _STOP_WORDS = ("the", "of", "and", "to", "a", "in", "is", "it", "you", "that")
 
 
-def _arrow_blocks(ds):
-    """Identity map that re-encodes blocks as Arrow.  A pandas-producing
-    ``map_groups`` leaves pandas-format blocks behind, and Ray's shuffle
-    on pandas blocks measured ~15× slower than on Arrow blocks (35 s →
-    2.4 s on `part_affinity_lift`'s 1.7M-row pair partials at sf0.1) —
-    insert this between a pandas fold and any following groupby/sort."""
-    return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-
-def _as_arrow(t: pa.Table) -> pa.Table:
-    """Chained identity for the same pandas-block rule as _arrow_blocks:
-    re-encode a pandas map_groups output as Arrow BEFORE the next
-    groupby/sort/aggregate (Ray's shuffle on pandas blocks costs ~1.8 s
-    per reduce task at 32 cpus regardless of row count — measured 13.1 s
-    → 1.4 s on events_interarrival_hist's tiny histogram)."""
-    return t
-
-
 def _strip_meta(t: pa.Table) -> pa.Table:
     # pandas-written parquet carries dict-valued schema metadata that Ray's
     # shuffle reduce cannot hash (log spam per reduce task); dropping it is
@@ -74,6 +65,43 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return rd.read_parquet(
         os.path.join(sf_dir, f"{table}.parquet"), columns=columns
     ).map_batches(_strip_meta, batch_format="pyarrow")
+
+
+def cogroup(ds, key, fn, schema):
+    """The engine's one pandas co-group: ``ds.groupby(key).map_groups`` with
+    ``fn`` folding each key group as a pandas DataFrame.  The contract of
+    what a fold hands onward is decided here, not by each fold:
+
+    - ``fn`` returns a DataFrame, or ``None`` when its group yields no rows;
+    - ``schema`` (a ``pa.Schema`` or a name → type mapping) is declared once:
+      each group's output is encoded to Arrow as exactly these columns and
+      types, and ``None`` becomes a zero-row table of it, so the dataset
+      schema keeps the declared columns even when no group yields a row
+      (a schema-less empty frame broke ``sources_except`` at sf0.1);
+    - output blocks are Arrow: Ray's shuffle on pandas blocks measured ~15×
+      slower than on Arrow blocks (35 s → 2.4 s on ``part_affinity_lift``'s
+      1.7M-row pair partials at sf0.1; 13.1 s → 1.4 s on
+      ``events_interarrival_hist``'s tiny histogram at 32 cpus).
+
+    The encode runs per group inside the fold rather than as a following
+    per-block map: Ray hands a zero-row block around a batch UDF as a
+    schema-less empty block, which would drop the declared columns of an
+    all-empty result.  ``fn`` never sees an empty group: Ray iterates group
+    boundaries, and a zero-row block has none.
+    """
+    schema = pa.schema(schema)
+    cols = list(zip(schema.names, schema.types))
+
+    def fold(group: pd.DataFrame) -> pa.Table:
+        out = fn(group)
+        if out is None:
+            return schema.empty_table()
+        return pa.Table.from_arrays(
+            [pa.array(out[name], type=typ, from_pandas=True) for name, typ in cols], schema=schema
+        )
+
+    fold.__name__ = fn.__name__  # keeps the fold's name in ds.stats() and the progress bar
+    return ds.groupby(key).map_groups(fold, batch_format="pandas")
 
 
 def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None, *, blocks: int | None = None):
@@ -350,13 +378,21 @@ def q_events_sessions(sf_dir: str):
                 n_events=("us", "size"),
             )
             out["user_id"] = g["user_id"].iloc[0]
-            out["n_events"] = out["n_events"].astype("int64")
-            outs.append(out.reset_index(drop=True))
-        combined = pd.concat(outs, ignore_index=True)
-        return combined[["user_id", "session_start_us", "session_end_us", "n_events"]]
+            outs.append(out)
+        return pd.concat(outs, ignore_index=True)
 
     ds = _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_us, batch_format="pyarrow")
-    return ds.groupby("user_bucket").map_groups(sessionize_bucket, batch_format="pandas")
+    return cogroup(
+        ds,
+        "user_bucket",
+        sessionize_bucket,
+        {
+            "user_id": pa.int64(),
+            "session_start_us": pa.int64(),
+            "session_end_us": pa.int64(),
+            "n_events": pa.int64(),
+        },
+    )
 
 
 def q_events_sliding_window(sf_dir: str):
@@ -410,14 +446,14 @@ def q_events_running_total(sf_dir: str):
         outs = []
         for _, g in bucket.groupby("user_id", sort=False):
             g = g.sort_values(["us", "event_id"]).reset_index(drop=True)
-            g["running_n"] = (g.index + 1).astype("int64")
-            outs.append(g[["event_id", "running_n"]])
+            g["running_n"] = g.index + 1
+            outs.append(g)
         return pd.concat(outs, ignore_index=True)
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return ds.groupby("user_bucket").map_groups(running, batch_format="pandas")
+    return cogroup(ds, "user_bucket", running, {"event_id": pa.int64(), "running_n": pa.int64()})
 
 
 def q_events_asof_join(sf_dir: str):
@@ -463,16 +499,13 @@ def q_events_asof_join(sf_dir: str):
             ).dropna(subset=["b_us"])
             if joined.empty:
                 continue
-            joined["b_us"] = joined["b_us"].astype("int64")
-            outs.append(joined[["event_id", "b_us"]])
-        if not outs:
-            return pd.DataFrame({"event_id": pd.Series(dtype="int64"), "b_us": pd.Series(dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
+            outs.append(joined)
+        return pd.concat(outs, ignore_index=True) if outs else None
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return ds.groupby("user_bucket").map_groups(asof, batch_format="pandas")
+    return cogroup(ds, "user_bucket", asof, {"event_id": pa.int64(), "b_us": pa.int64()})
 
 
 def q_events_late_data(sf_dir: str):
@@ -541,13 +574,7 @@ def q_events_late_data(sf_dir: str):
             out["event_type"].extend(agg.index.tolist())
             out["n"].extend(int(v) for v in agg["size"])
             out["late"].extend(int(v) for v in agg["sum"])
-        return pd.DataFrame(
-            {
-                "event_type": pd.Series(out["event_type"], dtype="object"),
-                "n": pd.Series(out["n"], dtype="int64"),
-                "late": pd.Series(out["late"], dtype="int64"),
-            }
-        )
+        return pd.DataFrame(out)
 
     nb = resolve_group_buckets()
 
@@ -557,10 +584,11 @@ def q_events_late_data(sf_dir: str):
             _ibuckets(batch["range_id"], nb),
         )
 
-    partials = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("rbucket")
-        .map_groups(late_counts, batch_format="pandas")
+    partials = cogroup(
+        ds.map_batches(bucketize, batch_format="pyarrow"),
+        "rbucket",
+        late_counts,
+        {"event_type": pa.string(), "n": pa.int64(), "late": pa.int64()},
     )
     return partials.groupby("event_type").aggregate(
         Sum("n", alias_name="n_events"), Sum("late", alias_name="n_late")
@@ -612,20 +640,13 @@ def q_events_funnel(sf_dir: str):
                     break
                 t_prev = hits.min()
                 reached[depth] += 1
-        return pd.DataFrame(
-            {
-                "funnel_step": pd.Series([1, 2, 3], dtype="int64"),
-                "partial": pd.Series(reached, dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"funnel_step": [1, 2, 3], "partial": reached})
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
         to_us, batch_format="pyarrow"
     )
     return (
-        ds.groupby("user_bucket")
-        .map_groups(funnel_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(ds, "user_bucket", funnel_bucket, {"funnel_step": pa.int64(), "partial": pa.int64()})
         .groupby("funnel_step")
         .aggregate(Sum("partial", alias_name="n_users"))
     )
@@ -863,20 +884,15 @@ def q_customers_without_orders(sf_dir: str):
             with_orders = set(bucket.loc[~bucket["is_cust"], "key"])
             misses = bucket.loc[bucket["is_cust"] & ~bucket["key"].isin(with_orders)]
             counts = misses.groupby("c_mktsegment").size()
-        # typed (possibly empty) frame: an untyped empty produces a
-        # schema-less block and executor schema-mismatch warnings
-        return pd.DataFrame(
-            {
-                "c_mktsegment": pd.Series(counts.index, dtype="object"),
-                "partial": pd.Series(counts.to_numpy(), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"c_mktsegment": counts.index, "partial": counts.to_numpy()})
 
-    partials = (
-        filtered_orders.map_batches(order_keys, batch_format="pyarrow")
-        .union(customers.map_batches(split_customers, batch_format="pyarrow"))
-        .groupby("kbucket")
-        .map_groups(anti, batch_format="pandas")
+    partials = cogroup(
+        filtered_orders.map_batches(order_keys, batch_format="pyarrow").union(
+            customers.map_batches(split_customers, batch_format="pyarrow")
+        ),
+        "kbucket",
+        anti,
+        {"c_mktsegment": pa.string(), "partial": pa.int64()},
     )
     return partials.groupby("c_mktsegment").aggregate(Sum("partial", alias_name="n_customers"))
 
@@ -1603,7 +1619,41 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
     return _PAGES_FIXTURE
 
 
-_PPC_STAGING = "/tmp/eds_ppc_staging"
+# Staged-output oracles: the query writes parquet and its ORACLE_SQL reads
+# the same files back.  One root per driver process, so concurrent runs on
+# one host (parallel pytest + bench) never rmtree each other's staged rows
+# between a query and its oracle; the root goes away when the driver exits.
+_STAGING_ROOT = f"/tmp/eds_staging_{os.getpid()}"
+_PPC_STAGING = f"{_STAGING_ROOT}/ppc"
+_TDP_STAGING = f"{_STAGING_ROOT}/tdp"
+_NER_STUB_STAGING = f"{_STAGING_ROOT}/ner_stub"
+_IMG_STUB_STAGING = f"{_STAGING_ROOT}/img_stub"
+
+
+def _fresh_staging(path: str) -> str:
+    """Empty ``path`` for a staged-output query to write into; the first
+    call of a run registers the run's staging root for removal at exit."""
+    import atexit
+    import shutil
+
+    if not os.path.isdir(_STAGING_ROOT):
+        atexit.register(shutil.rmtree, _STAGING_ROOT, ignore_errors=True)
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    return path
+
+
+def _read_staged(path: str, schema: pa.Schema):
+    """Read a staged-output dir back.  A stage that produced no rows leaves
+    no file (Ray writes nothing for an all-empty dataset), and both Ray and
+    the DuckDB oracle reject a dir without parquet; a typed zero-row file in
+    its place reads back as a typed empty result on both sides."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    if not any(f.endswith(".parquet") for f in os.listdir(path)):
+        pq.write_table(schema.empty_table(), os.path.join(path, "empty.parquet"))
+    return rd.read_parquet(path)
 
 
 def q_pages_pipeline_counters(sf_dir: str):
@@ -1622,15 +1672,12 @@ def q_pages_pipeline_counters(sf_dir: str):
     full YAML regex detector over all routes, whose per-row semantics are
     oracled by pages_extract_hashes / deid_entity_counts; this query's
     oracle pins the aggregation + lineage layer above them."""
-    import shutil
-
     from ..pipelines.deid import run_deid_job
     from ..sources.pages import pages_dataset
     from ..state.manifest import committed_shards
 
     n = pages_rows_for(sf_dir)
-    shutil.rmtree(_PPC_STAGING, ignore_errors=True)
-    run_deid_job([("s0", lambda: pages_dataset(n))], _PPC_STAGING)
+    run_deid_job([("s0", lambda: pages_dataset(n))], _fresh_staging(_PPC_STAGING))
     manifest = committed_shards(_PPC_STAGING)["s0"]
     pids = sorted(manifest.per_pid, key=int)
     return pa.table(
@@ -1764,8 +1811,8 @@ def q_pages_link_stats(sf_dir: str):
 # staging pattern a 100-TB run uses between expensive phases — and BOTH the
 # curation stages and the DuckDB oracle consume the staged parquet, so the
 # SQL re-derives quality_score, the ≥0.4/≥50-char filter, exact dedup and
-# all four attrition counters from the same rows the engine curated.
-_TDP_STAGING = "/tmp/eds_tdp_staging"
+# all four attrition counters from the same rows the engine curated (the
+# path is _TDP_STAGING, with the other staged-output roots above).
 
 
 def q_pages_host_rollup(sf_dir: str):
@@ -1865,14 +1912,25 @@ def q_pages_anchor_text(sf_dir: str):
         return pd.DataFrame(
             {
                 "href": [df["href"].iloc[0]],
-                "n_total": [int(df["n"].sum())],
-                "n_anchors": [int(len(df))],
+                "n_total": [df["n"].sum()],
+                "n_anchors": [len(df)],
                 "top_anchor": [str(top["anchor"])],
-                "top_anchor_n": [int(top["n"])],
+                "top_anchor_n": [top["n"]],
             }
         )
 
-    out = _arrow_blocks(summed.groupby("href").map_groups(merge, batch_format="pandas"))
+    out = cogroup(
+        summed,
+        "href",
+        merge,
+        {
+            "href": pa.string(),
+            "n_total": pa.int64(),
+            "n_anchors": pa.int64(),
+            "top_anchor": pa.string(),
+            "top_anchor_n": pa.int64(),
+        },
+    )
     return out.sort(["n_total", "href"], descending=[True, False]).limit(20)
 
 
@@ -2063,8 +2121,6 @@ def q_training_data_pipeline(sf_dir: str):
     score (discrete-factor product over exact counts — the one-float-op
     divisions are bit-identical), the filter, the duplicate collapse and the
     counters over the staged extraction fixture."""
-    import shutil
-
     import ray.data as rd
 
     from ..pipelines.deid import build_deid_pipeline
@@ -2081,10 +2137,9 @@ def q_training_data_pipeline(sf_dir: str):
         return batch.set_column(0, "url", pa.array(urls, pa.string()))
 
     doubled = base.union(base.map_batches(relabel, batch_format="pyarrow"))
-    shutil.rmtree(_TDP_STAGING, ignore_errors=True)
     build_deid_pipeline(doubled).select_columns(
         ["url", "extracted_text", "context_hash"]
-    ).write_parquet(_TDP_STAGING)
+    ).write_parquet(_fresh_staging(_TDP_STAGING))
     curated = curate_extracted(rd.read_parquet(_TDP_STAGING))
     report = attrition_report(curated, rows_in=2 * n)
     return pa.table(
@@ -2279,9 +2334,6 @@ def q_synthetic_quality_report(sf_dir: str):
     return pa.table({"metric": pa.array(rows["metric"], pa.string()), "value": pa.array(rows["value"], pa.int64())})
 
 
-_NER_STUB_STAGING = "/tmp/eds_ner_stub_staging"
-
-
 def q_ner_stub_entity_counts(sf_dir: str):
     """NER actor-pool stage (stub backend + regex backstop + composite
     resolution) over the synthetic corpus; counts by (type, source).
@@ -2295,9 +2347,6 @@ def q_ner_stub_entity_counts(sf_dir: str):
     composite overlap-priority resolution) stay pinned by the reference
     parity tests — re-deriving that rule set in SQL would be a second
     engine, not an oracle."""
-    import shutil
-
-    import ray.data as rd
     from ray.data.aggregate import Count
 
     from ..pipelines.training_data import synthetic_span_dataset
@@ -2327,15 +2376,14 @@ def q_ner_stub_entity_counts(sf_dir: str):
             }
         )
 
-    shutil.rmtree(_NER_STUB_STAGING, ignore_errors=True)
     detected.map_batches(explode, batch_format="pyarrow").write_parquet(
-        _NER_STUB_STAGING
+        _fresh_staging(_NER_STUB_STAGING)
     )
-    return (
-        rd.read_parquet(_NER_STUB_STAGING)
-        .groupby(["type", "source"])
-        .aggregate(Count(alias_name="n"))
+    staged = _read_staged(
+        _NER_STUB_STAGING,
+        pa.schema({"example_id": pa.string(), "type": pa.string(), "source": pa.string()}),
     )
+    return staged.groupby(["type", "source"]).aggregate(Count(alias_name="n"))
 
 
 def q_placeholder_corpus(sf_dir: str):
@@ -2455,14 +2503,14 @@ def q_events_window_rank(sf_dir: str):
         bucket = bucket.sort_values(
             ["user_id", "value", "event_id"], ascending=[True, False, True]
         )
-        bucket["rnk"] = (bucket.groupby("user_id").cumcount() + 1).astype("int64")
-        top = bucket[bucket["rnk"] <= 3]
-        return top[["event_id", "user_id", "rnk"]]
+        bucket["rnk"] = bucket.groupby("user_id").cumcount() + 1
+        return bucket[bucket["rnk"] <= 3]
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("ubucket")
-        .map_groups(rank, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(bucketize, batch_format="pyarrow"),
+        "ubucket",
+        rank,
+        {"event_id": pa.int64(), "user_id": pa.int64(), "rnk": pa.int64()},
     )
 
 
@@ -2579,18 +2627,15 @@ def q_orders_exists_semi(sf_dir: str):
         present = set(bucket.loc[~bucket["is_order"], "key"])
         hits = bucket.loc[bucket["is_order"] & bucket["key"].isin(present)]
         counts = hits.groupby("o_orderstatus").size()
-        return pd.DataFrame(
-            {
-                "o_orderstatus": pd.Series(counts.index, dtype="object"),
-                "partial": pd.Series(counts.to_numpy(), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"o_orderstatus": counts.index, "partial": counts.to_numpy()})
 
-    matched = (
-        li.map_batches(li_keys, batch_format="pyarrow")
-        .union(orders.map_batches(order_rows, batch_format="pyarrow"))
-        .groupby("kbucket")
-        .map_groups(semi, batch_format="pandas")
+    matched = cogroup(
+        li.map_batches(li_keys, batch_format="pyarrow").union(
+            orders.map_batches(order_rows, batch_format="pyarrow")
+        ),
+        "kbucket",
+        semi,
+        {"o_orderstatus": pa.string(), "partial": pa.int64()},
     )
     return matched.groupby("o_orderstatus").aggregate(Sum("partial", alias_name="n_orders"))
 
@@ -2720,17 +2765,13 @@ def q_docs_per_source_cap(sf_dir: str):
         )
 
     def cap(bucket: pd.DataFrame) -> pd.DataFrame:
-        kept = (
-            bucket.sort_values(["source", "doc_id"])
-            .groupby("source", sort=False)
-            .head(10)
-        )
-        return kept[["doc_id", "source"]]
+        return bucket.sort_values(["source", "doc_id"]).groupby("source", sort=False).head(10)
 
-    return (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("sbucket")
-        .map_groups(cap, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(bucketize, batch_format="pyarrow"),
+        "sbucket",
+        cap,
+        {"doc_id": pa.int64(), "source": pa.string()},
     )
 
 
@@ -2900,9 +2941,6 @@ def q_main_content_roundtrip(sf_dir: str):
     )
 
 
-_IMG_STUB_STAGING = "/tmp/eds_img_stub_staging"
-
-
 def q_image_deid_stub_stats(sf_dir: str):
     """Multimodal actor-pool surface: binary payloads (derived
     deterministically from document text) through the image-deid stage —
@@ -2916,9 +2954,6 @@ def q_image_deid_stub_stats(sf_dir: str):
     computes its global Count/Sum aggregate from the staged rows, and the
     SQL re-derives the same three metrics — the per-media OCR/bbox
     semantics stay pinned by the imageproc parity tests."""
-    import shutil
-
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
     from ..stages.image_deid import ImageDeidStage
@@ -2953,11 +2988,15 @@ def q_image_deid_stub_stats(sf_dir: str):
             }
         )
 
-    shutil.rmtree(_IMG_STUB_STAGING, ignore_errors=True)
     processed.map_batches(stats, batch_format="pyarrow").write_parquet(
-        _IMG_STUB_STAGING
+        _fresh_staging(_IMG_STUB_STAGING)
     )
-    agg = rd.read_parquet(_IMG_STUB_STAGING).aggregate(
+    staged = _read_staged(
+        _IMG_STUB_STAGING,
+        pa.schema({"media_id": pa.string(), "n_spans": pa.int64(), "n_boxes": pa.int64()}),
+    )
+    # over zero rows: n_media 0 and NULL sums, as the oracle's COUNT / SUM
+    agg = staged.aggregate(
         Count(alias_name="n_media"),
         Sum("n_spans", alias_name="total_spans"),
         Sum("n_boxes", alias_name="total_boxes"),
@@ -2966,7 +3005,7 @@ def q_image_deid_stub_stats(sf_dir: str):
     return pa.table(
         {
             "metric": pa.array(keys, pa.string()),
-            "value": pa.array([int(agg[k]) for k in keys], pa.int64()),
+            "value": pa.array([agg[k] for k in keys], pa.int64()),
         }
     )
 
@@ -2996,18 +3035,13 @@ def q_stratified_sample(sf_dir: str):
         )
 
     def pick(bucket: pd.DataFrame) -> pd.DataFrame:
-        kept = (
-            bucket.sort_values(["lang", "rank_hash", "doc_id"])
-            .groupby("lang", sort=False)
-            .head(k)
-        )
-        return kept[["doc_id", "lang"]]
+        return bucket.sort_values(["lang", "rank_hash", "doc_id"]).groupby("lang", sort=False).head(k)
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang"])
-        .map_batches(keyed, batch_format="pyarrow")
-        .groupby("lbucket")
-        .map_groups(pick, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(keyed, batch_format="pyarrow"),
+        "lbucket",
+        pick,
+        {"doc_id": pa.int64(), "lang": pa.string()},
     )
 
 
@@ -3049,31 +3083,13 @@ def q_tfidf_top_terms(sf_dir: str):
             }
         )
 
-    _TFIDF_EMPTY = pd.DataFrame(
-        {
-            "doc_id": pd.array([], dtype="int64"),
-            "term": pd.array([], dtype="str"),
-            "tf": pd.array([], dtype="int64"),
-            "df": pd.array([], dtype="int64"),
-            "dbucket": pd.array([], dtype="int32"),
-        }
-    )
-
     def annotate_df(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _TFIDF_EMPTY
         # rows are distinct (doc, term) pairs and a term's rows all land in
         # this bucket ⇒ the local per-term row count is the exact global df
         df_map = bucket.groupby("term")["doc_id"].size()
-        out = bucket.assign(df=bucket["term"].map(df_map).astype("int64"))
-        out["dbucket"] = (out["doc_id"].to_numpy() % nb).astype("int32")
-        return out[["doc_id", "term", "tf", "df", "dbucket"]]
+        return bucket.assign(df=bucket["term"].map(df_map), dbucket=bucket["doc_id"].to_numpy() % nb)
 
     def topk_group(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _TFIDF_EMPTY.assign(
-                rnk=pd.array([], dtype="int64")
-            )[["doc_id", "rnk", "term", "tf", "df"]]
         kept = (
             bucket.sort_values(
                 ["doc_id", "tf", "df", "term"], ascending=[True, False, True, True]
@@ -3081,17 +3097,31 @@ def q_tfidf_top_terms(sf_dir: str):
             .groupby("doc_id", sort=False)
             .head(3)
         )
-        kept = kept.assign(rnk=(kept.groupby("doc_id").cumcount() + 1).astype("int64"))
-        return kept[["doc_id", "rnk", "term", "tf", "df"]]
+        return kept.assign(rnk=kept.groupby("doc_id").cumcount() + 1)
 
-    return (
-        _arrow_blocks(
-            ds.map_batches(doc_terms, batch_format="pyarrow")
-            .groupby("tbucket")
-            .map_groups(annotate_df, batch_format="pandas")
-        )
-        .groupby("dbucket")
-        .map_groups(topk_group, batch_format="pandas")
+    annotated = cogroup(
+        ds.map_batches(doc_terms, batch_format="pyarrow"),
+        "tbucket",
+        annotate_df,
+        {
+            "doc_id": pa.int64(),
+            "term": pa.string(),
+            "tf": pa.int64(),
+            "df": pa.int64(),
+            "dbucket": pa.int32(),
+        },
+    )
+    return cogroup(
+        annotated,
+        "dbucket",
+        topk_group,
+        {
+            "doc_id": pa.int64(),
+            "rnk": pa.int64(),
+            "term": pa.string(),
+            "tf": pa.int64(),
+            "df": pa.int64(),
+        },
     )
 
 
@@ -3457,19 +3487,28 @@ def q_trigram_quality_buckets(sf_dir: str):
         return pd.DataFrame(
             {
                 "lang": [group["lang"].iloc[0]],
-                "n_docs": pd.array([total], dtype="int64"),
-                "n_head": pd.array([n_head], dtype="int64"),
-                "n_middle": pd.array([n_middle], dtype="int64"),
-                "n_tail": pd.array([total - n_head - n_middle], dtype="int64"),
+                "n_docs": [total],
+                "n_head": [n_head],
+                "n_middle": [n_middle],
+                "n_tail": [total - n_head - n_middle],
                 "t1": [t1],
                 "t2": [t2],
             }
         )
 
-    return (
-        scored.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(buckets, batch_format="pandas")
+    return cogroup(
+        scored.map_batches(partial, batch_format="pyarrow"),
+        "lang",
+        buckets,
+        {
+            "lang": pa.string(),
+            "n_docs": pa.int64(),
+            "n_head": pa.int64(),
+            "n_middle": pa.int64(),
+            "n_tail": pa.int64(),
+            "t1": pa.float64(),
+            "t2": pa.float64(),
+        },
     )
 
 
@@ -3534,17 +3573,17 @@ def q_events_distinct_users_hourly(sf_dir: str):
     def merge(group: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "window_us": [int(group["window_us"].iloc[0])],
-                "n_users": pd.array([group["user_id"].nunique()], dtype="int64"),
-                "n_events": pd.array([int(group["n_p"].sum())], dtype="int64"),
+                "window_us": [group["window_us"].iloc[0]],
+                "n_users": [group["user_id"].nunique()],
+                "n_events": [group["n_p"].sum()],
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("window_us")
-        .map_groups(merge, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["ts", "user_id"]).map_batches(pairs, batch_format="pyarrow"),
+        "window_us",
+        merge,
+        {"window_us": pa.int64(), "n_users": pa.int64(), "n_events": pa.int64()},
     )
 
 
@@ -3688,47 +3727,17 @@ def q_word_pmi_top20(sf_dir: str):
             }
         )
 
-    _HALF_EMPTY = pd.DataFrame(
-        {
-            "gram": pd.array([], dtype="str"),
-            "gb": pd.array([], dtype="int32"),
-            "cab": pd.array([], dtype="int64"),
-            "slot": pd.array([], dtype="int8"),
-            "u_n": pd.array([], dtype="int64"),
-        }
-    )
-
     def resolve_uni(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _HALF_EMPTY
         uni_map = bucket.loc[bucket["slot"] == -1].set_index("word")["cab"]
         halves = bucket.loc[bucket["slot"] >= 0]
         if halves.empty:
-            return _HALF_EMPTY
-        return pd.DataFrame(
-            {
-                "gram": halves["gram"].to_numpy(),
-                "gb": pd.Series(
-                    [zlib.crc32(g.encode()) % nb for g in halves["gram"]],
-                    dtype="int32",
-                ).to_numpy(),
-                "cab": halves["cab"].to_numpy(),
-                "slot": halves["slot"].to_numpy(),
-                "u_n": halves["word"].map(uni_map).astype("int64").to_numpy(),
-            }
+            return None
+        return halves.assign(
+            gb=[zlib.crc32(g.encode()) % nb for g in halves["gram"]],
+            u_n=halves["word"].map(uni_map),
         )
 
-    _PMI_EMPTY = pd.DataFrame(
-        {
-            "bigram": pd.array([], dtype="str"),
-            "n_pair": pd.array([], dtype="int64"),
-            "pmi": pd.array([], dtype="float64"),
-        }
-    )
-
     def combine(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _PMI_EMPTY
         s0 = bucket.loc[bucket["slot"] == 0].set_index("gram")
         s1 = bucket.loc[bucket["slot"] == 1].set_index("gram").loc[
             bucket.loc[bucket["slot"] == 0, "gram"]
@@ -3738,25 +3747,25 @@ def q_word_pmi_top20(sf_dir: str):
         ub = s1["u_n"].to_numpy().astype(np.float64)
         # identical op order to the oracle: (cab/b_total) / ((ua/wt)*(ub/wt))
         pmi = np.round(np.log((cab / b_total) / ((ua / w_total) * (ub / w_total))), 6)
-        df = pd.DataFrame(
-            {
-                "bigram": s0.index.to_numpy(),
-                "n_pair": s0["cab"].to_numpy().astype("int64"),
-                "pmi": pmi,
-            }
-        )
+        df = pd.DataFrame({"bigram": s0.index.to_numpy(), "n_pair": s0["cab"].to_numpy(), "pmi": pmi})
         return df.sort_values(
             ["pmi", "bigram"], ascending=[False, True], kind="mergesort"
         ).head(20)
 
-    folded = (
-        _arrow_blocks(
-            counts.map_batches(explode, batch_format="pyarrow")
-            .groupby("wb")
-            .map_groups(resolve_uni, batch_format="pandas")
-        )
-        .groupby("gb")
-        .map_groups(combine, batch_format="pandas")
+    halves = cogroup(
+        counts.map_batches(explode, batch_format="pyarrow"),
+        "wb",
+        resolve_uni,
+        {
+            "gram": pa.string(),
+            "gb": pa.int32(),
+            "cab": pa.int64(),
+            "slot": pa.int8(),
+            "u_n": pa.int64(),
+        },
+    )
+    folded = cogroup(
+        halves, "gb", combine, {"bigram": pa.string(), "n_pair": pa.int64(), "pmi": pa.float64()}
     ).to_pandas()
     top = folded.sort_values(
         ["pmi", "bigram"], ascending=[False, True], kind="mergesort"
@@ -3858,18 +3867,26 @@ def q_events_value_percentiles(sf_dir: str):
         return pd.DataFrame(
             {
                 "event_type": [group["event_type"].iloc[0]],
-                "n_events": pd.array([total], dtype="int64"),
+                "n_events": [total],
                 "p50": [disc(0.5)],
                 "p90": [disc(0.9)],
                 "p99": [disc(0.99)],
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(quantiles, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "event_type",
+        quantiles,
+        {
+            "event_type": pa.string(),
+            "n_events": pa.int64(),
+            "p50": pa.float64(),
+            "p90": pa.float64(),
+            "p99": pa.float64(),
+        },
     )
 
 
@@ -3950,15 +3967,15 @@ def q_docs_top3_per_source(sf_dir: str):
         group = group.sort_values(
             ["n_chars", "doc_id"], ascending=[False, True], kind="mergesort"
         ).head(K)
-        group = group.reset_index(drop=True)
-        group["rnk"] = pd.array(group.index + 1, dtype="int64")
-        return group[["source", "rnk", "doc_id", "n_chars"]]
+        return group.assign(rnk=np.arange(1, len(group) + 1))
 
-    return (
-        _read(sf_dir, "documents", ["source", "doc_id", "n_chars"])
-        .map_batches(local_topk, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(merge_topk, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "documents", ["source", "doc_id", "n_chars"]).map_batches(
+            local_topk, batch_format="pyarrow"
+        ),
+        "source",
+        merge_topk,
+        {"source": pa.string(), "rnk": pa.int64(), "doc_id": pa.int64(), "n_chars": pa.int64()},
     )
 
 
@@ -3999,15 +4016,10 @@ def q_docs_global_rank(sf_dir: str):
 
     def rank_group(group: pd.DataFrame) -> pd.DataFrame:
         base = ray.get(off_ref)[int(group["n_chars"].iloc[0])]
-        group = group.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "doc_id": group["doc_id"],
-                "global_rank": pd.array(base + 1 + group.index, dtype="int64"),
-            }
-        )
+        group = group.sort_values("doc_id", kind="mergesort")
+        return group.assign(global_rank=np.arange(base + 1, base + 1 + len(group)))
 
-    return ds.groupby("n_chars").map_groups(rank_group, batch_format="pandas")
+    return cogroup(ds, "n_chars", rank_group, {"doc_id": pa.int64(), "global_rank": pa.int64()})
 
 def q_events_value_outliers(sf_dir: str):
     """Robust (median/MAD) outlier detection per event type — a two-pass
@@ -4044,20 +4056,16 @@ def q_events_value_outliers(sf_dir: str):
     def median_of(group: pd.DataFrame) -> pd.DataFrame:
         m, total = disc_from(group, 0.5)
         return pd.DataFrame(
-            {
-                "event_type": [group["event_type"].iloc[0]],
-                "median": [m],
-                "n_events": pd.array([total], dtype="int64"),
-            }
+            {"event_type": [group["event_type"].iloc[0]], "median": [m], "n_events": [total]}
         )
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    med_rows = (
-        ds.map_batches(value_hist, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(median_of, batch_format="pandas")
-        .take_all()
-    )
+    med_rows = cogroup(
+        ds.map_batches(value_hist, batch_format="pyarrow"),
+        "event_type",
+        median_of,
+        {"event_type": pa.string(), "median": pa.float64(), "n_events": pa.int64()},
+    ).take_all()
     medians = {r["event_type"]: (r["median"], r["n_events"]) for r in med_rows}
     med_ref = ray.put(medians)
 
@@ -4089,17 +4097,24 @@ def q_events_value_outliers(sf_dir: str):
         return pd.DataFrame(
             {
                 "event_type": [etype],
-                "n_events": pd.array([med[etype][1]], dtype="int64"),
+                "n_events": [med[etype][1]],
                 "median": [med[etype][0]],
                 "mad": [mad],
-                "n_outliers": pd.array([n_out], dtype="int64"),
+                "n_outliers": [n_out],
             }
         )
 
-    return (
-        ds.map_batches(dev_hist, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(mad_and_outliers, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(dev_hist, batch_format="pyarrow"),
+        "event_type",
+        mad_and_outliers,
+        {
+            "event_type": pa.string(),
+            "n_events": pa.int64(),
+            "median": pa.float64(),
+            "mad": pa.float64(),
+            "n_outliers": pa.int64(),
+        },
     )
 
 
@@ -4171,33 +4186,29 @@ def q_customer_order_cohorts(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame(
-                {
-                    "cohort_month": pd.array([], dtype="object"),
-                    "order_month": pd.array([], dtype="object"),
-                    "o": pd.array([], dtype="int64"),
-                    "u": pd.array([], dtype="int64"),
-                }
-            )
         # lexicographic min of '%Y-%m' strings IS the chronological first
         # month; the bucket holds every row of each of its customers
         cohort = group.groupby("o_custkey")["order_month"].min()
-        per = (
+        return (
             group.assign(cohort_month=group["o_custkey"].map(cohort))
             .groupby(["cohort_month", "order_month"], as_index=False)
             .agg(o=("n", "sum"), u=("o_custkey", "nunique"))
         )
-        per["o"] = per["o"].astype("int64")
-        per["u"] = per["u"].astype("int64")
-        return per[["cohort_month", "order_month", "o", "u"]]
 
     return (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-        .map_batches(month_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
+                month_partial, batch_format="pyarrow"
+            ),
+            "kb",
+            fold_bucket,
+            {
+                "cohort_month": pa.string(),
+                "order_month": pa.string(),
+                "o": pa.int64(),
+                "u": pa.int64(),
+            },
+        )
         .groupby(["cohort_month", "order_month"])
         .aggregate(
             Sum("o", alias_name="n_orders"),
@@ -4286,33 +4297,16 @@ def q_shipping_priority(sf_dir: str):
     ).map_batches(lineitem_partial, batch_format="pyarrow")
 
     def bucket_top(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "l_orderkey": pd.array([], dtype="int64"),
-                "o_orderdate": pd.array([], dtype="object"),
-                "o_orderpriority": pd.array([], dtype="object"),
-                "units": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         dims = group[group["o_orderdate"].notna()]
         facts = group[group["o_orderdate"].isna()]
         if dims.empty or facts.empty:
-            return empty
+            return None
         sums = facts.groupby("okey", as_index=False)["units"].sum()
         merged = sums.merge(
             dims[["okey", "o_orderdate", "o_orderpriority"]], on="okey", how="inner"
         )
         merged = merged.sort_values(["units", "okey"], ascending=[False, True]).head(10)
-        return pd.DataFrame(
-            {
-                "l_orderkey": merged["okey"].astype("int64"),
-                "o_orderdate": merged["o_orderdate"],
-                "o_orderpriority": merged["o_orderpriority"],
-                "units": merged["units"].astype("int64"),
-            }
-        )
+        return merged.rename(columns={"okey": "l_orderkey"})
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4325,10 +4319,17 @@ def q_shipping_priority(sf_dir: str):
         )
 
     return (
-        line.union(orders)
-        .groupby("kb")
-        .map_groups(bucket_top, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            line.union(orders),
+            "kb",
+            bucket_top,
+            {
+                "l_orderkey": pa.int64(),
+                "o_orderdate": pa.string(),
+                "o_orderpriority": pa.string(),
+                "units": pa.int64(),
+            },
+        )
         .sort(["units", "l_orderkey"], descending=[True, False])
         .limit(10)
         .map_batches(finish, batch_format="pyarrow")
@@ -4470,18 +4471,26 @@ def q_doc_chars_quantile_cont(sf_dir: str):
         return pd.DataFrame(
             {
                 "lang": [group["lang"].iloc[0]],
-                "n_docs": pd.array([total], dtype="int64"),
+                "n_docs": [total],
                 "q25": [cont(0.25)],
                 "q50": [cont(0.5)],
                 "q75": [cont(0.75)],
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(quantiles, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "documents", ["lang", "n_chars"]).map_batches(
+            hist_partial, batch_format="pyarrow"
+        ),
+        "lang",
+        quantiles,
+        {
+            "lang": pa.string(),
+            "n_docs": pa.int64(),
+            "q25": pa.float64(),
+            "q50": pa.float64(),
+            "q75": pa.float64(),
+        },
     )
 
 
@@ -4581,28 +4590,18 @@ def q_inverted_index_postings(sf_dir: str):
 
     def fold_term(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) < 5:
-            return pd.DataFrame(
-                {
-                    "term": pd.array([], dtype="object"),
-                    "df": pd.array([], dtype="int64"),
-                    "postings_md5": pd.array([], dtype="object"),
-                }
-            )
+            return None
         ids = sorted(int(i) for i in group["doc_id"])
         digest = hashlib.md5(",".join(str(i) for i in ids).encode()).hexdigest()
         return pd.DataFrame(
-            {
-                "term": [group["term"].iloc[0]],
-                "df": pd.array([len(ids)], dtype="int64"),
-                "postings_md5": [digest],
-            }
+            {"term": [group["term"].iloc[0]], "df": [len(ids)], "postings_md5": [digest]}
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(fold_term, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(pairs, batch_format="pyarrow"),
+        "term",
+        fold_term,
+        {"term": pa.string(), "df": pa.int64(), "postings_md5": pa.string()},
     )
 
 
@@ -4666,31 +4665,19 @@ def q_doc_pagerank(sf_dir: str):
         )
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "node": pd.array([], dtype="int64"),
-                "r": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
-        nodes = group.loc[group["kind"] == 0, "target"].astype("int64")
+        nodes = group.loc[group["kind"] == 0, "target"]
         if nodes.empty:
-            return empty  # inflow to a bucket with no resident nodes: impossible
+            return None  # inflow to a bucket with no resident nodes: impossible
         inflow = group[group["kind"] == 1].groupby("target")["units"].sum()
         new_r = [150000 + (85 * int(inflow.get(v, 0))) // 100 for v in nodes]
-        return pd.DataFrame(
-            {
-                "node": nodes.to_numpy(),
-                "r": pd.array(new_r, dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"node": nodes.to_numpy(), "r": new_r})
 
     for _ in range(5):
-        ranks = (
-            ranks.map_batches(emit, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        ranks = cogroup(
+            ranks.map_batches(emit, batch_format="pyarrow"),
+            "kb",
+            fold,
+            {"node": pa.int64(), "r": pa.int64()},
         )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -4729,15 +4716,6 @@ def q_events_interarrival_hist(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "event_type": pd.array([], dtype="object"),
-                "gap_min": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us", "event_type"], kind="mergesort")
         us = g["us"].to_numpy()
         uid = g["user_id"].to_numpy()
@@ -4751,21 +4729,18 @@ def q_events_interarrival_hist(sf_dir: str):
                 "gap_min": gaps[prev_same_user],
             }
         )
-        out = sub.groupby(["event_type", "gap_min"], as_index=False).size()
-        return pd.DataFrame(
-            {
-                "event_type": out["event_type"],
-                "gap_min": out["gap_min"].astype("int64"),
-                "n": out["size"].astype("int64"),
-            }
+        return sub.groupby(["event_type", "gap_min"], as_index=False).size().rename(
+            columns={"size": "n"}
         )
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-            .map_batches(project, batch_format="pyarrow")
-            .groupby("ub")
-            .map_groups(fold_bucket, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
+                project, batch_format="pyarrow"
+            ),
+            "ub",
+            fold_bucket,
+            {"event_type": pa.string(), "gap_min": pa.int64(), "n": pa.int64()},
         )
         .groupby(["event_type", "gap_min"])
         .aggregate(Sum("n", alias_name="n_gaps"))
@@ -4792,29 +4767,21 @@ def q_nation_customer_fingerprint(sf_dir: str):
     nation_ref = ray.put(nation)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame(
-                {
-                    "n_name": pd.array([], dtype="object"),
-                    "n_customers": pd.array([], dtype="int64"),
-                    "names_md5": pd.array([], dtype="object"),
-                }
-            )
         lookup = ray.get(nation_ref)
         names = sorted(group["c_name"].tolist())
         return pd.DataFrame(
             {
                 "n_name": [lookup[int(group["c_nationkey"].iloc[0])]],
-                "n_customers": pd.array([len(names)], dtype="int64"),
+                "n_customers": [len(names)],
                 "names_md5": [hashlib.md5(",".join(names).encode()).hexdigest()],
             }
         )
 
-    return (
-        _read(sf_dir, "customer", ["c_nationkey", "c_name"])
-        .groupby("c_nationkey")
-        .map_groups(fold, batch_format="pandas")
-        .select_columns(["n_name", "n_customers", "names_md5"])
+    return cogroup(
+        _read(sf_dir, "customer", ["c_nationkey", "c_name"]),
+        "c_nationkey",
+        fold,
+        {"n_name": pa.string(), "n_customers": pa.int64(), "names_md5": pa.string()},
     )
 
 
@@ -4869,15 +4836,6 @@ def q_corpus_snapshot_diff(sf_dir: str):
         )
 
     def classify(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "status": pd.array([], dtype="object"),
-                "n": pd.array([], dtype="int64"),
-                "ids": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         base = group.loc[group["side"] == 0, ["doc_id", "h"]].rename(columns={"h": "hb"})
         v2 = group.loc[group["side"] == 1, ["doc_id", "h"]].rename(columns={"h": "hv"})
         # Int64 (nullable) keeps the 64-bit hashes exact through the outer
@@ -4891,25 +4849,21 @@ def q_corpus_snapshot_diff(sf_dir: str):
         status = np.where(
             added, "added", np.where(removed, "removed", np.where(same, "unchanged", "modified"))
         )
-        g = (
+        return (
             pd.DataFrame({"status": status, "doc_id": m["doc_id"].astype("int64")})
             .groupby("status", as_index=False)
             .agg(n=("doc_id", "size"), ids=("doc_id", "sum"))
         )
-        return pd.DataFrame(
-            {
-                "status": g["status"].astype("object"),
-                "n": g["n"].astype("int64"),
-                "ids": g["ids"].astype("int64"),
-            }
-        )
 
     return (
-        _read_spread(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(sides, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(classify, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read_spread(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+                sides, batch_format="pyarrow"
+            ),
+            "kb",
+            classify,
+            {"status": pa.string(), "n": pa.int64(), "ids": pa.int64()},
+        )
         .groupby("status")
         .aggregate(Sum("n", alias_name="n_docs"), Sum("ids", alias_name="id_sum"))
         .sort("status")
@@ -4953,36 +4907,23 @@ def q_events_last_per_user(sf_dir: str):
         )
 
     def finish(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "last_ts_us": pd.array([], dtype="int64"),
-                "last_event_type": pd.array([], dtype="object"),
-                "last_value": pd.array([], dtype="float64"),
-            }
-        )
-        if group.empty:
-            return empty
-        g = group.sort_values(
+        return group.sort_values(
             ["user_id", "last_ts_us", "event_id"], ascending=[True, False, False]
         ).drop_duplicates("user_id", keep="first")
-        return pd.DataFrame(
-            {
-                "user_id": g["user_id"].astype("int64"),
-                "last_ts_us": g["last_ts_us"].astype("int64"),
-                "last_event_type": g["last_event_type"].astype("object"),
-                "last_value": g["last_value"].astype("float64"),
-            }
-        )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(finish, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .sort("user_id")
-    )
+    return cogroup(
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "kb",
+        finish,
+        {
+            "user_id": pa.int64(),
+            "last_ts_us": pa.int64(),
+            "last_event_type": pa.string(),
+            "last_value": pa.float64(),
+        },
+    ).sort("user_id")
 
 
 def q_events_user_top_type(sf_dir: str):
@@ -5011,35 +4952,20 @@ def q_events_user_top_type(sf_dir: str):
         )
 
     def finish(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "top_type": pd.array([], dtype="object"),
-                "n_events": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         sums = group.groupby(["user_id", "event_type"], as_index=False)["n"].sum()
         g = sums.sort_values(
             ["user_id", "n", "event_type"], ascending=[True, False, True]
         ).drop_duplicates("user_id", keep="first")
-        return pd.DataFrame(
-            {
-                "user_id": g["user_id"].astype("int64"),
-                "top_type": g["event_type"].astype("object"),
-                "n_events": g["n"].astype("int64"),
-            }
-        )
+        return g.rename(columns={"event_type": "top_type", "n": "n_events"})
 
-    return (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(finish, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .sort("user_id")
-    )
+    return cogroup(
+        _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "kb",
+        finish,
+        {"user_id": pa.int64(), "top_type": pa.string(), "n_events": pa.int64()},
+    ).sort("user_id")
 
 
 def q_event_type_cooccurrence(sf_dir: str):
@@ -5068,14 +4994,6 @@ def q_event_type_cooccurrence(sf_dir: str):
         )
 
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "pair_key": pd.array([], dtype="object"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.drop_duplicates(["user_id", "event_type"])
         c: Counter = Counter()
         for _, sub in g.groupby("user_id"):
@@ -5083,14 +5001,7 @@ def q_event_type_cooccurrence(sf_dir: str):
             for i in range(len(ts)):
                 for j in range(i + 1, len(ts)):
                     c[f"{ts[i]}|{ts[j]}"] += 1
-        if not c:
-            return empty
-        return pd.DataFrame(
-            {
-                "pair_key": pd.array(list(c.keys()), dtype="object"),
-                "n": pd.array(list(c.values()), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"pair_key": list(c.keys()), "n": list(c.values())})
 
     def split(batch: pa.Table) -> pa.Table:
         keys = batch["pair_key"].to_pylist()
@@ -5104,11 +5015,14 @@ def q_event_type_cooccurrence(sf_dir: str):
         )
 
     return (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            "kb",
+            bucket_pairs,
+            {"pair_key": pa.string(), "n": pa.int64()},
+        )
         .groupby("pair_key")
         .aggregate(Sum("n", alias_name="n_users"))
         .map_batches(split, batch_format="pyarrow")
@@ -5289,17 +5203,6 @@ def q_customer_acctbal_quartiles(sf_dir: str):
         # is the ≥2k-keys map_groups pathology: 15k groups cost ~5 s at
         # sf0.1; 128 buckets cost ~1 s).  Within the bucket, ranks for all
         # cents runs compute vectorized off the broadcast offsets.
-        empty = pd.DataFrame(
-            {
-                "quartile": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-                "s": pd.array([], dtype="int64"),
-                "mn": pd.array([], dtype="int64"),
-                "mx": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         off = ray.get(off_ref)
         g = group.sort_values(["cents", "c_custkey"], kind="mergesort")
         cents = g["cents"].to_numpy()
@@ -5311,25 +5214,21 @@ def q_customer_acctbal_quartiles(sf_dir: str):
         ranks = base[run_id] + 1 + pos_in_run  # order within ties: c_custkey
         quartiles = np.searchsorted(boundaries, ranks, side="left") + 1
         df = pd.DataFrame({"quartile": quartiles, "cents": cents})
-        out = (
-            df.groupby("quartile", as_index=False)["cents"]
-            .agg(n="size", s="sum", mn="min", mx="max")
-        )
-        return pd.DataFrame(
-            {
-                "quartile": out["quartile"].astype("int64"),
-                "n": out["n"].astype("int64"),
-                "s": out["s"].astype("int64"),
-                "mn": out["mn"].astype("int64"),
-                "mx": out["mx"].astype("int64"),
-            }
-        )
+        return df.groupby("quartile", as_index=False)["cents"].agg(n="size", s="sum", mn="min", mx="max")
 
     return (
-        cents_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            cents_ds.map_batches(add_bucket, batch_format="pyarrow"),
+            "cb",
+            fold_bucket,
+            {
+                "quartile": pa.int64(),
+                "n": pa.int64(),
+                "s": pa.int64(),
+                "mn": pa.int64(),
+                "mx": pa.int64(),
+            },
+        )
         .groupby("quartile")
         .aggregate(
             Sum("n", alias_name="n_customers"),
@@ -5388,14 +5287,6 @@ def q_events_rolling_7d_users(sf_dir: str):
         )
 
     def bucket_counts(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "day_us": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         days = ray.get(days_ref)
         g = group.drop_duplicates(["user_id", "day_us"])
         covered: set = set()
@@ -5408,20 +5299,15 @@ def q_events_rolling_7d_users(sf_dir: str):
                 if key not in covered:
                     covered.add(key)
                     cnt[int(t)] += 1
-        if not cnt:
-            return empty
-        return pd.DataFrame(
-            {
-                "day_us": pd.array(list(cnt.keys()), dtype="int64"),
-                "n": pd.array(list(cnt.values()), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"day_us": list(cnt.keys()), "n": list(cnt.values())})
 
     return (
-        ev.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_counts, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            ev.map_batches(pair_partial, batch_format="pyarrow"),
+            "kb",
+            bucket_counts,
+            {"day_us": pa.int64(), "n": pa.int64()},
+        )
         .groupby("day_us")
         .aggregate(Sum("n", alias_name="n_users_7d"))
         .sort("day_us")
@@ -5483,24 +5369,21 @@ def q_customer_name_editdist_pairs(sf_dir: str):
             }
         )
 
-    def bucket_pairs(group: pd.DataFrame) -> pa.Table:
+    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         pairs: set[tuple[str, str]] = set()
-        if not group.empty:
-            for _, sub in group.groupby("vkey"):
-                names = sorted(set(sub["c_name"]))
-                for i in range(len(names)):
-                    for j in range(i + 1, len(names)):
-                        a, b = names[i], names[j]
-                        if (a, b) not in pairs and _lev_le1(a, b):
-                            pairs.add((a, b))
+        for _, sub in group.groupby("vkey"):
+            names = sorted(set(sub["c_name"]))
+            for i in range(len(names)):
+                for j in range(i + 1, len(names)):
+                    a, b = names[i], names[j]
+                    if (a, b) not in pairs and _lev_le1(a, b):
+                        pairs.add((a, b))
         ordered = sorted(pairs)
-        # typed Arrow return (even when empty): keeps every block's schema
-        # identical and the size estimator off the object-dtype path
-        return pa.table(
+        return pd.DataFrame(
             {
-                "pair_key": pa.array([f"{a}|{b}" for a, b in ordered], pa.string()),
-                "name_a": pa.array([a for a, _ in ordered], pa.string()),
-                "name_b": pa.array([b for _, b in ordered], pa.string()),
+                "pair_key": [f"{a}|{b}" for a, b in ordered],
+                "name_a": [a for a, _ in ordered],
+                "name_b": [b for _, b in ordered],
             }
         )
 
@@ -5510,30 +5393,24 @@ def q_customer_name_editdist_pairs(sf_dir: str):
             "pb", pa.array([zlib.crc32(k.encode()) % nb for k in keys], pa.int32())
         )
 
-    def dedup_bucket(group: pd.DataFrame) -> pa.Table:
+    def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
         # cross-block repeats of a pair dedupe inside ONE pair-hash bucket
         # (one group per pair_key was the >=2k-keys map_groups pathology:
         # ~10 ms of group overhead x every candidate pair)
-        g = group.drop_duplicates("pair_key")
-        return pa.table(
-            {
-                "name_a": pa.array(g["name_a"].tolist(), pa.string()),
-                "name_b": pa.array(g["name_b"].tolist(), pa.string()),
-            }
-        )
+        return group.drop_duplicates("pair_key")
 
-    return (
-        _read(sf_dir, "customer", ["c_name"])
-        .map_batches(variants, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .map_batches(pair_hash_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(dedup_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .sort(["name_a", "name_b"])
+    pairs = cogroup(
+        _read(sf_dir, "customer", ["c_name"]).map_batches(variants, batch_format="pyarrow"),
+        "kb",
+        bucket_pairs,
+        {"pair_key": pa.string(), "name_a": pa.string(), "name_b": pa.string()},
     )
+    return cogroup(
+        pairs.map_batches(pair_hash_bucket, batch_format="pyarrow"),
+        "pb",
+        dedup_bucket,
+        {"name_a": pa.string(), "name_b": pa.string()},
+    ).sort(["name_a", "name_b"])
 
 
 def q_important_parts(sf_dir: str):
@@ -5704,19 +5581,17 @@ def q_part_supplier_variety(sf_dir: str):
     def bucket_counts(group: pd.DataFrame) -> pd.DataFrame:
         d = group.drop_duplicates(["p_brand", "l_suppkey"])
         agg = d.groupby("p_brand").size()
-        return pd.DataFrame(
-            {
-                "p_brand": pd.Series(agg.index, dtype="object"),
-                "n_p": pd.Series(agg.to_numpy(), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"p_brand": agg.index, "n_p": agg.to_numpy()})
 
     return (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_counts, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
+                pairs, batch_format="pyarrow"
+            ),
+            "kb",
+            bucket_counts,
+            {"p_brand": pa.string(), "n_p": pa.int64()},
+        )
         .groupby("p_brand")
         .aggregate(Sum("n_p", alias_name="supplier_cnt"))
         .sort("p_brand")
@@ -5770,32 +5645,15 @@ def q_large_volume_customers(sf_dir: str):
         )
 
     def bucket_join(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "o_orderkey": pd.array([], dtype="int64"),
-                "c_custkey": pd.array([], dtype="int64"),
-                "o_orderdate": pd.array([], dtype="object"),
-                "total_qty": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         dims = group[group["o_orderdate"].notna()]
         facts = group[group["o_orderdate"].isna()]
         if dims.empty or facts.empty:
-            return empty
+            return None
         sums = facts.groupby("okey", as_index=False)["qty"].sum()
         sums = sums[sums["qty"] > 250]
-        if sums.empty:
-            return empty
         merged = sums.merge(dims[["okey", "o_custkey", "o_orderdate"]], on="okey", how="inner")
-        return pd.DataFrame(
-            {
-                "o_orderkey": merged["okey"].astype("int64"),
-                "c_custkey": merged["o_custkey"].astype("int64"),
-                "o_orderdate": merged["o_orderdate"],
-                "total_qty": merged["qty"].astype("int64"),
-            }
+        return merged.rename(
+            columns={"okey": "o_orderkey", "o_custkey": "c_custkey", "qty": "total_qty"}
         )
 
     def attach_names(batch: pa.Table) -> pa.Table:
@@ -5823,9 +5681,17 @@ def q_large_volume_customers(sf_dir: str):
         order_rows, batch_format="pyarrow"
     )
     return (
-        line.union(orders)
-        .groupby("kb")
-        .map_groups(bucket_join, batch_format="pandas")
+        cogroup(
+            line.union(orders),
+            "kb",
+            bucket_join,
+            {
+                "o_orderkey": pa.int64(),
+                "c_custkey": pa.int64(),
+                "o_orderdate": pa.string(),
+                "total_qty": pa.int64(),
+            },
+        )
         .map_batches(attach_names, batch_format="pyarrow")
         .sort(["total_qty", "o_orderkey"], descending=[True, False])
     )
@@ -5939,13 +5805,8 @@ def q_wealthy_inactive_customers(sf_dir: str):
             with_orders = set(bucket.loc[~bucket["is_cust"], "key"])
             survivors = bucket.loc[bucket["is_cust"] & ~bucket["key"].isin(with_orders)]
             sub = survivors.assign(n_p=1)
-        agg = sub.groupby("c_nationkey").agg(n=("n_p", "sum"), c=("cents_p", "sum"))
-        return pd.DataFrame(
-            {
-                "c_nationkey": pd.Series(agg.index, dtype="int64"),
-                "n_p": pd.Series(agg["n"].to_numpy(), dtype="int64"),
-                "cents_p": pd.Series(agg["c"].to_numpy(), dtype="int64"),
-            }
+        return sub.groupby("c_nationkey", as_index=False).agg(
+            n_p=("n_p", "sum"), cents_p=("cents_p", "sum")
         )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -5958,11 +5819,14 @@ def q_wealthy_inactive_customers(sf_dir: str):
         )
 
     return (
-        orders.map_batches(order_keys, batch_format="pyarrow")
-        .union(customers.map_batches(split_customers, batch_format="pyarrow"))
-        .groupby("kbucket")
-        .map_groups(anti, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            orders.map_batches(order_keys, batch_format="pyarrow").union(
+                customers.map_batches(split_customers, batch_format="pyarrow")
+            ),
+            "kbucket",
+            anti,
+            {"c_nationkey": pa.int64(), "n_p": pa.int64(), "cents_p": pa.int64()},
+        )
         .groupby("c_nationkey")
         .aggregate(Sum("n_p", alias_name="numcust"), Sum("cents_p", alias_name="cents"))
         .map_batches(finish, batch_format="pyarrow")
@@ -6548,19 +6412,28 @@ def q_events_value_winsor_bounds(sf_dir: str):
         return pd.DataFrame(
             {
                 "event_type": [group["event_type"].iloc[0]],
-                "n_events": pd.array([total], dtype="int64"),
+                "n_events": [total],
                 "p05": [lo],
                 "p95": [hi],
-                "n_below": pd.array([n_below], dtype="int64"),
-                "n_above": pd.array([n_above], dtype="int64"),
+                "n_below": [n_below],
+                "n_above": [n_above],
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(winsor, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "event_type",
+        winsor,
+        {
+            "event_type": pa.string(),
+            "n_events": pa.int64(),
+            "p05": pa.float64(),
+            "p95": pa.float64(),
+            "n_below": pa.int64(),
+            "n_above": pa.int64(),
+        },
     )
 
 
@@ -6591,15 +6464,6 @@ def q_events_type_transitions(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "from_type": pd.array([], dtype="object"),
-                "to_type": pd.array([], dtype="object"),
-                "n_p": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         uid = g["user_id"].to_numpy()
         types = g["event_type"].to_numpy()
@@ -6611,21 +6475,19 @@ def q_events_type_transitions(sf_dir: str):
                 "to_type": types[same_user],
             }
         )
-        out = sub.groupby(["from_type", "to_type"], as_index=False).size()
-        return pd.DataFrame(
-            {
-                "from_type": out["from_type"],
-                "to_type": out["to_type"],
-                "n_p": out["size"].astype("int64"),
-            }
+        return sub.groupby(["from_type", "to_type"], as_index=False).size().rename(
+            columns={"size": "n_p"}
         )
 
     return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
+                project, batch_format="pyarrow"
+            ),
+            "ub",
+            fold_bucket,
+            {"from_type": pa.string(), "to_type": pa.string(), "n_p": pa.int64()},
+        )
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n_p", alias_name="n_transitions"))
         .sort(["from_type", "to_type"])
@@ -6739,15 +6601,8 @@ def q_semdedup_pairs(sf_dir: str):
         )
 
     def cluster_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "cluster": pd.array([], dtype="int64"),
-                "left": pd.array([], dtype="int64"),
-                "right": pd.array([], dtype="int64"),
-            }
-        )
         if len(group) < 2:
-            return empty
+            return None
         order = np.argsort(group["vec_id"].to_numpy())
         keys = group["vec_id"].to_numpy()[order]
         mat = _normalize(np.array(list(group["embedding"].to_numpy()[order]), dtype=np.float64))
@@ -6762,22 +6617,16 @@ def q_semdedup_pairs(sf_dir: str):
             keep = jj > gi  # strict upper triangle → each pair once, left<right
             lefts.extend(keys[gi[keep]].tolist())
             rights.extend(keys[jj[keep]].tolist())
-        return pd.DataFrame(
-            {
-                "cluster": pd.Series([cl] * len(lefts), dtype="int64"),
-                "left": pd.Series(lefts, dtype="int64"),
-                "right": pd.Series(rights, dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"cluster": [cl] * len(lefts), "left": lefts, "right": rights})
 
-    return (
-        _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(cluster_pairs, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .sort(["cluster", "left", "right"])
-    )
+    return cogroup(
+        _read(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+            assign, batch_format="pyarrow"
+        ),
+        "cluster",
+        cluster_pairs,
+        {"cluster": pa.int64(), "left": pa.int64(), "right": pa.int64()},
+    ).sort(["cluster", "left", "right"])
 
 
 def q_knn_label_filtered(sf_dir: str):
@@ -6864,15 +6713,6 @@ def q_copurchase_top_pairs(sf_dir: str):
         )
 
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "p1": pd.array([], dtype="int64"),
-                "p2": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         if int(group["pkey"].max()) >= 1 << 32:
             raise ValueError(
                 "copurchase_top_pairs: partkey >= 2^32 would corrupt the "
@@ -6890,12 +6730,9 @@ def q_copurchase_top_pairs(sf_dir: str):
         keys = np.fromiter(c.keys(), dtype=np.int64, count=len(c))
         return pd.DataFrame(
             {
-                "pair": pd.Series(keys, dtype="int64"),
-                "pb": pd.Series((keys % nb).astype(np.int32), dtype="int32"),
-                "n": pd.Series(
-                    np.fromiter(c.values(), dtype=np.int64, count=len(c)),
-                    dtype="int64",
-                ),
+                "pair": keys,
+                "pb": keys % nb,
+                "n": np.fromiter(c.values(), dtype=np.int64, count=len(c)),
             }
         )
 
@@ -6904,29 +6741,20 @@ def q_copurchase_top_pairs(sf_dir: str):
         # sum is the pair's FULL count and the local top-20 prune is safe;
         # Ray's generic hash aggregate on ~unique int64 keys measured ~10×
         # slower than this bucketed pandas fold at 100k pairs
-        empty = pd.DataFrame(
-            {
-                "pair": pd.array([], dtype="int64"),
-                "n_orders": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         sums = group.groupby("pair", as_index=False)["n"].sum()
         sums = sums.rename(columns={"n": "n_orders"})
         sums["neg_n"] = -sums["n_orders"]
-        top = sums.sort_values(["neg_n", "pair"], kind="mergesort").head(20)
-        return top[["pair", "n_orders"]].astype("int64")
+        return sums.sort_values(["neg_n", "pair"], kind="mergesort").head(20)
 
-    counts = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(merge_and_prune, batch_format="pandas")
+    partials = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_pairs,
+        {"pair": pa.int64(), "pb": pa.int32(), "n": pa.int64()},
     )
+    counts = cogroup(partials, "pb", merge_and_prune, {"pair": pa.int64(), "n_orders": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         pair = batch["pair"].to_pylist()
@@ -7334,33 +7162,16 @@ def q_returned_top_customers(sf_dir: str):
     ).map_batches(lineitem_partial, batch_format="pyarrow")
 
     def bucket_cust(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "ck": pd.array([], dtype="int64"),
-                "units": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         dims = group[group["is_dim"]]
         facts = group[~group["is_dim"]]
         if dims.empty or facts.empty:
-            return empty
+            return None
         sums = facts.groupby("okey", as_index=False)["units"].sum()
         merged = sums.merge(dims[["okey", "custkey"]], on="okey", how="inner")
-        out = merged.groupby("custkey", as_index=False)["units"].sum()
-        return pd.DataFrame(
-            {
-                "ck": out["custkey"].astype("int64"),
-                "units": out["units"].astype("int64"),
-            }
-        )
+        return merged.groupby("custkey", as_index=False)["units"].sum().rename(columns={"custkey": "ck"})
 
     per_cust = (
-        line.union(orders)
-        .groupby("kb")
-        .map_groups(bucket_cust, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(line.union(orders), "kb", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
         .groupby("ck")
         .aggregate(Sum("units", alias_name="units"))
     )
@@ -7439,15 +7250,6 @@ def q_word_zipf_slope(sf_dir: str):
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def slope(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "lang": pd.array([], dtype="object"),
-                "n_words": pd.array([], dtype="int64"),
-                "zipf_slope": pd.array([], dtype="float64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["n", "word"], ascending=[False, True]).head(100)
         ns = g["n"].to_numpy()
         k = len(ns)
@@ -7460,22 +7262,21 @@ def q_word_zipf_slope(sf_dir: str):
             sxx += x * x
         denom = k * sxx - sx * sx
         if denom == 0.0:  # k == 1 → ln(rank) constant, slope undefined
-            return empty
+            return None
         return pd.DataFrame(
             {
                 "lang": [group["lang"].iloc[0]],
-                "n_words": pd.array([k], dtype="int64"),
+                "n_words": [k],
                 "zipf_slope": [round((k * sxy - sx * sy) / denom, 6)],
             }
         )
 
-    return (
-        counts.map_batches(local_top, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(slope, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .sort("lang")
-    )
+    return cogroup(
+        counts.map_batches(local_top, batch_format="pyarrow"),
+        "lang",
+        slope,
+        {"lang": pa.string(), "n_words": pa.int64(), "zipf_slope": pa.float64()},
+    ).sort("lang")
 
 
 def q_events_debounced(sf_dir: str):
@@ -7505,14 +7306,6 @@ def q_events_debounced(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "event_type": pd.array([], dtype="object"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(
             ["user_id", "event_type", "us", "event_id"], kind="mergesort"
         )
@@ -7524,24 +7317,18 @@ def q_events_debounced(sf_dir: str):
         gaps = np.zeros(len(g), dtype=np.int64)
         gaps[1:] = us[1:] - us[:-1]
         kept = ~same_key | (gaps > 60_000_000)
-        out = (
-            pd.DataFrame({"event_type": et[kept]})
-            .groupby("event_type", as_index=False)
-            .size()
-        )
-        return pd.DataFrame(
-            {
-                "event_type": out["event_type"],
-                "n": out["size"].astype("int64"),
-            }
-        )
+        out = pd.DataFrame({"event_type": et[kept]}).groupby("event_type", as_index=False).size()
+        return out.rename(columns={"size": "n"})
 
     return (
-        _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"]).map_batches(
+                project, batch_format="pyarrow"
+            ),
+            "ub",
+            fold_bucket,
+            {"event_type": pa.string(), "n": pa.int64()},
+        )
         .groupby("event_type")
         .aggregate(Sum("n", alias_name="n_kept"))
         .sort("event_type")
@@ -7611,18 +7398,10 @@ def q_waiting_suppliers(sf_dir: str):
         )
 
     def blame(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "skey": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         finished = set(group.loc[group["skey"] == -1, "okey"].tolist())
         facts = group[(group["skey"] != -1) & group["okey"].isin(finished)]
         if facts.empty:
-            return empty
+            return None
         # finish the (okey, skey) max across batch partials
         per_os = facts.groupby(["okey", "skey"], as_index=False)["smax"].max()
         g = per_os.groupby("okey")["smax"]
@@ -7631,15 +7410,7 @@ def q_waiting_suppliers(sf_dir: str):
         at_max = per_os[per_os["smax"] == omax]
         achievers = at_max.groupby("okey")["skey"].transform("size")
         blamed = at_max[(achievers == 1) & (nsupp[at_max.index] >= 2)]
-        if blamed.empty:
-            return empty
-        counts = blamed.groupby("skey", as_index=False).size()
-        return pd.DataFrame(
-            {
-                "skey": counts["skey"].astype("int64"),
-                "n": counts["size"].astype("int64"),
-            }
-        )
+        return blamed.groupby("skey", as_index=False).size().rename(columns={"size": "n"})
 
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
         line_partial, batch_format="pyarrow"
@@ -7660,10 +7431,7 @@ def q_waiting_suppliers(sf_dir: str):
         )
 
     return (
-        line.union(orders)
-        .groupby("kb")
-        .map_groups(blame, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(line.union(orders), "kb", blame, {"skey": pa.int64(), "n": pa.int64()})
         .groupby("skey")
         .aggregate(Sum("n", alias_name="numwait"))
         .map_batches(finish, batch_format="pyarrow")
@@ -8043,30 +7811,19 @@ def q_events_band_join(sf_dir: str):
         )
 
     def join_cell(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "click_id": pd.array([], dtype="int64"),
-                "n_views": pd.array([], dtype="int64"),
-            }
-        )
         probes = group[group["side"] == 1]
         builds = group[group["side"] == 0]
         if probes.empty or builds.empty:
-            return empty
+            return None
         m = probes.merge(builds, on=["cell", "user_id"], suffixes=("_a", "_b"))
-        if m.empty:
-            return empty
         m = m[(m["us_a"] - m["us_b"]).abs() <= W_US]
-        if m.empty:
-            return empty
         out = m.groupby("event_id_a", as_index=False).size()
-        out.columns = ["click_id", "n_views"]
-        return out.astype("int64")
+        return out.rename(columns={"event_id_a": "click_id", "size": "n_views"})
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
         keyed, batch_format="pyarrow"
     )
-    return ds.groupby("gb").map_groups(join_cell, batch_format="pandas")
+    return cogroup(ds, "gb", join_cell, {"click_id": pa.int64(), "n_views": pa.int64()})
 
 
 def q_orders_cube(sf_dir: str):
@@ -8239,9 +7996,6 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
         )
 
     def bucket_edges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"edge": pd.array([], dtype="int64")})
-        if group.empty:
-            return empty
         # edge encodings pack as (a<<32)|b — same loud 2^32 guard as
         # q_part_affinity_lift (ADVICE r3: fail instead of corrupting)
         if int(group["pkey"].max()) >= 1 << 32:
@@ -8254,7 +8008,7 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
             basket = sorted(set(parts.tolist()))
             for a, b in combinations(basket, 2):
                 seen.add((a << 32) | b)
-        return pd.DataFrame({"edge": pd.Series(sorted(seen), dtype="int64")})
+        return pd.DataFrame({"edge": sorted(seen)})
 
     # global edge dedup (an edge can surface from orders in different kb
     # buckets): one edge-hash bucket co-group; materialized because both
@@ -8269,9 +8023,7 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
         )
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"edge": pd.Series(np.unique(g["edge"].to_numpy()), dtype="int64")}
-        )
+        return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
     # per-kb-bucket edges are already locally deduped+sorted; the broadcast
     # path dedups globally ON THE DRIVER (np.unique over the folded array it
@@ -8279,11 +8031,13 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
     # edge-hash dedup shuffle entirely.  The path switch uses the per-bucket
     # row count — an upper bound on distinct edges, so it only ever errs
     # toward the fully-bucketed path.
-    edges_raw = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_edges, batch_format="pandas")
+    edges_raw = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_edges,
+        {"edge": pa.int64()},
     ).materialize()
     n_edges_upper = edges_raw.count()
     if n_edges_upper == 0:
@@ -8297,10 +8051,11 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
         return _triangles_broadcast(edges_raw, nb)
     # large-graph path: dedup via one edge-hash bucket co-group first;
     # materialized because the bucketed stages consume it twice
-    dedup_edges = (
-        edges_raw.map_batches(edge_bucket, batch_format="pyarrow")
-        .groupby("eb")
-        .map_groups(dedup_group, batch_format="pandas")
+    dedup_edges = cogroup(
+        edges_raw.map_batches(edge_bucket, batch_format="pyarrow"),
+        "eb",
+        dedup_group,
+        {"edge": pa.int64()},
     ).materialize()
     return _triangles_bucketed(dedup_edges, nb)
 
@@ -8341,8 +8096,6 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
     edges_ref = ray.put(edge_arr)
 
     def wedges(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame({"n": pd.array([], dtype="int64")})
         all_edges = ray.get(edges_ref)
         total = 0
         for _, g in group.groupby("u", sort=False):
@@ -8350,14 +8103,9 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
                 pos = np.searchsorted(all_edges, cand)
                 pos[pos >= all_edges.size] = all_edges.size - 1
                 total += int((all_edges[pos] == cand).sum())
-        return pd.DataFrame({"n": pd.array([total], dtype="int64")})
+        return pd.DataFrame({"n": [total]})
 
-    parts = (
-        rd.from_arrow(oriented)
-        .repartition(min(nb, 32))
-        .groupby("ub")
-        .map_groups(wedges, batch_format="pandas")
-    )
+    parts = cogroup(rd.from_arrow(oriented).repartition(min(nb, 32)), "ub", wedges, {"n": pa.int64()})
     total = int(
         sum(
             b["n"].to_numpy().sum()
@@ -8396,16 +8144,7 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
 
     def annotate_deg(g: pd.DataFrame) -> pd.DataFrame:
         deg = g.groupby("node")["edge"].size()  # exact: bucket-complete per node
-        edges = g["edge"].to_numpy()
-        return pd.DataFrame(
-            {
-                "edge": edges,
-                "slot": g["slot"].to_numpy(),
-                "node": g["node"].to_numpy(),
-                "deg": g["node"].map(deg).astype("int64").to_numpy(),
-                "geb": (edges % nb).astype("int32"),
-            }
-        )
+        return g.assign(deg=g["node"].map(deg), geb=g["edge"].to_numpy() % nb)
 
     def orient(g: pd.DataFrame) -> pd.DataFrame:
         s0 = g.loc[g["slot"] == 0].sort_values("edge")
@@ -8417,26 +8156,14 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
         take_a = (da < db) | ((da == db) & (a <= b))
         u = np.where(take_a, a, b)
         v = np.where(take_a, b, a)
-        return pd.DataFrame(
-            {
-                "u": pd.Series(u, dtype="int64"),
-                "v": pd.Series(v, dtype="int64"),
-                "ub": pd.Series((u % nb).astype(np.int32), dtype="int32"),
-            }
-        )
+        return pd.DataFrame({"u": u, "v": v, "ub": u % nb})
 
     def wedge_candidates(g: pd.DataFrame) -> pd.DataFrame:
         out = []
         for _, gg in g.groupby("u", sort=False):
             out.extend(_wedge_pair_chunks(np.unique(gg["v"].to_numpy())))
         cands = np.concatenate(out) if out else np.zeros(0, np.int64)
-        return pd.DataFrame(
-            {
-                "k": pd.Series(cands, dtype="int64"),
-                "cb": pd.Series((cands % nb).astype(np.int32), dtype="int32"),
-                "is_edge": pd.Series(np.zeros(cands.size, np.int8), dtype="int8"),
-            }
-        )
+        return pd.DataFrame({"k": cands, "cb": cands % nb, "is_edge": np.zeros(cands.size, np.int8)})
 
     def edge_side(batch: pa.Table) -> pa.Table:
         e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8452,29 +8179,32 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
         ek = np.unique(g.loc[g["is_edge"] == 1, "k"].to_numpy())
         ck = g.loc[g["is_edge"] == 0, "k"].to_numpy()
         if ek.size == 0 or ck.size == 0:
-            return pd.DataFrame({"n": pd.array([0], dtype="int64")})
+            return pd.DataFrame({"n": [0]})
         pos = np.searchsorted(ek, ck)
         pos[pos >= ek.size] = ek.size - 1
-        return pd.DataFrame(
-            {"n": pd.array([int((ek[pos] == ck).sum())], dtype="int64")}
-        )
+        return pd.DataFrame({"n": [int((ek[pos] == ck).sum())]})
 
-    oriented = _arrow_blocks(
-        _arrow_blocks(
-            dedup_edges.map_batches(halves, batch_format="pyarrow")
-            .groupby("hb")
-            .map_groups(annotate_deg, batch_format="pandas")
-        )
-        .groupby("geb")
-        .map_groups(orient, batch_format="pandas")
+    annotated = cogroup(
+        dedup_edges.map_batches(halves, batch_format="pyarrow"),
+        "hb",
+        annotate_deg,
+        {
+            "edge": pa.int64(),
+            "slot": pa.int8(),
+            "node": pa.int64(),
+            "deg": pa.int64(),
+            "geb": pa.int32(),
+        },
     )
-    candidates = _arrow_blocks(
-        oriented.groupby("ub").map_groups(wedge_candidates, batch_format="pandas")
+    oriented = cogroup(annotated, "geb", orient, {"u": pa.int64(), "v": pa.int64(), "ub": pa.int32()})
+    candidates = cogroup(
+        oriented, "ub", wedge_candidates, {"k": pa.int64(), "cb": pa.int32(), "is_edge": pa.int8()}
     )
-    parts = (
-        candidates.union(dedup_edges.map_batches(edge_side, batch_format="pyarrow"))
-        .groupby("cb")
-        .map_groups(count_matches, batch_format="pandas")
+    parts = cogroup(
+        candidates.union(dedup_edges.map_batches(edge_side, batch_format="pyarrow")),
+        "cb",
+        count_matches,
+        {"n": pa.int64()},
     )
     total = int(
         sum(
@@ -8503,27 +8233,23 @@ def q_orders_top_ties(sf_dir: str):
         return pa.Table.from_pandas(df[r <= 5], preserve_index=False)
 
     def final_rank(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "o_orderpriority": pd.array([], dtype="str"),
-                "o_orderkey": pd.array([], dtype="int64"),
-                "o_totalprice": pd.array([], dtype="float64"),
-                "rnk": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
-        g = group.copy()
-        g["rnk"] = (
-            g["o_totalprice"].rank(method="min", ascending=False).astype("int64")
-        )
-        g = g[g["rnk"] <= 5]
-        return g[["o_orderpriority", "o_orderkey", "o_totalprice", "rnk"]]
+        g = group.assign(rnk=group["o_totalprice"].rank(method="min", ascending=False))
+        return g[g["rnk"] <= 5]
 
     ds = _read(
         sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"]
     ).map_batches(local_prune, batch_format="pyarrow")
-    return ds.groupby("o_orderpriority").map_groups(final_rank, batch_format="pandas")
+    return cogroup(
+        ds,
+        "o_orderpriority",
+        final_rank,
+        {
+            "o_orderpriority": pa.string(),
+            "o_orderkey": pa.int64(),
+            "o_totalprice": pa.float64(),
+            "rnk": pa.int64(),
+        },
+    )
 
 
 def q_events_above_user_median(sf_dir: str):
@@ -8545,29 +8271,16 @@ def q_events_above_user_median(sf_dir: str):
         )
 
     def per_user(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "n_above": pd.array([], dtype="int64"),
-            }
-        )
-        if bucket.empty:
-            return empty
         rows = []
         for uid, g in bucket.groupby("user_id", sort=False):
             med = g["value"].median()
             rows.append((int(uid), int((g["value"] > med).sum())))
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series([r[0] for r in rows], dtype="int64"),
-                "n_above": pd.Series([r[1] for r in rows], dtype="int64"),
-            }
-        )
+        return pd.DataFrame(rows, columns=["user_id", "n_above"])
 
     ds = _read(sf_dir, "events", ["user_id", "value"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return ds.groupby("ub").map_groups(per_user, batch_format="pandas")
+    return cogroup(ds, "ub", per_user, {"user_id": pa.int64(), "n_above": pa.int64()})
 
 
 def q_lineitem_ols(sf_dir: str):
@@ -8663,14 +8376,6 @@ def q_events_rolling_max3(sf_dir: str):
         )
 
     def roll(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "event_id": pd.array([], dtype="int64"),
-                "rmax3": pd.array([], dtype="float64"),
-            }
-        )
-        if bucket.empty:
-            return empty
         outs = []
         for _, g in bucket.groupby("user_id", sort=False):
             g = g.sort_values(["us", "event_id"])
@@ -8687,7 +8392,7 @@ def q_events_rolling_max3(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return ds.groupby("ub").map_groups(roll, batch_format="pandas")
+    return cogroup(ds, "ub", roll, {"event_id": pa.int64(), "rmax3": pa.float64()})
 
 
 def q_lineitem_unpivot(sf_dir: str):
@@ -8750,14 +8455,6 @@ def q_events_lead_type(sf_dir: str):
         )
 
     def lead(bucket: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "event_id": pd.array([], dtype="int64"),
-                "next_type": pd.array([], dtype="str"),
-            }
-        )
-        if bucket.empty:
-            return empty
         outs = []
         for _, g in bucket.groupby("user_id", sort=False):
             g = g.sort_values(["us", "event_id"])
@@ -8774,7 +8471,7 @@ def q_events_lead_type(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return ds.groupby("ub").map_groups(lead, batch_format="pandas")
+    return cogroup(ds, "ub", lead, {"event_id": pa.int64(), "next_type": pa.string()})
 
 
 def _bpe_pair_partial(batch: pa.Table) -> pa.Table:
@@ -8861,9 +8558,6 @@ def q_copurchase_assortativity(sf_dir: str):
         )
 
     def bucket_edges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"edge": pd.array([], dtype="int64")})
-        if group.empty:
-            return empty
         if int(group["pkey"].max()) >= 1 << 32:
             raise ValueError("l_partkey >= 2^32: packed edge encodings would collide")
         seen: set[int] = set()
@@ -8871,7 +8565,7 @@ def q_copurchase_assortativity(sf_dir: str):
             basket = sorted(set(parts.tolist()))
             for a, b in combinations(basket, 2):
                 seen.add((a << 32) | b)
-        return pd.DataFrame({"edge": pd.Series(sorted(seen), dtype="int64")})
+        return pd.DataFrame({"edge": sorted(seen)})
 
     def edge_bucket(batch: pa.Table) -> pa.Table:
         e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8883,18 +8577,21 @@ def q_copurchase_assortativity(sf_dir: str):
         )
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"edge": pd.Series(np.unique(g["edge"].to_numpy()), dtype="int64")}
-        )
+        return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
-    edges = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_edges, batch_format="pandas")
-        .map_batches(edge_bucket, batch_format="pyarrow")
-        .groupby("eb")
-        .map_groups(dedup_group, batch_format="pandas")
+    raw_edges = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_edges,
+        {"edge": pa.int64()},
+    )
+    edges = cogroup(
+        raw_edges.map_batches(edge_bucket, batch_format="pyarrow"),
+        "eb",
+        dedup_group,
+        {"edge": pa.int64()},
     ).materialize()
 
     def deg_partials(batch: pa.Table) -> pa.Table:
@@ -8991,9 +8688,6 @@ def q_copurchase_kcore(sf_dir: str):
         )
 
     def bucket_edges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"edge": pd.array([], dtype="int64")})
-        if group.empty:
-            return empty
         if int(group["pkey"].max()) >= 1 << 32:
             raise ValueError("l_partkey >= 2^32: packed edge encodings would collide")
         seen: set[int] = set()
@@ -9001,7 +8695,7 @@ def q_copurchase_kcore(sf_dir: str):
             basket = sorted(set(parts.tolist()))
             for a, b in combinations(basket, 2):
                 seen.add((a << 32) | b)
-        return pd.DataFrame({"edge": pd.Series(sorted(seen), dtype="int64")})
+        return pd.DataFrame({"edge": sorted(seen)})
 
     def edge_bucket(batch: pa.Table) -> pa.Table:
         e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9013,18 +8707,21 @@ def q_copurchase_kcore(sf_dir: str):
         )
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"edge": pd.Series(np.unique(g["edge"].to_numpy()), dtype="int64")}
-        )
+        return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
-    edges = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_edges, batch_format="pandas")
-        .map_batches(edge_bucket, batch_format="pyarrow")
-        .groupby("eb")
-        .map_groups(dedup_group, batch_format="pandas")
+    raw_edges = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_edges,
+        {"edge": pa.int64()},
+    )
+    edges = cogroup(
+        raw_edges.map_batches(edge_bucket, batch_format="pyarrow"),
+        "eb",
+        dedup_group,
+        {"edge": pa.int64()},
     ).materialize()
 
     # initial degrees: ONE pass of per-batch partials folded on the driver
@@ -9145,33 +8842,21 @@ def q_copurchase_bfs_hops(sf_dir: str):
         )
 
     def bucket_edges(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "u": pd.array([], dtype="int64"),
-                "v": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         seen: set[tuple[int, int]] = set()
         for _, parts in group.groupby("okey")["pkey"]:
             basket = sorted(set(parts.tolist()))
             for a, b in combinations(basket, 2):
                 seen.add((a, b))
-        return pd.DataFrame(
-            {
-                "u": pd.Series([p[0] for p in seen], dtype="int64"),
-                "v": pd.Series([p[1] for p in seen], dtype="int64"),
-            }
-        )
+        return pd.DataFrame(list(seen), columns=["u", "v"])
 
-    edges = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(bucket_edges, batch_format="pandas")
-        .materialize()
-    )
+    edges = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_edges,
+        {"u": pa.int64(), "v": pa.int64()},
+    ).materialize()
     seed = int(_read(sf_dir, "lineitem", ["l_partkey"]).min("l_partkey"))
     visited: dict[int, int] = {seed: 0}
     frontier = {seed}
@@ -9397,24 +9082,13 @@ def q_label_centroid_outliers(sf_dir: str):
         )
 
     def bottom5(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "label": pd.array([], dtype="int64"),
-                "vec_id": pd.array([], dtype="int64"),
-                "cos_centroid": pd.array([], dtype="float64"),
-            }
-        )
-        if group.empty:
-            return empty
-        top = group.sort_values(
-            ["cos_centroid", "vec_id"], kind="mergesort"
-        ).head(5)
-        return top[["label", "vec_id", "cos_centroid"]].reset_index(drop=True)
+        return group.sort_values(["cos_centroid", "vec_id"], kind="mergesort").head(5)
 
-    return (
-        ds.map_batches(score, batch_format="pyarrow")
-        .groupby("label")
-        .map_groups(bottom5, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(score, batch_format="pyarrow"),
+        "label",
+        bottom5,
+        {"label": pa.int64(), "vec_id": pa.int64(), "cos_centroid": pa.float64()},
     )
 
 
@@ -9449,16 +9123,6 @@ def q_part_affinity_lift(sf_dir: str):
         )
 
     def bucket_partials(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "kind": pd.array([], dtype="int8"),
-                "key": pd.array([], dtype="int64"),
-                "pb": pd.array([], dtype="int32"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         # pair keys pack as (a<<32)|b: a partkey at/above 2^32 would bleed
         # into the high word and silently corrupt pair counts — fail loudly
         # (one vectorized max per group)
@@ -9484,48 +9148,35 @@ def q_part_affinity_lift(sf_dir: str):
         ns = list(pair_c.values()) + list(part_c.values()) + [n_orders]
         return pd.DataFrame(
             {
-                "kind": pd.Series(kinds, dtype="int8"),
-                "key": pd.Series(keys, dtype="int64"),
-                "pb": pd.Series(
-                    [(k * 3 + kd) % nb for k, kd in zip(keys, kinds)],
-                    dtype="int32",
-                ),
-                "n": pd.Series(ns, dtype="int64"),
+                "kind": kinds,
+                "key": keys,
+                "pb": [(k * 3 + kd) % nb for k, kd in zip(keys, kinds)],
+                "n": ns,
             }
         )
 
     def merge_and_prune(group: pd.DataFrame) -> pd.DataFrame:
         # every partial for a given (kind, key) lands in this pb bucket, so
         # sums here are FULL counts and the pair top-20 prune is lossless
-        empty = pd.DataFrame(
-            {
-                "kind": pd.array([], dtype="int8"),
-                "key": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         sums = group.groupby(["kind", "key"], as_index=False)["n"].sum()
         pairs = sums[sums["kind"] == 0].copy()
         pairs["neg_n"] = -pairs["n"]
         pairs = pairs.sort_values(["neg_n", "key"], kind="mergesort").head(20)
-        rest = sums[sums["kind"] != 0]
-        out = pd.concat([pairs[["kind", "key", "n"]], rest], ignore_index=True)
-        return out.astype({"kind": "int8", "key": "int64", "n": "int64"})
+        return pd.concat([pairs, sums[sums["kind"] != 0]], ignore_index=True)
 
-    # to_pandas, not take_all: row-wise iteration over the pandas-format
-    # result blocks measured 27 s for 22k rows (per-row conversion), the
-    # batch fetch is instant
-    folded = (
-        _arrow_blocks(
-            _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-            .map_batches(project, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(bucket_partials, batch_format="pandas")
-        )
-        .groupby("pb")
-        .map_groups(merge_and_prune, batch_format="pandas")
+    partials = cogroup(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "kb",
+        bucket_partials,
+        {"kind": pa.int8(), "key": pa.int64(), "pb": pa.int32(), "n": pa.int64()},
+    )
+    # to_pandas, not take_all: row-wise iteration over the result blocks
+    # measured 27 s for 22k rows (per-row conversion), the batch fetch is
+    # instant
+    folded = cogroup(
+        partials, "pb", merge_and_prune, {"kind": pa.int8(), "key": pa.int64(), "n": pa.int64()}
     ).to_pandas()
 
     pair_n: dict[int, int] = {}
@@ -9722,14 +9373,6 @@ def q_events_path_trigrams(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "path": pd.array([], dtype="object"),
-                "n_p": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         uid = g["user_id"].to_numpy()
         types = g["event_type"].to_numpy()
@@ -9740,19 +9383,17 @@ def q_events_path_trigrams(sf_dir: str):
         c: Counter = Counter(
             f"{types[i - 2]}>{types[i - 1]}>{types[i]}" for i in idx
         )
-        return pd.DataFrame(
-            {
-                "path": pd.Series(list(c.keys()), dtype="object"),
-                "n_p": pd.Series(list(c.values()), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"path": list(c.keys()), "n_p": list(c.values())})
 
     return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
+        cogroup(
+            _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
+                project, batch_format="pyarrow"
+            ),
+            "ub",
+            fold_bucket,
+            {"path": pa.string(), "n_p": pa.int64()},
+        )
         .groupby("path")
         .aggregate(Sum("n_p", alias_name="n_paths"))
         .sort(["n_paths", "path"], descending=[True, False])
@@ -9782,10 +9423,12 @@ def q_referential_orphans(sf_dir: str):
     key set broadcasts once (`ray.put` a sorted int64 array; orders, the
     largest, is ~8 B/key) and the fact side folds per-batch
     (rows, orphans) SCALARS with a vectorized ``np.isin`` — no all-to-all
-    anywhere, one tiny Sum per edge.  A parent beyond
-    ``EDS_BROADCAST_KEYS_MAX`` (default 5M keys) falls back to the
-    bucketed co-group (key-hash buckets, orphan partial per bucket) —
-    the documented big-parent path.  The 7 edges execute concurrently
+    anywhere, one tiny Sum per edge.  The path is chosen before any key is
+    read: a parent whose parquet footers count more than
+    ``EDS_BROADCAST_KEYS_MAX`` rows (default 5M; rows bound distinct keys)
+    takes the bucketed co-group (key-hash buckets, orphan partial per
+    bucket) — the documented big-parent path, whose keys never reach the
+    driver.  The 7 edges execute concurrently
     (driver threads, one streaming pipeline each); serial bucketed
     execution paid 10.9 s at sf0.1/32 cpus, broadcast+threads ~2 s."""
     from concurrent.futures import ThreadPoolExecutor
@@ -9800,6 +9443,12 @@ def q_referential_orphans(sf_dir: str):
 
     max_bcast = int(os.environ.get("EDS_BROADCAST_KEYS_MAX", "5000000"))
     nb = resolve_group_buckets(None)
+
+    def parent_rows(parent: str) -> int:
+        import pyarrow.dataset as pads
+
+        path = os.path.join(sf_dir, f"{parent}.parquet")
+        return pads.dataset(path, format="parquet").count_rows()  # footers only
 
     def parent_key_array(parent: str, pkey: str) -> np.ndarray:
         parts = (
@@ -9835,6 +9484,8 @@ def q_referential_orphans(sf_dir: str):
             .map_batches(partial, batch_format="pyarrow")
             .aggregate(Sum("rows_p", alias_name="r"), Sum("orphans_p", alias_name="o"))
         )
+        if not agg:
+            return 0, 0
         return int(agg["r"] or 0), int(agg["o"] or 0)
 
     def orphans_bucketed(child: str, ckey: str, parent: str, pkey: str) -> tuple[int, int]:
@@ -9873,13 +9524,6 @@ def q_referential_orphans(sf_dir: str):
             )
 
         def orphan_partial(group: pd.DataFrame) -> pd.DataFrame:
-            if group.empty:
-                return pd.DataFrame(
-                    {
-                        "rows_p": pd.array([], dtype="int64"),
-                        "orphans_p": pd.array([], dtype="int64"),
-                    }
-                )
             present = set(group.loc[group["is_parent"], "key"])
             child_rows = group.loc[~group["is_parent"]]
             total = int(child_rows["cnt"].sum())
@@ -9888,24 +9532,23 @@ def q_referential_orphans(sf_dir: str):
             )
             return pd.DataFrame({"rows_p": [total], "orphans_p": [orphan]})
 
-        agg = (
-            cds.map_batches(child_partials, batch_format="pyarrow")
-            .union(pds.map_batches(parent_keys, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(orphan_partial, batch_format="pandas")
-            .map_batches(_as_arrow, batch_format="pyarrow")
-            .aggregate(Sum("rows_p", alias_name="r"), Sum("orphans_p", alias_name="o"))
-        )
+        agg = cogroup(
+            cds.map_batches(child_partials, batch_format="pyarrow").union(
+                pds.map_batches(parent_keys, batch_format="pyarrow")
+            ),
+            "kb",
+            orphan_partial,
+            {"rows_p": pa.int64(), "orphans_p": pa.int64()},
+        ).aggregate(Sum("rows_p", alias_name="r"), Sum("orphans_p", alias_name="o"))
         if not agg:
             return 0, 0
         return int(agg["r"] or 0), int(agg["o"] or 0)
 
     def orphans_for(edge) -> tuple[int, int]:
         _label, child, ckey, parent, pkey = edge
-        keys = parent_key_array(parent, pkey)
-        if len(keys) <= max_bcast:
-            return orphans_broadcast(child, ckey, keys)
-        return orphans_bucketed(child, ckey, parent, pkey)
+        if parent_rows(parent) > max_bcast:
+            return orphans_bucketed(child, ckey, parent, pkey)
+        return orphans_broadcast(child, ckey, parent_key_array(parent, pkey))
 
     with ThreadPoolExecutor(max_workers=len(_FK_EDGES)) as ex:
         results = list(ex.map(orphans_for, _FK_EDGES))
@@ -9947,15 +9590,6 @@ def q_events_rolling_zscore(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "event_id": pd.array([], dtype="int64"),
-                "z": pd.array([], dtype="float64"),
-                "is_anomaly": pd.array([], dtype="bool"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         uid = g["user_id"].to_numpy()
         c = g["cents"].to_numpy(dtype=np.int64)
@@ -9982,19 +9616,15 @@ def q_events_rolling_zscore(sf_dir: str):
         z[zero] = np.nan
         anomaly = np.zeros(len(idx), dtype=bool)
         anomaly[~zero] = np.abs(z[~zero]) > 3.0
-        return pd.DataFrame(
-            {
-                "event_id": pd.Series(eid[idx], dtype="int64"),
-                "z": pd.Series(z, dtype="float64"),
-                "is_anomaly": pd.Series(anomaly, dtype="bool"),
-            }
-        )
+        return pd.DataFrame({"event_id": eid[idx], "z": z, "is_anomaly": anomaly})
 
-    return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "ub",
+        fold_bucket,
+        {"event_id": pa.int64(), "z": pa.float64(), "is_anomaly": pa.bool_()},
     )
 
 
@@ -10227,19 +9857,7 @@ def q_nb_lang_confusion(sf_dir: str):
             }
         )
 
-    _NB_EMPTY = pd.DataFrame(
-        {
-            "doc_id": pd.array([], dtype="int64"),
-            "lang": pd.array([], dtype="str"),
-            "t_part": pd.array([], dtype="int64"),
-            **{c: pd.array([], dtype="float64") for c in scols},
-            "dbucket": pd.array([], dtype="int32"),
-        }
-    )
-
     def train_and_score(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _NB_EMPTY
         # bucket-local model: c per (term, lang) — exact global counts,
         # because a term's rows all hash into this bucket
         model = g.groupby(["term", "lang"], sort=False)["n"].sum()
@@ -10257,32 +9875,35 @@ def q_nb_lang_confusion(sf_dir: str):
             .sum()
             .reset_index()
         )
-        agg["dbucket"] = (agg["doc_id"].to_numpy() % nb).astype("int32")
+        agg["dbucket"] = agg["doc_id"].to_numpy() % nb
         # per-lang model stats as two sentinel rows (ints ≤ 2^53, exact in
         # float64): doc_id −1 → Σc (token totals), −2 → vocab sizes
         n_tok_p = model.groupby(level="lang").sum().reindex(langs).fillna(0)
         v_p = model.groupby(level="lang").size().reindex(langs).fillna(0)
         stats = pd.DataFrame(
             {
-                "doc_id": pd.array([-1, -2], dtype="int64"),
-                "lang": pd.array(["", ""], dtype="str"),
-                "t_part": pd.array([0, 0], dtype="int64"),
-                **{
-                    c: pd.array(
-                        [float(n_tok_p.iloc[i]), float(v_p.iloc[i])], dtype="float64"
-                    )
-                    for i, c in enumerate(scols)
-                },
-                "dbucket": pd.array([0, 0], dtype="int32"),
+                "doc_id": [-1, -2],
+                "lang": ["", ""],
+                "t_part": [0, 0],
+                **{c: [float(n_tok_p.iloc[i]), float(v_p.iloc[i])] for i, c in enumerate(scols)},
+                "dbucket": [0, 0],
             }
         )
-        return pd.concat([agg[_NB_EMPTY.columns], stats], ignore_index=True)
+        return pd.concat([agg, stats], ignore_index=True)
 
-    staged = _arrow_blocks(
-        _read(sf_dir, "documents", ["doc_id", "lang", "text"])
-        .map_batches(doc_terms, batch_format="pyarrow")
-        .groupby("tbucket")
-        .map_groups(train_and_score, batch_format="pandas")
+    staged = cogroup(
+        _read(sf_dir, "documents", ["doc_id", "lang", "text"]).map_batches(
+            doc_terms, batch_format="pyarrow"
+        ),
+        "tbucket",
+        train_and_score,
+        {
+            "doc_id": pa.int64(),
+            "lang": pa.string(),
+            "t_part": pa.int64(),
+            **{c: pa.float64() for c in scols},
+            "dbucket": pa.int32(),
+        },
     ).materialize()
 
     def keep_stats(batch: pa.Table) -> pa.Table:
@@ -10300,17 +9921,7 @@ def q_nb_lang_confusion(sf_dir: str):
     def keep_docs(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater_equal(batch["doc_id"], 0))
 
-    _CONF_EMPTY = pd.DataFrame(
-        {
-            "lang": pd.array([], dtype="str"),
-            "nb_pred": pd.array([], dtype="str"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold_and_argmax(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _CONF_EMPTY
         agg = g.groupby(["doc_id", "lang"], sort=False)[["t_part"] + scols].sum()
         T = agg["t_part"].to_numpy(dtype=np.float64)
         s = agg[scols].to_numpy(dtype=np.float64)
@@ -10323,15 +9934,14 @@ def q_nb_lang_confusion(sf_dir: str):
                 "nb_pred": [langs[p] for p in pred],
             }
         )
-        folded = out.groupby(["lang", "nb_pred"], sort=False).size().reset_index(name="n_p")
-        folded["n_p"] = folded["n_p"].astype("int64")
-        return folded
+        return out.groupby(["lang", "nb_pred"], sort=False).size().reset_index(name="n_p")
 
     return (
-        _arrow_blocks(
-            staged.map_batches(keep_docs, batch_format="pyarrow")
-            .groupby("dbucket")
-            .map_groups(fold_and_argmax, batch_format="pandas")
+        cogroup(
+            staged.map_batches(keep_docs, batch_format="pyarrow"),
+            "dbucket",
+            fold_and_argmax,
+            {"lang": pa.string(), "nb_pred": pa.string(), "n_p": pa.int64()},
         )
         .groupby(["lang", "nb_pred"])
         .aggregate(Sum("n_p", alias_name="n"))
@@ -10383,17 +9993,7 @@ def q_chi2_term_lang(sf_dir: str):
             }
         )
 
-    _CHI_EMPTY = pd.DataFrame(
-        {
-            "term": pd.array([], dtype="str"),
-            "lang": pd.array([], dtype="str"),
-            "chi2_raw": pd.array([], dtype="float64"),
-        }
-    )
-
     def chi2_topk(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _CHI_EMPTY
         a_tl = g.groupby(["term", "lang"], sort=False)["a_p"].sum()
         wide = a_tl.unstack("lang").reindex(columns=langs).fillna(0).astype("int64")
         best: list[tuple[float, str, str]] = []
@@ -10409,14 +10009,7 @@ def q_chi2_term_lang(sf_dir: str):
                 chi2 = float(num) / float(den) if den else 0.0
                 best.append((chi2, term, lang))
         best.sort(key=lambda x: (-x[0], x[1], x[2]))
-        best = best[:20]
-        return pd.DataFrame(
-            {
-                "term": pd.array([t for _, t, _ in best], dtype="str"),
-                "lang": pd.array([l for _, _, l in best], dtype="str"),
-                "chi2_raw": pd.array([x for x, _, _ in best], dtype="float64"),
-            }
-        )
+        return pd.DataFrame(best[:20], columns=["chi2_raw", "term", "lang"])
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -10431,11 +10024,13 @@ def q_chi2_term_lang(sf_dir: str):
         )
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(presence_partials, batch_format="pyarrow")
-            .groupby("tbucket")
-            .map_groups(chi2_topk, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["lang", "text"]).map_batches(
+                presence_partials, batch_format="pyarrow"
+            ),
+            "tbucket",
+            chi2_topk,
+            {"term": pa.string(), "lang": pa.string(), "chi2_raw": pa.float64()},
         )
         .sort(["chi2_raw", "term", "lang"], descending=[True, False, False])
         .limit(20)
@@ -10482,18 +10077,7 @@ def q_k_anonymity_audit(sf_dir: str):
         folded["n_p"] = folded["n_p"].astype("int64")
         return pa.Table.from_pandas(folded, preserve_index=False)
 
-    _KA_EMPTY = pd.DataFrame(
-        {
-            "k": pd.array([], dtype="int64"),
-            "n_classes_p": pd.array([], dtype="int64"),
-            "n_rows_p": pd.array([], dtype="int64"),
-            "min_l_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def spectrum_fold(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _KA_EMPTY
         # rows are (QI, cents) partials; a QI class is fully co-resident
         per = g.groupby(["nat", "seg", "band"], sort=False).agg(
             k=("n_p", "sum"), l=("cents", "nunique")
@@ -10502,22 +10086,21 @@ def q_k_anonymity_audit(sf_dir: str):
             n_classes_p=("l", "size"), min_l_p=("l", "min")
         )
         hist["n_rows_p"] = hist.index.to_numpy() * hist["n_classes_p"].to_numpy()
-        out = hist.reset_index()
-        return pd.DataFrame(
-            {
-                "k": out["k"].astype("int64"),
-                "n_classes_p": out["n_classes_p"].astype("int64"),
-                "n_rows_p": out["n_rows_p"].astype("int64"),
-                "min_l_p": out["min_l_p"].astype("int64"),
-            }
-        )
+        return hist.reset_index()
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_acctbal"])
-            .map_batches(class_partials, batch_format="pyarrow")
-            .groupby("qbucket")
-            .map_groups(spectrum_fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_acctbal"]).map_batches(
+                class_partials, batch_format="pyarrow"
+            ),
+            "qbucket",
+            spectrum_fold,
+            {
+                "k": pa.int64(),
+                "n_classes_p": pa.int64(),
+                "n_rows_p": pa.int64(),
+                "min_l_p": pa.int64(),
+            },
         )
         .groupby("k")
         .aggregate(
@@ -10573,34 +10156,22 @@ def q_events_funnel_conformance(sf_dir: str):
             }
         )
 
-    _FC_EMPTY = pd.DataFrame(
-        {
-            "dist": pd.array([], dtype="int64"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _FC_EMPTY
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
         hist: Counter = Counter()
         for _, sub in g.groupby("user_id", sort=False):
             path = "".join(sub["c"].iloc[:20])
             hist[lev(path, target)] += 1
-        return pd.DataFrame(
-            {
-                "dist": pd.array(list(hist.keys()), dtype="int64"),
-                "n_p": pd.array(list(hist.values()), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"dist": list(hist.keys()), "n_p": list(hist.values())})
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-            .map_batches(project, batch_format="pyarrow")
-            .groupby("ub")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
+                project, batch_format="pyarrow"
+            ),
+            "ub",
+            fold,
+            {"dist": pa.int64(), "n_p": pa.int64()},
         )
         .groupby("dist")
         .aggregate(Sum("n_p", alias_name="n_users"))
@@ -10654,11 +10225,7 @@ def q_lang_jsd_divergence(sf_dir: str):
     tot = wrows.aggregate(Sum("c1_p", alias_name="n1"), Sum("c2_p", alias_name="n2"))
     n1, n2 = int(tot["n1"]), int(tot["n2"])
 
-    _JSD_EMPTY = pd.DataFrame({"jsd_p": pd.array([], dtype="float64")})
-
     def bucket_jsd(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _JSD_EMPTY
         per = g.groupby("w", sort=True)[["c1_p", "c2_p"]].sum()  # bucket-complete
         s = 0.0
         for c1, c2 in zip(per["c1_p"], per["c2_p"]):
@@ -10668,12 +10235,10 @@ def q_lang_jsd_divergence(sf_dir: str):
                 s += 0.5 * (p * math.log(2.0 * p / (p + q)))
             if c2 > 0:
                 s += 0.5 * (q * math.log(2.0 * q / (p + q)))
-        return pd.DataFrame({"jsd_p": pd.array([s], dtype="float64")})
+        return pd.DataFrame({"jsd_p": [s]})
 
     jsd = 0.0
-    for r in (
-        wrows.groupby("wbkt").map_groups(bucket_jsd, batch_format="pandas").take_all()
-    ):
+    for r in cogroup(wrows, "wbkt", bucket_jsd, {"jsd_p": pa.float64()}).take_all():
         jsd += float(r["jsd_p"])
     return pa.table(
         {
@@ -10751,16 +10316,7 @@ def q_incremental_refresh(sf_dir: str):
             }
         )
 
-    _IR_EMPTY = pd.DataFrame(
-        {
-            "metric": pd.array([], dtype="str"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def refresh_fold(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _IR_EMPTY
         sides = g["side"].to_numpy()
         cat = set(g.loc[sides == 0, "hh"])
         newrows = g[(sides == 3) | (sides == 4)]
@@ -10780,20 +10336,16 @@ def q_incremental_refresh(sf_dir: str):
             "quality_pass": int(quality),
         }
         c["rows_v1"] = c["unchanged"] + c["removed"] + c["modified"]
-        keys = sorted(c)
-        return pd.DataFrame(
-            {
-                "metric": pd.array(keys, dtype="str"),
-                "n_p": pd.array([c[k] for k in keys], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"metric": list(c), "n_p": list(c.values())})
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(classify, batch_format="pyarrow")
-            .groupby("hb")
-            .map_groups(refresh_fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+                classify, batch_format="pyarrow"
+            ),
+            "hb",
+            refresh_fold,
+            {"metric": pa.string(), "n_p": pa.int64()},
         )
         .groupby("metric")
         .aggregate(Sum("n_p", alias_name="value"))
@@ -10995,11 +10547,7 @@ def q_events_ks_test(sf_dir: str):
         o1 += t1[rb]
         o2 += t2[rb]
 
-    _KS_EMPTY = pd.DataFrame({"num_p": pd.array([], dtype=object)})
-
     def bucket_max(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _KS_EMPTY
         per = g.groupby("v", sort=True)[["c1_p", "c2_p"]].sum()
         p1, p2 = offsets[int(g["rb"].iloc[0])]
         best = 0
@@ -11008,12 +10556,10 @@ def q_events_ks_test(sf_dir: str):
             p2 += int(c2)
             best = max(best, abs(p1 * n2 - p2 * n1))
         # bigint-safe transport: decimal string, parsed back on the driver
-        return pd.DataFrame({"num_p": pd.array([str(best)], dtype=object)})
+        return pd.DataFrame({"num_p": [str(best)]})
 
     best = 0
-    for r in (
-        vrows.groupby("rb").map_groups(bucket_max, batch_format="pandas").take_all()
-    ):
+    for r in cogroup(vrows, "rb", bucket_max, {"num_p": pa.string()}).take_all():
         best = max(best, int(r["num_p"]))
     ks = round(float(best) / float(n1 * n2), 6)
     return pa.table(
@@ -11210,17 +10756,16 @@ def q_events_hourly_hll(sf_dir: str):
         for blob in group["sketch"]:
             regs = np.maximum(regs, np.frombuffer(blob, dtype=np.int64))
         return pd.DataFrame(
-            {
-                "window_us": pd.array([int(group["window_us"].iloc[0])], dtype="int64"),
-                "hll_users": pd.array([round(hll_estimate(regs), 4)], dtype="float64"),
-            }
+            {"window_us": [group["window_us"].iloc[0]], "hll_users": [round(hll_estimate(regs), 4)]}
         )
 
-    return (
-        _read(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(sketch_partials, batch_format="pyarrow")
-        .groupby("window_us")
-        .map_groups(merge, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["ts", "user_id"]).map_batches(
+            sketch_partials, batch_format="pyarrow"
+        ),
+        "window_us",
+        merge,
+        {"window_us": pa.int64(), "hll_users": pa.float64()},
     )
 
 
@@ -11583,16 +11128,6 @@ def q_doc_ngram_novelty(sf_dir: str):
         # re-key by doc-hash bucket for the second fold — Ray's generic
         # hash aggregate on ~|docs| int64 keys measured ~100× slower than
         # this two-stage bucketed pandas fold at sf0.1
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.array([], dtype="int64"),
-                "db": pd.array([], dtype="int32"),
-                "n_grams_p": pd.array([], dtype="int64"),
-                "n_unique_p": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         df = group.groupby("gh")["doc_id"].transform("size")
         sub = pd.DataFrame(
             {"doc_id": group["doc_id"], "uniq": (df == 1).astype("int64")}
@@ -11600,45 +11135,32 @@ def q_doc_ngram_novelty(sf_dir: str):
         out = sub.groupby("doc_id", as_index=False).agg(
             n_grams_p=("uniq", "size"), n_unique_p=("uniq", "sum")
         )
-        out["db"] = (out["doc_id"] % nb).astype("int32")
-        return out[["doc_id", "db", "n_grams_p", "n_unique_p"]].astype(
-            {"doc_id": "int64", "n_grams_p": "int64", "n_unique_p": "int64"}
-        )
+        out["db"] = out["doc_id"] % nb
+        return out
 
     def fold_doc(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.array([], dtype="int64"),
-                "n_grams": pd.array([], dtype="int64"),
-                "n_unique": pd.array([], dtype="int64"),
-                "novelty": pd.array([], dtype="float64"),
-            }
-        )
-        if group.empty:
-            return empty
         agg = group.groupby("doc_id", as_index=False).agg(
             n_grams=("n_grams_p", "sum"), n_unique=("n_unique_p", "sum")
         )
-        agg["novelty"] = agg["n_unique"].astype("int64") / agg[
-            "n_grams"
-        ].astype("int64")
-        return agg.astype(
-            {
-                "doc_id": "int64",
-                "n_grams": "int64",
-                "n_unique": "int64",
-                "novelty": "float64",
-            }
-        )
+        agg["novelty"] = agg["n_unique"] / agg["n_grams"]
+        return agg
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(fold_doc, batch_format="pandas")
+    partials = cogroup(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(explode, batch_format="pyarrow"),
+        "gb",
+        fold_bucket,
+        {"doc_id": pa.int64(), "db": pa.int32(), "n_grams_p": pa.int64(), "n_unique_p": pa.int64()},
+    )
+    return cogroup(
+        partials,
+        "db",
+        fold_doc,
+        {
+            "doc_id": pa.int64(),
+            "n_grams": pa.int64(),
+            "n_unique": pa.int64(),
+            "novelty": pa.float64(),
+        },
     )
 
 
@@ -11926,15 +11448,6 @@ def q_events_active_time(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "active_us": pd.array([], dtype="int64"),
-                "n_islands": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us"], kind="mergesort")
         uid = g["user_id"].to_numpy(dtype=np.int64)
         ts = g["us"].to_numpy(dtype=np.int64)
@@ -11956,16 +11469,13 @@ def q_events_active_time(sf_dir: str):
                 "n_islands": ends_island.astype("int64"),
             }
         )
-        agg = out.groupby("user_id", as_index=False).sum()
-        return agg.astype(
-            {"user_id": "int64", "active_us": "int64", "n_islands": "int64"}
-        )
+        return out.groupby("user_id", as_index=False).sum()
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["user_id", "ts"]).map_batches(project, batch_format="pyarrow"),
+        "ub",
+        fold_bucket,
+        {"user_id": pa.int64(), "active_us": pa.int64(), "n_islands": pa.int64()},
     )
 
 
@@ -11998,15 +11508,6 @@ def q_events_cusum_alarms(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "peak_s": pd.array([], dtype="int64"),
-                "n_alarms": pd.array([], dtype="int64"),
-            }
-        )
-        if group.empty:
-            return empty
         g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         # fully segmented vectorized scans: per-user cumsum of the drift
         # deltas, per-user running min clamped at 0, S = cd − floor
@@ -12015,20 +11516,19 @@ def q_events_cusum_alarms(sf_dir: str):
         cd = by_user.cumsum()
         floor = cd.groupby(g["user_id"].to_numpy()).cummin().clip(upper=0)
         s = cd - floor
-        agg = pd.DataFrame(
+        return pd.DataFrame(
             {"user_id": g["user_id"].to_numpy(), "s": s, "alarm": (s > H)}
         ).groupby("user_id", as_index=False).agg(
             peak_s=("s", "max"), n_alarms=("alarm", "sum")
         )
-        return agg.astype(
-            {"user_id": "int64", "peak_s": "int64", "n_alarms": "int64"}
-        )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "ub",
+        fold_bucket,
+        {"user_id": pa.int64(), "peak_s": pa.int64(), "n_alarms": pa.int64()},
     )
 
 
@@ -12121,15 +11621,6 @@ def q_events_user_entropy(sf_dir: str):
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "user_id": pd.array([], dtype="int64"),
-                "n_events": pd.array([], dtype="int64"),
-                "entropy": pd.array([], dtype="float64"),
-            }
-        )
-        if group.empty:
-            return empty
         counts = (
             group.groupby(["user_id", "event_type"]).size().reset_index(name="c")
         )
@@ -12145,19 +11636,15 @@ def q_events_user_entropy(sf_dir: str):
             users.append(int(uid))
             totals.append(n)
             ents.append(round(h, 6))
-        return pd.DataFrame(
-            {
-                "user_id": pd.Series(users, dtype="int64"),
-                "n_events": pd.Series(totals, dtype="int64"),
-                "entropy": pd.Series(ents, dtype="float64"),
-            }
-        )
+        return pd.DataFrame({"user_id": users, "n_events": totals, "entropy": ents})
 
-    return (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(project, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(fold_bucket, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+            project, batch_format="pyarrow"
+        ),
+        "ub",
+        fold_bucket,
+        {"user_id": pa.int64(), "n_events": pa.int64(), "entropy": pa.float64()},
     )
 
 
@@ -12948,38 +12435,28 @@ def q_event_type_entropy_rate(sf_dir: str):
         )
 
     def bigrams(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return pd.DataFrame(
-                {
-                    "cur": pd.array([], dtype="str"),
-                    "nxt": pd.array([], dtype="str"),
-                    "n": pd.array([], dtype="int64"),
-                }
-            )
         bucket = bucket.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         same_user = bucket["user_id"].to_numpy()[1:] == bucket["user_id"].to_numpy()[:-1]
         cur = bucket["event_type"].to_numpy()[:-1][same_user]
         nxt = bucket["event_type"].to_numpy()[1:][same_user]
-        g = (
+        return (
             pd.DataFrame({"cur": cur, "nxt": nxt})
             .groupby(["cur", "nxt"], as_index=False)
             .size()
             .rename(columns={"size": "n"})
         )
-        g["n"] = g["n"].astype("int64")
-        return g
 
     from ray.data.aggregate import Sum
 
-    counts = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-        .map_batches(to_rows, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(bigrams, batch_format="pandas")
+    counts = cogroup(
+        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
+            to_rows, batch_format="pyarrow"
+        ),
+        "ub",
+        bigrams,
+        {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
     )
-    rows = (
-        _arrow_blocks(counts).groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")).take_all()
-    )
+    rows = counts.groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")).take_all()
     import math
 
     per_src: dict[str, dict[str, int]] = {}
@@ -13080,43 +12557,18 @@ def q_crawl_frontier(sf_dir: str):
         crawled_rows, batch_format="pyarrow"
     )
 
-    _EMPTY_CAND = pd.DataFrame(
-        {
-            "host": pd.array([], dtype="str"),
-            "u": pd.array([], dtype="str"),
-            "n_refs": pd.array([], dtype="int64"),
-            "hb": pd.array([], dtype="int32"),
-        }
-    )
-
     def anti(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_CAND
         seen = set(bucket.loc[bucket["kind"] == 1, "u"])
         cand = bucket[(bucket["kind"] == 0) & ~bucket["u"].isin(seen)]
         if cand.empty:
-            return _EMPTY_CAND
+            return None
         g = cand.groupby("u", as_index=False)["n_p"].sum()
         g = g.rename(columns={"n_p": "n_refs"})
-        g["n_refs"] = g["n_refs"].astype("int64")
         g["host"] = g["u"].str.extract(r"^https?://([^/]+)")
-        g["hb"] = pd.array(
-            [zlib.crc32(h.encode()) % nb for h in g["host"]], dtype="int32"
-        )
-        return g[["host", "u", "n_refs", "hb"]]
-
-    _EMPTY_OUT = pd.DataFrame(
-        {
-            "host": pd.array([], dtype="str"),
-            "url": pd.array([], dtype="str"),
-            "n_refs": pd.array([], dtype="int64"),
-            "rnk": pd.array([], dtype="int64"),
-        }
-    )
+        g["hb"] = [zlib.crc32(h.encode()) % nb for h in g["host"]]
+        return g
 
     def per_host_cap(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_OUT
         kept = (
             bucket.sort_values(
                 ["host", "n_refs", "u"], ascending=[True, False, True], kind="mergesort"
@@ -13124,16 +12576,19 @@ def q_crawl_frontier(sf_dir: str):
             .groupby("host", sort=False)
             .head(3)
         )
-        kept = kept.assign(rnk=(kept.groupby("host").cumcount() + 1).astype("int64"))
-        kept = kept.rename(columns={"u": "url"})
-        return kept[["host", "url", "n_refs", "rnk"]]
+        return kept.assign(rnk=kept.groupby("host").cumcount() + 1).rename(columns={"u": "url"})
 
-    return (
-        _arrow_blocks(
-            links.union(crawled).groupby("kb").map_groups(anti, batch_format="pandas")
-        )
-        .groupby("hb")
-        .map_groups(per_host_cap, batch_format="pandas")
+    candidates = cogroup(
+        links.union(crawled),
+        "kb",
+        anti,
+        {"host": pa.string(), "u": pa.string(), "n_refs": pa.int64(), "hb": pa.int32()},
+    )
+    return cogroup(
+        candidates,
+        "hb",
+        per_host_cap,
+        {"host": pa.string(), "url": pa.string(), "n_refs": pa.int64(), "rnk": pa.int64()},
     )
 
 
@@ -13203,33 +12658,21 @@ def q_link_pagerank(sf_dir: str):
         .materialize()  # reused every round; O(edges) blocks in the object store
     )
 
-    _EMPTY_NODE = pd.DataFrame(
-        {"node": pd.array([], dtype="str"), "c": pd.array([], dtype="int64")}
-    )
-
     def rebucket_union(batch: pa.Table) -> pa.Table:
         # nodes can surface in either side's bucket; rebucket by node for
         # the global dedup co-group
         urls = batch["node"].to_pylist() + batch["dst"].to_pylist()
         return pa.table({"node": pa.array(urls, pa.string()), "kb": _ubuckets(urls)})
 
-    def dedup_nodes(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_NODE
-        uniq = np.sort(pd.unique(bucket["node"]))
-        return pd.DataFrame(
-            {
-                "node": pd.Series(uniq, dtype="str"),
-                "c": pd.Series(np.zeros(len(uniq), dtype=np.int64), dtype="int64"),
-            }
-        )
+    node_schema = {"node": pa.string(), "c": pa.int64()}
 
-    nodes = (
-        edges.map_batches(rebucket_union, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(dedup_nodes, batch_format="pandas")
-        .materialize()  # reused every round (zero-indegree keep-alive rows)
-    )
+    def dedup_nodes(bucket: pd.DataFrame) -> pd.DataFrame:
+        uniq = np.sort(pd.unique(bucket["node"]))
+        return pd.DataFrame({"node": uniq, "c": np.zeros(len(uniq), dtype=np.int64)})
+
+    nodes = cogroup(
+        edges.map_batches(rebucket_union, batch_format="pyarrow"), "kb", dedup_nodes, node_schema
+    ).materialize()  # reused every round (zero-indegree keep-alive rows)
     n = nodes.count()
     tele = (15 * (SCALE // n)) // 100
 
@@ -13252,23 +12695,12 @@ def q_link_pagerank(sf_dir: str):
         .materialize()
     )
 
-    _DANG_KEY = "\x00dangling"
-    _EMPTY_MSG = pd.DataFrame(
-        {
-            "node": pd.array([], dtype="str"),
-            "c": pd.array([], dtype="int64"),
-            "kb": pd.array([], dtype="int32"),
-        }
-    )
-
     def contrib(bucket: pd.DataFrame) -> pd.DataFrame:
-        # messages carry their DESTINATION bucket; the bucket's dangling
-        # partial replicates to EVERY bucket (nb tiny rows), so the global
-        # dangling mass is summable inside each update group and no
-        # per-round driver barrier / extra execution is needed — the K
-        # rounds chain into ONE streaming DAG.
-        if bucket.empty:
-            return _EMPTY_MSG
+        # messages (kind 0) carry their DESTINATION bucket; the bucket's
+        # dangling partial (kind 1, no node) replicates to EVERY bucket (nb
+        # tiny rows), so the global dangling mass is summable inside each
+        # update group and no per-round driver barrier / extra execution is
+        # needed — the K rounds chain into ONE streaming DAG.
         rk = bucket[bucket["kind"] == 0]
         ed = bucket[bucket["kind"] == 1]
         rmap = dict(zip(rk["node"], rk["r"]))
@@ -13283,34 +12715,30 @@ def q_link_pagerank(sf_dir: str):
         dang = int(rk.loc[~rk["node"].isin(set(ed["node"])), "r"].sum())
         return pd.DataFrame(
             {
-                "node": pd.concat(
-                    [dsts, pd.Series([_DANG_KEY] * nb)], ignore_index=True
-                ).astype("str"),
-                "c": pd.Series(
-                    np.concatenate([out_c, np.full(nb, dang, dtype=np.int64)]),
-                    dtype="int64",
-                ),
-                "kb": pd.Series(
-                    np.concatenate([dst_kb, np.arange(nb, dtype=np.int32)]),
-                    dtype="int32",
-                ),
+                "node": pd.concat([dsts, pd.Series([None] * nb)], ignore_index=True),
+                "c": np.concatenate([out_c, np.full(nb, dang, dtype=np.int64)]),
+                "kb": np.concatenate([dst_kb, np.arange(nb, dtype=np.int32)]),
+                "kind": np.repeat(np.array([0, 1], dtype=np.int8), [len(dsts), nb]),
             }
         )
 
     def node_bucket(batch: pa.Table) -> pa.Table:
         urls = batch["node"].to_pylist()
-        return pa.table({"node": batch["node"], "c": batch["c"], "kb": _ubuckets(urls)})
+        return pa.table(
+            {
+                "node": batch["node"],
+                "c": batch["c"],
+                "kb": _ubuckets(urls),
+                "kind": pa.array([0] * len(urls), pa.int8()),
+            }
+        )
 
     def update(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_NODE
-        dang_mask = bucket["node"] == _DANG_KEY
+        dang_mask = bucket["kind"] == 1
         share = int(bucket.loc[dang_mask, "c"].sum()) // n  # global dang mass
         g = bucket.loc[~dang_mask].groupby("node", as_index=False)["c"].sum()
-        r_new = tele + (85 * (g["c"].to_numpy(dtype=np.int64) + share)) // 100
-        return pd.DataFrame(
-            {"node": g["node"].astype("str"), "c": pd.Series(r_new, dtype="int64")}
-        )
+        g["c"] = tele + (85 * (g["c"].to_numpy(dtype=np.int64) + share)) // 100
+        return g
 
     def as_rank(batch: pa.Table) -> pa.Table:
         urls = batch["node"].to_pylist()
@@ -13326,17 +12754,14 @@ def q_link_pagerank(sf_dir: str):
         )
 
     for _round in range(K):
-        msgs = (
-            ranks.union(edges)
-            .groupby("kb")
-            .map_groups(contrib, batch_format="pandas")
-            .map_batches(_as_arrow, batch_format="pyarrow")
+        msgs = cogroup(
+            ranks.union(edges),
+            "kb",
+            contrib,
+            {"node": pa.string(), "c": pa.int64(), "kb": pa.int32(), "kind": pa.int8()},
         )
-        new_state = (
-            msgs.union(nodes.map_batches(node_bucket, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(update, batch_format="pandas")
-            .map_batches(_as_arrow, batch_format="pyarrow")
+        new_state = cogroup(
+            msgs.union(nodes.map_batches(node_bucket, batch_format="pyarrow")), "kb", update, node_schema
         )
         # one execution per round: a single K-round DAG (8 chained
         # all-to-alls) schedules WORSE on the streaming executor (28 s vs
@@ -13429,55 +12854,23 @@ def q_allpairs_jaccard_join(sf_dir: str):
             }
         )
 
-    _EMPTY_TOK = pd.DataFrame(
-        {
-            "doc_id": pd.array([], dtype="int64"),
-            "term": pd.array([], dtype="str"),
-            "sz": pd.array([], dtype="int64"),
-            "df": pd.array([], dtype="int64"),
-            "db": pd.array([], dtype="int32"),
-        }
-    )
-
     def annotate_df(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_TOK
         # rows are distinct (doc, term) and a term's rows are all local ⇒
         # the bucket-local per-term row count is the exact global df
         df_map = bucket.groupby("term")["doc_id"].size()
-        out = bucket.assign(df=bucket["term"].map(df_map).astype("int64"))
-        out["db"] = (out["doc_id"].to_numpy() % nb).astype("int32")
-        return out[["doc_id", "term", "sz", "df", "db"]]
-
-    _EMPTY_PFX = pd.DataFrame(
-        {
-            "doc_id": pd.array([], dtype="int64"),
-            "term": pd.array([], dtype="str"),
-            "sz": pd.array([], dtype="int64"),
-            "tb": pd.array([], dtype="int32"),
-        }
-    )
+        return bucket.assign(df=bucket["term"].map(df_map), db=bucket["doc_id"].to_numpy() % nb)
 
     def prefix_rows(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_PFX
         srt = bucket.sort_values(["doc_id", "df", "term"], kind="mergesort")
         grp = srt.groupby("doc_id", sort=False)
         # prefix length p = sz − ⌈τ·sz⌉ + 1 (integer ceil: (8·sz+9)//10)
         rank = grp.cumcount().to_numpy()
         sz = srt["sz"].to_numpy(dtype=np.int64)
         keep = rank < (sz - (TAU_N * sz + TAU_D - 1) // TAU_D + 1)
-        out = srt.loc[keep, ["doc_id", "term", "sz"]].copy()
-        out["tb"] = pd.array(
-            [zlib.crc32(t.encode()) % nb for t in out["term"]], dtype="int32"
-        )
-        return out
-
-    _EMPTY_PAIR = pd.DataFrame({"pair": pd.array([], dtype="int64")})
+        out = srt.loc[keep, ["doc_id", "term", "sz"]]
+        return out.assign(tb=[zlib.crc32(t.encode()) % nb for t in out["term"]])
 
     def cand_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_PAIR
         pk: set[int] = set()
         for _t, g in bucket.groupby("term", sort=False):
             recs = sorted(zip(g["doc_id"].tolist(), g["sz"].tolist()))
@@ -13489,8 +12882,7 @@ def q_allpairs_jaccard_join(sf_dir: str):
                     if TAU_D * lo < TAU_N * hi:
                         continue  # sizes alone rule out J ≥ τ
                     pk.add((a << 32) | b)
-        keys = np.fromiter(pk, dtype=np.int64, count=len(pk))
-        return pd.DataFrame({"pair": pd.Series(keys, dtype="int64")})
+        return pd.DataFrame({"pair": np.fromiter(pk, dtype=np.int64, count=len(pk))})
 
     def pair_bucket(batch: pa.Table) -> pa.Table:
         e = batch["pair"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -13501,34 +12893,34 @@ def q_allpairs_jaccard_join(sf_dir: str):
             }
         )
 
-    _EMPTY_LR = pd.DataFrame(
-        {"left": pd.array([], dtype="int64"), "right": pd.array([], dtype="int64")}
-    )
-
     def dedup_decode(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_LR
         u = np.unique(bucket["pair"].to_numpy())
-        return pd.DataFrame(
-            {
-                "left": pd.Series(u >> 32, dtype="int64"),
-                "right": pd.Series(u & 0xFFFFFFFF, dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"left": u >> 32, "right": u & 0xFFFFFFFF})
 
-    pairs = (
-        corpus.map_batches(tok_rows, batch_format="pyarrow")
-        .groupby("tb")
-        .map_groups(annotate_df, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(prefix_rows, batch_format="pandas")
-        .map_batches(_as_arrow, batch_format="pyarrow")
-        .groupby("tb")
-        .map_groups(cand_pairs, batch_format="pandas")
-        .map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(dedup_decode, batch_format="pandas")
+    annotated = cogroup(
+        corpus.map_batches(tok_rows, batch_format="pyarrow"),
+        "tb",
+        annotate_df,
+        {
+            "doc_id": pa.int64(),
+            "term": pa.string(),
+            "sz": pa.int64(),
+            "df": pa.int64(),
+            "db": pa.int32(),
+        },
+    )
+    prefixes = cogroup(
+        annotated,
+        "db",
+        prefix_rows,
+        {"doc_id": pa.int64(), "term": pa.string(), "sz": pa.int64(), "tb": pa.int32()},
+    )
+    candidates = cogroup(prefixes, "tb", cand_pairs, {"pair": pa.int64()})
+    pairs = cogroup(
+        candidates.map_batches(pair_bucket, batch_format="pyarrow"),
+        "pb",
+        dedup_decode,
+        {"left": pa.int64(), "right": pa.int64()},
     )
 
     verified = pair_text_metric(
@@ -13642,16 +13034,12 @@ def q_join_size_estimate(sf_dir: str):
 
     _warm_fsspec_http_probe()
     def prod(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return pd.DataFrame({"p": pd.array([], dtype="int64")})
         piv = bucket.pivot_table(
             index="k", columns="side", values="n", aggfunc="sum", fill_value=0
         )
         if 0 not in piv.columns or 1 not in piv.columns:
-            return pd.DataFrame({"p": pd.array([], dtype="int64")})
-        return pd.DataFrame(
-            {"p": pd.array([int((piv[0] * piv[1]).sum())], dtype="int64")}
-        )
+            return None
+        return pd.DataFrame({"p": [int((piv[0] * piv[1]).sum())]})
 
     def fk_exact_job():
         # exact Σ_k n_o·n_l via a key-bucket co-group of the two count tables
@@ -13664,17 +13052,15 @@ def q_join_size_estimate(sf_dir: str):
             batch_format="pyarrow",
         )
         nb = resolve_group_buckets()
-        rows = (
-            o_counts.union(l_counts)
-            .map_batches(
+        rows = cogroup(
+            o_counts.union(l_counts).map_batches(
                 lambda t: t.append_column("kb", _ibuckets(t["k"], nb)),
                 batch_format="pyarrow",
-            )
-            .groupby("kb")
-            .map_groups(prod, batch_format="pandas")
-            .map_batches(_as_arrow, batch_format="pyarrow")
-            .take_all()
-        )
+            ),
+            "kb",
+            prod,
+            {"p": pa.int64()},
+        ).take_all()
         return sum(int(r["p"]) for r in rows)
 
     with ThreadPoolExecutor(max_workers=5) as ex:
@@ -13828,19 +13214,7 @@ def q_cdc_merge_apply(sf_dir: str):
             }
         )
 
-    _EMPTY = pd.DataFrame(
-        {
-            "n_deleted": pd.array([], dtype="int64"),
-            "n_updated": pd.array([], dtype="int64"),
-            "n_inserted": pd.array([], dtype="int64"),
-            "n_rows": pd.array([], dtype="int64"),
-            "fp": pd.array([], dtype="int64"),
-        }
-    )
-
     def merge(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY
         n_del = n_upd = n_ins = n_rows = fp = 0
         for doc_id, grp in bucket.groupby("doc_id", sort=False):
             ops = dict(zip(grp["op"], grp["text"]))
@@ -13862,28 +13236,31 @@ def q_cdc_merge_apply(sf_dir: str):
             fp += row_fp(int(doc_id), text)
         return pd.DataFrame(
             {
-                "n_deleted": pd.array([n_del], dtype="int64"),
-                "n_updated": pd.array([n_upd], dtype="int64"),
-                "n_inserted": pd.array([n_ins], dtype="int64"),
-                "n_rows": pd.array([n_rows], dtype="int64"),
-                "fp": pd.array([fp], dtype="int64"),
+                "n_deleted": [n_del],
+                "n_updated": [n_upd],
+                "n_inserted": [n_ins],
+                "n_rows": [n_rows],
+                "fp": [fp],
             }
         )
 
-    totals = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["doc_id", "text"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(merge, batch_format="pandas")
-        )
-        .aggregate(
-            Sum("n_deleted", alias_name="n_deleted"),
-            Sum("n_updated", alias_name="n_updated"),
-            Sum("n_inserted", alias_name="n_inserted"),
-            Sum("n_rows", alias_name="n_rows"),
-            Sum("fp", alias_name="fingerprint"),
-        )
+    totals = cogroup(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(to_rows, batch_format="pyarrow"),
+        "kb",
+        merge,
+        {
+            "n_deleted": pa.int64(),
+            "n_updated": pa.int64(),
+            "n_inserted": pa.int64(),
+            "n_rows": pa.int64(),
+            "fp": pa.int64(),
+        },
+    ).aggregate(
+        Sum("n_deleted", alias_name="n_deleted"),
+        Sum("n_updated", alias_name="n_updated"),
+        Sum("n_inserted", alias_name="n_inserted"),
+        Sum("n_rows", alias_name="n_rows"),
+        Sum("fp", alias_name="fingerprint"),
     )
     return pa.table(
         {
@@ -14136,18 +13513,7 @@ def q_user_erasure_audit(sf_dir: str):
             }
         )
 
-    _EMPTY_AUDIT = pd.DataFrame(
-        {
-            "tbl": pd.array([], dtype="str"),
-            "n_e": pd.array([], dtype="int64"),
-            "n_r": pd.array([], dtype="int64"),
-            "fp": pd.array([], dtype="int64"),
-        }
-    )
-
     def cascade(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_AUDIT
         marks = bucket["lnum"].to_numpy() == -1
         erased_keys = set(bucket.loc[marks, "okey"].tolist())
         li = bucket.loc[~marks]
@@ -14156,14 +13522,7 @@ def q_user_erasure_audit(sf_dir: str):
         fp = _fp_many(
             f"{o}|{l}" for o, l in zip(keep["okey"].tolist(), keep["lnum"].tolist())
         )
-        return pd.DataFrame(
-            {
-                "tbl": pd.array(["lineitem"], dtype="str"),
-                "n_e": pd.array([int(hit.sum())], dtype="int64"),
-                "n_r": pd.array([int((~hit).sum())], dtype="int64"),
-                "fp": pd.array([fp], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"tbl": ["lineitem"], "n_e": [hit.sum()], "n_r": [(~hit).sum()], "fp": [fp]})
 
     ev = _read(sf_dir, "events", ["event_id", "user_id"]).map_batches(
         events_partial, batch_format="pyarrow"
@@ -14174,16 +13533,17 @@ def q_user_erasure_audit(sf_dir: str):
     od = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
         orders_partial, batch_format="pyarrow"
     )
-    li = _arrow_blocks(
+    li = cogroup(
         _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
         .map_batches(erased_order_marks, batch_format="pyarrow")
         .union(
             _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber"]).map_batches(
                 lineitem_rows, batch_format="pyarrow"
             )
-        )
-        .groupby("kb")
-        .map_groups(cascade, batch_format="pandas")
+        ),
+        "kb",
+        cascade,
+        {"tbl": pa.string(), "n_e": pa.int64(), "n_r": pa.int64(), "fp": pa.int64()},
     )
 
     return (
@@ -14315,17 +13675,7 @@ def q_zone_map_pruning(sf_dir: str):
             }
         )
 
-    _EMPTY_BLK = pd.DataFrame(
-        {
-            "blk": pd.array([], dtype="int64"),
-            "mn_p": pd.array([], dtype="int64"),
-            "mx_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def rank_blocks(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return _EMPTY_BLK
         us = int(group["us"].iloc[0])
         base = ray.get(off_ref)[us]
         n = len(group)
@@ -14334,20 +13684,15 @@ def q_zone_map_pruning(sf_dir: str):
         # is base..base+n-1 regardless of intra-day permutation
         blk = (base + np.arange(n, dtype=np.int64)) // B
         ub = np.unique(blk)
-        return pd.DataFrame(
-            {
-                "blk": pd.Series(ub, dtype="int64"),
-                "mn_p": pd.Series(np.full(len(ub), us, dtype=np.int64), dtype="int64"),
-                "mx_p": pd.Series(np.full(len(ub), us, dtype=np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"blk": ub, "mn_p": us, "mx_p": us})
 
     date_layout = audit(
         "date_sorted",
-        _arrow_blocks(
-            ds.map_batches(date_tag, batch_format="pyarrow")
-            .groupby("us")
-            .map_groups(rank_blocks, batch_format="pandas")
+        cogroup(
+            ds.map_batches(date_tag, batch_format="pyarrow"),
+            "us",
+            rank_blocks,
+            {"blk": pa.int64(), "mn_p": pa.int64(), "mx_p": pa.int64()},
         )
         .groupby("blk")
         .aggregate(Min("mn_p", alias_name="mn"), Max("mx_p", alias_name="mx")),
@@ -14503,38 +13848,20 @@ def q_rake_word_scores(sf_dir: str):
             }
         )
 
-    _EMPTY_RAKE = pd.DataFrame(
-        {
-            "word": pd.array([], dtype="str"),
-            "freq": pd.array([], dtype="int64"),
-            "deg": pd.array([], dtype="int64"),
-            "sc": pd.array([], dtype="float64"),
-        }
-    )
-
     def bucket_top(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_RAKE
         g = bucket.groupby("word", as_index=False)[["freq_p", "deg_p"]].sum()
         sc = g["deg_p"].to_numpy(dtype=np.float64) / g["freq_p"].to_numpy(
             dtype=np.float64
         )
-        out = pd.DataFrame(
-            {
-                "word": g["word"].astype("str"),
-                "freq": g["freq_p"].astype("int64"),
-                "deg": g["deg_p"].astype("int64"),
-                "sc": pd.Series(sc, dtype="float64"),
-            }
-        )
+        out = pd.DataFrame({"word": g["word"], "freq": g["freq_p"], "deg": g["deg_p"], "sc": sc})
         return out.sort_values(["sc", "word"], ascending=[False, True]).head(20)
 
     top = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(bucket_top, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+            "kb",
+            bucket_top,
+            {"word": pa.string(), "freq": pa.int64(), "deg": pa.int64(), "sc": pa.float64()},
         )
         .sort(["sc", "word"], descending=[True, False])
         .limit(20)
@@ -14634,31 +13961,15 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
         urls = batch["node"].to_pylist() + batch["other"].to_pylist()
         return pa.table({"node": pa.array(urls, pa.string()), "kb": _ubuckets(urls)})
 
-    _EMPTY_SCORE = pd.DataFrame(
-        {"node": pd.array([], dtype="str"), "v": pd.array([], dtype="int64")}
-    )
+    score_schema = {"node": pa.string(), "v": pa.int64()}
 
     def dedup_nodes(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_SCORE
         uniq = np.sort(pd.unique(bucket["node"]))
-        return pd.DataFrame(
-            {
-                "node": pd.Series(uniq, dtype="str"),
-                "v": pd.Series(np.zeros(len(uniq), dtype=np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"node": uniq, "v": np.zeros(len(uniq), dtype=np.int64)})
 
-    # _arrow_blocks: map_groups leaves pandas-format blocks, and both the
-    # co-group path's shuffles and the broadcast path's row gather hit the
-    # recorded pandas-block pathologies (~15× shuffle, ~ms/row take_all)
-    nodes = (
-        _arrow_blocks(
-            edges_by_src.map_batches(rebucket_union, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(dedup_nodes, batch_format="pandas")
-        ).materialize()
-    )
+    nodes = cogroup(
+        edges_by_src.map_batches(rebucket_union, batch_format="pyarrow"), "kb", dedup_nodes, score_schema
+    ).materialize()
 
     def as_score_rows(ds, value: int | None = None):
         def f(batch: pa.Table) -> pa.Table:
@@ -14680,25 +13991,16 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
 
         return ds.map_batches(f, batch_format="pyarrow")
 
-    _EMPTY_MSG = _EMPTY_SCORE
-
     def emit_msgs(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_MSG
         sc = bucket[bucket["kind"] == 0]
         ed = bucket[bucket["kind"] == 1]
         if ed.empty:
-            return _EMPTY_MSG
+            return None
         vmap = dict(zip(sc["node"], sc["v"]))
         # build both columns from numpy: mixing an original-index Series
         # with a fresh Series would index-align into misrowed NaNs
         return pd.DataFrame(
-            {
-                "node": pd.Series(ed["other"].to_numpy(), dtype="str"),
-                "v": pd.Series(
-                    ed["node"].map(vmap).to_numpy(dtype=np.int64), dtype="int64"
-                ),
-            }
+            {"node": ed["other"].to_numpy(), "v": ed["node"].map(vmap).to_numpy(dtype=np.int64)}
         )
 
     def msg_bucket(batch: pa.Table) -> pa.Table:
@@ -14706,12 +14008,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
         return pa.table({"node": batch["node"], "v": batch["v"], "kb": _ubuckets(urls)})
 
     def sum_scores(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_SCORE
-        g = bucket.groupby("node", as_index=False)["v"].sum()
-        return pd.DataFrame(
-            {"node": g["node"].astype("str"), "v": g["v"].astype("int64")}
-        )
+        return bucket.groupby("node", as_index=False)["v"].sum()
 
     n_nodes = nodes.count()
     if broadcast_node_cap is not None and n_nodes <= broadcast_node_cap:
@@ -14769,19 +14066,15 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     def half_round(scores, edges_oriented):
         # `scores` is a 2-col (node, v) dataset; wrap to the 5-col
         # co-group schema, join onto the oriented edges, sum, normalize
-        raw = (
-            _arrow_blocks(
-                as_score_rows(scores)
-                .union(edges_oriented)
-                .groupby("kb")
-                .map_groups(emit_msgs, batch_format="pandas")
-            )
-            .map_batches(msg_bucket, batch_format="pyarrow")
-            .union(nodes.map_batches(msg_bucket, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(sum_scores, batch_format="pandas")
-        )
-        raw = _arrow_blocks(raw).materialize()
+        msgs = cogroup(as_score_rows(scores).union(edges_oriented), "kb", emit_msgs, score_schema)
+        raw = cogroup(
+            msgs.map_batches(msg_bucket, batch_format="pyarrow").union(
+                nodes.map_batches(msg_bucket, batch_format="pyarrow")
+            ),
+            "kb",
+            sum_scores,
+            score_schema,
+        ).materialize()
         mx = int(raw.max("v") or 0)
         if mx <= 0:
             raise ValueError("link_hits: empty link graph (max score 0)")
@@ -14823,35 +14116,19 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
 
         return ds.map_batches(f, batch_format="pyarrow")
 
-    _EMPTY_OUT = pd.DataFrame(
-        {
-            "url": pd.array([], dtype="str"),
-            "auth": pd.array([], dtype="int64"),
-            "hub": pd.array([], dtype="int64"),
-        }
-    )
-
     def join_top(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_OUT
         a = bucket[bucket["kind"] == 0][["node", "v"]].rename(columns={"v": "auth"})
         h = bucket[bucket["kind"] == 1][["node", "v"]].rename(columns={"v": "hub"})
         m = a.merge(h, on="node", how="inner")
         m = m.sort_values(["auth", "node"], ascending=[False, True]).head(20)
-        return pd.DataFrame(
-            {
-                "url": m["node"].astype("str"),
-                "auth": m["auth"].astype("int64"),
-                "hub": m["hub"].astype("int64"),
-            }
-        )
+        return m.rename(columns={"node": "url"})
 
     return (
-        _arrow_blocks(
-            tag(auths, 0)
-            .union(tag(hubs, 1))
-            .groupby("kb")
-            .map_groups(join_top, batch_format="pandas")
+        cogroup(
+            tag(auths, 0).union(tag(hubs, 1)),
+            "kb",
+            join_top,
+            {"url": pa.string(), "auth": pa.int64(), "hub": pa.int64()},
         )
         .sort(["auth", "url"], descending=[True, False])
         .limit(20)
@@ -14886,13 +14163,7 @@ def q_attribution_first_touch(sf_dir: str):
             }
         )
 
-    _EMPTY_ATTR = pd.DataFrame(
-        {"first_touch": pd.array([], dtype="str"), "n_p": pd.array([], dtype="int64")}
-    )
-
     def attribute(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_ATTR
         counts: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
             g = g.sort_values(["us", "event_id"], kind="mergesort")
@@ -14900,20 +14171,16 @@ def q_attribution_first_touch(sf_dir: str):
             first = g.groupby(sid)["event_type"].transform("first")
             purchases = first[(g["event_type"] == "purchase").to_numpy()]
             counts.update(purchases.tolist())
-        keys = list(counts.keys())
-        return pd.DataFrame(
-            {
-                "first_touch": pd.Series(keys, dtype="str"),
-                "n_p": pd.Series([counts[k] for k in keys], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"first_touch": list(counts.keys()), "n_p": list(counts.values())})
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(attribute, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
+                to_rows, batch_format="pyarrow"
+            ),
+            "kb",
+            attribute,
+            {"first_touch": pa.string(), "n_p": pa.int64()},
         )
         .groupby("first_touch")
         .aggregate(Sum("n_p", alias_name="n_purchases"))
@@ -14961,38 +14228,23 @@ def q_user_weekly_retention(sf_dir: str):
             }
         )
 
-    _EMPTY_RET = pd.DataFrame(
-        {
-            "cohort_week": pd.array([], dtype="int64"),
-            "week_offset": pd.array([], dtype="int64"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_RET
         counts: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
             weeks = np.unique(g["week"].to_numpy())
             cohort = int(weeks.min())
             for w in weeks:
                 counts[(cohort, int(w) - cohort)] += 1
-        keys = list(counts.keys())
         return pd.DataFrame(
-            {
-                "cohort_week": pd.Series([k[0] for k in keys], dtype="int64"),
-                "week_offset": pd.Series([k[1] for k in keys], dtype="int64"),
-                "n_p": pd.Series([counts[k] for k in keys], dtype="int64"),
-            }
+            [(c, off, n) for (c, off), n in counts.items()], columns=["cohort_week", "week_offset", "n_p"]
         )
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "ts"]).map_batches(partial, batch_format="pyarrow"),
+            "kb",
+            fold,
+            {"cohort_week": pa.int64(), "week_offset": pa.int64(), "n_p": pa.int64()},
         )
         .groupby(["cohort_week", "week_offset"])
         .aggregate(Sum("n_p", alias_name="n_users"))
@@ -15145,30 +14397,18 @@ def q_systematic_sample(sf_dir: str):
             }
         )
 
-    _EMPTY_SAMP = pd.DataFrame(
-        {"event_id": pd.array([], dtype="int64"), "rank": pd.array([], dtype="int64")}
-    )
-
     def pick(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return _EMPTY_SAMP
         base = ray.get(off_ref)[int(group["hour"].iloc[0])]
         g = group.sort_values(["us", "event_id"], kind="mergesort")
         rank = base + np.arange(len(g), dtype=np.int64)
         keep = rank % K == 0
-        return pd.DataFrame(
-            {
-                "event_id": pd.Series(
-                    g["event_id"].to_numpy()[keep], dtype="int64"
-                ),
-                "rank": pd.Series(rank[keep], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"event_id": g["event_id"].to_numpy()[keep], "rank": rank[keep]})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("hour")
-        .map_groups(pick, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "hour",
+        pick,
+        {"event_id": pa.int64(), "rank": pa.int64()},
     )
 
 
@@ -15228,27 +14468,17 @@ def q_orders_constraint_audit(sf_dir: str):
             }
         )
 
-    _EMPTY_RULE = pd.DataFrame(
-        {"rule": pd.array([], dtype="str"), "n_p": pd.array([], dtype="int64")}
-    )
+    rule_schema = {"rule": pa.string(), "n_p": pa.int64()}
 
     def dup_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_RULE
         g = bucket.groupby("key")["n"].sum()
-        dup_rows = int(g[g > 1].sum())
-        return pd.DataFrame(
-            {
-                "rule": pd.array(["duplicate_orderkey_rows"], dtype="str"),
-                "n_p": pd.array([dup_rows], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"rule": ["duplicate_orderkey_rows"], "n_p": [g[g > 1].sum()]})
 
-    dups = _arrow_blocks(
-        _read(sf_dir, "orders", ["o_orderkey"])
-        .map_batches(key_partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(dup_fold, batch_format="pandas")
+    dups = cogroup(
+        _read(sf_dir, "orders", ["o_orderkey"]).map_batches(key_partial, batch_format="pyarrow"),
+        "kb",
+        dup_fold,
+        rule_schema,
     )
 
     # FK orphans: order custkeys vs customer marks, custkey-hash co-group
@@ -15276,28 +14506,22 @@ def q_orders_constraint_audit(sf_dir: str):
         )
 
     def orphan_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_RULE
         known = set(bucket.loc[bucket["side"] == 1, "ckey"].tolist())
         od = bucket[bucket["side"] == 0]
         orphan_rows = int(od.loc[~od["ckey"].isin(known), "n"].sum())
-        return pd.DataFrame(
-            {
-                "rule": pd.array(["orphan_custkey_rows"], dtype="str"),
-                "n_p": pd.array([orphan_rows], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"rule": ["orphan_custkey_rows"], "n_p": [orphan_rows]})
 
-    orphans = _arrow_blocks(
+    orphans = cogroup(
         _read(sf_dir, "orders", ["o_custkey"])
         .map_batches(order_cust, batch_format="pyarrow")
         .union(
             _read(sf_dir, "customer", ["c_custkey"]).map_batches(
                 customer_marks, batch_format="pyarrow"
             )
-        )
-        .groupby("kb")
-        .map_groups(orphan_fold, batch_format="pandas")
+        ),
+        "kb",
+        orphan_fold,
+        rule_schema,
     )
 
     return (
@@ -15460,16 +14684,6 @@ def q_zorder_layout_audit(sf_dir: str):
         run += int(r["n"])
     off_ref = ray.put(offsets)
 
-    _EMPTY_Z = pd.DataFrame(
-        {
-            "blk": pd.array([], dtype="int64"),
-            "cmn_p": pd.array([], dtype="int64"),
-            "cmx_p": pd.array([], dtype="int64"),
-            "dmn_p": pd.array([], dtype="int64"),
-            "dmx_p": pd.array([], dtype="int64"),
-        }
-    )
-
     nb = resolve_group_buckets()
 
     def z_bucket(batch: pa.Table) -> pa.Table:
@@ -15481,8 +14695,6 @@ def q_zorder_layout_audit(sf_dir: str):
         # one co-group bucket holds MANY z codes (never one tiny group per
         # code — 2^16 codes would be the ≥5k-key tiny-group pathology);
         # rank each row as offsets[z] + its index within its z run
-        if bucket.empty:
-            return _EMPTY_Z
         off = ray.get(off_ref)
         g = bucket.sort_values(["z", "key"], kind="mergesort")
         z_arr = g["z"].to_numpy()
@@ -15501,7 +14713,7 @@ def q_zorder_layout_audit(sf_dir: str):
             dmn_p=("us", "min"),
             dmx_p=("us", "max"),
         )
-        return a.reset_index().astype("int64")
+        return a.reset_index()
 
     def key_blocks2(batch: pa.Table) -> pa.Table:
         key = batch["key"].to_numpy(zero_copy_only=False)
@@ -15555,10 +14767,17 @@ def q_zorder_layout_audit(sf_dir: str):
     )
     z_layout = audit(
         "zorder",
-        _arrow_blocks(
-            tagged.map_batches(z_bucket, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(z_blocks, batch_format="pandas")
+        cogroup(
+            tagged.map_batches(z_bucket, batch_format="pyarrow"),
+            "kb",
+            z_blocks,
+            {
+                "blk": pa.int64(),
+                "cmn_p": pa.int64(),
+                "cmx_p": pa.int64(),
+                "dmn_p": pa.int64(),
+                "dmx_p": pa.int64(),
+            },
         )
         .groupby("blk")
         .aggregate(*aggs),
@@ -15616,17 +14835,7 @@ def q_customer_order_gaps(sf_dir: str):
             }
         )
 
-    _EMPTY_GAP = pd.DataFrame(
-        {
-            "gap": pd.array([], dtype="int64"),
-            "n_p": pd.array([], dtype="int64"),
-            "multi_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_GAP
         hist: Counter = Counter()
         multi = 0
         for _, g in bucket.groupby("ck", sort=False):
@@ -15640,20 +14849,20 @@ def q_customer_order_gaps(sf_dir: str):
         keys = list(hist.keys())
         return pd.DataFrame(
             {
-                "gap": pd.Series(keys, dtype="int64"),
-                "n_p": pd.Series([hist[k] for k in keys], dtype="int64"),
-                "multi_p": pd.Series(
-                    [multi] + [0] * (len(keys) - 1) if keys else [], dtype="int64"
-                ),
+                "gap": keys,
+                "n_p": [hist[k] for k in keys],
+                "multi_p": [multi] + [0] * (len(keys) - 1) if keys else [],
             }
         )
 
     rows = (
-        _arrow_blocks(
-            _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"]).map_batches(
+                to_rows, batch_format="pyarrow"
+            ),
+            "kb",
+            fold,
+            {"gap": pa.int64(), "n_p": pa.int64(), "multi_p": pa.int64()},
         )
         .groupby("gap")
         .aggregate(Sum("n_p", alias_name="n"), Sum("multi_p", alias_name="m"))
@@ -15741,17 +14950,16 @@ def q_events_funnel_windowed(sf_dir: str):
                 if lo < len(views) and views[lo] < c:
                     done += 1
                     break
-        return pd.DataFrame({"n_p": pd.array([done], dtype="int64")})
+        return pd.DataFrame({"n_p": [done]})
 
-    totals = (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
-        )
-        .aggregate(Sum("n_p", alias_name="n"))
-    )
+    totals = cogroup(
+        _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
+            to_rows, batch_format="pyarrow"
+        ),
+        "kb",
+        fold,
+        {"n_p": pa.int64()},
+    ).aggregate(Sum("n_p", alias_name="n"))
     return pa.table({"n_users": pa.array([int(totals["n"])], pa.int64())})
 
 
@@ -15780,36 +14988,18 @@ def q_events_hourly_top_types(sf_dir: str):
             }
         )
 
-    _EMPTY_TOP = pd.DataFrame(
-        {
-            "hour_us": pd.array([], dtype="int64"),
-            "event_type": pd.array([], dtype="str"),
-            "n": pd.array([], dtype="int64"),
-            "rnk": pd.array([], dtype="int64"),
-        }
-    )
-
     def top3(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_TOP
         g = bucket.groupby(["h", "event_type"], as_index=False)["n_p"].sum()
         g = g.sort_values(["h", "n_p", "event_type"], ascending=[True, False, True])
         g["rnk"] = g.groupby("h").cumcount() + 1
         g = g[g["rnk"] <= 3]
-        return pd.DataFrame(
-            {
-                "hour_us": pd.Series(g["h"].to_numpy() * HOUR_US, dtype="int64"),
-                "event_type": pd.Series(g["event_type"].to_numpy(), dtype="str"),
-                "n": pd.Series(g["n_p"].to_numpy(), dtype="int64"),
-                "rnk": pd.Series(g["rnk"].to_numpy(), dtype="int64"),
-            }
-        )
+        return g.assign(hour_us=g["h"] * HOUR_US).rename(columns={"n_p": "n"})
 
-    return _arrow_blocks(
-        _read(sf_dir, "events", ["ts", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(top3, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "events", ["ts", "event_type"]).map_batches(partial, batch_format="pyarrow"),
+        "kb",
+        top3,
+        {"hour_us": pa.int64(), "event_type": pa.string(), "n": pa.int64(), "rnk": pa.int64()},
     )
 
 
@@ -15894,24 +15084,16 @@ def q_knn_mutual_pairs(sf_dir: str):
             }
         )
 
-    _EMPTY_DIR = pd.DataFrame(
-        {"lo": pd.array([], dtype="int64"), "hi": pd.array([], dtype="int64")}
-    )
-
     def head_k(bucket: pd.DataFrame) -> pd.DataFrame:
         # per query: self is gone; keep the first K by the kernel's own
         # (cosine desc, id asc) order, emit unordered pair keys
-        if bucket.empty:
-            return _EMPTY_DIR
         g = bucket.sort_values(
             ["src", "cosine", "dst"], ascending=[True, False, True], kind="mergesort"
         )
         g = g.groupby("src", sort=False).head(K)
         lo = np.minimum(g["src"].to_numpy(), g["dst"].to_numpy())
         hi = np.maximum(g["src"].to_numpy(), g["dst"].to_numpy())
-        return pd.DataFrame(
-            {"lo": pd.Series(lo, dtype="int64"), "hi": pd.Series(hi, dtype="int64")}
-        )
+        return pd.DataFrame({"lo": lo, "hi": hi})
 
     def pair_bucket(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15922,31 +15104,22 @@ def q_knn_mutual_pairs(sf_dir: str):
             }
         )
 
-    _EMPTY_PAIR = pd.DataFrame(
-        {"left": pd.array([], dtype="int64"), "right": pd.array([], dtype="int64")}
-    )
-
     def mutual(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_PAIR
         g = bucket.groupby(["lo", "hi"]).size()
         both = g[g == 2].index
-        return pd.DataFrame(
-            {
-                "left": pd.Series([p[0] for p in both], dtype="int64"),
-                "right": pd.Series([p[1] for p in both], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"left": [p[0] for p in both], "right": [p[1] for p in both]})
 
-    return _arrow_blocks(
-        _arrow_blocks(
-            out.map_batches(directed, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(head_k, batch_format="pandas")
-        )
-        .map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(mutual, batch_format="pandas")
+    pairs = cogroup(
+        out.map_batches(directed, batch_format="pyarrow"),
+        "kb",
+        head_k,
+        {"lo": pa.int64(), "hi": pa.int64()},
+    )
+    return cogroup(
+        pairs.map_batches(pair_bucket, batch_format="pyarrow"),
+        "kb",
+        mutual,
+        {"left": pa.int64(), "right": pa.int64()},
     )
 
 
@@ -16019,17 +15192,7 @@ def q_events_bounce_rate(sf_dir: str):
             }
         )
 
-    _EMPTY_BNC = pd.DataFrame(
-        {
-            "first_touch": pd.array([], dtype="str"),
-            "s_p": pd.array([], dtype="int64"),
-            "b_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_BNC
         n_sess: Counter = Counter()
         n_bounce: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
@@ -16043,18 +15206,20 @@ def q_events_bounce_rate(sf_dir: str):
         keys = list(n_sess.keys())
         return pd.DataFrame(
             {
-                "first_touch": pd.Series(keys, dtype="str"),
-                "s_p": pd.Series([n_sess[k] for k in keys], dtype="int64"),
-                "b_p": pd.Series([n_bounce[k] for k in keys], dtype="int64"),
+                "first_touch": keys,
+                "s_p": [n_sess[k] for k in keys],
+                "b_p": [n_bounce[k] for k in keys],
             }
         )
 
     sums = (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
+                to_rows, batch_format="pyarrow"
+            ),
+            "kb",
+            fold,
+            {"first_touch": pa.string(), "s_p": pa.int64(), "b_p": pa.int64()},
         )
         .groupby("first_touch")
         .aggregate(
@@ -16113,28 +15278,19 @@ def q_event_audience_jaccard(sf_dir: str):
             }
         )
 
-    _EMPTY_MASK = pd.DataFrame(
-        {"mask": pd.array([], dtype="int64"), "n_p": pd.array([], dtype="int64")}
-    )
-
     def or_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_MASK
         per_user = bucket.groupby("user_id")["mask"].agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
         mu, mc = np.unique(per_user.to_numpy(), return_counts=True)
-        return pd.DataFrame(
-            {
-                "mask": pd.Series(mu, dtype="int64"),
-                "n_p": pd.Series(mc.astype(np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"mask": mu, "n_p": mc})
 
     hist = (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "event_type"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(or_fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            "kb",
+            or_fold,
+            {"mask": pa.int64(), "n_p": pa.int64()},
         )
         .groupby("mask")
         .aggregate(Sum("n_p", alias_name="n"))
@@ -16193,28 +15349,19 @@ def q_orders_basket_profile(sf_dir: str):
             }
         )
 
-    _EMPTY_BSK = pd.DataFrame(
-        {"n_lines": pd.array([], dtype="int64"), "n_p": pd.array([], dtype="int64")}
-    )
-
     def hist_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_BSK
         per_key = bucket.groupby("key")["n"].sum()
         su, sc = np.unique(per_key.to_numpy(), return_counts=True)
-        return pd.DataFrame(
-            {
-                "n_lines": pd.Series(su, dtype="int64"),
-                "n_p": pd.Series(sc.astype(np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"n_lines": su, "n_p": sc})
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "lineitem", ["l_orderkey"])
-            .map_batches(key_partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(hist_fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "lineitem", ["l_orderkey"]).map_batches(
+                key_partial, batch_format="pyarrow"
+            ),
+            "kb",
+            hist_fold,
+            {"n_lines": pa.int64(), "n_p": pa.int64()},
         )
         .groupby("n_lines")
         .aggregate(Sum("n_p", alias_name="n_orders"))
@@ -16253,33 +15400,19 @@ def q_part_cheapest_supplier(sf_dir: str):
             }
         )
 
-    _EMPTY_CHEAP = pd.DataFrame(
-        {
-            "l_partkey": pd.array([], dtype="int64"),
-            "l_suppkey": pd.array([], dtype="int64"),
-            "min_cents": pd.array([], dtype="int64"),
-        }
-    )
-
     def argmin_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_CHEAP
         g = bucket.groupby(["pk", "sk"], as_index=False)["c"].min()
         g = g.sort_values(["pk", "c", "sk"], kind="mergesort")
         best = g.groupby("pk", as_index=False).head(1)
-        return pd.DataFrame(
-            {
-                "l_partkey": best["pk"].astype("int64"),
-                "l_suppkey": best["sk"].astype("int64"),
-                "min_cents": best["c"].astype("int64"),
-            }
-        )
+        return best.rename(columns={"pk": "l_partkey", "sk": "l_suppkey", "c": "min_cents"})
 
-    return _arrow_blocks(
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("kb")
-        .map_groups(argmin_fold, batch_format="pandas")
+    return cogroup(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "kb",
+        argmin_fold,
+        {"l_partkey": pa.int64(), "l_suppkey": pa.int64(), "min_cents": pa.int64()},
     )
 
 
@@ -16317,32 +15450,20 @@ def q_link_reciprocity(sf_dir: str):
             }
         )
 
-    _EMPTY_REC = pd.DataFrame(
-        {"e_p": pd.array([], dtype="int64"), "r_p": pd.array([], dtype="int64")}
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_REC
         g = bucket.groupby(["lo", "hi"]).size()
         # each (lo, hi) key appears once per DIRECTION present (edges are
         # per-page deduped, so counts are 1 or 2)
-        return pd.DataFrame(
-            {
-                "e_p": pd.array([int(g.sum())], dtype="int64"),
-                "r_p": pd.array([int(g[g == 2].sum())], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"e_p": [g.sum()], "r_p": [g[g == 2].sum()]})
 
-    totals = (
-        _arrow_blocks(
-            _oracle_visible_pages(sf_dir, include_text_route=False)
-            .map_batches(edge_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
-        )
-        .aggregate(Sum("e_p", alias_name="e"), Sum("r_p", alias_name="r"))
-    )
+    totals = cogroup(
+        _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
+            edge_rows, batch_format="pyarrow"
+        ),
+        "kb",
+        fold,
+        {"e_p": pa.int64(), "r_p": pa.int64()},
+    ).aggregate(Sum("e_p", alias_name="e"), Sum("r_p", alias_name="r"))
     n_edges, n_recip = int(totals["e"]), int(totals["r"])
     return pa.table(
         {
@@ -16392,28 +15513,19 @@ def q_link_degree_histogram(sf_dir: str):
             }
         )
 
-    _EMPTY_DEG = pd.DataFrame(
-        {"degree": pd.array([], dtype="int64"), "n_p": pd.array([], dtype="int64")}
-    )
-
     def indeg_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_DEG
         deg = bucket.groupby("dst").size()  # per-page dedup done at emission
         du, dc = np.unique(deg.to_numpy(), return_counts=True)
-        return pd.DataFrame(
-            {
-                "degree": pd.Series(du.astype(np.int64), dtype="int64"),
-                "n_p": pd.Series(dc.astype(np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"degree": du, "n_p": dc})
 
     return (
-        _arrow_blocks(
-            _oracle_visible_pages(sf_dir, include_text_route=False)
-            .map_batches(edge_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(indeg_fold, batch_format="pandas")
+        cogroup(
+            _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
+                edge_rows, batch_format="pyarrow"
+            ),
+            "kb",
+            indeg_fold,
+            {"degree": pa.int64(), "n_p": pa.int64()},
         )
         .groupby("degree")
         .aggregate(Sum("n_p", alias_name="n_targets"))
@@ -16517,17 +15629,7 @@ def q_session_duration_quantiles(sf_dir: str):
             }
         )
 
-    _EMPTY_SD = pd.DataFrame(
-        {
-            "kind": pd.array([], dtype="str"),
-            "val": pd.array([], dtype="int64"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_SD
         dur: Counter = Counter()
         size: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
@@ -16540,20 +15642,14 @@ def q_session_duration_quantiles(sf_dir: str):
         rows = [("dur", k, v) for k, v in dur.items()] + [
             ("size", k, v) for k, v in size.items()
         ]
-        return pd.DataFrame(
-            {
-                "kind": pd.Series([r[0] for r in rows], dtype="str"),
-                "val": pd.Series([r[1] for r in rows], dtype="int64"),
-                "n_p": pd.Series([r[2] for r in rows], dtype="int64"),
-            }
-        )
+        return pd.DataFrame(rows, columns=["kind", "val", "n_p"])
 
     rows = (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
+            "kb",
+            fold,
+            {"kind": pa.string(), "val": pa.int64(), "n_p": pa.int64()},
         )
         .groupby(["kind", "val"])
         .aggregate(Sum("n_p", alias_name="n"))
@@ -16622,28 +15718,17 @@ def q_vocab_coverage_k(sf_dir: str):
             }
         )
 
-    _EMPTY_FH = pd.DataFrame(
-        {"freq": pd.array([], dtype="int64"), "nw_p": pd.array([], dtype="int64")}
-    )
-
     def freq_hist(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_FH
         per_word = bucket.groupby("word")["n_p"].sum()
         fu, fc = np.unique(per_word.to_numpy(), return_counts=True)
-        return pd.DataFrame(
-            {
-                "freq": pd.Series(fu, dtype="int64"),
-                "nw_p": pd.Series(fc.astype(np.int64), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"freq": fu, "nw_p": fc})
 
     rows = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(freq_hist, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+            "kb",
+            freq_hist,
+            {"freq": pa.int64(), "nw_p": pa.int64()},
         )
         .groupby("freq")
         .aggregate(Sum("nw_p", alias_name="nw"))
@@ -16704,37 +15789,17 @@ def q_top_word_per_lang(sf_dir: str):
             }
         )
 
-    _EMPTY_TW = pd.DataFrame(
-        {
-            "lang": pd.array([], dtype="str"),
-            "word": pd.array([], dtype="str"),
-            "n": pd.array([], dtype="int64"),
-        }
-    )
-
     def champion(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_TW
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
         g = g.sort_values(["lang", "n_p", "word"], ascending=[True, False, True])
-        best = g.groupby("lang", as_index=False).head(1)
-        return pd.DataFrame(
-            {
-                "lang": best["lang"].astype("str"),
-                "word": best["word"].astype("str"),
-                "n": best["n_p"].astype("int64"),
-            }
-        )
+        return g.groupby("lang", as_index=False).head(1).rename(columns={"n_p": "n"})
 
-    cands = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(champion, batch_format="pandas")
-        )
-        .take_all()
-    )
+    cands = cogroup(
+        _read(sf_dir, "documents", ["lang", "text"]).map_batches(partial, batch_format="pyarrow"),
+        "kb",
+        champion,
+        {"lang": pa.string(), "word": pa.string(), "n": pa.int64()},
+    ).take_all()
     best: dict[str, tuple[int, str]] = {}
     for r in cands:
         key = (-int(r["n"]), r["word"])
@@ -16978,13 +16043,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
             }
         )
 
-    _EMPTY_CC = pd.DataFrame(
-        {"hour": pd.array([], dtype="int64"), "n_p": pd.array([], dtype="int64")}
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_CC
         hours: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
             us = np.sort(g["us"].to_numpy())
@@ -16993,13 +16052,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
                 w = us[sid == s]
                 for h in range(int(w[0] // HOUR_US), int(w[-1] // HOUR_US) + 1):
                     hours[h] += 1
-        keys = list(hours.keys())
-        return pd.DataFrame(
-            {
-                "hour": pd.Series(keys, dtype="int64"),
-                "n_p": pd.Series([hours[k] for k in keys], dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"hour": list(hours.keys()), "n_p": list(hours.values())})
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -17010,11 +16063,11 @@ def q_sessions_concurrency_profile(sf_dir: str):
         )
 
     return (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "ts"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
+            "kb",
+            fold,
+            {"hour": pa.int64(), "n_p": pa.int64()},
         )
         .groupby("hour")
         .aggregate(Sum("n_p", alias_name="n_active_sessions"))
@@ -17184,13 +16237,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
             }
         )
 
-    _EMPTY_BM = pd.DataFrame(
-        {"doc_id": pd.array([], dtype="int64"), "bm25": pd.array([], dtype="float64")}
-    )
-
     def score_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_BM
         dls = dict(
             zip(
                 bucket.loc[bucket["ti"] == -1, "doc_id"],
@@ -17199,7 +16246,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
         )
         posts = bucket[bucket["ti"] >= 0]
         if posts.empty:
-            return _EMPTY_BM
+            return None
         rows = []
         for d, grp in posts.groupby("doc_id", sort=False):
             dl = int(dls[d])
@@ -17211,13 +16258,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
                 score += idf[i] * (tf * (K1 + 1.0)) / (tf + denom)
             rows.append((round(score, 6), int(d)))
         rows.sort(key=lambda r: (-r[0], r[1]))
-        rows = rows[:10]
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series([r[1] for r in rows], dtype="int64"),
-                "bm25": pd.Series([r[0] for r in rows], dtype="float64"),
-            }
-        )
+        return pd.DataFrame(rows[:10], columns=["bm25", "doc_id"])
 
     def final_topk(batch: pa.Table) -> pa.Table:
         order = sorted(
@@ -17232,11 +16273,13 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
         )
 
     result = (
-        _arrow_blocks(
-            qpost.map_batches(qp_bucket, batch_format="pyarrow")
-            .union(dl_ds.map_batches(dl_bucket, batch_format="pyarrow"))
-            .groupby("kb")
-            .map_groups(score_bucket, batch_format="pandas")
+        cogroup(
+            qpost.map_batches(qp_bucket, batch_format="pyarrow").union(
+                dl_ds.map_batches(dl_bucket, batch_format="pyarrow")
+            ),
+            "kb",
+            score_bucket,
+            {"doc_id": pa.int64(), "bm25": pa.float64()},
         )
         .repartition(1)
         .map_batches(final_topk, batch_format="pyarrow", batch_size=None)
@@ -17377,36 +16420,17 @@ def q_word_burstiness_top20(sf_dir: str):
             }
         )
 
-    _EMPTY_BURST = pd.DataFrame(
-        {
-            "word": pd.array([], dtype="str"),
-            "n": pd.array([], dtype="int64"),
-            "sq": pd.array([], dtype="int64"),
-        }
-    )
-
     def champions(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_BURST
         g = bucket.groupby("word", as_index=False)[["n_p", "sq_p"]].sum()
         g = g.sort_values(["n_p", "word"], ascending=[False, True]).head(20)
-        return pd.DataFrame(
-            {
-                "word": g["word"].astype("str"),
-                "n": g["n_p"].astype("int64"),
-                "sq": g["sq_p"].astype("int64"),
-            }
-        )
+        return g.rename(columns={"n_p": "n", "sq_p": "sq"})
 
-    cands = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(champions, batch_format="pandas")
-        )
-        .take_all()
-    )
+    cands = cogroup(
+        _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "kb",
+        champions,
+        {"word": pa.string(), "n": pa.int64(), "sq": pa.int64()},
+    ).take_all()
     cands.sort(key=lambda r: (-int(r["n"]), r["word"]))
     cands = cands[:20]
     words, n_col, mean_col, fano_col = [], [], [], []
@@ -17454,38 +16478,23 @@ def q_markov_next_accuracy(sf_dir: str):
             }
         )
 
-    _EMPTY_TR = pd.DataFrame(
-        {
-            "cur": pd.array([], dtype="str"),
-            "nxt": pd.array([], dtype="str"),
-            "n_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_TR
         c: Counter = Counter()
         for _, g in bucket.groupby("user_id", sort=False):
             g = g.sort_values(["us", "event_id"], kind="mergesort")
             ty = g["event_type"].tolist()
             for a, b in zip(ty, ty[1:]):
                 c[(a, b)] += 1
-        keys = list(c.keys())
-        return pd.DataFrame(
-            {
-                "cur": pd.Series([k[0] for k in keys], dtype="str"),
-                "nxt": pd.Series([k[1] for k in keys], dtype="str"),
-                "n_p": pd.Series([c[k] for k in keys], dtype="int64"),
-            }
-        )
+        return pd.DataFrame([(a, b, n) for (a, b), n in c.items()], columns=["cur", "nxt", "n_p"])
 
     rows = (
-        _arrow_blocks(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-            .map_batches(to_rows, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
+                to_rows, batch_format="pyarrow"
+            ),
+            "kb",
+            fold,
+            {"cur": pa.string(), "nxt": pa.string(), "n_p": pa.int64()},
         )
         .groupby(["cur", "nxt"])
         .aggregate(Sum("n_p", alias_name="n"))
@@ -17595,29 +16604,21 @@ def q_lang_hapax_ratio(sf_dir: str):
     nb = resolve_group_buckets()
     partial = _lang_word_count_partial(nb)
 
-    _EMPTY_HPX = pd.DataFrame(
-        {
-            "lang": pd.array([], dtype="str"),
-            "v_p": pd.array([], dtype="int64"),
-            "h_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_HPX
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
         a = g.groupby("lang").agg(
             v_p=("n_p", "size"), h_p=("n_p", lambda s: int((s == 1).sum()))
         )
-        return a.reset_index().astype({"v_p": "int64", "h_p": "int64"})
+        return a.reset_index()
 
     sums = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["lang", "text"]).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            "kb",
+            fold,
+            {"lang": pa.string(), "v_p": pa.int64(), "h_p": pa.int64()},
         )
         .groupby("lang")
         .aggregate(Sum("v_p", alias_name="vocab"), Sum("h_p", alias_name="hapax"))
@@ -17657,34 +16658,19 @@ def q_lang_yule_k(sf_dir: str):
     nb = resolve_group_buckets()
     partial = _lang_word_count_partial(nb)
 
-    _EMPTY_YK = pd.DataFrame(
-        {
-            "lang": pd.array([], dtype="str"),
-            "n_p": pd.array([], dtype="int64"),
-            "sq_p": pd.array([], dtype="int64"),
-        }
-    )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        if bucket.empty:
-            return _EMPTY_YK
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
         g["sq"] = g["n_p"] * g["n_p"]
-        a = g.groupby("lang")[["n_p", "sq"]].sum()
-        return pd.DataFrame(
-            {
-                "lang": pd.Series(a.index, dtype="str"),
-                "n_p": pd.Series(a["n_p"].to_numpy(), dtype="int64"),
-                "sq_p": pd.Series(a["sq"].to_numpy(), dtype="int64"),
-            }
-        )
+        return g.groupby("lang", as_index=False)[["n_p", "sq"]].sum().rename(columns={"sq": "sq_p"})
 
     sums = (
-        _arrow_blocks(
-            _read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("kb")
-            .map_groups(fold, batch_format="pandas")
+        cogroup(
+            _read(sf_dir, "documents", ["lang", "text"]).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            "kb",
+            fold,
+            {"lang": pa.string(), "n_p": pa.int64(), "sq_p": pa.int64()},
         )
         .groupby("lang")
         .aggregate(Sum("n_p", alias_name="n_tokens"), Sum("sq_p", alias_name="sq"))

@@ -1138,11 +1138,21 @@ class TestSupplierBalanceGini:
 
 
 class TestReferentialOrphansFallback:
+    @staticmethod
+    def _run(tmp_path):
+        from edge_deid_studio_ray.pipelines.queries import QUERIES
+
+        return {
+            r["edge"]: (r["n_child_rows"], r["n_orphans"])
+            for r in QUERIES["referential_orphans"](str(tmp_path)).to_pylist()
+        }
+
     def test_bucketed_fallback_equals_broadcast(self, ray_session, tmp_path, monkeypatch):
         """EDS_BROADCAST_KEYS_MAX=0 forces the big-parent bucketed co-group;
         both paths must produce identical edge counts on a fixture with
-        orphans and NULL keys."""
-        from edge_deid_studio_ray.pipelines.queries import QUERIES
+        orphans and NULL keys, and the bucketed path, chosen from the
+        parents' parquet footers, never takes a parent key to the driver."""
+        import ray.data as rd
 
         pq.write_table(
             pa.table({"r_regionkey": pa.array([0], pa.int64())}),
@@ -1189,16 +1199,51 @@ class TestReferentialOrphansFallback:
             tmp_path / "lineitem.parquet",
         )
 
-        def run():
-            return {
-                r["edge"]: (r["n_child_rows"], r["n_orphans"])
-                for r in QUERIES["referential_orphans"](str(tmp_path)).to_pylist()
-            }
+        taken = []
+        take_all = rd.Dataset.take_all
 
-        broadcast = run()
+        def recording_take_all(ds, *args, **kwargs):
+            taken.append(ds)
+            return take_all(ds, *args, **kwargs)
+
+        monkeypatch.setattr(rd.Dataset, "take_all", recording_take_all)
+        broadcast = self._run(tmp_path)
+        assert taken  # the broadcast path gathers each parent's keys
+        taken.clear()
         monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
-        bucketed = run()
+        bucketed = self._run(tmp_path)
+        assert not taken
         assert broadcast == bucketed
         assert broadcast["orders.o_custkey->customer"] == (2, 1)
         assert broadcast["supplier.s_nationkey->nation"] == (1, 1)
         assert broadcast["nation.n_regionkey->region"] == (2, 1)
+
+    def test_empty_child_table_counts_zero(self, ray_session, tmp_path, monkeypatch):
+        """A child table with no rows audits as (0 rows, 0 orphans) on both
+        paths instead of failing on an empty aggregate."""
+        int64 = pa.int64()
+        tables = {
+            "region": {"r_regionkey": [0]},
+            "nation": {"n_nationkey": [0], "n_regionkey": [0]},
+            "customer": {"c_custkey": [1], "c_nationkey": [0]},
+            "supplier": {"s_suppkey": [1], "s_nationkey": [0]},
+            "part": {"p_partkey": [1]},
+            "orders": {"o_orderkey": [1], "o_custkey": [1]},
+            "lineitem": {"l_orderkey": [], "l_partkey": [], "l_suppkey": []},
+        }
+        for name, cols in tables.items():
+            pq.write_table(
+                pa.table({c: pa.array(v, int64) for c, v in cols.items()}),
+                tmp_path / f"{name}.parquet",
+            )
+        lineitem_edges = [
+            "lineitem.l_orderkey->orders",
+            "lineitem.l_partkey->part",
+            "lineitem.l_suppkey->supplier",
+        ]
+        broadcast = self._run(tmp_path)
+        monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
+        bucketed = self._run(tmp_path)
+        assert broadcast == bucketed
+        assert [broadcast[e] for e in lineitem_edges] == [(0, 0)] * 3
+        assert broadcast["orders.o_custkey->customer"] == (1, 0)

@@ -468,3 +468,56 @@ def test_concurrent_window_cancels_queued_shards_deterministically(ray_session, 
     report = run_deid_job(fixed, out, max_in_flight=2)
     assert report["shards_skipped"] == len(ok)
     assert report["shards_run"] == 4 - len(ok)
+
+
+_HTTP_MOD = "fsspec.implementations.http"
+
+
+def _route_http_import(monkeypatch, outcomes: list) -> list:
+    """Send each ``import fsspec.implementations.http`` to the next of
+    ``outcomes`` (an exception to raise or a module to return); returns
+    the list of attempts made."""
+    import builtins
+    import sys
+
+    real_import = builtins.__import__
+    attempts: list = []
+
+    def fake_import(name, *args, **kwargs):
+        if name != _HTTP_MOD:
+            return real_import(name, *args, **kwargs)
+        outcome = outcomes[len(attempts)]
+        attempts.append(outcome)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setitem(sys.modules, _HTTP_MOD, None)  # restored after the test
+    monkeypatch.setattr(builtins, "__import__", fake_import)
+    return attempts
+
+
+def test_fsspec_probe_installs_sentinel_only_when_module_missing(monkeypatch):
+    import sys
+
+    from edge_deid_studio_ray.pipelines.deid import _warm_fsspec_http_probe
+
+    attempts = _route_http_import(monkeypatch, [ModuleNotFoundError("No module named 'aiohttp'")])
+    _warm_fsspec_http_probe()
+    assert len(attempts) == 1
+    sentinel = sys.modules[_HTTP_MOD]
+    assert sentinel is not None and not isinstance(object(), sentinel.HTTPFileSystem)
+
+
+def test_fsspec_probe_retries_transient_import_error(monkeypatch):
+    import sys
+    import types
+
+    from edge_deid_studio_ray.pipelines.deid import _warm_fsspec_http_probe
+
+    real = types.SimpleNamespace(HTTPFileSystem=type("HTTPFileSystem", (), {}))
+    partial = ImportError("cannot import name 'HTTPFileSystem' (partially initialized module)")
+    attempts = _route_http_import(monkeypatch, [partial, real])
+    _warm_fsspec_http_probe()
+    assert len(attempts) == 2
+    assert sys.modules[_HTTP_MOD] is None  # no sentinel over an importable module

@@ -559,6 +559,35 @@ class TestBatch9Ops:
         q_search_index_pipeline(SF)
         assert not glob.glob(f"{staging}/postings/*")
 
+    def test_staged_outputs_per_run_and_empty_stage_reads_typed(self, ray_session, tmp_path):
+        """Staged-output dirs sit under one per-driver-process root that
+        their ORACLE_SQL reads, and a stage that wrote no rows reads back
+        as a typed zero-row result on both the engine and the oracle side."""
+        import os
+
+        import duckdb
+
+        from edge_deid_studio_ray.pipelines import queries as q
+
+        assert str(os.getpid()) in q._STAGING_ROOT
+        for name, path in [
+            ("pages_pipeline_counters", q._PPC_STAGING),
+            ("training_data_pipeline", q._TDP_STAGING),
+            ("ner_stub_entity_counts", q._NER_STUB_STAGING),
+            ("image_deid_stub_stats", q._IMG_STUB_STAGING),
+        ]:
+            assert path.startswith(q._STAGING_ROOT + "/")
+            assert f"'{path}/" in q.ORACLE_SQL[name]
+
+        schema = pa.schema({"type": pa.string(), "n": pa.int64()})
+        stage = q._fresh_staging(str(tmp_path / "stage"))
+        ds = q._read_staged(stage, schema)
+        assert ds.count() == 0
+        assert ds.schema().names == schema.names
+        assert ds.schema().types == schema.types
+        oracle = duckdb.sql(f"SELECT * FROM read_parquet('{stage}/*.parquet')").df()
+        assert list(oracle.columns) == schema.names and len(oracle) == 0
+
     def test_stump_is_optimal_vs_bruteforce(self, ray_session):
         """Exhaustively re-check optimality of the reported threshold with
         an independent duckdb reconstruction."""
