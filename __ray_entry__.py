@@ -6,9 +6,10 @@ the library code it uses) calls ``ray.init()`` / ``ray.shutdown()``.
 - ``entry()``: flagship extraction+deid pipeline on /root/testdata/sf0.001.
 - ``queries()``: one callable per implemented operator (SURVEY.md §2 + the
   scale operators: dedup, similarity search, text analysis).
-- ``oracle_sql()``: DuckDB equivalents for the SQL-expressible subset; the
-  rest are deterministic rows-only checks (byte-identity for those is
-  enforced by tests/test_reference_parity.py against the reference code).
+- ``oracle_sql()``: a DuckDB equivalent for every query; where per-row
+  values are not SQL-expressible, the query stages its per-row outputs and
+  the SQL re-derives the layer above them (the per-row bytes are enforced
+  by tests/test_reference_parity.py against the reference code).
 """
 
 from __future__ import annotations

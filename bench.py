@@ -23,6 +23,13 @@ and =32 on the SAME input and reports both throughputs + efficiency
 (the sandbox substitute for the N vs 4N cluster-size criterion).  Exits
 nonzero when the regression guard trips (raw efficiency < 0.75 AND
 vs-hardware < 0.85) so CI fails loudly instead of averaging it away.
+
+Every artifact records the host it ran on (``host``: CPUs, memory,
+single-core calibration).  A plain run embeds a ``scaling`` series only
+when a ``--scaling`` run measured it on a host with the same CPUs and
+memory; the repo-committed best series rides along as
+``scaling_best_observed`` only.  RAY_GRAFT_CPUS defaults to
+``os.cpu_count()``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 SCALING_CACHE = "/tmp/bench_scaling_latest.json"
 
 # pages-bench corpus: deterministic, cached under /tmp keyed by params
@@ -394,19 +401,20 @@ def run_once() -> tuple[dict, dict]:
         # varies up to ~1.6x between sessions
         "calib_single_core_ops": _burn(None),
     }
+    result["host"] = dict(_host(), calib_single_core_ops=result["calib_single_core_ops"])
     if skew is not None:
         result["skew"] = skew
-    # embed the FRESH scaling measurement (this session's `--scaling` run,
-    # cached in /tmp) so the artifact reports a series actually measured on
-    # this host state; the repo-committed copy (best observed across
-    # sessions) rides along as best_observed for cross-round context
-    for cache in (SCALING_CACHE, os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_scaling.json")):
-        try:
-            with open(cache) as f:
-                result["scaling"] = json.load(f)
-            break
-        except (OSError, ValueError):
-            pass
+    # embed a scaling series only if a `--scaling` run measured it on this
+    # host (same CPUs and memory); the repo-committed copy (best observed
+    # across sessions, possibly on other hardware) rides along as
+    # best_observed for cross-round context, never as this run's series
+    try:
+        with open(SCALING_CACHE) as f:
+            fresh = json.load(f)
+        if fresh.get("host") == _host():
+            result["scaling"] = fresh
+    except (OSError, ValueError):
+        pass
     try:
         with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_scaling.json")) as f:
             best = json.load(f)
@@ -476,6 +484,12 @@ def run_once() -> tuple[dict, dict]:
             }
             line["delta_vs_prev_calib_ratio"] = delta["calib_ratio"]
     return line, full
+
+
+def _host() -> dict:
+    """The host facts a scaling series is only valid on."""
+    mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return {"nproc": len(os.sched_getaffinity(0)), "mem_gb": round(mem / 2**30, 1)}
 
 
 def _burn(_arg):
@@ -552,6 +566,7 @@ def run_scaling(reps: int | None = None) -> dict:
         "hardware_efficiency_ceiling": round(hw / 4, 3),
         "efficiency_vs_hardware": round((lo["value"] / hi["value"]) / hw, 3),
         "pages_n": lo["pages_n"],
+        "host": _host(),
     }
     # regression guard (VERDICT r3 #7): this run — not a cached best — must
     # clear raw >= 0.75 OR vs-hardware >= 0.85; main() exits nonzero on FAIL

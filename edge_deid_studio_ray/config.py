@@ -21,8 +21,25 @@ RULES_DIR = Path(__file__).resolve().parent / "rules"
 # (standalone kernel use, Ray not initialised).
 DEFAULT_GROUP_BUCKETS = 128
 
+# Input rows per co-group bucket past which the row count, not the cluster
+# size, sets the fan-out: keeps per-group pandas frames bounded on inputs
+# far larger than the cluster (sf1 on one CPU still gets ~60 buckets).
+_ROWS_PER_BUCKET = 100_000
 
-def resolve_group_buckets(override: int | None = None) -> int:
+
+def cluster_cpus() -> int:
+    """CPU count of the live Ray cluster, or 0 when Ray is not initialised."""
+    try:
+        import ray
+
+        if ray.is_initialized():
+            return int(ray.cluster_resources().get("CPU", 0) or 0)
+    except Exception:
+        pass
+    return 0
+
+
+def resolve_group_buckets(override: int | None = None, *, rows: int = 0) -> int:
     """Bucket count for the engine's bucketed co-groups: the
     ``queries.cogroup`` folds and the ``functions/`` ``map_groups`` stages
     (LSH bands, connected components, semi/anti joins, per-key windows).
@@ -35,30 +52,28 @@ def resolve_group_buckets(override: int | None = None) -> int:
     the value cannot be re-derived inside workers (an autoscaled cluster
     could change size mid-run and split a key across groups).
 
-    Scale rationale: a fixed constant caps shuffle parallelism and lets
-    per-group pandas frames grow linearly with the corpus; deriving
-    ~4 buckets per cluster CPU keeps group size ≈ corpus / (4·cores) —
-    constant work per core as the cluster scales — while staying coarse
-    enough that Ray's per-group overhead (~ms) stays amortized.
+    Sizing: ``max(4 × cluster CPUs, ceil(rows / _ROWS_PER_BUCKET))``, with
+    ``rows`` the input row count of the co-group (the callers in
+    ``pipelines/queries.py`` read it from parquet footers, no data scan).
+    Four buckets per core keep every core busy; past that, the fan-out
+    grows only when the input does, so per-group pandas frames stay bounded
+    on large inputs while small inputs do not pay Ray's per-group overhead
+    (~ms) for hundreds of tiny groups.  Without ``rows`` the count is
+    4 × cluster CPUs.
 
     Resolution order: explicit ``override`` → ``EDS_GROUP_BUCKETS`` env var →
-    4 × cluster CPUs (min 64) → ``DEFAULT_GROUP_BUCKETS``.
+    the sizing rule above (``DEFAULT_GROUP_BUCKETS`` in place of the CPU
+    term when Ray is not initialised).
     """
     if override is not None:
         return int(override)
     env = os.environ.get("EDS_GROUP_BUCKETS")
     if env:
         return int(env)
-    try:
-        import ray
+    by_rows = -(-int(rows) // _ROWS_PER_BUCKET)
+    cpus = cluster_cpus()
+    return max(4 * cpus if cpus else DEFAULT_GROUP_BUCKETS, by_rows)
 
-        if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 0) or 0)
-            if cpus > 0:
-                return max(64, 4 * cpus)
-    except Exception:
-        pass
-    return DEFAULT_GROUP_BUCKETS
 
 import logging as _logging
 

@@ -83,12 +83,6 @@ class MinHasher:
         return (vals >> np.uint64(32)).min(axis=1).astype(np.uint64)
 
 
-# Back-compat alias; bucketed stages resolve the live count at build time
-# via config.resolve_group_buckets (≈4× cluster CPUs, EDS_GROUP_BUCKETS
-# override) so shuffle parallelism and per-group memory track cluster size.
-NUM_GROUP_BUCKETS = DEFAULT_GROUP_BUCKETS
-
-
 def _band_bucket(band_key: str, nb: int = DEFAULT_GROUP_BUCKETS) -> int:
     """Coarse grouping bucket: bands map whole into one bucket, so per-band
     logic inside a bucket group is exact while Ray sees ``nb`` groups instead

@@ -271,6 +271,7 @@ def embedding_near_dups_lsh(
     seed: int = 29,
     plane_mode: str = "numpy",
     sign_round_dp: int | None = None,
+    num_buckets: int | None = None,
 ):
     """Approximate embedding near-dup pairs — the 100-TB path: rows are
     bucketed by random-hyperplane sign pattern in ``num_tables`` independent
@@ -296,7 +297,7 @@ def embedding_near_dups_lsh(
     from ..config import resolve_group_buckets
     from .dedup import _dedupe_pair_rows
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(num_buckets)
 
     def plane_set(dim: int) -> np.ndarray:
         if plane_mode == "bridge":

@@ -12,9 +12,11 @@ Correctness-harness rules honored throughout:
   value bit-for-bit or after explicit rounding);
 - DuckDB ``sum(BIGINT)`` returns HUGEINT → always ``CAST(... AS BIGINT)``.
 
-Queries with no SQL entry (near-dup, simhash, lang-id, pages flagship) are
-deterministic rows-only checks by design — the byte-level guarantees for
-those come from tests/test_reference_parity.py.
+Every query has an ``ORACLE_SQL`` entry.  Where per-row values are not
+SQL-expressible (seeded RNG fills, difflib ratios, detector semantics), the
+query stages its per-row outputs to parquet and the SQL re-derives the
+layer above them from those rows; the byte-level guarantees for the rows
+themselves come from tests/test_reference_parity.py.
 
 Every pandas co-group (``groupby(key).map_groups``) goes through
 ``cogroup(ds, key, fn, schema)``, which owns one contract: the output
@@ -22,8 +24,11 @@ Every pandas co-group (``groupby(key).map_groups``) goes through
 ``None`` for "no rows", which becomes a zero-row table of that schema; and
 the output is Arrow blocks cast to the schema.  Folds therefore build no
 empty frames and fix no dtypes or column order by hand.  Bucket assignment
-stays with each projection (``_ibuckets`` / ``_kbucket``, with the count
-from ``resolve_group_buckets()`` on the driver).
+stays with each projection (``_ibuckets`` / ``_kbucket``).  The bucket
+count is resolved once on the driver by
+``resolve_group_buckets(rows=_rows(sf_dir, *tables))``: four buckets per
+cluster CPU, more only when the parquet-footer row count of the tables
+the co-group reads calls for them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import EngineConfig, resolve_group_buckets
+from ..config import EngineConfig, cluster_cpus, resolve_group_buckets
 from ..functions.dedup import add_md5_column, minhash_candidates
 from ..functions.simsearch import knn_bruteforce
 from ..functions.textstats import lang_id, quality_counts, simhash64, fingerprint64
@@ -104,20 +109,33 @@ def cogroup(ds, key, fn, schema):
     return ds.groupby(key).map_groups(fold, batch_format="pandas")
 
 
-def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None, *, blocks: int | None = None):
+def _rows(sf_dir: str, *tables: str) -> int:
+    """Total row count of ``tables`` in ``sf_dir``, read from the parquet
+    footers (no data scan): what a co-group passes to
+    ``resolve_group_buckets(rows=...)`` to size its fan-out."""
+    import pyarrow.dataset as pads
+
+    return sum(
+        pads.dataset(os.path.join(sf_dir, f"{t}.parquet"), format="parquet").count_rows()
+        for t in tables
+    )
+
+
+def _spread_blocks() -> int:
+    """One block per cluster CPU, capped at 64: more blocks than cores only
+    add per-block overhead, which dominates at small scale."""
+    return max(1, min(64, cluster_cpus()))
+
+
+def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None):
     """Read + repartition for CPU-heavy per-row stages: the sf* tables are
     single-row-group files, so the read yields one block and a downstream
     shingle/signature stage would run on one core.  A cheap repartition to
-    ~one block per CPU spreads it across the pool (more would add per-block
-    overhead that dominates at small scale).  At production scale inputs
-    arrive as many files/row-groups and this is a no-op decision — the
-    pattern (re-spread a low-parallelism read before heavy compute) is the
-    portable part."""
-    if blocks is None:
-        import ray
-
-        blocks = max(8, min(64, int(ray.cluster_resources().get("CPU", 8))))
-    return _read(sf_dir, table, columns).repartition(blocks)
+    one block per cluster CPU (``_spread_blocks``) spreads it across the
+    pool.  At production scale inputs arrive as many files/row-groups and
+    this is a no-op decision — the pattern (re-spread a low-parallelism
+    read before heavy compute) is the portable part."""
+    return _read(sf_dir, table, columns).repartition(_spread_blocks())
 
 
 # per-worker-process cache for broadcast derived structures (flattened
@@ -354,7 +372,7 @@ def q_events_sessions(sf_dir: str):
     import pandas as pd
 
     gap_us = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_us(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -430,7 +448,7 @@ def q_events_running_total(sf_dir: str):
     cumcount)."""
     import pandas as pd
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -466,7 +484,7 @@ def q_events_asof_join(sf_dir: str):
     (inner as-of)."""
     import pandas as pd
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -576,7 +594,7 @@ def q_events_late_data(sf_dir: str):
             out["late"].extend(int(v) for v in agg["sum"])
         return pd.DataFrame(out)
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -611,7 +629,7 @@ def q_events_funnel(sf_dir: str):
     from ray.data.aggregate import Sum
 
     step_us = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     steps = ("view", "click", "purchase")
 
     def to_us(batch: pa.Table) -> pa.Table:
@@ -812,7 +830,7 @@ def q_customers_without_orders(sf_dir: str):
 
     from ..functions.sketches import build_bloom
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customers = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -1218,6 +1236,7 @@ def q_minhash_near_dups(sf_dir: str):
         num_hashes=64,
         num_bands=16,
         verify="text",
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return pairs.select_columns(["left", "right"])
 
@@ -1233,7 +1252,9 @@ def q_near_dup_clusters(sf_dir: str):
     from ..functions.dedup import connected_components
 
     pairs = q_minhash_near_dups(sf_dir)
-    components = connected_components(pairs, max_iter=6)
+    components = connected_components(
+        pairs, max_iter=6, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    )
     return components.groupby("component").aggregate(Count(alias_name="cluster_size"))
 
 
@@ -1257,6 +1278,7 @@ def q_ngram_jaccard_pairs(sf_dir: str):
         num_bands=16,
         verify="text",
         pair_metrics={"ngram_jaccard": lambda a, b: word_ngram_jaccard(a, b, 3)},
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return pairs.select_columns(["left", "right", "ngram_jaccard"])
 
@@ -1270,7 +1292,12 @@ def q_simhash_near_dups(sf_dir: str):
     from ..functions.dedup import simhash_near_dups
 
     _base, corpus = _docs_with_perturbed(sf_dir, " tail")
-    return simhash_near_dups(corpus, max_hamming=6, num_bands=8)
+    return simhash_near_dups(
+        corpus,
+        max_hamming=6,
+        num_bands=8,
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
+    )
 
 
 def q_text_fingerprints(sf_dir: str):
@@ -1628,6 +1655,8 @@ _PPC_STAGING = f"{_STAGING_ROOT}/ppc"
 _TDP_STAGING = f"{_STAGING_ROOT}/tdp"
 _NER_STUB_STAGING = f"{_STAGING_ROOT}/ner_stub"
 _IMG_STUB_STAGING = f"{_STAGING_ROOT}/img_stub"
+_PLACEHOLDER_STAGING = f"{_STAGING_ROOT}/placeholder"
+_EVAL_STAGING = f"{_STAGING_ROOT}/eval"
 
 
 def _fresh_staging(path: str) -> str:
@@ -2140,7 +2169,9 @@ def q_training_data_pipeline(sf_dir: str):
     build_deid_pipeline(doubled).select_columns(
         ["url", "extracted_text", "context_hash"]
     ).write_parquet(_fresh_staging(_TDP_STAGING))
-    curated = curate_extracted(rd.read_parquet(_TDP_STAGING))
+    curated = curate_extracted(
+        rd.read_parquet(_TDP_STAGING), num_buckets=resolve_group_buckets(rows=2 * n)
+    )
     report = attrition_report(curated, rows_in=2 * n)
     return pa.table(
         {
@@ -2386,31 +2417,88 @@ def q_ner_stub_entity_counts(sf_dir: str):
     return staged.groupby(["type", "source"]).aggregate(Count(alias_name="n"))
 
 
+_PLACEHOLDER_SPANS = pa.schema(
+    {
+        "example_id": pa.int64(),
+        "type": pa.string(),
+        "start": pa.int64(),
+        "end": pa.int64(),
+        "fake": pa.string(),
+    }
+)
+
+_EVAL_SCORES = pa.schema(
+    {
+        "example_id": pa.string(),
+        "pii_total": pa.int64(),
+        "pii_leak_count": pa.int64(),
+        "pii_removal_recall": pa.float64(),
+        "over_rewrite_rate": pa.float64(),
+        "type_consistency": pa.float64(),
+        "repetition_3gram_rate": pa.float64(),
+        "format_compliant": pa.bool_(),
+    }
+)
+
+
 def q_placeholder_corpus(sf_dir: str):
     """Span corpus → `<TYPE>` placeholder masking + deterministic refill
     (training placeholders/rewriter operators, M11).
 
-    Rows-only by necessity: filled_text values come from the seeded
-    fake-provider RNG draw sequence (byte-identity contract with the
-    reference, enforced by test_training_parity) — RNG call sequences are
-    not SQL-expressible.  The masking arithmetic is covered by markup
-    parity tests; determinism pinned by the double-run check."""
+    Oracle-checked via the staged-output pattern: the query stages the
+    generated examples and their spans, each span with the fake value its
+    placeholder must take (an example's ``i``-th placeholder, left to
+    right, is filled from the key ``f"{type}:{i}"``), and the SQL
+    re-derives both columns from those rows: ``masked_text`` splices
+    ``<type>`` over every span, ``filled_text`` splices the staged value.
+    The generated spans are valid, canonically typed and non-overlapping,
+    so the SQL needs none of the kernel's span filtering.  The fake values
+    themselves are seeded RNG draws, not SQL-expressible; their bytes stay
+    pinned by test_training_parity."""
+    from ..kernels.replace import fallback_generate
     from ..pipelines.training_data import placeholder_corpus, synthetic_span_dataset
 
-    ds = placeholder_corpus(synthetic_span_dataset(_synth_rows_for(sf_dir), seed=2))
-    return ds.select_columns(["example_id", "masked_text", "filled_text"])
+    context, locale = "corpus", "zh_TW"
+    ds = synthetic_span_dataset(_synth_rows_for(sf_dir), seed=2).materialize()
+
+    def span_rows(batch: pa.Table) -> pa.Table:
+        ids, types, starts, ends, fakes = [], [], [], [], []
+        for ex_id, ents in zip(batch["example_id"].to_pylist(), batch["entities"].to_pylist()):
+            for i, e in enumerate(sorted(ents or [], key=lambda x: x["start"])):
+                ids.append(ex_id)
+                types.append(e["type"])
+                starts.append(e["start"])
+                ends.append(e["end"])
+                fakes.append(fallback_generate(e["type"], f"{e['type']}:{i}", context, locale))
+        return pa.Table.from_pydict(
+            {"example_id": ids, "type": types, "start": starts, "end": ends, "fake": fakes},
+            schema=_PLACEHOLDER_SPANS,
+        )
+
+    ds.select_columns(["example_id", "text"]).write_parquet(
+        _fresh_staging(f"{_PLACEHOLDER_STAGING}/examples")
+    )
+    ds.map_batches(span_rows, batch_format="pyarrow").write_parquet(
+        _fresh_staging(f"{_PLACEHOLDER_STAGING}/spans")
+    )
+    out = placeholder_corpus(ds, context_seed=context, locale=locale)
+    return out.select_columns(["example_id", "masked_text", "filled_text"])
 
 
 def q_deid_eval_aggregate(sf_dir: str):
     """Distributed deid evaluation aggregate (G2): markup-annotated inputs
     scored against blackbox-redacted predictions.
 
-    Rows-only by necessity: non_pii_similarity / over_rewrite_rate are
+    Oracle-checked at the AGGREGATION layer via the staged-output pattern:
+    the per-example scores (the ``evaluate_prediction`` rows that
+    ``eval_aggregate`` folds into per-batch partials) are staged to
+    parquet, and the SQL re-derives the corpus report from them (leak rate
+    = Σleaks / Σpii, plain means elsewhere).  The per-example scores are
     difflib.SequenceMatcher ratios (junk/popularity heuristics, autojunk at
-    len ≥ 200) — not SQL-expressible without re-implementing difflib.  The
-    integer halves (leak counts, type-consistency regex counts, compliance
-    flags) are covered by evalkit parity tests against the live reference
-    code."""
+    len ≥ 200) and markup regex counts, not SQL-expressible; they stay
+    pinned by the evalkit parity tests against the live reference code."""
+    from ..kernels.evalkit import evaluate_prediction
+    from ..kernels.markup import extract_pii_blocks
     from ..kernels.replace import replace_text
     from ..pipelines.training_data import synthetic_span_dataset
     from ..stages.quality import eval_aggregate
@@ -2443,14 +2531,31 @@ def q_deid_eval_aggregate(sf_dir: str):
             }
         )
 
-    ds = synthetic_span_dataset(_synth_rows_for(sf_dir), seed=6).map_batches(
-        to_eval_rows, batch_format="pyarrow"
+    def score_rows(batch: pa.Table) -> pa.Table:
+        rows = [
+            evaluate_prediction(
+                ex_id, inp, pred, pii_blocks=extract_pii_blocks(inp), banned_phrases=[]
+            )
+            for ex_id, inp, pred in zip(
+                batch["example_id"].to_pylist(),
+                batch["input_text"].to_pylist(),
+                batch["prediction_text"].to_pylist(),
+            )
+        ]
+        return pa.Table.from_pylist(rows, schema=_EVAL_SCORES)
+
+    ds = (
+        synthetic_span_dataset(_synth_rows_for(sf_dir), seed=6)
+        .map_batches(to_eval_rows, batch_format="pyarrow")
+        .materialize()
     )
+    ds.map_batches(score_rows, batch_format="pyarrow").write_parquet(_fresh_staging(_EVAL_STAGING))
     agg = eval_aggregate(ds)
+    keys = sorted(agg)
     return pa.table(
         {
-            "metric": pa.array(sorted(agg.keys()), pa.string()),
-            "value": pa.array([round(float(agg[k]), 6) for k in sorted(agg.keys())], pa.float64()),
+            "metric": pa.array(keys, pa.string()),
+            "value": pa.array([float(agg[k]) for k in keys], pa.float64()),
         }
     )
 
@@ -2490,7 +2595,7 @@ def q_events_window_rank(sf_dir: str):
     """Windowed ranking: top-3 events per user by value (ROW_NUMBER
     semantics, ties broken by event_id) — per-user logic runs inside 128
     coarse user buckets (no per-user Ray group explosion)."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -2596,7 +2701,7 @@ def q_orders_exists_semi(sf_dir: str):
     output materialized."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
 
@@ -2713,7 +2818,11 @@ def q_jaccard_doc_perturbed(sf_dir: str):
 
     pairs = base.map_batches(to_pairs, batch_format="pyarrow")
     return pair_text_metric(
-        pairs, corpus, lambda a, b: word_ngram_jaccard(a, b, 3), out_col="ngram_jaccard"
+        pairs,
+        corpus,
+        lambda a, b: word_ngram_jaccard(a, b, 3),
+        out_col="ngram_jaccard",
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
 
 
@@ -2755,7 +2864,7 @@ def q_docs_per_source_cap(sf_dir: str):
     step): keep the first 10 documents per source by doc_id.  Per-key
     top-k inside coarse source buckets — deterministic, oracle = ROW_NUMBER
     PARTITION BY."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -3018,7 +3127,7 @@ def q_stratified_sample(sf_dir: str):
     inside coarse language buckets; only (lang, doc_id, rank-hash) rows
     shuffle."""
     k = 20
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def keyed(batch: pa.Table) -> pa.Table:
         from ..functions.dedup import md5_hex
@@ -3062,7 +3171,7 @@ def q_tfidf_top_terms(sf_dir: str):
     both of already-narrow (id, term, int) rows."""
     import zlib
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def doc_terms(batch: pa.Table) -> pa.Table:
@@ -3138,7 +3247,12 @@ def q_near_dedup_survivors(sf_dir: str):
     # anti-join); one narrow materialization feeds both
     corpus = corpus.materialize()
     survivors = near_dedup(
-        corpus, jaccard_threshold=0.7, num_hashes=64, num_bands=16, verify="text"
+        corpus,
+        jaccard_threshold=0.7,
+        num_hashes=64,
+        num_bands=16,
+        verify="text",
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return survivors.select_columns(["doc_id"])
 
@@ -3208,6 +3322,7 @@ def q_embedding_near_dups_lsh(sf_dir: str):
         num_tables=12,
         plane_mode="bridge",
         sign_round_dp=12,
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "embeddings")),
     )
     return pairs.select_columns(["left", "right"])
 
@@ -3313,7 +3428,9 @@ def q_passage_dedup(sf_dir: str):
     from ..functions.corpusops import passage_dedup
 
     ds = _read_spread(sf_dir, "documents", ["doc_id", "text"])
-    return passage_dedup(ds, words_per_chunk=16)
+    return passage_dedup(
+        ds, words_per_chunk=16, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    )
 
 
 def q_doc_repetition_stats(sf_dir: str):
@@ -3351,7 +3468,9 @@ def q_duplicate_ngram_spans(sf_dir: str):
         )
 
     corpus = base.union(base.map_batches(partial_copy, batch_format="pyarrow"))
-    return duplicate_ngram_spans(corpus, n=13)
+    return duplicate_ngram_spans(
+        corpus, n=13, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    )
 
 
 def q_token_stream_pack(sf_dir: str):
@@ -3663,7 +3782,7 @@ def q_word_pmi_top20(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def grams(batch: pa.Table) -> pa.Table:
         uni: Counter = Counter()
@@ -4170,7 +4289,7 @@ def q_customer_order_cohorts(sf_dir: str):
     nothing materializes."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
 
     def month_partial(batch: pa.Table) -> pa.Table:
         months = pc.strftime(batch["o_orderdate"], format="%Y-%m")
@@ -4243,7 +4362,7 @@ def q_shipping_priority(sf_dir: str):
     import ray
 
     cutoff = pa.scalar(np.datetime64("1995-03-15", "us"), pa.timestamp("us"))
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
 
     building: set[int] = set()
     for batch in _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).iter_batches(
@@ -4626,7 +4745,7 @@ def q_doc_pagerank(sf_dir: str):
         .aggregate(Min("doc_id", alias_name="m"), Count(alias_name="n"))
     )
     m, n = int(meta["m"]), int(meta["n"])
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def init_ranks(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -4703,7 +4822,7 @@ def q_events_interarrival_hist(sf_dir: str):
     orders its window identically (ts, event_type)."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4800,7 +4919,7 @@ def q_corpus_snapshot_diff(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def sides(batch: pa.Table) -> pa.Table:
         out_id: list[int] = []
@@ -4880,7 +4999,7 @@ def q_events_last_per_user(sf_dir: str):
     window function, no global sort of the log.  ts ships as exact
     epoch-microseconds int64; value is the stored double (pass-through,
     bit-identical)."""
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         best: dict[int, tuple] = {}
@@ -4935,7 +5054,7 @@ def q_events_user_top_type(sf_dir: str):
     bucketed co-group on user-hash where each bucket sums its pairs and
     picks the mode locally.  Output also carries the winning count (exact
     int) so the value check pins the whole distribution head."""
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -4980,7 +5099,7 @@ def q_event_type_cooccurrence(sf_dir: str):
     item domain would add a pair-hash bucket to the final groupby."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         seen = set(zip(batch["user_id"].to_pylist(), batch["event_type"].to_pylist()))
@@ -5193,7 +5312,7 @@ def q_customer_acctbal_quartiles(sf_dir: str):
     boundaries = np.cumsum(sizes)  # 1-based inclusive upper rank per quartile
     off_ref = ray.put(offsets)
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column("cb", _ibuckets(batch["cents"], nb))
@@ -5254,7 +5373,7 @@ def q_events_rolling_7d_users(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     day_us = 86_400_000_000
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
@@ -5348,7 +5467,7 @@ def q_customer_name_editdist_pairs(sf_dir: str):
     the blocked join must reproduce it exactly."""
     import zlib
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
 
     def variants(batch: pa.Table) -> pa.Table:
         out_v: list[str] = []
@@ -5559,7 +5678,7 @@ def q_part_supplier_variety(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
     brand_ref = ray.put(_broadcast_dim(sf_dir, "part", "p_partkey", "p_brand"))
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -5612,7 +5731,7 @@ def q_large_volume_customers(sf_dir: str):
     map-side."""
     import ray
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     names_ref = ray.put(_broadcast_dim(sf_dir, "customer", "c_custkey", "c_name"))
 
     def line_partial(batch: pa.Table) -> pa.Table:
@@ -5714,7 +5833,7 @@ def q_wealthy_inactive_customers(sf_dir: str):
 
     from ..functions.sketches import build_bloom
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
     customers = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def pos_cents(batch: pa.Table) -> pa.Table:
@@ -6450,7 +6569,7 @@ def q_events_type_transitions(sf_dir: str):
     under timestamp ties."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -6701,7 +6820,7 @@ def q_copurchase_top_pairs(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -7099,7 +7218,7 @@ def q_returned_top_customers(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     lo = pa.scalar(np.datetime64("1995-10-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
 
@@ -7292,7 +7411,7 @@ def q_events_debounced(sf_dir: str):
     ORDER BY ts, event_id."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -7355,7 +7474,7 @@ def q_waiting_suppliers(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
 
     supp_name = {
         r["s_suppkey"]: r["s_name"]
@@ -7771,7 +7890,7 @@ def q_events_band_join(sf_dir: str):
     becomes (cell, user_bucket) so one hot hour cannot skew a reducer.
     """
     W_US = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def keyed(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64())
@@ -7984,7 +8103,7 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
     import ray
     from itertools import combinations
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8259,7 +8378,7 @@ def q_events_above_user_median(sf_dir: str):
     group — a single shuffle, no per-row subquery).  Median of an even count
     is the midpoint of the two middle stored doubles — one IEEE add + halve
     from identical inputs on both engines, so the > comparison is exact."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8362,7 +8481,7 @@ def q_events_rolling_max3(sf_dir: str):
     window that complements the time-based windows elsewhere in the suite.
     max() involves no arithmetic, so doubles compare exactly.  Same
     user-bucketed co-group shape as the other per-key window queries."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8441,7 +8560,7 @@ def q_events_lead_type(sf_dir: str):
     """LEAD window function: each event paired with the NEXT event's type in
     its user's timeline (ordered by ts, event_id; 'NONE' for the last event).
     Complements the LAG-based debounce/inter-arrival queries."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8546,7 +8665,7 @@ def q_copurchase_assortativity(sf_dir: str):
     import ray
     from itertools import combinations
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8676,7 +8795,7 @@ def q_copurchase_kcore(sf_dir: str):
 
     k = 80
     max_rounds = 16
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8830,7 +8949,7 @@ def q_copurchase_bfs_hops(sf_dir: str):
     import ray
     from itertools import combinations
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -9111,7 +9230,7 @@ def q_part_affinity_lift(sf_dir: str):
     division would differ."""
     from itertools import combinations
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -9344,7 +9463,13 @@ def q_doc_containment(sf_dir: str):
         return len(ga & gb) / len(ga)
 
     pairs = base.map_batches(to_pairs, batch_format="pyarrow")
-    return pair_text_metric(pairs, corpus, containment, out_col="containment")
+    return pair_text_metric(
+        pairs,
+        corpus,
+        containment,
+        out_col="containment",
+        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
+    )
 
 
 def q_events_path_trigrams(sf_dir: str):
@@ -9359,7 +9484,7 @@ def q_events_path_trigrams(sf_dir: str):
     TOTAL order, identical on both engines under timestamp ties."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -9442,13 +9567,6 @@ def q_referential_orphans(sf_dir: str):
     import ray as _ray
 
     max_bcast = int(os.environ.get("EDS_BROADCAST_KEYS_MAX", "5000000"))
-    nb = resolve_group_buckets(None)
-
-    def parent_rows(parent: str) -> int:
-        import pyarrow.dataset as pads
-
-        path = os.path.join(sf_dir, f"{parent}.parquet")
-        return pads.dataset(path, format="parquet").count_rows()  # footers only
 
     def parent_key_array(parent: str, pkey: str) -> np.ndarray:
         parts = (
@@ -9489,6 +9607,7 @@ def q_referential_orphans(sf_dir: str):
         return int(agg["r"] or 0), int(agg["o"] or 0)
 
     def orphans_bucketed(child: str, ckey: str, parent: str, pkey: str) -> tuple[int, int]:
+        nb = resolve_group_buckets(rows=_rows(sf_dir, child, parent))
         cds = _read(sf_dir, child, [ckey])
         pds = _read(sf_dir, parent, [pkey])
 
@@ -9546,7 +9665,7 @@ def q_referential_orphans(sf_dir: str):
 
     def orphans_for(edge) -> tuple[int, int]:
         _label, child, ckey, parent, pkey = edge
-        if parent_rows(parent) > max_bcast:
+        if _rows(sf_dir, parent) > max_bcast:  # footers only: rows bound distinct keys
             return orphans_bucketed(child, ckey, parent, pkey)
         return orphans_broadcast(child, ckey, parent_key_array(parent, pkey))
 
@@ -9574,7 +9693,7 @@ def q_events_rolling_zscore(sf_dir: str):
     op chain on exact ints on both engines (one div, one sqrt, one div),
     rounded to 6dp; zero-variance windows yield NULL z and anomaly=false
     on both."""
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     W = 10
 
     def project(batch: pa.Table) -> pa.Table:
@@ -9825,7 +9944,7 @@ def q_nb_lang_confusion(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     langrows = (
         _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
     )
@@ -9968,7 +10087,7 @@ def q_chi2_term_lang(sf_dir: str):
     ranking uses the raw identical doubles with (term, lang) tie-break."""
     import zlib
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     langrows = (
         _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
     )
@@ -10056,7 +10175,7 @@ def q_k_anonymity_audit(sf_dir: str):
 
     from ray.data.aggregate import Min, Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
 
     def class_partials(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -10138,7 +10257,7 @@ def q_events_funnel_conformance(sf_dir: str):
     DuckDB's levenshtein is the oracle."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     target = "svcp"
     lev = _levenshtein
 
@@ -10195,7 +10314,7 @@ def q_lang_jsd_divergence(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def word_partials(batch: pa.Table) -> pa.Table:
         a: Counter = Counter()
@@ -10273,7 +10392,7 @@ def q_incremental_refresh(sf_dir: str):
 
     from ..functions.textstats import quality_score
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def classify(batch: pa.Table) -> pa.Table:
         side: list[int] = []
@@ -10499,7 +10618,7 @@ def q_events_ks_test(sf_dir: str):
     at the end — exact, no float comparisons anywhere."""
     from ray.data.aggregate import Max, Min
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     base = _read(sf_dir, "events", ["event_type", "value"])
     mm = base.aggregate(Min("value"), Max("value"))
@@ -11099,7 +11218,7 @@ def q_doc_ngram_novelty(sf_dir: str):
 
     from ..functions.corpusops import _ngrams, _words
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     N = 13
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -11435,7 +11554,7 @@ def q_events_active_time(sf_dir: str):
     because a user lives entirely in its bucket the per-user rows are
     final (no second shuffle).  Duplicate timestamps contribute gap 0
     regardless of tie order, so the result is total-order-independent."""
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     WIN_US = 300 * 1_000_000
 
     def project(batch: pa.Table) -> pa.Table:
@@ -11491,7 +11610,7 @@ def q_events_cusum_alarms(sf_dir: str):
     per-user rows final).  The oracle replays the recurrence as a
     WITH-RECURSIVE row-by-row join — the third recursive-CTE-checked
     operator (after BFS and near-dup closure)."""
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     DRIFT = 10_500  # target 10000 cents + slack 500
     H = 50_000
 
@@ -11609,7 +11728,7 @@ def q_events_user_entropy(sf_dir: str):
     drift, far under the shared 6dp grid)."""
     import math
 
-    nb = resolve_group_buckets(None)
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -12421,7 +12540,7 @@ def q_event_type_entropy_rate(sf_dir: str):
     each per-source sum folds ≤|types| doubles, so SUM-order drift is
     below the 6dp grid, and the rate folds the UNROUNDED per-source
     entropies weighted by exact integer shares."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -12507,7 +12626,7 @@ def q_crawl_frontier(sf_dir: str):
     from ..kernels.html_text import decode_html_bytes, extract_links
     from ..sources.pages import pages_dataset
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
     base_re = re.compile(r"^(https?://[^/]+)")
 
@@ -12619,7 +12738,7 @@ def q_link_pagerank(sf_dir: str):
 
     K = 4
     SCALE = 1_000_000_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     # graph-state block width: ~2.5k pages of rank/edge rows per block.
     # Coalescing matters more than parallelism here — at sf0.1 the rank
     # state is ~30k narrow rows, and leaving it in ~200 read-sized blocks
@@ -12823,7 +12942,7 @@ def q_allpairs_jaccard_join(sf_dir: str):
 
     TAU = 0.8
     TAU_N, TAU_D = 8, 10
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     _base, corpus = _docs_with_perturbed(sf_dir)
     # two consumers (prefix chain + exact-verify join) would each re-run
     # the read∪perturb; one narrow materialization feeds both
@@ -12928,6 +13047,7 @@ def q_allpairs_jaccard_join(sf_dir: str):
         corpus,
         lambda a, b: word_ngram_jaccard(a, b, 5),
         out_col="jaccard",
+        num_buckets=nb,
     )
 
     def keep_tau(batch: pa.Table) -> pa.Table:
@@ -13051,7 +13171,7 @@ def q_join_size_estimate(sf_dir: str):
             lambda t: t.append_column("side", pa.array([1] * len(t), pa.int8())),
             batch_format="pyarrow",
         )
-        nb = resolve_group_buckets()
+        nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
         rows = cogroup(
             o_counts.union(l_counts).map_batches(
                 lambda t: t.append_column("kb", _ibuckets(t["k"], nb)),
@@ -13173,7 +13293,7 @@ def q_cdc_merge_apply(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     MOD = 1_000_000_007
 
     def row_fp(doc_id: int, text: str) -> int:
@@ -13438,7 +13558,7 @@ def q_user_erasure_audit(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     MOD = 1_000_000_007
 
     def _fp_many(strings) -> int:
@@ -13812,7 +13932,7 @@ def q_rake_word_scores(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     stop = set(_STOP_WORDS)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -13911,7 +14031,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
 
     K = 2
     S = 1_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
 
     def _ubuckets(urls: list) -> pa.Array:
@@ -13939,9 +14059,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     edges_by_src = (
         _oracle_visible_pages(sf_dir, include_text_route=False)
         .map_batches(edge_rows, batch_format="pyarrow")
-        .repartition(
-            max(8, min(64, int(ray.cluster_resources().get("CPU", 8))))
-        )
+        .repartition(_spread_blocks())
         .materialize()
     )
 
@@ -14150,7 +14268,7 @@ def q_attribution_first_touch(sf_dir: str):
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -14202,7 +14320,7 @@ def q_user_weekly_retention(sf_dir: str):
     from ray.data.aggregate import Sum
 
     WEEK_US = 7 * 24 * 3_600_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     start = int(
         _read(sf_dir, "events", ["ts"])
@@ -14428,7 +14546,7 @@ def q_orders_constraint_audit(sf_dir: str):
     sum emits the five-row report."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
 
     def value_rules(batch: pa.Table) -> pa.Table:
         tp = batch["o_totalprice"].to_numpy(zero_copy_only=False)
@@ -14684,7 +14802,7 @@ def q_zorder_layout_audit(sf_dir: str):
         run += int(r["n"])
     off_ref = ray.put(offsets)
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
 
     def z_bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -14822,7 +14940,7 @@ def q_customer_order_gaps(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
     DAY_US = 86_400_000_000
 
     def to_rows(batch: pa.Table) -> pa.Table:
@@ -14917,7 +15035,7 @@ def q_events_funnel_windowed(sf_dir: str):
     from ray.data.aggregate import Sum
 
     WIN_US = 24 * 3_600_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -14972,7 +15090,7 @@ def q_events_hourly_top_types(sf_dir: str):
     ships one row per distinct pair per batch); hours co-group by
     hour-hash bucket (MANY windows per group task — never one tiny
     group per hour) and the final output is ≤3 rows per window."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     HOUR_US = 3_600_000_000
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -15026,7 +15144,7 @@ def q_knn_mutual_pairs(sf_dir: str):
     from ..functions.simsearch import _normalize, _vec_matrix
 
     K = 5
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "embeddings"))
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     rows = ds.take_all()  # exact-mode query broadcast: O(N·d), documented
@@ -15179,7 +15297,7 @@ def q_events_bounce_rate(sf_dir: str):
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15261,7 +15379,7 @@ def q_event_audience_jaccard(sf_dir: str):
     independent of users)."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     bit = {t: i for i, t in enumerate(_AUDIENCE_TYPES)}
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -15336,7 +15454,7 @@ def q_orders_basket_profile(sf_dir: str):
     generic hash aggregate over the open orderkey domain."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def key_partial(batch: pa.Table) -> pa.Table:
         k = batch["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -15381,7 +15499,7 @@ def q_part_cheapest_supplier(sf_dir: str):
     per-(part, supp) min merge and the per-part argmin both resolve
     locally).  Output is one row per part — never wider than the
     catalog."""
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def partial(batch: pa.Table) -> pa.Table:
         pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
@@ -15430,7 +15548,7 @@ def q_link_reciprocity(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
@@ -15494,7 +15612,7 @@ def q_link_degree_histogram(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
@@ -15618,7 +15736,7 @@ def q_session_duration_quantiles(sf_dir: str):
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15701,7 +15819,7 @@ def q_vocab_coverage_k(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -15770,7 +15888,7 @@ def q_top_word_per_lang(sf_dir: str):
     final argmax scans ≤ buckets·langs candidate rows."""
     import zlib
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -16032,7 +16150,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
 
     GAP_US = 1_800_000_000
     HOUR_US = 3_600_000_000
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -16113,7 +16231,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
 
     K1, B = 1.2, 0.75
     TERMS = ("hash", "join", "window")
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     staging = _search_index_staging()
 
     # ---- offline: build + persist the index ----
@@ -16397,7 +16515,7 @@ def q_word_burstiness_top20(sf_dir: str):
     selection scans ≤ 20·buckets rows; n_docs is one scalar."""
     import zlib
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     n_docs = int(_read(sf_dir, "documents", ["doc_id"]).count())
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -16465,7 +16583,7 @@ def q_markov_next_accuracy(sf_dir: str):
     that constant-size table."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -16601,7 +16719,7 @@ def q_lang_hapax_ratio(sf_dir: str):
     driver."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     partial = _lang_word_count_partial(nb)
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -16655,7 +16773,7 @@ def q_lang_yule_k(sf_dir: str):
     per bucket, open vocabulary never aggregated globally."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     partial = _lang_word_count_partial(nb)
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -21950,4 +22068,64 @@ ORACLE_SQL["image_deid_stub_stats"] = f"""
     SELECT 'n_media' AS metric, COUNT(*)::BIGINT AS value FROM s
     UNION ALL SELECT 'total_boxes', CAST(SUM(n_boxes) AS BIGINT) FROM s
     UNION ALL SELECT 'total_spans', CAST(SUM(n_spans) AS BIGINT) FROM s
+"""
+
+# staged-output oracles for the two training-data queries whose per-row
+# values come from seeded RNG draws / difflib: placeholder_corpus splices
+# the staged fake values over the staged spans; deid_eval_aggregate folds
+# the staged per-example scores into the corpus report
+ORACLE_SQL["placeholder_corpus"] = f"""
+    WITH ex AS (SELECT * FROM read_parquet('{_PLACEHOLDER_STAGING}/examples/*.parquet')),
+    sp AS (
+        SELECT example_id, type, fake, "start", "end",
+               row_number() OVER (PARTITION BY example_id ORDER BY "start") AS k,
+               lead("start") OVER (PARTITION BY example_id ORDER BY "start") AS next_start
+        FROM read_parquet('{_PLACEHOLDER_STAGING}/spans/*.parquet')
+    ),
+    heads AS (
+        SELECT ex.example_id, 0 AS k,
+               CASE WHEN f.s0 IS NULL THEN ex.text ELSE substr(ex.text, 1, f.s0) END AS head
+        FROM ex LEFT JOIN (SELECT example_id, min("start") AS s0 FROM sp GROUP BY example_id) f
+          ON f.example_id = ex.example_id
+    ),
+    pieces AS (
+        SELECT example_id, k, head AS m, head AS f FROM heads
+        UNION ALL
+        SELECT example_id, k, '<' || type || '>' || seg, fake || seg
+        FROM (
+            SELECT sp.example_id, sp.k, sp.type, sp.fake,
+                   CASE WHEN sp.next_start IS NULL THEN substr(ex.text, sp."end" + 1)
+                        ELSE substr(ex.text, sp."end" + 1, sp.next_start - sp."end") END AS seg
+            FROM sp JOIN ex ON ex.example_id = sp.example_id
+        )
+    )
+    SELECT example_id,
+           string_agg(m, '' ORDER BY k) AS masked_text,
+           string_agg(f, '' ORDER BY k) AS filled_text
+    FROM pieces
+    GROUP BY example_id
+"""
+
+ORACLE_SQL["deid_eval_aggregate"] = f"""
+    WITH a AS (
+        SELECT COUNT(*) AS n,
+               SUM(pii_total) AS pii,
+               SUM(pii_leak_count) AS leaks,
+               AVG(pii_removal_recall) AS recall,
+               AVG(over_rewrite_rate) AS over_rewrite,
+               AVG(type_consistency) AS type_consistency,
+               AVG(repetition_3gram_rate) AS repetition,
+               AVG(CASE WHEN format_compliant THEN 1.0 ELSE 0.0 END) AS compliant
+        FROM read_parquet('{_EVAL_STAGING}/*.parquet')
+    )
+    SELECT 'count' AS metric, CAST(n AS DOUBLE) AS value FROM a
+    UNION ALL SELECT 'format_compliance_rate', compliant FROM a
+    UNION ALL SELECT 'over_rewrite_rate', over_rewrite FROM a
+    UNION ALL SELECT 'pii_leak_count', CAST(leaks AS DOUBLE) FROM a
+    UNION ALL SELECT 'pii_leak_rate',
+        CASE WHEN pii > 0 THEN CAST(leaks AS DOUBLE) / CAST(pii AS DOUBLE) ELSE 0.0 END FROM a
+    UNION ALL SELECT 'pii_removal_recall', recall FROM a
+    UNION ALL SELECT 'pii_total', CAST(pii AS DOUBLE) FROM a
+    UNION ALL SELECT 'repetition_3gram_rate', repetition FROM a
+    UNION ALL SELECT 'type_consistency', type_consistency FROM a
 """

@@ -31,6 +31,7 @@ def curate_extracted(
     *,
     min_quality: float = 0.4,
     min_chars: int = 50,
+    num_buckets: int | None = None,
 ):
     """Curation half of the training-data flow over a POST-deid dataset
     (needs ``url``, ``extracted_text``, ``context_hash``): quality
@@ -41,7 +42,7 @@ def curate_extracted(
     """
     import pandas as pd
 
-    nb = resolve_group_buckets()
+    nb = resolve_group_buckets(num_buckets)
 
     def stats_and_filter(batch: pa.Table) -> pa.Table:
         texts = batch["extracted_text"].to_pylist()

@@ -541,14 +541,19 @@ class TestBucketInvariance:
     every bucketed operator must be identical for any bucket count."""
 
     def test_resolver_order(self, ray_session, monkeypatch):
-        from edge_deid_studio_ray.config import resolve_group_buckets
+        from edge_deid_studio_ray.config import _ROWS_PER_BUCKET, resolve_group_buckets
 
-        assert resolve_group_buckets(7) == 7  # explicit override wins
         monkeypatch.setenv("EDS_GROUP_BUCKETS", "33")
-        assert resolve_group_buckets() == 33  # env var next
+        assert resolve_group_buckets(7, rows=10**9) == 7  # explicit override wins
+        assert resolve_group_buckets(rows=10**9) == 33  # env var next
         monkeypatch.delenv("EDS_GROUP_BUCKETS")
-        # cluster-derived: pytest session runs at num_cpus=4 → max(64, 16)
-        assert resolve_group_buckets() == 64
+        # derived: the pytest session runs at num_cpus=4 → 4 buckets per CPU
+        # until the input row count asks for more
+        assert resolve_group_buckets() == 16
+        assert resolve_group_buckets(rows=0) == 16
+        assert resolve_group_buckets(rows=16 * _ROWS_PER_BUCKET) == 16
+        assert resolve_group_buckets(rows=16 * _ROWS_PER_BUCKET + 1) == 17
+        assert resolve_group_buckets(rows=250 * _ROWS_PER_BUCKET - 7) == 250
 
     def _corpus(self):
         import ray.data as rd

@@ -95,6 +95,26 @@ def test_queries_fold_only_through_cogroup():
     assert not re.search(r"pd\.(Series|array)\((\[\],\s*)?dtype=", src)
 
 
+def test_queries_size_buckets_from_rows():
+    """Every bucket count in the query suite is sized from the rows its
+    co-group reads: no ``resolve_group_buckets(`` call without ``rows=``."""
+    import ast
+    import inspect
+
+    from edge_deid_studio_ray.pipelines import queries
+
+    calls = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(queries)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "resolve_group_buckets"
+    ]
+    assert calls
+    unsized = [c.lineno for c in calls if not any(k.arg == "rows" for k in c.keywords)]
+    assert unsized == []
+
+
 def test_triangles_bucketed_path_matches_broadcast(ray_session):
     """VERDICT r3 #1b done-criterion: forcing the fully-bucketed wedge-join
     path (broadcast_edge_cap=0) must reproduce the broadcast path exactly."""
@@ -327,6 +347,34 @@ class TestNewOpsBucketInvariance:
         for n in self.NAMES:
             again = self._canon(QUERIES[n](sf))
             assert again.equals(base[n]), n
+
+
+class TestSizedBucketsMatchFixedCount(TestNewOpsBucketInvariance):
+    """The benchmarked co-group queries give the same frames under the
+    row/CPU-sized bucket count as under a fixed 64 buckets."""
+
+    NAMES = [
+        "events_sessions",
+        "events_interarrival_hist",
+        "customer_order_cohorts",
+        "corpus_snapshot_diff",
+        "customer_name_editdist_pairs",
+        "referential_orphans",
+        "user_erasure_audit",
+    ]
+
+    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch):
+        from edge_deid_studio_ray.pipelines.queries import QUERIES
+
+        sf = "/root/testdata/sf0.001"
+        # referential_orphans: force the bucketed path (every parent is
+        # over the broadcast bound) so its co-group is the one compared
+        monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
+        monkeypatch.delenv("EDS_GROUP_BUCKETS", raising=False)
+        sized = {n: self._canon(QUERIES[n](sf)) for n in self.NAMES}
+        monkeypatch.setenv("EDS_GROUP_BUCKETS", "64")
+        for n in self.NAMES:
+            assert self._canon(QUERIES[n](sf)).equals(sized[n]), n
 
 
 class TestLevenshteinOracleEquivalence:

@@ -575,6 +575,8 @@ class TestBatch9Ops:
             ("training_data_pipeline", q._TDP_STAGING),
             ("ner_stub_entity_counts", q._NER_STUB_STAGING),
             ("image_deid_stub_stats", q._IMG_STUB_STAGING),
+            ("placeholder_corpus", q._PLACEHOLDER_STAGING),
+            ("deid_eval_aggregate", q._EVAL_STAGING),
         ]:
             assert path.startswith(q._STAGING_ROOT + "/")
             assert f"'{path}/" in q.ORACLE_SQL[name]
