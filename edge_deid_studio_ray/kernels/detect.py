@@ -7,15 +7,18 @@ composite.py:35-106) as pure functions.  Differences by design:
 - Rules are compiled ONCE from a config snapshot (per worker, memoized on the
   rules-file path) instead of the reference's per-call mtime hot-reload — on a
   multi-node cluster every task must see one immutable rule set.
-- Entities are plain dicts ``{"span": (start, end), "type", "score",
-  "source"}`` with **Python code-point offsets** (not UTF-8 bytes), matching
-  the reference entity contract (pii/utils/base.py:6-28).
+- Detection and resolution run on plain span tuples ``(start, end, type,
+  score, source)`` with **Python code-point offsets** (not UTF-8 bytes);
+  :func:`regex_detect` / :func:`resolve_conflicts` are the dict adapters
+  for the reference entity contract ``{"span": (start, end), "type",
+  "score", "source"}`` (pii/utils/base.py:6-28).
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +27,12 @@ import yaml
 from ..config import DEFAULT_PRIORITY, ENTITY_PRIORITY, OVERLAP_THRESHOLD
 
 Entity = dict[str, Any]
+# (start, end, type, score, source)
+Span = tuple[int, int, str, float, str]
+# (type, compiled pattern, prescreen literals)
+Rule = tuple[str, re.Pattern[str], tuple[str, ...]]
+
+_START = itemgetter(0)
 
 
 def _parse_flags(spec: str) -> int:
@@ -64,18 +73,19 @@ def load_rules(path: str | Path) -> list[tuple[str, str, int]]:
 
 
 @lru_cache(maxsize=16)
-def compile_rules(path: str) -> tuple[tuple[str, re.Pattern[str]], ...]:
-    """Compile a rule file once per worker process (keyed by path)."""
-    compiled: list[tuple[str, re.Pattern[str]]] = []
+def compile_rules(path: str) -> tuple[Rule, ...]:
+    """Compile a rule file once per worker process (keyed by path) into
+    ``(type, pattern, prescreen literals)`` triples."""
+    compiled: list[Rule] = []
     for typ, pattern, flags in load_rules(path):
         try:
-            compiled.append((typ, re.compile(pattern, flags)))
+            rx = re.compile(pattern, flags)
         except re.error:
             continue
+        compiled.append((typ, rx, _required_literals(rx.pattern, rx.flags)))
     return tuple(compiled)
 
 
-@lru_cache(maxsize=256)
 def _required_literals(pattern_str: str, flags: int) -> tuple[str, ...]:
     """Literal alternation every match of the pattern MUST contain, or ()
     when no safe constraint exists.
@@ -157,8 +167,8 @@ def _required_literals(pattern_str: str, flags: int) -> tuple[str, ...]:
     return tuple(sorted(got)) if got else ()
 
 
-def regex_detect(text: str, patterns: tuple[tuple[str, re.Pattern[str]], ...]) -> list[Entity]:
-    """Emit entities in (rule-order, match-position) order.
+def detect_spans(text: str, rules: tuple[Rule, ...]) -> list[Span]:
+    """Spans in (rule-order, match-position) order.
 
     Matches regex_detector.py:79-89: one pass of ``finditer`` per rule,
     ``score=1.0, source="regex"``.  A required-literal prescreen
@@ -167,74 +177,77 @@ def regex_detect(text: str, patterns: tuple[tuple[str, re.Pattern[str]], ...]) -
     backtracking address rules on documents without their trigger
     substrings.
     """
-    entities: list[Entity] = []
-    for typ, pattern in patterns:
-        lits = _required_literals(pattern.pattern, pattern.flags)
-        if lits and not any(l in text for l in lits):
+    spans: list[Span] = []
+    append = spans.append
+    for typ, pattern, lits in rules:
+        if lits and not any(map(text.__contains__, lits)):
             continue
         for match in pattern.finditer(text):
-            entities.append(
-                {"span": (match.start(), match.end()), "type": typ, "score": 1.0, "source": "regex"}
-            )
-    return entities
+            start, end = match.span()
+            append((start, end, typ, 1.0, "regex"))
+    return spans
 
 
-def _priority(entity_type: str, priorities: dict[str, int]) -> int:
-    return priorities.get(entity_type, DEFAULT_PRIORITY)
+def regex_detect(text: str, rules: tuple[Rule, ...]) -> list[Entity]:
+    """:func:`detect_spans` as entity dicts."""
+    return [
+        {"span": (start, end), "type": typ, "score": score, "source": source}
+        for start, end, typ, score, source in detect_spans(text, rules)
+    ]
 
 
-def _pick_winner(a: Entity, b: Entity, priorities: dict[str, int]) -> Entity:
-    """Tie-break: priority → score → shorter source string → first.
+def _beats(cur: tuple, last: tuple, priorities: dict[str, int]) -> bool:
+    """Tie-break: priority → score → shorter source string → the kept one.
 
     Semantics of composite.py:86-102.
     """
-    ap, bp = _priority(a["type"], priorities), _priority(b["type"], priorities)
-    if ap != bp:
-        return a if ap > bp else b
-    if a["score"] != b["score"]:
-        return a if a["score"] > b["score"] else b
-    a_src, b_src = a.get("source", ""), b.get("source", "")
-    if len(a_src) != len(b_src):
-        return a if len(a_src) < len(b_src) else b
-    return a
+    cur_p = priorities.get(cur[2], DEFAULT_PRIORITY)
+    last_p = priorities.get(last[2], DEFAULT_PRIORITY)
+    if cur_p != last_p:
+        return cur_p > last_p
+    if cur[3] != last[3]:
+        return cur[3] > last[3]
+    return len(cur[4]) < len(last[4])
+
+
+def resolve_spans(spans: list[tuple], priorities: dict[str, int] | None = None) -> list[tuple]:
+    """Sequential overlap resolution against the *last kept* span.
+
+    Exact semantics of composite.py:35-84: stable sort by span start; an
+    incoming span overlapping the last kept one by
+    ``overlap / min(len) > 0.5`` replaces it iff it wins the tie-break,
+    otherwise both are kept.  The "compare only against the last kept"
+    sequentiality is part of the byte-identity contract.  Only the first
+    five fields are read; extra trailing fields ride along.
+    """
+    if not spans:
+        return []
+    priorities = priorities if priorities is not None else ENTITY_PRIORITY
+    ordered = sorted(spans, key=_START)
+    resolved = [ordered[0]]
+    for cur in ordered[1:]:
+        last = resolved[-1]
+        last_start, last_end = last[0], last[1]
+        cur_start, cur_end = cur[0], cur[1]
+        if cur_start >= last_end:
+            resolved.append(cur)
+            continue
+        overlap = max(0, min(last_end, cur_end) - cur_start)
+        ratio = overlap / min(max(1, last_end - last_start), max(1, cur_end - cur_start))
+        if ratio <= OVERLAP_THRESHOLD:
+            resolved.append(cur)
+        elif _beats(cur, last, priorities):
+            resolved[-1] = cur
+    return resolved
 
 
 def resolve_conflicts(
     entities: list[Entity],
     priorities: dict[str, int] | None = None,
 ) -> list[Entity]:
-    """Sequential overlap resolution against the *last kept* entity.
-
-    Exact semantics of composite.py:35-84: stable sort by span start; an
-    incoming entity overlapping the last kept one by
-    ``overlap / min(len) > 0.5`` replaces it iff it wins the tie-break,
-    otherwise both are kept.  The "compare only against the last kept"
-    sequentiality is part of the byte-identity contract.
-    """
-    if not entities:
-        return []
-    priorities = priorities if priorities is not None else ENTITY_PRIORITY
-
-    def span_of(e: Entity) -> tuple[int, int]:
-        s, t = e["span"]
-        return int(s), int(t)
-
-    resolved: list[Entity] = []
-    for entity in sorted(entities, key=lambda e: span_of(e)[0]):
-        if not resolved:
-            resolved.append(entity)
-            continue
-        last = resolved[-1]
-        last_start, last_end = span_of(last)
-        cur_start, cur_end = span_of(entity)
-        if cur_start >= last_end:
-            resolved.append(entity)
-            continue
-        overlap = max(0, min(last_end, cur_end) - cur_start)
-        ratio = overlap / min(max(1, last_end - last_start), max(1, cur_end - cur_start))
-        if ratio <= OVERLAP_THRESHOLD:
-            resolved.append(entity)
-            continue
-        if _pick_winner(last, entity, priorities) is entity:
-            resolved[-1] = entity
-    return resolved
+    """:func:`resolve_spans` over entity dicts; returns the kept dicts."""
+    spans = []
+    for idx, e in enumerate(entities):
+        start, end = e["span"]
+        spans.append((int(start), int(end), e["type"], e.get("score"), e.get("source", ""), idx))
+    return [entities[span[5]] for span in resolve_spans(spans, priorities)]

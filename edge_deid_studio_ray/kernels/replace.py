@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
 from functools import lru_cache
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 Entity = dict[str, Any]
+
+_START = itemgetter(0)
 
 _TW_LOCALES = {"zh_tw", "zh_hant_tw"}
 
@@ -33,6 +37,7 @@ _EN_NAMES = ["John Smith", "Alice Chen", "Michael Brown", "Emily Davis"]
 _TW_ADDRESSES = ["台北市信義路1號", "新北市中山路10號", "台中市民生路99號"]
 
 
+@lru_cache(maxsize=64)
 def _is_tw(locale: str) -> bool:
     loc = str(locale or "en_US").lower()
     return loc.replace("-", "_") in _TW_LOCALES or "tw" in loc
@@ -43,6 +48,24 @@ def _placeholder(entity_type: str, stable_key: str) -> str:
     return f"<{entity_type}:{digest}>"
 
 
+_TW_ID_LETTERS = "ABCDEFGHJKLMNPQRSTUVXYWZ"
+_DIGITS = "0123456789"
+_PASSPORT_PREFIXES = ("P", "PA", "PB")
+
+# One generator per thread, reseeded per call: seeding replays the same
+# Mersenne Twister state a fresh ``random.Random(seed)`` starts from, without
+# building an object per surrogate.
+_LOCAL = threading.local()
+
+
+def _seeded_randbelow(seed: int) -> Callable[[int], int]:
+    rng = getattr(_LOCAL, "rng", None)
+    if rng is None:
+        rng = _LOCAL.rng = random.Random()
+    rng.seed(seed)
+    return rng._randbelow
+
+
 @lru_cache(maxsize=4096)
 def fallback_generate(entity_type: str, original: str, context_hash: str, locale: str = "zh_TW") -> str:
     """Deterministic surrogate value for (type, original, context_hash).
@@ -51,54 +74,57 @@ def fallback_generate(entity_type: str, original: str, context_hash: str, locale
     (fake_provider.py:83-173): seed = first 8 hex chars of
     sha256(f"{type}:{original}:{hash}"), then a fixed per-type sequence of
     ``random.Random`` draws.  The draw *order* is part of the contract.
+    Draws go straight through ``_randbelow``, the primitive
+    ``randint(a, b)`` (``a + _randbelow(b - a + 1)``) and ``choice(seq)``
+    (``seq[_randbelow(len(seq))]``) delegate to, so every value equals the
+    reference's ``randint`` / ``choice`` formula.
     """
     stable_key = f"{entity_type}:{original}:{context_hash}"
-    seed = int(hashlib.sha256(stable_key.encode("utf-8")).hexdigest()[:8], 16)
-    rng = random.Random(int(seed))
+    below = _seeded_randbelow(int(hashlib.sha256(stable_key.encode("utf-8")).hexdigest()[:8], 16))
     is_tw = _is_tw(locale)
 
     if entity_type in {"ID", "TW_ID"}:
         if is_tw:
-            letter = rng.choice("ABCDEFGHJKLMNPQRSTUVXYWZ")
-            gender = rng.choice(["1", "2"])
-            mid = "".join(str(rng.randint(0, 9)) for _ in range(7))
-            checksum = str(rng.randint(0, 9))
+            letter = _TW_ID_LETTERS[below(24)]
+            gender = "12"[below(2)]
+            mid = "".join([_DIGITS[below(10)] for _ in range(7)])
+            checksum = _DIGITS[below(10)]
             return f"{letter}{gender}{mid}{checksum}"
-        return f"{rng.randint(0, 999):03d}-{rng.randint(0, 99):02d}-{rng.randint(0, 9999):04d}"
+        return f"{below(1000):03d}-{below(100):02d}-{below(10000):04d}"
 
     if entity_type == "PHONE":
         if is_tw:
-            return "09" + "".join(str(rng.randint(0, 9)) for _ in range(8))
-        return f"555-{rng.randint(100, 999):03d}-{rng.randint(0, 9999):04d}"
+            return "09" + "".join([_DIGITS[below(10)] for _ in range(8)])
+        return f"555-{100 + below(900):03d}-{below(10000):04d}"
 
     if entity_type == "EMAIL":
-        return f"user{rng.randint(0, 999999):06d}@example.com"
+        return f"user{below(1000000):06d}@example.com"
 
     if entity_type == "UNIFIED_BUSINESS_NO":
-        return f"{rng.randint(0, 99999999):08d}"
+        return f"{below(100000000):08d}"
 
     if entity_type == "PASSPORT":
-        prefix = rng.choice(["P", "PA", "PB"])
-        digits = "".join(str(rng.randint(0, 9)) for _ in range(7))
+        prefix = _PASSPORT_PREFIXES[below(3)]
+        digits = "".join([_DIGITS[below(10)] for _ in range(7)])
         return f"{prefix}{digits}"
 
     if entity_type == "MEDICAL_ID":
-        digits = "".join(str(rng.randint(0, 9)) for _ in range(7))
-        return f"M{digits}"
+        return "M" + "".join([_DIGITS[below(10)] for _ in range(7)])
 
     if entity_type == "CONTRACT_NO":
-        return f"CN-{rng.randint(0, 999999):06d}"
+        return f"CN-{below(1000000):06d}"
 
     if entity_type == "ORGANIZATION":
-        return f"Example Organization {rng.randint(1, 9999)}"
+        return f"Example Organization {1 + below(9999)}"
 
     if entity_type == "NAME":
-        return rng.choice(_TW_NAMES) if is_tw else rng.choice(_EN_NAMES)
+        names = _TW_NAMES if is_tw else _EN_NAMES
+        return names[below(len(names))]
 
     if entity_type == "ADDRESS":
         if is_tw:
-            return rng.choice(_TW_ADDRESSES)
-        return f"{rng.randint(1, 999)} Main Street"
+            return _TW_ADDRESSES[below(len(_TW_ADDRESSES))]
+        return f"{1 + below(999)} Main Street"
 
     return _placeholder(entity_type, stable_key)
 
@@ -120,8 +146,7 @@ class FallbackProvider(Provider):
     """Default provider: the reference's faker-free deterministic fallback
     (byte-identical to fake_provider.py:83-173)."""
 
-    def generate(self, entity_type: str, original: str, context_hash: str, locale: str) -> str:
-        return fallback_generate(entity_type, original, context_hash, locale)
+    generate = staticmethod(fallback_generate)
 
 
 class MaskProvider(Provider):
@@ -215,6 +240,63 @@ def get_provider(name: str) -> Provider:
         raise KeyError(f"unknown provider {name!r}; registered: {sorted(_PROVIDERS)}") from None
 
 
+def splice_spans(
+    text: str,
+    spans: list[tuple],
+    *,
+    blackbox: bool,
+    generate: Callable[[str, str, str, str], str],
+    context_hash: str,
+    locale: str,
+) -> tuple[str, list[tuple[Any, str | None, str | None, int, int, Any]]]:
+    """Replace or mask ``(start, end, type, score, source)`` spans; returns
+    ``(new_text, events)`` with events ``(type, original, replacement,
+    start, start + len(replacement), source)`` in processing order.
+
+    Semantics of replacer.py:41-102:
+
+    - spans are processed in **descending span-start order** (a stable
+      sort, so equal starts keep their input order) and spliced
+      right-to-left, so earlier (left) offsets stay valid;
+    - replace mode: surrogate from ``generate(type, original,
+      context_hash, locale)``; the event span's start is an original-text
+      offset while its width is the replacement's;
+    - blackbox mode: length-preserving ``"█" * (end - start)`` fill; events
+      carry no original/replacement (``None``), so they are dropped from
+      replacement maps downstream (DeidPipeline.process, __init__.py:100-117).
+
+    The text is cut into pieces and joined once.  A span that overlaps the
+    previous splice cuts into the already-spliced tail, exactly as
+    sequential ``text[:start] + replacement + text[end:]`` splicing does.
+    """
+    events: list[tuple] = []
+    pieces: list[str] = []  # the spliced tail, back to front
+    cur = len(text)  # text[:cur] is untouched
+    for start, end, typ, _score, source in sorted(spans, key=_START, reverse=True):
+        if blackbox:
+            replacement = "█" * (end - start)
+            events.append((typ, None, None, start, start + len(replacement), source))
+        else:
+            original = text[start:end]
+            typ = str(typ)
+            replacement = generate(typ, original, context_hash, locale)
+            events.append((typ, original, replacement, start, start + len(replacement), source))
+        if end <= cur:
+            pieces.append(text[end:cur])
+        else:
+            tail = "".join(reversed(pieces))
+            pieces = [tail[end - cur :]]
+        pieces.append(replacement)
+        cur = start
+    pieces.append(text[:cur])
+    pieces.reverse()
+    return "".join(pieces), events
+
+
+def is_blackbox(mode: str | None) -> bool:
+    return (mode or "").strip().lower() in {"blackbox", "black", "redact", "mask"}
+
+
 def replace_text(
     text: str,
     entities: list[Entity],
@@ -224,67 +306,36 @@ def replace_text(
     locale: str = "zh_TW",
     provider: Provider | None = None,
 ) -> tuple[str, list[dict[str, Any]]]:
-    """Replace or mask entity spans; returns ``(new_text, events)``.
+    """:func:`splice_spans` over entity dicts; returns ``(new_text, events)``.
 
-    Semantics of replacer.py:41-102:
-
-    - entities are processed in **descending span-start order** and spliced
-      right-to-left, so earlier (left) offsets stay valid;
-    - replace mode: surrogate from :func:`fallback_generate`; event records
-      ``span = (start, start + len(replacement))`` — the start is an
-      original-text offset while the width is the replacement's;
-    - blackbox mode: length-preserving ``"█" * (end - start)`` fill; events
-      carry no original/replacement (they are dropped from replacement maps
-      downstream, mirroring DeidPipeline.process, __init__.py:100-117).
-    """
-    normalized = (mode or "").strip().lower()
-    if normalized in {"blackbox", "black", "redact", "mask"}:
-        return _blackbox_mode(text, entities)
-    return _replace_mode(
-        text, entities, context_hash=context_hash, locale=locale, provider=provider
+    Replace-mode events are ``{"original", "replacement", "type", "span",
+    "source"}``; blackbox events ``{"type", "span", "source"}``.  Without a
+    ``context_hash`` the text's sha256 seeds the surrogates."""
+    blackbox = is_blackbox(mode)
+    spans = [
+        (e["span"][0], e["span"][1], e["type"], None, e.get("source", "unknown")) for e in entities
+    ]
+    new_text, events = splice_spans(
+        text,
+        spans,
+        blackbox=blackbox,
+        generate=(provider or get_provider("fallback")).generate,
+        context_hash=context_hash
+        or ("" if blackbox else hashlib.sha256(text.encode("utf-8", errors="replace")).hexdigest()),
+        locale=locale,
     )
-
-
-def _sorted_desc(entities: list[Entity]) -> list[Entity]:
-    return sorted(entities, key=lambda e: e["span"][0], reverse=True)
-
-
-def _replace_mode(
-    text: str,
-    entities: list[Entity],
-    *,
-    context_hash: str | None,
-    locale: str,
-    provider: Provider | None = None,
-) -> tuple[str, list[dict[str, Any]]]:
-    doc_hash = context_hash or hashlib.sha256(text.encode("utf-8", errors="replace")).hexdigest()
-    generate = (provider or get_provider("fallback")).generate
-    new_text = text
-    events: list[dict[str, Any]] = []
-    for ent in _sorted_desc(entities):
-        start, end = ent["span"]
-        original = text[start:end]
-        entity_type = str(ent["type"])
-        replacement = generate(entity_type, original, doc_hash, locale)
-        new_text = new_text[:start] + replacement + new_text[end:]
-        events.append(
-            {
-                "original": original,
-                "replacement": replacement,
-                "type": entity_type,
-                "span": (start, start + len(replacement)),
-                "source": ent.get("source", "unknown"),
-            }
-        )
-    return new_text, events
-
-
-def _blackbox_mode(text: str, entities: list[Entity]) -> tuple[str, list[dict[str, Any]]]:
-    new_text = text
-    events: list[dict[str, Any]] = []
-    for ent in _sorted_desc(entities):
-        start, end = ent["span"]
-        block = "█" * (end - start)
-        new_text = new_text[:start] + block + new_text[end:]
-        events.append({"type": ent["type"], "span": (start, start + len(block)), "source": ent.get("source", "unknown")})
-    return new_text, events
+    if blackbox:
+        return new_text, [
+            {"type": typ, "span": (start, end), "source": source}
+            for typ, _o, _r, start, end, source in events
+        ]
+    return new_text, [
+        {
+            "original": original,
+            "replacement": replacement,
+            "type": typ,
+            "span": (start, end),
+            "source": source,
+        }
+        for typ, original, replacement, start, end, source in events
+    ]

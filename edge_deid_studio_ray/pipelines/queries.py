@@ -3347,7 +3347,7 @@ def q_bio_token_labels(sf_dir: str):
     rules_by_lang = {
         lang: compile_rules(str(cfg.rules_path(lang))) for lang in ("zh", "en")
     }
-    label_types = sorted({typ for rules in rules_by_lang.values() for typ, _ in rules})
+    label_types = sorted({typ for rules in rules_by_lang.values() for typ, _, _ in rules})
     labels = build_bio_label_list(label_types)
     label_to_id = {lab: i for i, lab in enumerate(labels)}
 

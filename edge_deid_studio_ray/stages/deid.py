@@ -2,10 +2,13 @@
 
 One stateless ``map_batches`` stage (Arrow in / Arrow out) fuses the whole
 per-document chain — the Ray-native restatement of ``DeidPipeline.process``
-(SURVEY.md §3.1).  Regex rules compile once per worker process via the
-``lru_cache`` in kernels/detect.py, so a stateless task stage is as cheap as
-an actor pool here while staying elastic; an actor pool is reserved for
-genuinely heavy state (stages/ner.py).
+(SURVEY.md §3.1) — into one columnar kernel over the batch
+(``kernels.docpipe.deid_table``): ``url`` / ``lang`` / ``pid`` pass through
+as Arrow columns and every other column is built from flat per-column lists.
+Regex rules compile once per worker process via the ``lru_cache`` in
+kernels/detect.py, so a stateless task stage is as cheap as an actor pool
+here while staying elastic; an actor pool is reserved for genuinely heavy
+state (stages/ner.py).
 
 Span offsets ride along as Arrow ``list<struct>`` columns (the north-star
 "character-offset span maps carried as Arrow list columns").
@@ -14,12 +17,13 @@ Span offsets ride along as Arrow ``list<struct>`` columns (the north-star
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable
+from typing import Callable
 
 import pyarrow as pa
 
 from ..config import EngineConfig
-from ..kernels.docpipe import process_document
+# process_document stays a module attribute: perfbench/tracing.py wraps it here
+from ..kernels.docpipe import deid_table, process_document  # noqa: F401
 
 ENTITY_STRUCT = pa.struct(
     [
@@ -90,39 +94,14 @@ def add_pid(batch: pa.Table, *, num_partitions: int) -> pa.Table:
 
 
 def make_deid_batch_fn(cfg: EngineConfig | None = None) -> Callable[[pa.Table], pa.Table]:
-    """Build the fused deid batch transform (config captured in the closure)."""
+    """Build the fused deid batch transform (config captured in the closure).
+
+    A batch without a ``pid`` column gets it from :func:`add_pid` first."""
     cfg = cfg or EngineConfig()
 
     def deid_batch(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        htmls = batch["html"].to_pylist() if "html" in batch.column_names else [None] * len(urls)
-        texts = batch["text"].to_pylist() if "text" in batch.column_names else [None] * len(urls)
-        if "pid" in batch.column_names:
-            pids = batch["pid"].to_pylist()
-        else:
-            pids = [url_pid(u, cfg.num_partitions) for u in urls]
-
-        out: dict[str, list[Any]] = {k: [] for k in DEID_OUTPUT_SCHEMA.names}
-        for url, lang, html, text, pid in zip(urls, langs, htmls, texts, pids):
-            row = process_document(html=html, text=text, url=url, lang=lang or "zh", cfg=cfg)
-            out["url"].append(url)
-            out["lang"].append(lang)
-            out["pid"].append(pid)
-            out["route"].append(row["route"])
-            out["error"].append(row["error"])
-            out["extracted_text"].append(row["extracted_text"])
-            out["context_hash"].append(row["context_hash"])
-            out["clean_text"].append(row["clean_text"])
-            out["entities"].append(row["entities"])
-            out["events"].append(row["events"])
-            out["n_spans"].append(row["n_spans"])
-            out["n_chars"].append(row["n_chars"])
-            out["n_bytes"].append(row["n_bytes"])
-            out["t_extract_ms"].append(row["t_extract_ms"])
-            out["t_detect_ms"].append(row["t_detect_ms"])
-            out["t_replace_ms"].append(row["t_replace_ms"])
-
-        return pa.Table.from_pydict(out, schema=DEID_OUTPUT_SCHEMA)
+        if "pid" not in batch.column_names:
+            batch = add_pid(batch, num_partitions=cfg.num_partitions)
+        return deid_table(batch, cfg, DEID_OUTPUT_SCHEMA)
 
     return deid_batch

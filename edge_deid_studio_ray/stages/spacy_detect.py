@@ -149,7 +149,7 @@ def spacy_detect(
 
 def _rule_patterns(cfg: EngineConfig, lang: str) -> list[tuple[str, re.Pattern]]:
     compiled = compile_rules(str(cfg.rules_path(lang)))
-    return [(ent_type, pattern) for ent_type, pattern in compiled]
+    return [(ent_type, pattern) for ent_type, pattern, _ in compiled]
 
 
 class SpacyDetectStage:

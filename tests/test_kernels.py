@@ -31,7 +31,7 @@ EN = str(RULES_DIR / "regex_en.yaml")
 
 class TestRegexDetect:
     def test_rule_order_is_yaml_insertion_order(self):
-        types = [t for t, _ in compile_rules(ZH)]
+        types = [t for t, _, _ in compile_rules(ZH)]
         assert types[0] == "ID"
         assert types[1] == "PHONE"
         assert types[2] == "EMAIL"
@@ -95,7 +95,7 @@ class TestRegexDetect:
             pats = compile_rules(rules_path)
             for text in texts:
                 raw = []
-                for typ, pattern in pats:
+                for typ, pattern, _ in pats:
                     for m in pattern.finditer(text):
                         raw.append(
                             {"span": (m.start(), m.end()), "type": typ, "score": 1.0, "source": "regex"}
