@@ -29,6 +29,14 @@ count is resolved once on the driver by
 ``resolve_group_buckets(rows=_rows(sf_dir, *tables))``: four buckets per
 cluster CPU, more only when the parquet-footer row count of the tables
 the co-group reads calls for them.
+
+Every read of an ``sf_dir`` table goes through ``_read``, which sizes its
+block count from the parquet footer too (``_read_blocks``): one block per
+MiB of projected, uncompressed column chunks while that is below Ray's
+2 × CPUs floor, Ray's own default above it.  A small table is then one
+block fused with its first map.  ``_read_spread`` splits the read itself
+into one block per CPU for CPU-heavy per-row stages, with no Repartition
+all-to-all behind it.
 """
 
 from __future__ import annotations
@@ -64,11 +72,44 @@ def _strip_meta(t: pa.Table) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+def _read_blocks(path: str, columns: list[str] | None = None) -> int | None:
+    """Block count for a query read of ``path`` (a parquet file or
+    directory), from its footers alone: the uncompressed bytes of the
+    projected column chunks over ``DataContext.target_min_block_size``, i.e.
+    Ray's own ``max_reasonable_parallelism``.  Below Ray's CPU floor
+    (2 × cluster CPUs) that count is the override; at or above it the result
+    is ``None`` and Ray's default applies, which is then already no larger.
+
+    The CPU floor is what this removes: it would split a single-row-group
+    table into sub-MiB blocks, and a split read does not fuse with the map
+    after it, so every small read became its own operator and every
+    downstream map ran twice the tasks."""
+    import pyarrow.dataset as pads
+    from ray.data import DataContext
+
+    nbytes = 0
+    for frag in pads.dataset(path, format="parquet").get_fragments():
+        md = frag.metadata
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            for j in range(rg.num_columns):
+                chunk = rg.column(j)
+                if columns is None or chunk.path_in_schema.split(".")[0] in columns:
+                    nbytes += chunk.total_uncompressed_size
+    k = max(1, nbytes // DataContext.get_current().target_min_block_size)
+    return k if k < 2 * max(1, cluster_cpus()) else None
+
+
+def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int | None = None):
+    """Every query read of an ``sf_dir`` table: ``blocks`` output blocks when
+    given, else the footer-sized count of ``_read_blocks``.  A table of
+    under 2 MiB of projected columns is one block, fused
+    ``ReadParquet->MapBatches(_strip_meta)->MapBatches(<first map>)``."""
     import ray.data as rd
 
+    path = os.path.join(sf_dir, f"{table}.parquet")
     return rd.read_parquet(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
+        path, columns=columns, override_num_blocks=blocks or _read_blocks(path, columns)
     ).map_batches(_strip_meta, batch_format="pyarrow")
 
 
@@ -122,20 +163,21 @@ def _rows(sf_dir: str, *tables: str) -> int:
 
 
 def _spread_blocks() -> int:
-    """One block per cluster CPU, capped at 64: more blocks than cores only
-    add per-block overhead, which dominates at small scale."""
+    """One block per cluster CPU, capped at 64: the read-time split of
+    ``_read_spread`` (and the one repartition of a mapped edge list that is
+    re-scanned per round).  More blocks than cores only add per-block
+    overhead, which dominates at small scale."""
     return max(1, min(64, cluster_cpus()))
 
 
 def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None):
-    """Read + repartition for CPU-heavy per-row stages: the sf* tables are
-    single-row-group files, so the read yields one block and a downstream
-    shingle/signature stage would run on one core.  A cheap repartition to
-    one block per cluster CPU (``_spread_blocks``) spreads it across the
-    pool.  At production scale inputs arrive as many files/row-groups and
-    this is a no-op decision — the pattern (re-spread a low-parallelism
-    read before heavy compute) is the portable part."""
-    return _read(sf_dir, table, columns).repartition(_spread_blocks())
+    """Read for CPU-heavy per-row stages, split at read time into one block
+    per cluster CPU (``_spread_blocks``): the sf* tables are
+    single-row-group files, so a footer-sized read of one would run a
+    downstream shingle/signature stage on one core.  The read's own split
+    spreads the rows, with no Repartition all-to-all barrier behind it; at
+    1 CPU it is one block, fused with the first map."""
+    return _read(sf_dir, table, columns, blocks=_spread_blocks())
 
 
 # per-worker-process cache for broadcast derived structures (flattened
@@ -361,16 +403,38 @@ def q_events_hourly(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
+def _sessionize(bucket: pd.DataFrame, gap_us: int) -> pd.DataFrame:
+    """Gap sessions of every user in ``bucket`` (columns ``user_id``, ``us``)
+    in one pass: one ``lexsort`` by (user, us); a session starts where the
+    user changes or consecutive events are more than ``gap_us`` apart (a gap
+    of exactly ``gap_us`` keeps the session open)."""
+    user = bucket["user_id"].to_numpy()
+    us = bucket["us"].to_numpy()
+    order = np.lexsort((us, user))
+    user, us = user[order], us[order]
+    starts = np.ones(len(us), dtype=bool)
+    starts[1:] = (user[1:] != user[:-1]) | (np.diff(us) > gap_us)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(us)) - 1
+    return pd.DataFrame(
+        {
+            "user_id": user[first],
+            "session_start_us": us[first],
+            "session_end_us": us[last],
+            "n_events": last - first + 1,
+        }
+    )
+
+
 def q_events_sessions(sf_dir: str):
     """Session windows (30-min inactivity gap) per user: the event log is
-    partitioned by key (``groupby(user_id)``) and windowed inside the sorted
-    group with pandas — the streaming-shaped pattern for a batch engine.
+    partitioned by key (user buckets) and each bucket is windowed in one
+    sorted numpy pass (``_sessionize``) — the streaming-shaped pattern for a
+    batch engine.
 
     Ordering assumption: sessionization is computed after an in-group sort by
     ts; ties in ts are gap-0 so session membership is tie-order invariant.
     """
-    import pandas as pd
-
     gap_us = 1_800_000_000
     nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
@@ -386,18 +450,7 @@ def q_events_sessions(sf_dir: str):
         )
 
     def sessionize_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values("us")
-            new_session = (g["us"].diff().fillna(gap_us + 1) > gap_us).cumsum()
-            out = g.groupby(new_session).agg(
-                session_start_us=("us", "min"),
-                session_end_us=("us", "max"),
-                n_events=("us", "size"),
-            )
-            out["user_id"] = g["user_id"].iloc[0]
-            outs.append(out)
-        return pd.concat(outs, ignore_index=True)
+        return _sessionize(bucket, gap_us)
 
     ds = _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_us, batch_format="pyarrow")
     return cogroup(
@@ -3080,7 +3133,9 @@ def q_image_deid_stub_stats(sf_dir: str):
             }
         )
 
-    media = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+    # spread: the OCR actor pool is the CPU-heavy stage, and a one-block
+    # read would feed only one of its actors
+    media = _read_spread(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         to_media, batch_format="pyarrow"
     )
     processed = media.map_batches(

@@ -377,6 +377,178 @@ class TestSizedBucketsMatchFixedCount(TestNewOpsBucketInvariance):
             assert self._canon(QUERIES[n](sf)).equals(sized[n]), n
 
 
+class TestSizedReadsMatchParentShape:
+    """The benchmarked queries, plus a ``_read_spread`` caller outside that
+    mix, give the same frames with footer-sized reads as with every read
+    split into 2 × cluster CPUs blocks (Ray's CPU floor)."""
+
+    NAMES = TestSizedBucketsMatchFixedCount.NAMES + ["exact_dedup_groups", "text_fingerprints"]
+    _canon = TestNewOpsBucketInvariance._canon
+
+    def test_results_invariant_under_read_blocks(self, ray_session, monkeypatch):
+        from edge_deid_studio_ray.config import cluster_cpus
+        from edge_deid_studio_ray.pipelines import queries
+
+        sf = "/root/testdata/sf0.001"
+        sized = {n: self._canon(queries.QUERIES[n](sf)) for n in self.NAMES}
+        monkeypatch.setattr(queries, "_read_blocks", lambda path, columns=None: 2 * cluster_cpus())
+        for n in self.NAMES:
+            assert self._canon(queries.QUERIES[n](sf)).equals(sized[n]), n
+
+
+class TestFooterSizedRead:
+    def test_small_table_is_one_fused_block(self, ray_session):
+        from edge_deid_studio_ray.pipelines.queries import _read
+
+        stats = _read("/root/testdata/sf0.001", "events", ["user_id", "ts"]).materialize().stats()
+        assert "Operator 1 ReadParquet->MapBatches(_strip_meta): 1 tasks executed, 1 blocks" in stats
+        assert "SplitBlocks" not in stats and "Operator 2" not in stats
+
+    def test_spread_read_has_no_repartition(self, ray_session):
+        from edge_deid_studio_ray.config import cluster_cpus
+        from edge_deid_studio_ray.pipelines.queries import _read_spread
+
+        ds = _read_spread("/root/testdata/sf0.001", "documents", ["doc_id", "text"]).materialize()
+        assert "Repartition" not in ds.stats()
+        assert ds.num_blocks() == cluster_cpus()
+
+    def test_table_past_cpu_floor_gets_no_override(self, ray_session, tmp_path):
+        import pyarrow.parquet as pq
+
+        from edge_deid_studio_ray.config import cluster_cpus
+        from edge_deid_studio_ray.pipelines.queries import _read_blocks
+
+        floor_mib = 2 * cluster_cpus()
+        rows = (floor_mib << 20) // 8 + 1
+        t = pa.table({"a": np.arange(rows, dtype=np.int64), "b": np.zeros(rows, np.int64)})
+        path = str(tmp_path / "big.parquet")
+        pq.write_table(t, path, use_dictionary=False, compression="none")
+        assert _read_blocks(path) is None
+        assert _read_blocks(path, ["a"]) is None
+        # the projection is what is sized: one column under the floor is
+        # read as its own MiB count of blocks
+        pq.write_table(t.slice(0, rows // 2), path, use_dictionary=False, compression="none")
+        assert _read_blocks(path, ["a"]) == floor_mib // 2
+
+
+class TestQueryReadsStructure:
+    """Every query read of an ``sf_dir`` table goes through ``_read`` (the
+    filtered embeddings seed reads excepted), and no read is followed by a
+    Repartition back to one block per CPU: ``_read_spread`` splits at read
+    time instead."""
+
+    @staticmethod
+    def _module():
+        import ast
+        import inspect
+
+        from edge_deid_studio_ray.pipelines import queries
+
+        return ast.parse(inspect.getsource(queries))
+
+    @staticmethod
+    def _callee(node) -> str | None:
+        import ast
+
+        if not isinstance(node, ast.Call):
+            return None
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    def test_table_reads_go_through_read(self):
+        import ast
+
+        tree = self._module()
+        stray = []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_read":
+                continue
+            for node in ast.walk(fn):
+                if self._callee(node) != "read_parquet" or not node.args:
+                    continue
+                src = ast.unparse(node.args[0])
+                if src.startswith("os.path.join(sf_dir") and not any(k.arg == "filter" for k in node.keywords):
+                    stray.append(f"{fn.name}: {ast.unparse(node)}")
+        assert not stray, stray
+
+    def test_no_spread_repartition_after_read(self):
+        import ast
+
+        bad = []
+        for node in ast.walk(self._module()):
+            if self._callee(node) != "repartition" or not node.args:
+                continue
+            if self._callee(node.args[0]) != "_spread_blocks":
+                continue
+            link = node.func.value
+            while isinstance(link, (ast.Call, ast.Attribute)):
+                if self._callee(link) in ("_read", "_read_spread"):
+                    bad.append(ast.unparse(node))
+                    break
+                link = link.func if isinstance(link, ast.Call) else link.value
+        assert not bad, bad
+
+
+def _sessionize_loop(bucket, gap_us):
+    """The per-user pandas fold ``q_events_sessions`` ran before
+    ``_sessionize``, kept verbatim as its reference."""
+    import pandas as pd
+
+    outs = []
+    for _, g in bucket.groupby("user_id", sort=False):
+        g = g.sort_values("us")
+        new_session = (g["us"].diff().fillna(gap_us + 1) > gap_us).cumsum()
+        out = g.groupby(new_session).agg(
+            session_start_us=("us", "min"),
+            session_end_us=("us", "max"),
+            n_events=("us", "size"),
+        )
+        out["user_id"] = g["user_id"].iloc[0]
+        outs.append(out)
+    return pd.concat(outs, ignore_index=True)
+
+
+class TestSessionizeMatchesLoop:
+    GAP = 10
+
+    def _check(self, events, gap_us):
+        import pandas as pd
+
+        from edge_deid_studio_ray.pipelines.queries import _sessionize
+
+        bucket = pd.DataFrame(events, columns=["user_id", "us"]).astype("int64")
+
+        def canon(df):
+            df = df[sorted(df.columns)].astype("int64")
+            return df.sort_values(by=list(df.columns)).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(canon(_sessionize(bucket, gap_us)), canon(_sessionize_loop(bucket, gap_us)))
+
+    def test_edge_cases(self):
+        g = self.GAP
+        # ties in ts, a gap of exactly gap_us (stays open), gap_us + 1
+        # (splits), a single-event user, unsorted input
+        self._check([(1, 5), (2, 100), (1, 5), (1, 5 + g), (1, 6 + 2 * g), (3, 7), (1, 0)], g)
+        # the production gap over microsecond timestamps
+        gap = 1_800_000_000
+        t0 = 1_700_000_000_000_000
+        self._check([(9, t0 + gap), (9, t0), (9, t0 + 2 * gap + 1), (4, t0)], gap)
+
+    def test_property(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        g = self.GAP
+        event = st.tuples(st.integers(-3, 5), st.integers(0, 6 * g))
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.lists(event, min_size=1, max_size=60))
+        def check(events):
+            self._check(events, g)
+
+        check()
+
+
 class TestLevenshteinOracleEquivalence:
     """The funnel-conformance DP must be bit-identical to DuckDB's
     levenshtein (the oracle function) on arbitrary strings."""
