@@ -40,12 +40,13 @@ def cluster_cpus() -> int:
 
 
 def resolve_group_buckets(override: int | None = None, *, rows: int = 0) -> int:
-    """Bucket count for the engine's bucketed co-groups: the
-    ``queries.cogroup`` folds and the ``functions/`` ``map_groups`` stages
-    (LSH bands, connected components, semi/anti joins, per-key windows).
-    The count only decides which bucket a key's rows share; each
-    projection assigns the bucket column itself (``queries._ibuckets`` /
-    ``_kbucket``), and ``cogroup`` owns the fold's output schema.
+    """Bucket count for the engine's bucketed co-groups, every one of which
+    goes through ``functions/cogroup.py``'s ``cogroup``: the query suite and
+    the ``functions/`` stages alike (LSH bands, connected components,
+    semi/anti joins, per-key windows).  The count only decides which bucket
+    a key's rows share; each projection assigns the bucket column itself
+    (``_ibuckets`` / ``_kbucket``, in the same module), and ``cogroup`` owns
+    the fold's output schema.
 
     Must be called on the DRIVER at pipeline-build time and captured in the
     task closures: every task of one run has to assign identical buckets, so

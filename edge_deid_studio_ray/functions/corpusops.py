@@ -28,11 +28,13 @@ import hashlib
 import re
 from collections import Counter
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..config import resolve_group_buckets
-from .dedup import _band_bucket, md5_hex
+from .cogroup import _ibuckets, _kbucket, cogroup
+from .dedup import md5_hex
 
 _WS_RE = re.compile(r"\s+")
 
@@ -148,7 +150,7 @@ def passage_dedup(
                 doc_ids.append(d)
                 idxs.append(ci // words_per_chunk)
                 passages.append(p)
-                buckets.append(_band_bucket(md5_hex(p), nb))
+                buckets.append(_kbucket(md5_hex(p), nb))
         return pa.table(
             {
                 key_col: pa.array(doc_ids, pa.int64()),
@@ -160,8 +162,7 @@ def passage_dedup(
 
     def flag_first(bucket: pd.DataFrame) -> pd.DataFrame:
         bucket = bucket.sort_values([key_col, "chunk_idx"], kind="mergesort")
-        bucket["kept"] = ~bucket.duplicated(subset=["passage"], keep="first")
-        return bucket[[key_col, "chunk_idx", "passage", "kept"]]
+        return bucket.assign(kept=~bucket.duplicated(subset=["passage"], keep="first"))
 
     def reassemble(doc: pd.DataFrame) -> pd.DataFrame:
         doc = doc.sort_values("chunk_idx", kind="mergesort")
@@ -169,18 +170,23 @@ def passage_dedup(
         return pd.DataFrame(
             {
                 key_col: [doc[key_col].iloc[0]],
-                "n_chunks": pd.array([len(doc)], dtype="int64"),
-                "n_kept": pd.array([int(doc["kept"].sum())], dtype="int64"),
+                "n_chunks": [len(doc)],
+                "n_kept": [len(kept)],
                 "kept_md5": [md5_hex(" ".join(kept["passage"]))],
             }
         )
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(flag_first, batch_format="pandas")
-        .groupby(key_col)
-        .map_groups(reassemble, batch_format="pandas")
+    flagged = cogroup(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        "hash_bucket",
+        flag_first,
+        {key_col: pa.int64(), "chunk_idx": pa.int64(), "passage": pa.string(), "kept": pa.bool_()},
+    )
+    return cogroup(
+        flagged,
+        key_col,
+        reassemble,
+        {key_col: pa.int64(), "n_chunks": pa.int64(), "n_kept": pa.int64(), "kept_md5": pa.string()},
     )
 
 
@@ -210,11 +216,28 @@ def duplicate_ngram_spans(
 
     Shape: explode to (gram-hash, doc, pos) — one row per word, three
     narrow columns, text never enters the shuffle — then one bucketed
-    groupby keeps grams spanning >1 distinct doc, and a per-doc groupby
-    merges hit positions into islands.  Both shuffles are keyed; driver
-    holds nothing.
+    groupby keeps grams spanning >1 distinct doc, and a doc-bucketed
+    groupby merges each doc's hit positions into islands.  Both shuffles
+    are keyed; driver holds nothing.
     """
+    import ray.data as rd
+
     nb = resolve_group_buckets(num_buckets)
+    hit_schema = pa.schema({key_col: pa.int64(), "pos": pa.int64(), "doc_bucket": pa.int32()})
+    schema = pa.schema(
+        {
+            key_col: pa.int64(),
+            "n_dup_ngrams": pa.int64(),
+            "n_islands": pa.int64(),
+            "dup_word_count": pa.int64(),
+            "max_island_words": pa.int64(),
+        }
+    )
+    # a corpus with no cross-doc duplicate would hand the islands co-group
+    # zero rows, and a co-group over zero rows calls no fold, so its result
+    # has no schema: a marker row with a null doc in a bucket of its own
+    # (``nb``) keeps one fold running
+    marker = pa.Table.from_pylist([{"doc_bucket": nb}], schema=hit_schema)
 
     def explode(batch: pa.Table) -> pa.Table:
         docs, poss, hashes, buckets = [], [], [], []
@@ -225,7 +248,7 @@ def duplicate_ngram_spans(
                 docs.append(d)
                 poss.append(i)
                 hashes.append(h)
-                buckets.append(_band_bucket(h, nb))
+                buckets.append(_kbucket(h, nb))
         return pa.table(
             {
                 key_col: pa.array(docs, pa.int64()),
@@ -236,34 +259,22 @@ def duplicate_ngram_spans(
         )
 
     def cross_doc_hits(bucket: pd.DataFrame) -> pd.DataFrame:
-        multi = bucket.groupby("gh")[key_col].transform("nunique") > 1
-        return bucket.loc[multi, [key_col, "pos"]]
+        hits = bucket.loc[bucket.groupby("gh")[key_col].transform("nunique") > 1]
+        return hits.assign(doc_bucket=_ibuckets(hits[key_col], nb).to_numpy())
 
-    def islands(doc: pd.DataFrame) -> pd.DataFrame:
-        pos = doc["pos"].drop_duplicates().sort_values().to_numpy()
-        # coverage intervals [p, p+n-1] union into an island while the next
-        # start is <= previous start + n (equal-length intervals)
-        breaks = (pos[1:] - pos[:-1]) > n
-        starts = pos[[True, *breaks]] if len(pos) else pos
-        ends = pos[[*breaks, True]] if len(pos) else pos
-        widths = ends - starts + n
-        return pd.DataFrame(
-            {
-                key_col: [doc[key_col].iloc[0]],
-                "n_dup_ngrams": pd.array([len(doc)], dtype="int64"),
-                "n_islands": pd.array([len(starts)], dtype="int64"),
-                "dup_word_count": pd.array([int(widths.sum())], dtype="int64"),
-                "max_island_words": pd.array([int(widths.max()) if len(widths) else 0], dtype="int64"),
-            }
-        )
+    def islands(bucket: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for d, doc in bucket.groupby(key_col):  # drops the marker's null doc
+            pos = np.unique(doc["pos"].to_numpy())
+            # coverage intervals [p, p+n-1] union into an island while the
+            # next start is <= previous start + n (equal-length intervals)
+            breaks = (pos[1:] - pos[:-1]) > n
+            widths = pos[[*breaks, True]] - pos[[True, *breaks]] + n
+            rows.append((d, len(doc), len(widths), int(widths.sum()), int(widths.max())))
+        return pd.DataFrame(rows, columns=schema.names)
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(cross_doc_hits, batch_format="pandas")
-        .groupby(key_col)
-        .map_groups(islands, batch_format="pandas")
-    )
+    hits = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "hash_bucket", cross_doc_hits, hit_schema)
+    return cogroup(hits.union(rd.from_arrow(marker)), "doc_bucket", islands, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +335,8 @@ def token_stream_pack(
     ``map_batches`` so the grouped stage only scans two int columns — the
     text never enters the shuffle.
     """
+    s = ds.schema()
+    group_type = dict(zip(s.names, s.types))[group_col]
 
     def counts(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -345,16 +358,17 @@ def token_stream_pack(
         return pd.DataFrame(
             {
                 group_col: [group[group_col].iloc[0]],
-                "n_sequences": pd.array([-(-total // budget)], dtype="int64"),
-                "n_tokens": pd.array([total], dtype="int64"),
-                "n_straddlers": pd.array([int(straddle.sum())], dtype="int64"),
+                "n_sequences": [-(-total // budget)],
+                "n_tokens": [total],
+                "n_straddlers": [int(straddle.sum())],
             }
         )
 
-    return (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(pack, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(counts, batch_format="pyarrow"),
+        group_col,
+        pack,
+        {group_col: group_type, "n_sequences": pa.int64(), "n_tokens": pa.int64(), "n_straddlers": pa.int64()},
     )
 
 

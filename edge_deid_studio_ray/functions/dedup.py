@@ -8,13 +8,15 @@ Scale design (100 TB):
 - *MinHash+LSH*: shingle → K minhashes per row (vectorized numpy, universal
   hashing), banded into B band-hashes; explode to ``(band, band_hash, id)``
   rows; a single ``groupby([band, band_hash])`` yields candidate buckets;
-  candidate pairs are verified with exact shingle Jaccard inside
-  ``map_groups`` — no driver-side loop, no global pairwise comparison.
+  candidate pairs are verified with exact shingle Jaccard inside the
+  co-group — no driver-side loop, no global pairwise comparison.
 - *SimHash*: 64-bit signature per row; near-dup = identical band slices of
   the signature (same LSH-groupby skeleton, Hamming verify in-group).
 
 All hash seeds are fixed constants → deterministic across runs/cluster
-sizes (resume-safe).
+sizes (resume-safe).  Every grouping is a ``cogroup`` with its output
+schema declared once at the call; pair ids take the input key column's
+type, read on the driver from the input ``ds.schema()``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_GROUP_BUCKETS, resolve_group_buckets
+from .cogroup import _ibuckets, _kbucket, cogroup
 
 _MERSENNE = (1 << 61) - 1
 
@@ -83,43 +86,43 @@ class MinHasher:
         return (vals >> np.uint64(32)).min(axis=1).astype(np.uint64)
 
 
-def _band_bucket(band_key: str, nb: int = DEFAULT_GROUP_BUCKETS) -> int:
-    """Coarse grouping bucket: bands map whole into one bucket, so per-band
-    logic inside a bucket group is exact while Ray sees ``nb`` groups instead
-    of one group per band hash."""
-    import zlib
+def _pair_schema(ds, key_col: str, cols: dict) -> pa.Schema:
+    """Schema of a ``(left, right, *cols)`` pair result: both ids typed as
+    ``ds``'s ``key_col``, read once on the driver from the input schema."""
+    s = ds.schema()
+    key_type = dict(zip(s.names, s.types))[key_col]
+    return pa.schema({"left": key_type, "right": key_type, **cols})
 
-    return zlib.crc32(band_key.encode()) % nb
 
+def _dedupe_pair_rows(pairs, schema: pa.Schema, nb: int = DEFAULT_GROUP_BUCKETS):
+    """Distinct (left, right) of a pair co-group's output of ``schema`` —
+    bucketed grouping, pandas drop_duplicates.
 
-def _dedupe_pair_rows(pairs, nb: int = DEFAULT_GROUP_BUCKETS):
-    """Distinct (left, right) — bucketed grouping, pandas drop_duplicates."""
+    A co-group over zero rows calls no fold, so its result has no schema.
+    One all-null marker row in a bucket of its own (``nb``) keeps one fold
+    running: a run in which no pair survives the verify still yields zero
+    rows of ``schema``."""
+    import ray.data as rd
+
+    marker = pa.Table.from_pylist([{}], schema=schema).append_column(
+        "pair_bucket", pa.array([nb], pa.int32())
+    )
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        lefts = batch["left"].to_pylist()
-        rights = batch["right"].to_pylist()
-        # NOT Python hash(): string hashing is PYTHONHASHSEED-salted per
-        # process, and the same pair must bucket identically across workers
         buckets = [
-            zlib.crc32(f"{l}\x00{r}".encode()) % nb
-            for l, r in zip(lefts, rights)
+            _kbucket(f"{l}\x00{r}", nb)
+            for l, r in zip(batch["left"].to_pylist(), batch["right"].to_pylist())
         ]
-        # strip the pandas metadata the pandas->arrow conversion attached
-        # upstream: schemas with metadata are unhashable and every shuffle
-        # reduce task logs a warning for them
-        return batch.replace_schema_metadata(None).append_column(
-            "pair_bucket", pa.array(buckets, pa.int32())
-        )
+        return batch.append_column("pair_bucket", pa.array(buckets, pa.int32()))
 
     def drop_dupes(bucket: pd.DataFrame) -> pd.DataFrame:
-        return bucket.drop_duplicates(subset=["left", "right"]).drop(columns=["pair_bucket"])
+        return bucket.dropna(subset=["left"]).drop_duplicates(subset=["left", "right"])
 
-    return (
-        pairs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("pair_bucket")
-        .map_groups(drop_dupes, batch_format="pandas")
+    return cogroup(
+        pairs.map_batches(add_bucket, batch_format="pyarrow").union(rd.from_arrow(marker)),
+        "pair_bucket",
+        drop_dupes,
+        schema,
     )
 
 
@@ -285,21 +288,18 @@ def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id", *, num_buck
     per row.
     """
     nb = resolve_group_buckets(num_buckets)
+    s = ds.schema()
+    schema = pa.schema([*zip(s.names, s.types), ("text_md5", pa.string())])
 
     def hash_stage(batch: pa.Table) -> pa.Table:
         hashed = add_md5_column(batch, text_col)
-        buckets = [_band_bucket(h, nb) for h in hashed["text_md5"].to_pylist()]
+        buckets = [_kbucket(h, nb) for h in hashed["text_md5"].to_pylist()]
         return hashed.append_column("hash_bucket", pa.array(buckets, pa.int32()))
 
     def keep_first(bucket: pd.DataFrame) -> pd.DataFrame:
-        kept = bucket.sort_values(key_col).drop_duplicates(subset=["text_md5"], keep="first")
-        return kept.drop(columns=["hash_bucket"])
+        return bucket.sort_values(key_col).drop_duplicates(subset=["text_md5"], keep="first")
 
-    return (
-        ds.map_batches(hash_stage, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(hash_stage, batch_format="pyarrow"), "hash_bucket", keep_first, schema)
 
 
 def minhash_candidates(
@@ -356,6 +356,12 @@ def minhash_candidates(
             "pair_metrics requires verify='text' (the signature path never "
             "ships document texts, so per-pair text metrics cannot run there)"
         )
+    metric_items = list((pair_metrics or {}).items())
+    schema = _pair_schema(
+        ds,
+        key_col,
+        {"jaccard": pa.float64(), "truncated": pa.bool_(), **{col: pa.float64() for col, _fn in metric_items}},
+    )
     if verify == "signature":
         return _minhash_candidates_sig(
             ds,
@@ -366,6 +372,7 @@ def minhash_candidates(
             shingle_k,
             jaccard_threshold,
             nb,
+            schema,
             group_cap,
         )
 
@@ -384,7 +391,7 @@ def minhash_candidates(
             for bk in bks:
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_band_bucket(bk, nb))
+                buckets.append(_kbucket(bk, nb))
                 texts.append(text or "")
                 digs.append(all_digests)
         return pa.table(
@@ -396,8 +403,6 @@ def minhash_candidates(
                 "band_digests": pa.array(digs, pa.binary()),
             }
         )
-
-    metric_items = list((pair_metrics or {}).items())
 
     def verify_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         from itertools import combinations
@@ -415,7 +420,6 @@ def minhash_candidates(
             for col, _fn in metric_items:
                 out[col].append(extras[col])
 
-        key_dtype = bucket[key_col].dtype
         bucket, bks, starts, ends = _band_group_slices(bucket, key_col)
         keys_arr = bucket[key_col].to_numpy()
         texts_arr = bucket[text_col].to_numpy()
@@ -488,27 +492,13 @@ def minhash_candidates(
                         for ka in members[reps[i]]:
                             for kb in members[reps[j]]:
                                 emit(ka, kb, round(sim, 6), truncated, extras)
-        frame = {
-            "left": pd.Series(out["left"], dtype=key_dtype),
-            "right": pd.Series(out["right"], dtype=key_dtype),
-            "jaccard": pd.Series(out["jaccard"], dtype="float64"),
-            "truncated": pd.Series(out["truncated"], dtype="bool"),
-        }
-        for col, _fn in metric_items:
-            frame[col] = pd.Series(out[col], dtype="float64")
-        # typed (possibly empty) frame: untyped empties produce schema-less
-        # blocks and executor schema-mismatch warnings
-        return pd.DataFrame(frame)
+        return pd.DataFrame(out)
 
     # group by a coarse bucket of the band key (bands never split across
-    # buckets) and sub-group in pandas — thousands of per-band map_groups
-    # calls collapse into nb group tasks
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("band_bucket")
-        .map_groups(verify_bucket, batch_format="pandas")
-    )
-    return _dedupe_pair_rows(pairs, nb)
+    # buckets) and sub-group in pandas — thousands of per-band groups
+    # collapse into nb group tasks
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema, nb)
 
 
 def _minhash_candidates_sig(
@@ -520,6 +510,7 @@ def _minhash_candidates_sig(
     shingle_k: int,
     threshold: float,
     nb: int,
+    schema: pa.Schema,
     group_cap: int = 64,
 ):
     """Signature-carrying LSH variant (see minhash_candidates docstring).
@@ -536,7 +527,7 @@ def _minhash_candidates_sig(
             for bk in band_keys(sig, num_bands):
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_band_bucket(bk, nb))
+                buckets.append(_kbucket(bk, nb))
                 sigs.append(raw)
         return pa.table(
             {
@@ -549,7 +540,6 @@ def _minhash_candidates_sig(
 
     def verify_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         out = {"left": [], "right": [], "jaccard": [], "truncated": []}
-        key_dtype = bucket[key_col].dtype
         bucket, bks, starts, ends = _band_group_slices(bucket, key_col)
         keys_arr = bucket[key_col].to_numpy()
         sigs_arr = bucket["sig"].to_numpy()
@@ -584,21 +574,10 @@ def _minhash_candidates_sig(
                         "jaccard",
                         truncated,
                     )
-        return pd.DataFrame(
-            {
-                "left": pd.Series(out["left"], dtype=key_dtype),
-                "right": pd.Series(out["right"], dtype=key_dtype),
-                "jaccard": pd.Series(out["jaccard"], dtype="float64"),
-                "truncated": pd.Series(out["truncated"], dtype="bool"),
-            }
-        )
+        return pd.DataFrame(out)
 
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("band_bucket")
-        .map_groups(verify_bucket, batch_format="pandas")
-    )
-    return _dedupe_pair_rows(pairs, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema, nb)
 
 
 def pair_text_metric(
@@ -625,8 +604,6 @@ def pair_text_metric(
 
     Ids must be int64 (same caveat as :func:`connected_components`).
     """
-    import zlib
-
     nb = resolve_group_buckets(num_buckets)
 
     def explode_pairs(batch: pa.Table) -> pa.Table:
@@ -642,10 +619,7 @@ def pair_text_metric(
         return pa.table(
             {
                 "jkey": pa.array(jkeys, pa.int64()),
-                "jbucket": pa.array(
-                    [zlib.crc32(str(k).encode()) % nb for k in jkeys],
-                    pa.int32(),
-                ),
+                "jbucket": _ibuckets(jkeys, nb),
                 "left": pa.array(l_out, pa.int64()),
                 "right": pa.array(r_out, pa.int64()),
                 "side": pa.array(sides, pa.int8()),
@@ -659,10 +633,7 @@ def pair_text_metric(
         return pa.table(
             {
                 "jkey": pa.array(keys, pa.int64()),
-                "jbucket": pa.array(
-                    [zlib.crc32(str(k).encode()) % nb for k in keys],
-                    pa.int32(),
-                ),
+                "jbucket": _ibuckets(keys, nb),
                 "left": pa.array([None] * n, pa.int64()),
                 "right": pa.array([None] * n, pa.int64()),
                 "side": pa.array([-1] * n, pa.int8()),
@@ -671,26 +642,16 @@ def pair_text_metric(
         )
 
     def resolve_side_text(bucket: pd.DataFrame) -> pd.DataFrame:
-        texts = bucket[bucket["side"] == -1].set_index("jkey")[text_col]
-        lookup = texts.to_dict()
+        lookup = bucket[bucket["side"] == -1].set_index("jkey")[text_col].to_dict()
         rows = bucket[bucket["side"] >= 0]
-        return pd.DataFrame(
-            {
-                "left": rows["left"].astype("int64"),
-                "right": rows["right"].astype("int64"),
-                "side": rows["side"],
-                "side_text": [lookup.get(k, "") or "" for k in rows["jkey"]],
-            }
-        )
+        return rows.assign(side_text=[lookup.get(k, "") or "" for k in rows["jkey"]])
 
     def add_pair_bucket(batch: pa.Table) -> pa.Table:
         buckets = [
-            zlib.crc32(f"{l}\x00{r}".encode()) % nb
+            _kbucket(f"{l}\x00{r}", nb)
             for l, r in zip(batch["left"].to_pylist(), batch["right"].to_pylist())
         ]
-        return batch.replace_schema_metadata(None).append_column(
-            "pair_bucket", pa.array(buckets, pa.int32())
-        )
+        return batch.append_column("pair_bucket", pa.array(buckets, pa.int32()))
 
     def score_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
         out_l, out_r, out_m = [], [], []
@@ -704,17 +665,19 @@ def pair_text_metric(
             out_m.append(metric_fn(lt, rt))
         return pd.DataFrame({"left": out_l, "right": out_r, out_col: out_m})
 
-    halves = (
+    halves = cogroup(
         pairs.select_columns(["left", "right"])
         .map_batches(explode_pairs, batch_format="pyarrow")
-        .union(corpus.select_columns([key_col, text_col]).map_batches(tag_corpus, batch_format="pyarrow"))
-        .groupby("jbucket")
-        .map_groups(resolve_side_text, batch_format="pandas")
+        .union(corpus.select_columns([key_col, text_col]).map_batches(tag_corpus, batch_format="pyarrow")),
+        "jbucket",
+        resolve_side_text,
+        {"left": pa.int64(), "right": pa.int64(), "side": pa.int8(), "side_text": pa.string()},
     )
-    return (
-        halves.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("pair_bucket")
-        .map_groups(score_pairs, batch_format="pandas")
+    return cogroup(
+        halves.map_batches(add_pair_bucket, batch_format="pyarrow"),
+        "pair_bucket",
+        score_pairs,
+        {"left": pa.int64(), "right": pa.int64(), out_col: pa.float64()},
     )
 
 
@@ -743,7 +706,7 @@ def _pointer_double(labels, nb: int = DEFAULT_GROUP_BUCKETS):
         return pa.table(
             {
                 "key": pa.array(keys, pa.int64()),
-                "kbucket": pa.array((keys % nb).astype(np.int32), pa.int32()),
+                "kbucket": _ibuckets(keys, nb),
                 "payload": pa.array(payloads, pa.int64()),
                 "is_req": pa.array(is_req, pa.bool_()),
             }
@@ -756,10 +719,11 @@ def _pointer_double(labels, nb: int = DEFAULT_GROUP_BUCKETS):
         new_label = np.minimum(reqs["key"].to_numpy(), lbl2.to_numpy())
         return pd.DataFrame({"node": reqs["payload"].to_numpy(), "label": new_label})
 
-    return (
-        labels.map_batches(explode, batch_format="pyarrow")
-        .groupby("kbucket")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(
+        labels.map_batches(explode, batch_format="pyarrow"),
+        "kbucket",
+        resolve,
+        {"node": pa.int64(), "label": pa.int64()},
     )
 
 
@@ -784,6 +748,10 @@ def connected_components(
     component is then an opaque int64, consistent across the component.
     """
     nb = resolve_group_buckets(num_buckets)
+    # materialize once: the schema of a lazy pair pipeline costs its whole
+    # upstream shuffle (often a full LSH pass), which the component passes
+    # below would otherwise run a second time
+    pairs = pairs.materialize()
     schema = pairs.schema()
     if schema is None:
         # empty candidate set (dup-free corpus): no edges, no components
@@ -834,7 +802,7 @@ def _connected_components_str(
         return pa.table(
             {
                 "key": pa.array(hashes, pa.int64()),
-                "kbucket": pa.array([h % nb for h in hashes], pa.int32()),
+                "kbucket": _ibuckets(hashes, nb),
                 "orig": pa.array(values, pa.string()),
                 "component": pa.array([None] * len(values), pa.int64()),
                 "is_map": pa.array([True] * len(values), pa.bool_()),
@@ -855,7 +823,7 @@ def _connected_components_str(
         return pa.table(
             {
                 "key": pa.array(nodes, pa.int64()),
-                "kbucket": pa.array([n % nb for n in nodes], pa.int32()),
+                "kbucket": _ibuckets(nodes, nb),
                 "orig": pa.array([None] * len(nodes), pa.string()),
                 "component": t["component"],
                 "is_map": pa.array([False] * len(nodes), pa.bool_()),
@@ -874,10 +842,8 @@ def _connected_components_str(
 
     node_map = pairs.map_batches(to_node_rows, batch_format="pyarrow")
     tagged = int_components.map_batches(tag_components, batch_format="pyarrow")
-    return (
-        node_map.union(tagged)
-        .groupby("kbucket")
-        .map_groups(join_back, batch_format="pandas")
+    return cogroup(
+        node_map.union(tagged), "kbucket", join_back, {"node": pa.string(), "component": pa.int64()}
     )
 
 
@@ -934,8 +900,8 @@ def _connected_components_int(
         )
 
     # materialize the edge list ONCE (2 rows per pair — bounded by the dup
-    # rate, not the corpus) so the upstream pair pipeline (often a full LSH
-    # pass) is not re-executed by each consumer below
+    # rate, not the corpus) so the explode is not re-run by each consumer
+    # below
     edges = pairs.map_batches(explode, batch_format="pyarrow").materialize()
     # adaptive path: the edge list is bounded by the DUPLICATE RATE, not the
     # corpus — when it fits comfortably on the driver a union-find beats
@@ -981,15 +947,7 @@ def _connected_components_int(
         return pd.DataFrame({"node": nodes_out, "label": labels_out})
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        buckets = [
-            n % nb
-            if isinstance(n, int)
-            else zlib.crc32(str(n).encode()) % nb
-            for n in t["node"].to_pylist()
-        ]
-        return t.append_column("node_bucket", pa.array(buckets, pa.int32()))
+        return t.append_column("node_bucket", _ibuckets(t["node"], nb))
 
     prev_sum = None
     for _ in range(max_iter):
@@ -1003,11 +961,11 @@ def _connected_components_int(
             ),
             batch_format="pyarrow",
         )
-        msgs = (
-            edges_tagged.union(lbl_tagged)
-            .map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("node_bucket")
-            .map_groups(propagate_bucket, batch_format="pandas")
+        msgs = cogroup(
+            edges_tagged.union(lbl_tagged).map_batches(add_bucket, batch_format="pyarrow"),
+            "node_bucket",
+            propagate_bucket,
+            {"node": pa.int64(), "label": pa.int64()},
         )
         labels = msgs.groupby("node").aggregate(Min("label", alias_name="label"))
         # pointer doubling: chase label→label(label) so chains halve per round
@@ -1097,6 +1055,7 @@ def simhash_near_dups(
     from .textstats import simhash64
 
     nb = resolve_group_buckets(num_buckets)
+    schema = _pair_schema(ds, key_col, {"hamming": pa.int64()})
     band_bits = 64 // num_bands
     band_mask = (1 << band_bits) - 1
 
@@ -1108,7 +1067,7 @@ def simhash_near_dups(
                 bk = f"{band}:{(sim >> (band * band_bits)) & band_mask:04x}"
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_band_bucket(bk, nb))
+                buckets.append(_kbucket(bk, nb))
                 sims.append(sim - (1 << 64) if sim >= (1 << 63) else sim)
         return pa.table(
             {
@@ -1123,7 +1082,6 @@ def simhash_near_dups(
         from itertools import combinations
 
         out = {"left": [], "right": [], "hamming": []}
-        key_dtype = bucket[key_col].dtype
         bucket, bks, starts, ends = _band_group_slices(bucket, key_col)
         keys_arr = bucket[key_col].to_numpy()
         sims_arr = bucket["simhash"].to_numpy()
@@ -1184,20 +1142,10 @@ def simhash_near_dups(
                                 out["left"].append(lo)
                                 out["right"].append(hi)
                                 out["hamming"].append(dist)
-        return pd.DataFrame(
-            {
-                "left": pd.Series(out["left"], dtype=key_dtype),
-                "right": pd.Series(out["right"], dtype=key_dtype),
-                "hamming": pd.Series(out["hamming"], dtype="int64"),
-            }
-        )
+        return pd.DataFrame(out)
 
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("band_bucket")
-        .map_groups(verify_bucket, batch_format="pandas")
-    )
-    return _dedupe_pair_rows(pairs, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema, nb)
 
 
 def near_dedup(
@@ -1247,7 +1195,7 @@ def near_dedup(
             name: pa.nulls(len(drop), typ) for name, typ in corpus_fields
         }
         cols["jkey"] = pa.array(drop, key_type)
-        cols["jbucket"] = pa.array([_band_bucket(str(k), nb) for k in drop], pa.int32())
+        cols["jbucket"] = pa.array([_kbucket(k, nb) for k in drop], pa.int32())
         cols["is_row"] = pa.array([False] * len(drop), pa.bool_())
         return pa.table(cols)
 
@@ -1256,58 +1204,18 @@ def near_dedup(
         return (
             t.append_column("jkey", keys.cast(key_type))
             .append_column(
-                "jbucket",
-                pa.array(
-                    [_band_bucket(str(k), nb) for k in keys.to_pylist()], pa.int32()
-                ),
+                "jbucket", pa.array([_kbucket(k, nb) for k in keys.to_pylist()], pa.int32())
             )
             .append_column("is_row", pa.array([True] * t.num_rows, pa.bool_()))
         )
 
-    row_schema_cols = schema.names
-
-    # pandas upcasts int/bool corpus columns to float/object when the
-    # all-null marker rows share the frame; restore the corpus dtypes after
-    # the nulls are filtered out so every output block matches ds.schema()
-    restore_dtypes = {
-        name: typ.to_pandas_dtype()
-        for name, typ in corpus_fields
-        if pa.types.is_integer(typ) or pa.types.is_boolean(typ) or pa.types.is_floating(typ)
-    }
-
-    nullable_equiv = {
-        "int8": "Int8",
-        "int16": "Int16",
-        "int32": "Int32",
-        "int64": "Int64",
-        "uint8": "UInt8",
-        "uint16": "UInt16",
-        "uint32": "UInt32",
-        "uint64": "UInt64",
-        "bool": "boolean",
-    }
-
     def anti(bucket: pd.DataFrame) -> pd.DataFrame:
         dropped = set(bucket.loc[~bucket["is_row"], "jkey"])
-        kept = bucket.loc[bucket["is_row"] & ~bucket["jkey"].isin(dropped)]
-        kept = kept[row_schema_cols].copy()
-        for name, dtype in restore_dtypes.items():
-            col = kept[name]
-            target = np.dtype(dtype).name
-            if target in nullable_equiv and col.isna().any():
-                # a GENUINE null in an int/bool corpus column (not one of
-                # our marker rows) survives the filter as NaN; numpy astype
-                # would raise IntCastingNaNError — route through the pandas
-                # nullable dtype so Arrow round-trips it as a typed null
-                kept[name] = col.astype(nullable_equiv[target])
-            else:
-                kept[name] = col.astype(dtype, copy=False)
-        return kept
+        return bucket.loc[bucket["is_row"] & ~bucket["jkey"].isin(dropped)]
 
     marks = comps.map_batches(non_keepers, batch_format="pyarrow")
     rows = ds.map_batches(tag_rows, batch_format="pyarrow")
-    return (
-        rows.union(marks)
-        .groupby("jbucket")
-        .map_groups(anti, batch_format="pandas")
-    )
+    # the surviving rows are encoded back to the corpus schema: an int/bool
+    # column that pandas widened to float/object beside the all-null marker
+    # rows returns to its type, a genuine NaN in it as a typed null
+    return cogroup(rows.union(marks), "jbucket", anti, pa.schema(corpus_fields))

@@ -20,28 +20,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .cogroup import _kbucket, cogroup
+from .dedup import _dedupe_pair_rows, _pair_schema
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return mat / norms
-
-
-def _pair_frame(left, right, cos, key_dtype) -> pd.DataFrame:
-    """(left, right, cosine) frame with dtypes pinned to the key column's.
-
-    Every ``map_groups`` block of one run must share a schema — an empty
-    group built from plain Python lists would infer float64 keys and make
-    the streaming executor log schema-divergence warnings (and break
-    downstream unions of int64/float64 blocks).
-    """
-    return pd.DataFrame(
-        {
-            "left": pd.Series(left, dtype=key_dtype),
-            "right": pd.Series(right, dtype=key_dtype),
-            "cosine": pd.Series(cos, dtype="float64"),
-        }
-    )
 
 
 def _vec_matrix(col) -> np.ndarray:
@@ -118,31 +104,29 @@ def _merge_topk(partials, k: int, key_col: str):
     by construction) and the tree level engaged only past 50k partial rows:
     below that the level-1 shuffle is pure fixed overhead, above it the
     per-query group would grow unboundedly with block count."""
-    import zlib
 
     def add_mbucket(batch: pa.Table) -> pa.Table:
-        buckets = [
-            (v if isinstance(v, int) else zlib.crc32(str(v).encode())) % 64
-            for v in batch[key_col].to_pylist()
-        ]
+        buckets = [_kbucket(v, 64) for v in batch[key_col].to_pylist()]
         return batch.append_column("mbucket", pa.array(buckets, pa.int32()))
 
-    def merge_level1(group: pd.DataFrame) -> pd.DataFrame:
-        top = group.sort_values(["cosine", key_col], ascending=[False, True]).head(k)
-        return top.drop(columns=["mbucket"])
-
-    def merge_final(group: pd.DataFrame) -> pd.DataFrame:
+    def merge_topk(group: pd.DataFrame) -> pd.DataFrame:
         return group.sort_values(["cosine", key_col], ascending=[False, True]).head(k)
 
     partials = partials.materialize()
-    if partials.count() <= 50_000:
-        return partials.groupby("query_id").map_groups(merge_final, batch_format="pandas")
-    level1 = (
-        partials.map_batches(add_mbucket, batch_format="pyarrow")
-        .groupby(["query_id", "mbucket"])
-        .map_groups(merge_level1, batch_format="pandas")
+    s = partials.schema()
+    if s is None:  # every row was filtered out upstream: nothing to merge
+        return partials
+    schema = pa.schema(
+        {"query_id": pa.int64(), key_col: dict(zip(s.names, s.types))[key_col], "cosine": pa.float64()}
     )
-    return level1.groupby("query_id").map_groups(merge_final, batch_format="pandas")
+    if partials.count() > 50_000:
+        partials = cogroup(
+            partials.map_batches(add_mbucket, batch_format="pyarrow"),
+            ["query_id", "mbucket"],
+            merge_topk,
+            schema,
+        )
+    return cogroup(partials, "query_id", merge_topk, schema)
 
 
 def knn_bruteforce(ds, queries: np.ndarray, *, k: int = 5, vec_col: str = "embedding", key_col: str = "vec_id"):
@@ -185,6 +169,8 @@ def embedding_near_dups(
     """
     import zlib
 
+    schema = _pair_schema(ds, key_col, {"cosine": pa.float64()})
+
     def explode(batch: pa.Table) -> pa.Table:
         keys = batch[key_col].to_pylist()
         vecs = batch[vec_col].to_pylist()
@@ -210,7 +196,6 @@ def embedding_near_dups(
         gid = int(group["pair_block"].iloc[0])
         lo, hi = divmod(gid, num_blocks)
         group = group.sort_values(key_col)
-        key_dtype = group[key_col].dtype
         if lo == hi:
             keys = np.asarray(list(group[key_col]))
             mat = _normalize(np.array(list(group[vec_col]), dtype=np.float64))
@@ -221,7 +206,7 @@ def embedding_near_dups(
             ga = group[group["blk"] == lo]
             gb = group[group["blk"] == hi]
             if not len(ga) or not len(gb):
-                return _pair_frame([], [], [], key_dtype)
+                return None
             ka = np.asarray(list(ga[key_col]))
             kb = np.asarray(list(gb[key_col]))
             ma = _normalize(np.array(list(ga[vec_col]), dtype=np.float64))
@@ -232,13 +217,9 @@ def embedding_near_dups(
             left = np.minimum(la, lb)
             right = np.maximum(la, lb)
             cos = sims[ai, bi]
-        return _pair_frame(left.tolist(), right.tolist(), np.round(cos, 6).tolist(), key_dtype)
+        return pd.DataFrame({"left": left, "right": right, "cosine": np.round(cos, 6)})
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("pair_block")
-        .map_groups(verify_group, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(explode, batch_format="pyarrow"), "pair_block", verify_group, schema)
 
 
 def bridge_gaussian(tag: str) -> float:
@@ -295,9 +276,9 @@ def embedding_near_dups_lsh(
     independent of corpus size; no group ever sees more than one bucket.
     """
     from ..config import resolve_group_buckets
-    from .dedup import _dedupe_pair_rows
 
     nb = resolve_group_buckets(num_buckets)
+    schema = _pair_schema(ds, key_col, {"cosine": pa.float64()})
 
     def plane_set(dim: int) -> np.ndarray:
         if plane_mode == "bridge":
@@ -317,8 +298,6 @@ def embedding_near_dups_lsh(
         return np.random.RandomState(seed).standard_normal((num_tables, num_planes, dim))
 
     def explode(batch: pa.Table) -> pa.Table:
-        import zlib
-
         keys = batch[key_col].to_pylist()
         mat = _vec_matrix(batch[vec_col])
         if mat.size == 0:
@@ -341,7 +320,7 @@ def embedding_near_dups_lsh(
             for i, key in enumerate(keys):
                 tk = f"{t}:{bucket_ids[i]}"
                 tkeys_out.append(tk)
-                buckets_out.append(zlib.crc32(tk.encode()) % nb)
+                buckets_out.append(_kbucket(tk, nb))
                 keys_out.append(key)
                 vecs_out.append(vec_lists[i])
         return pa.table(
@@ -366,14 +345,10 @@ def embedding_near_dups_lsh(
             out_l.extend(keys[ii].tolist())
             out_r.extend(keys[jj].tolist())
             out_c.extend(np.round(sims[ii, jj], 6).tolist())
-        return _pair_frame(out_l, out_r, out_c, bucket[key_col].dtype)
+        return pd.DataFrame({"left": out_l, "right": out_r, "cosine": out_c})
 
-    pairs = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("tbl_bucket")
-        .map_groups(verify_bucket, batch_format="pandas")
-    )
-    return _dedupe_pair_rows(pairs, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "tbl_bucket", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema, nb)
 
 
 def hyperplane_bucket(

@@ -18,17 +18,18 @@ query stages its per-row outputs to parquet and the SQL re-derives the
 layer above them from those rows; the byte-level guarantees for the rows
 themselves come from tests/test_reference_parity.py.
 
-Every pandas co-group (``groupby(key).map_groups``) goes through
-``cogroup(ds, key, fn, schema)``, which owns one contract: the output
-``schema`` is declared once at the call; a fold returns a DataFrame, or
-``None`` for "no rows", which becomes a zero-row table of that schema; and
-the output is Arrow blocks cast to the schema.  Folds therefore build no
-empty frames and fix no dtypes or column order by hand.  Bucket assignment
-stays with each projection (``_ibuckets`` / ``_kbucket``).  The bucket
-count is resolved once on the driver by
-``resolve_group_buckets(rows=_rows(sf_dir, *tables))``: four buckets per
-cluster CPU, more only when the parquet-footer row count of the tables
-the co-group reads calls for them.
+Every pandas co-group (``groupby(key).map_groups``) in the package goes
+through ``cogroup(ds, key, fn, schema)`` from ``functions/cogroup.py``,
+here and in the ``functions/`` and ``webtext`` stages alike.  It owns one
+contract: the output ``schema`` is declared once at the call; a fold
+returns a DataFrame, or ``None`` for "no rows", which becomes a zero-row
+table of that schema; and the output is Arrow blocks cast to the schema.
+Folds therefore build no empty frames and fix no dtypes or column order by
+hand.  Bucket assignment stays with each projection (``_ibuckets`` /
+``_kbucket``, from the same module).  The bucket count is resolved once on
+the driver by ``resolve_group_buckets(rows=_rows(sf_dir, *tables))``: four
+buckets per cluster CPU, more only when the parquet-footer row count of the
+tables the co-group reads calls for them.
 
 Every read of an ``sf_dir`` table goes through ``_read``, which sizes its
 block count from the parquet footer too (``_read_blocks``): one block per
@@ -52,6 +53,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig, cluster_cpus, resolve_group_buckets
+from ..functions.cogroup import _ibuckets, _kbucket, cogroup
 from ..functions.dedup import add_md5_column, minhash_candidates
 from ..functions.simsearch import knn_bruteforce
 from ..functions.textstats import lang_id, quality_counts, simhash64, fingerprint64
@@ -113,43 +115,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int
     ).map_batches(_strip_meta, batch_format="pyarrow")
 
 
-def cogroup(ds, key, fn, schema):
-    """The engine's one pandas co-group: ``ds.groupby(key).map_groups`` with
-    ``fn`` folding each key group as a pandas DataFrame.  The contract of
-    what a fold hands onward is decided here, not by each fold:
-
-    - ``fn`` returns a DataFrame, or ``None`` when its group yields no rows;
-    - ``schema`` (a ``pa.Schema`` or a name → type mapping) is declared once:
-      each group's output is encoded to Arrow as exactly these columns and
-      types, and ``None`` becomes a zero-row table of it, so the dataset
-      schema keeps the declared columns even when no group yields a row
-      (a schema-less empty frame broke ``sources_except`` at sf0.1);
-    - output blocks are Arrow: Ray's shuffle on pandas blocks measured ~15×
-      slower than on Arrow blocks (35 s → 2.4 s on ``part_affinity_lift``'s
-      1.7M-row pair partials at sf0.1; 13.1 s → 1.4 s on
-      ``events_interarrival_hist``'s tiny histogram at 32 cpus).
-
-    The encode runs per group inside the fold rather than as a following
-    per-block map: Ray hands a zero-row block around a batch UDF as a
-    schema-less empty block, which would drop the declared columns of an
-    all-empty result.  ``fn`` never sees an empty group: Ray iterates group
-    boundaries, and a zero-row block has none.
-    """
-    schema = pa.schema(schema)
-    cols = list(zip(schema.names, schema.types))
-
-    def fold(group: pd.DataFrame) -> pa.Table:
-        out = fn(group)
-        if out is None:
-            return schema.empty_table()
-        return pa.Table.from_arrays(
-            [pa.array(out[name], type=typ, from_pandas=True) for name, typ in cols], schema=schema
-        )
-
-    fold.__name__ = fn.__name__  # keeps the fold's name in ds.stats() and the progress bar
-    return ds.groupby(key).map_groups(fold, batch_format="pandas")
-
-
 def _rows(sf_dir: str, *tables: str) -> int:
     """Total row count of ``tables`` in ``sf_dir``, read from the parquet
     footers (no data scan): what a co-group passes to
@@ -184,34 +149,6 @@ def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None):
 # models, lookup tables): module globals survive across tasks within one
 # worker, unlike task-closure state which is re-deserialized per task
 _WORKER_CACHE: dict = {}
-
-
-def _kbucket(value, nb: int) -> int:
-    """Coarse co-location bucket for any key type: identity-mod for ints
-    (cheap, deterministic), crc32 for strings — NOT Python hash(), which is
-    PYTHONHASHSEED-salted per process.  ``nb`` is resolved ONCE per pipeline
-    build on the driver (config.resolve_group_buckets) and captured in the
-    task closure — never re-derived inside workers."""
-    if isinstance(value, int):
-        return value % nb
-    import zlib
-
-    return zlib.crc32(str(value).encode()) % nb
-
-
-def _ibuckets(values, nb: int) -> pa.Array:
-    """Vectorized int-key shuffle buckets: ONE numpy modulo over the whole
-    column instead of a per-row Python loop (the hot-stage rule — a
-    ``[_kbucket(k, nb) for k in col.to_pylist()]`` loop costs ~100 ns/row of
-    interpreter time that this replaces with a C kernel).  Accepts a pyarrow
-    (Chunked)Array, numpy array, pandas Series or Python list of integer
-    keys; element-wise identical to ``_kbucket(int(k), nb)`` (both mods are
-    non-negative for positive ``nb``)."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        arr = values.to_numpy(zero_copy_only=False)
-    else:
-        arr = np.asarray(values)
-    return pa.array((arr.astype(np.int64, copy=False) % nb).astype(np.int32), pa.int32())
 
 
 # synthetic dedup-fixture partner ids derive as doc_id + this offset; real
@@ -8215,7 +8152,7 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
     ).materialize()
     n_edges_upper = edges_raw.count()
     if n_edges_upper == 0:
-        return pd.DataFrame({"n_triangles": pd.array([0], dtype="int64")})
+        return pd.DataFrame({"n_triangles": [0]})
 
     cap = broadcast_edge_cap
     if cap is None:
@@ -8286,7 +8223,7 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
             for b in parts.iter_batches(batch_size=4096, batch_format="pyarrow")
         )
     )
-    return pd.DataFrame({"n_triangles": pd.array([total], dtype="int64")})
+    return pd.DataFrame({"n_triangles": [total]})
 
 
 def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
@@ -8386,7 +8323,7 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
             for b in parts.iter_batches(batch_size=4096, batch_format="pyarrow")
         )
     )
-    return pd.DataFrame({"n_triangles": pd.array([total], dtype="int64")})
+    return pd.DataFrame({"n_triangles": [total]})
 
 
 def q_orders_top_ties(sf_dir: str):
@@ -8520,12 +8457,12 @@ def q_lineitem_ols(sf_dir: str):
         slope = float(num) / float(den)
         intercept = (float(sy) - slope * float(sx)) / float(n)
         rows.append((r["l_returnflag"], n, slope, intercept))
-    return pd.DataFrame(
+    return pa.table(
         {
-            "l_returnflag": pd.Series([x[0] for x in rows], dtype="str"),
-            "n": pd.Series([x[1] for x in rows], dtype="int64"),
-            "slope_cents": pd.Series([x[2] for x in rows], dtype="float64"),
-            "intercept_cents": pd.Series([x[3] for x in rows], dtype="float64"),
+            "l_returnflag": pa.array([x[0] for x in rows], pa.string()),
+            "n": pa.array([x[1] for x in rows], pa.int64()),
+            "slope_cents": pa.array([x[2] for x in rows], pa.float64()),
+            "intercept_cents": pa.array([x[3] for x in rows], pa.float64()),
         }
     )
 
@@ -9060,10 +8997,10 @@ def q_copurchase_bfs_hops(sf_dir: str):
         for n in frontier:
             visited[n] = hop
     nodes = sorted(visited)
-    return pd.DataFrame(
+    return pa.table(
         {
-            "node": pd.Series(nodes, dtype="int64"),
-            "hop": pd.Series([visited[n] for n in nodes], dtype="int64"),
+            "node": pa.array(nodes, pa.int64()),
+            "hop": pa.array([visited[n] for n in nodes], pa.int64()),
         }
     )
 

@@ -21,7 +21,7 @@ from typing import Any
 import pyarrow as pa
 
 from ..config import EngineConfig, resolve_group_buckets
-from ..functions.dedup import _band_bucket
+from ..functions.cogroup import _kbucket, cogroup
 from ..functions.textstats import lang_id, quality_score
 from .deid import build_deid_pipeline
 
@@ -39,10 +39,21 @@ def curate_extracted(
     (bucketed grouping, keeper = min url).  Split out of
     :func:`build_training_data_pipeline` so callers can stage the deid
     output to parquet (resumable staging) and curate from the staged file.
+    The output columns are ``deid``'s plus ``quality``, ``lang_pred`` and
+    ``n_copies``, read once here from ``deid.schema()``.
     """
     import pandas as pd
 
     nb = resolve_group_buckets(num_buckets)
+    s = deid.schema()
+    schema = pa.schema(
+        [
+            *zip(s.names, s.types),
+            ("quality", pa.float64()),
+            ("lang_pred", pa.string()),
+            ("n_copies", pa.int64()),
+        ]
+    )
 
     def stats_and_filter(batch: pa.Table) -> pa.Table:
         texts = batch["extracted_text"].to_pylist()
@@ -64,7 +75,7 @@ def curate_extracted(
     # exact dedup on the extracted-text hash (context_hash is already
     # sha256(extracted_text)) — bucketed grouping, keeper = min url
     def add_bucket(batch: pa.Table) -> pa.Table:
-        buckets = [_band_bucket(h, nb) for h in batch["context_hash"].to_pylist()]
+        buckets = [_kbucket(h, nb) for h in batch["context_hash"].to_pylist()]
         return batch.append_column("hash_bucket", pa.array(buckets, pa.int32()))
 
     def keep_first(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -72,15 +83,10 @@ def curate_extracted(
         # pipeline execution yields both the output AND the attrition
         # counters (sum(n_copies) = rows that survived the quality filter)
         copies = bucket.groupby("context_hash")["context_hash"].transform("size")
-        bucket = bucket.assign(n_copies=copies.astype("int64"))
-        kept = bucket.sort_values("url").drop_duplicates(subset=["context_hash"], keep="first")
-        return kept.drop(columns=["hash_bucket"])
+        bucket = bucket.assign(n_copies=copies)
+        return bucket.sort_values("url").drop_duplicates(subset=["context_hash"], keep="first")
 
-    return (
-        filtered.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    return cogroup(filtered.map_batches(add_bucket, batch_format="pyarrow"), "hash_bucket", keep_first, schema)
 
 
 def build_training_data_pipeline(
@@ -129,7 +135,9 @@ def training_data_report(
 
     The dedup stage records ``n_copies`` (quality-pass rows collapsed into
     each keeper), so a single aggregate over the output derives every
-    counter — the expensive extract+deid stage executes exactly once.
+    counter — the expensive extract+deid stage executes once over the
+    corpus (plus a ``limit(1)`` run at build time, where
+    ``curate_extracted`` reads the output schema).
     Pass ``rows_in`` when the caller already knows the input cardinality
     (e.g. a synthesized corpus); otherwise it costs one ``count()`` of the
     input (metadata-only for parquet reads, a generator pass otherwise).

@@ -248,6 +248,33 @@ class TestConnectedComponents:
         b = {out["http://b.org/x"], out["http://b.org/y"]}
         assert len(a) == 1 and len(b) == 1 and a != b
 
+    def test_input_pipeline_runs_once(self, ray_session, tmp_path):
+        """The pair pipeline upstream of the components runs exactly once:
+        reading the key type and building the edge list share one
+        materialization instead of each running the upstream shuffle."""
+        import ray.data as rd
+
+        from edge_deid_studio_ray.functions.cogroup import cogroup
+        from edge_deid_studio_ray.functions.dedup import connected_components
+
+        log = tmp_path / "taps"
+
+        def tap(t: pa.Table) -> pa.Table:
+            with open(log, "a") as f:
+                f.write("run\n")
+            return t
+
+        upstream = rd.from_arrow(pa.table({"left": [1, 2, 10], "right": [2, 3, 11]}))
+        pairs = cogroup(
+            upstream.map_batches(tap, batch_format="pyarrow", batch_size=None),
+            "left",
+            lambda g: g,
+            {"left": pa.int64(), "right": pa.int64()},
+        )
+        out = {r["node"]: r["component"] for r in connected_components(pairs).take_all()}
+        assert out == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10}
+        assert log.read_text().splitlines() == ["run"]
+
     def test_minhash_pairs_cluster(self, ray_session):
         import ray.data as rd
 
@@ -364,6 +391,18 @@ class TestSimsearchVariants:
         for qid in range(3):
             top = pruned[pruned["query_id"] == qid].sort_values("cosine", ascending=False)
             assert top.iloc[0]["vec_id"] == qid
+
+    def test_knn_lsh_query_bucket_without_rows(self, ray_session):
+        """A query whose sign bucket holds no row gets no neighbours: the
+        merge runs over an empty, schema-less candidate set."""
+        import ray.data as rd
+
+        from edge_deid_studio_ray.functions.simsearch import knn_lsh
+
+        ds = rd.from_arrow(
+            pa.table({"vec_id": [1, 2], "embedding": [[1.0, 0.0, 0.0], [0.9, 0.1, 0.0]]})
+        )
+        assert knn_lsh(ds, np.array([[-1.0, 0.0, 0.0]]), k=2, num_planes=8).take_all() == []
 
 
 class TestOversizedBuckets:
@@ -729,6 +768,67 @@ class TestHeavyBandRescue:
             ).to_pandas()
             got = set(zip(pairs["left"], pairs["right"]))
             assert guaranteed <= got, (verify, sorted(guaranteed - got))
+
+
+_PAIR_TYPES = {"left": pa.int64(), "right": pa.int64()}
+
+
+@pytest.mark.parametrize(
+    "op, expect",
+    [
+        ("minhash_text", {**_PAIR_TYPES, "jaccard": pa.float64(), "truncated": pa.bool_()}),
+        ("minhash_signature", {**_PAIR_TYPES, "jaccard": pa.float64(), "truncated": pa.bool_()}),
+        ("simhash", {**_PAIR_TYPES, "hamming": pa.int64()}),
+        ("embedding", {**_PAIR_TYPES, "cosine": pa.float64()}),
+        ("embedding_lsh", {**_PAIR_TYPES, "cosine": pa.float64()}),
+        (
+            "ngram_spans",
+            {
+                "doc_id": pa.int64(),
+                "n_dup_ngrams": pa.int64(),
+                "n_islands": pa.int64(),
+                "dup_word_count": pa.int64(),
+                "max_island_words": pa.int64(),
+            },
+        ),
+    ],
+)
+def test_no_duplicates_give_typed_zero_rows(ray_session, op, expect):
+    """A corpus with no duplicate yields zero rows of the declared columns
+    and Arrow types, never a schema-less result."""
+    import ray.data as rd
+
+    from edge_deid_studio_ray.functions.corpusops import duplicate_ngram_spans
+    from edge_deid_studio_ray.functions.dedup import minhash_candidates, simhash_near_dups
+    from edge_deid_studio_ray.functions.simsearch import (
+        embedding_near_dups,
+        embedding_near_dups_lsh,
+    )
+
+    texts = [" ".join(f"w{i}x{j}" for j in range(24)) for i in range(6)]
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(6), pa.int64()), "text": texts}))
+    # orthogonal unit vectors: every pair has cosine 0
+    vecs = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(range(6), pa.int64()),
+                "embedding": [[float(i == d) for d in range(8)] for i in range(6)],
+            }
+        )
+    )
+    build = {
+        "minhash_text": lambda: minhash_candidates(docs, verify="text"),
+        "minhash_signature": lambda: minhash_candidates(docs, verify="signature"),
+        "simhash": lambda: simhash_near_dups(docs),
+        "embedding": lambda: embedding_near_dups(vecs),
+        "embedding_lsh": lambda: embedding_near_dups_lsh(vecs),
+        "ngram_spans": lambda: duplicate_ngram_spans(docs),
+    }
+    out = build[op]().materialize()
+    assert out.count() == 0
+    schema = out.schema()
+    assert schema.names == list(expect)
+    assert schema.types == list(expect.values())
 
 
 class TestNearDedupNullableColumns:

@@ -71,28 +71,32 @@ def test_cogroup_blocks_are_arrow_cast_to_schema(ray_session):
 
 
 def test_queries_fold_only_through_cogroup():
-    """Every pandas co-group in the query suite goes through ``cogroup``:
-    no other ``map_groups`` call, no identity re-encoder, and no fold that
-    types an empty frame by hand."""
+    """Every pandas co-group in the package goes through ``cogroup``: no
+    other ``map_groups`` attribute in any module, no identity re-encoder,
+    and no ``pd.Series`` / ``pd.array`` frame typed by hand."""
     import ast
-    import inspect
+    import pathlib
     import re
 
-    from edge_deid_studio_ray.pipelines import queries
+    import edge_deid_studio_ray
 
-    src = inspect.getsource(queries)
-    assert "_arrow_blocks" not in src and "_as_arrow" not in src
-    tree = ast.parse(src)
-    callers = [
-        top.name
-        for top in tree.body
-        if isinstance(top, ast.FunctionDef)
-        for node in ast.walk(top)
-        if isinstance(node, ast.Attribute) and node.attr == "map_groups"
-    ]
-    assert callers == ["cogroup"]
-    # pd.Series(dtype=...), pd.Series([], dtype=...), pd.array([], dtype=...)
-    assert not re.search(r"pd\.(Series|array)\((\[\],\s*)?dtype=", src)
+    root = pathlib.Path(edge_deid_studio_ray.__file__).parent
+    callers, typed = [], []
+    for path in sorted(root.rglob("*.py")):
+        src = path.read_text()
+        rel = path.relative_to(root).as_posix()
+        assert "_arrow_blocks" not in src and "_as_arrow" not in src, rel
+        for top in ast.parse(src).body:
+            name = getattr(top, "name", "<module>")
+            callers += [
+                (rel, name)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "map_groups"
+            ]
+        # pd.Series(..., dtype=...), pd.array([...], dtype=...)
+        typed += [(rel, m.group(0)) for m in re.finditer(r"pd\.(Series|array)\([^()]*dtype=", src)]
+    assert callers == [("functions/cogroup.py", "cogroup")]
+    assert typed == []
 
 
 def test_queries_size_buckets_from_rows():
