@@ -11,20 +11,10 @@ into pipeline builders instead of being read from env vars.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 RULES_DIR = Path(__file__).resolve().parent / "rules"
-
-# Fallback shuffle-group bucket count when the cluster size is unknown
-# (standalone kernel use, Ray not initialised).
-DEFAULT_GROUP_BUCKETS = 128
-
-# Input rows per co-group bucket past which the row count, not the cluster
-# size, sets the fan-out: keeps per-group pandas frames bounded on inputs
-# far larger than the cluster (sf1 on one CPU still gets ~60 buckets).
-_ROWS_PER_BUCKET = 100_000
 
 
 def cluster_cpus() -> int:
@@ -37,43 +27,6 @@ def cluster_cpus() -> int:
     except Exception:
         pass
     return 0
-
-
-def resolve_group_buckets(override: int | None = None, *, rows: int = 0) -> int:
-    """Bucket count for the engine's bucketed co-groups, every one of which
-    goes through ``functions/cogroup.py``'s ``cogroup``: the query suite and
-    the ``functions/`` stages alike (LSH bands, connected components,
-    semi/anti joins, per-key windows).  The count only decides which bucket
-    a key's rows share; each projection assigns the bucket column itself
-    (``_ibuckets`` / ``_kbucket``, in the same module), and ``cogroup`` owns
-    the fold's output schema.
-
-    Must be called on the DRIVER at pipeline-build time and captured in the
-    task closures: every task of one run has to assign identical buckets, so
-    the value cannot be re-derived inside workers (an autoscaled cluster
-    could change size mid-run and split a key across groups).
-
-    Sizing: ``max(4 × cluster CPUs, ceil(rows / _ROWS_PER_BUCKET))``, with
-    ``rows`` the input row count of the co-group (the callers in
-    ``pipelines/queries.py`` read it from parquet footers, no data scan).
-    Four buckets per core keep every core busy; past that, the fan-out
-    grows only when the input does, so per-group pandas frames stay bounded
-    on large inputs while small inputs do not pay Ray's per-group overhead
-    (~ms) for hundreds of tiny groups.  Without ``rows`` the count is
-    4 × cluster CPUs.
-
-    Resolution order: explicit ``override`` → ``EDS_GROUP_BUCKETS`` env var →
-    the sizing rule above (``DEFAULT_GROUP_BUCKETS`` in place of the CPU
-    term when Ray is not initialised).
-    """
-    if override is not None:
-        return int(override)
-    env = os.environ.get("EDS_GROUP_BUCKETS")
-    if env:
-        return int(env)
-    by_rows = -(-int(rows) // _ROWS_PER_BUCKET)
-    cpus = cluster_cpus()
-    return max(4 * cpus if cpus else DEFAULT_GROUP_BUCKETS, by_rows)
 
 
 import logging as _logging

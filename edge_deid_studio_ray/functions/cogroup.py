@@ -1,12 +1,10 @@
-"""The engine's one pandas co-group and its bucket helpers.
+"""The engine's one pandas co-group.
 
-Every ``groupby(key).map_groups`` in the package goes through
-:func:`cogroup`: the query suite, the dedup / similarity-search /
-corpus-op stages and the web-text curation alike, so one place decides
-how a co-group executes and what its output blocks look like.  Bucket
-assignment stays with each projection: :func:`_ibuckets` for integer keys
-(one vectorized modulo), :func:`_kbucket` for any other key; the bucket
-count is resolved once on the driver (``config.resolve_group_buckets``).
+Every co-group in the package goes through :func:`cogroup`: the query
+suite, the dedup / similarity-search / corpus-op stages and the web-text
+curation alike, so one place decides how rows are partitioned, how a
+co-group executes and what its output blocks look like.  Callers pass the
+real key column(s); no caller sizes buckets or builds a bucket column.
 """
 
 from __future__ import annotations
@@ -15,36 +13,81 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+# the internal sort column cogroup appends, and what a null key hashes to
+_HASH = "__cogroup_hash"
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_hash(table: pa.Table, keys: list[str]) -> pa.Array:
+    """A stable 64-bit hash of each row's key values, as int64.
+
+    ``pd.util.hash_array`` is a fixed-key SipHash, the same in every worker
+    (Python ``hash()`` is salted per process).  Only non-null values are
+    hashed and a null maps to ``_NULL_HASH``, so a null hashes the same in
+    every block: an int column holding a null would otherwise become
+    float64 in numpy and hash differently from a block without one.
+    Integer keys are cast to int64 first, so an int32 and an int64 side of
+    a union co-locate."""
+    h = None
+    for name in keys:
+        col = table[name].combine_chunks()
+        if pa.types.is_dictionary(col.type):
+            col = col.dictionary_decode()
+        if pa.types.is_integer(col.type):
+            col = col.cast(pa.int64())
+        if col.null_count:
+            valid = col.is_valid().to_numpy(zero_copy_only=False)
+            hk = np.full(len(col), _NULL_HASH, dtype=np.uint64)
+            hk[valid] = pd.util.hash_array(col.drop_null().to_numpy(zero_copy_only=False))
+        else:
+            hk = pd.util.hash_array(col.to_numpy(zero_copy_only=False))
+        h = hk if h is None else h * np.uint64(1_000_003) ^ hk
+    return pa.array(h.view(np.int64))
+
 
 def cogroup(ds, key, fn, schema):
-    """The engine's one pandas co-group: ``ds.groupby(key).map_groups`` with
-    ``fn`` folding each key group as a pandas DataFrame.  The contract of
-    what a fold hands onward is decided here, not by each fold:
+    """The engine's one pandas co-group: every row of a key reaches one call
+    of ``fn``, which folds them as a pandas DataFrame.
 
-    - ``fn`` returns a DataFrame, or ``None`` when its group yields no rows;
+    Execution: each block gets one internal int64 column, a stable hash of
+    the ``key`` column(s) (:func:`_key_hash`); ``ds.sort`` on it co-locates
+    equal keys in one sorted block; then one ``map_batches`` over whole
+    blocks converts each sorted block to pandas once, drops the hash and
+    calls ``fn`` once.  Ray's sort runs one reduce per input block, so the
+    shape of the repartition follows the data, with no bucket count to
+    size.  The sort runs on the hash, not on the raw key: Ray's sort
+    compares Python values across blocks, and a string key holding a null
+    raises ``TypeError`` there.
+
+    The fold contract:
+
+    - ``fn`` receives a frame holding every row of one or more keys (the
+      same block guarantee Ray's own ``map_groups`` relies on); a fold that
+      needs one key at a time groups by it inside;
+    - ``fn`` returns a DataFrame, or ``None`` when its rows yield nothing;
     - ``schema`` (a ``pa.Schema`` or a name → type mapping) is declared once:
-      each group's output is encoded to Arrow as exactly these columns and
-      types, and ``None`` becomes a zero-row table of it, so the dataset
-      schema keeps the declared columns even when no group yields a row
-      (a schema-less empty frame broke ``sources_except`` at sf0.1);
-    - output blocks are Arrow: Ray's shuffle on pandas blocks measured ~15×
-      slower than on Arrow blocks (35 s → 2.4 s on ``part_affinity_lift``'s
-      1.7M-row pair partials at sf0.1; 13.1 s → 1.4 s on
-      ``events_interarrival_hist``'s tiny histogram at 32 cpus).
+      the output is encoded to Arrow as exactly these columns and types, and
+      ``None`` or a zero-row block becomes a zero-row table of it, so the
+      dataset schema keeps the declared columns even when no key yields a
+      row (a schema-less empty frame broke ``sources_except`` at sf0.1);
+    - blocks stay Arrow on both sides of the fold: the block-to-pandas
+      conversion happens inside it, and pandas blocks measured far slower
+      in a following shuffle or aggregate (35 s → 2.4 s on
+      ``part_affinity_lift``'s pair partials at sf0.1).
 
-    The encode runs per group inside the fold rather than as a following
-    per-block map: Ray hands a zero-row block around a batch UDF as a
-    schema-less empty block, which would drop the declared columns of an
-    all-empty result.  ``fn`` never sees an empty group: Ray iterates group
-    boundaries, and a zero-row block has none.  The same holds for the
-    whole input: a co-group over zero rows calls no fold, so its result has
-    no schema.
+    A co-group over zero rows calls no fold, so its result has no schema.
     """
     schema = pa.schema(schema)
     cols = list(zip(schema.names, schema.types))
+    keys = [key] if isinstance(key, str) else list(key)
 
-    def fold(group: pd.DataFrame) -> pa.Table:
-        out = fn(group)
+    def add_hash(block: pa.Table) -> pa.Table:
+        return block.append_column(_HASH, _key_hash(block, keys))
+
+    def fold(block: pa.Table) -> pa.Table:
+        if block.num_rows == 0:
+            return schema.empty_table()
+        out = fn(block.drop_columns([_HASH]).to_pandas())
         if out is None:
             return schema.empty_table()
         return pa.Table.from_arrays(
@@ -52,32 +95,20 @@ def cogroup(ds, key, fn, schema):
         )
 
     fold.__name__ = fn.__name__  # keeps the fold's name in ds.stats() and the progress bar
-    return ds.groupby(key).map_groups(fold, batch_format="pandas")
+    hashed = ds.map_batches(add_hash, batch_size=None, batch_format="pyarrow")
+    return hashed.sort(_HASH).map_batches(fold, batch_size=None, batch_format="pyarrow")
 
 
-def _kbucket(value, nb: int) -> int:
-    """Coarse co-location bucket for any key type: identity-mod for ints
-    (cheap, deterministic), crc32 for strings — NOT Python hash(), which is
-    PYTHONHASHSEED-salted per process.  ``nb`` is resolved ONCE per pipeline
-    build on the driver (config.resolve_group_buckets) and captured in the
-    task closure — never re-derived inside workers."""
-    if isinstance(value, int):
-        return value % nb
-    import zlib
+def each_key(key, fn):
+    """A block fold for ``cogroup`` that calls ``fn`` once per distinct
+    ``key`` value of the block (a null key is a group of its own) and
+    concatenates what it returns; ``None`` from ``fn`` adds no rows.  For
+    folds written for one key per call."""
 
-    return zlib.crc32(str(value).encode()) % nb
+    def fold(block: pd.DataFrame) -> pd.DataFrame | None:
+        outs = [fn(g) for _, g in block.groupby(key, sort=False, dropna=False)]
+        outs = [o for o in outs if o is not None]
+        return pd.concat(outs, ignore_index=True) if outs else None
 
-
-def _ibuckets(values, nb: int) -> pa.Array:
-    """Vectorized int-key shuffle buckets: ONE numpy modulo over the whole
-    column instead of a per-row Python loop (the hot-stage rule — a
-    ``[_kbucket(k, nb) for k in col.to_pylist()]`` loop costs ~100 ns/row of
-    interpreter time that this replaces with a C kernel).  Accepts a pyarrow
-    (Chunked)Array, numpy array, pandas Series or Python list of integer
-    keys; element-wise identical to ``_kbucket(int(k), nb)`` (both mods are
-    non-negative for positive ``nb``)."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        arr = values.to_numpy(zero_copy_only=False)
-    else:
-        arr = np.asarray(values)
-    return pa.array((arr.astype(np.int64, copy=False) % nb).astype(np.int32), pa.int32())
+    fold.__name__ = fn.__name__
+    return fold

@@ -10,7 +10,7 @@ Scale shapes:
 - decontamination broadcasts the *benchmark* n-gram set (benchmark suites
   are MBs even when the corpus is 100 TB) via ``ray.put`` once, then a
   stateless ``map_batches`` membership scan — no shuffle at all;
-- passage dedup is explode → one bucketed groupby (first-occurrence winner)
+- passage dedup is explode → one co-group on the passage (first-occurrence winner)
   → one per-doc groupby (reassembly) — two shuffles, both keyed, no
   driver-side state;
 - repetition stats are embarrassingly parallel (per-doc counters, zero
@@ -32,8 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..config import resolve_group_buckets
-from .cogroup import _ibuckets, _kbucket, cogroup
+from .cogroup import cogroup, each_key
 from .dedup import md5_hex
 
 _WS_RE = re.compile(r"\s+")
@@ -121,7 +120,6 @@ def passage_dedup(
     words_per_chunk: int = 16,
     text_col: str = "text",
     key_col: str = "doc_id",
-    num_buckets: int | None = None,
 ):
     """Corpus-wide passage dedup: chunk every document into fixed
     ``words_per_chunk`` word passages, keep only the globally FIRST
@@ -133,16 +131,15 @@ def passage_dedup(
     passage was dropped) — i.e. the dedup summary plus a content witness
     for the rebuilt corpus.
 
-    Shape: explode → bucketed groupby on the passage hash (winner =
+    Shape: explode → co-group on the passage (winner =
     min (doc, chunk); every instance gets a kept flag, so no join-back
     pass) → per-doc groupby for reassembly.  Passage text rides both
     shuffles because the rebuilt text IS the output — at scale that is the
     deduped corpus itself, not overhead.
     """
-    nb = resolve_group_buckets(num_buckets)
 
     def explode(batch: pa.Table) -> pa.Table:
-        doc_ids, idxs, passages, buckets = [], [], [], []
+        doc_ids, idxs, passages = [], [], []
         for d, t in zip(batch[key_col].to_pylist(), batch[text_col].to_pylist()):
             ws = _words(t)
             for ci in range(0, len(ws), words_per_chunk):
@@ -150,13 +147,11 @@ def passage_dedup(
                 doc_ids.append(d)
                 idxs.append(ci // words_per_chunk)
                 passages.append(p)
-                buckets.append(_kbucket(md5_hex(p), nb))
         return pa.table(
             {
                 key_col: pa.array(doc_ids, pa.int64()),
                 "chunk_idx": pa.array(idxs, pa.int64()),
                 "passage": pa.array(passages, pa.string()),
-                "hash_bucket": pa.array(buckets, pa.int32()),
             }
         )
 
@@ -178,14 +173,14 @@ def passage_dedup(
 
     flagged = cogroup(
         ds.map_batches(explode, batch_format="pyarrow"),
-        "hash_bucket",
+        "passage",
         flag_first,
         {key_col: pa.int64(), "chunk_idx": pa.int64(), "passage": pa.string(), "kept": pa.bool_()},
     )
     return cogroup(
         flagged,
         key_col,
-        reassemble,
+        each_key(key_col, reassemble),
         {key_col: pa.int64(), "n_chunks": pa.int64(), "n_kept": pa.int64(), "kept_md5": pa.string()},
     )
 
@@ -201,7 +196,6 @@ def duplicate_ngram_spans(
     n: int = 13,
     text_col: str = "text",
     key_col: str = "doc_id",
-    num_buckets: int | None = None,
 ):
     """Per-document duplicated-substring report: which word positions sit
     inside an ``n``-gram that also occurs in ANOTHER document (the
@@ -215,15 +209,14 @@ def duplicate_ngram_spans(
     words covered, and the longest island's word length.
 
     Shape: explode to (gram-hash, doc, pos) — one row per word, three
-    narrow columns, text never enters the shuffle — then one bucketed
-    groupby keeps grams spanning >1 distinct doc, and a doc-bucketed
-    groupby merges each doc's hit positions into islands.  Both shuffles
+    narrow columns, text never enters the shuffle — then one co-group on
+    the gram hash keeps grams spanning >1 distinct doc, and a co-group on
+    the doc merges each doc's hit positions into islands.  Both shuffles
     are keyed; driver holds nothing.
     """
     import ray.data as rd
 
-    nb = resolve_group_buckets(num_buckets)
-    hit_schema = pa.schema({key_col: pa.int64(), "pos": pa.int64(), "doc_bucket": pa.int32()})
+    hit_schema = pa.schema({key_col: pa.int64(), "pos": pa.int64()})
     schema = pa.schema(
         {
             key_col: pa.int64(),
@@ -235,12 +228,11 @@ def duplicate_ngram_spans(
     )
     # a corpus with no cross-doc duplicate would hand the islands co-group
     # zero rows, and a co-group over zero rows calls no fold, so its result
-    # has no schema: a marker row with a null doc in a bucket of its own
-    # (``nb``) keeps one fold running
-    marker = pa.Table.from_pylist([{"doc_bucket": nb}], schema=hit_schema)
+    # has no schema: a marker row with a null doc keeps one fold running
+    marker = pa.Table.from_pylist([{}], schema=hit_schema)
 
     def explode(batch: pa.Table) -> pa.Table:
-        docs, poss, hashes, buckets = [], [], [], []
+        docs, poss, hashes = [], [], []
         for d, t in zip(batch[key_col].to_pylist(), batch[text_col].to_pylist()):
             ws = _words(t)
             for i in range(len(ws) - n + 1):
@@ -248,19 +240,16 @@ def duplicate_ngram_spans(
                 docs.append(d)
                 poss.append(i)
                 hashes.append(h)
-                buckets.append(_kbucket(h, nb))
         return pa.table(
             {
                 key_col: pa.array(docs, pa.int64()),
                 "pos": pa.array(poss, pa.int64()),
                 "gh": pa.array(hashes, pa.string()),
-                "hash_bucket": pa.array(buckets, pa.int32()),
             }
         )
 
     def cross_doc_hits(bucket: pd.DataFrame) -> pd.DataFrame:
-        hits = bucket.loc[bucket.groupby("gh")[key_col].transform("nunique") > 1]
-        return hits.assign(doc_bucket=_ibuckets(hits[key_col], nb).to_numpy())
+        return bucket.loc[bucket.groupby("gh")[key_col].transform("nunique") > 1]
 
     def islands(bucket: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -273,8 +262,8 @@ def duplicate_ngram_spans(
             rows.append((d, len(doc), len(widths), int(widths.sum()), int(widths.max())))
         return pd.DataFrame(rows, columns=schema.names)
 
-    hits = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "hash_bucket", cross_doc_hits, hit_schema)
-    return cogroup(hits.union(rd.from_arrow(marker)), "doc_bucket", islands, schema)
+    hits = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "gh", cross_doc_hits, hit_schema)
+    return cogroup(hits.union(rd.from_arrow(marker)), key_col, islands, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +356,7 @@ def token_stream_pack(
     return cogroup(
         ds.map_batches(counts, batch_format="pyarrow"),
         group_col,
-        pack,
+        each_key(group_col, pack),
         {group_col: group_type, "n_sequences": pa.int64(), "n_tokens": pa.int64(), "n_straddlers": pa.int64()},
     )
 

@@ -29,8 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import DEFAULT_GROUP_BUCKETS, resolve_group_buckets
-from .cogroup import _ibuckets, _kbucket, cogroup
+from .cogroup import cogroup
 
 _MERSENNE = (1 << 61) - 1
 
@@ -94,36 +93,21 @@ def _pair_schema(ds, key_col: str, cols: dict) -> pa.Schema:
     return pa.schema({"left": key_type, "right": key_type, **cols})
 
 
-def _dedupe_pair_rows(pairs, schema: pa.Schema, nb: int = DEFAULT_GROUP_BUCKETS):
-    """Distinct (left, right) of a pair co-group's output of ``schema`` —
-    bucketed grouping, pandas drop_duplicates.
+def _dedupe_pair_rows(pairs, schema: pa.Schema):
+    """Distinct (left, right) of a pair co-group's output of ``schema``:
+    a co-group on the pair, pandas drop_duplicates.
 
     A co-group over zero rows calls no fold, so its result has no schema.
-    One all-null marker row in a bucket of its own (``nb``) keeps one fold
-    running: a run in which no pair survives the verify still yields zero
-    rows of ``schema``."""
+    One all-null marker row keeps one fold running, which drops it: a run in
+    which no pair survives the verify still yields zero rows of ``schema``."""
     import ray.data as rd
 
-    marker = pa.Table.from_pylist([{}], schema=schema).append_column(
-        "pair_bucket", pa.array([nb], pa.int32())
-    )
+    marker = pa.Table.from_pylist([{}], schema=schema)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        buckets = [
-            _kbucket(f"{l}\x00{r}", nb)
-            for l, r in zip(batch["left"].to_pylist(), batch["right"].to_pylist())
-        ]
-        return batch.append_column("pair_bucket", pa.array(buckets, pa.int32()))
+    def drop_dupes(block: pd.DataFrame) -> pd.DataFrame:
+        return block.dropna(subset=["left"]).drop_duplicates(subset=["left", "right"])
 
-    def drop_dupes(bucket: pd.DataFrame) -> pd.DataFrame:
-        return bucket.dropna(subset=["left"]).drop_duplicates(subset=["left", "right"])
-
-    return cogroup(
-        pairs.map_batches(add_bucket, batch_format="pyarrow").union(rd.from_arrow(marker)),
-        "pair_bucket",
-        drop_dupes,
-        schema,
-    )
+    return cogroup(pairs.union(rd.from_arrow(marker)), ["left", "right"], drop_dupes, schema)
 
 
 def _emit_duplicate_sets(out: dict, members: dict, sim: float, sim_col: str, truncated: bool) -> None:
@@ -279,27 +263,18 @@ def word_ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id", *, num_buckets: int | None = None):
-    """Keep one row (min key) per distinct text: hash stage + one groupby.
-
-    Grouping is by a coarse bucket of the content hash (equal texts always
-    share a bucket), with the per-hash keeper selection done in pandas inside
-    the bucket — a mostly-unique corpus would otherwise create one Ray group
-    per row.
-    """
-    nb = resolve_group_buckets(num_buckets)
+def exact_dedup(ds, text_col: str = "text", key_col: str = "doc_id"):
+    """Keep one row (min key) per distinct text: hash stage + one co-group
+    on the content hash, with the per-hash keeper selection done in pandas
+    over each folded block."""
     s = ds.schema()
     schema = pa.schema([*zip(s.names, s.types), ("text_md5", pa.string())])
 
-    def hash_stage(batch: pa.Table) -> pa.Table:
-        hashed = add_md5_column(batch, text_col)
-        buckets = [_kbucket(h, nb) for h in hashed["text_md5"].to_pylist()]
-        return hashed.append_column("hash_bucket", pa.array(buckets, pa.int32()))
+    def keep_first(block: pd.DataFrame) -> pd.DataFrame:
+        return block.sort_values(key_col).drop_duplicates(subset=["text_md5"], keep="first")
 
-    def keep_first(bucket: pd.DataFrame) -> pd.DataFrame:
-        return bucket.sort_values(key_col).drop_duplicates(subset=["text_md5"], keep="first")
-
-    return cogroup(ds.map_batches(hash_stage, batch_format="pyarrow"), "hash_bucket", keep_first, schema)
+    hashed = ds.map_batches(lambda t: add_md5_column(t, text_col), batch_format="pyarrow")
+    return cogroup(hashed, "text_md5", keep_first, schema)
 
 
 def minhash_candidates(
@@ -312,7 +287,6 @@ def minhash_candidates(
     shingle_k: int = 5,
     jaccard_threshold: float = 0.8,
     verify: str = "text",
-    num_buckets: int | None = None,
     pair_metrics: dict[str, Any] | None = None,
     group_cap: int = 64,
 ):
@@ -350,7 +324,6 @@ def minhash_candidates(
     through the two-pass ``pair_text_metric`` join.
     """
     hasher = MinHasher(num_hashes)
-    nb = resolve_group_buckets(num_buckets)
     if pair_metrics and verify != "text":
         raise ValueError(
             "pair_metrics requires verify='text' (the signature path never "
@@ -371,7 +344,6 @@ def minhash_candidates(
             num_bands,
             shingle_k,
             jaccard_threshold,
-            nb,
             schema,
             group_cap,
         )
@@ -379,7 +351,7 @@ def minhash_candidates(
     heavy = _heavy_band_keys(ds, hasher, text_col, shingle_k, num_bands, group_cap)
 
     def explode(batch: pa.Table) -> pa.Table:
-        keys, bands, buckets, texts, digs = [], [], [], [], []
+        keys, bands, texts, digs = [], [], [], []
         for key, text in zip(batch[key_col].to_pylist(), batch[text_col].to_pylist()):
             sig = hasher.signature(text or "", shingle_k)
             bks = band_keys(sig, num_bands)
@@ -391,13 +363,11 @@ def minhash_candidates(
             for bk in bks:
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_kbucket(bk, nb))
                 texts.append(text or "")
                 digs.append(all_digests)
         return pa.table(
             {
                 "band_key": pa.array(bands, pa.string()),
-                "band_bucket": pa.array(buckets, pa.int32()),
                 key_col: keys,
                 text_col: texts,
                 "band_digests": pa.array(digs, pa.binary()),
@@ -424,7 +394,7 @@ def minhash_candidates(
         keys_arr = bucket[key_col].to_numpy()
         texts_arr = bucket[text_col].to_numpy()
         digs_arr = bucket["band_digests"].to_numpy()
-        # shingle memo is per BUCKET: the same text recurs across its bands
+        # shingle memo is per block: the same text recurs across its bands
         shingles: dict[str, np.ndarray] = {}
 
         for s, e in zip(starts, ends):
@@ -494,11 +464,9 @@ def minhash_candidates(
                                 emit(ka, kb, round(sim, 6), truncated, extras)
         return pd.DataFrame(out)
 
-    # group by a coarse bucket of the band key (bands never split across
-    # buckets) and sub-group in pandas — thousands of per-band groups
-    # collapse into nb group tasks
-    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
-    return _dedupe_pair_rows(pairs, schema, nb)
+    # co-group on the band key and sub-group each folded block in pandas
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_key", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema)
 
 
 def _minhash_candidates_sig(
@@ -509,7 +477,6 @@ def _minhash_candidates_sig(
     num_bands: int,
     shingle_k: int,
     threshold: float,
-    nb: int,
     schema: pa.Schema,
     group_cap: int = 64,
 ):
@@ -520,19 +487,17 @@ def _minhash_candidates_sig(
     one over-cap band is naturally rescued by any within-cap band."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        keys, bands, buckets, sigs = [], [], [], []
+        keys, bands, sigs = [], [], []
         for key, text in zip(batch[key_col].to_pylist(), batch[text_col].to_pylist()):
             sig = hasher.signature(text or "", shingle_k)
             raw = sig.tobytes()
             for bk in band_keys(sig, num_bands):
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_kbucket(bk, nb))
                 sigs.append(raw)
         return pa.table(
             {
                 "band_key": pa.array(bands, pa.string()),
-                "band_bucket": pa.array(buckets, pa.int32()),
                 key_col: keys,
                 "sig": pa.array(sigs, pa.binary()),
             }
@@ -576,8 +541,8 @@ def _minhash_candidates_sig(
                     )
         return pd.DataFrame(out)
 
-    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
-    return _dedupe_pair_rows(pairs, schema, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_key", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema)
 
 
 def pair_text_metric(
@@ -588,23 +553,21 @@ def pair_text_metric(
     key_col: str = "doc_id",
     text_col: str = "text",
     out_col: str = "metric",
-    num_buckets: int | None = None,
 ):
     """Evaluate ``metric_fn(left_text, right_text)`` for every (left, right)
     pair WITHOUT materializing the corpus anywhere: a distributed two-pass
     hash join.
 
     Pass 1 ships each pair row twice (keyed by its left then right id) and
-    the corpus text once, co-grouped by a coarse key bucket; each group
-    resolves its side's text from the local id→text slice.  Pass 2 regroups
-    the two half-rows per pair (pair-key bucket) and applies ``metric_fn``.
+    the corpus text once, co-grouped on the id; each fold resolves its
+    side's text from the local id→text slice.  Pass 2 regroups the two
+    half-rows per pair (co-grouped on the pair) and applies ``metric_fn``.
     Shuffle volume: corpus bytes ×1 + pair rows ×2 — the scale-safe shape
     for a verification join (at 100 TB, semi-join-filter the corpus to ids
     present in pairs first; pairs from LSH are ≪ corpus).
 
     Ids must be int64 (same caveat as :func:`connected_components`).
     """
-    nb = resolve_group_buckets(num_buckets)
 
     def explode_pairs(batch: pa.Table) -> pa.Table:
         lefts = batch["left"].to_pylist()
@@ -619,7 +582,6 @@ def pair_text_metric(
         return pa.table(
             {
                 "jkey": pa.array(jkeys, pa.int64()),
-                "jbucket": _ibuckets(jkeys, nb),
                 "left": pa.array(l_out, pa.int64()),
                 "right": pa.array(r_out, pa.int64()),
                 "side": pa.array(sides, pa.int8()),
@@ -633,7 +595,6 @@ def pair_text_metric(
         return pa.table(
             {
                 "jkey": pa.array(keys, pa.int64()),
-                "jbucket": _ibuckets(keys, nb),
                 "left": pa.array([None] * n, pa.int64()),
                 "right": pa.array([None] * n, pa.int64()),
                 "side": pa.array([-1] * n, pa.int8()),
@@ -645,13 +606,6 @@ def pair_text_metric(
         lookup = bucket[bucket["side"] == -1].set_index("jkey")[text_col].to_dict()
         rows = bucket[bucket["side"] >= 0]
         return rows.assign(side_text=[lookup.get(k, "") or "" for k in rows["jkey"]])
-
-    def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        buckets = [
-            _kbucket(f"{l}\x00{r}", nb)
-            for l, r in zip(batch["left"].to_pylist(), batch["right"].to_pylist())
-        ]
-        return batch.append_column("pair_bucket", pa.array(buckets, pa.int32()))
 
     def score_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
         out_l, out_r, out_m = [], [], []
@@ -669,13 +623,13 @@ def pair_text_metric(
         pairs.select_columns(["left", "right"])
         .map_batches(explode_pairs, batch_format="pyarrow")
         .union(corpus.select_columns([key_col, text_col]).map_batches(tag_corpus, batch_format="pyarrow")),
-        "jbucket",
+        "jkey",
         resolve_side_text,
         {"left": pa.int64(), "right": pa.int64(), "side": pa.int8(), "side_text": pa.string()},
     )
     return cogroup(
-        halves.map_batches(add_pair_bucket, batch_format="pyarrow"),
-        "pair_bucket",
+        halves,
+        ["left", "right"],
         score_pairs,
         {"left": pa.int64(), "right": pa.int64(), out_col: pa.float64()},
     )
@@ -688,10 +642,10 @@ def _node_hash63(value) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def _pointer_double(labels, nb: int = DEFAULT_GROUP_BUCKETS):
+def _pointer_double(labels):
     """One pointer-doubling round: label(node) ← min(label, label(label)).
 
-    Two rows per node through one bucketed co-group — each node's row
+    Two rows per node through one co-group — each node's row
     requests the label of its current label; chains halve every round, so
     combined with neighbor propagation convergence is O(log diameter)
     instead of O(diameter).
@@ -706,7 +660,6 @@ def _pointer_double(labels, nb: int = DEFAULT_GROUP_BUCKETS):
         return pa.table(
             {
                 "key": pa.array(keys, pa.int64()),
-                "kbucket": _ibuckets(keys, nb),
                 "payload": pa.array(payloads, pa.int64()),
                 "is_req": pa.array(is_req, pa.bool_()),
             }
@@ -721,7 +674,7 @@ def _pointer_double(labels, nb: int = DEFAULT_GROUP_BUCKETS):
 
     return cogroup(
         labels.map_batches(explode, batch_format="pyarrow"),
-        "kbucket",
+        "key",
         resolve,
         {"node": pa.int64(), "label": pa.int64()},
     )
@@ -733,12 +686,11 @@ def connected_components(
     left_col: str = "left",
     right_col: str = "right",
     max_iter: int = 10,
-    num_buckets: int | None = None,
     small_graph_threshold: int = 1_000_000,
 ):
     """Cluster near-dup pairs into components: iterative min-label
     propagation with a pointer-doubling step per round — each round is a
-    bounded number of bucketed groupbys (no driver-side union-find, so the
+    bounded number of co-groups (no driver-side union-find, so the
     candidate graph can exceed driver memory), and pathological chains
     converge in O(log diameter) rounds.
 
@@ -747,7 +699,6 @@ def connected_components(
     record ids) are supported by hashing to int64 internally — the
     component is then an opaque int64, consistent across the component.
     """
-    nb = resolve_group_buckets(num_buckets)
     # materialize once: the schema of a lazy pair pipeline costs its whole
     # upstream shuffle (often a full LSH pass), which the component passes
     # below would otherwise run a second time
@@ -767,12 +718,8 @@ def connected_components(
         )
     lt = dict(zip(schema.names, schema.types))[left_col]
     if isinstance(lt, pa.DataType) and (pa.types.is_string(lt) or pa.types.is_large_string(lt)):
-        return _connected_components_str(
-            pairs, left_col, right_col, max_iter, nb, small_graph_threshold
-        )
-    return _connected_components_int(
-        pairs, left_col, right_col, max_iter, nb, small_graph_threshold
-    )
+        return _connected_components_str(pairs, left_col, right_col, max_iter, small_graph_threshold)
+    return _connected_components_int(pairs, left_col, right_col, max_iter, small_graph_threshold)
 
 
 def _connected_components_str(
@@ -780,11 +727,10 @@ def _connected_components_str(
     left_col: str,
     right_col: str,
     max_iter: int,
-    nb: int = DEFAULT_GROUP_BUCKETS,
     small_graph_threshold: int = 1_000_000,
 ):
     """String-keyed wrapper: hash ids to int64, run the int path, join the
-    original ids back with one bucketed co-group."""
+    original ids back with one co-group."""
 
     def to_int_pairs(t: pa.Table) -> pa.Table:
         lefts = t[left_col].to_pylist()
@@ -802,7 +748,6 @@ def _connected_components_str(
         return pa.table(
             {
                 "key": pa.array(hashes, pa.int64()),
-                "kbucket": _ibuckets(hashes, nb),
                 "orig": pa.array(values, pa.string()),
                 "component": pa.array([None] * len(values), pa.int64()),
                 "is_map": pa.array([True] * len(values), pa.bool_()),
@@ -814,7 +759,6 @@ def _connected_components_str(
         left_col,
         right_col,
         max_iter,
-        nb,
         small_graph_threshold,
     )
 
@@ -823,7 +767,6 @@ def _connected_components_str(
         return pa.table(
             {
                 "key": pa.array(nodes, pa.int64()),
-                "kbucket": _ibuckets(nodes, nb),
                 "orig": pa.array([None] * len(nodes), pa.string()),
                 "component": t["component"],
                 "is_map": pa.array([False] * len(nodes), pa.bool_()),
@@ -843,7 +786,7 @@ def _connected_components_str(
     node_map = pairs.map_batches(to_node_rows, batch_format="pyarrow")
     tagged = int_components.map_batches(tag_components, batch_format="pyarrow")
     return cogroup(
-        node_map.union(tagged), "kbucket", join_back, {"node": pa.string(), "component": pa.int64()}
+        node_map.union(tagged), "key", join_back, {"node": pa.string(), "component": pa.int64()}
     )
 
 
@@ -884,7 +827,6 @@ def _connected_components_int(
     left_col: str,
     right_col: str,
     max_iter: int,
-    nb: int = DEFAULT_GROUP_BUCKETS,
     small_graph_threshold: int = 1_000_000,
 ):
     from ray.data.aggregate import Min
@@ -946,9 +888,6 @@ def _connected_components_int(
             labels_out.extend([label] * (1 + len(neighbors)))
         return pd.DataFrame({"node": nodes_out, "label": labels_out})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("node_bucket", _ibuckets(t["node"], nb))
-
     prev_sum = None
     for _ in range(max_iter):
         lbl_tagged = labels.map_batches(
@@ -962,14 +901,14 @@ def _connected_components_int(
             batch_format="pyarrow",
         )
         msgs = cogroup(
-            edges_tagged.union(lbl_tagged).map_batches(add_bucket, batch_format="pyarrow"),
-            "node_bucket",
+            edges_tagged.union(lbl_tagged),
+            "node",
             propagate_bucket,
             {"node": pa.int64(), "label": pa.int64()},
         )
         labels = msgs.groupby("node").aggregate(Min("label", alias_name="label"))
         # pointer doubling: chase label→label(label) so chains halve per round
-        labels = _pointer_double(labels, nb).materialize()
+        labels = _pointer_double(labels).materialize()
         # monotone-decreasing labels: fixpoint iff Σlabel is unchanged
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:
@@ -1034,7 +973,6 @@ def simhash_near_dups(
     *,
     max_hamming: int = 3,
     num_bands: int = 4,
-    num_buckets: int | None = None,
 ):
     """SimHash near-duplicate pairs: 64-bit signatures banded into
     ``num_bands`` slices of ``64 // num_bands`` bits — by pigeonhole, any
@@ -1042,7 +980,7 @@ def simhash_near_dups(
     identical band, so same-band candidates + an in-group Hamming verify
     find ALL such pairs (exact, no candidate cap: the per-band pairwise
     verify is a vectorized XOR/popcount matrix over the DISTINCT signatures
-    in the band, chunked to bound memory).  Same bucketed-grouping shape as
+    in the band, chunked to bound memory).  Same band-key co-group shape as
     the MinHash path.
 
     Scale note: fewer bits per band (more bands) raises the completeness
@@ -1054,25 +992,22 @@ def simhash_near_dups(
     """
     from .textstats import simhash64
 
-    nb = resolve_group_buckets(num_buckets)
     schema = _pair_schema(ds, key_col, {"hamming": pa.int64()})
     band_bits = 64 // num_bands
     band_mask = (1 << band_bits) - 1
 
     def explode(batch: pa.Table) -> pa.Table:
-        keys, bands, buckets, sims = [], [], [], []
+        keys, bands, sims = [], [], []
         for key, text in zip(batch[key_col].to_pylist(), batch[text_col].to_pylist()):
             sim = simhash64(text or "")
             for band in range(num_bands):
                 bk = f"{band}:{(sim >> (band * band_bits)) & band_mask:04x}"
                 keys.append(key)
                 bands.append(bk)
-                buckets.append(_kbucket(bk, nb))
                 sims.append(sim - (1 << 64) if sim >= (1 << 63) else sim)
         return pa.table(
             {
                 "band_key": pa.array(bands, pa.string()),
-                "band_bucket": pa.array(buckets, pa.int32()),
                 key_col: keys,
                 "simhash": pa.array(sims, pa.int64()),
             }
@@ -1144,8 +1079,8 @@ def simhash_near_dups(
                                 out["hamming"].append(dist)
         return pd.DataFrame(out)
 
-    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_bucket", verify_bucket, schema)
-    return _dedupe_pair_rows(pairs, schema, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "band_key", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema)
 
 
 def near_dedup(
@@ -1157,19 +1092,17 @@ def near_dedup(
     num_hashes: int = 128,
     num_bands: int = 16,
     verify: str = "text",
-    num_buckets: int | None = None,
 ):
     """Fuzzy deduplication end to end: MinHash-LSH pairs → connected
     components → drop every non-keeper (keeper = min key per component).
 
     The canonical training-corpus near-dedup step as ONE composition:
     no driver-side membership set — the non-keeper ids co-group with the
-    corpus rows in a bucketed anti-join, so the only materialized artifact
+    corpus rows in a co-grouped anti-join, so the only materialized artifact
     is the component list (bounded by the duplicate rate, not the corpus).
 
     Returns the surviving rows of ``ds`` (schema unchanged).
     """
-    nb = resolve_group_buckets(num_buckets)
     pairs = minhash_candidates(
         ds,
         text_col,
@@ -1178,9 +1111,8 @@ def near_dedup(
         num_bands=num_bands,
         jaccard_threshold=jaccard_threshold,
         verify=verify,
-        num_buckets=nb,
     )
-    comps = connected_components(pairs, num_buckets=nb)
+    comps = connected_components(pairs)
 
     schema = ds.schema()
     corpus_fields = list(zip(schema.names, schema.types))
@@ -1195,18 +1127,12 @@ def near_dedup(
             name: pa.nulls(len(drop), typ) for name, typ in corpus_fields
         }
         cols["jkey"] = pa.array(drop, key_type)
-        cols["jbucket"] = pa.array([_kbucket(k, nb) for k in drop], pa.int32())
         cols["is_row"] = pa.array([False] * len(drop), pa.bool_())
         return pa.table(cols)
 
     def tag_rows(t: pa.Table) -> pa.Table:
-        keys = t[key_col]
-        return (
-            t.append_column("jkey", keys.cast(key_type))
-            .append_column(
-                "jbucket", pa.array([_kbucket(k, nb) for k in keys.to_pylist()], pa.int32())
-            )
-            .append_column("is_row", pa.array([True] * t.num_rows, pa.bool_()))
+        return t.append_column("jkey", t[key_col].cast(key_type)).append_column(
+            "is_row", pa.array([True] * t.num_rows, pa.bool_())
         )
 
     def anti(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -1218,4 +1144,4 @@ def near_dedup(
     # the surviving rows are encoded back to the corpus schema: an int/bool
     # column that pandas widened to float/object beside the all-null marker
     # rows returns to its type, a genuine NaN in it as a typed null
-    return cogroup(rows.union(marks), "jbucket", anti, pa.schema(corpus_fields))
+    return cogroup(rows.union(marks), "jkey", anti, pa.schema(corpus_fields))

@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .cogroup import _kbucket, cogroup
+from .cogroup import _key_hash, cogroup, each_key
 from .dedup import _dedupe_pair_rows, _pair_schema
 
 
@@ -93,24 +93,25 @@ def _batch_topk_fn(queries_ref, k: int, vec_col: str, key_col: str):
 
 def _merge_topk(partials, k: int, key_col: str):
     """Two-level top-k reduction: per-batch partials first merge inside
-    (query_id, candidate-hash bucket) groups, then one tiny final group per
-    query.  A single groupby(query_id) would gather k rows per *batch* into
-    one group — millions of rows per query at 10^12-row corpora; the tree
-    level caps every group at 64·k rows.  Selection is by (cosine desc, key
-    asc), so the two-level result is deterministic and identical to the
-    single-level one.
+    (query_id, candidate-hash fan-in slot) groups, then one tiny final
+    group per query.  A single co-group on query_id would gather k rows per
+    *batch* of a query into one block — millions of rows per query at
+    10^12-row corpora; the tree level spreads them over 64 slots.
+    Selection is by (cosine desc, key asc), so the two-level result is
+    deterministic and identical to the single-level one.
 
     The partials are materialized first (k rows per query per batch — tiny
     by construction) and the tree level engaged only past 50k partial rows:
     below that the level-1 shuffle is pure fixed overhead, above it the
     per-query group would grow unboundedly with block count."""
 
-    def add_mbucket(batch: pa.Table) -> pa.Table:
-        buckets = [_kbucket(v, 64) for v in batch[key_col].to_pylist()]
-        return batch.append_column("mbucket", pa.array(buckets, pa.int32()))
+    def add_slot(batch: pa.Table) -> pa.Table:
+        return batch.append_column("slot", pc.bit_wise_and(_key_hash(batch, [key_col]), 63))
 
-    def merge_topk(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(["cosine", key_col], ascending=[False, True]).head(k)
+    def merge_topk(block: pd.DataFrame) -> pd.DataFrame:
+        by = ["query_id", "slot"] if "slot" in block else ["query_id"]
+        ranked = block.sort_values([*by, "cosine", key_col], ascending=[*[True] * len(by), False, True])
+        return ranked.groupby(by, sort=False).head(k)
 
     partials = partials.materialize()
     s = partials.schema()
@@ -121,8 +122,8 @@ def _merge_topk(partials, k: int, key_col: str):
     )
     if partials.count() > 50_000:
         partials = cogroup(
-            partials.map_batches(add_mbucket, batch_format="pyarrow"),
-            ["query_id", "mbucket"],
+            partials.map_batches(add_slot, batch_format="pyarrow"),
+            ["query_id", "slot"],
             merge_topk,
             schema,
         )
@@ -219,7 +220,9 @@ def embedding_near_dups(
             cos = sims[ai, bi]
         return pd.DataFrame({"left": left, "right": right, "cosine": np.round(cos, 6)})
 
-    return cogroup(ds.map_batches(explode, batch_format="pyarrow"), "pair_block", verify_group, schema)
+    return cogroup(
+        ds.map_batches(explode, batch_format="pyarrow"), "pair_block", each_key("pair_block", verify_group), schema
+    )
 
 
 def bridge_gaussian(tag: str) -> float:
@@ -252,13 +255,12 @@ def embedding_near_dups_lsh(
     seed: int = 29,
     plane_mode: str = "numpy",
     sign_round_dp: int | None = None,
-    num_buckets: int | None = None,
 ):
     """Approximate embedding near-dup pairs — the 100-TB path: rows are
     bucketed by random-hyperplane sign pattern in ``num_tables`` independent
     tables; only same-bucket candidates are exactly verified (in-group
     matmul), and pairs found by multiple tables are deduped with one
-    bucketed grouping.  Recall = 1 - (1 - p^planes)^tables where
+    co-group on the pair.  Recall = 1 - (1 - p^planes)^tables where
     p = 1 - angle/π; misses only pairs near the threshold.
 
     ``plane_mode="bridge"`` derives every plane component from the md5
@@ -273,11 +275,8 @@ def embedding_near_dups_lsh(
     corpus×tables×planes dots).
 
     Shuffle volume is num_tables× the corpus vectors — constant per row,
-    independent of corpus size; no group ever sees more than one bucket.
+    independent of corpus size.
     """
-    from ..config import resolve_group_buckets
-
-    nb = resolve_group_buckets(num_buckets)
     schema = _pair_schema(ds, key_col, {"cosine": pa.float64()})
 
     def plane_set(dim: int) -> np.ndarray:
@@ -303,7 +302,6 @@ def embedding_near_dups_lsh(
         if mat.size == 0:
             return pa.table(
                 {
-                    "tbl_bucket": pa.array([], pa.int32()),
                     "tbl_key": pa.array([], pa.string()),
                     key_col: pa.array([]),
                     vec_col: pa.array([], batch.schema.field(vec_col).type),
@@ -311,7 +309,7 @@ def embedding_near_dups_lsh(
             )
         nm = _normalize(mat)
         all_planes = plane_set(mat.shape[1])
-        buckets_out, tkeys_out, keys_out, vecs_out = [], [], [], []
+        tkeys_out, keys_out, vecs_out = [], [], []
         vec_lists = batch[vec_col].to_pylist()
         for t in range(num_tables):
             bucket_ids = hyperplane_bucket(
@@ -320,12 +318,10 @@ def embedding_near_dups_lsh(
             for i, key in enumerate(keys):
                 tk = f"{t}:{bucket_ids[i]}"
                 tkeys_out.append(tk)
-                buckets_out.append(_kbucket(tk, nb))
                 keys_out.append(key)
                 vecs_out.append(vec_lists[i])
         return pa.table(
             {
-                "tbl_bucket": pa.array(buckets_out, pa.int32()),
                 "tbl_key": pa.array(tkeys_out, pa.string()),
                 key_col: pa.array(keys_out),
                 vec_col: pa.array(vecs_out),
@@ -347,8 +343,8 @@ def embedding_near_dups_lsh(
             out_c.extend(np.round(sims[ii, jj], 6).tolist())
         return pd.DataFrame({"left": out_l, "right": out_r, "cosine": out_c})
 
-    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "tbl_bucket", verify_bucket, schema)
-    return _dedupe_pair_rows(pairs, schema, nb)
+    pairs = cogroup(ds.map_batches(explode, batch_format="pyarrow"), "tbl_key", verify_bucket, schema)
+    return _dedupe_pair_rows(pairs, schema)
 
 
 def hyperplane_bucket(

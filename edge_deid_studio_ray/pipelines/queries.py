@@ -18,18 +18,21 @@ query stages its per-row outputs to parquet and the SQL re-derives the
 layer above them from those rows; the byte-level guarantees for the rows
 themselves come from tests/test_reference_parity.py.
 
-Every pandas co-group (``groupby(key).map_groups``) in the package goes
-through ``cogroup(ds, key, fn, schema)`` from ``functions/cogroup.py``,
-here and in the ``functions/`` and ``webtext`` stages alike.  It owns one
-contract: the output ``schema`` is declared once at the call; a fold
+Every pandas co-group in the package goes through
+``cogroup(ds, key, fn, schema)`` from ``functions/cogroup.py``, here and in
+the ``functions/`` and ``webtext`` stages alike.  Callers pass the real key
+column(s); ``cogroup`` partitions the rows itself (a sort on a stable key
+hash, then one fold per sorted block), so no query sizes buckets or builds
+a bucket column.  It owns one contract: ``fn`` receives a frame holding
+every row of one or more keys (``each_key`` adapts a fold written for one
+key per call); the output ``schema`` is declared once at the call; a fold
 returns a DataFrame, or ``None`` for "no rows", which becomes a zero-row
 table of that schema; and the output is Arrow blocks cast to the schema.
 Folds therefore build no empty frames and fix no dtypes or column order by
-hand.  Bucket assignment stays with each projection (``_ibuckets`` /
-``_kbucket``, from the same module).  The bucket count is resolved once on
-the driver by ``resolve_group_buckets(rows=_rows(sf_dir, *tables))``: four
-buckets per cluster CPU, more only when the parquet-footer row count of the
-tables the co-group reads calls for them.
+hand.  A few algorithms keep a partition id of their own, derived from data
+they already read: ``link_pagerank`` (crc32(url) mod its block ``width``,
+so dangling mass replicates to every partition), ``events_ks_test`` (value
+ranges, one per CPU) and the broadcast triangle count (one block per CPU).
 
 Every read of an ``sf_dir`` table goes through ``_read``, which sizes its
 block count from the parquet footer too (``_read_blocks``): one block per
@@ -52,8 +55,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import EngineConfig, cluster_cpus, resolve_group_buckets
-from ..functions.cogroup import _ibuckets, _kbucket, cogroup
+from ..config import EngineConfig, cluster_cpus
+from ..functions.cogroup import cogroup, each_key
 from ..functions.dedup import add_md5_column, minhash_candidates
 from ..functions.simsearch import knn_bruteforce
 from ..functions.textstats import lang_id, quality_counts, simhash64, fingerprint64
@@ -117,8 +120,8 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int
 
 def _rows(sf_dir: str, *tables: str) -> int:
     """Total row count of ``tables`` in ``sf_dir``, read from the parquet
-    footers (no data scan): what a co-group passes to
-    ``resolve_group_buckets(rows=...)`` to size its fan-out."""
+    footers (no data scan): what an adaptive query compares with its
+    broadcast bound before reading any key."""
     import pyarrow.dataset as pads
 
     return sum(
@@ -133,6 +136,18 @@ def _spread_blocks() -> int:
     re-scanned per round).  More blocks than cores only add per-block
     overhead, which dominates at small scale."""
     return max(1, min(64, cluster_cpus()))
+
+
+def _actor_pool() -> dict:
+    """``map_batches`` pool arguments for a stateful actor stage, shaped by
+    the cluster's CPUs.  On one CPU the single actor reserves none: an
+    actor holding the only CPU starves the upstream read/map tasks that
+    feed it, and the query never finishes (half a CPU starved it too).
+    With more CPUs the pool starts at one actor and grows to two, each
+    holding one CPU."""
+    if cluster_cpus() <= 1:
+        return {"concurrency": 1, "num_cpus": 0}
+    return {"concurrency": (1, 2), "num_cpus": 1}
 
 
 def _read_spread(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -365,7 +380,7 @@ def _sessionize(bucket: pd.DataFrame, gap_us: int) -> pd.DataFrame:
 
 def q_events_sessions(sf_dir: str):
     """Session windows (30-min inactivity gap) per user: the event log is
-    partitioned by key (user buckets) and each bucket is windowed in one
+    co-grouped by user and each folded block is windowed in one
     sorted numpy pass (``_sessionize``) — the streaming-shaped pattern for a
     batch engine.
 
@@ -373,18 +388,9 @@ def q_events_sessions(sf_dir: str):
     ts; ties in ts are gap-0 so session membership is tie-order invariant.
     """
     gap_us = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_us(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                # bucketed key co-location: all of a user's events share a
-                # bucket, Ray sees ~128 groups instead of one per user
-                "user_bucket": _ibuckets(batch["user_id"], nb),
-            }
-        )
+        return pa.table({"user_id": batch["user_id"], "us": batch["ts"].cast(pa.int64())})
 
     def sessionize_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
         return _sessionize(bucket, gap_us)
@@ -392,7 +398,7 @@ def q_events_sessions(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_us, batch_format="pyarrow")
     return cogroup(
         ds,
-        "user_bucket",
+        "user_id",
         sessionize_bucket,
         {
             "user_id": pa.int64(),
@@ -434,11 +440,9 @@ def q_events_sliding_window(sf_dir: str):
 
 def q_events_running_total(sf_dir: str):
     """Per-event running count within each user's timeline (cumulative
-    stateful-stream semantics in batch form: user-bucketed co-groups, sorted
+    stateful-stream semantics in batch form: co-grouped by user, sorted
     cumcount)."""
     import pandas as pd
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -446,7 +450,6 @@ def q_events_running_total(sf_dir: str):
                 "event_id": batch["event_id"],
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
-                "user_bucket": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -461,7 +464,7 @@ def q_events_running_total(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return cogroup(ds, "user_bucket", running, {"event_id": pa.int64(), "running_n": pa.int64()})
+    return cogroup(ds, "user_id", running, {"event_id": pa.int64(), "running_n": pa.int64()})
 
 
 def q_events_asof_join(sf_dir: str):
@@ -474,15 +477,12 @@ def q_events_asof_join(sf_dir: str):
     (inner as-of)."""
     import pandas as pd
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
-
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "event_id": batch["event_id"],
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
-                "user_bucket": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -513,7 +513,7 @@ def q_events_asof_join(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return cogroup(ds, "user_bucket", asof, {"event_id": pa.int64(), "b_us": pa.int64()})
+    return cogroup(ds, "user_id", asof, {"event_id": pa.int64(), "b_us": pa.int64()})
 
 
 def q_events_late_data(sf_dir: str):
@@ -584,17 +584,9 @@ def q_events_late_data(sf_dir: str):
             out["late"].extend(int(v) for v in agg["sum"])
         return pd.DataFrame(out)
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "rbucket",
-            _ibuckets(batch["range_id"], nb),
-        )
-
     partials = cogroup(
-        ds.map_batches(bucketize, batch_format="pyarrow"),
-        "rbucket",
+        ds,
+        "range_id",
         late_counts,
         {"event_type": pa.string(), "n": pa.int64(), "late": pa.int64()},
     )
@@ -609,8 +601,8 @@ def q_events_funnel(sf_dir: str):
     semantics (first view, then the FIRST qualifying click after it, then
     the first qualifying purchase after that).
 
-    Shape: events bucket by user hash (a user's timeline co-groups whole),
-    each group walks its users' sorted timelines and emits per-step partial
+    Shape: events co-group by user (a user's timeline folds whole), each
+    folded block walks its users' sorted timelines and emits per-step partial
     counts; one tiny 3-row groupby-sum finishes.  Per-user state never
     leaves the group task, so the shuffle ships (user_id, us, event_type)
     rows once — the same partitioning-by-entity contract as sessionization.
@@ -619,7 +611,6 @@ def q_events_funnel(sf_dir: str):
     from ray.data.aggregate import Sum
 
     step_us = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     steps = ("view", "click", "purchase")
 
     def to_us(batch: pa.Table) -> pa.Table:
@@ -628,7 +619,6 @@ def q_events_funnel(sf_dir: str):
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "user_bucket": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -654,7 +644,7 @@ def q_events_funnel(sf_dir: str):
         to_us, batch_format="pyarrow"
     )
     return (
-        cogroup(ds, "user_bucket", funnel_bucket, {"funnel_step": pa.int64(), "partial": pa.int64()})
+        cogroup(ds, "user_id", funnel_bucket, {"funnel_step": pa.int64(), "partial": pa.int64()})
         .groupby("funnel_step")
         .aggregate(Sum("partial", alias_name="n_users"))
     )
@@ -820,7 +810,6 @@ def q_customers_without_orders(sf_dir: str):
 
     from ..functions.sketches import build_bloom
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     customers = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
 
@@ -845,19 +834,10 @@ def q_customers_without_orders(sf_dir: str):
         n_miss = miss_segs.size
         return pa.table(
             {
+                # partial-count rows get key -1 and pass the fold through
                 "key": pa.array(
                     np.concatenate([hit_keys, np.full(n_miss, -1, np.int64)]),
                     pa.int64(),
-                ),
-                # partial-count rows get bucket -1 and skip the co-group
-                "kbucket": pa.array(
-                    np.concatenate(
-                        [
-                            (hit_keys % nb).astype(np.int32),
-                            np.full(n_miss, -1, np.int32),
-                        ]
-                    ),
-                    pa.int32(),
                 ),
                 "c_mktsegment": pa.array(
                     np.concatenate([segs[maybe], miss_segs]).tolist(), pa.string()
@@ -877,28 +857,30 @@ def q_customers_without_orders(sf_dir: str):
         return pa.table(
             {
                 "key": keys.cast(pa.int64()),
-                "kbucket": _ibuckets(keys, nb),
                 "c_mktsegment": pa.array([None] * len(keys), pa.string()),
                 "is_cust": pa.array([False] * len(keys), pa.bool_()),
                 "partial": pa.array([0] * len(keys), pa.int64()),
             }
         )
 
-    def anti(bucket: pd.DataFrame) -> pd.DataFrame:
-        if int(bucket["kbucket"].iloc[0]) == -1:
-            # pre-counted definite misses: pass partials through
-            counts = bucket.groupby("c_mktsegment")["partial"].sum()
-        else:
-            with_orders = set(bucket.loc[~bucket["is_cust"], "key"])
-            misses = bucket.loc[bucket["is_cust"] & ~bucket["key"].isin(with_orders)]
-            counts = misses.groupby("c_mktsegment").size()
+    def anti(block: pd.DataFrame) -> pd.DataFrame:
+        # pre-counted definite misses (key -1) pass their partials through
+        pre = block["key"] == -1
+        with_orders = set(block.loc[~block["is_cust"], "key"])
+        misses = block.loc[~pre & block["is_cust"] & ~block["key"].isin(with_orders)]
+        counts = pd.concat(
+            [
+                block.loc[pre].groupby("c_mktsegment")["partial"].sum(),
+                misses.groupby("c_mktsegment").size(),
+            ]
+        )
         return pd.DataFrame({"c_mktsegment": counts.index, "partial": counts.to_numpy()})
 
     partials = cogroup(
         filtered_orders.map_batches(order_keys, batch_format="pyarrow").union(
             customers.map_batches(split_customers, batch_format="pyarrow")
         ),
-        "kbucket",
+        "key",
         anti,
         {"c_mktsegment": pa.string(), "partial": pa.int64()},
     )
@@ -1226,7 +1208,6 @@ def q_minhash_near_dups(sf_dir: str):
         num_hashes=64,
         num_bands=16,
         verify="text",
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return pairs.select_columns(["left", "right"])
 
@@ -1242,9 +1223,7 @@ def q_near_dup_clusters(sf_dir: str):
     from ..functions.dedup import connected_components
 
     pairs = q_minhash_near_dups(sf_dir)
-    components = connected_components(
-        pairs, max_iter=6, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-    )
+    components = connected_components(pairs, max_iter=6)
     return components.groupby("component").aggregate(Count(alias_name="cluster_size"))
 
 
@@ -1268,7 +1247,6 @@ def q_ngram_jaccard_pairs(sf_dir: str):
         num_bands=16,
         verify="text",
         pair_metrics={"ngram_jaccard": lambda a, b: word_ngram_jaccard(a, b, 3)},
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return pairs.select_columns(["left", "right", "ngram_jaccard"])
 
@@ -1286,7 +1264,6 @@ def q_simhash_near_dups(sf_dir: str):
         corpus,
         max_hamming=6,
         num_bands=8,
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
 
 
@@ -1941,7 +1918,7 @@ def q_pages_anchor_text(sf_dir: str):
     out = cogroup(
         summed,
         "href",
-        merge,
+        each_key("href", merge),
         {
             "href": pa.string(),
             "n_total": pa.int64(),
@@ -2091,7 +2068,7 @@ def q_doc_script_ratios(sf_dir: str):
         langs = batch["lang"].to_pylist()
         uniq = sorted(set(langs))
         lid = {l: i for i, l in enumerate(uniq)}
-        nb = len(uniq)
+        n_langs = len(uniq)
         blob = "".join(t or "" for t in texts)
         cp = np.frombuffer(blob.encode("utf-32-le"), dtype=np.uint32)
         idx = np.repeat(
@@ -2104,7 +2081,7 @@ def q_doc_script_ratios(sf_dir: str):
         cjk = (cp >= 0x4E00) & (cp <= 0x9FFF)
 
         def bc(mask) -> pa.Array:
-            return pa.array(np.bincount(idx[mask], minlength=nb).astype(np.int64))
+            return pa.array(np.bincount(idx[mask], minlength=n_langs).astype(np.int64))
 
         return pa.table(
             {
@@ -2114,7 +2091,7 @@ def q_doc_script_ratios(sf_dir: str):
                 "n_space_p": bc(space),
                 "n_cjk_p": bc(cjk),
                 "n_chars_p": pa.array(
-                    np.bincount(idx, minlength=nb).astype(np.int64)
+                    np.bincount(idx, minlength=n_langs).astype(np.int64)
                 ),
             }
         )
@@ -2159,9 +2136,7 @@ def q_training_data_pipeline(sf_dir: str):
     build_deid_pipeline(doubled).select_columns(
         ["url", "extracted_text", "context_hash"]
     ).write_parquet(_fresh_staging(_TDP_STAGING))
-    curated = curate_extracted(
-        rd.read_parquet(_TDP_STAGING), num_buckets=resolve_group_buckets(rows=2 * n)
-    )
+    curated = curate_extracted(rd.read_parquet(_TDP_STAGING))
     report = attrition_report(curated, rows_in=2 * n)
     return pa.table(
         {
@@ -2375,7 +2350,7 @@ def q_ner_stub_entity_counts(sf_dir: str):
 
     ds = synthetic_span_dataset(_synth_rows_for(sf_dir), seed=4).drop_columns(["entities"])
     detected = ds.map_batches(
-        NerDetectStage, batch_format="pyarrow", batch_size=128, concurrency=2, num_cpus=1
+        NerDetectStage, batch_format="pyarrow", batch_size=128, **_actor_pool()
     )
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2583,16 +2558,9 @@ def q_dataset_mix(sf_dir: str):
 
 def q_events_window_rank(sf_dir: str):
     """Windowed ranking: top-3 events per user by value (ROW_NUMBER
-    semantics, ties broken by event_id) — per-user logic runs inside 128
-    coarse user buckets (no per-user Ray group explosion)."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
+    semantics, ties broken by event_id) — per-user logic runs over each
+    folded block of a co-group on user_id."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "ubucket",
-            _ibuckets(batch["user_id"], nb),
-        )
 
     def rank(bucket: pd.DataFrame) -> pd.DataFrame:
         bucket = bucket.sort_values(
@@ -2602,8 +2570,8 @@ def q_events_window_rank(sf_dir: str):
         return bucket[bucket["rnk"] <= 3]
 
     return cogroup(
-        ds.map_batches(bucketize, batch_format="pyarrow"),
-        "ubucket",
+        ds,
+        "user_id",
         rank,
         {"event_id": pa.int64(), "user_id": pa.int64(), "rnk": pa.int64()},
     )
@@ -2687,11 +2655,10 @@ def q_customer_segment_pivot(sf_dir: str):
 def q_orders_exists_semi(sf_dir: str):
     """Semi-join (EXISTS): orders having at least one lineitem with
     quantity ≥ 45, counted per status.  Filtered lineitem keys and orders
-    co-group in 128 hash buckets — no driver-side key set, no full join
+    co-group on the order key — no driver-side key set, no full join
     output materialized."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
 
@@ -2701,7 +2668,6 @@ def q_orders_exists_semi(sf_dir: str):
         return pa.table(
             {
                 "key": pa.array(keys, pa.int64()),
-                "kbucket": pa.array((keys % nb).astype(np.int32), pa.int32()),
                 "o_orderstatus": pa.array([None] * len(keys), pa.string()),
                 "is_order": pa.array(np.zeros(len(keys), dtype=bool), pa.bool_()),
             }
@@ -2712,7 +2678,6 @@ def q_orders_exists_semi(sf_dir: str):
         return pa.table(
             {
                 "key": batch["o_orderkey"],
-                "kbucket": pa.array((keys % nb).astype(np.int32), pa.int32()),
                 "o_orderstatus": batch["o_orderstatus"],
                 "is_order": pa.array(np.ones(len(keys), dtype=bool), pa.bool_()),
             }
@@ -2728,7 +2693,7 @@ def q_orders_exists_semi(sf_dir: str):
         li.map_batches(li_keys, batch_format="pyarrow").union(
             orders.map_batches(order_rows, batch_format="pyarrow")
         ),
-        "kbucket",
+        "key",
         semi,
         {"o_orderstatus": pa.string(), "partial": pa.int64()},
     )
@@ -2812,7 +2777,6 @@ def q_jaccard_doc_perturbed(sf_dir: str):
         corpus,
         lambda a, b: word_ngram_jaccard(a, b, 3),
         out_col="ngram_jaccard",
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
 
 
@@ -2852,23 +2816,16 @@ def q_doc_chunk_windows(sf_dir: str):
 def q_docs_per_source_cap(sf_dir: str):
     """Per-domain quota (the standard CC pipeline 'cap docs per domain'
     step): keep the first 10 documents per source by doc_id.  Per-key
-    top-k inside coarse source buckets — deterministic, oracle = ROW_NUMBER
-    PARTITION BY."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    top-k over each folded block of a co-group on source — deterministic,
+    oracle = ROW_NUMBER PARTITION BY."""
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "sbucket",
-            pa.array([_kbucket(s, nb) for s in batch["source"].to_pylist()], pa.int32()),
-        )
 
     def cap(bucket: pd.DataFrame) -> pd.DataFrame:
         return bucket.sort_values(["source", "doc_id"]).groupby("source", sort=False).head(10)
 
     return cogroup(
-        ds.map_batches(bucketize, batch_format="pyarrow"),
-        "sbucket",
+        ds,
+        "source",
         cap,
         {"doc_id": pa.int64(), "source": pa.string()},
     )
@@ -3076,7 +3033,7 @@ def q_image_deid_stub_stats(sf_dir: str):
         to_media, batch_format="pyarrow"
     )
     processed = media.map_batches(
-        ImageDeidStage, batch_format="pyarrow", batch_size=64, concurrency=2, num_cpus=1
+        ImageDeidStage, batch_format="pyarrow", batch_size=64, **_actor_pool()
     )
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -3116,10 +3073,9 @@ def q_stratified_sample(sf_dir: str):
     by md5(doc_id) rank within the stratum — the reproducible
     train/eval-split primitive (a seeded hash order is cluster-stable,
     unlike RNG draws tied to block structure).  Per-language selection runs
-    inside coarse language buckets; only (lang, doc_id, rank-hash) rows
-    shuffle."""
+    over each folded block of a co-group on lang; only (lang, doc_id,
+    rank-hash) rows shuffle."""
     k = 20
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def keyed(batch: pa.Table) -> pa.Table:
         from ..functions.dedup import md5_hex
@@ -3131,7 +3087,6 @@ def q_stratified_sample(sf_dir: str):
                 "doc_id": pa.array(ids, pa.int64()),
                 "lang": pa.array(langs, pa.string()),
                 "rank_hash": pa.array([md5_hex(str(d)) for d in ids], pa.string()),
-                "lbucket": pa.array([_kbucket(lang, nb) for lang in langs], pa.int32()),
             }
         )
 
@@ -3140,7 +3095,7 @@ def q_stratified_sample(sf_dir: str):
 
     return cogroup(
         _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(keyed, batch_format="pyarrow"),
-        "lbucket",
+        "lang",
         pick,
         {"doc_id": pa.int64(), "lang": pa.string()},
     )
@@ -3153,42 +3108,37 @@ def q_tfidf_top_terms(sf_dir: str):
     staying bit-exact for the oracle.
 
     Scale shape — NO driver-side vocabulary state: the tokenizer emits one
-    row per distinct (doc, term), so after a term-hash bucket co-group every
-    row of a term is co-resident and the bucket-local per-term row count IS
+    row per distinct (doc, term), so after a co-group on the term every
+    row of a term is co-resident and the block-local per-term row count IS
     the term's exact document frequency.  df annotation therefore costs one
     narrow shuffle of the term rows themselves — no groupby().take_all(),
     no ``ray.put`` of an O(vocabulary) dict (web-corpus vocab grows with
-    Heap's law; at 100 TB that dict is tens of GB).  A second doc-hash
-    bucket co-group computes the per-doc head(3).  Two shuffles total,
-    both of already-narrow (id, term, int) rows."""
-    import zlib
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    Heap's law; at 100 TB that dict is tens of GB).  A second co-group on
+    the doc computes the per-doc head(3).  Two shuffles total, both of
+    already-narrow (id, term, int) rows."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def doc_terms(batch: pa.Table) -> pa.Table:
-        out_doc, out_term, out_tf, out_tb = [], [], [], []
+        out_doc, out_term, out_tf = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             counts = Counter((text or "").lower().split())
             for term, tf in counts.items():
                 out_doc.append(doc_id)
                 out_term.append(term)
                 out_tf.append(tf)
-                out_tb.append(zlib.crc32(term.encode()) % nb)
         return pa.table(
             {
                 "doc_id": pa.array(out_doc, pa.int64()),
                 "term": pa.array(out_term, pa.string()),
                 "tf": pa.array(out_tf, pa.int64()),
-                "tbucket": pa.array(out_tb, pa.int32()),
             }
         )
 
     def annotate_df(bucket: pd.DataFrame) -> pd.DataFrame:
         # rows are distinct (doc, term) pairs and a term's rows all land in
-        # this bucket ⇒ the local per-term row count is the exact global df
+        # this block ⇒ the local per-term row count is the exact global df
         df_map = bucket.groupby("term")["doc_id"].size()
-        return bucket.assign(df=bucket["term"].map(df_map), dbucket=bucket["doc_id"].to_numpy() % nb)
+        return bucket.assign(df=bucket["term"].map(df_map))
 
     def topk_group(bucket: pd.DataFrame) -> pd.DataFrame:
         kept = (
@@ -3202,19 +3152,13 @@ def q_tfidf_top_terms(sf_dir: str):
 
     annotated = cogroup(
         ds.map_batches(doc_terms, batch_format="pyarrow"),
-        "tbucket",
+        "term",
         annotate_df,
-        {
-            "doc_id": pa.int64(),
-            "term": pa.string(),
-            "tf": pa.int64(),
-            "df": pa.int64(),
-            "dbucket": pa.int32(),
-        },
+        {"doc_id": pa.int64(), "term": pa.string(), "tf": pa.int64(), "df": pa.int64()},
     )
     return cogroup(
         annotated,
-        "dbucket",
+        "doc_id",
         topk_group,
         {
             "doc_id": pa.int64(),
@@ -3229,7 +3173,7 @@ def q_tfidf_top_terms(sf_dir: str):
 def q_near_dedup_survivors(sf_dir: str):
     """Fuzzy-dedup end to end (the canonical training-corpus step): LSH
     pairs → connected components → keep only the min-id representative of
-    each near-dup group, via a bucketed anti-join with no driver-side
+    each near-dup group, via a co-grouped anti-join with no driver-side
     membership set.  Oracle: recursive-CTE components, survivors = ids
     that are not a non-minimal member of any component."""
     from ..functions.dedup import near_dedup
@@ -3244,7 +3188,6 @@ def q_near_dedup_survivors(sf_dir: str):
         num_hashes=64,
         num_bands=16,
         verify="text",
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
     return survivors.select_columns(["doc_id"])
 
@@ -3314,7 +3257,6 @@ def q_embedding_near_dups_lsh(sf_dir: str):
         num_tables=12,
         plane_mode="bridge",
         sign_round_dp=12,
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "embeddings")),
     )
     return pairs.select_columns(["left", "right"])
 
@@ -3420,9 +3362,7 @@ def q_passage_dedup(sf_dir: str):
     from ..functions.corpusops import passage_dedup
 
     ds = _read_spread(sf_dir, "documents", ["doc_id", "text"])
-    return passage_dedup(
-        ds, words_per_chunk=16, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-    )
+    return passage_dedup(ds, words_per_chunk=16)
 
 
 def q_doc_repetition_stats(sf_dir: str):
@@ -3460,9 +3400,7 @@ def q_duplicate_ngram_spans(sf_dir: str):
         )
 
     corpus = base.union(base.map_batches(partial_copy, batch_format="pyarrow"))
-    return duplicate_ngram_spans(
-        corpus, n=13, num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-    )
+    return duplicate_ngram_spans(corpus, n=13)
 
 
 def q_token_stream_pack(sf_dir: str):
@@ -3610,7 +3548,7 @@ def q_trigram_quality_buckets(sf_dir: str):
     return cogroup(
         scored.map_batches(partial, batch_format="pyarrow"),
         "lang",
-        buckets,
+        each_key("lang", buckets),
         {
             "lang": pa.string(),
             "n_docs": pa.int64(),
@@ -3693,7 +3631,7 @@ def q_events_distinct_users_hourly(sf_dir: str):
     return cogroup(
         _read(sf_dir, "events", ["ts", "user_id"]).map_batches(pairs, batch_format="pyarrow"),
         "window_us",
-        merge,
+        each_key("window_us", merge),
         {"window_us": pa.int64(), "n_users": pa.int64(), "n_events": pa.int64()},
     )
 
@@ -3762,19 +3700,15 @@ def q_word_pmi_top20(sf_dir: str):
     Scale shape (r4 — VERDICT #3, no driver-side vocabulary): unigram and
     bigram counts pre-aggregate per batch and meet in ONE grouped sum;
     surviving (n≥5) bigrams then explode into two word-keyed half-rows
-    that CO-GROUP with the unigram rows by word hash (each half resolves
-    its word's count locally), regroup by bigram hash to combine, and
-    every bucket emits only its LOCAL top-20 — lossless, because a
-    bigram's full PMI is computed in-bucket, so the global top-20 is a
-    subset of the bucket winners.  The driver folds ≤ buckets×20 rows and
-    two scalar totals; no O(vocabulary) object ever leaves the cluster.
+    that CO-GROUP with the unigram rows by word (each half resolves its
+    word's count locally), regroup by bigram to combine, and every folded
+    block emits only its LOCAL top-20 — lossless, because a bigram's full
+    PMI is computed in-block, so the global top-20 is a subset of the
+    block winners.  The driver folds ≤ blocks×20 rows and two scalar
+    totals; no O(vocabulary) object ever leaves the cluster.
     The float arithmetic mirrors the oracle operation-for-operation (same
     division order), rounded to 6dp; ties broken by bigram text."""
-    import zlib
-
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def grams(batch: pa.Table) -> pa.Table:
         uni: Counter = Counter()
@@ -3810,12 +3744,11 @@ def q_word_pmi_top20(sf_dir: str):
     b_total = totals.get("b", 0)
 
     def explode(batch: pa.Table) -> pa.Table:
-        wb, words, grams_out, cabs, slots = [], [], [], [], []
+        words, grams_out, cabs, slots = [], [], [], []
         for kind, g, n in zip(
             batch["kind"].to_pylist(), batch["gram"].to_pylist(), batch["n"].to_pylist()
         ):
             if kind == "u":
-                wb.append(zlib.crc32(g.encode()) % nb)
                 words.append(g)
                 grams_out.append("")
                 cabs.append(int(n))
@@ -3823,14 +3756,12 @@ def q_word_pmi_top20(sf_dir: str):
             elif int(n) >= 5:
                 a, b = g.split(" ")
                 for slot, w in ((0, a), (1, b)):
-                    wb.append(zlib.crc32(w.encode()) % nb)
                     words.append(w)
                     grams_out.append(g)
                     cabs.append(int(n))
                     slots.append(slot)
         return pa.table(
             {
-                "wb": pa.array(wb, pa.int32()),
                 "word": pa.array(words, pa.string()),
                 "gram": pa.array(grams_out, pa.string()),
                 "cab": pa.array(cabs, pa.int64()),
@@ -3843,10 +3774,7 @@ def q_word_pmi_top20(sf_dir: str):
         halves = bucket.loc[bucket["slot"] >= 0]
         if halves.empty:
             return None
-        return halves.assign(
-            gb=[zlib.crc32(g.encode()) % nb for g in halves["gram"]],
-            u_n=halves["word"].map(uni_map),
-        )
+        return halves.assign(u_n=halves["word"].map(uni_map))
 
     def combine(bucket: pd.DataFrame) -> pd.DataFrame:
         s0 = bucket.loc[bucket["slot"] == 0].set_index("gram")
@@ -3865,18 +3793,12 @@ def q_word_pmi_top20(sf_dir: str):
 
     halves = cogroup(
         counts.map_batches(explode, batch_format="pyarrow"),
-        "wb",
+        "word",
         resolve_uni,
-        {
-            "gram": pa.string(),
-            "gb": pa.int32(),
-            "cab": pa.int64(),
-            "slot": pa.int8(),
-            "u_n": pa.int64(),
-        },
+        {"gram": pa.string(), "cab": pa.int64(), "slot": pa.int8(), "u_n": pa.int64()},
     )
     folded = cogroup(
-        halves, "gb", combine, {"bigram": pa.string(), "n_pair": pa.int64(), "pmi": pa.float64()}
+        halves, "gram", combine, {"bigram": pa.string(), "n_pair": pa.int64(), "pmi": pa.float64()}
     ).to_pandas()
     top = folded.sort_values(
         ["pmi", "bigram"], ascending=[False, True], kind="mergesort"
@@ -3990,7 +3912,7 @@ def q_events_value_percentiles(sf_dir: str):
             partial, batch_format="pyarrow"
         ),
         "event_type",
-        quantiles,
+        each_key("event_type", quantiles),
         {
             "event_type": pa.string(),
             "n_events": pa.int64(),
@@ -4085,7 +4007,7 @@ def q_docs_top3_per_source(sf_dir: str):
             local_topk, batch_format="pyarrow"
         ),
         "source",
-        merge_topk,
+        each_key("source", merge_topk),
         {"source": pa.string(), "rnk": pa.int64(), "doc_id": pa.int64(), "n_chars": pa.int64()},
     )
 
@@ -4130,7 +4052,9 @@ def q_docs_global_rank(sf_dir: str):
         group = group.sort_values("doc_id", kind="mergesort")
         return group.assign(global_rank=np.arange(base + 1, base + 1 + len(group)))
 
-    return cogroup(ds, "n_chars", rank_group, {"doc_id": pa.int64(), "global_rank": pa.int64()})
+    return cogroup(
+        ds, "n_chars", each_key("n_chars", rank_group), {"doc_id": pa.int64(), "global_rank": pa.int64()}
+    )
 
 def q_events_value_outliers(sf_dir: str):
     """Robust (median/MAD) outlier detection per event type — a two-pass
@@ -4174,7 +4098,7 @@ def q_events_value_outliers(sf_dir: str):
     med_rows = cogroup(
         ds.map_batches(value_hist, batch_format="pyarrow"),
         "event_type",
-        median_of,
+        each_key("event_type", median_of),
         {"event_type": pa.string(), "median": pa.float64(), "n_events": pa.int64()},
     ).take_all()
     medians = {r["event_type"]: (r["median"], r["n_events"]) for r in med_rows}
@@ -4218,7 +4142,7 @@ def q_events_value_outliers(sf_dir: str):
     return cogroup(
         ds.map_batches(dev_hist, batch_format="pyarrow"),
         "event_type",
-        mad_and_outliers,
+        each_key("event_type", mad_and_outliers),
         {
             "event_type": pa.string(),
             "n_events": pa.int64(),
@@ -4272,16 +4196,13 @@ def q_customer_order_cohorts(sf_dir: str):
     order; the matrix counts orders and distinct active customers per
     (cohort_month, order_month).  Scale shape: orders pre-aggregate to one
     (custkey, month, n) row per pair per batch; the narrow partials then
-    co-locate by a custkey hash bucket (ONE groupby — every row of a given
-    customer lands in exactly one bucket, so the per-bucket merge derives
-    the cohort with a plain grouped min AND counts distinct customers
-    exactly, no global distinct needed); only per-bucket
-    (cohort, month, n_orders, n_customers) partial sums leave the bucket
-    for the final tiny groupby.  No raw order row ever shuffles and
+    co-group on custkey (every row of a given customer lands in exactly one
+    folded block, so the per-block merge derives the cohort with a plain
+    grouped min AND counts distinct customers exactly, no global distinct
+    needed); only per-block (cohort, month, n_orders, n_customers) partial
+    sums leave the fold for the final tiny groupby.  No raw order row ever shuffles and
     nothing materializes."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
 
     def month_partial(batch: pa.Table) -> pa.Table:
         months = pc.strftime(batch["o_orderdate"], format="%Y-%m")
@@ -4292,13 +4213,12 @@ def q_customer_order_cohorts(sf_dir: str):
                 "o_custkey": pa.array(keys, pa.int64()),
                 "order_month": pa.array([k[1] for k in c], pa.string()),
                 "n": pa.array(list(c.values()), pa.int64()),
-                "kb": _ibuckets(keys, nb),
             }
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         # lexicographic min of '%Y-%m' strings IS the chronological first
-        # month; the bucket holds every row of each of its customers
+        # month; the block holds every row of each of its customers
         cohort = group.groupby("o_custkey")["order_month"].min()
         return (
             group.assign(cohort_month=group["o_custkey"].map(cohort))
@@ -4311,7 +4231,7 @@ def q_customer_order_cohorts(sf_dir: str):
             _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
                 month_partial, batch_format="pyarrow"
             ),
-            "kb",
+            "o_custkey",
             fold_bucket,
             {
                 "cohort_month": pa.string(),
@@ -4344,17 +4264,16 @@ def q_shipping_priority(sf_dir: str):
     customer key set broadcasts once via ``ray.put`` and filters orders
     map-side (no customer shuffle); lineitem pre-aggregates exact
     integer-unit revenue per orderkey per batch; the only exchange is ONE
-    bucketed co-group of the two narrow projections on an orderkey-hash
-    bucket (the house union+map_groups join — robust to empty buckets,
-    which break ``Dataset.join``'s pyarrow finalize on selective inputs),
-    where each bucket finishes the per-order sums, applies the inner-join
+    co-group of the two narrow projections on the orderkey (the house
+    union+cogroup join — robust to empty partitions, which break
+    ``Dataset.join``'s pyarrow finalize on selective inputs), where each
+    folded block finishes the per-order sums, applies the inner-join
     semantics, and emits only its local top-10, so the final sort sees
-    ~10×buckets rows.  Revenue stays int64 through every sum; the one
+    ~10×blocks rows.  Revenue stays int64 through every sum; the one
     final division is bit-identical to the SQL mirror."""
     import ray
 
     cutoff = pa.scalar(np.datetime64("1995-03-15", "us"), pa.timestamp("us"))
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
 
     building: set[int] = set()
     for batch in _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).iter_batches(
@@ -4375,7 +4294,6 @@ def q_shipping_priority(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "units": pa.array([0] * len(okeys), pa.int64()),
                 "o_orderdate": pc.strftime(batch["o_orderdate"], format="%Y-%m-%d"),
                 "o_orderpriority": batch["o_orderpriority"],
@@ -4393,7 +4311,6 @@ def q_shipping_priority(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "units": pa.array(list(c.values()), pa.int64()),
                 "o_orderdate": pa.array([None] * n, pa.string()),
                 "o_orderpriority": pa.array([None] * n, pa.string()),
@@ -4432,7 +4349,7 @@ def q_shipping_priority(sf_dir: str):
     return (
         cogroup(
             line.union(orders),
-            "kb",
+            "okey",
             bucket_top,
             {
                 "l_orderkey": pa.int64(),
@@ -4594,7 +4511,7 @@ def q_doc_chars_quantile_cont(sf_dir: str):
             hist_partial, batch_format="pyarrow"
         ),
         "lang",
-        quantiles,
+        each_key("lang", quantiles),
         {
             "lang": pa.string(),
             "n_docs": pa.int64(),
@@ -4711,7 +4628,7 @@ def q_inverted_index_postings(sf_dir: str):
     return cogroup(
         _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(pairs, batch_format="pyarrow"),
         "term",
-        fold_term,
+        each_key("term", fold_term),
         {"term": pa.string(), "df": pa.int64(), "postings_md5": pa.string()},
     )
 
@@ -4727,7 +4644,7 @@ def q_doc_pagerank(sf_dir: str):
     and DuckDB, so five chained rounds stay bit-exact with NO float drift.
     Scale shape per round: contributions are generated map-side from each
     rank row (the static graph needs no edge-table join), every node also
-    emits a presence row, and ONE bucketed co-group folds inflow + applies
+    emits a presence row, and ONE co-group on the node folds inflow + applies
     damping — nodes without inflow are preserved by the presence rows, so
     a round is one narrow shuffle of 4 int rows per node."""
     from ray.data.aggregate import Count, Min
@@ -4737,7 +4654,6 @@ def q_doc_pagerank(sf_dir: str):
         .aggregate(Min("doc_id", alias_name="m"), Count(alias_name="n"))
     )
     m, n = int(meta["m"]), int(meta["n"])
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def init_ranks(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -4771,14 +4687,13 @@ def q_doc_pagerank(sf_dir: str):
                 "target": pa.array(out_target, pa.int64()),
                 "units": pa.array(out_units, pa.int64()),
                 "kind": pa.array(out_kind, pa.int8()),
-                "kb": _ibuckets(out_target, nb),
             }
         )
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
         nodes = group.loc[group["kind"] == 0, "target"]
         if nodes.empty:
-            return None  # inflow to a bucket with no resident nodes: impossible
+            return None  # inflow to a block with no resident nodes: impossible
         inflow = group[group["kind"] == 1].groupby("target")["units"].sum()
         new_r = [150000 + (85 * int(inflow.get(v, 0))) // 100 for v in nodes]
         return pd.DataFrame({"node": nodes.to_numpy(), "r": new_r})
@@ -4786,7 +4701,7 @@ def q_doc_pagerank(sf_dir: str):
     for _ in range(5):
         ranks = cogroup(
             ranks.map_batches(emit, batch_format="pyarrow"),
-            "kb",
+            "target",
             fold,
             {"node": pa.int64(), "r": pa.int64()},
         )
@@ -4805,16 +4720,14 @@ def q_doc_pagerank(sf_dir: str):
 def q_events_interarrival_hist(sf_dir: str):
     """LAG-window semantics at scale: per-user inter-event gaps, bucketed
     to whole minutes, histogrammed per event type OF THE LATER EVENT.
-    Scale shape: user timelines co-locate via the user-hash bucket groupby
+    Scale shape: user timelines co-locate via a co-group on user_id
     (the sessionization partitioning contract — one narrow (us, type)
-    row per event), each bucket sorts its users' timelines once and emits
+    row per event), each folded block sorts its users' timelines once and emits
     per-(type, gap-minute) partial counts, and the final groupby merges
     tiny histograms.  Tie contract: equal timestamps sort by event type
     then gap 0 — deterministic on both engines because the SQL mirror
     orders its window identically (ts, event_type)."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4822,7 +4735,6 @@ def q_events_interarrival_hist(sf_dir: str):
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -4849,7 +4761,7 @@ def q_events_interarrival_hist(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
                 project, batch_format="pyarrow"
             ),
-            "ub",
+            "user_id",
             fold_bucket,
             {"event_type": pa.string(), "gap_min": pa.int64(), "n": pa.int64()},
         )
@@ -4891,7 +4803,7 @@ def q_nation_customer_fingerprint(sf_dir: str):
     return cogroup(
         _read(sf_dir, "customer", ["c_nationkey", "c_name"]),
         "c_nationkey",
-        fold,
+        each_key("c_nationkey", fold),
         {"n_name": pa.string(), "n_customers": pa.int64(), "names_md5": pa.string()},
     )
 
@@ -4903,25 +4815,21 @@ def q_corpus_snapshot_diff(sf_dir: str):
     those).  v2 derives deterministically from the base corpus
     (doc_id%10==3 dropped, ==4 text rewritten, ==5 additionally cloned
     under a new id) so the diff is SQL-mirrorable.  Scale shape: each side
-    ships only (doc_id, kb, side, 64-bit content hash) — never text —
-    into ONE bucketed co-group (the house union+map_groups outer join);
-    each bucket classifies its ids locally and pre-aggregates per-status
-    (count, id_sum) partials, so the final exchange is ≤ buckets×4 rows."""
+    ships only (doc_id, side, 64-bit content hash) — never text — into
+    ONE co-group on doc_id (the house union+cogroup outer join); each
+    folded block classifies its ids locally and pre-aggregates per-status
+    (count, id_sum) partials, so the final exchange is ≤ blocks×4 rows."""
     import hashlib
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-
     def sides(batch: pa.Table) -> pa.Table:
         out_id: list[int] = []
-        out_kb: list[int] = []
         out_side: list[int] = []
         out_h: list[int] = []
 
         def emit(i: int, side: int, t) -> None:
             out_id.append(i)
-            out_kb.append(i % nb)
             out_side.append(side)
             out_h.append(
                 int.from_bytes(
@@ -4940,7 +4848,6 @@ def q_corpus_snapshot_diff(sf_dir: str):
         return pa.table(
             {
                 "doc_id": pa.array(out_id, pa.int64()),
-                "kb": pa.array(out_kb, pa.int32()),
                 "side": pa.array(out_side, pa.int8()),
                 "h": pa.array(out_h, pa.int64()),
             }
@@ -4971,7 +4878,7 @@ def q_corpus_snapshot_diff(sf_dir: str):
             _read_spread(sf_dir, "documents", ["doc_id", "text"]).map_batches(
                 sides, batch_format="pyarrow"
             ),
-            "kb",
+            "doc_id",
             classify,
             {"status": pa.string(), "n": pa.int64(), "ids": pa.int64()},
         )
@@ -4986,12 +4893,11 @@ def q_events_last_per_user(sf_dir: str):
     primitive (SCD-style 'current state' table from an append-only log).
     Order contract: max ts, ties broken by max event_id (deterministic).
     Scale shape: per-batch partial argmax per user (one surviving row per
-    user per batch — the combiner), then ONE bucketed co-group on a
-    user-hash bucket where each bucket finishes its users' argmax; no
+    user per batch — the combiner), then ONE co-group on user_id where
+    each folded block finishes its users' argmax; no
     window function, no global sort of the log.  ts ships as exact
     epoch-microseconds int64; value is the stored double (pass-through,
     bit-identical)."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         best: dict[int, tuple] = {}
@@ -5009,7 +4915,6 @@ def q_events_last_per_user(sf_dir: str):
         return pa.table(
             {
                 "user_id": pa.array(users, pa.int64()),
-                "kb": _ibuckets(users, nb),
                 "last_ts_us": pa.array([b[0] for b in best.values()], pa.int64()),
                 "event_id": pa.array([b[1] for b in best.values()], pa.int64()),
                 "last_event_type": pa.array([b[2] for b in best.values()], pa.string()),
@@ -5026,7 +4931,7 @@ def q_events_last_per_user(sf_dir: str):
         _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "kb",
+        "user_id",
         finish,
         {
             "user_id": pa.int64(),
@@ -5043,10 +4948,9 @@ def q_events_user_top_type(sf_dir: str):
     contract (higher count wins; ties break to the lexicographically
     smaller type).  Scale shape: per-batch (user, type)→count partials
     (the combiner bounds shuffle rows at distinct pairs per batch), ONE
-    bucketed co-group on user-hash where each bucket sums its pairs and
-    picks the mode locally.  Output also carries the winning count (exact
+    co-group on user_id where each folded block sums its pairs and picks
+    the mode locally.  Output also carries the winning count (exact
     int) so the value check pins the whole distribution head."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -5056,7 +4960,6 @@ def q_events_user_top_type(sf_dir: str):
         return pa.table(
             {
                 "user_id": pa.array(users, pa.int64()),
-                "kb": _ibuckets(users, nb),
                 "event_type": pa.array([k[1] for k in c], pa.string()),
                 "n": pa.array(list(c.values()), pa.int64()),
             }
@@ -5073,7 +4976,7 @@ def q_events_user_top_type(sf_dir: str):
         _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "kb",
+        "user_id",
         finish,
         {"user_id": pa.int64(), "top_type": pa.string(), "n_events": pa.int64()},
     ).sort("user_id")
@@ -5084,14 +4987,11 @@ def q_event_type_cooccurrence(sf_dir: str):
     how many users did BOTH — the co-occurrence/association primitive
     (feature co-presence, tag affinity).  Scale shape: per-batch distinct
     (user, type) rows (the combiner — bounded by users×types per batch,
-    not events), ONE bucketed co-group on user-hash where each bucket
-    finishes per-user distinct sets and pre-counts its pairs locally, then
-    a tiny pair-key groupby sums buckets×C(T,2) partial rows.  Pair space
-    is C(distinct_types, 2) — small by construction; a high-cardinality
-    item domain would add a pair-hash bucket to the final groupby."""
+    not events), ONE co-group on user_id where each folded block finishes
+    per-user distinct sets and pre-counts its pairs locally, then a tiny
+    pair-key groupby sums blocks×C(T,2) partial rows.  Pair space is
+    C(distinct_types, 2) — small by construction."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def partial(batch: pa.Table) -> pa.Table:
         seen = set(zip(batch["user_id"].to_pylist(), batch["event_type"].to_pylist()))
@@ -5099,7 +4999,6 @@ def q_event_type_cooccurrence(sf_dir: str):
         return pa.table(
             {
                 "user_id": pa.array(users, pa.int64()),
-                "kb": _ibuckets(users, nb),
                 "event_type": pa.array([t for _, t in seen], pa.string()),
             }
         )
@@ -5130,7 +5029,7 @@ def q_event_type_cooccurrence(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
                 partial, batch_format="pyarrow"
             ),
-            "kb",
+            "user_id",
             bucket_pairs,
             {"pair_key": pa.string(), "n": pa.int64()},
         )
@@ -5304,16 +5203,10 @@ def q_customer_acctbal_quartiles(sf_dir: str):
     boundaries = np.cumsum(sizes)  # 1-based inclusive upper rank per quartile
     off_ref = ray.put(offsets)
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("cb", _ibuckets(batch["cents"], nb))
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        # ONE group per cents-hash bucket (a group per distinct cents value
-        # is the ≥2k-keys map_groups pathology: 15k groups cost ~5 s at
-        # sf0.1; 128 buckets cost ~1 s).  Within the bucket, ranks for all
-        # cents runs compute vectorized off the broadcast offsets.
+        # ONE call per folded block, not one per distinct cents value:
+        # ranks for all cents runs in the block compute vectorized off the
+        # broadcast offsets.
         off = ray.get(off_ref)
         g = group.sort_values(["cents", "c_custkey"], kind="mergesort")
         cents = g["cents"].to_numpy()
@@ -5329,8 +5222,8 @@ def q_customer_acctbal_quartiles(sf_dir: str):
 
     return (
         cogroup(
-            cents_ds.map_batches(add_bucket, batch_format="pyarrow"),
-            "cb",
+            cents_ds,
+            "cents",
             fold_bucket,
             {
                 "quartile": pa.int64(),
@@ -5356,16 +5249,15 @@ def q_events_rolling_7d_users(sf_dir: str):
     windowed COUNT(DISTINCT) that plain window functions cannot express.
     Scale shape: pass 1 collects the distinct active days (tiny,
     calendar-bounded, broadcast via ray.put); pass 2 ships per-batch
-    distinct (user, day) pairs into ONE user-hash co-group — a user's
-    whole day-set co-locates, so each bucket expands days to the ≤7
+    distinct (user, day) pairs into ONE co-group on user_id — a user's
+    whole day-set co-locates, so each folded block expands days to the ≤7
     present target days per (user, day), dedupes (user, target) locally
-    and emits per-day partial counts; the final exchange is buckets×days
+    and emits per-day partial counts; the final exchange is blocks×days
     rows.  No row replication of the raw log, no global distinct."""
     import ray
     from ray.data.aggregate import Count, Sum
 
     day_us = 86_400_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
     def day_partial(batch: pa.Table) -> pa.Table:
@@ -5392,7 +5284,6 @@ def q_events_rolling_7d_users(sf_dir: str):
         return pa.table(
             {
                 "user_id": pa.array(users, pa.int64()),
-                "kb": _ibuckets(users, nb),
                 "day_us": pa.array([d for _, d in seen], pa.int64()),
             }
         )
@@ -5415,7 +5306,7 @@ def q_events_rolling_7d_users(sf_dir: str):
     return (
         cogroup(
             ev.map_batches(pair_partial, batch_format="pyarrow"),
-            "kb",
+            "user_id",
             bucket_counts,
             {"day_us": pa.int64(), "n": pa.int64()},
         )
@@ -5452,30 +5343,23 @@ def q_customer_name_editdist_pairs(sf_dir: str):
     the longer side's deletion hits the shorter's identity), so the join
     never compares strings outside a shared block.  Scale shape: the
     variant rows (L+1 per name, tens of bytes each) are the only
-    replication; blocks co-group in ONE hash-bucketed exchange, each
-    bucket verifies its blocks' candidate pairs with the exact O(L)
-    check, and a tiny pair-key dedup removes cross-block repeats.  The
+    replication; blocks co-group on the variant key in ONE exchange, each
+    fold verifies its blocks' candidate pairs with the exact O(L) check,
+    and a tiny co-group on the pair key removes cross-block repeats.  The
     oracle is DuckDB's own ``levenshtein`` over the full cross join —
     the blocked join must reproduce it exactly."""
-    import zlib
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
-
     def variants(batch: pa.Table) -> pa.Table:
         out_v: list[str] = []
-        out_kb: list[int] = []
         out_n: list[str] = []
         for s in set(batch["c_name"].to_pylist()):
             if s is None:
                 continue
             for v in {s} | {s[:i] + s[i + 1 :] for i in range(len(s))}:
                 out_v.append(v)
-                out_kb.append(zlib.crc32(v.encode()) % nb)
                 out_n.append(s)
         return pa.table(
             {
                 "vkey": pa.array(out_v, pa.string()),
-                "kb": pa.array(out_kb, pa.int32()),
                 "c_name": pa.array(out_n, pa.string()),
             }
         )
@@ -5498,27 +5382,19 @@ def q_customer_name_editdist_pairs(sf_dir: str):
             }
         )
 
-    def pair_hash_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch["pair_key"].to_pylist()
-        return batch.append_column(
-            "pb", pa.array([zlib.crc32(k.encode()) % nb for k in keys], pa.int32())
-        )
-
     def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        # cross-block repeats of a pair dedupe inside ONE pair-hash bucket
-        # (one group per pair_key was the >=2k-keys map_groups pathology:
-        # ~10 ms of group overhead x every candidate pair)
+        # cross-block repeats of a pair meet in one folded block
         return group.drop_duplicates("pair_key")
 
     pairs = cogroup(
         _read(sf_dir, "customer", ["c_name"]).map_batches(variants, batch_format="pyarrow"),
-        "kb",
+        "vkey",
         bucket_pairs,
         {"pair_key": pa.string(), "name_a": pa.string(), "name_b": pa.string()},
     )
     return cogroup(
-        pairs.map_batches(pair_hash_bucket, batch_format="pyarrow"),
-        "pb",
+        pairs,
+        "pair_key",
         dedup_bucket,
         {"name_a": pa.string(), "name_b": pa.string()},
     ).sort(["name_a", "name_b"])
@@ -5662,15 +5538,14 @@ def q_part_supplier_variety(sf_dir: str):
     NOT-IN side).  Scale shape: the part dimension broadcasts once
     (partkey→brand via ``ray.put``) so lineitem never ships raw rows —
     each batch emits only its DISTINCT (brand, suppkey) pairs; the pair
-    set (≤ |brand|×|supplier| corpus-wide) co-groups in ONE
-    pair-hash-bucketed exchange where each bucket dedups its pairs and
-    emits per-brand partial counts (every pair lands in exactly one
-    bucket, so partials never double-count), and a final tiny grouped sum
+    set (≤ |brand|×|supplier| corpus-wide) co-groups on the pair in ONE
+    exchange where each folded block dedups its pairs and emits per-brand
+    partial counts (every pair lands in exactly one block, so partials
+    never double-count), and a final tiny grouped sum
     yields the exact distinct count."""
     import ray
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
     brand_ref = ray.put(_broadcast_dim(sf_dir, "part", "p_partkey", "p_brand"))
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -5685,7 +5560,6 @@ def q_part_supplier_variety(sf_dir: str):
             {
                 "p_brand": pa.array([b for b, _ in items], pa.string()),
                 "l_suppkey": pa.array([s for _, s in items], pa.int64()),
-                "kb": pa.array([_kbucket(f"{b}|{s}", nb) for b, s in items], pa.int32()),
             }
         )
 
@@ -5699,7 +5573,7 @@ def q_part_supplier_variety(sf_dir: str):
             _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
                 pairs, batch_format="pyarrow"
             ),
-            "kb",
+            ["p_brand", "l_suppkey"],
             bucket_counts,
             {"p_brand": pa.string(), "n_p": pa.int64()},
         )
@@ -5714,16 +5588,15 @@ def q_large_volume_customers(sf_dir: str):
     lineitem quantity exceeds 250, with the ordering customer's name (the
     grouped-HAVING → join shape).  Scale shape: lineitem collapses to
     per-order integer qty partials per batch; the ONLY exchange is one
-    orderkey-hash-bucketed co-group of those partials with the narrow
-    orders projection (the house union + map_groups join — robust to the
-    empty/skewed buckets that break ``Dataset.join``'s pyarrow finalize),
-    where each bucket finishes the per-order sums and applies the HAVING
-    filter so only qualifying rows (~1 per 1000 orders here) leave the
-    bucket; the customer name attaches from a broadcast dimension lookup
+    co-group on the orderkey of those partials with the narrow orders
+    projection (the house union + cogroup join — robust to the
+    empty/skewed partitions that break ``Dataset.join``'s pyarrow
+    finalize), where each folded block finishes the per-order sums and
+    applies the HAVING filter so only qualifying rows (~1 per 1000 orders
+    here) leave the fold; the customer name attaches from a broadcast dimension lookup
     map-side."""
     import ray
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     names_ref = ray.put(_broadcast_dim(sf_dir, "customer", "c_custkey", "c_name"))
 
     def line_partial(batch: pa.Table) -> pa.Table:
@@ -5736,7 +5609,6 @@ def q_large_volume_customers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "qty": pa.array(list(c.values()), pa.int64()),
                 "o_custkey": pa.array([None] * n, pa.int64()),
                 "o_orderdate": pa.array([None] * n, pa.string()),
@@ -5748,7 +5620,6 @@ def q_large_volume_customers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "qty": pa.array([0] * len(okeys), pa.int64()),
                 "o_custkey": batch["o_custkey"].cast(pa.int64()),
                 "o_orderdate": pc.strftime(batch["o_orderdate"], format="%Y-%m-%d"),
@@ -5794,7 +5665,7 @@ def q_large_volume_customers(sf_dir: str):
     return (
         cogroup(
             line.union(orders),
-            "kb",
+            "okey",
             bucket_join,
             {
                 "o_orderkey": pa.int64(),
@@ -5825,7 +5696,6 @@ def q_wealthy_inactive_customers(sf_dir: str):
 
     from ..functions.sketches import build_bloom
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
     customers = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
 
     def pos_cents(batch: pa.Table) -> pa.Table:
@@ -5852,8 +5722,8 @@ def q_wealthy_inactive_customers(sf_dir: str):
 
     def split_customers(batch: pa.Table) -> pa.Table:
         """Above-threshold rows split by the Bloom: definite misses fold to
-        per-nation (count, cent-sum) partial rows (kbucket −1 skips the
-        co-group); maybes ship (key, nation, cents) for the exact verify."""
+        per-nation (count, cent-sum) partial rows (key −1, passed through
+        by the fold); maybes ship (key, nation, cents) for the exact verify."""
         b = ray.get(bloom_ref)
         cents_all = pc.cast(pc.round(pc.multiply(batch["c_acctbal"], 100.0)), pa.int64())
         mask = pc.greater(pc.multiply(cents_all, n_pos), sum_cents)
@@ -5878,12 +5748,6 @@ def q_wealthy_inactive_customers(sf_dir: str):
                 "key": pa.array(
                     np.concatenate([hit_k, np.full(nm, -1, np.int64)]), pa.int64()
                 ),
-                "kbucket": pa.array(
-                    np.concatenate(
-                        [(hit_k % nb).astype(np.int32), np.full(nm, -1, np.int32)]
-                    ),
-                    pa.int32(),
-                ),
                 "c_nationkey": pa.array(np.concatenate([hit_n, miss_nat]), pa.int64()),
                 "is_cust": pa.array([True] * (hit_k.size + nm), pa.bool_()),
                 "n_p": pa.array(
@@ -5901,7 +5765,6 @@ def q_wealthy_inactive_customers(sf_dir: str):
         return pa.table(
             {
                 "key": keys.cast(pa.int64()),
-                "kbucket": _ibuckets(keys, nb),
                 "c_nationkey": pa.array([0] * n, pa.int64()),
                 "is_cust": pa.array([False] * n, pa.bool_()),
                 "n_p": pa.array([0] * n, pa.int64()),
@@ -5909,13 +5772,11 @@ def q_wealthy_inactive_customers(sf_dir: str):
             }
         )
 
-    def anti(bucket: pd.DataFrame) -> pd.DataFrame:
-        if int(bucket["kbucket"].iloc[0]) == -1:
-            sub = bucket
-        else:
-            with_orders = set(bucket.loc[~bucket["is_cust"], "key"])
-            survivors = bucket.loc[bucket["is_cust"] & ~bucket["key"].isin(with_orders)]
-            sub = survivors.assign(n_p=1)
+    def anti(block: pd.DataFrame) -> pd.DataFrame:
+        pre = block["key"] == -1
+        with_orders = set(block.loc[~block["is_cust"], "key"])
+        survivors = block.loc[~pre & block["is_cust"] & ~block["key"].isin(with_orders)]
+        sub = pd.concat([block.loc[pre], survivors.assign(n_p=1)])
         return sub.groupby("c_nationkey", as_index=False).agg(
             n_p=("n_p", "sum"), cents_p=("cents_p", "sum")
         )
@@ -5934,7 +5795,7 @@ def q_wealthy_inactive_customers(sf_dir: str):
             orders.map_batches(order_keys, batch_format="pyarrow").union(
                 customers.map_batches(split_customers, batch_format="pyarrow")
             ),
-            "kbucket",
+            "key",
             anti,
             {"c_nationkey": pa.int64(), "n_p": pa.int64(), "cents_p": pa.int64()},
         )
@@ -6536,7 +6397,7 @@ def q_events_value_winsor_bounds(sf_dir: str):
             partial, batch_format="pyarrow"
         ),
         "event_type",
-        winsor,
+        each_key("event_type", winsor),
         {
             "event_type": pa.string(),
             "n_events": pa.int64(),
@@ -6553,15 +6414,13 @@ def q_events_type_transitions(sf_dir: str):
     how often does event type A immediately precede type B for the same
     user (the transition-matrix estimate behind next-event prediction and
     behavioral clustering).  Scale shape: the sessionization partitioning
-    contract — user timelines co-locate via ONE user-hash bucket groupby
-    of narrow (us, event_id, type) rows; each bucket sorts once and folds
+    contract — user timelines co-locate via ONE co-group on user_id of
+    narrow (us, event_id, type) rows; each folded block sorts once and folds
     its transitions to per-(from, to) partial counts, and a final tiny
     grouped sum merges them.  Order contract: (ts, event_id) — a TOTAL
     order, so the transition sequence is identical on both engines even
     under timestamp ties."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -6570,7 +6429,6 @@ def q_events_type_transitions(sf_dir: str):
                 "us": batch["ts"].cast(pa.int64()),
                 "event_id": batch["event_id"],
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -6595,7 +6453,7 @@ def q_events_type_transitions(sf_dir: str):
             _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
                 project, batch_format="pyarrow"
             ),
-            "ub",
+            "user_id",
             fold_bucket,
             {"from_type": pa.string(), "to_type": pa.string(), "n_p": pa.int64()},
         )
@@ -6735,7 +6593,7 @@ def q_semdedup_pairs(sf_dir: str):
             assign, batch_format="pyarrow"
         ),
         "cluster",
-        cluster_pairs,
+        each_key("cluster", cluster_pairs),
         {"cluster": pa.int64(), "left": pa.int64(), "right": pa.int64()},
     ).sort(["cluster", "left", "right"])
 
@@ -6802,7 +6660,7 @@ def q_copurchase_top_pairs(sf_dir: str):
     """Market-basket pair mining on the fact table: the 20 part pairs most
     often appearing in the SAME order (each pair counted once per order —
     a bipartite-graph projection / self-join shape).  Scale shape: baskets
-    co-locate via ONE orderkey-hash bucket groupby; each bucket enumerates
+    co-locate via ONE co-group on the orderkey; each folded block enumerates
     its orders' within-basket pairs (C(m,2) bounded by basket size — ≤7
     lineitems per order in TPC-H-shaped data) into Counter partials, a
     pair-keyed grouped sum merges them, and map-side top-20 pruning bounds
@@ -6812,14 +6670,11 @@ def q_copurchase_top_pairs(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -6842,16 +6697,15 @@ def q_copurchase_top_pairs(sf_dir: str):
         return pd.DataFrame(
             {
                 "pair": keys,
-                "pb": keys % nb,
                 "n": np.fromiter(c.values(), dtype=np.int64, count=len(c)),
             }
         )
 
     def merge_and_prune(group: pd.DataFrame) -> pd.DataFrame:
-        # a pair's partials all land in its pb bucket, so the bucket-local
+        # a pair's partials all land in one folded block, so the block-local
         # sum is the pair's FULL count and the local top-20 prune is safe;
         # Ray's generic hash aggregate on ~unique int64 keys measured ~10×
-        # slower than this bucketed pandas fold at 100k pairs
+        # slower than this pandas fold at 100k pairs
         sums = group.groupby("pair", as_index=False)["n"].sum()
         sums = sums.rename(columns={"n": "n_orders"})
         sums["neg_n"] = -sums["n_orders"]
@@ -6861,11 +6715,11 @@ def q_copurchase_top_pairs(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_pairs,
-        {"pair": pa.int64(), "pb": pa.int32(), "n": pa.int64()},
+        {"pair": pa.int64(), "n": pa.int64()},
     )
-    counts = cogroup(partials, "pb", merge_and_prune, {"pair": pa.int64(), "n_orders": pa.int64()})
+    counts = cogroup(partials, "pair", merge_and_prune, {"pair": pa.int64(), "n_orders": pa.int64()})
 
     def finish(batch: pa.Table) -> pa.Table:
         pair = batch["pair"].to_pylist()
@@ -7199,10 +7053,10 @@ def q_promo_revenue_ratio(sf_dir: str):
 def q_returned_top_customers(sf_dir: str):
     """TPC-H-Q10-shaped returned-item report: top-20 customers by revenue
     from returned ('R') lineitems of 1995-Q4 orders, with name and nation.
-    Scale shape: the only fact-table exchange is ONE bucketed co-group of
-    the two narrow projections on an orderkey-hash bucket (house
-    union+map_groups join — robust to the empty hash partitions that break
-    ``Dataset.join``); each bucket emits per-customer integer partials, a
+    Scale shape: the only fact-table exchange is ONE co-group of the two
+    narrow projections on the orderkey (house union+cogroup join — robust
+    to the empty hash partitions that break ``Dataset.join``); each folded
+    block emits per-customer integer partials, a
     second dimension-bounded grouped sum merges them, local top-20 pruning
     bounds the final sort to ~20×blocks rows, and the customer/nation name
     lookups broadcast once via ``ray.put``.  Revenue stays int64 until one
@@ -7210,7 +7064,6 @@ def q_returned_top_customers(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     lo = pa.scalar(np.datetime64("1995-10-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
 
@@ -7238,7 +7091,6 @@ def q_returned_top_customers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "units": pa.array([0] * len(okeys), pa.int64()),
                 "custkey": batch["o_custkey"].cast(pa.int64()),
                 "is_dim": pa.array([True] * len(okeys), pa.bool_()),
@@ -7256,7 +7108,6 @@ def q_returned_top_customers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "units": pa.array(list(c.values()), pa.int64()),
                 "custkey": pa.array([0] * n, pa.int64()),
                 "is_dim": pa.array([False] * n, pa.bool_()),
@@ -7282,7 +7133,7 @@ def q_returned_top_customers(sf_dir: str):
         return merged.groupby("custkey", as_index=False)["units"].sum().rename(columns={"custkey": "ck"})
 
     per_cust = (
-        cogroup(line.union(orders), "kb", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
+        cogroup(line.union(orders), "okey", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
         .groupby("ck")
         .aggregate(Sum("units", alias_name="units"))
     )
@@ -7385,7 +7236,7 @@ def q_word_zipf_slope(sf_dir: str):
     return cogroup(
         counts.map_batches(local_top, batch_format="pyarrow"),
         "lang",
-        slope,
+        each_key("lang", slope),
         {"lang": pa.string(), "n_words": pa.int64(), "zipf_slope": pa.float64()},
     ).sort("lang")
 
@@ -7395,15 +7246,13 @@ def q_events_debounced(sf_dir: str):
     (user, event_type) key or arrives > 60 s after the PREVIOUS RAW event
     of that key (non-greedy — the gap is measured against the immediate
     predecessor, kept or not, exactly LAG's semantics).  Scale shape: user
-    timelines co-locate via the user-hash bucket groupby (the
-    sessionization partitioning contract, one narrow row per event); each
-    bucket sorts once, computes vectorized diffs, and emits per-type
+    timelines co-locate via a co-group on user_id (the sessionization
+    partitioning contract, one narrow row per event); each folded block
+    sorts once, computes vectorized diffs, and emits per-type
     partial counts merged by a tiny final groupby.  Tie contract: equal
     timestamps order by event_id, mirroring the SQL window's
     ORDER BY ts, event_id."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -7412,7 +7261,6 @@ def q_events_debounced(sf_dir: str):
                 "event_type": batch["event_type"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_id": batch["event_id"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -7436,7 +7284,7 @@ def q_events_debounced(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"]).map_batches(
                 project, batch_format="pyarrow"
             ),
-            "ub",
+            "user_id",
             fold_bucket,
             {"event_type": pa.string(), "n": pa.int64()},
         )
@@ -7457,16 +7305,14 @@ def q_waiting_suppliers(sf_dir: str):
     is the engine's relational layer).
 
     Scale shape: lineitem pre-aggregates (orderkey, suppkey) → max shipdate
-    per batch, so the ONE exchange (orderkey-hash bucketed co-group with
-    the 'F'-order markers) ships one narrow row per order-supplier, never
-    raw lineitems; all EXISTS logic resolves inside the bucket with
+    per batch, so the ONE exchange (a co-group on the orderkey with the
+    'F'-order markers) ships one narrow row per order-supplier, never raw
+    lineitems; all EXISTS logic resolves inside the fold with
     vectorized pandas group transforms; the supplier-name dim broadcasts
     once via ``ray.put``; the final count groupby sees one row per blamed
     order."""
     import ray
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
 
     supp_name = {
         r["s_suppkey"]: r["s_name"]
@@ -7489,7 +7335,6 @@ def q_waiting_suppliers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "skey": pa.array([k[1] for k in acc], pa.int64()),
                 "smax": pa.array(list(acc.values()), pa.timestamp("us")),
             }
@@ -7502,7 +7347,6 @@ def q_waiting_suppliers(sf_dir: str):
         return pa.table(
             {
                 "okey": pa.array(okeys, pa.int64()),
-                "kb": _ibuckets(okeys, nb),
                 "skey": pa.array([-1] * n, pa.int64()),
                 "smax": pa.array([None] * n, pa.timestamp("us")),
             }
@@ -7542,7 +7386,7 @@ def q_waiting_suppliers(sf_dir: str):
         )
 
     return (
-        cogroup(line.union(orders), "kb", blame, {"skey": pa.int64(), "n": pa.int64()})
+        cogroup(line.union(orders), "okey", blame, {"skey": pa.int64(), "n": pa.int64()})
         .groupby("skey")
         .aggregate(Sum("n", alias_name="numwait"))
         .map_batches(finish, batch_format="pyarrow")
@@ -7874,15 +7718,11 @@ def q_events_band_join(sf_dir: str):
     Any pair with |Δt| ≤ W spans at most adjacent cells, so it meets in the
     probe's cell exactly once (replication is on the build side only — no
     pair dedup pass needed).  Replication factor is a constant 3× of the
-    build side regardless of data size; each cell joins locally on user_id.
-    Cells are coarsened into ``nb`` shuffle buckets (cell % nb) so the group
-    count tracks the configured parallelism instead of wall-clock span; the
-    in-bucket merge keys on (cell, user_id), which keeps the exactly-once
-    guarantee under any coarsening.  At 10^12-event scale the bucket key
-    becomes (cell, user_bucket) so one hot hour cannot skew a reducer.
+    build side regardless of data size.  The co-group key is (cell,
+    user_id), the same key the in-fold merge joins on, so one hot hour
+    spreads over its users instead of skewing one reducer.
     """
     W_US = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def keyed(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64())
@@ -7913,7 +7753,6 @@ def q_events_band_join(sf_dir: str):
         return pa.table(
             {
                 "cell": pa.array(out_cell, pa.int64()),
-                "gb": _ibuckets(out_cell, nb),
                 "event_id": pa.array(out_id, pa.int64()),
                 "user_id": pa.array(out_user, pa.int64()),
                 "us": pa.array(out_us, pa.int64()),
@@ -7934,7 +7773,7 @@ def q_events_band_join(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
         keyed, batch_format="pyarrow"
     )
-    return cogroup(ds, "gb", join_cell, {"click_id": pa.int64(), "n_views": pa.int64()})
+    return cogroup(ds, ["cell", "user_id"], join_cell, {"click_id": pa.int64(), "n_views": pa.int64()})
 
 
 def q_orders_cube(sf_dir: str):
@@ -8061,7 +7900,12 @@ def _wedge_pair_chunks(nbrs: np.ndarray, cap: int = 1 << 20):
         row = stop
 
 
-def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None):
+# distinct-edge bound (≈ 80 MB of int64 encodings) up to which the triangle
+# count broadcasts the edge array instead of co-grouping it
+_TRIANGLE_BROADCAST_EDGES = 10_000_000
+
+
+def q_copurchase_triangles(sf_dir: str):
     """Triangle count of the co-purchase graph (parts sharing ≥1 order).
 
     Scale shape — degree-ordered node-iterator: edges are oriented from the
@@ -8069,40 +7913,37 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
     exactly once as a wedge at its lowest-ordered corner and per-node wedge
     work is bounded by out-degree² (the arboricity bound that makes this the
     standard distributed algorithm).  TWO execution paths with an automatic
-    switch on the per-bucket edge row count — an upper bound on distinct
-    edges, erring only toward the bucketed path — (``broadcast_edge_cap``,
-    env ``EDS_TRIANGLE_BROADCAST_EDGES``, default 10M ≈ 80 MB); the
+    switch on the per-block edge row count — an upper bound on distinct
+    edges, erring only toward the co-grouped path — at
+    ``_TRIANGLE_BROADCAST_EDGES`` (10M ≈ 80 MB); the
     broadcast path dedups globally on the driver via np.unique over the
     array it folds anyway, skipping the edge-hash dedup shuffle:
 
     - **broadcast** (edge list fits a worker): the sorted edge-encoding
       array ships once via ``ray.put``; wedge existence checks run
-      vectorized (np.searchsorted) per u-bucket — O(E) per worker, the
+      vectorized (np.searchsorted) per folded block — O(E) per worker, the
       right trade for product-catalog graphs (E ≈ nodes × basket degree).
-    - **bucketed** (edge list outgrows a worker): NOTHING is driver- or
-      worker-resident.  Degrees come from an endpoint-hash co-group (all
-      half-rows of a node land in one bucket, so the local count is the
+    - **co-grouped** (edge list outgrows a worker): NOTHING is driver- or
+      worker-resident.  Degrees come from a co-group on the endpoint (all
+      half-rows of a node land in one block, so the local count is the
       exact degree — no degree broadcast); orientation regroups the two
-      half-rows per edge; wedge candidates then co-group WITH the edges by
-      candidate-encoding hash, where a sorted-array membership test counts
-      matches.  Five narrow int64 shuffles, per-stage state O(bucket).
+      half-rows per edge; wedge candidates then co-group WITH the edges on
+      the candidate encoding, where a sorted-array membership test counts
+      matches.  Five narrow int64 shuffles, per-stage state O(block).
 
     Both paths share the same orientation contract ((deg, id) lexicographic)
     and the same chunked candidate enumeration (``_wedge_pair_chunks``), and
     a test pins them to identical outputs.  Edge building reuses the
-    market-basket projection of q_copurchase_top_pairs (one orderkey-bucket
-    groupby, C(basket,2) enumeration)."""
+    market-basket projection of q_copurchase_top_pairs (one co-group on the
+    orderkey, C(basket,2) enumeration)."""
     import ray
     from itertools import combinations
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -8121,32 +7962,22 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
                 seen.add((a << 32) | b)
         return pd.DataFrame({"edge": sorted(seen)})
 
-    # global edge dedup (an edge can surface from orders in different kb
-    # buckets): one edge-hash bucket co-group; materialized because both
-    # paths re-consume it (count + either broadcast or the half-row stages)
-    def edge_bucket(batch: pa.Table) -> pa.Table:
-        e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "edge": pa.array(e, pa.int64()),
-                "eb": pa.array((e % nb).astype(np.int32), pa.int32()),
-            }
-        )
-
+    # global edge dedup (an edge can surface from orders in different
+    # folded blocks): one co-group on the edge
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
-    # per-kb-bucket edges are already locally deduped+sorted; the broadcast
+    # per-block edges are already locally deduped+sorted; the broadcast
     # path dedups globally ON THE DRIVER (np.unique over the folded array it
     # fetches anyway), so the common small-graph path skips the global
-    # edge-hash dedup shuffle entirely.  The path switch uses the per-bucket
+    # edge dedup shuffle entirely.  The path switch uses the per-block
     # row count — an upper bound on distinct edges, so it only ever errs
-    # toward the fully-bucketed path.
+    # toward the fully co-grouped path.
     edges_raw = cogroup(
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_edges,
         {"edge": pa.int64()},
     ).materialize()
@@ -8154,26 +7985,23 @@ def q_copurchase_triangles(sf_dir: str, *, broadcast_edge_cap: int | None = None
     if n_edges_upper == 0:
         return pd.DataFrame({"n_triangles": [0]})
 
-    cap = broadcast_edge_cap
-    if cap is None:
-        cap = int(os.environ.get("EDS_TRIANGLE_BROADCAST_EDGES", str(10_000_000)))
-
-    if n_edges_upper <= cap:
-        return _triangles_broadcast(edges_raw, nb)
-    # large-graph path: dedup via one edge-hash bucket co-group first;
-    # materialized because the bucketed stages consume it twice
+    if n_edges_upper <= _TRIANGLE_BROADCAST_EDGES:
+        return _triangles_broadcast(edges_raw)
+    # large-graph path: dedup via one co-group on the edge first;
+    # materialized because the co-grouped stages consume it twice
     dedup_edges = cogroup(
-        edges_raw.map_batches(edge_bucket, batch_format="pyarrow"),
-        "eb",
+        edges_raw,
+        "edge",
         dedup_group,
         {"edge": pa.int64()},
     ).materialize()
-    return _triangles_bucketed(dedup_edges, nb)
+    return _triangles_cogrouped(dedup_edges)
 
 
-def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
+def _triangles_broadcast(dedup_edges) -> pd.DataFrame:
     """Small-edge-list path: the sorted edge array is driver-folded once and
-    broadcast; wedge checks are a local searchsorted per u-bucket."""
+    broadcast; wedge checks are a local searchsorted per wedge corner ``u``,
+    spread over one block per CPU (``_spread_blocks``)."""
     import ray
     import ray.data as rd
 
@@ -8181,8 +8009,8 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
         b["edge"].to_numpy()
         for b in dedup_edges.iter_batches(batch_size=65536, batch_format="pyarrow")
     ]
-    # input is per-kb-bucket deduped only — the same edge may arrive from
-    # orders in different buckets; np.unique both sorts and dedups globally
+    # input is per-block deduped only — the same edge may arrive from
+    # orders in different blocks; np.unique both sorts and dedups globally
     edge_arr = np.unique(np.concatenate(chunks))
     src = (edge_arr >> 32).astype(np.int64)
     dst = (edge_arr & 0xFFFFFFFF).astype(np.int64)
@@ -8201,7 +8029,6 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
         {
             "u": pa.array(u, pa.int64()),
             "v": pa.array(v, pa.int64()),
-            "ub": pa.array((u % nb).astype(np.int32), pa.int32()),
         }
     )
     edges_ref = ray.put(edge_arr)
@@ -8216,7 +8043,7 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
                 total += int((all_edges[pos] == cand).sum())
         return pd.DataFrame({"n": [total]})
 
-    parts = cogroup(rd.from_arrow(oriented).repartition(min(nb, 32)), "ub", wedges, {"n": pa.int64()})
+    parts = cogroup(rd.from_arrow(oriented).repartition(_spread_blocks()), "u", wedges, {"n": pa.int64()})
     total = int(
         sum(
             b["n"].to_numpy().sum()
@@ -8226,13 +8053,13 @@ def _triangles_broadcast(dedup_edges, nb: int) -> pd.DataFrame:
     return pd.DataFrame({"n_triangles": [total]})
 
 
-def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
+def _triangles_cogrouped(dedup_edges) -> pd.DataFrame:
     """Large-edge-list path: no edge list on the driver or in any worker.
 
-    degrees ← endpoint-hash co-group (a node's half-rows all land in one
-    bucket, so the local count is the exact degree); orientation ← regroup
+    degrees ← co-group on the endpoint (a node's half-rows all land in one
+    block, so the local count is the exact degree); orientation ← regroup
     the two degree-annotated half-rows per edge; existence ← wedge
-    candidates co-grouped WITH the edges by candidate-encoding hash."""
+    candidates co-grouped WITH the edges on the candidate encoding."""
 
     def halves(batch: pa.Table) -> pa.Table:
         e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8249,13 +8076,12 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
                     ),
                     pa.int8(),
                 ),
-                "hb": pa.array((node % nb).astype(np.int32), pa.int32()),
             }
         )
 
     def annotate_deg(g: pd.DataFrame) -> pd.DataFrame:
-        deg = g.groupby("node")["edge"].size()  # exact: bucket-complete per node
-        return g.assign(deg=g["node"].map(deg), geb=g["edge"].to_numpy() % nb)
+        deg = g.groupby("node")["edge"].size()  # exact: block-complete per node
+        return g.assign(deg=g["node"].map(deg))
 
     def orient(g: pd.DataFrame) -> pd.DataFrame:
         s0 = g.loc[g["slot"] == 0].sort_values("edge")
@@ -8267,21 +8093,20 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
         take_a = (da < db) | ((da == db) & (a <= b))
         u = np.where(take_a, a, b)
         v = np.where(take_a, b, a)
-        return pd.DataFrame({"u": u, "v": v, "ub": u % nb})
+        return pd.DataFrame({"u": u, "v": v})
 
     def wedge_candidates(g: pd.DataFrame) -> pd.DataFrame:
         out = []
         for _, gg in g.groupby("u", sort=False):
             out.extend(_wedge_pair_chunks(np.unique(gg["v"].to_numpy())))
         cands = np.concatenate(out) if out else np.zeros(0, np.int64)
-        return pd.DataFrame({"k": cands, "cb": cands % nb, "is_edge": np.zeros(cands.size, np.int8)})
+        return pd.DataFrame({"k": cands, "is_edge": np.zeros(cands.size, np.int8)})
 
     def edge_side(batch: pa.Table) -> pa.Table:
         e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
                 "k": pa.array(e, pa.int64()),
-                "cb": pa.array((e % nb).astype(np.int32), pa.int32()),
                 "is_edge": pa.array(np.ones(e.size, np.int8), pa.int8()),
             }
         )
@@ -8297,23 +8122,22 @@ def _triangles_bucketed(dedup_edges, nb: int) -> pd.DataFrame:
 
     annotated = cogroup(
         dedup_edges.map_batches(halves, batch_format="pyarrow"),
-        "hb",
+        "node",
         annotate_deg,
         {
             "edge": pa.int64(),
             "slot": pa.int8(),
             "node": pa.int64(),
             "deg": pa.int64(),
-            "geb": pa.int32(),
         },
     )
-    oriented = cogroup(annotated, "geb", orient, {"u": pa.int64(), "v": pa.int64(), "ub": pa.int32()})
+    oriented = cogroup(annotated, "edge", orient, {"u": pa.int64(), "v": pa.int64()})
     candidates = cogroup(
-        oriented, "ub", wedge_candidates, {"k": pa.int64(), "cb": pa.int32(), "is_edge": pa.int8()}
+        oriented, "u", wedge_candidates, {"k": pa.int64(), "is_edge": pa.int8()}
     )
     parts = cogroup(
         candidates.union(dedup_edges.map_batches(edge_side, batch_format="pyarrow")),
-        "cb",
+        "k",
         count_matches,
         {"n": pa.int64()},
     )
@@ -8353,7 +8177,7 @@ def q_orders_top_ties(sf_dir: str):
     return cogroup(
         ds,
         "o_orderpriority",
-        final_rank,
+        each_key("o_orderpriority", final_rank),
         {
             "o_orderpriority": pa.string(),
             "o_orderkey": pa.int64(),
@@ -8366,18 +8190,16 @@ def q_orders_top_ties(sf_dir: str):
 def q_events_above_user_median(sf_dir: str):
     """Correlated-subquery decorrelation: per user, how many of their events
     exceed THEIR OWN median event value.  The correlated scalar subquery
-    becomes one user-bucketed co-group (median + comparison inside the
+    becomes one co-group on user_id (median + comparison inside the
     group — a single shuffle, no per-row subquery).  Median of an even count
     is the midpoint of the two middle stored doubles — one IEEE add + halve
     from identical inputs on both engines, so the > comparison is exact."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch["user_id"],
                 "value": batch["value"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -8391,7 +8213,7 @@ def q_events_above_user_median(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "value"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return cogroup(ds, "ub", per_user, {"user_id": pa.int64(), "n_above": pa.int64()})
+    return cogroup(ds, "user_id", per_user, {"user_id": pa.int64(), "n_above": pa.int64()})
 
 
 def q_lineitem_ols(sf_dir: str):
@@ -8472,8 +8294,7 @@ def q_events_rolling_max3(sf_dir: str):
     value over the current + 2 preceding rows — the bounded-frame sliding
     window that complements the time-based windows elsewhere in the suite.
     max() involves no arithmetic, so doubles compare exactly.  Same
-    user-bucketed co-group shape as the other per-key window queries."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
+    co-group on user_id as the other per-key window queries."""
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8482,7 +8303,6 @@ def q_events_rolling_max3(sf_dir: str):
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "value": batch["value"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -8503,7 +8323,7 @@ def q_events_rolling_max3(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return cogroup(ds, "ub", roll, {"event_id": pa.int64(), "rmax3": pa.float64()})
+    return cogroup(ds, "user_id", roll, {"event_id": pa.int64(), "rmax3": pa.float64()})
 
 
 def q_lineitem_unpivot(sf_dir: str):
@@ -8552,7 +8372,6 @@ def q_events_lead_type(sf_dir: str):
     """LEAD window function: each event paired with the NEXT event's type in
     its user's timeline (ordered by ts, event_id; 'NONE' for the last event).
     Complements the LAG-based debounce/inter-arrival queries."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8561,7 +8380,6 @@ def q_events_lead_type(sf_dir: str):
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -8582,7 +8400,7 @@ def q_events_lead_type(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]).map_batches(
         to_rows, batch_format="pyarrow"
     )
-    return cogroup(ds, "ub", lead, {"event_id": pa.int64(), "next_type": pa.string()})
+    return cogroup(ds, "user_id", lead, {"event_id": pa.int64(), "next_type": pa.string()})
 
 
 def _bpe_pair_partial(batch: pa.Table) -> pa.Table:
@@ -8643,28 +8461,25 @@ def q_copurchase_assortativity(sf_dir: str):
     the very end (both engines cast the two exact integer operands to
     double then divide — identical IEEE result; output 6dp-rounded).
 
-    Scale shape: baskets → per-order-bucket packed edges → edge-bucket
-    global dedup (the kcore/triangles pipeline).  Degrees fold from one
+    Scale shape: baskets → packed edges co-grouped per order → global
+    dedup co-grouped per edge (the kcore/triangles pipeline).  Degrees fold from one
     pass of packed per-batch partials; the degree table (node → int) is
     CATALOG-bounded (nodes = parts dimension), so it broadcasts once via
     ray.put and a vectorized double searchsorted resolves both endpoints
     per edge batch — the same documented small-side assumption every
     part-keyed dim lookup in this suite uses (beyond catalog scale, the
-    coded bucketed co-group of q_copurchase_triangles is the drop-in:
+    coded co-grouped path of q_copurchase_triangles is the drop-in:
     degrees are strictly smaller than its edge list).  Moment partials
     are four int64 scalars per batch; the driver folds them in
     arbitrary-precision Python ints."""
     import ray
     from itertools import combinations
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -8678,15 +8493,6 @@ def q_copurchase_assortativity(sf_dir: str):
                 seen.add((a << 32) | b)
         return pd.DataFrame({"edge": sorted(seen)})
 
-    def edge_bucket(batch: pa.Table) -> pa.Table:
-        e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "edge": pa.array(e, pa.int64()),
-                "eb": pa.array((e % nb).astype(np.int32), pa.int32()),
-            }
-        )
-
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
@@ -8694,13 +8500,13 @@ def q_copurchase_assortativity(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_edges,
         {"edge": pa.int64()},
     )
     edges = cogroup(
-        raw_edges.map_batches(edge_bucket, batch_format="pyarrow"),
-        "eb",
+        raw_edges,
+        "edge",
         dedup_group,
         {"edge": pa.int64()},
     ).materialize()
@@ -8787,14 +8593,12 @@ def q_copurchase_kcore(sf_dir: str):
 
     k = 80
     max_rounds = 16
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -8808,15 +8612,6 @@ def q_copurchase_kcore(sf_dir: str):
                 seen.add((a << 32) | b)
         return pd.DataFrame({"edge": sorted(seen)})
 
-    def edge_bucket(batch: pa.Table) -> pa.Table:
-        e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "edge": pa.array(e, pa.int64()),
-                "eb": pa.array((e % nb).astype(np.int32), pa.int32()),
-            }
-        )
-
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"edge": np.unique(g["edge"].to_numpy())})
 
@@ -8824,13 +8619,13 @@ def q_copurchase_kcore(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_edges,
         {"edge": pa.int64()},
     )
     edges = cogroup(
-        raw_edges.map_batches(edge_bucket, batch_format="pyarrow"),
-        "eb",
+        raw_edges,
+        "edge",
         dedup_group,
         {"edge": pa.int64()},
     ).materialize()
@@ -8941,14 +8736,11 @@ def q_copurchase_bfs_hops(sf_dir: str):
     import ray
     from itertools import combinations
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -8964,7 +8756,7 @@ def q_copurchase_bfs_hops(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_edges,
         {"u": pa.int64(), "v": pa.int64()},
     ).materialize()
@@ -9198,7 +8990,7 @@ def q_label_centroid_outliers(sf_dir: str):
     return cogroup(
         ds.map_batches(score, batch_format="pyarrow"),
         "label",
-        bottom5,
+        each_key("label", bottom5),
         {"label": pa.int64(), "vec_id": pa.int64(), "cos_centroid": pa.float64()},
     )
 
@@ -9208,9 +9000,9 @@ def q_part_affinity_lift(sf_dir: str):
     pairs by basket count, each scored with its LIFT
     (n_ab·N / (n_a·n_b) — >1 means the pair co-occurs more than
     independence predicts).  Scale shape: baskets co-locate via ONE
-    orderkey-hash bucket groupby which emits three kinds of narrow int64
+    co-group on the orderkey which emits three kinds of narrow int64
     partials in the same pass — pair counts, per-part distinct-order
-    counts, and the bucket's order count; a second key-hash bucket stage
+    counts, and the block's order count; a second co-group on (kind, key)
     completes every pair/part sum locally and prunes pairs to a local
     top-20.  The driver folds only the pruned pair rows plus the
     part-count rows (dimension-sized: O(|part| + blocks), never
@@ -9222,14 +9014,11 @@ def q_part_affinity_lift(sf_dir: str):
     division would differ."""
     from itertools import combinations
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "okey": batch["l_orderkey"].cast(pa.int64()),
                 "pkey": batch["l_partkey"].cast(pa.int64()),
-                "kb": _ibuckets(batch["l_orderkey"], nb),
             }
         )
 
@@ -9261,13 +9050,12 @@ def q_part_affinity_lift(sf_dir: str):
             {
                 "kind": kinds,
                 "key": keys,
-                "pb": [(k * 3 + kd) % nb for k, kd in zip(keys, kinds)],
                 "n": ns,
             }
         )
 
     def merge_and_prune(group: pd.DataFrame) -> pd.DataFrame:
-        # every partial for a given (kind, key) lands in this pb bucket, so
+        # every partial for a given (kind, key) lands in this block, so
         # sums here are FULL counts and the pair top-20 prune is lossless
         sums = group.groupby(["kind", "key"], as_index=False)["n"].sum()
         pairs = sums[sums["kind"] == 0].copy()
@@ -9279,15 +9067,15 @@ def q_part_affinity_lift(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "kb",
+        "okey",
         bucket_partials,
-        {"kind": pa.int8(), "key": pa.int64(), "pb": pa.int32(), "n": pa.int64()},
+        {"kind": pa.int8(), "key": pa.int64(), "n": pa.int64()},
     )
     # to_pandas, not take_all: row-wise iteration over the result blocks
     # measured 27 s for 22k rows (per-row conversion), the batch fetch is
     # instant
     folded = cogroup(
-        partials, "pb", merge_and_prune, {"kind": pa.int8(), "key": pa.int64(), "n": pa.int64()}
+        partials, ["kind", "key"], merge_and_prune, {"kind": pa.int8(), "key": pa.int64(), "n": pa.int64()}
     ).to_pandas()
 
     pair_n: dict[int, int] = {}
@@ -9460,7 +9248,6 @@ def q_doc_containment(sf_dir: str):
         corpus,
         containment,
         out_col="containment",
-        num_buckets=resolve_group_buckets(rows=_rows(sf_dir, "documents")),
     )
 
 
@@ -9469,14 +9256,12 @@ def q_events_path_trigrams(sf_dir: str):
     sequences (A>B>C over consecutive events of the same user) — the
     behavioral-pattern table behind funnel discovery and next-k-step
     prediction.  Scale shape: the sessionization partitioning contract —
-    user timelines co-locate via ONE user-hash bucket groupby; each bucket
-    sorts once and folds its windows to per-path partial counts, a tiny
+    user timelines co-locate via ONE co-group on user_id; each folded
+    block sorts once and folds its windows to per-path partial counts, a tiny
     grouped sum merges them (path cardinality ≤ |types|³), and the sort +
     limit runs on that small table.  Order contract: (ts, event_id) — a
     TOTAL order, identical on both engines under timestamp ties."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -9485,7 +9270,6 @@ def q_events_path_trigrams(sf_dir: str):
                 "us": batch["ts"].cast(pa.int64()),
                 "event_id": batch["event_id"],
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -9507,7 +9291,7 @@ def q_events_path_trigrams(sf_dir: str):
             _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
                 project, batch_format="pyarrow"
             ),
-            "ub",
+            "user_id",
             fold_bucket,
             {"path": pa.string(), "n_p": pa.int64()},
         )
@@ -9530,6 +9314,11 @@ _FK_EDGES = (
 )
 
 
+# parent-table row bound up to which an integrity audit broadcasts the
+# parent's key set instead of co-grouping it with the child
+_BROADCAST_KEYS_MAX = 5_000_000
+
+
 def q_referential_orphans(sf_dir: str):
     """Referential-integrity audit over every foreign-key edge in the star
     schema: per edge, total child rows and ORPHAN rows (child key with no
@@ -9542,12 +9331,12 @@ def q_referential_orphans(sf_dir: str):
     (rows, orphans) SCALARS with a vectorized ``np.isin`` — no all-to-all
     anywhere, one tiny Sum per edge.  The path is chosen before any key is
     read: a parent whose parquet footers count more than
-    ``EDS_BROADCAST_KEYS_MAX`` rows (default 5M; rows bound distinct keys)
-    takes the bucketed co-group (key-hash buckets, orphan partial per
-    bucket) — the documented big-parent path, whose keys never reach the
-    driver.  The 7 edges execute concurrently
-    (driver threads, one streaming pipeline each); serial bucketed
-    execution paid 10.9 s at sf0.1/32 cpus, broadcast+threads ~2 s."""
+    ``_BROADCAST_KEYS_MAX`` rows (5M; rows bound distinct keys) takes a
+    co-group on the key (orphan partial per folded block) — the documented
+    big-parent path, whose keys never reach the driver.  The 7 edges
+    execute concurrently (driver threads, one streaming pipeline each);
+    serial co-grouped execution paid 10.9 s at sf0.1/32 cpus,
+    broadcast+threads ~2 s."""
     from concurrent.futures import ThreadPoolExecutor
 
     from ray.data.aggregate import Sum
@@ -9557,8 +9346,6 @@ def q_referential_orphans(sf_dir: str):
     _warm_fsspec_http_probe()  # concurrent pipelines: Ray's per-read fsspec
     # probe import races across threads when aiohttp is absent
     import ray as _ray
-
-    max_bcast = int(os.environ.get("EDS_BROADCAST_KEYS_MAX", "5000000"))
 
     def parent_key_array(parent: str, pkey: str) -> np.ndarray:
         parts = (
@@ -9598,26 +9385,23 @@ def q_referential_orphans(sf_dir: str):
             return 0, 0
         return int(agg["r"] or 0), int(agg["o"] or 0)
 
-    def orphans_bucketed(child: str, ckey: str, parent: str, pkey: str) -> tuple[int, int]:
-        nb = resolve_group_buckets(rows=_rows(sf_dir, child, parent))
+    def orphans_cogrouped(child: str, ckey: str, parent: str, pkey: str) -> tuple[int, int]:
         cds = _read(sf_dir, child, [ckey])
         pds = _read(sf_dir, parent, [pkey])
 
         def child_partials(batch: pa.Table) -> pa.Table:
-            # NULL FK values are definitionally orphans: reserved bucket −1
+            # NULL FK values are definitionally orphans: one null-key row
+            # that matches no parent key
             n_null = batch[ckey].null_count
             vc = pc.value_counts(pc.drop_null(batch[ckey]))
-            keys = vc.field("values").to_numpy(zero_copy_only=False).astype(np.int64)
+            keys = vc.field("values").cast(pa.int64())
             cnts = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
-            kbs = (keys % nb).astype(np.int32)
             if n_null:
-                keys = np.concatenate([keys, [0]])
+                keys = pa.concat_arrays([keys, pa.nulls(1, pa.int64())])
                 cnts = np.concatenate([cnts, [int(n_null)]])
-                kbs = np.concatenate([kbs, np.array([-1], np.int32)])
             return pa.table(
                 {
-                    "key": pa.array(keys, pa.int64()),
-                    "kb": pa.array(kbs, pa.int32()),
+                    "key": keys,
                     "cnt": pa.array(cnts, pa.int64()),
                     "is_parent": pa.array([False] * len(keys), pa.bool_()),
                 }
@@ -9628,7 +9412,6 @@ def q_referential_orphans(sf_dir: str):
             return pa.table(
                 {
                     "key": keys.cast(pa.int64()),
-                    "kb": _ibuckets(keys, nb),
                     "cnt": pa.array([0] * len(keys), pa.int64()),
                     "is_parent": pa.array([True] * len(keys), pa.bool_()),
                 }
@@ -9647,7 +9430,7 @@ def q_referential_orphans(sf_dir: str):
             cds.map_batches(child_partials, batch_format="pyarrow").union(
                 pds.map_batches(parent_keys, batch_format="pyarrow")
             ),
-            "kb",
+            "key",
             orphan_partial,
             {"rows_p": pa.int64(), "orphans_p": pa.int64()},
         ).aggregate(Sum("rows_p", alias_name="r"), Sum("orphans_p", alias_name="o"))
@@ -9657,8 +9440,8 @@ def q_referential_orphans(sf_dir: str):
 
     def orphans_for(edge) -> tuple[int, int]:
         _label, child, ckey, parent, pkey = edge
-        if _rows(sf_dir, parent) > max_bcast:  # footers only: rows bound distinct keys
-            return orphans_bucketed(child, ckey, parent, pkey)
+        if _rows(sf_dir, parent) > _BROADCAST_KEYS_MAX:  # footers only: rows bound distinct keys
+            return orphans_cogrouped(child, ckey, parent, pkey)
         return orphans_broadcast(child, ckey, parent_key_array(parent, pkey))
 
     with ThreadPoolExecutor(max_workers=len(_FK_EDGES)) as ex:
@@ -9677,15 +9460,14 @@ def q_events_rolling_zscore(sf_dir: str):
     value against its trailing 10-event window (current + 9 preceding) —
     the streaming outlier flag behind fraud/alerting pipelines.  Only
     FULL windows score (the 10th event per user onward).  Scale shape:
-    the sessionization contract again — user timelines co-group once by
-    user-hash bucket, each bucket sorts and computes rolling int64
+    the sessionization contract again — user timelines co-group once on
+    user_id, each folded block sorts and computes rolling int64
     cent-sums via two cumulative arrays (no per-row Python loop).  Float
     contract: value is 2dp → cents = round(value·100) is exact int64;
     z = (10·c − s) / sqrt((10·ss − s²) / 9.0) evaluates the identical
     op chain on exact ints on both engines (one div, one sqrt, one div),
     rounded to 6dp; zero-variance windows yield NULL z and anomaly=false
     on both."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     W = 10
 
     def project(batch: pa.Table) -> pa.Table:
@@ -9696,7 +9478,6 @@ def q_events_rolling_zscore(sf_dir: str):
                 "us": batch["ts"].cast(pa.int64()),
                 "event_id": batch["event_id"],
                 "cents": cents,
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -9733,7 +9514,7 @@ def q_events_rolling_zscore(sf_dir: str):
         _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "ub",
+        "user_id",
         fold_bucket,
         {"event_id": pa.int64(), "z": pa.float64(), "is_anomaly": pa.bool_()},
     )
@@ -9915,28 +9696,26 @@ def q_nb_lang_confusion(sf_dir: str):
     Ray Data flow.
 
     Scale shape — no O(vocabulary) state leaves the workers: train and
-    score share one term-hash-bucket co-group (every row of a term is
-    co-resident, so the bucket-local per-(term, lang) sum IS the global
+    score share one co-group on the term (every row of a term is
+    co-resident, so the block-local per-(term, lang) sum IS the global
     count and per-doc score partials Σ n·ln(c+1) emit from the same
-    group).  The unseen-word case is algebraically eliminated:
+    fold).  The unseen-word case is algebraically eliminated:
 
         score_l = ln(docs_l/N) − T_doc·ln(n_tok_l + v_l) + Σ_w n_w·ln(c_{w,l}+1)
 
     since ln(0+1) = 0, only per-lang-SEEN terms contribute — the smoothing
     denominator folds into one per-lang constant.  Per-lang constants
-    (token totals, vocab sizes) reduce from tiny bucket-stat rows; the
-    doc-level fold + argmax run in a doc-hash-bucket co-group that also
+    (token totals, vocab sizes) reduce from tiny per-block stat rows; the
+    doc-level fold + argmax run in a co-group on the doc that also
     folds the confusion counts map-side, so the final exchange is ≤|langs|²
     rows.  Float contract: the argmax ranks 6dp-ROUNDED scores with a
     lang-ascending tie-break on both engines (the per-term doubles are
     bit-identical; only summation order drifts, absorbed by the grid —
     the trigram_lm_nll contract)."""
     import math
-    import zlib
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     langrows = (
         _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
     )
@@ -9946,7 +9725,7 @@ def q_nb_lang_confusion(sf_dir: str):
     scols = [f"s_{i}" for i in range(len(langs))]
 
     def doc_terms(batch: pa.Table) -> pa.Table:
-        out_doc, out_lang, out_term, out_n, out_tb = [], [], [], [], []
+        out_doc, out_lang, out_term, out_n = [], [], [], []
         for doc_id, lang, text in zip(
             batch["doc_id"].to_pylist(),
             batch["lang"].to_pylist(),
@@ -9957,20 +9736,18 @@ def q_nb_lang_confusion(sf_dir: str):
                 out_lang.append(lang)
                 out_term.append(term)
                 out_n.append(n)
-                out_tb.append(zlib.crc32(term.encode()) % nb)
         return pa.table(
             {
                 "doc_id": pa.array(out_doc, pa.int64()),
                 "lang": pa.array(out_lang, pa.string()),
                 "term": pa.array(out_term, pa.string()),
                 "n": pa.array(out_n, pa.int64()),
-                "tbucket": pa.array(out_tb, pa.int32()),
             }
         )
 
     def train_and_score(g: pd.DataFrame) -> pd.DataFrame:
-        # bucket-local model: c per (term, lang) — exact global counts,
-        # because a term's rows all hash into this bucket
+        # block-local model: c per (term, lang) — exact global counts,
+        # because a term's rows all land in this block
         model = g.groupby(["term", "lang"], sort=False)["n"].sum()
         wide = model.unstack("lang").reindex(columns=langs)
         lnc = np.log(wide.fillna(0.0).to_numpy(dtype=np.float64) + 1.0)
@@ -9986,7 +9763,6 @@ def q_nb_lang_confusion(sf_dir: str):
             .sum()
             .reset_index()
         )
-        agg["dbucket"] = agg["doc_id"].to_numpy() % nb
         # per-lang model stats as two sentinel rows (ints ≤ 2^53, exact in
         # float64): doc_id −1 → Σc (token totals), −2 → vocab sizes
         n_tok_p = model.groupby(level="lang").sum().reindex(langs).fillna(0)
@@ -9997,7 +9773,6 @@ def q_nb_lang_confusion(sf_dir: str):
                 "lang": ["", ""],
                 "t_part": [0, 0],
                 **{c: [float(n_tok_p.iloc[i]), float(v_p.iloc[i])] for i, c in enumerate(scols)},
-                "dbucket": [0, 0],
             }
         )
         return pd.concat([agg, stats], ignore_index=True)
@@ -10006,14 +9781,13 @@ def q_nb_lang_confusion(sf_dir: str):
         _read(sf_dir, "documents", ["doc_id", "lang", "text"]).map_batches(
             doc_terms, batch_format="pyarrow"
         ),
-        "tbucket",
+        "term",
         train_and_score,
         {
             "doc_id": pa.int64(),
             "lang": pa.string(),
             "t_part": pa.int64(),
             **{c: pa.float64() for c in scols},
-            "dbucket": pa.int32(),
         },
     ).materialize()
 
@@ -10050,7 +9824,7 @@ def q_nb_lang_confusion(sf_dir: str):
     return (
         cogroup(
             staged.map_batches(keep_docs, batch_format="pyarrow"),
-            "dbucket",
+            "doc_id",
             fold_and_argmax,
             {"lang": pa.string(), "nb_pred": pa.string(), "n_p": pa.int64()},
         )
@@ -10066,20 +9840,17 @@ def q_chi2_term_lang(sf_dir: str):
     classifiers over a training corpus.
 
     Scale shape: per-batch document-frequency partials (term presence ×
-    lang) fold map-side, ONE term-hash-bucket shuffle co-locates each
-    term's df row set (bucket-local sums are exact global df counts —
+    lang) fold map-side, ONE co-group on the term co-locates each
+    term's df row set (block-local sums are exact global df counts —
     the tfidf/nb co-group pattern), χ² is computed per cell from EXACT
     Python-int sufficient statistics (N·(ad−bc)² overflows int64/float64
     at corpus scale; the cell count is ∝ vocabulary, not corpus, so the
-    per-cell loop is off the hot path), and each bucket prunes to its
-    local top-20 before the tiny global sort — the final exchange is
-    ≤ buckets×20 rows.  Float contract: ONE division float(num)/float(den)
+    per-cell loop is off the hot path), and each folded block prunes to
+    its local top-20 before the tiny global sort — the final exchange is
+    ≤ blocks×20 rows.  Float contract: ONE division float(num)/float(den)
     over exact ints, mirrored as CAST(HUGEINT AS DOUBLE)/CAST(... AS
     DOUBLE) in SQL (operands rounded to double first on both engines);
     ranking uses the raw identical doubles with (term, lang) tie-break."""
-    import zlib
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     langrows = (
         _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
     )
@@ -10098,9 +9869,6 @@ def q_chi2_term_lang(sf_dir: str):
                 "term": pa.array([k[0] for k in keys], pa.string()),
                 "lang": pa.array([k[1] for k in keys], pa.string()),
                 "a_p": pa.array([cnt[k] for k in keys], pa.int64()),
-                "tbucket": pa.array(
-                    [zlib.crc32(k[0].encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -10139,7 +9907,7 @@ def q_chi2_term_lang(sf_dir: str):
             _read(sf_dir, "documents", ["lang", "text"]).map_batches(
                 presence_partials, batch_format="pyarrow"
             ),
-            "tbucket",
+            "term",
             chi2_topk,
             {"term": pa.string(), "lang": pa.string(), "chi2_raw": pa.float64()},
         )
@@ -10159,15 +9927,11 @@ def q_k_anonymity_audit(sf_dir: str):
 
     Scale shape: per-batch pandas fold to distinct (QI, sensitive) partial
     counts (rows shrink to the class structure before any exchange), ONE
-    QI-hash-bucket co-group makes class sizes exact, per-bucket histogram
+    co-group on the QI class makes class sizes exact, per-block histogram
     fold, final ≤|k-values| grouped merge.  All-integer: cents via the
     exact-int money contract, band = floor(cents/100000) mirrored as
     floor(CAST AS DOUBLE / 100000) (quotients ≲1e7 are exact doubles)."""
-    import zlib
-
     from ray.data.aggregate import Min, Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer"))
 
     def class_partials(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -10181,10 +9945,6 @@ def q_k_anonymity_audit(sf_dir: str):
             }
         )
         folded = df.groupby(["nat", "seg", "band", "cents"], sort=False).size().reset_index(name="n_p")
-        folded["qbucket"] = [
-            zlib.crc32(f"{n}|{s}|{b}".encode()) % nb
-            for n, s, b in zip(folded["nat"], folded["seg"], folded["band"])
-        ]
         folded["n_p"] = folded["n_p"].astype("int64")
         return pa.Table.from_pandas(folded, preserve_index=False)
 
@@ -10204,7 +9964,7 @@ def q_k_anonymity_audit(sf_dir: str):
             _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_acctbal"]).map_batches(
                 class_partials, batch_format="pyarrow"
             ),
-            "qbucket",
+            ["nat", "seg", "band"],
             spectrum_fold,
             {
                 "k": pa.int64(),
@@ -10242,14 +10002,13 @@ def q_events_funnel_conformance(sf_dir: str):
     sessionization/funnel counts can't express (it scores HOW FAR each
     journey deviates, not just whether steps completed in order).
 
-    Scale shape: one user-hash bucket co-group (a user's events are
+    Scale shape: one co-group on user_id (a user's events are
     co-resident, so the head-20 cut and path build are exact), the O(20·4)
-    DP runs per user inside the fold, and per-bucket histogram partials
+    DP runs per user inside the fold, and per-block histogram partials
     make the final exchange ≤|distinct distances| rows.  All-integer —
     DuckDB's levenshtein is the oracle."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     target = "svcp"
     lev = _levenshtein
 
@@ -10263,7 +10022,6 @@ def q_events_funnel_conformance(sf_dir: str):
                     [(t or "?")[0] for t in batch["event_type"].to_pylist()],
                     pa.string(),
                 ),
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -10280,7 +10038,7 @@ def q_events_funnel_conformance(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
                 project, batch_format="pyarrow"
             ),
-            "ub",
+            "user_id",
             fold,
             {"dist": pa.int64(), "n_p": pa.int64()},
         )
@@ -10296,17 +10054,14 @@ def q_lang_jsd_divergence(sf_dir: str):
 
     Scale shape: per-batch (word, side) count partials fold map-side; the
     word rows (vocabulary-bounded, not corpus-bounded) materialize once —
-    token totals reduce from them with one tiny aggregate, and a word-hash
-    bucket co-group makes per-word counts exact while emitting ONE float
-    partial per bucket.  Float contract: each per-word term is the
+    token totals reduce from them with one tiny aggregate, and a co-group
+    on the word makes per-word counts exact while emitting ONE float
+    partial per folded block.  Float contract: each per-word term is the
     identical int/int-division → ln chain on both engines; only summation
     order drifts, absorbed by the 6dp round."""
     import math
-    import zlib
 
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def word_partials(batch: pa.Table) -> pa.Table:
         a: Counter = Counter()
@@ -10322,9 +10077,6 @@ def q_lang_jsd_divergence(sf_dir: str):
                 "w": pa.array(words, pa.string()),
                 "c1_p": pa.array([a.get(w, 0) for w in words], pa.int64()),
                 "c2_p": pa.array([b.get(w, 0) for w in words], pa.int64()),
-                "wbkt": pa.array(
-                    [zlib.crc32(w.encode()) % nb for w in words], pa.int32()
-                ),
             }
         )
 
@@ -10337,7 +10089,7 @@ def q_lang_jsd_divergence(sf_dir: str):
     n1, n2 = int(tot["n1"]), int(tot["n2"])
 
     def bucket_jsd(g: pd.DataFrame) -> pd.DataFrame:
-        per = g.groupby("w", sort=True)[["c1_p", "c2_p"]].sum()  # bucket-complete
+        per = g.groupby("w", sort=True)[["c1_p", "c2_p"]].sum()  # block-complete
         s = 0.0
         for c1, c2 in zip(per["c1_p"], per["c2_p"]):
             p = c1 / n1
@@ -10349,7 +10101,7 @@ def q_lang_jsd_divergence(sf_dir: str):
         return pd.DataFrame({"jsd_p": [s]})
 
     jsd = 0.0
-    for r in cogroup(wrows, "wbkt", bucket_jsd, {"jsd_p": pa.float64()}).take_all():
+    for r in cogroup(wrows, "w", bucket_jsd, {"jsd_p": pa.float64()}).take_all():
         jsd += float(r["jsd_p"])
     return pa.table(
         {
@@ -10370,39 +10122,33 @@ def q_incremental_refresh(sf_dir: str):
     every attrition counter.
 
     Scale shape: ONE pass over the corpus, ONE shuffle — the classify map
-    emits catalog rows as (md5, bucket) hashes ONLY (never text) and
-    changed/new docs with their text; a text-hash bucket co-group then
-    dedups (equal hashes are co-resident) and quality-scores the appended
-    docs in place, folding ALL counters into per-bucket partials, so the
-    final exchange is ≤ buckets×9 metric rows.  The incremental point is
+    emits catalog rows as md5 hashes ONLY (never text) and changed/new
+    docs with their text; a co-group on the text hash then dedups (equal
+    hashes are co-resident) and quality-scores the appended docs in place,
+    folding ALL counters into per-block partials, so the final exchange is
+    ≤ blocks×9 metric rows.  The incremental point is
     the data movement: unchanged docs ship 40 bytes each, only the ~20%%
     changed slice ships text."""
     import hashlib
-    import zlib
 
     from ray.data.aggregate import Sum
 
     from ..functions.textstats import quality_score
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-
     def classify(batch: pa.Table) -> pa.Table:
         side: list[int] = []
         hh: list[str] = []
         text: list[str] = []
-        hb: list[int] = []
 
         def emit(s: int, t: str | None) -> None:
             side.append(s)
             if s == 2:  # removed: counter-only row
                 hh.append("")
                 text.append("")
-                hb.append(0)
                 return
             digest = hashlib.md5((t or "").encode()).hexdigest()
             hh.append(digest)
             text.append("" if s == 0 else (t or ""))
-            hb.append(zlib.crc32(digest.encode()) % nb)
 
         for i, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             t = t or ""
@@ -10423,7 +10169,6 @@ def q_incremental_refresh(sf_dir: str):
                 "side": pa.array(side, pa.int8()),
                 "hh": pa.array(hh, pa.string()),
                 "text": pa.array(text, pa.string()),
-                "hb": pa.array(hb, pa.int32()),
             }
         )
 
@@ -10454,7 +10199,7 @@ def q_incremental_refresh(sf_dir: str):
             _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
                 classify, batch_format="pyarrow"
             ),
-            "hb",
+            "hh",
             refresh_fold,
             {"metric": pa.string(), "n_p": pa.int64()},
         )
@@ -10600,17 +10345,18 @@ def q_events_ks_test(sf_dir: str):
 
     Scale shape — distributed ECDF via a two-phase prefix sum, the
     pattern global sorts usually force: per-batch distinct-value count
-    partials carry a RANGE bucket (monotone binning on the one-pass
-    min/max), phase A folds per-bucket subtotals driver-side (≤ buckets
-    rows — the prefix OFFSETS), phase B is one range-bucket co-group
-    where each bucket scans its sorted values with its offset and emits
-    a single candidate max.  All-integer: the sup statistic is computed
-    as max |p1·n2 − p2·n1| in Python bigints (overflows int64 at corpus
-    scale; HUGEINT in SQL) with ONE operands-rounded-to-double division
-    at the end — exact, no float comparisons anywhere."""
+    partials carry a RANGE id (monotone binning on the one-pass min/max
+    into one range per CPU, ``_spread_blocks``), phase A folds per-range
+    subtotals driver-side (≤ ranges rows — the prefix OFFSETS), phase B
+    is one co-group on the range id where each range scans its sorted
+    values with its offset and emits a single candidate max.
+    All-integer: the sup statistic is computed as max |p1·n2 − p2·n1| in
+    Python bigints (overflows int64 at corpus scale; HUGEINT in SQL) with
+    ONE operands-rounded-to-double division at the end — exact, no float
+    comparisons anywhere."""
     from ray.data.aggregate import Max, Min
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
+    n_ranges = _spread_blocks()
 
     base = _read(sf_dir, "events", ["event_type", "value"])
     mm = base.aggregate(Min("value"), Max("value"))
@@ -10628,7 +10374,7 @@ def q_events_ks_test(sf_dir: str):
             elif t == "view":
                 c2[v] += 1
         vals = sorted(set(c1) | set(c2))
-        rb = [min(nb - 1, max(0, int((v - lo) / span * nb))) for v in vals]
+        rb = [min(n_ranges - 1, max(0, int((v - lo) / span * n_ranges))) for v in vals]
         return pa.table(
             {
                 "v": pa.array(vals, pa.float64()),
@@ -10640,7 +10386,7 @@ def q_events_ks_test(sf_dir: str):
 
     vrows = base.map_batches(val_partials, batch_format="pyarrow").materialize()
 
-    # phase A: per-bucket subtotals → prefix offsets (≤ nb rows on driver)
+    # phase A: per-range subtotals → prefix offsets (≤ n_ranges rows on driver)
     def bucket_totals(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().groupby("rb")[["c1_p", "c2_p"]].sum().reset_index()
         return pa.Table.from_pandas(df, preserve_index=False)
@@ -10670,7 +10416,7 @@ def q_events_ks_test(sf_dir: str):
         return pd.DataFrame({"num_p": [str(best)]})
 
     best = 0
-    for r in cogroup(vrows, "rb", bucket_max, {"num_p": pa.string()}).take_all():
+    for r in cogroup(vrows, "rb", each_key("rb", bucket_max), {"num_p": pa.string()}).take_all():
         best = max(best, int(r["num_p"]))
     ks = round(float(best) / float(n1 * n2), 6)
     return pa.table(
@@ -10875,7 +10621,7 @@ def q_events_hourly_hll(sf_dir: str):
             sketch_partials, batch_format="pyarrow"
         ),
         "window_us",
-        merge,
+        each_key("window_us", merge),
         {"window_us": pa.int64(), "hll_users": pa.float64()},
     )
 
@@ -11198,8 +10944,8 @@ def q_doc_ngram_novelty(sf_dir: str):
     signal (inverse of duplication): the fraction of a doc's distinct
     13-grams that appear in NO other document.  Scale shape: each batch
     emits one narrow (gram-hash, doc_id) row per distinct gram; grams
-    co-locate via their hash bucket, where document frequency is
-    bucket-complete, so each bucket folds per-doc (n_grams, n_unique)
+    co-locate via a co-group on the gram hash, where document frequency is
+    block-complete, so each folded block emits per-doc (n_grams, n_unique)
     partials and a grouped sum finishes — the texts themselves never
     shuffle.  Hash contract: the engine keys grams by 64-bit md5 (w.h.p.
     collision-free at any tested scale) while the oracle uses exact gram
@@ -11210,7 +10956,6 @@ def q_doc_ngram_novelty(sf_dir: str):
 
     from ..functions.corpusops import _ngrams, _words
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     N = 13
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -11230,15 +10975,14 @@ def q_doc_ngram_novelty(sf_dir: str):
             {
                 "gh": pa.array(gh_arr, pa.int64()),
                 "doc_id": pa.array(docs, pa.int64()),
-                "gb": pa.array((gh_arr % nb).astype(np.int32), pa.int32()),
             }
         )
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        # df is bucket-complete (a gram's hash fixes its bucket); partials
-        # re-key by doc-hash bucket for the second fold — Ray's generic
-        # hash aggregate on ~|docs| int64 keys measured ~100× slower than
-        # this two-stage bucketed pandas fold at sf0.1
+        # df is block-complete (a gram's rows share one folded block);
+        # partials re-key by doc for the second fold — Ray's generic hash
+        # aggregate on ~|docs| int64 keys measured ~100× slower than this
+        # two-stage pandas fold at sf0.1
         df = group.groupby("gh")["doc_id"].transform("size")
         sub = pd.DataFrame(
             {"doc_id": group["doc_id"], "uniq": (df == 1).astype("int64")}
@@ -11246,7 +10990,6 @@ def q_doc_ngram_novelty(sf_dir: str):
         out = sub.groupby("doc_id", as_index=False).agg(
             n_grams_p=("uniq", "size"), n_unique_p=("uniq", "sum")
         )
-        out["db"] = out["doc_id"] % nb
         return out
 
     def fold_doc(group: pd.DataFrame) -> pd.DataFrame:
@@ -11258,13 +11001,13 @@ def q_doc_ngram_novelty(sf_dir: str):
 
     partials = cogroup(
         _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(explode, batch_format="pyarrow"),
-        "gb",
+        "gh",
         fold_bucket,
-        {"doc_id": pa.int64(), "db": pa.int32(), "n_grams_p": pa.int64(), "n_unique_p": pa.int64()},
+        {"doc_id": pa.int64(), "n_grams_p": pa.int64(), "n_unique_p": pa.int64()},
     )
     return cogroup(
         partials,
-        "db",
+        "doc_id",
         fold_doc,
         {
             "doc_id": pa.int64(),
@@ -11541,12 +11284,11 @@ def q_events_active_time(sf_dir: str):
     each event contributes min(next_ts − ts, W), the user's last event
     contributes W, and a new island opens exactly when the gap exceeds W
     (half-open adjacency merges).  Scale shape: the sessionization
-    contract — user timelines co-locate via ONE user-hash bucket
-    groupby; each bucket sorts once and folds fully vectorized, and
-    because a user lives entirely in its bucket the per-user rows are
+    contract — user timelines co-locate via ONE co-group on user_id;
+    each folded block sorts once and folds fully vectorized, and
+    because a user lives entirely in one block the per-user rows are
     final (no second shuffle).  Duplicate timestamps contribute gap 0
     regardless of tie order, so the result is total-order-independent."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     WIN_US = 300 * 1_000_000
 
     def project(batch: pa.Table) -> pa.Table:
@@ -11554,7 +11296,6 @@ def q_events_active_time(sf_dir: str):
             {
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -11584,7 +11325,7 @@ def q_events_active_time(sf_dir: str):
 
     return cogroup(
         _read(sf_dir, "events", ["user_id", "ts"]).map_batches(project, batch_format="pyarrow"),
-        "ub",
+        "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "active_us": pa.int64(), "n_islands": pa.int64()},
     )
@@ -11598,11 +11339,10 @@ def q_events_cusum_alarms(sf_dir: str):
     non-linear but telescopes exactly: with cd = cumsum(cents − 10500),
     S_i = cd_i − min(0, min_{j≤i} cd_j) — so each user folds with two
     vectorized cumulative scans, all int64-exact.  Scale shape: the
-    sessionization contract (user-hash buckets, one sort per bucket,
-    per-user rows final).  The oracle replays the recurrence as a
+    sessionization contract (a co-group on user_id, one sort per folded
+    block, per-user rows final).  The oracle replays the recurrence as a
     WITH-RECURSIVE row-by-row join — the third recursive-CTE-checked
     operator (after BFS and near-dup closure)."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     DRIFT = 10_500  # target 10000 cents + slack 500
     H = 50_000
 
@@ -11614,7 +11354,6 @@ def q_events_cusum_alarms(sf_dir: str):
                 "us": batch["ts"].cast(pa.int64()),
                 "event_id": batch["event_id"],
                 "cents": cents,
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -11637,7 +11376,7 @@ def q_events_cusum_alarms(sf_dir: str):
         _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "ub",
+        "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "peak_s": pa.int64(), "n_alarms": pa.int64()},
     )
@@ -11713,21 +11452,18 @@ def q_events_user_entropy(sf_dir: str):
     user's event-type distribution — near-zero entropy flags
     single-action bots, high entropy flags broad engagement (the
     per-entity companion of `doc_char_entropy`).  Scale shape: the
-    sessionization contract — ONE user-hash bucket groupby of narrow
-    (user, type) rows; a user's type counts are bucket-complete, so the
+    sessionization contract — ONE co-group on user_id of narrow
+    (user, type) rows; a user's type counts are block-complete, so the
     per-user rows are final.  Float contract: terms −(c/n)·ln(c/n) sum
     in TYPE-SORTED order on the engine vs unordered SQL SUM (~1e-16
     drift, far under the shared 6dp grid)."""
     import math
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch["user_id"],
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -11753,7 +11489,7 @@ def q_events_user_entropy(sf_dir: str):
         _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
             project, batch_format="pyarrow"
         ),
-        "ub",
+        "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "n_events": pa.int64(), "entropy": pa.float64()},
     )
@@ -12532,7 +12268,6 @@ def q_event_type_entropy_rate(sf_dir: str):
     each per-source sum folds ≤|types| doubles, so SUM-order drift is
     below the 6dp grid, and the rate folds the UNROUNDED per-source
     entropies weighted by exact integer shares."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -12541,7 +12276,6 @@ def q_event_type_entropy_rate(sf_dir: str):
                 "us": pc.cast(batch["ts"], pa.int64()),
                 "event_id": batch["event_id"],
                 "event_type": batch["event_type"],
-                "ub": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -12563,7 +12297,7 @@ def q_event_type_entropy_rate(sf_dir: str):
         _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
             to_rows, batch_format="pyarrow"
         ),
-        "ub",
+        "user_id",
         bigrams,
         {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
     )
@@ -12604,21 +12338,18 @@ def q_crawl_frontier(sf_dir: str):
     priority is the in-degree signal a frontier scheduler keys on).
 
     Scale shape: link partials fold per batch (Counter over resolved
-    urls); the anti-join is a url-hash BUCKETED CO-GROUP with the crawled
-    set (both sides corpus-scale — never a broadcast membership set); the
-    per-host cap is a second host-hash co-group emitting ≤3 rows per host.
+    urls); the anti-join is a CO-GROUP on the url with the crawled set
+    (both sides corpus-scale — never a broadcast membership set); the
+    per-host cap is a second co-group on the host emitting ≤3 rows per host.
     Two narrow string-keyed shuffles total.  Oracle: SQL re-resolves links
     from the decoded page fixture with the same LIKE/regexp rules and
     re-derives the cap with a window rank (scope: html route without
     U+FFFD decodes, the pages_anchor_text contract)."""
-    import zlib
-
     from ray.data.aggregate import Sum
 
     from ..kernels.html_text import decode_html_bytes, extract_links
     from ..sources.pages import pages_dataset
 
-    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
     base_re = re.compile(r"^(https?://[^/]+)")
 
@@ -12642,9 +12373,6 @@ def q_crawl_frontier(sf_dir: str):
                 "u": pa.array(keys, pa.string()),
                 "kind": pa.array([0] * len(keys), pa.int8()),
                 "n_p": pa.array([refs[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k.encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -12655,9 +12383,6 @@ def q_crawl_frontier(sf_dir: str):
                 "u": pa.array(urls, pa.string()),
                 "kind": pa.array([1] * len(urls), pa.int8()),
                 "n_p": pa.array([0] * len(urls), pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(u.encode()) % nb for u in urls], pa.int32()
-                ),
             }
         )
 
@@ -12676,7 +12401,6 @@ def q_crawl_frontier(sf_dir: str):
         g = cand.groupby("u", as_index=False)["n_p"].sum()
         g = g.rename(columns={"n_p": "n_refs"})
         g["host"] = g["u"].str.extract(r"^https?://([^/]+)")
-        g["hb"] = [zlib.crc32(h.encode()) % nb for h in g["host"]]
         return g
 
     def per_host_cap(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -12691,13 +12415,13 @@ def q_crawl_frontier(sf_dir: str):
 
     candidates = cogroup(
         links.union(crawled),
-        "kb",
+        "u",
         anti,
-        {"host": pa.string(), "u": pa.string(), "n_refs": pa.int64(), "hb": pa.int32()},
+        {"host": pa.string(), "u": pa.string(), "n_refs": pa.int64()},
     )
     return cogroup(
         candidates,
-        "hb",
+        "host",
         per_host_cap,
         {"host": pa.string(), "url": pa.string(), "n_refs": pa.int64(), "rnk": pa.int64()},
     )
@@ -12714,12 +12438,14 @@ def q_link_pagerank(sf_dir: str):
     an integer sum (associative ⇒ block order can't perturb the result,
     unlike float PageRank where Σ order matters).
 
-    Scale shape — Pregel-style bucketed message passing, K=4 rounds: the
-    edge list (globally distinct by construction: each (src,dst) edge can
-    only originate from src's single page row, deduped per page) carries
-    outdeg inline, so one src-hash co-group of ranks ∪ edges emits
-    (dst, contribution) messages plus per-bucket dangling partials; one
-    dst-hash co-group applies the damping update.  2 narrow shuffles of
+    Scale shape — Pregel-style message passing, K=4 rounds: the edge list
+    (globally distinct by construction: each (src,dst) edge can only
+    originate from src's single page row, deduped per page) carries outdeg
+    inline, so one co-group on the source node of ranks ∪ edges emits
+    (dst, contribution) messages plus per-block dangling partials; one
+    co-group on a destination partition id (crc32(url) mod ``width``)
+    applies the damping update, one partition at a time, with every
+    dangling partial replicated to every partition.  2 narrow shuffles of
     (url, int64) rows per round; per-round driver state is ONE scalar
     (the dangling-mass total).  Rank state materializes between rounds in
     the OBJECT STORE (O(nodes) rows, distributed — never a driver list).
@@ -12730,7 +12456,6 @@ def q_link_pagerank(sf_dir: str):
 
     K = 4
     SCALE = 1_000_000_000_000
-    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     # graph-state block width: ~2.5k pages of rank/edge rows per block.
     # Coalescing matters more than parallelism here — at sf0.1 the rank
     # state is ~30k narrow rows, and leaving it in ~200 read-sized blocks
@@ -12740,8 +12465,10 @@ def q_link_pagerank(sf_dir: str):
     width = max(8, pages_rows_for(sf_dir) // 2_500)
     _ensure_pages_fixture(sf_dir)
 
-    def _ubuckets(urls: list) -> pa.Array:
-        return pa.array([zlib.crc32(u.encode()) % nb for u in urls], pa.int32())
+    def part_ids(urls) -> np.ndarray:
+        return np.fromiter(
+            (zlib.crc32(u.encode()) % width for u in urls), dtype=np.int32, count=len(urls)
+        )
 
     def edge_rows(batch: pa.Table) -> pa.Table:
         src_out, dst_out, deg_out = [], [], []
@@ -12758,7 +12485,6 @@ def q_link_pagerank(sf_dir: str):
                 "deg": pa.array(deg_out, pa.int64()),
                 "r": pa.array([0] * len(src_out), pa.int64()),
                 "kind": pa.array([1] * len(src_out), pa.int8()),
-                "kb": _ubuckets(src_out),
             }
         )
 
@@ -12769,11 +12495,11 @@ def q_link_pagerank(sf_dir: str):
         .materialize()  # reused every round; O(edges) blocks in the object store
     )
 
-    def rebucket_union(batch: pa.Table) -> pa.Table:
-        # nodes can surface in either side's bucket; rebucket by node for
+    def both_ends(batch: pa.Table) -> pa.Table:
+        # nodes can surface on either side of an edge; one row per end for
         # the global dedup co-group
-        urls = batch["node"].to_pylist() + batch["dst"].to_pylist()
-        return pa.table({"node": pa.array(urls, pa.string()), "kb": _ubuckets(urls)})
+        ends = [batch["node"].combine_chunks(), batch["dst"].combine_chunks()]
+        return pa.table({"node": pa.concat_arrays(ends)})
 
     node_schema = {"node": pa.string(), "c": pa.int64()}
 
@@ -12782,7 +12508,7 @@ def q_link_pagerank(sf_dir: str):
         return pd.DataFrame({"node": uniq, "c": np.zeros(len(uniq), dtype=np.int64)})
 
     nodes = cogroup(
-        edges.map_batches(rebucket_union, batch_format="pyarrow"), "kb", dedup_nodes, node_schema
+        edges.map_batches(both_ends, batch_format="pyarrow"), "node", dedup_nodes, node_schema
     ).materialize()  # reused every round (zero-indegree keep-alive rows)
     n = nodes.count()
     tele = (15 * (SCALE // n)) // 100
@@ -12796,7 +12522,6 @@ def q_link_pagerank(sf_dir: str):
                 "deg": pa.array([0] * len(urls), pa.int64()),
                 "r": pa.array([SCALE // n] * len(urls), pa.int64()),
                 "kind": pa.array([0] * len(urls), pa.int8()),
-                "kb": _ubuckets(urls),
             }
         )
 
@@ -12807,11 +12532,11 @@ def q_link_pagerank(sf_dir: str):
     )
 
     def contrib(bucket: pd.DataFrame) -> pd.DataFrame:
-        # messages (kind 0) carry their DESTINATION bucket; the bucket's
-        # dangling partial (kind 1, no node) replicates to EVERY bucket (nb
-        # tiny rows), so the global dangling mass is summable inside each
-        # update group and no per-round driver barrier / extra execution is
-        # needed — the K rounds chain into ONE streaming DAG.
+        # messages (kind 0) carry their DESTINATION partition; the block's
+        # dangling partial (kind 1, no node) replicates to EVERY partition
+        # (``width`` tiny rows), so the global dangling mass is summable
+        # inside each update group and no per-round driver barrier / extra
+        # execution is needed — the K rounds chain into ONE streaming DAG.
         rk = bucket[bucket["kind"] == 0]
         ed = bucket[bucket["kind"] == 1]
         rmap = dict(zip(rk["node"], rk["r"]))
@@ -12820,34 +12545,31 @@ def q_link_pagerank(sf_dir: str):
             // ed["deg"].to_numpy(dtype=np.int64)
         )
         dsts = ed["dst"].astype("str")
-        dst_kb = np.fromiter(
-            (zlib.crc32(u.encode()) % nb for u in dsts), dtype=np.int32, count=len(dsts)
-        )
         dang = int(rk.loc[~rk["node"].isin(set(ed["node"])), "r"].sum())
         return pd.DataFrame(
             {
-                "node": pd.concat([dsts, pd.Series([None] * nb)], ignore_index=True),
-                "c": np.concatenate([out_c, np.full(nb, dang, dtype=np.int64)]),
-                "kb": np.concatenate([dst_kb, np.arange(nb, dtype=np.int32)]),
-                "kind": np.repeat(np.array([0, 1], dtype=np.int8), [len(dsts), nb]),
+                "node": pd.concat([dsts, pd.Series([None] * width)], ignore_index=True),
+                "c": np.concatenate([out_c, np.full(width, dang, dtype=np.int64)]),
+                "part": np.concatenate([part_ids(dsts), np.arange(width, dtype=np.int32)]),
+                "kind": np.repeat(np.array([0, 1], dtype=np.int8), [len(dsts), width]),
             }
         )
 
-    def node_bucket(batch: pa.Table) -> pa.Table:
+    def node_part(batch: pa.Table) -> pa.Table:
         urls = batch["node"].to_pylist()
         return pa.table(
             {
                 "node": batch["node"],
                 "c": batch["c"],
-                "kb": _ubuckets(urls),
+                "part": pa.array(part_ids(urls), pa.int32()),
                 "kind": pa.array([0] * len(urls), pa.int8()),
             }
         )
 
-    def update(bucket: pd.DataFrame) -> pd.DataFrame:
-        dang_mask = bucket["kind"] == 1
-        share = int(bucket.loc[dang_mask, "c"].sum()) // n  # global dang mass
-        g = bucket.loc[~dang_mask].groupby("node", as_index=False)["c"].sum()
+    def update(part: pd.DataFrame) -> pd.DataFrame:
+        dang_mask = part["kind"] == 1
+        share = int(part.loc[dang_mask, "c"].sum()) // n  # global dang mass
+        g = part.loc[~dang_mask].groupby("node", as_index=False)["c"].sum()
         g["c"] = tele + (85 * (g["c"].to_numpy(dtype=np.int64) + share)) // 100
         return g
 
@@ -12860,19 +12582,21 @@ def q_link_pagerank(sf_dir: str):
                 "deg": pa.array([0] * len(urls), pa.int64()),
                 "r": batch["c"].cast(pa.int64()),
                 "kind": pa.array([0] * len(urls), pa.int8()),
-                "kb": _ubuckets(urls),
             }
         )
 
     for _round in range(K):
         msgs = cogroup(
             ranks.union(edges),
-            "kb",
+            "node",
             contrib,
-            {"node": pa.string(), "c": pa.int64(), "kb": pa.int32(), "kind": pa.int8()},
+            {"node": pa.string(), "c": pa.int64(), "part": pa.int32(), "kind": pa.int8()},
         )
         new_state = cogroup(
-            msgs.union(nodes.map_batches(node_bucket, batch_format="pyarrow")), "kb", update, node_schema
+            msgs.union(nodes.map_batches(node_part, batch_format="pyarrow")),
+            "part",
+            each_key("part", update),
+            node_schema,
         )
         # one execution per round: a single K-round DAG (8 chained
         # all-to-alls) schedules WORSE on the streaming executor (28 s vs
@@ -12916,25 +12640,22 @@ def q_allpairs_jaccard_join(sf_dir: str):
     true near-duplicates.
 
     Scale shape: (1) distinct (doc, token) rows annotate exact global df
-    via ONE token-hash co-group (bucket-local row count IS the df — the
-    tfidf_top_terms pattern, no driver vocabulary); (2) a doc-hash
-    co-group orders each doc's tokens by the global (df, token) total
+    via ONE co-group on the token (block-local row count IS the df — the
+    tfidf_top_terms pattern, no driver vocabulary); (2) a co-group on the
+    doc orders each doc's tokens by the global (df, token) total
     order and keeps only the prefix (rare tokens — posting lists stay
     short precisely because prefixes prefer low-df tokens); (3) a
-    token-hash co-group enumerates candidate pairs per shared prefix
+    co-group on the token enumerates candidate pairs per shared prefix
     token with the integer length filter 10·min ≥ 8·max (sizes failing
-    it cannot reach τ); (4) pair-hash dedup; (5) exact verification via
+    it cannot reach τ); (4) a co-group on the pair dedups; (5) exact verification via
     the two-pass ``pair_text_metric`` join (corpus text ships once,
     pair rows twice — never a broadcast corpus).  Unrounded int/int
     division — bit-identical doubles vs the oracle's exact
     inverted-index SQL."""
-    import zlib
-
     from ..functions.dedup import pair_text_metric, word_ngram_jaccard
 
     TAU = 0.8
     TAU_N, TAU_D = 8, 10
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     _base, corpus = _docs_with_perturbed(sf_dir)
     # two consumers (prefix chain + exact-verify join) would each re-run
     # the read∪perturb; one narrow materialization feeds both
@@ -12942,7 +12663,7 @@ def q_allpairs_jaccard_join(sf_dir: str):
 
     def tok_rows(batch: pa.Table) -> pa.Table:
         _assert_id_headroom(batch["doc_id"], limit=1 << 31)
-        docs, terms, szs, tb = [], [], [], []
+        docs, terms, szs = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             words = (text or "").lower().split()
             if not words:
@@ -12955,21 +12676,19 @@ def q_allpairs_jaccard_join(sf_dir: str):
                 docs.append(doc_id)
                 terms.append(t)
                 szs.append(len(toks))
-                tb.append(zlib.crc32(t.encode()) % nb)
         return pa.table(
             {
                 "doc_id": pa.array(docs, pa.int64()),
                 "term": pa.array(terms, pa.string()),
                 "sz": pa.array(szs, pa.int64()),
-                "tb": pa.array(tb, pa.int32()),
             }
         )
 
     def annotate_df(bucket: pd.DataFrame) -> pd.DataFrame:
         # rows are distinct (doc, term) and a term's rows are all local ⇒
-        # the bucket-local per-term row count is the exact global df
+        # the block-local per-term row count is the exact global df
         df_map = bucket.groupby("term")["doc_id"].size()
-        return bucket.assign(df=bucket["term"].map(df_map), db=bucket["doc_id"].to_numpy() % nb)
+        return bucket.assign(df=bucket["term"].map(df_map))
 
     def prefix_rows(bucket: pd.DataFrame) -> pd.DataFrame:
         srt = bucket.sort_values(["doc_id", "df", "term"], kind="mergesort")
@@ -12978,8 +12697,7 @@ def q_allpairs_jaccard_join(sf_dir: str):
         rank = grp.cumcount().to_numpy()
         sz = srt["sz"].to_numpy(dtype=np.int64)
         keep = rank < (sz - (TAU_N * sz + TAU_D - 1) // TAU_D + 1)
-        out = srt.loc[keep, ["doc_id", "term", "sz"]]
-        return out.assign(tb=[zlib.crc32(t.encode()) % nb for t in out["term"]])
+        return srt.loc[keep, ["doc_id", "term", "sz"]]
 
     def cand_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
         pk: set[int] = set()
@@ -12995,41 +12713,31 @@ def q_allpairs_jaccard_join(sf_dir: str):
                     pk.add((a << 32) | b)
         return pd.DataFrame({"pair": np.fromiter(pk, dtype=np.int64, count=len(pk))})
 
-    def pair_bucket(batch: pa.Table) -> pa.Table:
-        e = batch["pair"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "pair": pa.array(e, pa.int64()),
-                "pb": pa.array((e % nb).astype(np.int32), pa.int32()),
-            }
-        )
-
     def dedup_decode(bucket: pd.DataFrame) -> pd.DataFrame:
         u = np.unique(bucket["pair"].to_numpy())
         return pd.DataFrame({"left": u >> 32, "right": u & 0xFFFFFFFF})
 
     annotated = cogroup(
         corpus.map_batches(tok_rows, batch_format="pyarrow"),
-        "tb",
+        "term",
         annotate_df,
         {
             "doc_id": pa.int64(),
             "term": pa.string(),
             "sz": pa.int64(),
             "df": pa.int64(),
-            "db": pa.int32(),
         },
     )
     prefixes = cogroup(
         annotated,
-        "db",
+        "doc_id",
         prefix_rows,
-        {"doc_id": pa.int64(), "term": pa.string(), "sz": pa.int64(), "tb": pa.int32()},
+        {"doc_id": pa.int64(), "term": pa.string(), "sz": pa.int64()},
     )
-    candidates = cogroup(prefixes, "tb", cand_pairs, {"pair": pa.int64()})
+    candidates = cogroup(prefixes, "term", cand_pairs, {"pair": pa.int64()})
     pairs = cogroup(
-        candidates.map_batches(pair_bucket, batch_format="pyarrow"),
-        "pb",
+        candidates,
+        "pair",
         dedup_decode,
         {"left": pa.int64(), "right": pa.int64()},
     )
@@ -13039,7 +12747,6 @@ def q_allpairs_jaccard_join(sf_dir: str):
         corpus,
         lambda a, b: word_ngram_jaccard(a, b, 5),
         out_col="jaccard",
-        num_buckets=nb,
     )
 
     def keep_tau(batch: pa.Table) -> pa.Table:
@@ -13154,7 +12861,7 @@ def q_join_size_estimate(sf_dir: str):
         return pd.DataFrame({"p": [int((piv[0] * piv[1]).sum())]})
 
     def fk_exact_job():
-        # exact Σ_k n_o·n_l via a key-bucket co-group of the two count tables
+        # exact Σ_k n_o·n_l via a co-group on the key of the two count tables
         o_counts = key_counts(_read(sf_dir, "orders", ["o_orderkey"]), "o_orderkey").map_batches(
             lambda t: t.append_column("side", pa.array([0] * len(t), pa.int8())),
             batch_format="pyarrow",
@@ -13163,13 +12870,9 @@ def q_join_size_estimate(sf_dir: str):
             lambda t: t.append_column("side", pa.array([1] * len(t), pa.int8())),
             batch_format="pyarrow",
         )
-        nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
         rows = cogroup(
-            o_counts.union(l_counts).map_batches(
-                lambda t: t.append_column("kb", _ibuckets(t["k"], nb)),
-                batch_format="pyarrow",
-            ),
-            "kb",
+            o_counts.union(l_counts),
+            "k",
             prod,
             {"p": pa.int64()},
         ).take_all()
@@ -13273,10 +12976,10 @@ def q_cdc_merge_apply(sf_dir: str):
     set (doc_id%7==0 → DELETE, ==1 → UPDATE text+' [rev2]', ==2 → INSERT
     id+offset) so the oracle re-derives the entire merge in SQL.
 
-    Scale shape: ONE doc_id-hash bucketed co-group of base rows and change
-    rows — every key's base row and its change rows land in the same
-    bucket, so precedence (delete > update, inserts appended) applies
-    locally; per-bucket partials carry op counts plus an order-independent
+    Scale shape: ONE co-group on doc_id of base rows and change rows —
+    every key's base row and its change rows land in the same folded
+    block, so precedence (delete > update, inserts appended) applies
+    locally; per-block partials carry op counts plus an order-independent
     md5 fingerprint SUM over the FINAL rows (mod 1e9+7 so corpus-scale
     sums stay in int64), and a grouped scalar sum emits the one audit
     row.  No driver-side state, no broadcast; the merged table itself
@@ -13285,7 +12988,6 @@ def q_cdc_merge_apply(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     MOD = 1_000_000_007
 
     def row_fp(doc_id: int, text: str) -> int:
@@ -13322,7 +13024,6 @@ def q_cdc_merge_apply(sf_dir: str):
                 "doc_id": pa.array(out_id, pa.int64()),
                 "op": pa.array(out_op, pa.string()),
                 "text": pa.array(out_text, pa.string()),
-                "kb": pa.array([i % nb for i in out_id], pa.int32()),
             }
         )
 
@@ -13358,7 +13059,7 @@ def q_cdc_merge_apply(sf_dir: str):
 
     totals = cogroup(
         _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(to_rows, batch_format="pyarrow"),
-        "kb",
+        "doc_id",
         merge,
         {
             "n_deleted": pa.int64(),
@@ -13540,7 +13241,7 @@ def q_user_erasure_audit(sf_dir: str):
 
     Scale shape: events/customer/orders erase map-side (the subject set is
     predicate-defined, so no membership state ships at all); the lineitem
-    cascade is ONE orderkey-hash bucketed co-group of erased-order marks
+    cascade is ONE co-group on the orderkey of erased-order marks
     with lineitem keys (the `orders_exists_semi` semi-join shape — narrow
     int rows, never payloads).  All four audits fold to per-batch
     (table, n_erased, n_remaining, fp) partials and one tiny grouped sum;
@@ -13550,7 +13251,6 @@ def q_user_erasure_audit(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem", "orders"))
     MOD = 1_000_000_007
 
     def _fp_many(strings) -> int:
@@ -13611,17 +13311,14 @@ def q_user_erasure_audit(sf_dir: str):
             {
                 "okey": pa.array(keys, pa.int64()),
                 "lnum": pa.array(np.full(len(keys), -1, dtype=np.int64)),
-                "kb": _ibuckets(keys, nb),
             }
         )
 
     def lineitem_rows(batch: pa.Table) -> pa.Table:
-        ok = batch["l_orderkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "okey": batch["l_orderkey"],
                 "lnum": pc.cast(batch["l_linenumber"], pa.int64()),
-                "kb": _ibuckets(ok, nb),
             }
         )
 
@@ -13653,7 +13350,7 @@ def q_user_erasure_audit(sf_dir: str):
                 lineitem_rows, batch_format="pyarrow"
             )
         ),
-        "kb",
+        "okey",
         cascade,
         {"tbl": pa.string(), "n_e": pa.int64(), "n_r": pa.int64(), "fp": pa.int64()},
     )
@@ -13803,7 +13500,7 @@ def q_zone_map_pruning(sf_dir: str):
         cogroup(
             ds.map_batches(date_tag, batch_format="pyarrow"),
             "us",
-            rank_blocks,
+            each_key("us", rank_blocks),
             {"blk": pa.int64(), "mn_p": pa.int64(), "mx_p": pa.int64()},
         )
         .groupby("blk")
@@ -13915,16 +13612,13 @@ def q_rake_word_scores(sf_dir: str):
 
     Scale shape: phrase runs and per-word (freq, deg) partials fold
     map-side (one Counter pass per batch); the only exchange is a
-    word-hash bucketed co-group sum (the ≥5k-key `groupby.aggregate`
-    pathology rule — never a generic hash aggregate over an open
-    vocabulary), then per-bucket top-20 prune so the final sort sees
-    O(20·buckets) rows.  The selection key is the UNROUNDED quotient
-    (one IEEE div of exact ints — identical in both engines)."""
-    import zlib
-
+    co-group sum on the word (the ≥5k-key `groupby.aggregate` pathology
+    rule — never a generic hash aggregate over an open vocabulary), then
+    per-block top-20 prune so the final sort sees O(20·blocks) rows.  The
+    selection key is the UNROUNDED quotient (one IEEE div of exact ints —
+    identical in both engines)."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     stop = set(_STOP_WORDS)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -13954,9 +13648,6 @@ def q_rake_word_scores(sf_dir: str):
                 "word": pa.array(keys, pa.string()),
                 "freq_p": pa.array([freq[k] for k in keys], pa.int64()),
                 "deg_p": pa.array([deg[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k.encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -13971,7 +13662,7 @@ def q_rake_word_scores(sf_dir: str):
     top = (
         cogroup(
             _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
-            "kb",
+            "word",
             bucket_top,
             {"word": pa.string(), "freq": pa.int64(), "deg": pa.int64(), "sc": pa.float64()},
         )
@@ -13993,7 +13684,12 @@ def q_rake_word_scores(sf_dir: str):
     return top.map_batches(finish, batch_format="pyarrow")
 
 
-def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
+# node count up to which HITS broadcasts the score table instead of
+# co-grouping scores with the edges
+_HITS_BROADCAST_NODES = 200_000
+
+
+def q_link_hits(sf_dir: str):
     """HITS hubs & authorities (Kleinberg 1999) over the URL-level outlink
     graph of the extraction pass — the second classical link-analysis
     centrality next to `link_pagerank`, and the one that distinguishes
@@ -14009,25 +13705,20 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     Scale shape — two paths, AUTO-SWITCHED on node count (the
     `copurchase_triangles` pattern; integer sums make both paths
     bit-identical, pinned by a forced-path test):
-    - nodes ≤ cap (default 200k): the score table broadcasts once per
+    - nodes ≤ ``_HITS_BROADCAST_NODES`` (200k): the score table broadcasts once per
       half-round via ``ray.put`` (O(nodes) ints); edges are scanned
       map-side ONLY (never shuffled), message partials pre-aggregate per
       batch and ONE dst-hash co-group sums them — halves the all-to-all
       count, which dominates wall at small graph sizes.
-    - larger graphs: Pregel-style bucketed message passing — the
-      authority half-round co-groups hub scores with edges by SRC hash
-      and sums messages by DST hash; the hub half-round mirrors it;
+    - larger graphs: Pregel-style message passing — the authority
+      half-round co-groups hub scores with edges on the SRC node and sums
+      messages on the DST node; the hub half-round mirrors it;
       per-round driver state is ONE scalar (the max)."""
     import ray
-    import zlib
 
     K = 2
     S = 1_000_000
-    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
-
-    def _ubuckets(urls: list) -> pa.Array:
-        return pa.array([zlib.crc32(u.encode()) % nb for u in urls], pa.int32())
 
     def edge_rows(batch: pa.Table) -> pa.Table:
         src_out, dst_out = [], []
@@ -14041,7 +13732,6 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
                 "other": pa.array(dst_out, pa.string()),
                 "v": pa.array([0] * len(src_out), pa.int64()),
                 "kind": pa.array([1] * len(src_out), pa.int8()),
-                "kb": _ubuckets(src_out),
             }
         )
 
@@ -14056,20 +13746,13 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     )
 
     def flip(batch: pa.Table) -> pa.Table:
-        others = batch["other"].to_pylist()
         return pa.table(
-            {
-                "node": batch["other"],
-                "other": batch["node"],
-                "v": batch["v"],
-                "kind": batch["kind"],
-                "kb": _ubuckets(others),
-            }
+            {"node": batch["other"], "other": batch["node"], "v": batch["v"], "kind": batch["kind"]}
         )
 
-    def rebucket_union(batch: pa.Table) -> pa.Table:
-        urls = batch["node"].to_pylist() + batch["other"].to_pylist()
-        return pa.table({"node": pa.array(urls, pa.string()), "kb": _ubuckets(urls)})
+    def both_ends(batch: pa.Table) -> pa.Table:
+        ends = [batch["node"].combine_chunks(), batch["other"].combine_chunks()]
+        return pa.table({"node": pa.concat_arrays(ends)})
 
     score_schema = {"node": pa.string(), "v": pa.int64()}
 
@@ -14078,7 +13761,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
         return pd.DataFrame({"node": uniq, "v": np.zeros(len(uniq), dtype=np.int64)})
 
     nodes = cogroup(
-        edges_by_src.map_batches(rebucket_union, batch_format="pyarrow"), "kb", dedup_nodes, score_schema
+        edges_by_src.map_batches(both_ends, batch_format="pyarrow"), "node", dedup_nodes, score_schema
     ).materialize()
 
     def as_score_rows(ds, value: int | None = None):
@@ -14095,7 +13778,6 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
                     "other": pa.array([None] * len(urls), pa.string()),
                     "v": v,
                     "kind": pa.array([0] * len(urls), pa.int8()),
-                    "kb": _ubuckets(urls),
                 }
             )
 
@@ -14113,19 +13795,15 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
             {"node": ed["other"].to_numpy(), "v": ed["node"].map(vmap).to_numpy(dtype=np.int64)}
         )
 
-    def msg_bucket(batch: pa.Table) -> pa.Table:
-        urls = batch["node"].to_pylist()
-        return pa.table({"node": batch["node"], "v": batch["v"], "kb": _ubuckets(urls)})
-
     def sum_scores(bucket: pd.DataFrame) -> pd.DataFrame:
         return bucket.groupby("node", as_index=False)["v"].sum()
 
     n_nodes = nodes.count()
-    if broadcast_node_cap is not None and n_nodes <= broadcast_node_cap:
+    if n_nodes <= _HITS_BROADCAST_NODES:
         # broadcast fast path: edges never shuffle (map-side per-batch
         # message partials), the O(nodes)-bounded partial sums fold on
         # the driver — zero all-to-alls per half-round.  Integer sums are
-        # associative, so this is bit-identical to the bucketed path
+        # associative, so this is bit-identical to the co-grouped path
         # (pinned by the forced-path test).
         node_list = sorted(nodes.to_pandas()["node"].tolist())
 
@@ -14176,12 +13854,10 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     def half_round(scores, edges_oriented):
         # `scores` is a 2-col (node, v) dataset; wrap to the 5-col
         # co-group schema, join onto the oriented edges, sum, normalize
-        msgs = cogroup(as_score_rows(scores).union(edges_oriented), "kb", emit_msgs, score_schema)
+        msgs = cogroup(as_score_rows(scores).union(edges_oriented), "node", emit_msgs, score_schema)
         raw = cogroup(
-            msgs.map_batches(msg_bucket, batch_format="pyarrow").union(
-                nodes.map_batches(msg_bucket, batch_format="pyarrow")
-            ),
-            "kb",
+            msgs.union(nodes),
+            "node",
             sum_scores,
             score_schema,
         ).materialize()
@@ -14211,7 +13887,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
         auths = half_round(hubs, edges_by_src)
         hubs = half_round(auths, edges_by_dst)
 
-    # join auth + hub per node (bucketed co-group), then global top-20
+    # join auth + hub per node (co-group on the node), then global top-20
     def tag(ds, col_kind: int):
         def f(batch: pa.Table) -> pa.Table:
             urls = batch["node"].to_pylist()
@@ -14220,7 +13896,6 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
                     "node": batch["node"],
                     "v": batch["v"].cast(pa.int64()),
                     "kind": pa.array([col_kind] * len(urls), pa.int8()),
-                    "kb": _ubuckets(urls),
                 }
             )
 
@@ -14236,7 +13911,7 @@ def q_link_hits(sf_dir: str, *, broadcast_node_cap: int | None = 200_000):
     return (
         cogroup(
             tag(auths, 0).union(tag(hubs, 1)),
-            "kb",
+            "node",
             join_top,
             {"url": pa.string(), "auth": pa.int64(), "hub": pa.int64()},
         )
@@ -14253,14 +13928,13 @@ def q_attribution_first_touch(sf_dir: str):
     first-touch channel.  Deterministic total order ``(ts, event_id)``
     pins "first" under timestamp ties on both engines.
 
-    Scale shape: ONE user-hash bucketed co-group (each user's events are
+    Scale shape: ONE co-group on user_id (each user's events are
     co-resident); sessionize + first-value + purchase counting fold inside
     the group, so the only exchange after the narrow (user, us, id, type)
     shuffle is a tiny (first_touch, n) grouped sum."""
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -14269,7 +13943,6 @@ def q_attribution_first_touch(sf_dir: str):
                 "event_id": batch["event_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -14288,7 +13961,7 @@ def q_attribution_first_touch(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
                 to_rows, batch_format="pyarrow"
             ),
-            "kb",
+            "user_id",
             attribute,
             {"first_touch": pa.string(), "n_p": pa.int64()},
         )
@@ -14304,15 +13977,14 @@ def q_user_weekly_retention(sf_dir: str):
     Diagonal offset 0 is the cohort size; the decay along each row is
     the retention curve.
 
-    Scale shape: one global min(ts) scalar, then ONE user-hash bucketed
-    co-group (per-batch (user, week) distinct partials ship instead of
-    raw events); per-user cohort + offsets fold in the group and only
+    Scale shape: one global min(ts) scalar, then ONE co-group on user_id
+    (per-batch (user, week) distinct partials ship instead of raw
+    events); per-user cohort + offsets fold in the group and only
     (cohort, offset, n) partial counts reach the final tiny grouped
     sum."""
     from ray.data.aggregate import Sum
 
     WEEK_US = 7 * 24 * 3_600_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     start = int(
         _read(sf_dir, "events", ["ts"])
@@ -14334,7 +14006,6 @@ def q_user_weekly_retention(sf_dir: str):
             {
                 "user_id": pa.array(pairs[:, 0], pa.int64()),
                 "week": pa.array(pairs[:, 1], pa.int64()),
-                "kb": _ibuckets(pairs[:, 0], nb),
             }
         )
 
@@ -14352,7 +14023,7 @@ def q_user_weekly_retention(sf_dir: str):
     return (
         cogroup(
             _read(sf_dir, "events", ["user_id", "ts"]).map_batches(partial, batch_format="pyarrow"),
-            "kb",
+            "user_id",
             fold,
             {"cohort_week": pa.int64(), "week_offset": pa.int64(), "n_p": pa.int64()},
         )
@@ -14517,7 +14188,7 @@ def q_systematic_sample(sf_dir: str):
     return cogroup(
         ds.map_batches(tag, batch_format="pyarrow"),
         "hour",
-        pick,
+        each_key("hour", pick),
         {"event_id": pa.int64(), "rank": pa.int64()},
     )
 
@@ -14532,13 +14203,11 @@ def q_orders_constraint_audit(sf_dir: str):
 
     Scale shape: the value rules (amount, status, date) fold map-side
     to scalar partials; uniqueness ships per-batch (key, count)
-    partials into a key-hash bucketed exact count; the FK orphan rule
-    is an orderkey… custkey-hash bucketed anti-join of order custkeys
-    against customer marks (narrow int rows).  One final tiny grouped
+    partials into an exact count co-grouped on the key; the FK orphan
+    rule is an anti-join of order custkeys against customer marks
+    co-grouped on the custkey (narrow int rows).  One final tiny grouped
     sum emits the five-row report."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "customer", "orders"))
 
     def value_rules(batch: pa.Table) -> pa.Table:
         tp = batch["o_totalprice"].to_numpy(zero_copy_only=False)
@@ -14566,7 +14235,7 @@ def q_orders_constraint_audit(sf_dir: str):
         ).map_batches(value_rules, batch_format="pyarrow")
     )
 
-    # uniqueness: exact per-key counts via key-hash bucketed fold
+    # uniqueness: exact per-key counts via a co-group on the key
     def key_partial(batch: pa.Table) -> pa.Table:
         k = batch["o_orderkey"].to_numpy(zero_copy_only=False)
         ku, kc = np.unique(k, return_counts=True)
@@ -14574,7 +14243,6 @@ def q_orders_constraint_audit(sf_dir: str):
             {
                 "key": pa.array(ku, pa.int64()),
                 "n": pa.array(kc.astype(np.int64)),
-                "kb": _ibuckets(ku, nb),
             }
         )
 
@@ -14586,12 +14254,12 @@ def q_orders_constraint_audit(sf_dir: str):
 
     dups = cogroup(
         _read(sf_dir, "orders", ["o_orderkey"]).map_batches(key_partial, batch_format="pyarrow"),
-        "kb",
+        "key",
         dup_fold,
         rule_schema,
     )
 
-    # FK orphans: order custkeys vs customer marks, custkey-hash co-group
+    # FK orphans: order custkeys vs customer marks, co-grouped on custkey
     def order_cust(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         cu, cc = np.unique(ck, return_counts=True)
@@ -14600,7 +14268,6 @@ def q_orders_constraint_audit(sf_dir: str):
                 "ckey": pa.array(cu, pa.int64()),
                 "n": pa.array(cc.astype(np.int64)),
                 "side": pa.array([0] * len(cu), pa.int8()),
-                "kb": _ibuckets(cu, nb),
             }
         )
 
@@ -14611,7 +14278,6 @@ def q_orders_constraint_audit(sf_dir: str):
                 "ckey": pa.array(ck, pa.int64()),
                 "n": pa.array(np.zeros(len(ck), dtype=np.int64)),
                 "side": pa.array([1] * len(ck), pa.int8()),
-                "kb": _ibuckets(ck, nb),
             }
         )
 
@@ -14629,7 +14295,7 @@ def q_orders_constraint_audit(sf_dir: str):
                 customer_marks, batch_format="pyarrow"
             )
         ),
-        "kb",
+        "ckey",
         orphan_fold,
         rule_schema,
     )
@@ -14794,15 +14460,8 @@ def q_zorder_layout_audit(sf_dir: str):
         run += int(r["n"])
     off_ref = ray.put(offsets)
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
-
-    def z_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "kb", _ibuckets(batch["z"], nb)
-        )
-
     def z_blocks(bucket: pd.DataFrame) -> pd.DataFrame:
-        # one co-group bucket holds MANY z codes (never one tiny group per
+        # one folded block holds MANY z codes (never one tiny group per
         # code — 2^16 codes would be the ≥5k-key tiny-group pathology);
         # rank each row as offsets[z] + its index within its z run
         off = ray.get(off_ref)
@@ -14878,8 +14537,8 @@ def q_zorder_layout_audit(sf_dir: str):
     z_layout = audit(
         "zorder",
         cogroup(
-            tagged.map_batches(z_bucket, batch_format="pyarrow"),
-            "kb",
+            tagged,
+            "z",
             z_blocks,
             {
                 "blk": pa.int64(),
@@ -14924,7 +14583,7 @@ def q_customer_order_gaps(sf_dir: str):
     discrete p50/p90 — the repeat-behavior profile behind churn and
     replenishment models.
 
-    Scale shape: ONE custkey-hash bucketed co-group (narrow
+    Scale shape: ONE co-group on custkey (narrow
     (cust, us, key) rows); per-customer sorted diffs fold to a (gap, n)
     histogram whose driver merge is bounded by the corpus span in DAYS,
     never by order count."""
@@ -14932,7 +14591,6 @@ def q_customer_order_gaps(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "orders"))
     DAY_US = 86_400_000_000
 
     def to_rows(batch: pa.Table) -> pa.Table:
@@ -14941,7 +14599,6 @@ def q_customer_order_gaps(sf_dir: str):
                 "ck": batch["o_custkey"],
                 "us": batch["o_orderdate"].cast(pa.int64()),
                 "key": batch["o_orderkey"],
-                "kb": _ibuckets(batch["o_custkey"], nb),
             }
         )
 
@@ -14970,7 +14627,7 @@ def q_customer_order_gaps(sf_dir: str):
             _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"]).map_batches(
                 to_rows, batch_format="pyarrow"
             ),
-            "kb",
+            "ck",
             fold,
             {"gap": pa.int64(), "n_p": pa.int64(), "multi_p": pa.int64()},
         )
@@ -15020,14 +14677,13 @@ def q_events_funnel_windowed(sf_dir: str):
     unbounded ordering can't express.  Existence semantics: ∃ (v, c, p)
     with v < c < p and p − v ≤ 24 h, evaluated per user.
 
-    Scale shape: one user-hash bucketed co-group; inside each user the
+    Scale shape: one co-group on user_id; inside each user the
     scan keeps sorted view/click arrays and answers each purchase with
     two binary searches (exists view in [p − 24 h, latest-click-before-p))
     — O(n log n) per user, no cross-user state, one scalar sum out."""
     from ray.data.aggregate import Sum
 
     WIN_US = 24 * 3_600_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15035,7 +14691,6 @@ def q_events_funnel_windowed(sf_dir: str):
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -15066,7 +14721,7 @@ def q_events_funnel_windowed(sf_dir: str):
         _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
             to_rows, batch_format="pyarrow"
         ),
-        "kb",
+        "user_id",
         fold,
         {"n_p": pa.int64()},
     ).aggregate(Sum("n_p", alias_name="n"))
@@ -15079,10 +14734,9 @@ def q_events_hourly_top_types(sf_dir: str):
     per-window leaderboard `heavy_hitter_words` computes globally.
 
     Scale shape: per-batch (hour, type) partial counts (the shuffle
-    ships one row per distinct pair per batch); hours co-group by
-    hour-hash bucket (MANY windows per group task — never one tiny
-    group per hour) and the final output is ≤3 rows per window."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
+    ships one row per distinct pair per batch); hours co-group on the
+    hour (MANY windows per fold call — never one tiny group per
+    hour) and the final output is ≤3 rows per window."""
     HOUR_US = 3_600_000_000
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -15094,7 +14748,6 @@ def q_events_hourly_top_types(sf_dir: str):
                 "h": pa.array(hours, pa.int64()),
                 "event_type": pa.array([k[1] for k in c], pa.string()),
                 "n_p": pa.array(list(c.values()), pa.int64()),
-                "kb": _ibuckets(hours, nb),
             }
         )
 
@@ -15107,7 +14760,7 @@ def q_events_hourly_top_types(sf_dir: str):
 
     return cogroup(
         _read(sf_dir, "events", ["ts", "event_type"]).map_batches(partial, batch_format="pyarrow"),
-        "kb",
+        "h",
         top3,
         {"hour_us": pa.int64(), "event_type": pa.string(), "n": pa.int64(), "rnk": pa.int64()},
     )
@@ -15125,10 +14778,10 @@ def q_knn_mutual_pairs(sf_dir: str):
     broadcast is the documented exact-mode assumption (same class as
     `embedding_near_dups`; at 10⁶+ rows switch to the LSH/IVF candidate
     pruning in functions/simsearch.py).  The final per-query selection
-    happens inside the SAME query-hash co-group that drops self and
+    happens inside the SAME co-group on the query that drops self and
     emits pair keys — NOT `_merge_topk`'s one-group-per-query finale,
     which at Q = N is the recorded tiny-group pathology (20 s → 3 s at
-    sf0.1).  Mutuality resolves in ONE unordered-pair-hash co-group
+    sf0.1).  Mutuality resolves in ONE co-group on the unordered pair
     (count == 2 ⇒ both directions present)."""
     import ray
     from ray.data.aggregate import Sum
@@ -15136,7 +14789,6 @@ def q_knn_mutual_pairs(sf_dir: str):
     from ..functions.simsearch import _normalize, _vec_matrix
 
     K = 5
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "embeddings"))
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     rows = ds.take_all()  # exact-mode query broadcast: O(N·d), documented
@@ -15190,7 +14842,6 @@ def q_knn_mutual_pairs(sf_dir: str):
                 "src": pa.array(src[keep], pa.int64()),
                 "dst": pa.array(dst[keep], pa.int64()),
                 "cosine": pa.array(cos[keep], pa.float64()),
-                "kb": _ibuckets(src[keep], nb),
             }
         )
 
@@ -15205,15 +14856,6 @@ def q_knn_mutual_pairs(sf_dir: str):
         hi = np.maximum(g["src"].to_numpy(), g["dst"].to_numpy())
         return pd.DataFrame({"lo": lo, "hi": hi})
 
-    def pair_bucket(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lo": batch["lo"],
-                "hi": batch["hi"],
-                "kb": _ibuckets(batch["lo"], nb),
-            }
-        )
-
     def mutual(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby(["lo", "hi"]).size()
         both = g[g == 2].index
@@ -15221,13 +14863,13 @@ def q_knn_mutual_pairs(sf_dir: str):
 
     pairs = cogroup(
         out.map_batches(directed, batch_format="pyarrow"),
-        "kb",
+        "src",
         head_k,
         {"lo": pa.int64(), "hi": pa.int64()},
     )
     return cogroup(
-        pairs.map_batches(pair_bucket, batch_format="pyarrow"),
-        "kb",
+        pairs,
+        ["lo", "hi"],
         mutual,
         {"left": pa.int64(), "right": pa.int64()},
     )
@@ -15283,13 +14925,12 @@ def q_events_bounce_rate(sf_dir: str):
     the share that are single-event bounces — the engagement report
     attribution and sessionization exist to feed.
 
-    Scale shape: one user-hash bucketed co-group emits per-type
+    Scale shape: one co-group on user_id emits per-type
     (n_sessions, n_bounces) partials; the rate divides two exact int64
     sums in ONE double op after the tiny grouped sum."""
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15298,7 +14939,6 @@ def q_events_bounce_rate(sf_dir: str):
                 "event_id": batch["event_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -15327,7 +14967,7 @@ def q_events_bounce_rate(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
                 to_rows, batch_format="pyarrow"
             ),
-            "kb",
+            "user_id",
             fold,
             {"first_touch": pa.string(), "s_p": pa.int64(), "b_p": pa.int64()},
         )
@@ -15366,12 +15006,11 @@ def q_event_audience_jaccard(sf_dir: str):
     union derives from that constant-size table.  No per-pair scans, no
     distinct-set shuffles per pair.
 
-    Scale shape: per-batch (user, mask-OR) partials → one user-hash
-    bucketed OR-fold → a ≤32-key histogram to the driver (constant,
+    Scale shape: per-batch (user, mask-OR) partials → one OR-fold
+    co-grouped on user_id → a ≤32-key histogram to the driver (constant,
     independent of users)."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
     bit = {t: i for i, t in enumerate(_AUDIENCE_TYPES)}
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -15384,7 +15023,6 @@ def q_event_audience_jaccard(sf_dir: str):
             {
                 "user_id": pa.array(users, pa.int64()),
                 "mask": pa.array([masks[u] for u in users], pa.int64()),
-                "kb": pa.array([u % nb for u in users], pa.int32()),
             }
         )
 
@@ -15398,7 +15036,7 @@ def q_event_audience_jaccard(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
                 partial, batch_format="pyarrow"
             ),
-            "kb",
+            "user_id",
             or_fold,
             {"mask": pa.int64(), "n_p": pa.int64()},
         )
@@ -15440,13 +15078,11 @@ def q_orders_basket_profile(sf_dir: str):
     """Basket-size distribution: how many orders have k line items — the
     order-composition histogram behind co-purchase and pricing analyses.
 
-    Scale shape: per-batch (orderkey, count) partials → one orderkey-hash
-    bucketed exact count fold (a key's partials all land in one bucket)
-    → per-bucket size histogram partials → tiny grouped sum.  Never a
+    Scale shape: per-batch (orderkey, count) partials → one exact count
+    fold co-grouped on the orderkey (a key's partials all land in one
+    block) → per-block size histogram partials → tiny grouped sum.  Never a
     generic hash aggregate over the open orderkey domain."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def key_partial(batch: pa.Table) -> pa.Table:
         k = batch["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -15455,7 +15091,6 @@ def q_orders_basket_profile(sf_dir: str):
             {
                 "key": pa.array(ku, pa.int64()),
                 "n": pa.array(kc.astype(np.int64)),
-                "kb": _ibuckets(ku, nb),
             }
         )
 
@@ -15469,7 +15104,7 @@ def q_orders_basket_profile(sf_dir: str):
             _read(sf_dir, "lineitem", ["l_orderkey"]).map_batches(
                 key_partial, batch_format="pyarrow"
             ),
-            "kb",
+            "key",
             hist_fold,
             {"n_lines": pa.int64(), "n_p": pa.int64()},
         )
@@ -15487,11 +15122,10 @@ def q_part_cheapest_supplier(sf_dir: str):
     flavor.
 
     Scale shape: per-batch (part, supp, min-cents) partials → ONE
-    partkey-hash bucketed fold (a part's rows are co-resident, so the
+    fold co-grouped on the partkey (a part's rows are co-resident, so the
     per-(part, supp) min merge and the per-part argmin both resolve
     locally).  Output is one row per part — never wider than the
     catalog."""
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "lineitem"))
 
     def partial(batch: pa.Table) -> pa.Table:
         pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
@@ -15506,7 +15140,6 @@ def q_part_cheapest_supplier(sf_dir: str):
                 "pk": pa.array(g["pk"].to_numpy(), pa.int64()),
                 "sk": pa.array(g["sk"].to_numpy(), pa.int64()),
                 "c": pa.array(g["c"].to_numpy(), pa.int64()),
-                "kb": _ibuckets(g["pk"].to_numpy(), nb),
             }
         )
 
@@ -15520,7 +15153,7 @@ def q_part_cheapest_supplier(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "kb",
+        "pk",
         argmin_fold,
         {"l_partkey": pa.int64(), "l_suppkey": pa.int64(), "min_cents": pa.int64()},
     )
@@ -15533,14 +15166,11 @@ def q_link_reciprocity(sf_dir: str):
     (near 0 on the open web, near 1 in navigation templates).
 
     Scale shape: the edge extraction is the `link_pagerank` contract;
-    reciprocity resolves in ONE unordered-pair-hash co-group (a pair's
+    reciprocity resolves in ONE co-group on the unordered pair (a pair's
     two possible directions land together; directed edges under a
     reciprocated pair count 2).  Output is one scalar row."""
-    import zlib
-
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
@@ -15554,9 +15184,6 @@ def q_link_reciprocity(sf_dir: str):
             {
                 "lo": pa.array(lo_out, pa.string()),
                 "hi": pa.array(hi_out, pa.string()),
-                "kb": pa.array(
-                    [zlib.crc32(u.encode()) % nb for u in lo_out], pa.int32()
-                ),
             }
         )
 
@@ -15570,7 +15197,7 @@ def q_link_reciprocity(sf_dir: str):
         _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
             edge_rows, batch_format="pyarrow"
         ),
-        "kb",
+        ["lo", "hi"],
         fold,
         {"e_p": pa.int64(), "r_p": pa.int64()},
     ).aggregate(Sum("e_p", alias_name="e"), Sum("r_p", alias_name="r"))
@@ -15596,15 +15223,12 @@ def q_link_degree_histogram(sf_dir: str):
     generator emits a fixed link block — so in-degree is the axis with
     signal.)
 
-    Scale shape: per-page edges are deduped at emission; ONE
-    dst-hash bucketed fold computes exact in-degrees (a target's edges
-    are co-resident) and emits per-bucket (degree, n) histogram
+    Scale shape: per-page edges are deduped at emission; ONE fold
+    co-grouped on dst computes exact in-degrees (a target's edges are
+    co-resident) and emits per-block (degree, n) histogram
     partials; the final grouped sum is O(distinct degrees)."""
-    import zlib
-
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=pages_rows_for(sf_dir))
     _ensure_pages_fixture(sf_dir)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
@@ -15617,9 +15241,6 @@ def q_link_degree_histogram(sf_dir: str):
             {
                 "src": pa.array(src_out, pa.string()),
                 "dst": pa.array(dst_out, pa.string()),
-                "kb": pa.array(
-                    [zlib.crc32(d.encode()) % nb for d in dst_out], pa.int32()
-                ),
             }
         )
 
@@ -15633,7 +15254,7 @@ def q_link_degree_histogram(sf_dir: str):
             _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
                 edge_rows, batch_format="pyarrow"
             ),
-            "kb",
+            "dst",
             indeg_fold,
             {"degree": pa.int64(), "n_p": pa.int64()},
         )
@@ -15718,8 +15339,8 @@ def q_session_duration_quantiles(sf_dir: str):
     session contract — the engagement-depth report sessionization feeds.
     Quantile element selection is the ``quantile_disc`` ceil rule.
 
-    Scale shape: one user-hash bucketed co-group sessionizes and emits
-    per-bucket (duration-seconds, n) and (size, n) histogram partials;
+    Scale shape: one co-group on user_id sessionizes and emits
+    per-block (duration-seconds, n) and (size, n) histogram partials;
     the driver merges histograms bounded by the corpus time span in
     seconds (durations) and by the max session length (sizes) — never
     O(sessions) rows."""
@@ -15728,14 +15349,12 @@ def q_session_duration_quantiles(sf_dir: str):
     from ray.data.aggregate import Sum
 
     GAP_US = 1_800_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -15757,7 +15376,7 @@ def q_session_duration_quantiles(sf_dir: str):
     rows = (
         cogroup(
             _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
-            "kb",
+            "user_id",
             fold,
             {"kind": pa.string(), "val": pa.int64(), "n_p": pa.int64()},
         )
@@ -15803,15 +15422,12 @@ def q_vocab_coverage_k(sf_dir: str):
     ``100·cum ≥ 90·total`` and within the boundary frequency the word
     count needed is exact integer arithmetic — no float enters.
 
-    Scale shape: exact word counts via a word-hash bucketed fold; the
-    bucket emits a (frequency-value, n_words) HISTOGRAM partial — Zipf
-    keeps distinct frequency values ~O(√tokens), so the driver merge is
-    sublinear in vocabulary and independent of the raw corpus."""
-    import zlib
-
+    Scale shape: exact word counts via a fold co-grouped on the word;
+    each folded block emits a (frequency-value, n_words) HISTOGRAM
+    partial — Zipf keeps distinct frequency values ~O(√tokens), so the
+    driver merge is sublinear in vocabulary and independent of the raw
+    corpus."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -15822,9 +15438,6 @@ def q_vocab_coverage_k(sf_dir: str):
             {
                 "word": pa.array(keys, pa.string()),
                 "n_p": pa.array([c[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k.encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -15836,7 +15449,7 @@ def q_vocab_coverage_k(sf_dir: str):
     rows = (
         cogroup(
             _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
-            "kb",
+            "word",
             freq_hist,
             {"freq": pa.int64(), "nw_p": pa.int64()},
         )
@@ -15874,13 +15487,10 @@ def q_top_word_per_lang(sf_dir: str):
     value domain (vocabulary) is unbounded, so no engine may hash-aggregate
     it whole.
 
-    Scale shape: per-batch (lang, word, n) partials → ONE word-hash
-    bucketed fold (a word's rows co-locate, so per-(lang, word) totals
-    are exact in-bucket) emitting each bucket's per-lang champion; the
-    final argmax scans ≤ buckets·langs candidate rows."""
-    import zlib
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    Scale shape: per-batch (lang, word, n) partials → ONE fold
+    co-grouped on the word (a word's rows co-locate, so per-(lang, word)
+    totals are exact in-block) emitting each block's per-lang champion;
+    the final argmax scans ≤ blocks·langs candidate rows."""
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -15893,9 +15503,6 @@ def q_top_word_per_lang(sf_dir: str):
                 "lang": pa.array([k[0] for k in keys], pa.string()),
                 "word": pa.array([k[1] for k in keys], pa.string()),
                 "n_p": pa.array([c[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k[1].encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -15906,7 +15513,7 @@ def q_top_word_per_lang(sf_dir: str):
 
     cands = cogroup(
         _read(sf_dir, "documents", ["lang", "text"]).map_batches(partial, batch_format="pyarrow"),
-        "kb",
+        "word",
         champion,
         {"lang": pa.string(), "word": pa.string(), "n": pa.int64()},
     ).take_all()
@@ -16134,7 +15741,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
     point events can't give.  Exposes the interval-join-to-grid shape:
     each session explodes to its covered hour cells.
 
-    Scale shape: one user-hash bucketed co-group sessionizes; each
+    Scale shape: one co-group on user_id sessionizes; each
     session emits per-HOUR partial counts (bounded by duration/3600 s —
     gap-bounded sessions are short); a tiny hour-keyed grouped sum
     finishes.  No pairwise interval join anywhere."""
@@ -16142,14 +15749,12 @@ def q_sessions_concurrency_profile(sf_dir: str):
 
     GAP_US = 1_800_000_000
     HOUR_US = 3_600_000_000
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
 
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch["user_id"],
                 "us": batch["ts"].cast(pa.int64()),
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -16175,7 +15780,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
     return (
         cogroup(
             _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
-            "kb",
+            "user_id",
             fold,
             {"hour": pa.int64(), "n_p": pa.int64()},
         )
@@ -16204,12 +15809,13 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     Lucene idf, the `q_bm25_top20` float contract (identical expression
     tree, fixed term order, 6dp round, doc_id ties).
 
-    Scale shape: the index build is one term-hash bucketed fold written
-    as partitioned parquet (resumable, never one giant file); query
-    stats (N, avgdl, per-term df) fold from the STAGED tables; scoring
-    joins the 3 query terms' postings with doc lengths in one doc-hash
-    co-group and keeps per-bucket top-10 — the corpus text is never
-    touched at query time.
+    Scale shape: the index build writes postings as parquet partitioned
+    into 16 term-hash shards (``kb``, crc32(term) mod 16 — the persisted
+    index layout, resumable, never one giant file); query stats (N,
+    avgdl, per-term df) fold from the STAGED tables; scoring joins the 3
+    query terms' postings with doc lengths in one co-group on the doc and
+    keeps per-block top-10 — the corpus text is never touched at query
+    time.
 
     Oracle: re-derives tokenization, index statistics, scoring and the
     top-10 from `documents` in SQL — checking the staged index against
@@ -16223,7 +15829,6 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
 
     K1, B = 1.2, 0.75
     TERMS = ("hash", "join", "window")
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
     staging = _search_index_staging()
 
     # ---- offline: build + persist the index ----
@@ -16239,7 +15844,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
                 out_t.append(t)
                 out_d.append(d)
                 out_tf.append(tf)
-                out_kb.append(zlib.crc32(t.encode()) % nb)
+                out_kb.append(zlib.crc32(t.encode()) % 16)
         return pa.table(
             {
                 "term": pa.array(out_t, pa.string()),
@@ -16323,7 +15928,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     ]
     tindex = {t: i for i, t in enumerate(TERMS)}
 
-    def qp_bucket(batch: pa.Table) -> pa.Table:
+    def query_postings(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -16332,18 +15937,16 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
                 ),
                 "tf": batch["tf"],
                 "dl": pa.array([-1] * batch.num_rows, pa.int64()),
-                "kb": _ibuckets(batch["doc_id"], nb),
             }
         )
 
-    def dl_bucket(batch: pa.Table) -> pa.Table:
+    def doc_lengths(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
                 "ti": pa.array([-1] * batch.num_rows, pa.int64()),
                 "tf": pa.array([0] * batch.num_rows, pa.int64()),
                 "dl": pc.cast(batch["dl"], pa.int64()),
-                "kb": _ibuckets(batch["doc_id"], nb),
             }
         )
 
@@ -16384,10 +15987,10 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
 
     result = (
         cogroup(
-            qpost.map_batches(qp_bucket, batch_format="pyarrow").union(
-                dl_ds.map_batches(dl_bucket, batch_format="pyarrow")
+            qpost.map_batches(query_postings, batch_format="pyarrow").union(
+                dl_ds.map_batches(doc_lengths, batch_format="pyarrow")
             ),
-            "kb",
+            "doc_id",
             score_bucket,
             {"doc_id": pa.int64(), "bm25": pa.float64()},
         )
@@ -16501,13 +16104,10 @@ def q_word_burstiness_top20(sf_dir: str):
     (absent docs contribute 0 to both), and mean/fano are mirrored
     double chains over exact ints.
 
-    Scale shape: per-batch (word, n, sq, docs-with) partials → ONE
-    word-hash bucketed fold (a word's moments finalize in-bucket; each
-    bucket emits only its top-20-by-frequency champions) → the final
-    selection scans ≤ 20·buckets rows; n_docs is one scalar."""
-    import zlib
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
+    Scale shape: per-batch (word, n, sq, docs-with) partials → ONE fold
+    co-grouped on the word (a word's moments finalize in-block; each
+    folded block emits only its top-20-by-frequency champions) → the
+    final selection scans ≤ 20·blocks rows; n_docs is one scalar."""
     n_docs = int(_read(sf_dir, "documents", ["doc_id"]).count())
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -16524,9 +16124,6 @@ def q_word_burstiness_top20(sf_dir: str):
                 "word": pa.array(keys, pa.string()),
                 "n_p": pa.array([tot[k] for k in keys], pa.int64()),
                 "sq_p": pa.array([sq[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k.encode()) % nb for k in keys], pa.int32()
-                ),
             }
         )
 
@@ -16537,7 +16134,7 @@ def q_word_burstiness_top20(sf_dir: str):
 
     cands = cogroup(
         _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
-        "kb",
+        "word",
         champions,
         {"word": pa.string(), "n": pa.int64(), "sq": pa.int64()},
     ).take_all()
@@ -16575,8 +16172,6 @@ def q_markov_next_accuracy(sf_dir: str):
     that constant-size table."""
     from ray.data.aggregate import Sum
 
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "events"))
-
     def to_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -16584,7 +16179,6 @@ def q_markov_next_accuracy(sf_dir: str):
                 "event_id": batch["event_id"],
                 "us": batch["ts"].cast(pa.int64()),
                 "event_type": batch["event_type"],
-                "kb": _ibuckets(batch["user_id"], nb),
             }
         )
 
@@ -16602,7 +16196,7 @@ def q_markov_next_accuracy(sf_dir: str):
             _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
                 to_rows, batch_format="pyarrow"
             ),
-            "kb",
+            "user_id",
             fold,
             {"cur": pa.string(), "nxt": pa.string(), "n_p": pa.int64()},
         )
@@ -16672,31 +16266,23 @@ def q_near_dup_cluster_sizes(sf_dir: str):
 
 
 
-def _lang_word_count_partial(nb: int):
-    """Per-batch exact (lang, word, count) partial with word-hash bucket —
-    the ONE tokenize-and-count contract shared by the per-language
-    lexical statistics (hapax ratio, Yule's K); lowercased whitespace
-    split, mirrored by the oracles' regexp_split + empty filter."""
-    import zlib
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lang, text in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
-            for w in (text or "").lower().split():
-                c[(lang, w)] += 1
-        keys = list(c.keys())
-        return pa.table(
-            {
-                "lang": pa.array([k[0] for k in keys], pa.string()),
-                "word": pa.array([k[1] for k in keys], pa.string()),
-                "n_p": pa.array([c[k] for k in keys], pa.int64()),
-                "kb": pa.array(
-                    [zlib.crc32(k[1].encode()) % nb for k in keys], pa.int32()
-                ),
-            }
-        )
-
-    return partial
+def _lang_word_count_partial(batch: pa.Table) -> pa.Table:
+    """Per-batch exact (lang, word, count) partial — the ONE
+    tokenize-and-count contract shared by the per-language lexical
+    statistics (hapax ratio, Yule's K); lowercased whitespace split,
+    mirrored by the oracles' regexp_split + empty filter."""
+    c: Counter = Counter()
+    for lang, text in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
+        for w in (text or "").lower().split():
+            c[(lang, w)] += 1
+    keys = list(c.keys())
+    return pa.table(
+        {
+            "lang": pa.array([k[0] for k in keys], pa.string()),
+            "word": pa.array([k[1] for k in keys], pa.string()),
+            "n_p": pa.array([c[k] for k in keys], pa.int64()),
+        }
+    )
 
 def q_lang_hapax_ratio(sf_dir: str):
     """Hapax-legomenon share per language: vocabulary size, number of
@@ -16705,14 +16291,11 @@ def q_lang_hapax_ratio(sf_dir: str):
     and ID-heavy crawl spam spike toward 1).  Integer-exact counts; the
     ratio is one double division.
 
-    Scale shape: exact per-(lang, word) counts via a word-hash bucketed
-    fold; each bucket emits ONE (lang, vocab_p, hapax_p) partial — the
+    Scale shape: exact per-(lang, word) counts via a fold co-grouped on
+    the word; each folded block emits ONE (lang, vocab_p, hapax_p) partial — the
     open vocabulary never reaches a generic hash aggregate or the
     driver."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-    partial = _lang_word_count_partial(nb)
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
@@ -16724,9 +16307,9 @@ def q_lang_hapax_ratio(sf_dir: str):
     sums = (
         cogroup(
             _read(sf_dir, "documents", ["lang", "text"]).map_batches(
-                partial, batch_format="pyarrow"
+                _lang_word_count_partial, batch_format="pyarrow"
             ),
-            "kb",
+            "word",
             fold,
             {"lang": pa.string(), "v_p": pa.int64(), "h_p": pa.int64()},
         )
@@ -16760,13 +16343,10 @@ def q_lang_yule_k(sf_dir: str):
     spectrum moments are integers (Σ r²·V_r = Σ_w f_w²), K is one
     mirrored double chain.
 
-    Scale shape: per-(lang, word) exact counts in a word-hash bucketed
-    fold; each bucket emits ONE (lang, Σf, Σf²) partial — constant rows
+    Scale shape: per-(lang, word) exact counts in a fold co-grouped on
+    the word; each folded block emits ONE (lang, Σf, Σf²) partial — constant rows
     per bucket, open vocabulary never aggregated globally."""
     from ray.data.aggregate import Sum
-
-    nb = resolve_group_buckets(rows=_rows(sf_dir, "documents"))
-    partial = _lang_word_count_partial(nb)
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
@@ -16776,9 +16356,9 @@ def q_lang_yule_k(sf_dir: str):
     sums = (
         cogroup(
             _read(sf_dir, "documents", ["lang", "text"]).map_batches(
-                partial, batch_format="pyarrow"
+                _lang_word_count_partial, batch_format="pyarrow"
             ),
-            "kb",
+            "word",
             fold,
             {"lang": pa.string(), "n_p": pa.int64(), "sq_p": pa.int64()},
         )

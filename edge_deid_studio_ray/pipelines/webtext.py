@@ -20,8 +20,8 @@ from typing import Any
 
 import pyarrow as pa
 
-from ..config import EngineConfig, resolve_group_buckets
-from ..functions.cogroup import _kbucket, cogroup
+from ..config import EngineConfig
+from ..functions.cogroup import cogroup
 from ..functions.textstats import lang_id, quality_score
 from .deid import build_deid_pipeline
 
@@ -31,12 +31,11 @@ def curate_extracted(
     *,
     min_quality: float = 0.4,
     min_chars: int = 50,
-    num_buckets: int | None = None,
 ):
     """Curation half of the training-data flow over a POST-deid dataset
     (needs ``url``, ``extracted_text``, ``context_hash``): quality
     stats+filter (map-side) → exact dedup on the extracted-text hash
-    (bucketed grouping, keeper = min url).  Split out of
+    (co-group on the hash, keeper = min url).  Split out of
     :func:`build_training_data_pipeline` so callers can stage the deid
     output to parquet (resumable staging) and curate from the staged file.
     The output columns are ``deid``'s plus ``quality``, ``lang_pred`` and
@@ -44,7 +43,6 @@ def curate_extracted(
     """
     import pandas as pd
 
-    nb = resolve_group_buckets(num_buckets)
     s = deid.schema()
     schema = pa.schema(
         [
@@ -73,11 +71,7 @@ def curate_extracted(
     filtered = deid.map_batches(stats_and_filter, batch_format="pyarrow")
 
     # exact dedup on the extracted-text hash (context_hash is already
-    # sha256(extracted_text)) — bucketed grouping, keeper = min url
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        buckets = [_kbucket(h, nb) for h in batch["context_hash"].to_pylist()]
-        return batch.append_column("hash_bucket", pa.array(buckets, pa.int32()))
-
+    # sha256(extracted_text)) — keeper = min url
     def keep_first(bucket: pd.DataFrame) -> pd.DataFrame:
         # n_copies = quality-pass rows collapsed into each keeper, so one
         # pipeline execution yields both the output AND the attrition
@@ -86,7 +80,7 @@ def curate_extracted(
         bucket = bucket.assign(n_copies=copies)
         return bucket.sort_values("url").drop_duplicates(subset=["context_hash"], keep="first")
 
-    return cogroup(filtered.map_batches(add_bucket, batch_format="pyarrow"), "hash_bucket", keep_first, schema)
+    return cogroup(filtered, "context_hash", keep_first, schema)
 
 
 def build_training_data_pipeline(

@@ -23,3 +23,34 @@ def ray_session():
     ctx.execution_options.preserve_order = True
     yield
     ray.shutdown()
+
+
+# the modules that bind ``cogroup`` at import time
+_COGROUP_USERS = (
+    "edge_deid_studio_ray.pipelines.queries",
+    "edge_deid_studio_ray.pipelines.webtext",
+    "edge_deid_studio_ray.functions.dedup",
+    "edge_deid_studio_ray.functions.simsearch",
+    "edge_deid_studio_ray.functions.corpusops",
+)
+
+
+@pytest.fixture
+def split_cogroups(monkeypatch):
+    """``split_cogroups(n)`` repartitions every ``cogroup`` input into ``n``
+    blocks from then on, so a test can compare one-block co-groups (one
+    sorted block, one fold call) with several-block ones."""
+    import importlib
+
+    from edge_deid_studio_ray.functions import cogroup as cogroup_mod
+
+    real = cogroup_mod.cogroup
+
+    def split(n: int) -> None:
+        def cogroup(ds, key, fn, schema):
+            return real(ds.repartition(n), key, fn, schema)
+
+        for name in _COGROUP_USERS:
+            monkeypatch.setattr(importlib.import_module(name), "cogroup", cogroup)
+
+    return split

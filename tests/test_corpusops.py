@@ -88,14 +88,20 @@ class TestPassageDedup:
         assert rows[2]["n_kept"] == 0
         assert rows[2]["kept_md5"] == _md5("")
 
-    def test_bucket_count_invariance(self, ray_session):
+    def test_bucket_count_invariance(self, ray_session, split_cogroups):
+        """Partition invariance: one-block and several-block co-group
+        inputs give the same passage dedup."""
+        from edge_deid_studio_ray.functions import corpusops
+
         ds = _docs([(i, f"tok{i % 3} tok{i % 2} filler{i}") for i in range(20)])
+        split_cogroups(1)
         a = sorted(
-            passage_dedup(ds, words_per_chunk=2, num_buckets=2).take_all(),
+            corpusops.passage_dedup(ds, words_per_chunk=2).take_all(),
             key=lambda r: r["doc_id"],
         )
+        split_cogroups(3)
         b = sorted(
-            passage_dedup(ds, words_per_chunk=2, num_buckets=16).take_all(),
+            corpusops.passage_dedup(ds, words_per_chunk=2).take_all(),
             key=lambda r: r["doc_id"],
         )
         assert a == b

@@ -17,6 +17,7 @@ import duckdb
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from edge_deid_studio_ray.pipelines import queries
 from edge_deid_studio_ray.pipelines.queries import ORACLE_SQL, QUERIES
 
 
@@ -1148,9 +1149,9 @@ class TestReferentialOrphansFallback:
         }
 
     def test_bucketed_fallback_equals_broadcast(self, ray_session, tmp_path, monkeypatch):
-        """EDS_BROADCAST_KEYS_MAX=0 forces the big-parent bucketed co-group;
+        """A zero ``_BROADCAST_KEYS_MAX`` forces the big-parent co-group;
         both paths must produce identical edge counts on a fixture with
-        orphans and NULL keys, and the bucketed path, chosen from the
+        orphans and NULL keys, and the co-grouped path, chosen from the
         parents' parquet footers, never takes a parent key to the driver."""
         import ray.data as rd
 
@@ -1210,7 +1211,7 @@ class TestReferentialOrphansFallback:
         broadcast = self._run(tmp_path)
         assert taken  # the broadcast path gathers each parent's keys
         taken.clear()
-        monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
+        monkeypatch.setattr(queries, "_BROADCAST_KEYS_MAX", 0)
         bucketed = self._run(tmp_path)
         assert not taken
         assert broadcast == bucketed
@@ -1242,7 +1243,7 @@ class TestReferentialOrphansFallback:
             "lineitem.l_suppkey->supplier",
         ]
         broadcast = self._run(tmp_path)
-        monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
+        monkeypatch.setattr(queries, "_BROADCAST_KEYS_MAX", 0)
         bucketed = self._run(tmp_path)
         assert broadcast == bucketed
         assert [broadcast[e] for e in lineitem_edges] == [(0, 0)] * 3

@@ -575,24 +575,9 @@ class TestSketches:
 
 
 class TestBucketInvariance:
-    """Group-bucket count is a physical co-location knob resolved from
-    cluster size at build time (config.resolve_group_buckets) — results of
-    every bucketed operator must be identical for any bucket count."""
-
-    def test_resolver_order(self, ray_session, monkeypatch):
-        from edge_deid_studio_ray.config import _ROWS_PER_BUCKET, resolve_group_buckets
-
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "33")
-        assert resolve_group_buckets(7, rows=10**9) == 7  # explicit override wins
-        assert resolve_group_buckets(rows=10**9) == 33  # env var next
-        monkeypatch.delenv("EDS_GROUP_BUCKETS")
-        # derived: the pytest session runs at num_cpus=4 → 4 buckets per CPU
-        # until the input row count asks for more
-        assert resolve_group_buckets() == 16
-        assert resolve_group_buckets(rows=0) == 16
-        assert resolve_group_buckets(rows=16 * _ROWS_PER_BUCKET) == 16
-        assert resolve_group_buckets(rows=16 * _ROWS_PER_BUCKET + 1) == 17
-        assert resolve_group_buckets(rows=250 * _ROWS_PER_BUCKET - 7) == 250
+    """Partition invariance: every co-grouped dedup operator gives the same
+    result when each co-group input is one block (one sorted block, one
+    fold call) and when it is several."""
 
     def _corpus(self):
         import ray.data as rd
@@ -608,7 +593,7 @@ class TestBucketInvariance:
             )
         )
 
-    def test_dedup_ops_invariant(self, ray_session):
+    def test_dedup_ops_invariant(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.functions.dedup import (
             connected_components,
             exact_dedup,
@@ -617,28 +602,26 @@ class TestBucketInvariance:
         )
 
         results = {}
-        for nb in (3, 128):
+        for blocks in (1, 3):
+            split_cogroups(blocks)
             ds = self._corpus()
-            dd = exact_dedup(ds, num_buckets=nb).to_pandas()
-            mh = minhash_candidates(
-                ds, num_hashes=64, num_bands=16, jaccard_threshold=0.6, num_buckets=nb
-            ).to_pandas()
-            sh = simhash_near_dups(ds, max_hamming=6, num_buckets=nb).to_pandas()
+            dd = exact_dedup(ds).to_pandas()
+            mh = minhash_candidates(ds, num_hashes=64, num_bands=16, jaccard_threshold=0.6).to_pandas()
+            sh = simhash_near_dups(ds, max_hamming=6).to_pandas()
             cc = connected_components(
-                minhash_candidates(
-                    ds, num_hashes=64, num_bands=16, jaccard_threshold=0.6, num_buckets=nb
-                ),
-                num_buckets=nb,
+                minhash_candidates(ds, num_hashes=64, num_bands=16, jaccard_threshold=0.6),
+                small_graph_threshold=0,  # the distributed propagation path
             ).to_pandas()
-            results[nb] = (
+            results[blocks] = (
                 sorted(dd["doc_id"].tolist()),
                 sorted(zip(mh["left"], mh["right"], mh["jaccard"])),
                 sorted(zip(sh["left"], sh["right"], sh["hamming"])),
                 sorted(zip(cc["node"], cc["component"])),
             )
-        assert results[3] == results[128]
+        assert results[1] == results[3]
+        assert results[1][1], "the corpus must yield near-dup pairs for this test to bite"
 
-    def test_pair_text_metric_invariant(self, ray_session):
+    def test_pair_text_metric_invariant(self, ray_session, split_cogroups):
         import ray.data as rd
 
         from edge_deid_studio_ray.functions.dedup import pair_text_metric, word_ngram_jaccard
@@ -646,16 +629,13 @@ class TestBucketInvariance:
         corpus = self._corpus()
         pairs = rd.from_arrow(pa.table({"left": [1, 3], "right": [2, 4]}))
         results = {}
-        for nb in (3, 128):
+        for blocks in (1, 3):
+            split_cogroups(blocks)
             out = pair_text_metric(
-                pairs,
-                corpus,
-                lambda a, b: word_ngram_jaccard(a, b, 3),
-                out_col="j",
-                num_buckets=nb,
+                pairs, corpus, lambda a, b: word_ngram_jaccard(a, b, 3), out_col="j"
             ).to_pandas()
-            results[nb] = sorted(zip(out["left"], out["right"], out["j"]))
-        assert results[3] == results[128]
+            results[blocks] = sorted(zip(out["left"], out["right"], out["j"]))
+        assert results[1] == results[3]
 
 
 def test_pair_metrics_requires_text_verify(ray_session):

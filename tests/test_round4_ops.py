@@ -1,28 +1,11 @@
-"""Round-4 hardening: coded triangle fallback, trigram vocab prune,
-vectorized bucket keys."""
+"""Round-4 hardening: coded triangle fallback, trigram vocab prune, the
+one co-group primitive."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 import pytest
-
-
-def test_ibuckets_matches_kbucket_elementwise():
-    from edge_deid_studio_ray.pipelines.queries import _ibuckets, _kbucket
-
-    rng = np.random.default_rng(7)
-    vals = rng.integers(-(10**12), 10**12, size=4096).tolist() + [0, -1, 1, 2**40]
-    for nb in (7, 64, 251):
-        expect = [_kbucket(int(v), nb) for v in vals]
-        for source in (
-            vals,
-            np.asarray(vals, dtype=np.int64),
-            pa.array(vals, pa.int64()),
-            pa.chunked_array([pa.array(vals[:100], pa.int64()), pa.array(vals[100:], pa.int64())]),
-        ):
-            got = _ibuckets(source, nb).to_pylist()
-            assert got == expect
 
 
 _COGROUP_SCHEMA = pa.schema({"k": pa.int64(), "label": pa.string(), "tags": pa.list_(pa.string())})
@@ -47,6 +30,7 @@ def test_cogroup_blocks_are_arrow_cast_to_schema(ray_session):
     import ray
     import ray.data as rd
 
+    from edge_deid_studio_ray.functions.cogroup import each_key
     from edge_deid_studio_ray.pipelines.queries import cogroup
 
     def fold(g: pd.DataFrame) -> pd.DataFrame | None:
@@ -57,7 +41,7 @@ def test_cogroup_blocks_are_arrow_cast_to_schema(ray_session):
         return pd.DataFrame({"extra": [1], "tags": [["a"] * k], "label": [f"n{len(g)}"], "k": [float(k)]})
 
     ds = rd.from_items([{"k": i % 4, "v": i} for i in range(40)])
-    out = cogroup(ds, "k", fold, _COGROUP_SCHEMA).materialize()
+    out = cogroup(ds, "k", each_key("k", fold), _COGROUP_SCHEMA).materialize()
     blocks = [ray.get(ref) for b in out.iter_internal_ref_bundles() for ref in b.block_refs]
     assert blocks and all(isinstance(b, pa.Table) for b in blocks)
     # zero-row blocks of empty sort partitions never reach the fold
@@ -70,10 +54,70 @@ def test_cogroup_blocks_are_arrow_cast_to_schema(ray_session):
     ]
 
 
+def test_cogroup_null_string_key_across_blocks(ray_session):
+    """A string key holding nulls in several input blocks co-groups without
+    error (Ray's sort on the raw key compares None with str and raises),
+    and every null-key row lands in one group."""
+    import pandas as pd
+    import ray.data as rd
+
+    from edge_deid_studio_ray.functions.cogroup import cogroup, each_key
+
+    blocks = [
+        pa.table({"s": ["a", None, "b", "c"], "v": [1, 2, 3, 4]}),
+        pa.table({"s": [None, "b", "a", None], "v": [5, 6, 7, 8]}),
+        pa.table({"s": ["c", None, "d", "a"], "v": [9, 10, 11, 12]}),
+    ]
+
+    def total(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"s": [g["s"].iloc[0]], "n": [len(g)], "v": [int(g["v"].sum())]})
+
+    out = cogroup(
+        rd.from_arrow(blocks), "s", each_key("s", total), {"s": pa.string(), "n": pa.int64(), "v": pa.int64()}
+    ).take_all()
+    got = sorted((r["s"] or "", r["n"], r["v"]) for r in out)
+    assert got == [("", 4, 25), ("a", 3, 20), ("b", 2, 9), ("c", 2, 13), ("d", 1, 11)]
+
+
+def test_cogroup_null_int_key_hashes_alike_in_every_block():
+    """An int key block holding a null (float64 in numpy) hashes its
+    non-null keys exactly as a block without one, and every null alike."""
+    from edge_deid_studio_ray.functions.cogroup import _key_hash
+
+    with_null = _key_hash(pa.table({"k": pa.array([7, None, 9], pa.int64())}), ["k"]).to_pylist()
+    without = _key_hash(pa.table({"k": pa.array([9, 7], pa.int32())}), ["k"]).to_pylist()
+    other_null = _key_hash(pa.table({"k": pa.array([None, 1], pa.int64())}), ["k"]).to_pylist()
+    assert with_null[0] == without[1] and with_null[2] == without[0]
+    assert with_null[1] == other_null[0]
+    assert len({with_null[0], with_null[1], with_null[2], other_null[1]}) == 4
+
+
+def test_cogroup_calls_fn_once_per_sorted_block(ray_session):
+    """``fn`` receives whole sorted blocks: one call per non-empty block of
+    the sort, each holding every row of the keys it sees."""
+    import pandas as pd
+    import ray.data as rd
+
+    from edge_deid_studio_ray.functions.cogroup import cogroup
+
+    def census(block: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"rows": [len(block)], "keys": [block["k"].nunique()]})
+
+    schema = {"rows": pa.int64(), "keys": pa.int64()}
+    items = [{"k": i % 300, "v": i} for i in range(3000)]
+    one = cogroup(rd.from_items(items).repartition(1), "k", census, schema).take_all()
+    assert one == [{"rows": 3000, "keys": 300}]
+    three = cogroup(rd.from_items(items).repartition(3), "k", census, schema).take_all()
+    assert len(three) == 3
+    assert sum(r["rows"] for r in three) == 3000
+    assert sum(r["keys"] for r in three) == 300  # no key split across blocks
+
+
 def test_queries_fold_only_through_cogroup():
-    """Every pandas co-group in the package goes through ``cogroup``: no
-    other ``map_groups`` attribute in any module, no identity re-encoder,
-    and no ``pd.Series`` / ``pd.array`` frame typed by hand."""
+    """Every pandas co-group in the package goes through ``cogroup``, which
+    sorts and folds blocks itself: no ``map_groups`` attribute in any
+    module, no identity re-encoder, and no ``pd.Series`` / ``pd.array``
+    frame typed by hand."""
     import ast
     import pathlib
     import re
@@ -95,38 +139,43 @@ def test_queries_fold_only_through_cogroup():
             ]
         # pd.Series(..., dtype=...), pd.array([...], dtype=...)
         typed += [(rel, m.group(0)) for m in re.finditer(r"pd\.(Series|array)\([^()]*dtype=", src)]
-    assert callers == [("functions/cogroup.py", "cogroup")]
+    assert callers == []
     assert typed == []
 
 
-def test_queries_size_buckets_from_rows():
-    """Every bucket count in the query suite is sized from the rows its
-    co-group reads: no ``resolve_group_buckets(`` call without ``rows=``."""
-    import ast
-    import inspect
+def test_no_bucket_layer_left():
+    """The hash-bucket layer is gone package-wide: no caller sizes buckets
+    or builds a bucket column, and no knob sets a bucket count."""
+    import pathlib
+    import re
 
+    import edge_deid_studio_ray
+
+    gone = re.compile(
+        r"resolve_group_buckets|_ibuckets|_kbucket|_ubuckets|DEFAULT_GROUP_BUCKETS"
+        r"|_ROWS_PER_BUCKET|EDS_GROUP_BUCKETS|num_buckets"
+        r"|EDS_TRIANGLE_BROADCAST_EDGES|EDS_BROADCAST_KEYS_MAX|broadcast_edge_cap|broadcast_node_cap"
+    )
+    root = pathlib.Path(edge_deid_studio_ray.__file__).parent
+    hits = [
+        (path.relative_to(root).as_posix(), n)
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert hits == []
+
+
+def test_triangles_bucketed_path_matches_broadcast(ray_session, monkeypatch):
+    """VERDICT r3 #1b done-criterion: forcing the fully co-grouped
+    wedge-join path (a zero broadcast bound) must reproduce the broadcast
+    path exactly."""
     from edge_deid_studio_ray.pipelines import queries
 
-    calls = [
-        node
-        for node in ast.walk(ast.parse(inspect.getsource(queries)))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "resolve_group_buckets"
-    ]
-    assert calls
-    unsized = [c.lineno for c in calls if not any(k.arg == "rows" for k in c.keywords)]
-    assert unsized == []
-
-
-def test_triangles_bucketed_path_matches_broadcast(ray_session):
-    """VERDICT r3 #1b done-criterion: forcing the fully-bucketed wedge-join
-    path (broadcast_edge_cap=0) must reproduce the broadcast path exactly."""
-    from edge_deid_studio_ray.pipelines.queries import q_copurchase_triangles
-
     sf = "/root/testdata/sf0.001"
-    broadcast = q_copurchase_triangles(sf)
-    bucketed = q_copurchase_triangles(sf, broadcast_edge_cap=0)
+    broadcast = queries.q_copurchase_triangles(sf)
+    monkeypatch.setattr(queries, "_TRIANGLE_BROADCAST_EDGES", 0)
+    bucketed = queries.q_copurchase_triangles(sf)
     nb_ = int(broadcast["n_triangles"].iloc[0])
     assert nb_ > 0, "fixture corpus must contain triangles for this test to bite"
     assert nb_ == int(bucketed["n_triangles"].iloc[0])
@@ -317,8 +366,9 @@ class TestSynthQualityFixture:
 
 
 class TestNewOpsBucketInvariance:
-    """The continuation-session co-group operators must produce identical
-    results under any EDS_GROUP_BUCKETS value (physical knob only)."""
+    """Partition invariance: the continuation-session co-group operators
+    give the same results when every co-group input is one block and when
+    it is several."""
 
     NAMES = [
         "nb_lang_confusion",
@@ -342,20 +392,22 @@ class TestNewOpsBucketInvariance:
         df = df[sorted(df.columns)].copy()
         return df.sort_values(by=list(df.columns), kind="mergesort").reset_index(drop=True)
 
-    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch):
+    def test_results_invariant_under_bucket_count(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         sf = "/root/testdata/sf0.001"
+        split_cogroups(1)
         base = {n: self._canon(QUERIES[n](sf)) for n in self.NAMES}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in self.NAMES:
             again = self._canon(QUERIES[n](sf))
             assert again.equals(base[n]), n
 
 
 class TestSizedBucketsMatchFixedCount(TestNewOpsBucketInvariance):
-    """The benchmarked co-group queries give the same frames under the
-    row/CPU-sized bucket count as under a fixed 64 buckets."""
+    """The benchmarked co-group queries give the same frames when every
+    co-group input is one block (one sorted block, one fold call) and when
+    it is several."""
 
     NAMES = [
         "events_sessions",
@@ -367,18 +419,18 @@ class TestSizedBucketsMatchFixedCount(TestNewOpsBucketInvariance):
         "user_erasure_audit",
     ]
 
-    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch):
-        from edge_deid_studio_ray.pipelines.queries import QUERIES
+    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch, split_cogroups):
+        from edge_deid_studio_ray.pipelines import queries
 
         sf = "/root/testdata/sf0.001"
-        # referential_orphans: force the bucketed path (every parent is
+        # referential_orphans: force the co-grouped path (every parent is
         # over the broadcast bound) so its co-group is the one compared
-        monkeypatch.setenv("EDS_BROADCAST_KEYS_MAX", "0")
-        monkeypatch.delenv("EDS_GROUP_BUCKETS", raising=False)
-        sized = {n: self._canon(QUERIES[n](sf)) for n in self.NAMES}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "64")
+        monkeypatch.setattr(queries, "_BROADCAST_KEYS_MAX", 0)
+        split_cogroups(1)
+        sized = {n: self._canon(queries.QUERIES[n](sf)) for n in self.NAMES}
+        split_cogroups(3)
         for n in self.NAMES:
-            assert self._canon(QUERIES[n](sf)).equals(sized[n]), n
+            assert self._canon(queries.QUERIES[n](sf)).equals(sized[n]), n
 
 
 class TestSizedReadsMatchParentShape:

@@ -29,16 +29,17 @@ def _canon(result):
 
 
 class TestBucketInvariance:
-    """The session-3 co-group operators must produce identical results
-    under any EDS_GROUP_BUCKETS value (physical knob only)."""
+    """Partition invariance: the session-3 co-group operators give the same
+    results when every co-group input is one block and when it is several."""
 
     NAMES = ["user_erasure_audit", "rake_word_scores", "link_hits"]
 
-    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch):
+    def test_results_invariant_under_bucket_count(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in self.NAMES}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in self.NAMES:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -209,11 +210,12 @@ class TestBatch3BucketInvariance:
         "zorder_layout_audit",
     ]
 
-    def test_results_invariant_under_bucket_count(self, ray_session, monkeypatch):
+    def test_results_invariant_under_bucket_count(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in self.NAMES}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in self.NAMES:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -271,7 +273,7 @@ class TestSystematicSample:
 
 
 class TestBatch4Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = [
@@ -280,8 +282,9 @@ class TestBatch4Ops:
             "events_hourly_top_types",
             "knn_mutual_pairs",
         ]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -329,7 +332,7 @@ class TestBatch4Ops:
 
 
 class TestBatch5Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = [
@@ -337,8 +340,9 @@ class TestBatch5Ops:
             "event_audience_jaccard",
             "orders_basket_profile",
         ]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -394,16 +398,18 @@ class TestBatch5Ops:
 
 
 class TestBatch6Ops:
-    def test_hits_broadcast_and_cogroup_paths_identical(self, ray_session):
-        """The auto-switched broadcast fast path must reproduce the bucketed
-        message-passing path exactly (integer sums are order-free)."""
-        from edge_deid_studio_ray.pipelines.queries import q_link_hits
+    def test_hits_broadcast_and_cogroup_paths_identical(self, ray_session, monkeypatch):
+        """The auto-switched broadcast fast path must reproduce the
+        co-grouped message-passing path exactly (integer sums are
+        order-free)."""
+        from edge_deid_studio_ray.pipelines import queries
 
-        fast = q_link_hits(SF).to_pandas()
-        slow = q_link_hits(SF, broadcast_node_cap=0).to_pandas().reset_index(drop=True)
+        fast = queries.q_link_hits(SF).to_pandas()
+        monkeypatch.setattr(queries, "_HITS_BROADCAST_NODES", 0)
+        slow = queries.q_link_hits(SF).to_pandas().reset_index(drop=True)
         assert fast.equals(slow)
 
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = [
@@ -411,8 +417,9 @@ class TestBatch6Ops:
             "link_reciprocity",
             "link_degree_histogram",
         ]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -448,7 +455,7 @@ class TestBatch6Ops:
 
 
 class TestBatch7Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = [
@@ -456,8 +463,9 @@ class TestBatch7Ops:
             "vocab_coverage_k",
             "top_word_per_lang",
         ]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -497,12 +505,13 @@ class TestBatch7Ops:
 
 
 class TestBatch8Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = ["events_value_psi_bins", "sessions_concurrency_profile"]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -622,22 +631,24 @@ class TestBatch9Ops:
         assert (int(row["threshold"]), int(row["n_errors"])) == best
         assert row["n_docs"] == len(feats)
 
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
+        split_cogroups(1)
         base = _canon(QUERIES["search_index_pipeline"](SF))
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         again = _canon(QUERIES["search_index_pipeline"](SF))
         assert again.equals(base)
 
 
 class TestBatch10Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = ["word_burstiness_top20", "markov_next_accuracy"]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
@@ -664,12 +675,13 @@ class TestBatch10Ops:
 
 
 class TestBatch12Ops:
-    def test_bucket_invariance(self, ray_session, monkeypatch):
+    def test_bucket_invariance(self, ray_session, split_cogroups):
         from edge_deid_studio_ray.pipelines.queries import QUERIES
 
         names = ["lang_hapax_ratio", "lang_yule_k"]
+        split_cogroups(1)
         base = {n: _canon(QUERIES[n](SF)) for n in names}
-        monkeypatch.setenv("EDS_GROUP_BUCKETS", "5")
+        split_cogroups(3)
         for n in names:
             again = _canon(QUERIES[n](SF))
             assert again.equals(base[n]), n
