@@ -578,33 +578,23 @@ def pair_text_metric(
             l_out.extend([l, l])
             r_out.extend([r, r])
             sides.extend([0, 1])
-        n = len(jkeys)
         return pa.table(
             {
                 "jkey": pa.array(jkeys, pa.int64()),
                 "left": pa.array(l_out, pa.int64()),
                 "right": pa.array(r_out, pa.int64()),
                 "side": pa.array(sides, pa.int8()),
-                text_col: pa.array([None] * n, pa.string()),
             }
         )
 
-    def tag_corpus(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_pylist()
-        n = len(keys)
-        return pa.table(
-            {
-                "jkey": pa.array(keys, pa.int64()),
-                "left": pa.array([None] * n, pa.int64()),
-                "right": pa.array([None] * n, pa.int64()),
-                "side": pa.array([-1] * n, pa.int8()),
-                text_col: batch[text_col],
-            }
-        )
+    def corpus_texts(batch: pa.Table) -> pa.Table:
+        return pa.table({"jkey": batch[key_col], text_col: batch[text_col]})
 
-    def resolve_side_text(bucket: pd.DataFrame) -> pd.DataFrame:
-        lookup = bucket[bucket["side"] == -1].set_index("jkey")[text_col].to_dict()
-        rows = bucket[bucket["side"] >= 0]
+    def resolve_side_text(rows: pd.DataFrame, texts: pd.DataFrame) -> pd.DataFrame | None:
+        if rows.empty:
+            return None
+        texts = texts.reindex(columns=["jkey", text_col])  # no corpus row for these ids: ""
+        lookup = dict(zip(texts["jkey"], texts[text_col]))
         return rows.assign(side_text=[lookup.get(k, "") or "" for k in rows["jkey"]])
 
     def score_pairs(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -620,9 +610,10 @@ def pair_text_metric(
         return pd.DataFrame({"left": out_l, "right": out_r, out_col: out_m})
 
     halves = cogroup(
-        pairs.select_columns(["left", "right"])
-        .map_batches(explode_pairs, batch_format="pyarrow")
-        .union(corpus.select_columns([key_col, text_col]).map_batches(tag_corpus, batch_format="pyarrow")),
+        [
+            pairs.select_columns(["left", "right"]).map_batches(explode_pairs, batch_format="pyarrow"),
+            corpus.select_columns([key_col, text_col]).map_batches(corpus_texts, batch_format="pyarrow"),
+        ],
         "jkey",
         resolve_side_text,
         {"left": pa.int64(), "right": pa.int64(), "side": pa.int8(), "side_text": pa.string()},
@@ -745,14 +736,7 @@ def _connected_components_str(
     def to_node_rows(t: pa.Table) -> pa.Table:
         values = t[left_col].to_pylist() + t[right_col].to_pylist()
         hashes = [_node_hash63(v) for v in values]
-        return pa.table(
-            {
-                "key": pa.array(hashes, pa.int64()),
-                "orig": pa.array(values, pa.string()),
-                "component": pa.array([None] * len(values), pa.int64()),
-                "is_map": pa.array([True] * len(values), pa.bool_()),
-            }
-        )
+        return pa.table({"key": pa.array(hashes, pa.int64()), "orig": pa.array(values, pa.string())})
 
     int_components = _connected_components_int(
         pairs.map_batches(to_int_pairs, batch_format="pyarrow"),
@@ -762,20 +746,11 @@ def _connected_components_str(
         small_graph_threshold,
     )
 
-    def tag_components(t: pa.Table) -> pa.Table:
-        nodes = t["node"].to_pylist()
-        return pa.table(
-            {
-                "key": pa.array(nodes, pa.int64()),
-                "orig": pa.array([None] * len(nodes), pa.string()),
-                "component": t["component"],
-                "is_map": pa.array([False] * len(nodes), pa.bool_()),
-            }
-        )
-
-    def join_back(bucket: pd.DataFrame) -> pd.DataFrame:
-        comp = bucket.loc[~bucket["is_map"]].set_index("key")["component"].to_dict()
-        maps = bucket.loc[bucket["is_map"]].drop_duplicates(subset=["key"])
+    def join_back(maps: pd.DataFrame, comps: pd.DataFrame) -> pd.DataFrame | None:
+        if maps.empty:
+            return None
+        comp = dict(zip(comps["key"], comps["component"]))
+        maps = maps.drop_duplicates(subset=["key"])
         return pd.DataFrame(
             {
                 "node": maps["orig"].tolist(),
@@ -783,10 +758,16 @@ def _connected_components_str(
             }
         )
 
-    node_map = pairs.map_batches(to_node_rows, batch_format="pyarrow")
-    tagged = int_components.map_batches(tag_components, batch_format="pyarrow")
     return cogroup(
-        node_map.union(tagged), "key", join_back, {"node": pa.string(), "component": pa.int64()}
+        [
+            pairs.map_batches(to_node_rows, batch_format="pyarrow"),
+            int_components.map_batches(
+                lambda t: pa.table({"key": t["node"], "component": t["component"]}), batch_format="pyarrow"
+            ),
+        ],
+        "key",
+        join_back,
+        {"node": pa.string(), "component": pa.int64()},
     )
 
 
@@ -864,48 +845,29 @@ def _connected_components_int(
         )
 
     labels = labels.map_batches(clamp_self, batch_format="pyarrow").materialize()
-    edges_tagged = edges.map_batches(
-        lambda t: pa.table(
-            {
-                "node": t["node"],
-                "payload": t["neighbor_min"],
-                "is_edge": pa.array([True] * t.num_rows, pa.bool_()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()  # candidate graph: 2 rows per pair, reused per round
 
-    def propagate_bucket(bucket: "pd.DataFrame") -> "pd.DataFrame":
-        # co-groups of each node's label row(s) and outgoing edges: forward
-        # the node's current min label to every neighbor, keep it locally
-        nodes_out: list[int] = []
-        labels_out: list[int] = []
-        for node, group in bucket.groupby("node", sort=False):
-            label_rows = group.loc[~group["is_edge"], "payload"]
-            label = int(min(label_rows.min(), node)) if len(label_rows) else int(node)
-            neighbors = group.loc[group["is_edge"], "payload"].tolist()
-            nodes_out.extend([node] + neighbors)
-            labels_out.extend([label] * (1 + len(neighbors)))
-        return pd.DataFrame({"node": nodes_out, "label": labels_out})
+    def propagate_bucket(edges: pd.DataFrame, labels: pd.DataFrame) -> pd.DataFrame:
+        # co-groups of each node's label row(s) and outgoing edges (every
+        # labelled node has edges and vice versa): a node's label is
+        # min(its label rows, itself); forward it to every neighbor and
+        # keep it locally
+        e_node = edges["node"].to_numpy(dtype=np.int64)
+        nbr = edges["neighbor_min"].to_numpy(dtype=np.int64)
+        l_node = labels["node"].to_numpy(dtype=np.int64)
+        l_lab = labels["label"].to_numpy(dtype=np.int64)
+        cands = pd.Series(np.concatenate([l_lab, l_node, e_node]), index=np.concatenate([l_node, l_node, e_node]))
+        lab = cands.groupby(level=0).min()
+        return pd.DataFrame(
+            {
+                "node": np.concatenate([lab.index.to_numpy(), nbr]),
+                "label": np.concatenate([lab.to_numpy(), lab.loc[e_node].to_numpy()]),
+            }
+        )
 
     prev_sum = None
     for _ in range(max_iter):
-        lbl_tagged = labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t["node"],
-                    "payload": t["label"],
-                    "is_edge": pa.array([False] * t.num_rows, pa.bool_()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        msgs = cogroup(
-            edges_tagged.union(lbl_tagged),
-            "node",
-            propagate_bucket,
-            {"node": pa.int64(), "label": pa.int64()},
-        )
+        # the edge list is materialized above: 2 rows per pair, reused per round
+        msgs = cogroup([edges, labels], "node", propagate_bucket, {"node": pa.int64(), "label": pa.int64()})
         labels = msgs.groupby("node").aggregate(Min("label", alias_name="label"))
         # pointer doubling: chase label→label(label) so chains halve per round
         labels = _pointer_double(labels).materialize()
@@ -1114,34 +1076,22 @@ def near_dedup(
     )
     comps = connected_components(pairs)
 
-    schema = ds.schema()
-    corpus_fields = list(zip(schema.names, schema.types))
-    key_type = dict(corpus_fields)[key_col]
+    s = ds.schema()
+    schema = pa.schema(list(zip(s.names, s.types)))
+    key_type = schema.field(key_col).type
 
     def non_keepers(t: pa.Table) -> pa.Table:
         nodes = t["node"].to_pylist()
         comp = t["component"].to_pylist()
-        drop = [n for n, c in zip(nodes, comp) if n != c]
-        # schema-aligned marker rows: corpus columns null, same jkey type
-        cols: dict[str, pa.Array] = {
-            name: pa.nulls(len(drop), typ) for name, typ in corpus_fields
-        }
-        cols["jkey"] = pa.array(drop, key_type)
-        cols["is_row"] = pa.array([False] * len(drop), pa.bool_())
-        return pa.table(cols)
+        return pa.table({key_col: pa.array([n for n, c in zip(nodes, comp) if n != c], key_type)})
 
-    def tag_rows(t: pa.Table) -> pa.Table:
-        return t.append_column("jkey", t[key_col].cast(key_type)).append_column(
-            "is_row", pa.array([True] * t.num_rows, pa.bool_())
-        )
+    def anti(rows: pd.DataFrame, dropped: pd.DataFrame) -> pd.DataFrame | None:
+        if rows.empty:
+            return None
+        return rows.loc[~rows[key_col].isin(dropped[key_col])]
 
-    def anti(bucket: pd.DataFrame) -> pd.DataFrame:
-        dropped = set(bucket.loc[~bucket["is_row"], "jkey"])
-        return bucket.loc[bucket["is_row"] & ~bucket["jkey"].isin(dropped)]
-
-    marks = comps.map_batches(non_keepers, batch_format="pyarrow")
-    rows = ds.map_batches(tag_rows, batch_format="pyarrow")
-    # the surviving rows are encoded back to the corpus schema: an int/bool
-    # column that pandas widened to float/object beside the all-null marker
-    # rows returns to its type, a genuine NaN in it as a typed null
-    return cogroup(rows.union(marks), "jkey", anti, pa.schema(corpus_fields))
+    # the surviving rows are encoded back to the corpus schema (an integer
+    # key the co-group widened to int64 returns to its type)
+    return cogroup(
+        [ds, comps.map_batches(non_keepers, batch_format="pyarrow")], key_col, anti, schema
+    )

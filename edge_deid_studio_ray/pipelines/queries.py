@@ -29,8 +29,11 @@ key per call); the output ``schema`` is declared once at the call; a fold
 returns a DataFrame, or ``None`` for "no rows", which becomes a zero-row
 table of that schema; and the output is Arrow blocks cast to the schema.
 Folds therefore build no empty frames and fix no dtypes or column order by
-hand.  A few algorithms keep a partition id of their own, derived from data
-they already read: ``link_pagerank`` (crc32(url) mod its block ``width``,
+hand.  Every join is a ``cogroup`` over a list of inputs that name the key
+alike (``_keyed`` renames a key column in the input's last map): the fold
+gets one frame per input and returns early when an inner join's input has
+no rows in the block.  A few algorithms keep a partition id of their own,
+derived from data they already read: ``link_pagerank`` (crc32(url) mod its block ``width``,
 so dangling mass replicates to every partition), ``events_ks_test`` (value
 ranges, one per CPU) and the broadcast triangle count (one block per CPU).
 
@@ -183,6 +186,15 @@ def _assert_id_headroom(col, limit: int = _PERTURB_ID_OFFSET) -> None:
             "would collide with real ids; raise _PERTURB_ID_OFFSET and "
             "mirror the new offset in the ORACLE_SQL fixtures"
         )
+
+
+def _keyed(ds, column: str, key: str):
+    """``ds`` with ``column`` renamed ``key``, in a map that fuses with the
+    map before it: every input of a list ``cogroup`` names its key alike."""
+    return ds.map_batches(
+        lambda t: t.rename_columns([key if c == column else c for c in t.column_names]),
+        batch_format="pyarrow",
+    )
 
 
 def _broadcast_dim(sf_dir: str, table: str, key_col: str, val_col: str) -> dict:
@@ -689,50 +701,41 @@ def q_orders_top10(sf_dir: str):
 
 
 def q_orders_join_customers(sf_dir: str):
-    """Large-side hash join (``Dataset.join``, hash-partitioned on the key):
-    order counts + exact quantity-free aggregates per customer market
-    segment."""
-    from ray.data.aggregate import Count
-
+    """Large-side join as one co-group on the customer key: order counts
+    per customer market segment.  Each sorted block's fold joins its orders
+    to their customers and counts per segment, so the final groupby ships
+    |segments| × blocks partial rows, not one row per joined order."""
     from ray.data.aggregate import Sum
 
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(
-        customer, join_type="inner", num_partitions=8, on=("o_custkey",), right_on=("c_custkey",)
-    )
+    orders = _keyed(_read(sf_dir, "orders", ["o_custkey"]), "o_custkey", "ckey")
+    customer = _keyed(_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]), "c_custkey", "ckey")
 
-    # map-side partial fold after the join: the groupby ships |segments|×
-    # blocks rows instead of one row per joined order
-    def fold(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch["c_mktsegment"])
-        return pa.table(
-            {
-                "c_mktsegment": vc.field("values"),
-                "n_p": vc.field("counts").cast(pa.int64()),
-            }
-        )
+    def segment_counts(orders: pd.DataFrame, customers: pd.DataFrame) -> pd.DataFrame | None:
+        if orders.empty or customers.empty:
+            return None
+        vc = orders.merge(customers, on="ckey")["c_mktsegment"].value_counts()
+        return pd.DataFrame({"c_mktsegment": vc.index, "n_p": vc.to_numpy()})
 
     return (
-        joined.map_batches(fold, batch_format="pyarrow")
+        cogroup([orders, customer], "ckey", segment_counts, {"c_mktsegment": pa.string(), "n_p": pa.int64()})
         .groupby("c_mktsegment")
         .aggregate(Sum("n_p", alias_name="n_orders"))
     )
 
 
 def q_asia_order_volume(sf_dir: str):
-    """TPC-H-Q5-style multi-way join: one hash-partitioned ``Dataset.join``
-    on the large fact pair (lineitem ⋈ orders) with the customer⊳nation⊳
-    region dimension chain broadcast via ``ray.put``; exact per-nation counts
-    + integral quantity sums, ASIA only.
+    """TPC-H-Q5-style multi-way join: one co-group on the order key for the
+    large fact pair (lineitem ⋈ orders), with the customer⊳nation⊳region
+    dimension chain broadcast via ``ray.put``; exact per-nation counts +
+    integral quantity sums, ASIA only.
 
-    Physicality note: two chained hash joins livelock when the aggregator
-    actor pools exceed available CPUs (each pool reserves actors for
-    num_partitions); one partitioned join for the only genuinely large-large
-    pair + broadcast for dimensions is also the right plan at 100-TB scale.
+    Plan: co-group only the genuinely large-large pair and broadcast the
+    dimensions, which is also the right plan at 100-TB scale.  The co-group
+    is a sort, so it runs on any CPU count (``Dataset.join``'s aggregator
+    actors waited on CPUs that running tasks held and hung at 1 CPU).
     """
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).take_all()
     region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
@@ -760,35 +763,28 @@ def q_asia_order_volume(sf_dir: str):
         lookup = ray.get(cust_map_ref)
         names = [lookup.get(k) for k in batch["o_custkey"].to_pylist()]
         mask = pa.array([n is not None for n in names])
-        out = pa.table(
-            {"o_orderkey": batch["o_orderkey"], "n_name": pa.array(names, pa.string())}
-        )
+        out = pa.table({"okey": batch["o_orderkey"], "n_name": pa.array(names, pa.string())})
         return out.filter(mask)
 
-    lo = lineitem.join(
-        orders.map_batches(orders_asia, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=8,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    )
-
-    # map-side partial fold: the final groupby ships |nations|×blocks rows,
-    # not one row per joined lineitem.  Quantities are integer-valued
+    # the fold sums per nation, so the final groupby ships |nations|×blocks
+    # rows, not one row per joined lineitem.  Quantities are integer-valued
     # doubles (1..50), so partial double sums are exact and order-free.
-    def fold(batch: pa.Table) -> pa.Table:
-        df = batch.select(["n_name", "l_quantity"]).to_pandas()
-        g = df.groupby("n_name")["l_quantity"].agg(["size", "sum"])
-        return pa.table(
-            {
-                "n_name": pa.array(g.index.tolist(), pa.string()),
-                "n_p": pa.array(g["size"].to_numpy().astype(np.int64), pa.int64()),
-                "q_p": pa.array(g["sum"].to_numpy(), pa.float64()),
-            }
-        )
+    def nation_partials(line: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if line.empty or orders.empty:
+            return None
+        g = line.merge(orders, on="okey").groupby("n_name")["l_quantity"].agg(["size", "sum"])
+        return pd.DataFrame({"n_name": g.index, "n_p": g["size"].to_numpy(), "q_p": g["sum"].to_numpy()})
 
     return (
-        lo.map_batches(fold, batch_format="pyarrow")
+        cogroup(
+            [
+                _keyed(lineitem, "l_orderkey", "okey"),
+                orders.map_batches(orders_asia, batch_format="pyarrow"),
+            ],
+            "okey",
+            nation_partials,
+            {"n_name": pa.string(), "n_p": pa.int64(), "q_p": pa.float64()},
+        )
         .groupby("n_name")
         .aggregate(Sum("n_p", alias_name="n_lineitems"), Sum("q_p", alias_name="sum_qty"))
     )
@@ -821,8 +817,8 @@ def q_customers_without_orders(sf_dir: str):
     bloom_ref = ray.put(bloom)
 
     def split_customers(batch: pa.Table) -> pa.Table:
-        """Definite-miss rows → per-segment partial counts (is_cust=None
-        marker rows); maybe rows → keyed rows for the exact co-group.
+        """Definite-miss rows → per-segment partial counts (key -1); maybe
+        rows → keyed rows for the exact co-group.
         Fully vectorized: numpy masks split the batch, np.unique folds the
         miss counts — no per-row Python loop."""
         b = ray.get(bloom_ref)
@@ -842,7 +838,6 @@ def q_customers_without_orders(sf_dir: str):
                 "c_mktsegment": pa.array(
                     np.concatenate([segs[maybe], miss_segs]).tolist(), pa.string()
                 ),
-                "is_cust": pa.array([True] * (hit_keys.size + n_miss), pa.bool_()),
                 "partial": pa.array(
                     np.concatenate(
                         [np.zeros(hit_keys.size, np.int64), miss_ns.astype(np.int64)]
@@ -853,33 +848,27 @@ def q_customers_without_orders(sf_dir: str):
         )
 
     def order_keys(batch: pa.Table) -> pa.Table:
-        keys = pc.unique(batch["o_custkey"])
-        return pa.table(
-            {
-                "key": keys.cast(pa.int64()),
-                "c_mktsegment": pa.array([None] * len(keys), pa.string()),
-                "is_cust": pa.array([False] * len(keys), pa.bool_()),
-                "partial": pa.array([0] * len(keys), pa.int64()),
-            }
-        )
+        return pa.table({"key": pc.unique(batch["o_custkey"])})
 
-    def anti(block: pd.DataFrame) -> pd.DataFrame:
+    def anti(orders: pd.DataFrame, custs: pd.DataFrame) -> pd.DataFrame | None:
+        if custs.empty:
+            return None
         # pre-counted definite misses (key -1) pass their partials through
-        pre = block["key"] == -1
-        with_orders = set(block.loc[~block["is_cust"], "key"])
-        misses = block.loc[~pre & block["is_cust"] & ~block["key"].isin(with_orders)]
+        pre = custs["key"] == -1
+        misses = custs.loc[~pre & ~custs["key"].isin(orders["key"])]
         counts = pd.concat(
             [
-                block.loc[pre].groupby("c_mktsegment")["partial"].sum(),
+                custs.loc[pre].groupby("c_mktsegment")["partial"].sum(),
                 misses.groupby("c_mktsegment").size(),
             ]
         )
         return pd.DataFrame({"c_mktsegment": counts.index, "partial": counts.to_numpy()})
 
     partials = cogroup(
-        filtered_orders.map_batches(order_keys, batch_format="pyarrow").union(
-            customers.map_batches(split_customers, batch_format="pyarrow")
-        ),
+        [
+            filtered_orders.map_batches(order_keys, batch_format="pyarrow"),
+            customers.map_batches(split_customers, batch_format="pyarrow"),
+        ],
         "key",
         anti,
         {"c_mktsegment": pa.string(), "partial": pa.int64()},
@@ -1552,6 +1541,24 @@ def _resolve_outlinks(url: str, raw) -> set:
 
 
 
+def _write_fixture(marker: str, stamp: str, tables: dict) -> None:
+    """Write fixture parquet files (path → table) under a version marker,
+    crash-consistently: the old marker is deleted first, each file lands
+    through a temp file and ``os.replace``, and the marker is written last.
+    A run that dies midway leaves no marker, so the next run regenerates
+    instead of finding an old stamp over another sf's corpus."""
+    import pyarrow.parquet as pq
+
+    if os.path.exists(marker):
+        os.remove(marker)
+    for path, table in tables.items():
+        tmp = f"{path}.{os.getpid()}.tmp"
+        pq.write_table(table, tmp)
+        os.replace(tmp, path)
+    with open(marker, "w") as f:
+        f.write(stamp)
+
+
 def _ensure_pages_fixture(sf_dir: str) -> str:
     """Materialize the DECODED synthetic pages corpus once per (n, seed,
     generator version) so oracle SQL can re-derive extraction semantics from
@@ -1563,8 +1570,6 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
     passthrough payload).  Pure driver-side generation (no Ray): the fixture
     is test infrastructure, not the operator under test; idempotent via a
     version marker so repeated bench runs pay the write once."""
-    import pyarrow.parquet as pq
-
     from ..kernels.html_text import decode_html_bytes
     from ..kernels.pdf_text import is_pdf
     from ..sources.pages import GENERATOR_VERSION, synthesize_pages_table
@@ -1607,9 +1612,7 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
                 }
             )
         )
-    pq.write_table(pa.concat_tables(chunks), _PAGES_FIXTURE)
-    with open(marker, "w") as f:
-        f.write(stamp)
+    _write_fixture(marker, stamp, {_PAGES_FIXTURE: pa.concat_tables(chunks)})
     return _PAGES_FIXTURE
 
 
@@ -2234,8 +2237,6 @@ def _ensure_synth_fixture(sf_dir: str) -> tuple[str, str]:
     oracle SQL can re-derive the validation semantics from first principles.
     Driver-side generation: fixture infrastructure, not the operator under
     test (the distributed path regenerates the same rows per slice)."""
-    import pyarrow.parquet as pq
-
     from ..kernels.synthetic import generate_synthetic_span_examples
     from ..pipelines.training_data import _entities_to_arrow
 
@@ -2256,30 +2257,23 @@ def _ensure_synth_fixture(sf_dir: str) -> tuple[str, str]:
         ents = _mutate_arrow_entities(i, ex["text"], _entities_to_arrow(ex["entities"]))
         for j, e in enumerate(ents):
             erows.append((i, j, e["type"], e["start"], e["end"], e["text"]))
-    pq.write_table(
-        pa.table(
-            {
-                "example_id": pa.array(range(n), pa.int64()),
-                "text": pa.array([ex["text"] for ex in exs], pa.string()),
-            }
-        ),
-        ex_path,
+    examples = pa.table(
+        {
+            "example_id": pa.array(range(n), pa.int64()),
+            "text": pa.array([ex["text"] for ex in exs], pa.string()),
+        }
     )
-    pq.write_table(
-        pa.table(
-            {
-                "example_id": pa.array([r[0] for r in erows], pa.int64()),
-                "ent_idx": pa.array([r[1] for r in erows], pa.int64()),
-                "type": pa.array([r[2] for r in erows], pa.string()),
-                "start": pa.array([r[3] for r in erows], pa.int64()),
-                "end": pa.array([r[4] for r in erows], pa.int64()),
-                "ent_text": pa.array([r[5] for r in erows], pa.string()),
-            }
-        ),
-        ent_path,
+    entities = pa.table(
+        {
+            "example_id": pa.array([r[0] for r in erows], pa.int64()),
+            "ent_idx": pa.array([r[1] for r in erows], pa.int64()),
+            "type": pa.array([r[2] for r in erows], pa.string()),
+            "start": pa.array([r[3] for r in erows], pa.int64()),
+            "end": pa.array([r[4] for r in erows], pa.int64()),
+            "ent_text": pa.array([r[5] for r in erows], pa.string()),
+        }
     )
-    with open(marker, "w") as f:
-        f.write(stamp)
+    _write_fixture(marker, stamp, {ex_path: examples, ent_path: entities})
     return ex_path, ent_path
 
 
@@ -2664,35 +2658,16 @@ def q_orders_exists_semi(sf_dir: str):
 
     def li_keys(batch: pa.Table) -> pa.Table:
         hit = batch.filter(pc.greater_equal(batch["l_quantity"], pa.scalar(45.0)))
-        keys = pc.unique(hit["l_orderkey"]).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "key": pa.array(keys, pa.int64()),
-                "o_orderstatus": pa.array([None] * len(keys), pa.string()),
-                "is_order": pa.array(np.zeros(len(keys), dtype=bool), pa.bool_()),
-            }
-        )
+        return pa.table({"key": pc.unique(hit["l_orderkey"])})
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        keys = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "key": batch["o_orderkey"],
-                "o_orderstatus": batch["o_orderstatus"],
-                "is_order": pa.array(np.ones(len(keys), dtype=bool), pa.bool_()),
-            }
-        )
-
-    def semi(bucket: pd.DataFrame) -> pd.DataFrame:
-        present = set(bucket.loc[~bucket["is_order"], "key"])
-        hits = bucket.loc[bucket["is_order"] & bucket["key"].isin(present)]
-        counts = hits.groupby("o_orderstatus").size()
+    def semi(keys: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if keys.empty or orders.empty:
+            return None
+        counts = orders.loc[orders["key"].isin(keys["key"])].groupby("o_orderstatus").size()
         return pd.DataFrame({"o_orderstatus": counts.index, "partial": counts.to_numpy()})
 
     matched = cogroup(
-        li.map_batches(li_keys, batch_format="pyarrow").union(
-            orders.map_batches(order_rows, batch_format="pyarrow")
-        ),
+        [li.map_batches(li_keys, batch_format="pyarrow"), _keyed(orders, "o_orderkey", "key")],
         "key",
         semi,
         {"o_orderstatus": pa.string(), "partial": pa.int64()},
@@ -4264,9 +4239,7 @@ def q_shipping_priority(sf_dir: str):
     customer key set broadcasts once via ``ray.put`` and filters orders
     map-side (no customer shuffle); lineitem pre-aggregates exact
     integer-unit revenue per orderkey per batch; the only exchange is ONE
-    co-group of the two narrow projections on the orderkey (the house
-    union+cogroup join — robust to empty partitions, which break
-    ``Dataset.join``'s pyarrow finalize on selective inputs), where each
+    co-group of the two narrow projections on the orderkey, where each
     folded block finishes the per-order sums, applies the inner-join
     semantics, and emits only its local top-10, so the final sort sees
     ~10×blocks rows.  Revenue stays int64 through every sum; the one
@@ -4290,11 +4263,9 @@ def q_shipping_priority(sf_dir: str):
             [k in keys for k in batch["o_custkey"].to_pylist()], pa.bool_()
         )
         batch = batch.filter(mask)
-        okeys = batch["o_orderkey"].to_pylist()
         return pa.table(
             {
-                "okey": pa.array(okeys, pa.int64()),
-                "units": pa.array([0] * len(okeys), pa.int64()),
+                "okey": batch["o_orderkey"],
                 "o_orderdate": pc.strftime(batch["o_orderdate"], format="%Y-%m-%d"),
                 "o_orderpriority": batch["o_orderpriority"],
             }
@@ -4306,14 +4277,10 @@ def q_shipping_priority(sf_dir: str):
         c: Counter = Counter()
         for k, u in zip(batch["l_orderkey"].to_pylist(), units.to_pylist()):
             c[k] += u
-        okeys = list(c.keys())
-        n = len(okeys)
         return pa.table(
             {
-                "okey": pa.array(okeys, pa.int64()),
+                "okey": pa.array(list(c.keys()), pa.int64()),
                 "units": pa.array(list(c.values()), pa.int64()),
-                "o_orderdate": pa.array([None] * n, pa.string()),
-                "o_orderpriority": pa.array([None] * n, pa.string()),
             }
         )
 
@@ -4324,15 +4291,11 @@ def q_shipping_priority(sf_dir: str):
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(lineitem_partial, batch_format="pyarrow")
 
-    def bucket_top(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["o_orderdate"].notna()]
-        facts = group[group["o_orderdate"].isna()]
+    def bucket_top(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame | None:
         if dims.empty or facts.empty:
             return None
         sums = facts.groupby("okey", as_index=False)["units"].sum()
-        merged = sums.merge(
-            dims[["okey", "o_orderdate", "o_orderpriority"]], on="okey", how="inner"
-        )
+        merged = sums.merge(dims, on="okey", how="inner")
         merged = merged.sort_values(["units", "okey"], ascending=[False, True]).head(10)
         return merged.rename(columns={"okey": "l_orderkey"})
 
@@ -4348,7 +4311,7 @@ def q_shipping_priority(sf_dir: str):
 
     return (
         cogroup(
-            line.union(orders),
+            [line, orders],
             "okey",
             bucket_top,
             {
@@ -4369,10 +4332,11 @@ def q_nation_trade_flow(sf_dir: str):
     (supplier nation, customer nation) pair for 1995–1996 shipments.
     Scale shape: both dimension chains (supplier→nation, customer→nation)
     broadcast once via ``ray.put`` — the documented small-side assumption of
-    every dim join here — so the only exchange is ONE hash-partitioned join
-    of the two fact projections on orderkey, with lineitem pre-aggregated
-    to (orderkey, supp_nation) partials per batch first.  Revenue is int64
-    units end to end (see ``_money_units``)."""
+    every dim join here — so the only exchange is ONE co-group of the two
+    fact projections on orderkey, with lineitem pre-aggregated to
+    (orderkey, supp_nation) partials per batch first; the fold sums each
+    sorted block per nation pair.  Revenue is int64 units end to end (see
+    ``_money_units``)."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -4414,7 +4378,7 @@ def q_nation_trade_flow(sf_dir: str):
             cell[1] += 1
         return pa.table(
             {
-                "l_orderkey": pa.array([k[0] for k in acc], pa.int64()),
+                "okey": pa.array([k[0] for k in acc], pa.int64()),
                 "supp_nation": pa.array([k[1] for k in acc], pa.string()),
                 "units": pa.array([v[0] for v in acc.values()], pa.int64()),
                 "n": pa.array([v[1] for v in acc.values()], pa.int64()),
@@ -4425,12 +4389,18 @@ def q_nation_trade_flow(sf_dir: str):
         lookup = ray.get(cust_ref)
         return pa.table(
             {
-                "o_orderkey": batch["o_orderkey"],
+                "okey": batch["o_orderkey"],
                 "cust_nation": pa.array(
                     [lookup[k] for k in batch["o_custkey"].to_pylist()], pa.string()
                 ),
             }
         )
+
+    def flow_partials(line: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if line.empty or orders.empty:
+            return None
+        joined = line.merge(orders, on="okey")
+        return joined.groupby(["supp_nation", "cust_nation"], as_index=False)[["units", "n"]].sum()
 
     line = _read(
         sf_dir,
@@ -4441,10 +4411,13 @@ def q_nation_trade_flow(sf_dir: str):
         order_side, batch_format="pyarrow"
     )
 
-    joined = line.join(
-        orders, join_type="inner", num_partitions=8, on=("l_orderkey",), right_on=("o_orderkey",)
+    partials = cogroup(
+        [line, orders],
+        "okey",
+        flow_partials,
+        {"supp_nation": pa.string(), "cust_nation": pa.string(), "units": pa.int64(), "n": pa.int64()},
     )
-    agg = joined.groupby(["supp_nation", "cust_nation"]).aggregate(
+    agg = partials.groupby(["supp_nation", "cust_nation"]).aggregate(
         Sum("units", alias_name="units"), Sum("n", alias_name="n_lineitems")
     )
 
@@ -4816,9 +4789,9 @@ def q_corpus_snapshot_diff(sf_dir: str):
     (doc_id%10==3 dropped, ==4 text rewritten, ==5 additionally cloned
     under a new id) so the diff is SQL-mirrorable.  Scale shape: each side
     ships only (doc_id, side, 64-bit content hash) — never text — into
-    ONE co-group on doc_id (the house union+cogroup outer join); each
-    folded block classifies its ids locally and pre-aggregates per-status
-    (count, id_sum) partials, so the final exchange is ≤ blocks×4 rows."""
+    ONE co-group on doc_id (an outer join); each folded block classifies
+    its ids locally and pre-aggregates per-status (count, id_sum)
+    partials, so the final exchange is ≤ blocks×4 rows."""
     import hashlib
 
     from ray.data.aggregate import Sum
@@ -5589,9 +5562,7 @@ def q_large_volume_customers(sf_dir: str):
     grouped-HAVING → join shape).  Scale shape: lineitem collapses to
     per-order integer qty partials per batch; the ONLY exchange is one
     co-group on the orderkey of those partials with the narrow orders
-    projection (the house union + cogroup join — robust to the
-    empty/skewed partitions that break ``Dataset.join``'s pyarrow
-    finalize), where each folded block finishes the per-order sums and
+    projection, where each folded block finishes the per-order sums and
     applies the HAVING filter so only qualifying rows (~1 per 1000 orders
     here) leave the fold; the customer name attaches from a broadcast dimension lookup
     map-side."""
@@ -5604,36 +5575,28 @@ def q_large_volume_customers(sf_dir: str):
         c: Counter = Counter()
         for k, q in zip(batch["l_orderkey"].to_pylist(), qty.to_pylist()):
             c[k] += q
-        okeys = list(c.keys())
-        n = len(okeys)
         return pa.table(
             {
-                "okey": pa.array(okeys, pa.int64()),
+                "okey": pa.array(list(c.keys()), pa.int64()),
                 "qty": pa.array(list(c.values()), pa.int64()),
-                "o_custkey": pa.array([None] * n, pa.int64()),
-                "o_orderdate": pa.array([None] * n, pa.string()),
             }
         )
 
     def order_rows(batch: pa.Table) -> pa.Table:
-        okeys = batch["o_orderkey"].to_pylist()
         return pa.table(
             {
-                "okey": pa.array(okeys, pa.int64()),
-                "qty": pa.array([0] * len(okeys), pa.int64()),
-                "o_custkey": batch["o_custkey"].cast(pa.int64()),
+                "okey": batch["o_orderkey"],
+                "o_custkey": batch["o_custkey"],
                 "o_orderdate": pc.strftime(batch["o_orderdate"], format="%Y-%m-%d"),
             }
         )
 
-    def bucket_join(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["o_orderdate"].notna()]
-        facts = group[group["o_orderdate"].isna()]
+    def bucket_join(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame | None:
         if dims.empty or facts.empty:
             return None
         sums = facts.groupby("okey", as_index=False)["qty"].sum()
         sums = sums[sums["qty"] > 250]
-        merged = sums.merge(dims[["okey", "o_custkey", "o_orderdate"]], on="okey", how="inner")
+        merged = sums.merge(dims, on="okey", how="inner")
         return merged.rename(
             columns={"okey": "o_orderkey", "o_custkey": "c_custkey", "qty": "total_qty"}
         )
@@ -5664,7 +5627,7 @@ def q_large_volume_customers(sf_dir: str):
     )
     return (
         cogroup(
-            line.union(orders),
+            [line, orders],
             "okey",
             bucket_join,
             {
@@ -5749,7 +5712,6 @@ def q_wealthy_inactive_customers(sf_dir: str):
                     np.concatenate([hit_k, np.full(nm, -1, np.int64)]), pa.int64()
                 ),
                 "c_nationkey": pa.array(np.concatenate([hit_n, miss_nat]), pa.int64()),
-                "is_cust": pa.array([True] * (hit_k.size + nm), pa.bool_()),
                 "n_p": pa.array(
                     np.concatenate([np.zeros(hit_k.size, np.int64), miss_n]), pa.int64()
                 ),
@@ -5760,23 +5722,14 @@ def q_wealthy_inactive_customers(sf_dir: str):
         )
 
     def order_keys(batch: pa.Table) -> pa.Table:
-        keys = pc.unique(batch["o_custkey"])
-        n = len(keys)
-        return pa.table(
-            {
-                "key": keys.cast(pa.int64()),
-                "c_nationkey": pa.array([0] * n, pa.int64()),
-                "is_cust": pa.array([False] * n, pa.bool_()),
-                "n_p": pa.array([0] * n, pa.int64()),
-                "cents_p": pa.array([0] * n, pa.int64()),
-            }
-        )
+        return pa.table({"key": pc.unique(batch["o_custkey"])})
 
-    def anti(block: pd.DataFrame) -> pd.DataFrame:
-        pre = block["key"] == -1
-        with_orders = set(block.loc[~block["is_cust"], "key"])
-        survivors = block.loc[~pre & block["is_cust"] & ~block["key"].isin(with_orders)]
-        sub = pd.concat([block.loc[pre], survivors.assign(n_p=1)])
+    def anti(orders: pd.DataFrame, custs: pd.DataFrame) -> pd.DataFrame | None:
+        if custs.empty:
+            return None
+        pre = custs["key"] == -1
+        survivors = custs.loc[~pre & ~custs["key"].isin(orders["key"])]
+        sub = pd.concat([custs.loc[pre], survivors.assign(n_p=1)])
         return sub.groupby("c_nationkey", as_index=False).agg(
             n_p=("n_p", "sum"), cents_p=("cents_p", "sum")
         )
@@ -5792,9 +5745,10 @@ def q_wealthy_inactive_customers(sf_dir: str):
 
     return (
         cogroup(
-            orders.map_batches(order_keys, batch_format="pyarrow").union(
-                customers.map_batches(split_customers, batch_format="pyarrow")
-            ),
+            [
+                orders.map_batches(order_keys, batch_format="pyarrow"),
+                customers.map_batches(split_customers, batch_format="pyarrow"),
+            ],
             "key",
             anti,
             {"c_nationkey": pa.int64(), "n_p": pa.int64(), "cents_p": pa.int64()},
@@ -7054,10 +7008,9 @@ def q_returned_top_customers(sf_dir: str):
     """TPC-H-Q10-shaped returned-item report: top-20 customers by revenue
     from returned ('R') lineitems of 1995-Q4 orders, with name and nation.
     Scale shape: the only fact-table exchange is ONE co-group of the two
-    narrow projections on the orderkey (house union+cogroup join — robust
-    to the empty hash partitions that break ``Dataset.join``); each folded
-    block emits per-customer integer partials, a
-    second dimension-bounded grouped sum merges them, local top-20 pruning
+    narrow projections on the orderkey; each folded block emits
+    per-customer integer partials, a second dimension-bounded grouped sum
+    merges them, local top-20 pruning
     bounds the final sort to ~20×blocks rows, and the customer/nation name
     lookups broadcast once via ``ray.put``.  Revenue stays int64 until one
     final division, bit-identical to the SQL mirror."""
@@ -7087,15 +7040,7 @@ def q_returned_top_customers(sf_dir: str):
                 pc.less(batch["o_orderdate"], hi),
             )
         )
-        okeys = batch["o_orderkey"].to_pylist()
-        return pa.table(
-            {
-                "okey": pa.array(okeys, pa.int64()),
-                "units": pa.array([0] * len(okeys), pa.int64()),
-                "custkey": batch["o_custkey"].cast(pa.int64()),
-                "is_dim": pa.array([True] * len(okeys), pa.bool_()),
-            }
-        )
+        return pa.table({"okey": batch["o_orderkey"], "ck": batch["o_custkey"].cast(pa.int64())})
 
     def lineitem_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.equal(batch["l_returnflag"], "R"))
@@ -7103,14 +7048,10 @@ def q_returned_top_customers(sf_dir: str):
         c: Counter = Counter()
         for k, u in zip(batch["l_orderkey"].to_pylist(), units.to_pylist()):
             c[k] += u
-        okeys = list(c.keys())
-        n = len(okeys)
         return pa.table(
             {
-                "okey": pa.array(okeys, pa.int64()),
+                "okey": pa.array(list(c.keys()), pa.int64()),
                 "units": pa.array(list(c.values()), pa.int64()),
-                "custkey": pa.array([0] * n, pa.int64()),
-                "is_dim": pa.array([False] * n, pa.bool_()),
             }
         )
 
@@ -7123,17 +7064,13 @@ def q_returned_top_customers(sf_dir: str):
         ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
     ).map_batches(lineitem_partial, batch_format="pyarrow")
 
-    def bucket_cust(group: pd.DataFrame) -> pd.DataFrame:
-        dims = group[group["is_dim"]]
-        facts = group[~group["is_dim"]]
+    def bucket_cust(facts: pd.DataFrame, dims: pd.DataFrame) -> pd.DataFrame | None:
         if dims.empty or facts.empty:
             return None
-        sums = facts.groupby("okey", as_index=False)["units"].sum()
-        merged = sums.merge(dims[["okey", "custkey"]], on="okey", how="inner")
-        return merged.groupby("custkey", as_index=False)["units"].sum().rename(columns={"custkey": "ck"})
+        return facts.merge(dims, on="okey").groupby("ck", as_index=False)["units"].sum()
 
     per_cust = (
-        cogroup(line.union(orders), "okey", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
+        cogroup([line, orders], "okey", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
         .groupby("ck")
         .aggregate(Sum("units", alias_name="units"))
     )
@@ -7306,7 +7243,7 @@ def q_waiting_suppliers(sf_dir: str):
 
     Scale shape: lineitem pre-aggregates (orderkey, suppkey) → max shipdate
     per batch, so the ONE exchange (a co-group on the orderkey with the
-    'F'-order markers) ships one narrow row per order-supplier, never raw
+    'F' order keys) ships one narrow row per order-supplier, never raw
     lineitems; all EXISTS logic resolves inside the fold with
     vectorized pandas group transforms; the supplier-name dim broadcasts
     once via ``ray.put``; the final count groupby sees one row per blamed
@@ -7340,21 +7277,11 @@ def q_waiting_suppliers(sf_dir: str):
             }
         )
 
-    def order_marker(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.equal(batch["o_orderstatus"], "F"))
-        okeys = batch["o_orderkey"].to_pylist()
-        n = len(okeys)
-        return pa.table(
-            {
-                "okey": pa.array(okeys, pa.int64()),
-                "skey": pa.array([-1] * n, pa.int64()),
-                "smax": pa.array([None] * n, pa.timestamp("us")),
-            }
-        )
+    def finished_orders(batch: pa.Table) -> pa.Table:
+        return pa.table({"okey": batch.filter(pc.equal(batch["o_orderstatus"], "F"))["o_orderkey"]})
 
-    def blame(group: pd.DataFrame) -> pd.DataFrame:
-        finished = set(group.loc[group["skey"] == -1, "okey"].tolist())
-        facts = group[(group["skey"] != -1) & group["okey"].isin(finished)]
+    def blame(line: pd.DataFrame, finished: pd.DataFrame) -> pd.DataFrame | None:
+        facts = line[line["okey"].isin(finished["okey"])]
         if facts.empty:
             return None
         # finish the (okey, skey) max across batch partials
@@ -7371,7 +7298,7 @@ def q_waiting_suppliers(sf_dir: str):
         line_partial, batch_format="pyarrow"
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]).map_batches(
-        order_marker, batch_format="pyarrow"
+        finished_orders, batch_format="pyarrow"
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -7386,7 +7313,7 @@ def q_waiting_suppliers(sf_dir: str):
         )
 
     return (
-        cogroup(line.union(orders), "okey", blame, {"skey": pa.int64(), "n": pa.int64()})
+        cogroup([line, orders], "okey", blame, {"skey": pa.int64(), "n": pa.int64()})
         .groupby("skey")
         .aggregate(Sum("n", alias_name="numwait"))
         .map_batches(finish, batch_format="pyarrow")
@@ -7442,9 +7369,10 @@ def q_returnflag_priority_counts(sf_dir: str):
     schema's missing l_shipmode): per return flag, how many 1996-shipped
     lineitems belong to high-priority (1-URGENT / 2-HIGH) vs low-priority
     orders.  Scale shape: lineitem pre-aggregates (orderkey, flag) → count
-    per batch, so the hash join with the narrow orders projection ships one
-    row per order-flag; the CASE split happens post-join in a vectorized
-    map and the final groupby sees two int64 partials per flag."""
+    per batch, so the co-group with the narrow orders projection ships one
+    row per order-flag; the fold joins each sorted block, splits the CASE
+    and sums per flag, so the final groupby sees two int64 partials per
+    flag and block."""
     from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -7472,29 +7400,24 @@ def q_returnflag_priority_counts(sf_dir: str):
     line = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]
     ).map_batches(line_partial, batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    orders = _keyed(_read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]), "o_orderkey", "okey")
 
-    joined = line.join(
-        orders, join_type="inner", num_partitions=8, on=("okey",), right_on=("o_orderkey",)
-    )
-
-    def case_split(batch: pa.Table) -> pa.Table:
-        is_high = pc.or_(
-            pc.equal(batch["o_orderpriority"], "1-URGENT"),
-            pc.equal(batch["o_orderpriority"], "2-HIGH"),
-        )
-        n = batch["n"]
-        zero = pa.array([0] * len(n), pa.int64())
-        return pa.table(
-            {
-                "l_returnflag": batch["l_returnflag"],
-                "high": pc.if_else(is_high, n, zero),
-                "low": pc.if_else(is_high, zero, n),
-            }
-        )
+    def case_split(line: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if line.empty or orders.empty:
+            return None
+        joined = line.merge(orders, on="okey")
+        is_high = joined["o_orderpriority"].isin(["1-URGENT", "2-HIGH"])
+        joined["high"] = joined["n"].where(is_high, 0)
+        joined["low"] = joined["n"].where(~is_high, 0)
+        return joined.groupby("l_returnflag", as_index=False)[["high", "low"]].sum()
 
     return (
-        joined.map_batches(case_split, batch_format="pyarrow")
+        cogroup(
+            [line, orders],
+            "okey",
+            case_split,
+            {"l_returnflag": pa.string(), "high": pa.int64(), "low": pa.int64()},
+        )
         .groupby("l_returnflag")
         .aggregate(
             Sum("high", alias_name="high_line_count"),
@@ -7510,9 +7433,10 @@ def q_market_share(sf_dir: str):
     year.  Scale shape: the two dimension chains broadcast once via
     ``ray.put`` (customer→in-ASIA keys as a set, supplier→nation); lineitem
     pre-aggregates (orderkey) → (total units, nation-7 units) per batch;
-    the only exchange is ONE hash join with the filtered orders projection
-    plus a 2-group year aggregate.  The final share division of two exact
-    int64 sums is bit-identical to the SQL mirror."""
+    the only exchange is ONE co-group with the filtered orders projection,
+    whose fold sums per order year, plus a 2-group year aggregate.  The
+    final share division of two exact int64 sums is bit-identical to the
+    SQL mirror."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -7559,10 +7483,16 @@ def q_market_share(sf_dir: str):
         batch = batch.filter(mask)
         return pa.table(
             {
-                "o_orderkey": batch["o_orderkey"].cast(pa.int64()),
+                "okey": batch["o_orderkey"],
                 "o_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
             }
         )
+
+    def year_partials(line: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if line.empty or orders.empty:
+            return None
+        joined = line.merge(orders, on="okey")
+        return joined.groupby("o_year", as_index=False)[["total_units", "nation_units"]].sum()
 
     def line_partial(batch: pa.Table) -> pa.Table:
         lookup = ray.get(supp_ref)
@@ -7590,10 +7520,13 @@ def q_market_share(sf_dir: str):
         order_side, batch_format="pyarrow"
     )
 
-    joined = line.join(
-        orders, join_type="inner", num_partitions=8, on=("okey",), right_on=("o_orderkey",)
+    partials = cogroup(
+        [line, orders],
+        "okey",
+        year_partials,
+        {"o_year": pa.int64(), "total_units": pa.int64(), "nation_units": pa.int64()},
     )
-    agg = joined.groupby("o_year").aggregate(
+    agg = partials.groupby("o_year").aggregate(
         Sum("total_units", alias_name="total_units"),
         Sum("nation_units", alias_name="nation_units"),
     )
@@ -7620,9 +7553,9 @@ def q_product_profit(sf_dir: str):
     term, kept exact: qty·retail_cents·55 lands in the same 10^-4 unit
     scale as ``_money_units``).  Scale shape: part attributes and
     supplier→nation broadcast once via ``ray.put``; lineitem pre-aggregates
-    (orderkey, nation) → profit partials per batch; ONE hash join against
-    the narrow (orderkey, year) orders projection, then a small
-    (nation, year) aggregate."""
+    (orderkey, nation) → profit partials per batch; ONE co-group with the
+    narrow (orderkey, year) orders projection, whose fold sums per
+    (nation, year), then a small (nation, year) aggregate."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -7674,19 +7607,22 @@ def q_product_profit(sf_dir: str):
         ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount"],
     ).map_batches(line_partial, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        lambda b: pa.table(
-            {
-                "o_orderkey": b["o_orderkey"].cast(pa.int64()),
-                "o_year": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
-            }
-        ),
+        lambda b: pa.table({"okey": b["o_orderkey"], "o_year": pc.cast(pc.year(b["o_orderdate"]), pa.int64())}),
         batch_format="pyarrow",
     )
 
-    joined = line.join(
-        orders, join_type="inner", num_partitions=8, on=("okey",), right_on=("o_orderkey",)
+    def profit_partials(line: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame | None:
+        if line.empty or orders.empty:
+            return None
+        return line.merge(orders, on="okey").groupby(["nation", "o_year"], as_index=False)["profit_units"].sum()
+
+    partials = cogroup(
+        [line, orders],
+        "okey",
+        profit_partials,
+        {"nation": pa.string(), "o_year": pa.int64(), "profit_units": pa.int64()},
     )
-    agg = joined.groupby(["nation", "o_year"]).aggregate(
+    agg = partials.groupby(["nation", "o_year"]).aggregate(
         Sum("profit_units", alias_name="profit_units")
     )
 
@@ -8099,23 +8035,13 @@ def _triangles_cogrouped(dedup_edges) -> pd.DataFrame:
         out = []
         for _, gg in g.groupby("u", sort=False):
             out.extend(_wedge_pair_chunks(np.unique(gg["v"].to_numpy())))
-        cands = np.concatenate(out) if out else np.zeros(0, np.int64)
-        return pd.DataFrame({"k": cands, "is_edge": np.zeros(cands.size, np.int8)})
+        return pd.DataFrame({"k": np.concatenate(out) if out else np.zeros(0, np.int64)})
 
-    def edge_side(batch: pa.Table) -> pa.Table:
-        e = batch["edge"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "k": pa.array(e, pa.int64()),
-                "is_edge": pa.array(np.ones(e.size, np.int8), pa.int8()),
-            }
-        )
-
-    def count_matches(g: pd.DataFrame) -> pd.DataFrame:
-        ek = np.unique(g.loc[g["is_edge"] == 1, "k"].to_numpy())
-        ck = g.loc[g["is_edge"] == 0, "k"].to_numpy()
+    def count_matches(cands: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame | None:
+        ek = np.unique(edges["k"].to_numpy())
+        ck = cands["k"].to_numpy()
         if ek.size == 0 or ck.size == 0:
-            return pd.DataFrame({"n": [0]})
+            return None
         pos = np.searchsorted(ek, ck)
         pos[pos >= ek.size] = ek.size - 1
         return pd.DataFrame({"n": [int((ek[pos] == ck).sum())]})
@@ -8132,15 +8058,8 @@ def _triangles_cogrouped(dedup_edges) -> pd.DataFrame:
         },
     )
     oriented = cogroup(annotated, "edge", orient, {"u": pa.int64(), "v": pa.int64()})
-    candidates = cogroup(
-        oriented, "u", wedge_candidates, {"k": pa.int64(), "is_edge": pa.int8()}
-    )
-    parts = cogroup(
-        candidates.union(dedup_edges.map_batches(edge_side, batch_format="pyarrow")),
-        "k",
-        count_matches,
-        {"n": pa.int64()},
-    )
+    candidates = cogroup(oriented, "u", wedge_candidates, {"k": pa.int64()})
+    parts = cogroup([candidates, _keyed(dedup_edges, "edge", "k")], "k", count_matches, {"n": pa.int64()})
     total = int(
         sum(
             b["n"].to_numpy().sum()
@@ -9399,37 +9318,22 @@ def q_referential_orphans(sf_dir: str):
             if n_null:
                 keys = pa.concat_arrays([keys, pa.nulls(1, pa.int64())])
                 cnts = np.concatenate([cnts, [int(n_null)]])
-            return pa.table(
-                {
-                    "key": keys,
-                    "cnt": pa.array(cnts, pa.int64()),
-                    "is_parent": pa.array([False] * len(keys), pa.bool_()),
-                }
-            )
+            return pa.table({"key": keys, "cnt": pa.array(cnts, pa.int64())})
 
         def parent_keys(batch: pa.Table) -> pa.Table:
-            keys = pc.unique(pc.drop_null(batch[pkey]))
-            return pa.table(
-                {
-                    "key": keys.cast(pa.int64()),
-                    "cnt": pa.array([0] * len(keys), pa.int64()),
-                    "is_parent": pa.array([True] * len(keys), pa.bool_()),
-                }
-            )
+            return pa.table({"key": pc.unique(pc.drop_null(batch[pkey]))})
 
-        def orphan_partial(group: pd.DataFrame) -> pd.DataFrame:
-            present = set(group.loc[group["is_parent"], "key"])
-            child_rows = group.loc[~group["is_parent"]]
-            total = int(child_rows["cnt"].sum())
-            orphan = int(
-                child_rows.loc[~child_rows["key"].isin(present), "cnt"].sum()
-            )
-            return pd.DataFrame({"rows_p": [total], "orphans_p": [orphan]})
+        def orphan_partial(children: pd.DataFrame, parents: pd.DataFrame) -> pd.DataFrame | None:
+            if children.empty:
+                return None
+            orphan = children.loc[~children["key"].isin(parents["key"]), "cnt"].sum()
+            return pd.DataFrame({"rows_p": [children["cnt"].sum()], "orphans_p": [orphan]})
 
         agg = cogroup(
-            cds.map_batches(child_partials, batch_format="pyarrow").union(
-                pds.map_batches(parent_keys, batch_format="pyarrow")
-            ),
+            [
+                cds.map_batches(child_partials, batch_format="pyarrow"),
+                pds.map_batches(parent_keys, batch_format="pyarrow"),
+            ],
             "key",
             orphan_partial,
             {"rows_p": pa.int64(), "orphans_p": pa.int64()},
@@ -12367,35 +12271,19 @@ def q_crawl_frontier(sf_dir: str):
                 else:
                     continue
                 refs[absu] += 1
-        keys = list(refs)
         return pa.table(
-            {
-                "u": pa.array(keys, pa.string()),
-                "kind": pa.array([0] * len(keys), pa.int8()),
-                "n_p": pa.array([refs[k] for k in keys], pa.int64()),
-            }
-        )
-
-    def crawled_rows(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        return pa.table(
-            {
-                "u": pa.array(urls, pa.string()),
-                "kind": pa.array([1] * len(urls), pa.int8()),
-                "n_p": pa.array([0] * len(urls), pa.int64()),
-            }
+            {"u": pa.array(list(refs), pa.string()), "n_p": pa.array(list(refs.values()), pa.int64())}
         )
 
     links = _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
         link_rows, batch_format="pyarrow"
     )
     crawled = pages_dataset(pages_rows_for(sf_dir)).map_batches(
-        crawled_rows, batch_format="pyarrow"
+        lambda b: pa.table({"u": b["url"]}), batch_format="pyarrow"
     )
 
-    def anti(bucket: pd.DataFrame) -> pd.DataFrame:
-        seen = set(bucket.loc[bucket["kind"] == 1, "u"])
-        cand = bucket[(bucket["kind"] == 0) & ~bucket["u"].isin(seen)]
+    def anti(links: pd.DataFrame, crawled: pd.DataFrame) -> pd.DataFrame | None:
+        cand = links[~links["u"].isin(crawled["u"])]
         if cand.empty:
             return None
         g = cand.groupby("u", as_index=False)["n_p"].sum()
@@ -12414,7 +12302,7 @@ def q_crawl_frontier(sf_dir: str):
         return kept.assign(rnk=kept.groupby("host").cumcount() + 1).rename(columns={"u": "url"})
 
     candidates = cogroup(
-        links.union(crawled),
+        [links, crawled],
         "u",
         anti,
         {"host": pa.string(), "u": pa.string(), "n_refs": pa.int64()},
@@ -12483,8 +12371,6 @@ def q_link_pagerank(sf_dir: str):
                 "node": pa.array(src_out, pa.string()),
                 "dst": pa.array(dst_out, pa.string()),
                 "deg": pa.array(deg_out, pa.int64()),
-                "r": pa.array([0] * len(src_out), pa.int64()),
-                "kind": pa.array([1] * len(src_out), pa.int8()),
             }
         )
 
@@ -12514,16 +12400,7 @@ def q_link_pagerank(sf_dir: str):
     tele = (15 * (SCALE // n)) // 100
 
     def init_rank(batch: pa.Table) -> pa.Table:
-        urls = batch["node"].to_pylist()
-        return pa.table(
-            {
-                "node": batch["node"],
-                "dst": pa.array([None] * len(urls), pa.string()),
-                "deg": pa.array([0] * len(urls), pa.int64()),
-                "r": pa.array([SCALE // n] * len(urls), pa.int64()),
-                "kind": pa.array([0] * len(urls), pa.int8()),
-            }
-        )
+        return pa.table({"node": batch["node"], "r": pa.array(np.full(batch.num_rows, SCALE // n), pa.int64())})
 
     ranks = (
         nodes.map_batches(init_rank, batch_format="pyarrow")
@@ -12531,72 +12408,53 @@ def q_link_pagerank(sf_dir: str):
         .materialize()
     )
 
-    def contrib(bucket: pd.DataFrame) -> pd.DataFrame:
-        # messages (kind 0) carry their DESTINATION partition; the block's
-        # dangling partial (kind 1, no node) replicates to EVERY partition
-        # (``width`` tiny rows), so the global dangling mass is summable
-        # inside each update group and no per-round driver barrier / extra
-        # execution is needed — the K rounds chain into ONE streaming DAG.
-        rk = bucket[bucket["kind"] == 0]
-        ed = bucket[bucket["kind"] == 1]
-        rmap = dict(zip(rk["node"], rk["r"]))
-        out_c = (
-            ed["node"].map(rmap).to_numpy(dtype=np.int64)
-            // ed["deg"].to_numpy(dtype=np.int64)
-        )
+    def contrib(ranks: pd.DataFrame, edges: pd.DataFrame) -> pd.DataFrame | None:
+        # messages carry their DESTINATION partition; the block's dangling
+        # partial (no node) replicates to EVERY partition (``width`` tiny
+        # rows), so the global dangling mass is summable inside each update
+        # group and no per-round driver barrier / extra execution is
+        # needed — the K rounds chain into ONE streaming DAG.
+        if ranks.empty:
+            return None
+        ed = edges.reindex(columns=["node", "dst", "deg"])  # a rank-only block has no edge columns
+        rmap = dict(zip(ranks["node"], ranks["r"]))
+        out_c = ed["node"].map(rmap).to_numpy(dtype=np.int64) // ed["deg"].to_numpy(dtype=np.int64)
         dsts = ed["dst"].astype("str")
-        dang = int(rk.loc[~rk["node"].isin(set(ed["node"])), "r"].sum())
+        dang = int(ranks.loc[~ranks["node"].isin(ed["node"]), "r"].sum())
         return pd.DataFrame(
             {
                 "node": pd.concat([dsts, pd.Series([None] * width)], ignore_index=True),
                 "c": np.concatenate([out_c, np.full(width, dang, dtype=np.int64)]),
                 "part": np.concatenate([part_ids(dsts), np.arange(width, dtype=np.int32)]),
-                "kind": np.repeat(np.array([0, 1], dtype=np.int8), [len(dsts), width]),
             }
         )
 
     def node_part(batch: pa.Table) -> pa.Table:
-        urls = batch["node"].to_pylist()
-        return pa.table(
-            {
-                "node": batch["node"],
-                "c": batch["c"],
-                "part": pa.array(part_ids(urls), pa.int32()),
-                "kind": pa.array([0] * len(urls), pa.int8()),
-            }
-        )
+        return pa.table({"node": batch["node"], "part": pa.array(part_ids(batch["node"].to_pylist()), pa.int32())})
 
-    def update(part: pd.DataFrame) -> pd.DataFrame:
-        dang_mask = part["kind"] == 1
-        share = int(part.loc[dang_mask, "c"].sum()) // n  # global dang mass
-        g = part.loc[~dang_mask].groupby("node", as_index=False)["c"].sum()
-        g["c"] = tele + (85 * (g["c"].to_numpy(dtype=np.int64) + share)) // 100
+    def update(msgs: pd.DataFrame, nodes: pd.DataFrame) -> pd.DataFrame | None:
+        # a partition with no node gets dangling rows only; every other
+        # partition gets a dangling row from every contrib block
+        if nodes.empty:
+            return None
+        dang = msgs["node"].isna()
+        share = msgs.loc[dang].groupby("part")["c"].sum() // n  # global dang mass per partition
+        # every node gets a row (zero-indegree keep-alive), messages add to it
+        both = pd.concat([f for f in (msgs.loc[~dang], nodes.assign(c=0)) if len(f)])
+        g = both.groupby(["part", "node"], as_index=False)["c"].sum()
+        add = share.reindex(g["part"], fill_value=0).to_numpy(dtype=np.int64)
+        g["c"] = tele + (85 * (g["c"].to_numpy(dtype=np.int64) + add)) // 100
         return g
 
     def as_rank(batch: pa.Table) -> pa.Table:
-        urls = batch["node"].to_pylist()
-        return pa.table(
-            {
-                "node": batch["node"],
-                "dst": pa.array([None] * len(urls), pa.string()),
-                "deg": pa.array([0] * len(urls), pa.int64()),
-                "r": batch["c"].cast(pa.int64()),
-                "kind": pa.array([0] * len(urls), pa.int8()),
-            }
-        )
+        return pa.table({"node": batch["node"], "r": batch["c"].cast(pa.int64())})
 
     for _round in range(K):
         msgs = cogroup(
-            ranks.union(edges),
-            "node",
-            contrib,
-            {"node": pa.string(), "c": pa.int64(), "part": pa.int32(), "kind": pa.int8()},
+            [ranks, edges], "node", contrib, {"node": pa.string(), "c": pa.int64(), "part": pa.int32()}
         )
         new_state = cogroup(
-            msgs.union(nodes.map_batches(node_part, batch_format="pyarrow")),
-            "part",
-            each_key("part", update),
-            node_schema,
+            [msgs, nodes.map_batches(node_part, batch_format="pyarrow")], "part", update, node_schema
         )
         # one execution per round: a single K-round DAG (8 chained
         # all-to-alls) schedules WORSE on the streaming executor (28 s vs
@@ -12852,30 +12710,17 @@ def q_join_size_estimate(sf_dir: str):
     from ..pipelines.deid import _warm_fsspec_http_probe
 
     _warm_fsspec_http_probe()
-    def prod(bucket: pd.DataFrame) -> pd.DataFrame:
-        piv = bucket.pivot_table(
-            index="k", columns="side", values="n", aggfunc="sum", fill_value=0
-        )
-        if 0 not in piv.columns or 1 not in piv.columns:
+    def prod(o_counts: pd.DataFrame, l_counts: pd.DataFrame) -> pd.DataFrame | None:
+        if o_counts.empty or l_counts.empty:
             return None
-        return pd.DataFrame({"p": [int((piv[0] * piv[1]).sum())]})
+        m = o_counts.merge(l_counts, on="k")  # one row per key on each side
+        return pd.DataFrame({"p": [int((m["n_x"] * m["n_y"]).sum())]})
 
     def fk_exact_job():
         # exact Σ_k n_o·n_l via a co-group on the key of the two count tables
-        o_counts = key_counts(_read(sf_dir, "orders", ["o_orderkey"]), "o_orderkey").map_batches(
-            lambda t: t.append_column("side", pa.array([0] * len(t), pa.int8())),
-            batch_format="pyarrow",
-        )
-        l_counts = key_counts(_read(sf_dir, "lineitem", ["l_orderkey"]), "l_orderkey").map_batches(
-            lambda t: t.append_column("side", pa.array([1] * len(t), pa.int8())),
-            batch_format="pyarrow",
-        )
-        rows = cogroup(
-            o_counts.union(l_counts),
-            "k",
-            prod,
-            {"p": pa.int64()},
-        ).take_all()
+        o_counts = key_counts(_read(sf_dir, "orders", ["o_orderkey"]), "o_orderkey")
+        l_counts = key_counts(_read(sf_dir, "lineitem", ["l_orderkey"]), "l_orderkey")
+        rows = cogroup([o_counts, l_counts], "k", prod, {"p": pa.int64()}).take_all()
         return sum(int(r["p"]) for r in rows)
 
     with ThreadPoolExecutor(max_workers=5) as ex:
@@ -13302,31 +13147,18 @@ def q_user_erasure_audit(sf_dir: str):
             }
         )
 
-    # lineitem cascade: erased-order marks ∪ lineitem keys, one co-group
-    def erased_order_marks(batch: pa.Table) -> pa.Table:
+    # lineitem cascade: erased order keys and lineitem keys, one co-group
+    def erased_order_keys(batch: pa.Table) -> pa.Table:
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        keys = ok[(ck % 13) == 0]
-        return pa.table(
-            {
-                "okey": pa.array(keys, pa.int64()),
-                "lnum": pa.array(np.full(len(keys), -1, dtype=np.int64)),
-            }
-        )
+        return pa.table({"okey": batch["o_orderkey"].filter(pa.array((ck % 13) == 0))})
 
     def lineitem_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "okey": batch["l_orderkey"],
-                "lnum": pc.cast(batch["l_linenumber"], pa.int64()),
-            }
-        )
+        return pa.table({"okey": batch["l_orderkey"], "lnum": pc.cast(batch["l_linenumber"], pa.int64())})
 
-    def cascade(bucket: pd.DataFrame) -> pd.DataFrame:
-        marks = bucket["lnum"].to_numpy() == -1
-        erased_keys = set(bucket.loc[marks, "okey"].tolist())
-        li = bucket.loc[~marks]
-        hit = li["okey"].isin(erased_keys).to_numpy()
+    def cascade(li: pd.DataFrame, erased: pd.DataFrame) -> pd.DataFrame | None:
+        if li.empty:
+            return None
+        hit = li["okey"].isin(erased["okey"]).to_numpy()
         keep = li.loc[~hit]
         fp = _fp_many(
             f"{o}|{l}" for o, l in zip(keep["okey"].tolist(), keep["lnum"].tolist())
@@ -13343,13 +13175,14 @@ def q_user_erasure_audit(sf_dir: str):
         orders_partial, batch_format="pyarrow"
     )
     li = cogroup(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-        .map_batches(erased_order_marks, batch_format="pyarrow")
-        .union(
+        [
             _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber"]).map_batches(
                 lineitem_rows, batch_format="pyarrow"
-            )
-        ),
+            ),
+            _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
+                erased_order_keys, batch_format="pyarrow"
+            ),
+        ],
         "okey",
         cascade,
         {"tbl": pa.string(), "n_e": pa.int64(), "n_r": pa.int64(), "fp": pa.int64()},
@@ -13726,14 +13559,7 @@ def q_link_hits(sf_dir: str):
             for d in _resolve_outlinks(url, raw):
                 src_out.append(url)
                 dst_out.append(d)
-        return pa.table(
-            {
-                "node": pa.array(src_out, pa.string()),
-                "other": pa.array(dst_out, pa.string()),
-                "v": pa.array([0] * len(src_out), pa.int64()),
-                "kind": pa.array([1] * len(src_out), pa.int8()),
-            }
-        )
+        return pa.table({"node": pa.array(src_out, pa.string()), "other": pa.array(dst_out, pa.string())})
 
     # repartition to ~one block per core before materializing: the edge
     # list is re-scanned 4× per run, and hundreds of page-sized micro
@@ -13746,9 +13572,7 @@ def q_link_hits(sf_dir: str):
     )
 
     def flip(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"node": batch["other"], "other": batch["node"], "v": batch["v"], "kind": batch["kind"]}
-        )
+        return pa.table({"node": batch["other"], "other": batch["node"]})
 
     def both_ends(batch: pa.Table) -> pa.Table:
         ends = [batch["node"].combine_chunks(), batch["other"].combine_chunks()]
@@ -13764,39 +13588,20 @@ def q_link_hits(sf_dir: str):
         edges_by_src.map_batches(both_ends, batch_format="pyarrow"), "node", dedup_nodes, score_schema
     ).materialize()
 
-    def as_score_rows(ds, value: int | None = None):
-        def f(batch: pa.Table) -> pa.Table:
-            urls = batch["node"].to_pylist()
-            v = (
-                pa.array([value] * len(urls), pa.int64())
-                if value is not None
-                else batch["v"].cast(pa.int64())
-            )
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "other": pa.array([None] * len(urls), pa.string()),
-                    "v": v,
-                    "kind": pa.array([0] * len(urls), pa.int8()),
-                }
-            )
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    def emit_msgs(bucket: pd.DataFrame) -> pd.DataFrame:
-        sc = bucket[bucket["kind"] == 0]
-        ed = bucket[bucket["kind"] == 1]
-        if ed.empty:
+    def emit_msgs(scores: pd.DataFrame, ed: pd.DataFrame) -> pd.DataFrame | None:
+        if scores.empty or ed.empty:
             return None
-        vmap = dict(zip(sc["node"], sc["v"]))
+        vmap = dict(zip(scores["node"], scores["v"]))
         # build both columns from numpy: mixing an original-index Series
         # with a fresh Series would index-align into misrowed NaNs
         return pd.DataFrame(
             {"node": ed["other"].to_numpy(), "v": ed["node"].map(vmap).to_numpy(dtype=np.int64)}
         )
 
-    def sum_scores(bucket: pd.DataFrame) -> pd.DataFrame:
-        return bucket.groupby("node", as_index=False)["v"].sum()
+    def sum_scores(msgs: pd.DataFrame, nodes: pd.DataFrame) -> pd.DataFrame:
+        # every node keeps a zero row, so a node no message reaches scores 0
+        both = pd.concat([f for f in (msgs, nodes) if len(f)])
+        return both.groupby("node", as_index=False)["v"].sum()
 
     n_nodes = nodes.count()
     if n_nodes <= _HITS_BROADCAST_NODES:
@@ -13852,15 +13657,9 @@ def q_link_hits(sf_dir: str):
     edges_by_dst = edges_by_src.map_batches(flip, batch_format="pyarrow").materialize()
 
     def half_round(scores, edges_oriented):
-        # `scores` is a 2-col (node, v) dataset; wrap to the 5-col
-        # co-group schema, join onto the oriented edges, sum, normalize
-        msgs = cogroup(as_score_rows(scores).union(edges_oriented), "node", emit_msgs, score_schema)
-        raw = cogroup(
-            msgs.union(nodes),
-            "node",
-            sum_scores,
-            score_schema,
-        ).materialize()
+        # join the (node, v) scores onto the oriented edges, sum, normalize
+        msgs = cogroup([scores, edges_oriented], "node", emit_msgs, score_schema)
+        raw = cogroup([msgs, nodes], "node", sum_scores, score_schema).materialize()
         mx = int(raw.max("v") or 0)
         if mx <= 0:
             raise ValueError("link_hits: empty link graph (max score 0)")
@@ -13888,29 +13687,17 @@ def q_link_hits(sf_dir: str):
         hubs = half_round(auths, edges_by_dst)
 
     # join auth + hub per node (co-group on the node), then global top-20
-    def tag(ds, col_kind: int):
-        def f(batch: pa.Table) -> pa.Table:
-            urls = batch["node"].to_pylist()
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "v": batch["v"].cast(pa.int64()),
-                    "kind": pa.array([col_kind] * len(urls), pa.int8()),
-                }
-            )
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    def join_top(bucket: pd.DataFrame) -> pd.DataFrame:
-        a = bucket[bucket["kind"] == 0][["node", "v"]].rename(columns={"v": "auth"})
-        h = bucket[bucket["kind"] == 1][["node", "v"]].rename(columns={"v": "hub"})
-        m = a.merge(h, on="node", how="inner")
+    def join_top(auths: pd.DataFrame, hubs: pd.DataFrame) -> pd.DataFrame | None:
+        if auths.empty or hubs.empty:
+            return None
+        m = auths.merge(hubs, on="node", suffixes=("_auth", "_hub"))
+        m = m.rename(columns={"v_auth": "auth", "v_hub": "hub"})
         m = m.sort_values(["auth", "node"], ascending=[False, True]).head(20)
         return m.rename(columns={"node": "url"})
 
     return (
         cogroup(
-            tag(auths, 0).union(tag(hubs, 1)),
+            [auths, hubs],
             "node",
             join_top,
             {"url": pa.string(), "auth": pa.int64(), "hub": pa.int64()},
@@ -14259,42 +14046,22 @@ def q_orders_constraint_audit(sf_dir: str):
         rule_schema,
     )
 
-    # FK orphans: order custkeys vs customer marks, co-grouped on custkey
+    # FK orphans: order custkey counts vs customer keys, co-grouped on custkey
     def order_cust(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        cu, cc = np.unique(ck, return_counts=True)
-        return pa.table(
-            {
-                "ckey": pa.array(cu, pa.int64()),
-                "n": pa.array(cc.astype(np.int64)),
-                "side": pa.array([0] * len(cu), pa.int8()),
-            }
-        )
+        vc = pc.value_counts(batch["o_custkey"])
+        return pa.table({"ckey": vc.field("values"), "n": vc.field("counts").cast(pa.int64())})
 
-    def customer_marks(batch: pa.Table) -> pa.Table:
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "ckey": pa.array(ck, pa.int64()),
-                "n": pa.array(np.zeros(len(ck), dtype=np.int64)),
-                "side": pa.array([1] * len(ck), pa.int8()),
-            }
-        )
-
-    def orphan_fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        known = set(bucket.loc[bucket["side"] == 1, "ckey"].tolist())
-        od = bucket[bucket["side"] == 0]
-        orphan_rows = int(od.loc[~od["ckey"].isin(known), "n"].sum())
+    def orphan_fold(orders: pd.DataFrame, custs: pd.DataFrame) -> pd.DataFrame:
+        # a block without orders still reports the rule, with zero rows
+        orders = orders.reindex(columns=["ckey", "n"])
+        orphan_rows = int(orders.loc[~orders["ckey"].isin(custs["ckey"]), "n"].sum())
         return pd.DataFrame({"rule": ["orphan_custkey_rows"], "n_p": [orphan_rows]})
 
     orphans = cogroup(
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(order_cust, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-                customer_marks, batch_format="pyarrow"
-            )
-        ),
+        [
+            _read(sf_dir, "orders", ["o_custkey"]).map_batches(order_cust, batch_format="pyarrow"),
+            _keyed(_read(sf_dir, "customer", ["c_custkey"]), "c_custkey", "ckey"),
+        ],
         "ckey",
         orphan_fold,
         rule_schema,
@@ -15936,30 +15703,16 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
                     [tindex[t] for t in batch["term"].to_pylist()], pa.int64()
                 ),
                 "tf": batch["tf"],
-                "dl": pa.array([-1] * batch.num_rows, pa.int64()),
             }
         )
 
     def doc_lengths(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "ti": pa.array([-1] * batch.num_rows, pa.int64()),
-                "tf": pa.array([0] * batch.num_rows, pa.int64()),
-                "dl": pc.cast(batch["dl"], pa.int64()),
-            }
-        )
+        return pa.table({"doc_id": batch["doc_id"], "dl": pc.cast(batch["dl"], pa.int64())})
 
-    def score_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        dls = dict(
-            zip(
-                bucket.loc[bucket["ti"] == -1, "doc_id"],
-                bucket.loc[bucket["ti"] == -1, "dl"],
-            )
-        )
-        posts = bucket[bucket["ti"] >= 0]
+    def score_bucket(posts: pd.DataFrame, lengths: pd.DataFrame) -> pd.DataFrame | None:
         if posts.empty:
             return None
+        dls = dict(zip(lengths["doc_id"], lengths["dl"]))
         rows = []
         for d, grp in posts.groupby("doc_id", sort=False):
             dl = int(dls[d])
@@ -15987,9 +15740,10 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
 
     result = (
         cogroup(
-            qpost.map_batches(query_postings, batch_format="pyarrow").union(
-                dl_ds.map_batches(doc_lengths, batch_format="pyarrow")
-            ),
+            [
+                qpost.map_batches(query_postings, batch_format="pyarrow"),
+                dl_ds.map_batches(doc_lengths, batch_format="pyarrow"),
+            ],
             "doc_id",
             score_bucket,
             {"doc_id": pa.int64(), "bm25": pa.float64()},

@@ -37,9 +37,10 @@ _COGROUP_USERS = (
 
 @pytest.fixture
 def split_cogroups(monkeypatch):
-    """``split_cogroups(n)`` repartitions every ``cogroup`` input into ``n``
-    blocks from then on, so a test can compare one-block co-groups (one
-    sorted block, one fold call) with several-block ones."""
+    """``split_cogroups(n)`` repartitions every ``cogroup`` input (each input
+    of a list call) into ``n`` blocks from then on, so a test can compare
+    one-block co-groups (one sorted block, one fold call) with several-block
+    ones."""
     import importlib
 
     from edge_deid_studio_ray.functions import cogroup as cogroup_mod
@@ -48,6 +49,8 @@ def split_cogroups(monkeypatch):
 
     def split(n: int) -> None:
         def cogroup(ds, key, fn, schema):
+            if isinstance(ds, (list, tuple)):
+                return real([d.repartition(n) for d in ds], key, fn, schema)
             return real(ds.repartition(n), key, fn, schema)
 
         for name in _COGROUP_USERS:

@@ -1,9 +1,11 @@
-"""The two actor-pool queries finish on small clusters.
+"""The actor-pool queries and the former ``Dataset.join`` queries finish
+on small clusters.
 
-Each case runs both queries in a fresh Ray cluster of ``num_cpus`` CPUs in
+Each case runs the queries in a fresh Ray cluster of ``num_cpus`` CPUs in
 a subprocess under a timeout: a pool whose actors hold every CPU starves
 the upstream tasks that feed it, and the query then hangs instead of
-failing.
+failing.  ``Dataset.join``'s hash-shuffle aggregator actors hung the same
+way at 1 CPU; those six joins now run as co-groups and must finish too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ import sys
 import pytest
 from test_queries_oracle import SF
 
+_QUERIES = (
+    "ner_stub_entity_counts",
+    "image_deid_stub_stats",
+    "orders_join_customers",
+    "asia_order_volume",
+    "nation_trade_flow",
+    "returnflag_priority_counts",
+    "market_share",
+    "product_profit",
+)
+
 _SCRIPT = """
 import sys
 import ray
@@ -25,7 +38,7 @@ sf = sys.argv[2]
 DataContext.get_current().enable_progress_bars = False
 from edge_deid_studio_ray.pipelines.queries import QUERIES
 
-for name in ("ner_stub_entity_counts", "image_deid_stub_stats"):
+for name in sys.argv[3:]:
     out = QUERIES[name](sf)
     rows = out.count() if hasattr(out, "materialize") else len(out)
     assert rows > 0, name
@@ -40,7 +53,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_actor_pool_queries_finish(num_cpus):
     env = dict(os.environ, PYTHONPATH=_ROOT)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(num_cpus), SF],
+        [sys.executable, "-c", _SCRIPT, str(num_cpus), SF, *_QUERIES],
         cwd=_ROOT,
         env=env,
         capture_output=True,
@@ -48,4 +61,5 @@ def test_actor_pool_queries_finish(num_cpus):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "ner_stub_entity_counts" in proc.stdout and "image_deid_stub_stats" in proc.stdout
+    finished = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
+    assert finished >= set(_QUERIES)

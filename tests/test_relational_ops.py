@@ -297,8 +297,7 @@ class TestNationTradeFlow:
             ),
             tmp_path / "customer.parquet",
         )
-        # 100 orders so every hash-join partition is non-empty
-        # (Dataset.join is the documented dense-fact plan for this operator).
+        # 100 orders, so the order-key co-group folds many keys, not one
         n_orders = 100
         pq.write_table(
             pa.table(

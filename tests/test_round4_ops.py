@@ -113,11 +113,59 @@ def test_cogroup_calls_fn_once_per_sorted_block(ray_session):
     assert sum(r["keys"] for r in three) == 300  # no key split across blocks
 
 
+def test_cogroup_list_gives_one_frame_per_input(ray_session):
+    """A list co-group calls ``fn`` with one frame per input.  Over disjoint
+    key ranges, 200 keys on the left and 2 on the right, some of the six
+    sorted blocks hold left rows only: the right input then arrives as a
+    zero-row frame of the key column alone, and no key is split across
+    blocks."""
+    import pandas as pd
+    import ray.data as rd
+
+    from edge_deid_studio_ray.functions.cogroup import cogroup
+
+    def census(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "left_rows": [len(left)],
+                "right_rows": [len(right)],
+                "left_cols": [",".join(left.columns)],
+                "right_cols": [",".join(right.columns)],
+                "keys": [len(set(left["k"]) | set(right["k"]))],
+                "left_dtype": [str(left["v"].dtype) if "v" in left else ""],
+            }
+        )
+
+    schema = {
+        "left_rows": pa.int64(),
+        "right_rows": pa.int64(),
+        "left_cols": pa.string(),
+        "right_cols": pa.string(),
+        "keys": pa.int64(),
+        "left_dtype": pa.string(),
+    }
+    left = rd.from_items([{"k": i % 200, "v": i} for i in range(2000)]).repartition(3)
+    right = rd.from_arrow(pa.table({"k": pa.array([200 + i % 2 for i in range(1000)], pa.int32()), "w": ["x"] * 1000}))
+    rows = cogroup([left, right.repartition(3)], "k", census, schema).take_all()
+    assert sum(r["left_rows"] for r in rows) == 2000
+    assert sum(r["right_rows"] for r in rows) == 1000
+    assert sum(r["keys"] for r in rows) == 202  # no key split across blocks
+    one_sided = [r for r in rows if not (r["left_rows"] and r["right_rows"])]
+    assert one_sided, "disjoint key ranges must leave some sorted block one-sided"
+    for r in rows:
+        assert r["left_cols"] == ("k,v" if r["left_rows"] else "k")
+        assert r["right_cols"] == ("k,w" if r["right_rows"] else "k")
+        # an input's own columns keep their dtype: no null filler from the other
+        assert r["left_dtype"] == ("int64" if r["left_rows"] else "")
+
+
 def test_queries_fold_only_through_cogroup():
     """Every pandas co-group in the package goes through ``cogroup``, which
     sorts and folds blocks itself: no ``map_groups`` attribute in any
     module, no identity re-encoder, and no ``pd.Series`` / ``pd.array``
-    frame typed by hand."""
+    frame typed by hand.  Every join is a list ``cogroup`` too: no
+    ``Dataset.join`` call, and no ``cogroup`` over a hand-written union
+    except the two zero-row marker unions, which are not joins."""
     import ast
     import pathlib
     import re
@@ -125,22 +173,31 @@ def test_queries_fold_only_through_cogroup():
     import edge_deid_studio_ray
 
     root = pathlib.Path(edge_deid_studio_ray.__file__).parent
-    callers, typed = [], []
+    callers, typed, joins, unions = [], [], [], []
     for path in sorted(root.rglob("*.py")):
         src = path.read_text()
         rel = path.relative_to(root).as_posix()
         assert "_arrow_blocks" not in src and "_as_arrow" not in src, rel
         for top in ast.parse(src).body:
             name = getattr(top, "name", "<module>")
-            callers += [
-                (rel, name)
-                for node in ast.walk(top)
-                if isinstance(node, ast.Attribute) and node.attr == "map_groups"
-            ]
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "map_groups":
+                    callers.append((rel, name))
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "join":
+                    if any(k.arg == "join_type" for k in node.keywords):
+                        joins.append((rel, name))
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "cogroup" and node.args and ".union(" in ast.unparse(node.args[0]):
+                    unions.append((rel, name))
         # pd.Series(..., dtype=...), pd.array([...], dtype=...)
         typed += [(rel, m.group(0)) for m in re.finditer(r"pd\.(Series|array)\([^()]*dtype=", src)]
     assert callers == []
     assert typed == []
+    assert joins == []
+    assert sorted(unions) == [("functions/corpusops.py", "duplicate_ngram_spans"), ("functions/dedup.py", "_dedupe_pair_rows")]
 
 
 def test_no_bucket_layer_left():
@@ -796,3 +853,45 @@ class TestAllPairsJaccard:
         got = set(zip(df["left"], df["right"]))
         missing = twins - got
         assert not missing, f"prefix filter missed {len(missing)} guaranteed twins"
+
+
+@pytest.mark.parametrize("which", ["pages", "synth"])
+def test_fixture_rewrite_survives_a_crash_before_the_marker(which, tmp_path, monkeypatch):
+    """A fixture rewrite that dies after its data write but before its
+    marker write leaves no stamp behind: the next run at the old sf
+    regenerates that sf's corpus instead of reading the other sf's."""
+    import builtins
+
+    import pyarrow.parquet as pq
+
+    from edge_deid_studio_ray.pipelines import queries as q
+
+    if which == "pages":
+        monkeypatch.setattr(q, "_PAGES_FIXTURE", str(tmp_path / "pages.parquet"))
+        ensure, rows_for = q._ensure_pages_fixture, q.pages_rows_for
+
+        def rows(sf: str) -> int:
+            return pq.read_metadata(ensure(sf)).num_rows
+
+    else:
+        monkeypatch.setattr(q, "_SYNTH_FIXTURE_DIR", str(tmp_path))
+        ensure, rows_for = q._ensure_synth_fixture, q._synth_rows_for
+
+        def rows(sf: str) -> int:
+            return pq.read_metadata(ensure(sf)[0]).num_rows
+
+    small, large = "/data/sf0.001", "/data/sf0.01"
+    assert rows_for(small) != rows_for(large)
+    assert rows(small) == rows_for(small)
+
+    def crash_on_marker(path, mode="r", *args, **kwargs):
+        if str(path).endswith("_MARKER") and "w" in mode:
+            raise OSError("simulated crash before the marker write")
+        return builtins.open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(q, "open", crash_on_marker, raising=False)
+    with pytest.raises(OSError, match="simulated crash"):
+        ensure(large)
+    monkeypatch.delattr(q, "open")
+    assert rows(small) == rows_for(small)
+    assert not list(tmp_path.glob("*.tmp"))
