@@ -1080,10 +1080,12 @@ def near_dedup(
     schema = pa.schema(list(zip(s.names, s.types)))
     key_type = schema.field(key_col).type
 
-    def non_keepers(t: pa.Table) -> pa.Table:
-        nodes = t["node"].to_pylist()
-        comp = t["component"].to_pylist()
-        return pa.table({key_col: pa.array([n for n, c in zip(nodes, comp) if n != c], key_type)})
+    def non_keepers(members: pd.DataFrame) -> pd.DataFrame:
+        # the keeper is the component's minimum node: for integer ids that
+        # is the component id itself, for string ids the component is an
+        # opaque hash, so the minimum is taken here for both
+        keeper = members.groupby("component", sort=False)["node"].transform("min")
+        return members.loc[members["node"] != keeper, ["node"]].rename(columns={"node": key_col})
 
     def anti(rows: pd.DataFrame, dropped: pd.DataFrame) -> pd.DataFrame | None:
         if rows.empty:
@@ -1092,6 +1094,5 @@ def near_dedup(
 
     # the surviving rows are encoded back to the corpus schema (an integer
     # key the co-group widened to int64 returns to its type)
-    return cogroup(
-        [ds, comps.map_batches(non_keepers, batch_format="pyarrow")], key_col, anti, schema
-    )
+    dropped = cogroup(comps, "component", non_keepers, {key_col: key_type})
+    return cogroup([ds, dropped], key_col, anti, schema)

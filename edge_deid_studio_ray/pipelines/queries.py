@@ -37,6 +37,12 @@ derived from data they already read: ``link_pagerank`` (crc32(url) mod its block
 so dangling mass replicates to every partition), ``events_ks_test`` (value
 ranges, one per CPU) and the broadcast triangle count (one block per CPU).
 
+The per-user events folds share one timeline: ``_events`` reads events
+columns plus the int64 ``us`` of ``ts`` in one map fused with the read, and
+``_timeline`` sorts a co-grouped block once by (user, the query's own order
+columns) and returns it with a start mask for each user (and, given a gap,
+each session), so no fold loops over users in Python.
+
 Every read of an ``sf_dir`` table goes through ``_read``, which sizes its
 block count from the parquet footer too (``_read_blocks``): one block per
 MiB of projected, uncompressed column chunks while that is below Ray's
@@ -71,6 +77,11 @@ from ..stages.deid import make_deid_batch_fn
 # SQL list literal (_STOP_SQL below) derive from this ONE constant so the
 # engine/oracle agreement is structural
 _STOP_WORDS = ("the", "of", "and", "to", "a", "in", "is", "it", "you", "that")
+
+# the 30-minute inactivity gap of every session query: a user's session
+# ends where consecutive events are more than this many microseconds apart.
+# The engine folds and the session oracles both derive from it.
+_SESSION_GAP_US = 1_800_000_000
 
 
 def _strip_meta(t: pa.Table) -> pa.Table:
@@ -119,6 +130,42 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int
     return rd.read_parquet(
         path, columns=columns, override_num_blocks=blocks or _read_blocks(path, columns)
     ).map_batches(_strip_meta, batch_format="pyarrow")
+
+
+def _events(sf_dir: str, columns: list[str]):
+    """``_read`` of the events table's ``columns`` plus ``us``, the int64
+    microseconds of ``ts``, in one map that fuses with the read."""
+
+    def with_us(batch: pa.Table) -> pa.Table:
+        return batch.select(columns).append_column("us", batch["ts"].cast(pa.int64()))
+
+    return _read(sf_dir, "events", [*columns, "ts"]).map_batches(with_us, batch_format="pyarrow")
+
+
+def _timeline(bucket: pd.DataFrame, order: list[str], gap_us: int | None = None):
+    """Every user timeline of a co-grouped ``bucket``, sorted once.
+
+    One stable ``np.lexsort`` by (``user_id``, *``order``) gives the sorted
+    frame; the boolean ``start`` mask marks each row that opens a segment:
+    a new user, or with ``gap_us`` also an event more than ``gap_us`` after
+    the previous one (a gap of exactly ``gap_us`` keeps the segment open).
+    Each query passes its own order columns, the tie order its oracle's
+    window uses.  A string column sorts by its sorted factor codes, nulls
+    last as in ``sort_values``.  Returns ``(sorted_frame, start)``."""
+
+    def key(col: pd.Series) -> np.ndarray:
+        if pd.api.types.is_numeric_dtype(col):
+            return col.to_numpy()
+        return pd.factorize(col, sort=True, use_na_sentinel=False)[0]
+
+    idx = np.lexsort([key(bucket[c]) for c in reversed(["user_id", *order])])
+    g = bucket.take(idx).reset_index(drop=True)
+    user = g["user_id"].to_numpy()
+    start = np.ones(len(g), dtype=bool)
+    start[1:] = user[1:] != user[:-1]
+    if gap_us is not None:
+        start[1:] |= np.diff(g["us"].to_numpy()) > gap_us
+    return g, start
 
 
 def _rows(sf_dir: str, *tables: str) -> int:
@@ -368,26 +415,37 @@ def q_events_hourly(sf_dir: str):
 
 
 def _sessionize(bucket: pd.DataFrame, gap_us: int) -> pd.DataFrame:
-    """Gap sessions of every user in ``bucket`` (columns ``user_id``, ``us``)
-    in one pass: one ``lexsort`` by (user, us); a session starts where the
-    user changes or consecutive events are more than ``gap_us`` apart (a gap
-    of exactly ``gap_us`` keeps the session open)."""
-    user = bucket["user_id"].to_numpy()
-    us = bucket["us"].to_numpy()
-    order = np.lexsort((us, user))
-    user, us = user[order], us[order]
-    starts = np.ones(len(us), dtype=bool)
-    starts[1:] = (user[1:] != user[:-1]) | (np.diff(us) > gap_us)
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], len(us)) - 1
+    """The gap sessions of every user in ``bucket`` (columns ``user_id``,
+    ``us``): one row per session with its first and last timestamp and its
+    event count.  The session queries pass ``_SESSION_GAP_US``."""
+    g, start = _timeline(bucket, ["us"], gap_us)
+    us = g["us"].to_numpy()
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], len(us))[: len(first)] - 1  # none for zero rows
     return pd.DataFrame(
         {
-            "user_id": user[first],
+            "user_id": g["user_id"].to_numpy()[first],
             "session_start_us": us[first],
             "session_end_us": us[last],
             "n_events": last - first + 1,
         }
     )
+
+
+def _bigram_counts(bucket: pd.DataFrame) -> pd.DataFrame:
+    """Counts of each (``cur``, ``nxt``) pair of consecutive event types in
+    the (us, event_id) timelines of ``bucket``'s users: the first-order
+    transitions every Markov query folds."""
+    g, start = _timeline(bucket, ["us", "event_id"])
+    types = g["event_type"].to_numpy()
+    same = ~start[1:]
+    pairs = pd.DataFrame({"cur": types[:-1][same], "nxt": types[1:][same]})
+    return pairs.groupby(["cur", "nxt"], as_index=False).size().rename(columns={"size": "n"})
+
+
+def _cents(values: pd.Series) -> np.ndarray:
+    """Exact int64 cents of a 2-dp value column: round(value · 100)."""
+    return pc.cast(pc.round(pc.multiply(pa.array(values), 100.0)), pa.int64()).to_numpy()
 
 
 def q_events_sessions(sf_dir: str):
@@ -399,17 +457,12 @@ def q_events_sessions(sf_dir: str):
     Ordering assumption: sessionization is computed after an in-group sort by
     ts; ties in ts are gap-0 so session membership is tie-order invariant.
     """
-    gap_us = 1_800_000_000
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        return pa.table({"user_id": batch["user_id"], "us": batch["ts"].cast(pa.int64())})
 
     def sessionize_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        return _sessionize(bucket, gap_us)
+        return _sessionize(bucket, _SESSION_GAP_US)
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_us, batch_format="pyarrow")
     return cogroup(
-        ds,
+        _events(sf_dir, ["user_id"]),
         "user_id",
         sessionize_bucket,
         {
@@ -454,28 +507,14 @@ def q_events_running_total(sf_dir: str):
     """Per-event running count within each user's timeline (cumulative
     stateful-stream semantics in batch form: co-grouped by user, sorted
     cumcount)."""
-    import pandas as pd
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-            }
-        )
 
     def running(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"]).reset_index(drop=True)
-            g["running_n"] = g.index + 1
-            outs.append(g)
-        return pd.concat(outs, ignore_index=True)
+        g, _ = _timeline(bucket, ["us", "event_id"])
+        return pd.DataFrame(
+            {"event_id": g["event_id"], "running_n": g.groupby("user_id", sort=False).cumcount() + 1}
+        )
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
-        to_rows, batch_format="pyarrow"
-    )
+    ds = _events(sf_dir, ["event_id", "user_id"])
     return cogroup(ds, "user_id", running, {"event_id": pa.int64(), "running_n": pa.int64()})
 
 
@@ -484,47 +523,20 @@ def q_events_asof_join(sf_dir: str):
     even-id event (stream B) at-or-before their timestamp, per user — the
     ``pd.merge_asof``-inside-co-group pattern for time-aligned streams.
 
-    B is deduped to one row per (user, ts) (max event id) on both sides so
-    the tie-breaking is well-defined; A rows with no prior B are dropped
+    B is deduped to one row per (user, ts), so the tie-breaking is
+    well-defined; A rows with no prior B are dropped
     (inner as-of)."""
-    import pandas as pd
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-            }
-        )
 
     def asof(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in bucket.groupby("user_id", sort=False):
-            a = g[g["event_id"] % 2 == 1].sort_values("us")
-            b = (
-                g[g["event_id"] % 2 == 0]
-                .groupby("us", as_index=False)
-                .agg(b_event=("event_id", "max"))
-                .sort_values("us")
-            )
-            if a.empty or b.empty:
-                continue
-            joined = pd.merge_asof(
-                a[["event_id", "us"]],
-                b.rename(columns={"us": "b_us"}),
-                left_on="us",
-                right_on="b_us",
-                direction="backward",
-            ).dropna(subset=["b_us"])
-            if joined.empty:
-                continue
-            outs.append(joined)
-        return pd.concat(outs, ignore_index=True) if outs else None
+        odd = (bucket["event_id"] % 2 == 1).to_numpy()
+        a = bucket.loc[odd, ["event_id", "user_id", "us"]].sort_values("us")
+        b = bucket.loc[~odd, ["user_id", "us"]].drop_duplicates().rename(columns={"us": "b_us"})
+        joined = pd.merge_asof(
+            a, b.sort_values("b_us"), left_on="us", right_on="b_us", by="user_id", direction="backward"
+        )
+        return joined.dropna(subset=["b_us"])
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
-        to_rows, batch_format="pyarrow"
-    )
+    ds = _events(sf_dir, ["event_id", "user_id"])
     return cogroup(ds, "user_id", asof, {"event_id": pa.int64(), "b_us": pa.int64()})
 
 
@@ -618,45 +630,41 @@ def q_events_funnel(sf_dir: str):
     counts; one tiny 3-row groupby-sum finishes.  Per-user state never
     leaves the group task, so the shuffle ships (user_id, us, event_type)
     rows once — the same partitioning-by-entity contract as sessionization.
+    Each step after the first is one forward as-of join per block: a
+    user's earliest step event strictly after the previous step's time and
+    at most ``step_us`` later.
     """
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     step_us = 1_800_000_000
     steps = ("view", "click", "purchase")
 
-    def to_us(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def funnel_bucket(bucket: pd.DataFrame) -> pd.DataFrame:
-        reached = [0, 0, 0]
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values("us")
-            us = g["us"].to_numpy()
-            types = g["event_type"].to_numpy()
-            t_prev = None
-            for depth, step in enumerate(steps):
-                if depth == 0:
-                    hits = us[types == step]
-                else:
-                    hits = us[(types == step) & (us > t_prev) & (us - t_prev <= step_us)]
-                if len(hits) == 0:
-                    break
-                t_prev = hits.min()
-                reached[depth] += 1
+        at = bucket.loc[bucket["event_type"] == steps[0]].groupby("user_id", as_index=False)["us"].min()
+        reached = [len(at)]
+        for step in steps[1:]:
+            hits = bucket.loc[bucket["event_type"] == step, ["user_id", "us"]].rename(columns={"us": "next_us"})
+            at = pd.merge_asof(
+                at.sort_values("us"),
+                hits.sort_values("next_us"),
+                left_on="us",
+                right_on="next_us",
+                by="user_id",
+                direction="forward",
+                allow_exact_matches=False,
+                tolerance=step_us,
+            ).dropna(subset=["next_us"])
+            at = pd.DataFrame({"user_id": at["user_id"], "us": at["next_us"].astype(np.int64)})
+            reached.append(len(at))
         return pd.DataFrame({"funnel_step": [1, 2, 3], "partial": reached})
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
-        to_us, batch_format="pyarrow"
-    )
     return (
-        cogroup(ds, "user_id", funnel_bucket, {"funnel_step": pa.int64(), "partial": pa.int64()})
+        cogroup(
+            _events(sf_dir, ["user_id", "event_type"]),
+            "user_id",
+            funnel_bucket,
+            {"funnel_step": pa.int64(), "partial": pa.int64()},
+        )
         .groupby("funnel_step")
         .aggregate(Sum("partial", alias_name="n_users"))
     )
@@ -4702,38 +4710,18 @@ def q_events_interarrival_hist(sf_dir: str):
     orders its window identically (ts, event_type)."""
     from ray.data.aggregate import Sum
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us", "event_type"], kind="mergesort")
-        us = g["us"].to_numpy()
-        uid = g["user_id"].to_numpy()
-        prev_same_user = np.zeros(len(g), dtype=bool)
-        prev_same_user[1:] = uid[1:] == uid[:-1]
+        g, start = _timeline(group, ["us", "event_type"])
         gaps = np.zeros(len(g), dtype=np.int64)
-        gaps[1:] = (us[1:] - us[:-1]) // 60_000_000
-        sub = pd.DataFrame(
-            {
-                "event_type": g["event_type"].to_numpy()[prev_same_user],
-                "gap_min": gaps[prev_same_user],
-            }
-        )
+        gaps[1:] = np.diff(g["us"].to_numpy()) // 60_000_000
+        sub = pd.DataFrame({"event_type": g["event_type"].to_numpy()[~start], "gap_min": gaps[~start]})
         return sub.groupby(["event_type", "gap_min"], as_index=False).size().rename(
             columns={"size": "n"}
         )
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
-                project, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["user_id", "event_type"]),
             "user_id",
             fold_bucket,
             {"event_type": pa.string(), "gap_min": pa.int64(), "n": pa.int64()},
@@ -4979,6 +4967,8 @@ def q_event_type_cooccurrence(sf_dir: str):
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         g = group.drop_duplicates(["user_id", "event_type"])
         c: Counter = Counter()
+        # kept per user: the pairs come from each user's type set, with no
+        # timeline order to scan
         for _, sub in g.groupby("user_id"):
             ts = sorted(sub["event_type"].tolist())
             for i in range(len(ts)):
@@ -6376,37 +6366,12 @@ def q_events_type_transitions(sf_dir: str):
     under timestamp ties."""
     from ray.data.aggregate import Sum
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_id": batch["event_id"],
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        types = g["event_type"].to_numpy()
-        same_user = np.zeros(len(g), dtype=bool)
-        same_user[1:] = uid[1:] == uid[:-1]
-        sub = pd.DataFrame(
-            {
-                "from_type": np.concatenate(([""], types[:-1]))[same_user],
-                "to_type": types[same_user],
-            }
-        )
-        return sub.groupby(["from_type", "to_type"], as_index=False).size().rename(
-            columns={"size": "n_p"}
-        )
+        return _bigram_counts(group).rename(columns={"cur": "from_type", "nxt": "to_type", "n": "n_p"})
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
-                project, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["event_id", "user_id", "event_type"]),
             "user_id",
             fold_bucket,
             {"from_type": pa.string(), "to_type": pa.string(), "n_p": pa.int64()},
@@ -7191,36 +7156,19 @@ def q_events_debounced(sf_dir: str):
     ORDER BY ts, event_id."""
     from ray.data.aggregate import Sum
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "event_type": batch["event_type"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_id": batch["event_id"],
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(
-            ["user_id", "event_type", "us", "event_id"], kind="mergesort"
-        )
-        us = g["us"].to_numpy()
-        uid = g["user_id"].to_numpy()
+        g, start = _timeline(group, ["event_type", "us", "event_id"])
         et = g["event_type"].to_numpy()
-        same_key = np.zeros(len(g), dtype=bool)
-        same_key[1:] = (uid[1:] == uid[:-1]) & (et[1:] == et[:-1])
+        start[1:] |= et[1:] != et[:-1]  # a new (user, event_type) key
         gaps = np.zeros(len(g), dtype=np.int64)
-        gaps[1:] = us[1:] - us[:-1]
-        kept = ~same_key | (gaps > 60_000_000)
+        gaps[1:] = np.diff(g["us"].to_numpy())
+        kept = start | (gaps > 60_000_000)
         out = pd.DataFrame({"event_type": et[kept]}).groupby("event_type", as_index=False).size()
         return out.rename(columns={"size": "n"})
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"]).map_batches(
-                project, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["user_id", "event_type", "event_id"]),
             "user_id",
             fold_bucket,
             {"event_type": pa.string(), "n": pa.int64()},
@@ -8114,24 +8062,12 @@ def q_events_above_user_median(sf_dir: str):
     is the midpoint of the two middle stored doubles — one IEEE add + halve
     from identical inputs on both engines, so the > comparison is exact."""
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "value": batch["value"],
-            }
-        )
-
     def per_user(bucket: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, g in bucket.groupby("user_id", sort=False):
-            med = g["value"].median()
-            rows.append((int(uid), int((g["value"] > med).sum())))
-        return pd.DataFrame(rows, columns=["user_id", "n_above"])
+        med = bucket.groupby("user_id", sort=False)["value"].transform("median")
+        above = (bucket["value"] > med).groupby(bucket["user_id"], sort=False).sum()
+        return above.rename("n_above").reset_index()
 
-    ds = _read(sf_dir, "events", ["user_id", "value"]).map_batches(
-        to_rows, batch_format="pyarrow"
-    )
+    ds = _read(sf_dir, "events", ["user_id", "value"])
     return cogroup(ds, "user_id", per_user, {"user_id": pa.int64(), "n_above": pa.int64()})
 
 
@@ -8215,33 +8151,12 @@ def q_events_rolling_max3(sf_dir: str):
     max() involves no arithmetic, so doubles compare exactly.  Same
     co-group on user_id as the other per-key window queries."""
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "value": batch["value"],
-            }
-        )
-
     def roll(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"])
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "event_id": g["event_id"].to_numpy(),
-                        "rmax3": g["value"].rolling(3, min_periods=1).max().to_numpy(),
-                    }
-                )
-            )
-        return pd.concat(outs, ignore_index=True)
+        g, _ = _timeline(bucket, ["us", "event_id"])
+        rmax3 = g.groupby("user_id", sort=False)["value"].rolling(3, min_periods=1).max()
+        return pd.DataFrame({"event_id": g["event_id"], "rmax3": rmax3.droplevel(0)})
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
-        to_rows, batch_format="pyarrow"
-    )
+    ds = _events(sf_dir, ["event_id", "user_id", "value"])
     return cogroup(ds, "user_id", roll, {"event_id": pa.int64(), "rmax3": pa.float64()})
 
 
@@ -8292,33 +8207,12 @@ def q_events_lead_type(sf_dir: str):
     its user's timeline (ordered by ts, event_id; 'NONE' for the last event).
     Complements the LAG-based debounce/inter-arrival queries."""
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def lead(bucket: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"])
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "event_id": g["event_id"].to_numpy(),
-                        "next_type": g["event_type"].shift(-1).fillna("NONE").to_numpy(),
-                    }
-                )
-            )
-        return pd.concat(outs, ignore_index=True)
+        g, _ = _timeline(bucket, ["us", "event_id"])
+        nxt = g.groupby("user_id", sort=False)["event_type"].shift(-1).fillna("NONE")
+        return pd.DataFrame({"event_id": g["event_id"], "next_type": nxt})
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"]).map_batches(
-        to_rows, batch_format="pyarrow"
-    )
+    ds = _events(sf_dir, ["event_id", "user_id", "event_type"])
     return cogroup(ds, "user_id", lead, {"event_id": pa.int64(), "next_type": pa.string()})
 
 
@@ -9182,34 +9076,16 @@ def q_events_path_trigrams(sf_dir: str):
     TOTAL order, identical on both engines under timestamp ties."""
     from ray.data.aggregate import Sum
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_id": batch["event_id"],
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
+        g, start = _timeline(group, ["us", "event_id"])
         types = g["event_type"].to_numpy()
-        ok = np.zeros(len(g), dtype=bool)
-        if len(g) >= 3:
-            ok[2:] = (uid[2:] == uid[1:-1]) & (uid[1:-1] == uid[:-2])
-        idx = np.nonzero(ok)[0]
-        c: Counter = Counter(
-            f"{types[i - 2]}>{types[i - 1]}>{types[i]}" for i in idx
-        )
-        return pd.DataFrame({"path": list(c.keys()), "n_p": list(c.values())})
+        ok = ~start[2:] & ~start[1:-1]  # three consecutive events of one user
+        paths = types[:-2][ok] + ">" + types[1:-1][ok] + ">" + types[2:][ok]
+        return pd.DataFrame({"path": paths}).groupby("path", as_index=False).size().rename(columns={"size": "n_p"})
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]).map_batches(
-                project, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["event_id", "user_id", "event_type"]),
             "user_id",
             fold_bucket,
             {"path": pa.string(), "n_p": pa.int64()},
@@ -9374,34 +9250,18 @@ def q_events_rolling_zscore(sf_dir: str):
     on both."""
     W = 10
 
-    def project(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_id": batch["event_id"],
-                "cents": cents,
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        c = g["cents"].to_numpy(dtype=np.int64)
+        g, start = _timeline(group, ["us", "event_id"])
+        c = _cents(g["value"])
         eid = g["event_id"].to_numpy(dtype=np.int64)
         # int64-safe: cents ≤ ~10^5 → cents² ≤ 10^10, cumsum ≤ 10^15
         n = len(g)
         cs = np.concatenate(([0], np.cumsum(c)))
         cs2 = np.concatenate(([0], np.cumsum(c * c)))
-        # per-user segment starts, fully vectorized: positions where the
-        # user changes seed a running maximum
-        seg = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            chg = np.nonzero(uid[1:] != uid[:-1])[0] + 1
-            seg[chg] = chg
-        start = np.maximum.accumulate(seg)
-        idx = np.nonzero(np.arange(n) - start + 1 >= W)[0]
+        # each row's user start: the running maximum of the start positions
+        pos = np.arange(n)
+        first = np.maximum.accumulate(np.where(start, pos, 0))
+        idx = np.nonzero(pos - first + 1 >= W)[0]
         s = cs[idx + 1] - cs[idx + 1 - W]
         ss = cs2[idx + 1] - cs2[idx + 1 - W]
         num = W * c[idx] - s
@@ -9415,9 +9275,7 @@ def q_events_rolling_zscore(sf_dir: str):
         return pd.DataFrame({"event_id": eid[idx], "z": z, "is_anomaly": anomaly})
 
     return cogroup(
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
-            project, batch_format="pyarrow"
-        ),
+        _events(sf_dir, ["event_id", "user_id", "value"]),
         "user_id",
         fold_bucket,
         {"event_id": pa.int64(), "z": pa.float64(), "is_anomaly": pa.bool_()},
@@ -9932,6 +9790,8 @@ def q_events_funnel_conformance(sf_dir: str):
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
         hist: Counter = Counter()
+        # kept per user: each user's head-20 path is one Levenshtein DP, not
+        # an ordered scan a start mask could vectorize
         for _, sub in g.groupby("user_id", sort=False):
             path = "".join(sub["c"].iloc[:20])
             hist[lev(path, target)] += 1
@@ -11195,32 +11055,21 @@ def q_events_active_time(sf_dir: str):
     regardless of tie order, so the result is total-order-independent."""
     WIN_US = 300 * 1_000_000
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us"], kind="mergesort")
-        uid = g["user_id"].to_numpy(dtype=np.int64)
+        g, start = _timeline(group, ["us"])
         ts = g["us"].to_numpy(dtype=np.int64)
         n = len(g)
         last_of_user = np.ones(n, dtype=bool)
-        last_of_user[:-1] = uid[1:] != uid[:-1]
+        last_of_user[:-1] = start[1:]
         gap = np.empty(n, dtype=np.int64)
         gap[:-1] = ts[1:] - ts[:-1]
         gap[last_of_user] = WIN_US  # last event of each user contributes W
         contrib = np.minimum(gap, WIN_US)
         # island ends: within-user gap > W, or the user's last row
-        ends_island = last_of_user | np.concatenate(
-            (~last_of_user[:-1] & (ts[1:] - ts[:-1] > WIN_US), [False])
-        )
+        ends_island = last_of_user | (gap > WIN_US)
         out = pd.DataFrame(
             {
-                "user_id": uid,
+                "user_id": g["user_id"],
                 "active_us": contrib,
                 "n_islands": ends_island.astype("int64"),
             }
@@ -11228,7 +11077,7 @@ def q_events_active_time(sf_dir: str):
         return out.groupby("user_id", as_index=False).sum()
 
     return cogroup(
-        _read(sf_dir, "events", ["user_id", "ts"]).map_batches(project, batch_format="pyarrow"),
+        _events(sf_dir, ["user_id"]),
         "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "active_us": pa.int64(), "n_islands": pa.int64()},
@@ -11250,36 +11099,20 @@ def q_events_cusum_alarms(sf_dir: str):
     DRIFT = 10_500  # target 10000 cents + slack 500
     H = 50_000
 
-    def project(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], 100.0)), pa.int64())
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_id": batch["event_id"],
-                "cents": cents,
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["user_id", "us", "event_id"], kind="mergesort")
+        g, _ = _timeline(group, ["us", "event_id"])
         # fully segmented vectorized scans: per-user cumsum of the drift
         # deltas, per-user running min clamped at 0, S = cd − floor
-        d = g["cents"].astype("int64") - DRIFT
-        by_user = d.groupby(g["user_id"].to_numpy())
-        cd = by_user.cumsum()
-        floor = cd.groupby(g["user_id"].to_numpy()).cummin().clip(upper=0)
+        user = g["user_id"].to_numpy()
+        cd = pd.Series(_cents(g["value"]) - DRIFT).groupby(user).cumsum()
+        floor = cd.groupby(user).cummin().clip(upper=0)
         s = cd - floor
-        return pd.DataFrame(
-            {"user_id": g["user_id"].to_numpy(), "s": s, "alarm": (s > H)}
-        ).groupby("user_id", as_index=False).agg(
-            peak_s=("s", "max"), n_alarms=("alarm", "sum")
-        )
+        return pd.DataFrame({"user_id": user, "s": s, "alarm": (s > H)}).groupby(
+            "user_id", as_index=False
+        ).agg(peak_s=("s", "max"), n_alarms=("alarm", "sum"))
 
     return cogroup(
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]).map_batches(
-            project, batch_format="pyarrow"
-        ),
+        _events(sf_dir, ["event_id", "user_id", "value"]),
         "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "peak_s": pa.int64(), "n_alarms": pa.int64()},
@@ -11363,19 +11196,13 @@ def q_events_user_entropy(sf_dir: str):
     drift, far under the shared 6dp grid)."""
     import math
 
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         counts = (
             group.groupby(["user_id", "event_type"]).size().reset_index(name="c")
         )
         users, totals, ents = [], [], []
+        # kept per user: the terms sum in sorted type order, the order the
+        # 6-dp rounding was checked against
         for uid, sub in counts.groupby("user_id"):
             n = int(sub["c"].sum())
             h = 0.0
@@ -11390,9 +11217,7 @@ def q_events_user_entropy(sf_dir: str):
         return pd.DataFrame({"user_id": users, "n_events": totals, "entropy": ents})
 
     return cogroup(
-        _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
-            project, batch_format="pyarrow"
-        ),
+        _read(sf_dir, "events", ["user_id", "event_type"]),
         "user_id",
         fold_bucket,
         {"user_id": pa.int64(), "n_events": pa.int64(), "entropy": pa.float64()},
@@ -12165,44 +11990,19 @@ def q_event_type_entropy_rate(sf_dir: str):
     — the sequence-predictability scalar that complements the existing
     unconditional user entropy and the transition-matrix operator.
 
-    Scale shape: per-user ordered bigrams come from the SAME user-bucket
-    co-group pattern as events_type_transitions (one narrow shuffle);
+    Scale shape: per-user ordered bigrams come from the same
+    ``_bigram_counts`` fold as events_type_transitions (one narrow shuffle);
     transition counts are |types|² ≤ 25 rows.  Float contract: the H
     terms (c/n)·ln(n/c) are identical double chains in both engines;
     each per-source sum folds ≤|types| doubles, so SUM-order drift is
     below the 6dp grid, and the rate folds the UNROUNDED per-source
     entropies weighted by exact integer shares."""
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": pc.cast(batch["ts"], pa.int64()),
-                "event_id": batch["event_id"],
-                "event_type": batch["event_type"],
-            }
-        )
-
-    def bigrams(bucket: pd.DataFrame) -> pd.DataFrame:
-        bucket = bucket.sort_values(["user_id", "us", "event_id"], kind="mergesort")
-        same_user = bucket["user_id"].to_numpy()[1:] == bucket["user_id"].to_numpy()[:-1]
-        cur = bucket["event_type"].to_numpy()[:-1][same_user]
-        nxt = bucket["event_type"].to_numpy()[1:][same_user]
-        return (
-            pd.DataFrame({"cur": cur, "nxt": nxt})
-            .groupby(["cur", "nxt"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-        )
-
     from ray.data.aggregate import Sum
 
     counts = cogroup(
-        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
-            to_rows, batch_format="pyarrow"
-        ),
+        _events(sf_dir, ["user_id", "event_id", "event_type"]),
         "user_id",
-        bigrams,
+        _bigram_counts,
         {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
     )
     rows = counts.groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")).take_all()
@@ -13721,33 +13521,16 @@ def q_attribution_first_touch(sf_dir: str):
     shuffle is a tiny (first_touch, n) grouped sum."""
     from ray.data.aggregate import Sum
 
-    GAP_US = 1_800_000_000
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "event_id": batch["event_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def attribute(bucket: pd.DataFrame) -> pd.DataFrame:
-        counts: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"], kind="mergesort")
-            sid = (g["us"].diff().fillna(GAP_US + 1) > GAP_US).cumsum()
-            first = g.groupby(sid)["event_type"].transform("first")
-            purchases = first[(g["event_type"] == "purchase").to_numpy()]
-            counts.update(purchases.tolist())
-        return pd.DataFrame({"first_touch": list(counts.keys()), "n_p": list(counts.values())})
+        g, start = _timeline(bucket, ["us", "event_id"], _SESSION_GAP_US)
+        types = g["event_type"].to_numpy()
+        first = types[np.flatnonzero(start)][np.cumsum(start) - 1]  # each row's session opener
+        counts = pd.Series(first[types == "purchase"]).value_counts(dropna=False)
+        return pd.DataFrame({"first_touch": counts.index, "n_p": counts.to_numpy()})
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
-                to_rows, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["user_id", "event_id", "event_type"]),
             "user_id",
             attribute,
             {"first_touch": pa.string(), "n_p": pa.int64()},
@@ -13797,15 +13580,10 @@ def q_user_weekly_retention(sf_dir: str):
         )
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        counts: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            weeks = np.unique(g["week"].to_numpy())
-            cohort = int(weeks.min())
-            for w in weeks:
-                counts[(cohort, int(w) - cohort)] += 1
-        return pd.DataFrame(
-            [(c, off, n) for (c, off), n in counts.items()], columns=["cohort_week", "week_offset", "n_p"]
-        )
+        active = bucket.drop_duplicates(["user_id", "week"])
+        cohort = active.groupby("user_id", sort=False)["week"].transform("min")
+        cells = pd.DataFrame({"cohort_week": cohort, "week_offset": active["week"] - cohort})
+        return cells.groupby(["cohort_week", "week_offset"], as_index=False).size().rename(columns={"size": "n_p"})
 
     return (
         cogroup(
@@ -14444,50 +14222,35 @@ def q_events_funnel_windowed(sf_dir: str):
     unbounded ordering can't express.  Existence semantics: ∃ (v, c, p)
     with v < c < p and p − v ≤ 24 h, evaluated per user.
 
-    Scale shape: one co-group on user_id; inside each user the
-    scan keeps sorted view/click arrays and answers each purchase with
-    two binary searches (exists view in [p − 24 h, latest-click-before-p))
-    — O(n log n) per user, no cross-user state, one scalar sum out."""
+    Scale shape: one co-group on user_id; each block answers every
+    purchase with two as-of joins by user (its latest click strictly
+    before it, then the earliest view at or after p − 24 h), so there is
+    no cross-user state and one scalar sum comes out."""
     from ray.data.aggregate import Sum
 
     WIN_US = 24 * 3_600_000_000
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        done = 0
-        for _, g in bucket.groupby("user_id", sort=False):
-            ty = g["event_type"].to_numpy()
-            us = g["us"].to_numpy()
-            views = np.sort(us[ty == "view"])
-            clicks = np.sort(us[ty == "click"])
-            purchases = us[ty == "purchase"]
-            if not (len(views) and len(clicks) and len(purchases)):
-                continue
-            for p in purchases:
-                # latest click strictly before p
-                ci = int(np.searchsorted(clicks, p, side="left")) - 1
-                if ci < 0:
-                    continue
-                c = int(clicks[ci])
-                # exists view v with p - WIN <= v < c
-                lo = int(np.searchsorted(views, p - WIN_US, side="left"))
-                if lo < len(views) and views[lo] < c:
-                    done += 1
-                    break
-        return pd.DataFrame({"n_p": [done]})
+        def of_type(t: str, name: str) -> pd.DataFrame:
+            rows = bucket.loc[bucket["event_type"] == t, ["user_id", "us"]]
+            return rows.rename(columns={"us": name}).sort_values(name)
+
+        # each purchase's latest click strictly before it ...
+        clicked = pd.merge_asof(
+            of_type("purchase", "p"), of_type("click", "c"), left_on="p", right_on="c",
+            by="user_id", allow_exact_matches=False,
+        ).dropna(subset=["c"])
+        # ... and the earliest view at or after p − 24 h: the triple exists
+        # iff that view comes before the click
+        clicked["lo"] = clicked["p"] - WIN_US
+        viewed = pd.merge_asof(
+            clicked.sort_values("lo"), of_type("view", "v"), left_on="lo", right_on="v",
+            by="user_id", direction="forward",
+        )
+        return pd.DataFrame({"n_p": [viewed.loc[viewed["v"] < viewed["c"], "user_id"].nunique()]})
 
     totals = cogroup(
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
-            to_rows, batch_format="pyarrow"
-        ),
+        _events(sf_dir, ["user_id", "event_type"]),
         "user_id",
         fold,
         {"n_p": pa.int64()},
@@ -14697,43 +14460,18 @@ def q_events_bounce_rate(sf_dir: str):
     sums in ONE double op after the tiny grouped sum."""
     from ray.data.aggregate import Sum
 
-    GAP_US = 1_800_000_000
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "event_id": batch["event_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        n_sess: Counter = Counter()
-        n_bounce: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"], kind="mergesort")
-            sid = (g["us"].diff().fillna(GAP_US + 1) > GAP_US).cumsum()
-            for _, s in g.groupby(sid, sort=False):
-                ft = s["event_type"].iloc[0]
-                n_sess[ft] += 1
-                if len(s) == 1:
-                    n_bounce[ft] += 1
-        keys = list(n_sess.keys())
-        return pd.DataFrame(
-            {
-                "first_touch": keys,
-                "s_p": [n_sess[k] for k in keys],
-                "b_p": [n_bounce[k] for k in keys],
-            }
+        g, start = _timeline(bucket, ["us", "event_id"], _SESSION_GAP_US)
+        first = np.flatnonzero(start)
+        size = np.diff(np.append(first, len(g)))
+        sessions = pd.DataFrame(
+            {"first_touch": g["event_type"].to_numpy()[first], "s_p": 1, "b_p": (size == 1).astype(np.int64)}
         )
+        return sessions.groupby("first_touch", as_index=False, dropna=False).sum()
 
     sums = (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
-                to_rows, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["user_id", "event_id", "event_type"]),
             "user_id",
             fold,
             {"first_touch": pa.string(), "s_p": pa.int64(), "b_p": pa.int64()},
@@ -15115,34 +14853,17 @@ def q_session_duration_quantiles(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    GAP_US = 1_800_000_000
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-            }
-        )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        dur: Counter = Counter()
-        size: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            us = np.sort(g["us"].to_numpy())
-            sid = np.r_[0, (np.diff(us) > GAP_US).cumsum()]
-            for s in np.unique(sid):
-                w = us[sid == s]
-                dur[int((w[-1] - w[0]) // 1_000_000)] += 1
-                size[len(w)] += 1
-        rows = [("dur", k, v) for k, v in dur.items()] + [
-            ("size", k, v) for k, v in size.items()
-        ]
-        return pd.DataFrame(rows, columns=["kind", "val", "n_p"])
+        s = _sessionize(bucket, _SESSION_GAP_US)
+        dur = (s["session_end_us"] - s["session_start_us"]).to_numpy() // 1_000_000
+        vals = pd.DataFrame(
+            {"kind": np.repeat(["dur", "size"], len(s)), "val": np.concatenate([dur, s["n_events"].to_numpy()])}
+        )
+        return vals.groupby(["kind", "val"], as_index=False).size().rename(columns={"size": "n_p"})
 
     rows = (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
+            _events(sf_dir, ["user_id"]),
             "user_id",
             fold,
             {"kind": pa.string(), "val": pa.int64(), "n_p": pa.int64()},
@@ -15514,27 +15235,16 @@ def q_sessions_concurrency_profile(sf_dir: str):
     finishes.  No pairwise interval join anywhere."""
     from ray.data.aggregate import Sum
 
-    GAP_US = 1_800_000_000
     HOUR_US = 3_600_000_000
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "us": batch["ts"].cast(pa.int64()),
-            }
-        )
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        hours: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            us = np.sort(g["us"].to_numpy())
-            sid = np.r_[0, (np.diff(us) > GAP_US).cumsum()]
-            for s in np.unique(sid):
-                w = us[sid == s]
-                for h in range(int(w[0] // HOUR_US), int(w[-1] // HOUR_US) + 1):
-                    hours[h] += 1
-        return pd.DataFrame({"hour": list(hours.keys()), "n_p": list(hours.values())})
+        s = _sessionize(bucket, _SESSION_GAP_US)
+        lo = s["session_start_us"].to_numpy() // HOUR_US
+        k = s["session_end_us"].to_numpy() // HOUR_US - lo + 1  # hours each session covers
+        # every covered hour: a session's first hour plus its offset within the session
+        hours = np.repeat(lo, k) + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        counts = pd.Series(hours).value_counts()
+        return pd.DataFrame({"hour": counts.index, "n_p": counts.to_numpy()})
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -15546,7 +15256,7 @@ def q_sessions_concurrency_profile(sf_dir: str):
 
     return (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "ts"]).map_batches(to_rows, batch_format="pyarrow"),
+            _events(sf_dir, ["user_id"]),
             "user_id",
             fold,
             {"hour": pa.int64(), "n_p": pa.int64()},
@@ -15920,42 +15630,21 @@ def q_markov_next_accuracy(sf_dir: str):
     ties), score on the same transitions — the self-consistency ceiling
     of a Markov recommender, integer-exact end to end.
 
-    Scale shape: bigram counts fold per user inside ONE user-hash
-    co-group (the `event_type_transitions` shape) into a ≤|types|² count
+    Scale shape: bigram counts fold inside ONE co-group on user_id (the
+    ``_bigram_counts`` fold of `event_type_transitions`) into a ≤|types|² count
     table; the argmax and the accuracy division are driver arithmetic on
     that constant-size table."""
     from ray.data.aggregate import Sum
 
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "event_id": batch["event_id"],
-                "us": batch["ts"].cast(pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
-    def fold(bucket: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for _, g in bucket.groupby("user_id", sort=False):
-            g = g.sort_values(["us", "event_id"], kind="mergesort")
-            ty = g["event_type"].tolist()
-            for a, b in zip(ty, ty[1:]):
-                c[(a, b)] += 1
-        return pd.DataFrame([(a, b, n) for (a, b), n in c.items()], columns=["cur", "nxt", "n_p"])
-
     rows = (
         cogroup(
-            _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"]).map_batches(
-                to_rows, batch_format="pyarrow"
-            ),
+            _events(sf_dir, ["user_id", "event_id", "event_type"]),
             "user_id",
-            fold,
-            {"cur": pa.string(), "nxt": pa.string(), "n_p": pa.int64()},
+            _bigram_counts,
+            {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
         )
         .groupby(["cur", "nxt"])
-        .aggregate(Sum("n_p", alias_name="n"))
+        .aggregate(Sum("n", alias_name="n"))
         .take_all()
     )
     by_cur: dict[str, list[tuple[str, int]]] = {}
@@ -16199,259 +15888,8 @@ def q_source_lang_diversity(sf_dir: str):
     )
 
 
-QUERIES = {
-    "doc_stats_by_lang": q_doc_stats_by_lang,
-    "doc_token_stats": q_doc_token_stats,
-    "word_freq_top20": q_word_freq_top20,
-    "heavy_hitter_words": q_heavy_hitter_words,
-    "approx_distinct": q_approx_distinct,
-    "lineitem_pricing_summary": q_lineitem_pricing_summary,
-    "events_hourly": q_events_hourly,
-    "events_sessions": q_events_sessions,
-    "events_sliding_window": q_events_sliding_window,
-    "events_running_total": q_events_running_total,
-    "events_asof_join": q_events_asof_join,
-    "events_late_data": q_events_late_data,
-    "events_funnel": q_events_funnel,
-    "customer_per_nation": q_customer_per_nation,
-    "orders_top10": q_orders_top10,
-    "orders_join_customers": q_orders_join_customers,
-    "asia_order_volume": q_asia_order_volume,
-    "customers_without_orders": q_customers_without_orders,
-    "doc_length_percentiles": q_doc_length_percentiles,
-    "distinct_sources": q_distinct_sources,
-    "deid_entity_counts": q_deid_entity_counts,
-    "deid_blackbox_stats": q_deid_blackbox_stats,
-    "deid_replace_documents": q_deid_replace_documents,
-    "deid_context_hashes": q_deid_context_hashes,
-    "exact_dedup_groups": q_exact_dedup_groups,
-    "minhash_near_dups": q_minhash_near_dups,
-    "near_dup_clusters": q_near_dup_clusters,
-    "near_dedup_survivors": q_near_dedup_survivors,
-    "simhash_near_dups": q_simhash_near_dups,
-    "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
-    "text_fingerprints": q_text_fingerprints,
-    "doc_quality_counts": q_doc_quality_counts,
-    "doc_lang_id": q_doc_lang_id,
-    "knn_bruteforce": q_knn_bruteforce,
-    "knn_ivf_full_probe": q_knn_ivf_full_probe,
-    "knn_ivf_nprobe": q_knn_ivf_nprobe,
-    "embedding_near_dups": q_embedding_near_dups,
-    "embedding_near_dups_lsh": q_embedding_near_dups_lsh,
-    "sources_except": q_sources_except,
-    "pages_pipeline_counters": q_pages_pipeline_counters,
-    "pages_extract_hashes": q_pages_extract_hashes,
-    "pages_link_stats": q_pages_link_stats,
-    "pages_main_content": q_pages_main_content,
-    "training_data_pipeline": q_training_data_pipeline,
-    "synthetic_quality_report": q_synthetic_quality_report,
-    "nb_lang_confusion": q_nb_lang_confusion,
-    "chi2_term_lang": q_chi2_term_lang,
-    "jl_distortion": q_jl_distortion,
-    "k_anonymity_audit": q_k_anonymity_audit,
-    "dp_noisy_counts": q_dp_noisy_counts,
-    "events_hourly_hll": q_events_hourly_hll,
-    "quality_len_spearman": q_quality_len_spearman,
-    "events_funnel_conformance": q_events_funnel_conformance,
-    "events_welch_ttest": q_events_welch_ttest,
-    "copurchase_kcore": q_copurchase_kcore,
-    "copurchase_assortativity": q_copurchase_assortativity,
-    "embedding_covariance": q_embedding_covariance,
-    "lang_jsd_divergence": q_lang_jsd_divergence,
-    "embedding_intrinsic_dim": q_embedding_intrinsic_dim,
-    "incremental_refresh": q_incremental_refresh,
-    "events_ks_test": q_events_ks_test,
-    "quality_auc_en": q_quality_auc_en,
-    "lang_quality_ols": q_lang_quality_ols,
-    "pages_host_rollup": q_pages_host_rollup,
-    "pages_anchor_text": q_pages_anchor_text,
-    "pages_line_dedup": q_pages_line_dedup,
-    "pages_pii_density": q_pages_pii_density,
-    "doc_script_ratios": q_doc_script_ratios,
-    "ner_stub_entity_counts": q_ner_stub_entity_counts,
-    "placeholder_corpus": q_placeholder_corpus,
-    "deid_eval_aggregate": q_deid_eval_aggregate,
-    "dataset_mix": q_dataset_mix,
-    "events_window_rank": q_events_window_rank,
-    "orders_rollup": q_orders_rollup,
-    "customer_segment_pivot": q_customer_segment_pivot,
-    "orders_exists_semi": q_orders_exists_semi,
-    "lineitem_price_histogram": q_lineitem_price_histogram,
-    "part_brand_stats": q_part_brand_stats,
-    "jaccard_doc_perturbed": q_jaccard_doc_perturbed,
-    "doc_chunk_windows": q_doc_chunk_windows,
-    "doc_normalized_hashes": q_doc_normalized_hashes,
-    "events_json_props": q_events_json_props,
-    "docs_per_source_cap": q_docs_per_source_cap,
-    "lang_source_distinct": q_lang_source_distinct,
-    "bio_token_labels": q_bio_token_labels,
-    "image_deid_stub_stats": q_image_deid_stub_stats,
-    "stratified_sample": q_stratified_sample,
-    "tfidf_top_terms": q_tfidf_top_terms,
-    "html_extract_roundtrip": q_html_extract_roundtrip,
-    "main_content_roundtrip": q_main_content_roundtrip,
-    "benchmark_decontaminate": q_benchmark_decontaminate,
-    "passage_dedup": q_passage_dedup,
-    "doc_repetition_stats": q_doc_repetition_stats,
-    "token_stream_pack": q_token_stream_pack,
-    "lang_temperature_sample": q_lang_temperature_sample,
-    "trigram_lm_nll": q_trigram_lm_nll,
-    "trigram_lm_nll_pruned": q_trigram_lm_nll_pruned,
-    "trigram_quality_buckets": q_trigram_quality_buckets,
-    "dataset_split_counts": q_dataset_split_counts,
-    "events_distinct_users_hourly": q_events_distinct_users_hourly,
-    "orders_lineitem_ship_band": q_orders_lineitem_ship_band,
-    "word_pmi_top20": q_word_pmi_top20,
-    "events_new_users_daily": q_events_new_users_daily,
-    "duplicate_ngram_spans": q_duplicate_ngram_spans,
-    "events_value_percentiles": q_events_value_percentiles,
-    "docs_global_rank": q_docs_global_rank,
-    "docs_top3_per_source": q_docs_top3_per_source,
-    "supplier_nation_volume": q_supplier_nation_volume,
-    "events_value_outliers": q_events_value_outliers,
-    "events_per_user_histogram": q_events_per_user_histogram,
-    "customer_order_cohorts": q_customer_order_cohorts,
-    "shipping_priority": q_shipping_priority,
-    "nation_trade_flow": q_nation_trade_flow,
-    "doc_chars_quantile_cont": q_doc_chars_quantile_cont,
-    "lineitem_qty_discount_corr": q_lineitem_qty_discount_corr,
-    "inverted_index_postings": q_inverted_index_postings,
-    "doc_pagerank": q_doc_pagerank,
-    "events_interarrival_hist": q_events_interarrival_hist,
-    "nation_customer_fingerprint": q_nation_customer_fingerprint,
-    "corpus_snapshot_diff": q_corpus_snapshot_diff,
-    "events_last_per_user": q_events_last_per_user,
-    "events_user_top_type": q_events_user_top_type,
-    "event_type_cooccurrence": q_event_type_cooccurrence,
-    "events_value_quantile_sketch": q_events_value_quantile_sketch,
-    "orders_monthly_revenue_growth": q_orders_monthly_revenue_growth,
-    "customer_acctbal_quartiles": q_customer_acctbal_quartiles,
-    "events_rolling_7d_users": q_events_rolling_7d_users,
-    "customer_name_editdist_pairs": q_customer_name_editdist_pairs,
-    "important_parts": q_important_parts,
-    "top_revenue_suppliers": q_top_revenue_suppliers,
-    "part_supplier_variety": q_part_supplier_variety,
-    "large_volume_customers": q_large_volume_customers,
-    "wealthy_inactive_customers": q_wealthy_inactive_customers,
-    "url_canonical_dedup": q_url_canonical_dedup,
-    "bm25_top20": q_bm25_top20,
-    "dsir_importance_weights": q_dsir_importance_weights,
-    "doc_char_entropy": q_doc_char_entropy,
-    "weighted_sample_top50": q_weighted_sample_top50,
-    "doc_percent_rank": q_doc_percent_rank,
-    "knn_mmr_rerank": q_knn_mmr_rerank,
-    "nation_customer_supplier_outer": q_nation_customer_supplier_outer,
-    "events_value_winsor_bounds": q_events_value_winsor_bounds,
-    "events_type_transitions": q_events_type_transitions,
-    "part_skyline": q_part_skyline,
-    "gopher_quality_flags": q_gopher_quality_flags,
-    "small_quantity_revenue": q_small_quantity_revenue,
-    "customer_order_counts": q_customer_order_counts,
-    "promo_revenue_ratio": q_promo_revenue_ratio,
-    "returned_top_customers": q_returned_top_customers,
-    "word_zipf_slope": q_word_zipf_slope,
-    "events_debounced": q_events_debounced,
-    "semdedup_pairs": q_semdedup_pairs,
-    "knn_label_filtered": q_knn_label_filtered,
-    "copurchase_top_pairs": q_copurchase_top_pairs,
-    "waiting_suppliers": q_waiting_suppliers,
-    "disjunctive_revenue": q_disjunctive_revenue,
-    "returnflag_priority_counts": q_returnflag_priority_counts,
-    "market_share": q_market_share,
-    "product_profit": q_product_profit,
-    "events_band_join": q_events_band_join,
-    "orders_cube": q_orders_cube,
-    "events_gapfill": q_events_gapfill,
-    "copurchase_triangles": q_copurchase_triangles,
-    "orders_top_ties": q_orders_top_ties,
-    "events_above_user_median": q_events_above_user_median,
-    "lineitem_ols": q_lineitem_ols,
-    "events_rolling_max3": q_events_rolling_max3,
-    "lineitem_unpivot": q_lineitem_unpivot,
-    "events_lead_type": q_events_lead_type,
-    "bpe_pair_counts": q_bpe_pair_counts,
-    "copurchase_bfs_hops": q_copurchase_bfs_hops,
-    "blocklist_term_stats": q_blocklist_term_stats,
-    "doc_readability": q_doc_readability,
-    "label_centroid_outliers": q_label_centroid_outliers,
-    "part_affinity_lift": q_part_affinity_lift,
-    "minhash_estimate_error": q_minhash_estimate_error,
-    "doc_containment": q_doc_containment,
-    "events_path_trigrams": q_events_path_trigrams,
-    "referential_orphans": q_referential_orphans,
-    "events_rolling_zscore": q_events_rolling_zscore,
-    "supplier_nation_name_match": q_supplier_nation_name_match,
-    "kmeans_spherical": q_kmeans_spherical,
-    "lang_confusion_matrix": q_lang_confusion_matrix,
-    "pq_codes": q_pq_codes,
-    "countmin_word_freqs": q_countmin_word_freqs,
-    "doc_ngram_novelty": q_doc_ngram_novelty,
-    "revenue_concentration": q_revenue_concentration,
-    "doc_self_repetition": q_doc_self_repetition,
-    "embedding_dim_stats": q_embedding_dim_stats,
-    "curation_funnel": q_curation_funnel,
-    "events_active_time": q_events_active_time,
-    "events_cusum_alarms": q_events_cusum_alarms,
-    "bpe_apply_merge": q_bpe_apply_merge,
-    "events_user_entropy": q_events_user_entropy,
-    "supplier_balance_gini": q_supplier_balance_gini,
-    "hll_user_overlap": q_hll_user_overlap,
-    "user_rfm_segments": q_user_rfm_segments,
-    "orders_profile": q_orders_profile,
-    "events_changepoint": q_events_changepoint,
-    "event_type_entropy_rate": q_event_type_entropy_rate,
-    "crawl_frontier": q_crawl_frontier,
-    "link_pagerank": q_link_pagerank,
-    "allpairs_jaccard_join": q_allpairs_jaccard_join,
-    "join_size_estimate": q_join_size_estimate,
-    "events_hourly_ewma": q_events_hourly_ewma,
-    "cdc_merge_apply": q_cdc_merge_apply,
-    "benford_price_audit": q_benford_price_audit,
-    "events_mann_kendall": q_events_mann_kendall,
-    "events_acf": q_events_acf,
-    "user_retention_km": q_user_retention_km,
-    "conjunctive_search": q_conjunctive_search,
-    "phrase_search": q_phrase_search,
-    "events_holt_linear": q_events_holt_linear,
-    "user_erasure_audit": q_user_erasure_audit,
-    "zone_map_pruning": q_zone_map_pruning,
-    "lineitem_corr_matrix": q_lineitem_corr_matrix,
-    "rake_word_scores": q_rake_word_scores,
-    "link_hits": q_link_hits,
-    "attribution_first_touch": q_attribution_first_touch,
-    "user_weekly_retention": q_user_weekly_retention,
-    "conversion_latency_quantiles": q_conversion_latency_quantiles,
-    "systematic_sample": q_systematic_sample,
-    "orders_constraint_audit": q_orders_constraint_audit,
-    "events_dow_hour_profile": q_events_dow_hour_profile,
-    "zorder_layout_audit": q_zorder_layout_audit,
-    "customer_order_gaps": q_customer_order_gaps,
-    "events_funnel_windowed": q_events_funnel_windowed,
-    "events_hourly_top_types": q_events_hourly_top_types,
-    "knn_mutual_pairs": q_knn_mutual_pairs,
-    "nb_lang_f1": q_nb_lang_f1,
-    "events_bounce_rate": q_events_bounce_rate,
-    "event_audience_jaccard": q_event_audience_jaccard,
-    "orders_basket_profile": q_orders_basket_profile,
-    "part_cheapest_supplier": q_part_cheapest_supplier,
-    "link_reciprocity": q_link_reciprocity,
-    "link_degree_histogram": q_link_degree_histogram,
-    "pages_route_stats": q_pages_route_stats,
-    "session_duration_quantiles": q_session_duration_quantiles,
-    "vocab_coverage_k": q_vocab_coverage_k,
-    "top_word_per_lang": q_top_word_per_lang,
-    "events_error_pchart": q_events_error_pchart,
-    "events_value_psi_bins": q_events_value_psi_bins,
-    "sessions_concurrency_profile": q_sessions_concurrency_profile,
-    "search_index_pipeline": q_search_index_pipeline,
-    "stump_lang_classifier": q_stump_lang_classifier,
-    "word_burstiness_top20": q_word_burstiness_top20,
-    "markov_next_accuracy": q_markov_next_accuracy,
-    "near_dup_cluster_sizes": q_near_dup_cluster_sizes,
-    "lang_hapax_ratio": q_lang_hapax_ratio,
-    "lang_yule_k": q_lang_yule_k,
-    "source_lang_diversity": q_source_lang_diversity,
-}
+# every ``q_<name>`` query of this module under its ``name``, in definition order
+QUERIES = {name[2:]: fn for name, fn in list(globals().items()) if name.startswith("q_")}
 
 
 def _pagerank_round_sql(i: int) -> str:
@@ -16836,11 +16274,11 @@ ORACLE_SQL = {
                CAST(count(*) AS BIGINT) AS n_events
         FROM events GROUP BY 1, 2
     """,
-    "events_sessions": """
+    "events_sessions": f"""
         WITH o AS (SELECT user_id, epoch_us(ts) AS us FROM events),
         m AS (SELECT user_id, us,
                      CASE WHEN lag(us) OVER (PARTITION BY user_id ORDER BY us) IS NULL
-                               OR us - lag(us) OVER (PARTITION BY user_id ORDER BY us) > 1800000000
+                               OR us - lag(us) OVER (PARTITION BY user_id ORDER BY us) > {_SESSION_GAP_US}
                           THEN 1 ELSE 0 END AS new_s
               FROM o),
         s AS (SELECT user_id, us,
@@ -20627,13 +20065,13 @@ ORACLE_SQL["rake_word_scores"] = rf"""
 
 # first-touch attribution: sessionize (30-min gap) under the (us, event_id)
 # total order, FIRST_VALUE per session, count purchases per first touch
-ORACLE_SQL["attribution_first_touch"] = """
+ORACLE_SQL["attribution_first_touch"] = f"""
     WITH e AS (SELECT user_id, event_id, event_type, epoch_us(ts) AS us FROM events),
     lagd AS (
       SELECT *, lag(us) OVER (PARTITION BY user_id ORDER BY us, event_id) AS pus
       FROM e),
     sess AS (
-      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > 1800000000 THEN 1 ELSE 0 END)
+      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > {_SESSION_GAP_US} THEN 1 ELSE 0 END)
                 OVER (PARTITION BY user_id ORDER BY us, event_id
                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
       FROM lagd),
@@ -20909,13 +20347,13 @@ ORACLE_SQL["source_lang_diversity"] = """
 
 # bounce rate: sessionize exactly as attribution, first type + size per
 # session, bounce = single-event session
-ORACLE_SQL["events_bounce_rate"] = """
+ORACLE_SQL["events_bounce_rate"] = f"""
     WITH e AS (SELECT user_id, event_id, event_type, epoch_us(ts) AS us FROM events),
     lagd AS (
       SELECT *, lag(us) OVER (PARTITION BY user_id ORDER BY us, event_id) AS pus
       FROM e),
     sess AS (
-      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > 1800000000 THEN 1 ELSE 0 END)
+      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > {_SESSION_GAP_US} THEN 1 ELSE 0 END)
                 OVER (PARTITION BY user_id ORDER BY us, event_id
                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
       FROM lagd),
@@ -20958,11 +20396,11 @@ ORACLE_SQL["orders_basket_profile"] = """
 """
 
 # session duration/size discrete quantiles over the 30-min-gap contract
-ORACLE_SQL["session_duration_quantiles"] = """
+ORACLE_SQL["session_duration_quantiles"] = f"""
     WITH e AS (SELECT user_id, epoch_us(ts) AS us FROM events),
     lagd AS (SELECT *, lag(us) OVER (PARTITION BY user_id ORDER BY us) AS pus FROM e),
     sess AS (
-      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > 1800000000 THEN 1 ELSE 0 END)
+      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > {_SESSION_GAP_US} THEN 1 ELSE 0 END)
                 OVER (PARTITION BY user_id ORDER BY us
                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
       FROM lagd),
@@ -21210,11 +20648,11 @@ ORACLE_SQL["events_value_psi_bins"] = """
 """
 
 # hourly active-session census: sessions explode to covered hour cells
-ORACLE_SQL["sessions_concurrency_profile"] = """
+ORACLE_SQL["sessions_concurrency_profile"] = f"""
     WITH e AS (SELECT user_id, epoch_us(ts) AS us FROM events),
     lagd AS (SELECT *, lag(us) OVER (PARTITION BY user_id ORDER BY us) AS pus FROM e),
     sess AS (
-      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > 1800000000 THEN 1 ELSE 0 END)
+      SELECT *, SUM(CASE WHEN pus IS NULL OR us - pus > {_SESSION_GAP_US} THEN 1 ELSE 0 END)
                 OVER (PARTITION BY user_id ORDER BY us
                       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
       FROM lagd),

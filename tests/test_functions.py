@@ -672,6 +672,26 @@ def test_near_dedup_composite(ray_session):
     assert set(out.columns) == {"doc_id", "text", "lang"}  # schema preserved
 
 
+def test_near_dedup_keeps_the_same_docs_for_string_and_int_ids(ray_session):
+    """The keeper of a duplicate component is its minimum id for string ids
+    too, although a string component id is an opaque hash and not a node:
+    the same six docs keep the same members under either id type."""
+    import ray.data as rd
+
+    from edge_deid_studio_ray.functions.dedup import near_dedup
+
+    dup = "the quick brown fox jumps over the lazy dog and runs far away " * 4
+    texts = [dup, dup, dup, "an unrelated note about gardening and rain " * 3,
+             "short", "completely different words in this last document " * 3]
+    kept = {}
+    for kind, ids in (("int", list(range(6))), ("str", [f"d{i}" for i in range(6)])):
+        ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts}))
+        out = near_dedup(ds, num_hashes=64, num_bands=16, jaccard_threshold=0.6).to_pandas()
+        kept[kind] = sorted(out["doc_id"].tolist())
+    assert kept["int"] == [0, 3, 4, 5]
+    assert kept["str"] == ["d0", "d3", "d4", "d5"]
+
+
 def test_cc_driver_and_distributed_paths_agree(ray_session):
     """The small-graph union-find shortcut must be byte-identical to the
     distributed pointer-doubling propagation."""

@@ -200,6 +200,56 @@ def test_queries_fold_only_through_cogroup():
     assert sorted(unions) == [("functions/corpusops.py", "duplicate_ngram_spans"), ("functions/dedup.py", "_dedupe_pair_rows")]
 
 
+def test_events_folds_scan_one_timeline():
+    """Every ordered per-user events fold in ``queries.py`` sorts through
+    ``_timeline``: no ``for`` loop iterates a ``.groupby("user_id", ...)``
+    except in the three folds whose per-user work is not an ordered scan,
+    and no query sets a session gap of its own (they read
+    ``_SESSION_GAP_US``)."""
+    import ast
+    import pathlib
+
+    from edge_deid_studio_ray.pipelines import queries
+
+    tree = ast.parse(pathlib.Path(queries.__file__).read_text())
+    loops, gaps = [], []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.For) and isinstance(node.iter, ast.Call):
+                func = node.iter.func
+                args = node.iter.args
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "groupby"
+                    and args
+                    and isinstance(args[0], ast.Constant)
+                    and args[0].value == "user_id"
+                ):
+                    loops.append(name)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                gaps += [t.id for t in targets if isinstance(t, ast.Name) and t.id in ("GAP_US", "gap_us")]
+    assert sorted(loops) == ["q_event_type_cooccurrence", "q_events_funnel_conformance", "q_events_user_entropy"]
+    assert gaps == []
+
+
+def test_queries_registry_is_every_q_function():
+    """``QUERIES`` maps each ``q_<name>`` function of ``queries.py`` to
+    ``name``, no more and no less, and every query has an oracle."""
+    import inspect
+
+    from edge_deid_studio_ray.pipelines import queries
+
+    defined = {
+        name[2:]: fn
+        for name, fn in inspect.getmembers(queries, inspect.isfunction)
+        if name.startswith("q_") and fn.__module__ == queries.__name__
+    }
+    assert queries.QUERIES == defined
+    assert set(queries.QUERIES) == set(queries.ORACLE_SQL)
+
+
 def test_no_bucket_layer_left():
     """The hash-bucket layer is gone package-wide: no caller sizes buckets
     or builds a bucket column, and no knob sets a bucket count."""

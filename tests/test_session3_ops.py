@@ -208,6 +208,20 @@ class TestBatch3BucketInvariance:
         "user_weekly_retention",
         "orders_constraint_audit",
         "zorder_layout_audit",
+        # the per-user events folds on the one timeline sort
+        "events_running_total",
+        "events_asof_join",
+        "events_funnel",
+        "events_above_user_median",
+        "events_rolling_max3",
+        "events_lead_type",
+        "events_type_transitions",
+        "events_debounced",
+        "events_path_trigrams",
+        "events_rolling_zscore",
+        "events_active_time",
+        "events_cusum_alarms",
+        "event_type_entropy_rate",
     ]
 
     def test_results_invariant_under_bucket_count(self, ray_session, split_cogroups):

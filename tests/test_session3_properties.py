@@ -147,3 +147,77 @@ class TestVocabCoverageBoundary:
             if 100 * run >= 90 * total:
                 break
         assert k == brute
+
+
+class TestTimelineContract:
+    """``_timeline`` (the one sort behind every per-user events fold) must
+    equal a per-user pandas reference: a stable sort of each user's rows by
+    the order columns, users ascending, and a start mask set on each user's
+    first row and, with a gap, on each row more than the gap after the
+    previous one.  Timestamps are multiples of half the session gap plus 0
+    or 1 µs, so ties, gaps of exactly the session gap (the session stays
+    open) and gaps one µs over it all occur; one-event users are common."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.integers(0, 6),
+                st.integers(0, 1),
+                st.sampled_from(["click", "view", "purchase"]),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([["us", "event_id"], ["us"], ["us", "event_type"], ["event_type", "us", "event_id"]]),
+        st.booleans(),
+    )
+    def test_matches_per_user_reference(self, rows, order, with_gap):
+        import pandas as pd
+
+        from edge_deid_studio_ray.pipelines.queries import _SESSION_GAP_US, _timeline
+
+        half = _SESSION_GAP_US // 2
+        bucket = pd.DataFrame(
+            {
+                "user_id": np.array([r[0] for r in rows], dtype=np.int64),
+                "us": np.array([r[1] * half + r[2] for r in rows], dtype=np.int64),
+                "event_id": np.arange(len(rows), dtype=np.int64)[::-1].copy(),
+                "event_type": pd.Series([r[3] for r in rows], dtype=object),
+            }
+        )
+        gap = _SESSION_GAP_US if with_gap else None
+        got, start = _timeline(bucket, order, gap)
+
+        parts, starts = [], []
+        for _, g in bucket.groupby("user_id", sort=True):
+            g = g.sort_values(order, kind="stable")
+            us = g["us"].to_numpy()
+            s = np.zeros(len(g), dtype=bool)
+            s[0] = True
+            if gap is not None:
+                s[1:] = np.diff(us) > gap
+            parts.append(g)
+            starts.append(s)
+        expect = pd.concat(parts, ignore_index=True) if parts else bucket.iloc[:0]
+        assert got.reset_index(drop=True).equals(expect.reset_index(drop=True))
+        assert start.tolist() == (np.concatenate(starts).tolist() if starts else [])
+
+    def test_zero_rows_and_exact_gap(self):
+        import pandas as pd
+
+        from edge_deid_studio_ray.pipelines.queries import _SESSION_GAP_US, _sessionize, _timeline
+
+        empty = pd.DataFrame({"user_id": np.array([], np.int64), "us": np.array([], np.int64)})
+        got, start = _timeline(empty, ["us"], _SESSION_GAP_US)
+        assert len(got) == 0 and start.dtype == bool and len(start) == 0
+        assert len(_sessionize(empty, _SESSION_GAP_US)) == 0
+
+        # a gap of exactly the session gap keeps the session open; one µs
+        # more opens a new one
+        us = np.array([0, _SESSION_GAP_US, 2 * _SESSION_GAP_US + 1], dtype=np.int64)
+        frame = pd.DataFrame({"user_id": np.zeros(3, np.int64), "us": us})
+        _, start = _timeline(frame, ["us"], _SESSION_GAP_US)
+        assert start.tolist() == [True, False, True]
+        sessions = _sessionize(frame, _SESSION_GAP_US)
+        assert sessions["n_events"].tolist() == [2, 1]
