@@ -5,21 +5,28 @@ Ray-native restatement of the reference flagship (SURVEY.md §3.1):
     read_parquet(pages)
       → map_batches(add_pid)                 # url-hash partition column
       → map_batches(fused extract+deid)      # Arrow in / Arrow out
-      → write_parquet(out/shard=<id>/)       # resumable partitioned sink
+      → write_datasink(out/shard=<id>/)      # resumable partitioned sink
       → per-pid counters + lineage manifest  # state/manifest.py
 
 The pipeline is lazy/streaming end to end: nothing materializes the full
-dataset; counters are computed with a column-pruned scan of the written
-output (3 int columns), not by caching the stream.
+dataset.  Each write task counts the rows it writes and returns that
+partial with its write result; the driver merges the partials into the
+shard manifest, so nothing scans the written output again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Any, Callable
 
+import pyarrow as pa
+import pyarrow.compute as pc
+from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+from ray.data.block import BlockAccessor
+
 from ..config import EngineConfig
-from ..stages.deid import add_pid, make_deid_batch_fn
+from ..stages.deid import DEID_STATS_COLUMNS, add_pid, make_deid_batch_fn
 from ..state.manifest import (
     ShardManifest,
     clear_partial_output,
@@ -44,32 +51,34 @@ def build_deid_pipeline(ds, cfg: EngineConfig | None = None):
     )
 
 
-def _shard_counters(shard_dir: str):
-    """Column-pruned scan of a written shard → (docs, bytes, spans, per-pid)."""
-    import os
+_TIMING_COLUMNS = (
+    ("extract", "t_extract_ms"),
+    ("detect", "t_detect_ms"),
+    ("replace", "t_replace_ms"),
+)
 
-    import pyarrow.dataset as pads
 
-    if not os.path.isdir(shard_dir):
-        # an EMPTY input shard writes no directory at all (Ray's
-        # write_parquet skips zero-row datasets); commit it with zero
-        # counters instead of crashing — otherwise the job can never
-        # resume past that shard
-        return 0, 0, 0, {}, {}
-    # hive layout: pid lives in the directory names (pid=K/), not the files
-    import pyarrow.compute as pc
+def _value_counts(column) -> dict[str, int]:
+    """Non-null value → row count of one string column."""
+    counts = pc.value_counts(column.drop_null())
+    return dict(zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist()))
 
-    data = pads.dataset(shard_dir, format="parquet", partitioning="hive")
-    table = data.to_table(
-        columns=["pid", "n_bytes", "n_spans", "t_extract_ms", "t_detect_ms", "t_replace_ms"]
+
+def _write_partial(blocks: list) -> dict[str, Any]:
+    """The counters of the rows one write task wrote: per-pid docs / bytes /
+    spans, the per-stage millisecond sums, and route and error counts."""
+    columns = ["pid", "n_bytes", "n_spans", "route", "error"]
+    columns += [col for _, col in _TIMING_COLUMNS]
+    table = pa.concat_tables(
+        [BlockAccessor.for_block(block).to_arrow().select(columns) for block in blocks]
     )
     # one vectorized hash aggregate (pids ≤ num_partitions keys) — never a
-    # per-row Python loop on the driver
+    # per-row Python loop
     agg = table.group_by("pid").aggregate(
         [("pid", "count"), ("n_bytes", "sum"), ("n_spans", "sum")]
     )
     per_pid = {
-        str(p): {"docs": int(d), "bytes": int(b), "spans": int(s)}
+        str(p): {"docs": d, "bytes": b, "spans": s}
         for p, d, b, s in zip(
             agg["pid"].to_pylist(),
             agg["pid_count"].to_pylist(),
@@ -77,21 +86,68 @@ def _shard_counters(shard_dir: str):
             agg["n_spans_sum"].to_pylist(),
         )
     }
-    timings_ms = {
-        stage: round(float(pc.sum(table[col]).as_py() or 0.0), 1)
-        for stage, col in (
-            ("extract", "t_extract_ms"),
-            ("detect", "t_detect_ms"),
-            ("replace", "t_replace_ms"),
-        )
+    return {
+        "per_pid": per_pid,
+        "timings_ms": {
+            stage: float(pc.sum(table[col]).as_py() or 0.0) for stage, col in _TIMING_COLUMNS
+        },
+        "routes": _value_counts(table["route"]),
+        "errors": _value_counts(table["error"]),
     }
-    return (
-        table.num_rows,
-        int(pc.sum(table["n_bytes"]).as_py() or 0),
-        int(pc.sum(table["n_spans"]).as_py() or 0),
-        per_pid,
-        timings_ms,
-    )
+
+
+class _CountingParquetSink(ParquetDatasink):
+    """The sink of ``write_parquet(path, partition_cols=["pid"])``, with
+    statistics only on ``DEID_STATS_COLUMNS``, whose write tasks also return
+    the counters of the rows they wrote.  After the write,
+    ``write_returns`` holds one partial per task for
+    :func:`_shard_counters`, so nothing reads the written files back."""
+
+    def __init__(self, path: str):
+        super().__init__(
+            path,
+            partition_cols=["pid"],
+            arrow_parquet_args={"write_statistics": list(DEID_STATS_COLUMNS)},
+        )
+        self.write_returns: list = []
+
+    def write(self, blocks, ctx) -> dict[str, Any] | None:
+        blocks = [block for block in blocks if BlockAccessor.for_block(block).num_rows()]
+        super().write(blocks, ctx)
+        return _write_partial(blocks) if blocks else None
+
+    def on_write_complete(self, write_result) -> None:
+        # the parent deletes the directory of a zero-row shard
+        super().on_write_complete(write_result)
+        self.write_returns = write_result.write_returns
+
+
+def _shard_counters(partials: list) -> dict[str, Any]:
+    """Merge the write tasks' partials into the shard's manifest counters:
+    docs, bytes, spans, per-pid, per-stage timings, route and error counts.
+    An empty input shard has no partials and gets zero counters."""
+    per_pid: dict[str, dict[str, int]] = {}
+    timings_ms = dict.fromkeys((stage for stage, _ in _TIMING_COLUMNS), 0.0)
+    routes: Counter = Counter()
+    errors: Counter = Counter()
+    for part in filter(None, partials):
+        for pid, counts in part["per_pid"].items():
+            slot = per_pid.setdefault(pid, {"docs": 0, "bytes": 0, "spans": 0})
+            for name, value in counts.items():
+                slot[name] += value
+        for stage, ms in part["timings_ms"].items():
+            timings_ms[stage] += ms
+        routes.update(part["routes"])
+        errors.update(part["errors"])
+    return {
+        "docs": sum(c["docs"] for c in per_pid.values()),
+        "bytes": sum(c["bytes"] for c in per_pid.values()),
+        "spans": sum(c["spans"] for c in per_pid.values()),
+        "per_pid": per_pid,
+        "timings_ms": {stage: round(ms, 1) for stage, ms in timings_ms.items()},
+        "routes": dict(routes),
+        "errors": dict(errors),
+    }
 
 
 def _warm_fsspec_http_probe() -> None:
@@ -139,23 +195,19 @@ def _process_shard(
     rename).  Thread-safe: every path it touches is derived from shard_id."""
     clear_partial_output(out_dir, shard_id)
     ds = build_deid_pipeline(factory(), cfg)
-    sdir = shard_output_dir(out_dir, shard_id)
     # url-hash partitioned layout (north rule): each shard's output is
     # split into pid=K subdirectories, so downstream consumers and
-    # re-runs address balanced key ranges instead of whole files
-    ds.write_parquet(sdir, partition_cols=["pid"])
-    docs, n_bytes, spans, per_pid, timings_ms = _shard_counters(sdir)
+    # re-runs address balanced key ranges instead of whole files.  The
+    # sink is per shard, so concurrent shards share nothing.
+    sink = _CountingParquetSink(shard_output_dir(out_dir, shard_id))
+    ds.write_datasink(sink)
     manifest = ShardManifest(
         shard_id=shard_id,
-        docs=docs,
-        bytes=n_bytes,
-        spans=spans,
-        per_pid=per_pid,
-        timings_ms=timings_ms,
         # the caller-supplied INPUT fingerprint when given ('' when
         # not): a sha of the shard_id carried zero lineage
         # information beyond the id it sat next to
         input_fingerprint=fp,
+        **_shard_counters(sink.write_returns),
     )
     write_manifest(out_dir, manifest)
     return manifest

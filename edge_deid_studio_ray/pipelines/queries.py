@@ -330,7 +330,7 @@ def q_word_freq_top20(sf_dir: str):
     # map-side and sort only ~20 rows per block instead of the whole vocab
     def local_top(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().sort_values(["n", "word"], ascending=[False, True]).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     pruned = counts.map_batches(local_top, batch_format="pyarrow")
     return pruned.sort(["n", "word"], descending=[True, False]).limit(20)
@@ -702,7 +702,7 @@ def q_orders_top10(sf_dir: str):
             .sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
             .head(10)
         )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     pruned = ds.map_batches(local_top, batch_format="pyarrow")
     return pruned.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
@@ -4527,8 +4527,8 @@ def q_lineitem_qty_discount_corr(sf_dir: str):
             n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
             sxy=("xy", "sum"), sxx=("xx", "sum"), syy=("yy", "sum"),
         )
-        return pa.Table.from_pandas(
-            g.rename(columns={"f": "l_returnflag"}), preserve_index=False
+        return _strip_meta(
+            pa.Table.from_pandas(g.rename(columns={"f": "l_returnflag"}), preserve_index=False)
         )
 
     agg = (
@@ -7044,7 +7044,7 @@ def q_returned_top_customers(sf_dir: str):
         df = batch.to_pandas().sort_values(
             ["units", "ck"], ascending=[False, True]
         ).head(20)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     def finish(batch: pa.Table) -> pa.Table:
         cd = ray.get(cust_ref)
@@ -7111,7 +7111,7 @@ def q_word_zipf_slope(sf_dir: str):
             .groupby("lang", as_index=False)
             .head(100)
         )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     def slope(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["n", "word"], ascending=[False, True]).head(100)
@@ -8032,7 +8032,7 @@ def q_orders_top_ties(sf_dir: str):
         r = df.groupby("o_orderpriority")["o_totalprice"].rank(
             method="min", ascending=False
         )
-        return pa.Table.from_pandas(df[r <= 5], preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df[r <= 5], preserve_index=False))
 
     def final_rank(group: pd.DataFrame) -> pd.DataFrame:
         g = group.assign(rnk=group["o_totalprice"].rank(method="min", ascending=False))
@@ -8252,7 +8252,7 @@ def q_bpe_pair_counts(sf_dir: str):
         df = batch.to_pandas()
         df["neg_n"] = -df["n"]
         top = df.sort_values(["neg_n", "pair"], kind="mergesort").head(20)
-        return pa.Table.from_pandas(top[["pair", "n"]], preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(top[["pair", "n"]], preserve_index=False))
 
     pruned = counts.map_batches(prune, batch_format="pyarrow")
     out = pruned.to_pandas()
@@ -9708,7 +9708,7 @@ def q_k_anonymity_audit(sf_dir: str):
         )
         folded = df.groupby(["nat", "seg", "band", "cents"], sort=False).size().reset_index(name="n_p")
         folded["n_p"] = folded["n_p"].astype("int64")
-        return pa.Table.from_pandas(folded, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(folded, preserve_index=False))
 
     def spectrum_fold(g: pd.DataFrame) -> pd.DataFrame:
         # rows are (QI, cents) partials; a QI class is fully co-resident
@@ -10153,7 +10153,7 @@ def q_events_ks_test(sf_dir: str):
     # phase A: per-range subtotals → prefix offsets (≤ n_ranges rows on driver)
     def bucket_totals(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().groupby("rb")[["c1_p", "c2_p"]].sum().reset_index()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     t1: Counter = Counter()
     t2: Counter = Counter()
@@ -12274,7 +12274,7 @@ def q_link_pagerank(sf_dir: str):
             .head(20)
             .rename(columns={"node": "url", "r": "rank"})
         )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return _strip_meta(pa.Table.from_pandas(df, preserve_index=False))
 
     return (
         ranks.map_batches(local_top, batch_format="pyarrow")
@@ -14044,8 +14044,8 @@ def q_zorder_layout_audit(sf_dir: str):
             dmn_p=("us", "min"),
             dmx_p=("us", "max"),
         )
-        return pa.Table.from_pandas(
-            a.reset_index().astype("int64"), preserve_index=False
+        return _strip_meta(
+            pa.Table.from_pandas(a.reset_index().astype("int64"), preserve_index=False)
         )
 
     def audit(layout: str, blocks_ds) -> tuple[str, int, int]:

@@ -11,7 +11,9 @@ commit protocol suitable for a multi-node streaming job:
   the parquet write finishes, a manifest ``out/_manifests/<id>.json`` is
   written (tmp-file + atomic rename = the commit point).
 - Manifest payload = lineage (input fingerprint) + counters (docs, bytes,
-  spans, per-pid breakdown) — the north-rule metrics.
+  spans, per-pid breakdown, per-stage timings, per-route and per-error
+  row counts) — the north-rule metrics.  The counters come from the write
+  tasks themselves (pipelines/deid.py), not from a scan of the output.
 - On restart, committed shards are skipped; an uncommitted shard's partial
   output directory is removed before reprocessing (idempotent: all kernels
   are deterministic).
@@ -38,6 +40,9 @@ class ShardManifest:
     per_pid: dict[str, dict[str, int]] = field(default_factory=dict)
     timings_ms: dict[str, float] = field(default_factory=dict)
     input_fingerprint: str = ""
+    # rows per extract route and per non-null error value
+    routes: dict[str, int] = field(default_factory=dict)
+    errors: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -336,36 +336,190 @@ def test_changed_fingerprint_reruns_shard(ray_session, tmp_path):
     assert r3["shards_run"] == 1 and r3["shards_skipped"] == 0
 
 
-def test_shard_counters_vectorized_multi_pid_equality(ray_session, tmp_path):
-    """The pyarrow group_by counter path must equal a per-row re-derivation
-    over the written shard (multi-pid: 120 urls spread across pid dirs)."""
+def _rederived_counters(sdir: str) -> dict:
+    """The manifest counters of a written shard, re-derived row by row."""
     import pyarrow.dataset as pads
 
-    from edge_deid_studio_ray.pipelines.deid import _shard_counters, run_deid_job
+    table = pads.dataset(sdir, format="parquet", partitioning="hive").to_table(
+        columns=["pid", "n_bytes", "n_spans", "route", "error"]
+    )
+    want: dict = {"docs": 0, "bytes": 0, "spans": 0, "per_pid": {}, "routes": {}, "errors": {}}
+    for row in table.to_pylist():
+        slot = want["per_pid"].setdefault(str(row["pid"]), {"docs": 0, "bytes": 0, "spans": 0})
+        for total in (want, slot):
+            total["docs"] += 1
+            total["bytes"] += row["n_bytes"]
+            total["spans"] += row["n_spans"]
+        want["routes"][row["route"]] = want["routes"].get(row["route"], 0) + 1
+        if row["error"] is not None:
+            want["errors"][row["error"]] = want["errors"].get(row["error"], 0) + 1
+    return want
+
+
+def test_shard_counters_vectorized_multi_pid_equality(ray_session, tmp_path):
+    """Each committed manifest (counted by the write tasks) equals a per-row
+    re-derivation over its written shard, one shard at a time and three in
+    flight; an empty input shard commits zero counters and writes no
+    directory."""
+    import os
+
+    import ray.data as rd
+
+    from edge_deid_studio_ray.pipelines.deid import run_deid_job
+    from edge_deid_studio_ray.sources.pages import PAGES_SCHEMA
+    from edge_deid_studio_ray.state.manifest import committed_shards, shard_output_dir
+
+    shards = [(f"s{i}", _shard_factory(90 * i, 90 * (i + 1))) for i in range(4)]
+    shards.append(("empty", lambda: rd.from_arrow(PAGES_SCHEMA.empty_table())))
+    for max_in_flight in (1, 3):
+        out = str(tmp_path / f"out{max_in_flight}")
+        report = run_deid_job(shards, out, max_in_flight=max_in_flight)
+        assert report["shards_run"] == 5 and report["docs"] == 360
+
+        manifests = committed_shards(out)
+        assert set(manifests) == {sid for sid, _ in shards}
+        for sid in ("s0", "s1", "s2", "s3"):
+            m = manifests[sid]
+            fields = ("docs", "bytes", "spans", "per_pid", "routes", "errors")
+            got = {f: getattr(m, f) for f in fields}
+            assert got == _rederived_counters(shard_output_dir(out, sid)), (max_in_flight, sid)
+            assert len(m.per_pid) > 1  # genuinely multi-pid
+            assert set(m.timings_ms) == {"extract", "detect", "replace"}
+        empty = manifests["empty"]
+        assert (empty.docs, empty.bytes, empty.spans, empty.per_pid) == (0, 0, 0, {})
+        assert (empty.routes, empty.errors) == ({}, {})
+        assert not os.path.exists(shard_output_dir(out, "empty"))
+
+
+def test_job_reads_no_output_back(ray_session, tmp_path, monkeypatch):
+    """The manifest counters come from the write tasks: the driver opens no
+    parquet file while the job runs."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from edge_deid_studio_ray.pipelines.deid import run_deid_job
+    from edge_deid_studio_ray.state.manifest import committed_shards, shard_output_dir
+
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"driver read parquet: {args}")
+
+    out = str(tmp_path / "out")
+    shards = [(f"s{i}", _shard_factory(60 * i, 60 * (i + 1))) for i in range(3)]
+    with monkeypatch.context() as m:
+        m.setattr(pads, "dataset", no_read)
+        m.setattr(pq, "read_table", no_read)
+        report = run_deid_job(shards, out, max_in_flight=2)
+    assert report["docs"] == 180
+    for sid, manifest in committed_shards(out).items():
+        assert manifest.per_pid == _rederived_counters(shard_output_dir(out, sid))["per_pid"]
+
+
+def test_shard_counters_merge_partials():
+    """Write partials merge by pid, stage, route and error value; null
+    errors are not counted; an empty shard (no partial) counts zero."""
+    import pyarrow as pa
+
+    from edge_deid_studio_ray.pipelines.deid import _shard_counters, _write_partial
+
+    def block(pids, routes, errors):
+        n = len(pids)
+        return pa.table(
+            {
+                "pid": pa.array(pids, pa.int32()),
+                "n_bytes": [10] * n,
+                "n_spans": [2] * n,
+                "route": routes,
+                "error": pa.array(errors, pa.string()),
+                "t_extract_ms": [1.0] * n,
+                "t_detect_ms": [0.5] * n,
+                "t_replace_ms": [0.2] * n,
+            }
+        )
+
+    a = _write_partial([block([1, 2, 1], ["html", "pdf", "html"], [None, "bad_pdf", None])])
+    b = _write_partial([block([2], ["pdf"], ["bad_pdf"]), block([3], ["text"], [None])])
+    got = _shard_counters([a, None, b])
+    assert got == {
+        "docs": 5,
+        "bytes": 50,
+        "spans": 10,
+        "per_pid": {
+            "1": {"docs": 2, "bytes": 20, "spans": 4},
+            "2": {"docs": 2, "bytes": 20, "spans": 4},
+            "3": {"docs": 1, "bytes": 10, "spans": 2},
+        },
+        "timings_ms": {"extract": 5.0, "detect": 2.5, "replace": 1.0},
+        "routes": {"html": 2, "pdf": 2, "text": 1},
+        "errors": {"bad_pdf": 2},
+    }
+    zero = _shard_counters([])
+    assert (zero["docs"], zero["per_pid"], zero["routes"], zero["errors"]) == (0, {}, {}, {})
+
+
+def test_sink_statistics_only_on_prunable_columns(ray_session, tmp_path):
+    """Written files keep min/max on url and the counters, and none on the
+    text, hash and span columns: no span text reaches parquet metadata."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from edge_deid_studio_ray.pipelines.deid import run_deid_job
     from edge_deid_studio_ray.state.manifest import shard_output_dir
 
     out = str(tmp_path / "out")
-    run_deid_job([("s0", _shard_factory(0, 120))], out)
-    sdir = shard_output_dir(out, "s0")
-    docs, n_bytes, spans, per_pid, timings = _shard_counters(sdir)
+    run_deid_job([("s0", _shard_factory(0, 80))], out)
+    files = sorted(glob.glob(f"{shard_output_dir(out, 's0')}/pid=*/*.parquet"))
+    assert files
+    span_texts: set = set()
+    stats_values: set = set()
+    no_stats = ("extracted_text", "clean_text", "context_hash", "entities", "events")
+    for f in files:
+        for entities in pq.read_table(f, columns=["entities"])["entities"].to_pylist():
+            span_texts.update(e["text"] for e in entities)
+        meta = pq.read_metadata(f)
+        for rg in range(meta.num_row_groups):
+            group = meta.row_group(rg)
+            cols = {group.column(c).path_in_schema: group.column(c) for c in range(group.num_columns)}
+            for name in ("url", "n_spans", "n_chars", "n_bytes"):
+                stats = cols[name].statistics
+                assert stats is not None and stats.has_min_max, (f, name)
+            for path, col in cols.items():
+                if path.split(".")[0] in no_stats:
+                    assert not col.is_stats_set, (f, path)
+                elif col.statistics is not None and col.statistics.has_min_max:
+                    stats_values.update((col.statistics.min, col.statistics.max))
+    assert span_texts  # the shard holds spans to leak
+    assert not span_texts & stats_values
 
-    table = pads.dataset(sdir, format="parquet", partitioning="hive").to_table(
-        columns=["pid", "n_bytes", "n_spans"]
+
+def test_parent_format_manifest_loads_as_committed(tmp_path):
+    """A manifest written before the route / error counters existed still
+    loads as committed, with empty counts."""
+    import json
+    import os
+
+    from edge_deid_studio_ray.state.manifest import committed_shards, manifests_dir
+
+    old = {
+        "shard_id": "s0",
+        "status": "committed",
+        "docs": 3,
+        "bytes": 120,
+        "spans": 4,
+        "per_pid": {"7": {"docs": 3, "bytes": 120, "spans": 4}},
+        "timings_ms": {"extract": 1.5, "detect": 2.0, "replace": 0.5},
+        "input_fingerprint": "crawl-v1",
+    }
+    os.makedirs(manifests_dir(str(tmp_path)))
+    with open(os.path.join(manifests_dir(str(tmp_path)), "s0.json"), "w") as f:
+        json.dump(old, f)
+    loaded = committed_shards(str(tmp_path))
+    assert set(loaded) == {"s0"}
+    m = loaded["s0"]
+    assert (m.docs, m.bytes, m.spans, m.per_pid, m.input_fingerprint) == (
+        3, 120, 4, old["per_pid"], "crawl-v1"
     )
-    want: dict[str, dict[str, int]] = {}
-    for p, b, s in zip(
-        table["pid"].to_pylist(), table["n_bytes"].to_pylist(), table["n_spans"].to_pylist()
-    ):
-        slot = want.setdefault(str(p), {"docs": 0, "bytes": 0, "spans": 0})
-        slot["docs"] += 1
-        slot["bytes"] += int(b)
-        slot["spans"] += int(s)
-    assert per_pid == want
-    assert len(per_pid) > 1  # genuinely multi-pid
-    assert docs == 120
-    assert n_bytes == sum(v["bytes"] for v in want.values())
-    assert spans == sum(v["spans"] for v in want.values())
-    assert set(timings) == {"extract", "detect", "replace"}
+    assert (m.routes, m.errors) == ({}, {})
 
 
 def test_concurrent_shard_window_matches_sequential(ray_session, tmp_path):
