@@ -26,7 +26,7 @@ from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 from ray.data.block import BlockAccessor
 
 from ..config import EngineConfig
-from ..stages.deid import DEID_STATS_COLUMNS, add_pid, make_deid_batch_fn
+from ..stages.deid import add_pid, make_deid_batch_fn
 from ..state.manifest import (
     ShardManifest,
     clear_partial_output,
@@ -97,24 +97,30 @@ def _write_partial(blocks: list) -> dict[str, Any]:
 
 
 class _CountingParquetSink(ParquetDatasink):
-    """The sink of ``write_parquet(path, partition_cols=["pid"])``, with
-    statistics only on ``DEID_STATS_COLUMNS``, whose write tasks also return
-    the counters of the rows they wrote.  After the write,
-    ``write_returns`` holds one partial per task for
-    :func:`_shard_counters`, so nothing reads the written files back."""
+    """The sink of ``write_parquet(path, partition_cols=["pid"])``, with no
+    parquet min/max statistics, whose write tasks also return the counters
+    of the rows they wrote.  After the write, ``write_returns`` holds one
+    partial per task for :func:`_shard_counters`, so nothing reads the
+    written files back.
+
+    No reader of the deid output prunes on statistics, and a pid file holds
+    a handful of rows, so statistics would only copy whole documents (raw
+    PII) into every page header and footer."""
 
     def __init__(self, path: str):
         super().__init__(
             path,
             partition_cols=["pid"],
-            arrow_parquet_args={"write_statistics": list(DEID_STATS_COLUMNS)},
+            arrow_parquet_args={"write_statistics": False},
         )
         self.write_returns: list = []
 
     def write(self, blocks, ctx) -> dict[str, Any] | None:
-        blocks = [block for block in blocks if BlockAccessor.for_block(block).num_rows()]
+        blocks = list(blocks)
         super().write(blocks, ctx)
-        return _write_partial(blocks) if blocks else None
+        if any(BlockAccessor.for_block(block).num_rows() for block in blocks):
+            return _write_partial(blocks)
+        return None
 
     def on_write_complete(self, write_result) -> None:
         # the parent deletes the directory of a zero-row shard

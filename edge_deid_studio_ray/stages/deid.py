@@ -75,23 +75,6 @@ DEID_OUTPUT_SCHEMA = pa.schema(
     ]
 )
 
-# The columns whose parquet min/max statistics the deid sink writes: the
-# ones a reader can prune on.  A written pid file holds a handful of rows,
-# so statistics on the text, hash and span columns would only copy whole
-# documents (raw PII) into every page header and footer.
-DEID_STATS_COLUMNS = [
-    "url",
-    "lang",
-    "route",
-    "error",
-    "n_spans",
-    "n_chars",
-    "n_bytes",
-    "t_extract_ms",
-    "t_detect_ms",
-    "t_replace_ms",
-]
-
 
 def url_pid(url: str, num_partitions: int) -> int:
     """Partition id = crc32(url) % P — stable across runs/nodes/platforms."""
