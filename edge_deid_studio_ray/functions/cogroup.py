@@ -5,6 +5,8 @@ suite, the dedup / similarity-search / corpus-op stages and the web-text
 curation alike, so one place decides how rows are partitioned, how a
 co-group executes and what its output blocks look like.  Callers pass the
 real key column(s); no caller sizes buckets or builds a bucket column.
+Every grouped aggregate goes through :func:`group_agg`, which shares the
+co-group's hash-and-sort.
 """
 
 from __future__ import annotations
@@ -99,19 +101,6 @@ def cogroup(ds, key, fn, schema):
     keys = [key] if isinstance(key, str) else list(key)
     inputs = list(ds) if isinstance(ds, (list, tuple)) else None
 
-    def add_hash(block: pa.Table) -> pa.Table:
-        return block.append_column(_HASH, _key_hash(block, keys))
-
-    def tag(i: int):
-        def add_hash_and_input(block: pa.Table) -> pa.Table:
-            marker = _INPUT + json.dumps([i, block.column_names])
-            for name in keys:
-                if pa.types.is_integer(block.schema.field(name).type):
-                    block = block.set_column(block.schema.get_field_index(name), name, block[name].cast(pa.int64()))
-            return add_hash(block).append_column(marker, pa.array(np.ones(block.num_rows, np.bool_)))
-
-        return add_hash_and_input
-
     def split(block: pa.Table) -> list[pd.DataFrame]:
         """One frame per input: its rows (where its marker is set) and columns.
         An input whose blocks differ in column order or set (a union of
@@ -139,12 +128,88 @@ def cogroup(ds, key, fn, schema):
         )
 
     fold.__name__ = fn.__name__  # keeps the fold's name in ds.stats() and the progress bar
-    if inputs is None:
-        hashed = ds.map_batches(add_hash, batch_size=None, batch_format="pyarrow")
-    else:
-        tagged = [d.map_batches(tag(i), batch_size=None, batch_format="pyarrow") for i, d in enumerate(inputs)]
-        hashed = tagged[0].union(*tagged[1:])
-    return hashed.sort(_HASH).map_batches(fold, batch_size=None, batch_format="pyarrow")
+    return _hash_sort(inputs or [ds], keys, mark=inputs is not None).map_batches(
+        fold, batch_size=None, batch_format="pyarrow"
+    )
+
+
+def _hash_sort(inputs: list, keys: list[str], mark: bool = False):
+    """The inputs with the key hash appended, each in one map that fuses
+    with the input's last map, unioned and sorted on the hash: every row of
+    a key lands in one sorted block.  With ``mark``, the map also casts
+    integer keys to int64 and appends a column marking the input (its name
+    lists the input's columns, so no ``Dataset.schema()`` call runs the
+    plan)."""
+
+    def hashed(i: int):
+        def add_hash(block: pa.Table) -> pa.Table:
+            if mark:
+                marker = _INPUT + json.dumps([i, block.column_names])
+                for name in keys:
+                    if pa.types.is_integer(block.schema.field(name).type):
+                        block = block.set_column(block.schema.get_field_index(name), name, block[name].cast(pa.int64()))
+                block = block.append_column(marker, pa.array(np.ones(block.num_rows, np.bool_)))
+            return block.append_column(_HASH, _key_hash(block, keys))
+
+        return add_hash
+
+    first, *rest = [d.map_batches(hashed(i), batch_size=None, batch_format="pyarrow") for i, d in enumerate(inputs)]
+    return (first.union(*rest) if rest else first).sort(_HASH)
+
+
+# how each aggregate's per-block partials merge
+_MERGE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
+def group_agg(ds, key, /, **aggs):
+    """The engine's one grouped aggregate: one output row per distinct value
+    of the ``key`` column(s), holding the keys and then each aggregate, in
+    call order, under its keyword name.  Given a list of Datasets of the
+    same columns, ``group_agg`` aggregates their union.
+
+    Each aggregate is ``("count",)`` (rows), ``("sum", col)``,
+    ``("min", col)`` or ``("max", col)``; nulls are skipped, so a group whose
+    values are all null sums to null, as SQL and Ray's ``Sum`` give.  A null
+    key is one group, as in DuckDB; a dictionary-encoded key is decoded.
+
+    Execution: a pyarrow ``group_by`` partial over each whole input block,
+    in a map that fuses with the input's last map (with each input's, for a
+    list, which a ``Dataset.union`` in front would stop); the partials take
+    :func:`cogroup`'s hash-and-sort on the key, and each sorted block is
+    merged by one more ``group_by`` (sum of counts and sums, min of mins,
+    max of maxes).  Types follow from the input: a count and an integer sum
+    are int64, a float sum is float64, min / max keep the column's type.
+    Over zero rows no merge runs, so the result has no schema, as Ray's
+    grouped aggregate gave."""
+    keys = [key] if isinstance(key, str) else list(key)
+    names = list(aggs)
+    ops = [spec[0] for spec in aggs.values()]
+    # each aggregate's pyarrow (target, function) over the input block
+    parts = [((), "count_all") if spec[0] == "count" else (spec[1], spec[0]) for spec in aggs.values()]
+
+    def grouped(block: pa.Table, requests: list, outputs: list[str]) -> pa.Table:
+        out = block.group_by(keys, use_threads=False).aggregate(list(dict.fromkeys(requests)))
+        return pa.Table.from_arrays([out[k] for k in keys] + [out[c] for c in outputs], names=keys + names)
+
+    def partial(block: pa.Table) -> pa.Table:
+        for name in keys:
+            typ = block.schema.field(name).type
+            if pa.types.is_dictionary(typ):
+                block = block.set_column(block.schema.get_field_index(name), name, block[name].cast(typ.value_type))
+        out = grouped(block, parts, [fn if fn == "count_all" else f"{col}_{fn}" for col, fn in parts])
+        # integer sums (pyarrow gives uint64 for unsigned and boolean input) are int64
+        for i, op in enumerate(ops, start=len(keys)):
+            if op == "sum" and pa.types.is_integer(out.schema.types[i]):
+                out = out.set_column(i, names[i - len(keys)], out.column(i).cast(pa.int64()))
+        return out
+
+    def merge(block: pa.Table) -> pa.Table:
+        merges = [(n, _MERGE[op]) for n, op in zip(names, ops)]
+        return grouped(block, merges, [f"{n}_{fn}" for n, fn in merges])
+
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    partials = [d.map_batches(partial, batch_size=None, batch_format="pyarrow") for d in inputs]
+    return _hash_sort(partials, keys).map_batches(merge, batch_size=None, batch_format="pyarrow")
 
 
 def each_key(key, fn):

@@ -32,7 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .cogroup import cogroup, each_key
+from .cogroup import cogroup, each_key, group_agg
 from .dedup import md5_hex
 
 _WS_RE = re.compile(r"\s+")
@@ -391,36 +391,29 @@ def md5_uniform(key) -> float:
 
 
 def temperature_sample_summary(ds, rates: dict[str, float], *, lang_col: str = "lang", id_col: str = "doc_id"):
-    """Stateless membership filter + per-language attrition partials.
+    """Stateless membership filter + per-language attrition counts.
 
     The rate map is captured in the task closure (a handful of floats —
     broadcast once per worker, never shuffled); the only shuffle is the
-    final tiny per-language aggregate of pre-aggregated partials."""
-    from ray.data.aggregate import Sum
+    final tiny per-language grouped sum.  A language none of whose
+    documents is kept still reports 0 / 0."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for lang, key in zip(batch[lang_col].to_pylist(), batch[id_col].to_pylist()):
-            a = agg.setdefault(lang, [0, 0])
-            if md5_uniform(key) < rates[lang]:
-                a[0] += 1
-                a[1] += key
-        langs = list(agg)
+    def membership(batch: pa.Table) -> pa.Table:
+        keys = batch[id_col].to_pylist()
+        kept = [int(md5_uniform(key) < rates[lang]) for lang, key in zip(batch[lang_col].to_pylist(), keys)]
         return pa.table(
             {
-                lang_col: pa.array(langs, pa.string()),
-                "n_kept_p": pa.array([agg[k][0] for k in langs], pa.int64()),
-                "sum_kept_p": pa.array([agg[k][1] for k in langs], pa.int64()),
+                lang_col: batch[lang_col],
+                "kept": pa.array(kept, pa.int64()),
+                "kept_id": pa.array([key if k else 0 for key, k in zip(keys, kept)], pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(lang_col)
-        .aggregate(
-            Sum("n_kept_p", alias_name="n_kept"),
-            Sum("sum_kept_p", alias_name="sum_kept_ids"),
-        )
+    return group_agg(
+        ds.map_batches(membership, batch_format="pyarrow"),
+        lang_col,
+        n_kept=("sum", "kept"),
+        sum_kept_ids=("sum", "kept_id"),
     )
 
 
@@ -460,8 +453,6 @@ def trigram_model(
     and ``denoms[lang] = (N_l, V_l)`` for smoothing unseen trigrams."""
     import math
 
-    from ray.data.aggregate import Sum
-
     def tri_partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for lang, text in zip(batch[lang_col].to_pylist(), batch[text_col].to_pylist()):
@@ -478,9 +469,7 @@ def trigram_model(
         )
 
     rows = (
-        ds.map_batches(tri_partial, batch_format="pyarrow")
-        .groupby([lang_col, "tri"])
-        .aggregate(Sum("n", alias_name="c"))
+        group_agg(ds.map_batches(tri_partial, batch_format="pyarrow"), [lang_col, "tri"], c=("sum", "n"))
         .take_all()
     )
     return finish_trigram_model(

@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .cogroup import cogroup
+from .cogroup import cogroup, group_agg
 
 _MERSENNE = (1 << 61) - 1
 
@@ -195,8 +195,6 @@ def _heavy_band_keys(
     over-approximate distinct-text counts (duplicate texts inflate them) —
     safe: an over-flagged band just causes a redundant verify elsewhere,
     collapsed by the pair-dedupe stage, never a dropped pair."""
-    from ray.data.aggregate import Sum
-
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for text in batch[text_col].to_pylist():
@@ -209,9 +207,7 @@ def _heavy_band_keys(
         )
 
     rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("band_key")
-        .aggregate(Sum("n", alias_name="n"))
+        group_agg(ds.map_batches(partial, batch_format="pyarrow"), "band_key", n=("sum", "n"))
         .map_batches(
             lambda t: t.filter(pc.greater(t["n"], pa.scalar(cap))),
             batch_format="pyarrow",
@@ -810,8 +806,6 @@ def _connected_components_int(
     max_iter: int,
     small_graph_threshold: int = 1_000_000,
 ):
-    from ray.data.aggregate import Min
-
     def explode(batch: pa.Table) -> pa.Table:
         lefts = batch[left_col].to_pylist()
         rights = batch[right_col].to_pylist()
@@ -835,7 +829,7 @@ def _connected_components_int(
 
         return rd.from_arrow(_union_find_components(edges.take_all()))
     # label(node) = min(node, neighbors' labels); iterate to fixpoint
-    labels = edges.groupby("node").aggregate(Min("neighbor_min", alias_name="label"))
+    labels = group_agg(edges, "node", label=("min", "neighbor_min"))
 
     def clamp_self(batch: pa.Table) -> pa.Table:
         nodes = batch["node"].to_pylist()
@@ -868,7 +862,7 @@ def _connected_components_int(
     for _ in range(max_iter):
         # the edge list is materialized above: 2 rows per pair, reused per round
         msgs = cogroup([edges, labels], "node", propagate_bucket, {"node": pa.int64(), "label": pa.int64()})
-        labels = msgs.groupby("node").aggregate(Min("label", alias_name="label"))
+        labels = group_agg(msgs, "node", label=("min", "label"))
         # pointer doubling: chase label→label(label) so chains halve per round
         labels = _pointer_double(labels).materialize()
         # monotone-decreasing labels: fixpoint iff Σlabel is unchanged

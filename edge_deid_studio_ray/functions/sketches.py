@@ -22,6 +22,8 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
+from .cogroup import group_agg
+
 
 # -- HyperLogLog -------------------------------------------------------------
 
@@ -125,25 +127,12 @@ def heavy_hitters(ds, col: str, *, k: int = 20, capacity: int = 256):
     candidates = {v for v, _ in merged.most_common(capacity)}
     cand_ref = ray.put(candidates)
 
-    def recount(batch: pa.Table) -> pa.Table:
+    def candidates_only(batch: pa.Table) -> pa.Table:
         cand = ray.get(cand_ref)
-        counts: Counter = Counter(
-            v for v in (str(x) for x in batch[col].to_pylist()) if v in cand
-        )
-        return pa.table(
-            {
-                col: pa.array(list(counts.keys()), pa.string()),
-                "partial": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
+        values = [v for v in (str(x) for x in batch[col].to_pylist()) if v in cand]
+        return pa.table({col: pa.array(values, pa.string())})
 
-    from ray.data.aggregate import Sum
-
-    exact = (
-        ds.map_batches(recount, batch_format="pyarrow")
-        .groupby(col)
-        .aggregate(Sum("partial", alias_name="n"))
-    )
+    exact = group_agg(ds.map_batches(candidates_only, batch_format="pyarrow"), col, n=("count",))
     return exact.sort(["n", col], descending=[True, False]).limit(k)
 
 

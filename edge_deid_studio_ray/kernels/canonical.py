@@ -8,7 +8,6 @@ fallbacks, defaulting to the ``unknown_label``.
 from __future__ import annotations
 
 import re
-from typing import Any, Iterable
 
 _TRAILING_INDEX_RE = re.compile(r"(?:[_-]?\d+)+$")
 _NON_ALPHA_RE = re.compile(r"[^A-Z_]+")
@@ -106,16 +105,3 @@ def canonicalize_entity_type(raw: str | None, *, unknown_label: str = "PII") -> 
 
     unknown = normalize_raw_entity_type(unknown_label)
     return unknown or None
-
-
-def canonicalize_entities(entities: Iterable[dict[str, Any]], *, unknown_label: str = "PII") -> list[dict[str, Any]]:
-    """Canonicalize ``type`` fields, dropping entities that resolve to None."""
-    out: list[dict[str, Any]] = []
-    for ent in entities:
-        ent_type = canonicalize_entity_type(ent.get("type"), unknown_label=unknown_label)
-        if not ent_type:
-            continue
-        normalized = dict(ent)
-        normalized["type"] = str(ent_type)
-        out.append(normalized)
-    return out

@@ -98,10 +98,6 @@ def fitz_extract_blocks(raw: bytes) -> list[dict[str, Any]]:
     return specs
 
 
-def pdf_extract_blocks(raw: bytes) -> list[dict[str, Any]]:
-    return pdf_parse(raw)[0]
-
-
 def pdf_parse(raw: bytes) -> tuple[list[dict[str, Any]], int]:
     """Route a PDF payload to the best available parser; returns
     (block specs, num_pages).

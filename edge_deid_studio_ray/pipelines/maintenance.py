@@ -55,17 +55,17 @@ def compact_parquet(
     to a sibling dir, rename over).  Returns the counters a maintenance
     job logs: files/bytes before and after, rows.
     """
-    import ray.data as rd
+    from ..sources.parquet import read_parquet
 
     files_before, bytes_before = _dir_stats(src_dir)
     if files_before == 0:
         raise ValueError(f"no parquet files under {src_dir}")
-    ds = rd.read_parquet(src_dir)
+    ds = read_parquet(src_dir)
     rows_before = ds.count()
     n_out = max(1, math.ceil(bytes_before / target_bytes))
     ds.repartition(n_out).write_parquet(out_dir)
 
-    check = rd.read_parquet(out_dir)
+    check = read_parquet(out_dir)
     rows_after = check.count()
     if rows_after != rows_before:
         raise RuntimeError(
@@ -93,7 +93,8 @@ def read_parquet_union(dirs: list[str], **read_kwargs):
     aligned datasets.
     """
     import pyarrow.dataset as pads
-    import ray.data as rd
+
+    from ..sources.parquet import read_parquet
 
     if not dirs:
         raise ValueError("read_parquet_union needs at least one directory")
@@ -126,7 +127,7 @@ def read_parquet_union(dirs: list[str], **read_kwargs):
     for d, schema in zip(dirs, schemas):
         have = set(schema.names)
         missing = [(n, t) for n, t in union_fields.items() if n not in have]
-        ds = rd.read_parquet(d, **read_kwargs)
+        ds = read_parquet(d, **read_kwargs)
         aligned.append(ds.map_batches(align(missing), batch_format="pyarrow"))
     out = aligned[0]
     for ds in aligned[1:]:

@@ -44,10 +44,10 @@ columns) and returns it with a start mask for each user (and, given a gap,
 each session), so no fold loops over users in Python.
 
 Every read of an ``sf_dir`` table goes through ``_read``, which sizes its
-block count from the parquet footer too (``_read_blocks``): one block per
-MiB of projected, uncompressed column chunks while that is below Ray's
-2 × CPUs floor, Ray's own default above it.  A small table is then one
-block fused with its first map.  ``_read_spread`` splits the read itself
+block count from the parquet footer too (``sources.parquet.read_blocks``):
+one block per MiB of projected, uncompressed column chunks while that is
+below Ray's 2 × CPUs floor, Ray's own default above it.  A small table is
+then one block fused with its first map.  ``_read_spread`` splits the read itself
 into one block per CPU for CPU-heavy per-row stages, with no Repartition
 all-to-all behind it.
 """
@@ -57,7 +57,6 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from typing import Any
 
 import numpy as np
 import pandas as pd
@@ -65,11 +64,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig, cluster_cpus
-from ..functions.cogroup import cogroup, each_key
+from ..functions.cogroup import cogroup, each_key, group_agg
 from ..functions.dedup import add_md5_column, minhash_candidates
 from ..functions.simsearch import knn_bruteforce
 from ..functions.textstats import lang_id, quality_counts, simhash64, fingerprint64
 from ..kernels.docpipe import process_document
+from ..sources.parquet import bare_schema, read_parquet
 from ..stages.deid import make_deid_batch_fn
 
 
@@ -85,51 +85,21 @@ _SESSION_GAP_US = 1_800_000_000
 
 
 def _strip_meta(t: pa.Table) -> pa.Table:
-    # pandas-written parquet carries dict-valued schema metadata that Ray's
-    # shuffle reduce cannot hash (log spam per reduce task); dropping it is
-    # zero-copy and semantics-free
+    # pandas-written parquet carries dict-valued schema metadata that Ray
+    # cannot hash when it unifies block schemas (a warning per concat);
+    # dropping it is zero-copy and semantics-free
     return t.replace_schema_metadata(None)
-
-
-def _read_blocks(path: str, columns: list[str] | None = None) -> int | None:
-    """Block count for a query read of ``path`` (a parquet file or
-    directory), from its footers alone: the uncompressed bytes of the
-    projected column chunks over ``DataContext.target_min_block_size``, i.e.
-    Ray's own ``max_reasonable_parallelism``.  Below Ray's CPU floor
-    (2 × cluster CPUs) that count is the override; at or above it the result
-    is ``None`` and Ray's default applies, which is then already no larger.
-
-    The CPU floor is what this removes: it would split a single-row-group
-    table into sub-MiB blocks, and a split read does not fuse with the map
-    after it, so every small read became its own operator and every
-    downstream map ran twice the tasks."""
-    import pyarrow.dataset as pads
-    from ray.data import DataContext
-
-    nbytes = 0
-    for frag in pads.dataset(path, format="parquet").get_fragments():
-        md = frag.metadata
-        for i in range(md.num_row_groups):
-            rg = md.row_group(i)
-            for j in range(rg.num_columns):
-                chunk = rg.column(j)
-                if columns is None or chunk.path_in_schema.split(".")[0] in columns:
-                    nbytes += chunk.total_uncompressed_size
-    k = max(1, nbytes // DataContext.get_current().target_min_block_size)
-    return k if k < 2 * max(1, cluster_cpus()) else None
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int | None = None):
     """Every query read of an ``sf_dir`` table: ``blocks`` output blocks when
-    given, else the footer-sized count of ``_read_blocks``.  A table of
+    given, else footer-sized (``sources.parquet.read_parquet``).  A table of
     under 2 MiB of projected columns is one block, fused
-    ``ReadParquet->MapBatches(_strip_meta)->MapBatches(<first map>)``."""
-    import ray.data as rd
-
+    ``ReadParquet->MapBatches(<first map>)``.  It reads with the file's
+    schema stripped of the pandas metadata (``bare_schema``), so no block
+    carries that metadata out of the read task."""
     path = os.path.join(sf_dir, f"{table}.parquet")
-    return rd.read_parquet(
-        path, columns=columns, override_num_blocks=blocks or _read_blocks(path, columns)
-    ).map_batches(_strip_meta, batch_format="pyarrow")
+    return read_parquet(path, columns, blocks, schema=bare_schema(path, columns))
 
 
 def _events(sf_dir: str, columns: list[str]):
@@ -258,58 +228,46 @@ def _broadcast_dim(sf_dir: str, table: str, key_col: str, val_col: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Grouped aggregations (SURVEY §2.5 → Ray groupby/aggregate)
+# Grouped aggregations (SURVEY §2.5 → functions/cogroup.py:group_agg)
 # ---------------------------------------------------------------------------
 
 
 def q_doc_stats_by_lang(sf_dir: str):
     """Per-language document stats (counts + exact int sums/extremes)."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    return ds.groupby("lang").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="sum_chars"),
-        Min("n_chars", alias_name="min_chars"),
-        Max("n_chars", alias_name="max_chars"),
+    return group_agg(
+        ds,
+        "lang",
+        n_docs=("count",),
+        sum_chars=("sum", "n_chars"),
+        min_chars=("min", "n_chars"),
+        max_chars=("max", "n_chars"),
     )
 
 
 def q_doc_token_stats(sf_dir: str):
-    """Token/stopword counts per language — partial-aggregated per batch
-    inside map_batches, then a tiny groupby-sum (pre-aggregation pattern)."""
-    from ray.data.aggregate import Sum
-
+    """Token/stopword counts per language: per-document counts, one
+    grouped sum."""
     stop = _STOP_WORDS
     token_re = re.compile(r"\S+")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for lang, text in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
-            toks = token_re.findall((text or "").lower())
-            slot = agg.setdefault(lang, [0, 0])
-            slot[0] += len(toks)
-            slot[1] += sum(1 for t in toks if t in stop)
+    def counts(batch: pa.Table) -> pa.Table:
+        toks = [token_re.findall((text or "").lower()) for text in batch["text"].to_pylist()]
         return pa.table(
             {
-                "lang": pa.array(list(agg.keys()), pa.string()),
-                "t": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "s": pa.array([v[1] for v in agg.values()], pa.int64()),
+                "lang": batch["lang"],
+                "t": pa.array([len(ts) for ts in toks], pa.int64()),
+                "s": pa.array([sum(1 for t in ts if t in stop) for ts in toks], pa.int64()),
             }
         )
 
-    ds = _read(sf_dir, "documents", ["lang", "text"]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    return ds.groupby("lang").aggregate(
-        Sum("t", alias_name="n_tokens"), Sum("s", alias_name="n_stopwords")
-    )
+    ds = _read(sf_dir, "documents", ["lang", "text"]).map_batches(counts, batch_format="pyarrow")
+    return group_agg(ds, "lang", n_tokens=("sum", "t"), n_stopwords=("sum", "s"))
 
 
 def q_word_freq_top20(sf_dir: str):
-    """Global word frequency top-20 (batch-partial counts → groupby-sum →
+    """Global word frequency top-20 (batch-partial counts → grouped sum →
     multi-key sort → limit)."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         counter: Counter[str] = Counter()
@@ -323,9 +281,9 @@ def q_word_freq_top20(sf_dir: str):
         )
 
     ds = _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow")
-    counts = ds.groupby("word").aggregate(Sum("partial", alias_name="n"))
+    counts = group_agg(ds, "word", n=("sum", "partial"))
 
-    # after the groupby each word lives in exactly one block, so a block's
+    # after group_agg each word lives in exactly one block, so a block's
     # non-local-top-20 row can never be in the global top 20 — prune
     # map-side and sort only ~20 rows per block instead of the whole vocab
     def local_top(batch: pa.Table) -> pa.Table:
@@ -380,23 +338,17 @@ def q_approx_distinct(sf_dir: str):
 
 def q_lineitem_pricing_summary(sf_dir: str):
     """TPC-H-Q1-style grouped aggregate with a read-level row filter."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity", "l_shipdate"])
     cutoff = pa.scalar(np.datetime64("1998-09-01", "us"), pa.timestamp("us"))
     ds = ds.map_batches(
         lambda t: t.filter(pc.less_equal(t["l_shipdate"], cutoff)), batch_format="pyarrow"
     )
-    out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity", alias_name="sum_qty"),
-        Count(alias_name="n_rows"),
-    )
+    out = group_agg(ds, ["l_returnflag", "l_linestatus"], sum_qty=("sum", "l_quantity"), n_rows=("count",))
     return out
 
 
 def q_events_hourly(sf_dir: str):
     """Tumbling 1-hour window counts per event type (exact int window keys)."""
-    from ray.data.aggregate import Count
 
     def to_window(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64())
@@ -406,7 +358,7 @@ def q_events_hourly(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "ts"]).map_batches(
         to_window, batch_format="pyarrow"
     )
-    return ds.groupby(["event_type", "window_us"]).aggregate(Count(alias_name="n_events"))
+    return group_agg(ds, ["event_type", "window_us"], n_events=("count",))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +429,7 @@ def q_events_sessions(sf_dir: str):
 def q_events_sliding_window(sf_dir: str):
     """Hopping windows (size 1h, hop 30min): each event explodes to its two
     covering windows inside map_batches (pre-aggregated per batch), then one
-    small groupby-sum."""
-    from ray.data.aggregate import Sum
-
+    small grouped sum."""
     hop_us = 1_800_000_000
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -500,7 +450,7 @@ def q_events_sliding_window(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_type", "ts"]).map_batches(explode, batch_format="pyarrow")
-    return ds.groupby(["event_type", "window_us"]).aggregate(Sum("partial", alias_name="n_events"))
+    return group_agg(ds, ["event_type", "window_us"], n_events=("sum", "partial"))
 
 
 def q_events_running_total(sf_dir: str):
@@ -553,7 +503,6 @@ def q_events_late_data(sf_dir: str):
     max.  Driver state is O(#ranges), never O(#events).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     lateness_us = 600_000_000
     range_size = 1024
@@ -576,9 +525,7 @@ def q_events_late_data(sf_dir: str):
     ).materialize()
 
     # pass 1: per-range max ts (small aggregate), driver prefix fold
-    from ray.data.aggregate import Max
-
-    range_rows = ds.groupby("range_id").aggregate(Max("us", alias_name="max_us")).take_all()
+    range_rows = group_agg(ds, "range_id", max_us=("max", "us")).take_all()
     range_rows.sort(key=lambda r: r["range_id"])
     prefix: dict[int, int] = {}
     running = None
@@ -614,9 +561,7 @@ def q_events_late_data(sf_dir: str):
         late_counts,
         {"event_type": pa.string(), "n": pa.int64(), "late": pa.int64()},
     )
-    return partials.groupby("event_type").aggregate(
-        Sum("n", alias_name="n_events"), Sum("late", alias_name="n_late")
-    )
+    return group_agg(partials, "event_type", n_events=("sum", "n"), n_late=("sum", "late"))
 
 
 def q_events_funnel(sf_dir: str):
@@ -627,15 +572,13 @@ def q_events_funnel(sf_dir: str):
 
     Shape: events co-group by user (a user's timeline folds whole), each
     folded block walks its users' sorted timelines and emits per-step partial
-    counts; one tiny 3-row groupby-sum finishes.  Per-user state never
+    counts; one tiny 3-row grouped sum finishes.  Per-user state never
     leaves the group task, so the shuffle ships (user_id, us, event_type)
     rows once — the same partitioning-by-entity contract as sessionization.
     Each step after the first is one forward as-of join per block: a
     user's earliest step event strictly after the previous step's time and
     at most ``step_us`` later.
     """
-    from ray.data.aggregate import Sum
-
     step_us = 1_800_000_000
     steps = ("view", "click", "purchase")
 
@@ -658,15 +601,15 @@ def q_events_funnel(sf_dir: str):
             reached.append(len(at))
         return pd.DataFrame({"funnel_step": [1, 2, 3], "partial": reached})
 
-    return (
+    return group_agg(
         cogroup(
             _events(sf_dir, ["user_id", "event_type"]),
             "user_id",
             funnel_bucket,
             {"funnel_step": pa.int64(), "partial": pa.int64()},
-        )
-        .groupby("funnel_step")
-        .aggregate(Sum("partial", alias_name="n_users"))
+        ),
+        "funnel_step",
+        n_users=("sum", "partial"),
     )
 
 
@@ -674,7 +617,6 @@ def q_customer_per_nation(sf_dir: str):
     """Broadcast hash join: customer × nation (small side shipped once via
     ray.put, dict lookup per batch — no shuffle)."""
     import ray
-    from ray.data.aggregate import Count
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
     lookup_ref = ray.put({r["n_nationkey"]: r["n_name"] for r in nation})
@@ -687,7 +629,7 @@ def q_customer_per_nation(sf_dir: str):
     ds = _read(sf_dir, "customer", ["c_nationkey"]).map_batches(
         join_batch, batch_format="pyarrow"
     )
-    return ds.groupby("n_name").aggregate(Count(alias_name="n_customers"))
+    return group_agg(ds, "n_name", n_customers=("count",))
 
 
 def q_orders_top10(sf_dir: str):
@@ -713,8 +655,6 @@ def q_orders_join_customers(sf_dir: str):
     per customer market segment.  Each sorted block's fold joins its orders
     to their customers and counts per segment, so the final groupby ships
     |segments| × blocks partial rows, not one row per joined order."""
-    from ray.data.aggregate import Sum
-
     orders = _keyed(_read(sf_dir, "orders", ["o_custkey"]), "o_custkey", "ckey")
     customer = _keyed(_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]), "c_custkey", "ckey")
 
@@ -724,10 +664,10 @@ def q_orders_join_customers(sf_dir: str):
         vc = orders.merge(customers, on="ckey")["c_mktsegment"].value_counts()
         return pd.DataFrame({"c_mktsegment": vc.index, "n_p": vc.to_numpy()})
 
-    return (
-        cogroup([orders, customer], "ckey", segment_counts, {"c_mktsegment": pa.string(), "n_p": pa.int64()})
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n_p", alias_name="n_orders"))
+    return group_agg(
+        cogroup([orders, customer], "ckey", segment_counts, {"c_mktsegment": pa.string(), "n_p": pa.int64()}),
+        "c_mktsegment",
+        n_orders=("sum", "n_p"),
     )
 
 
@@ -743,7 +683,6 @@ def q_asia_order_volume(sf_dir: str):
     actors waited on CPUs that running tasks held and hung at 1 CPU).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).take_all()
     region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
@@ -783,7 +722,7 @@ def q_asia_order_volume(sf_dir: str):
         g = line.merge(orders, on="okey").groupby("n_name")["l_quantity"].agg(["size", "sum"])
         return pd.DataFrame({"n_name": g.index, "n_p": g["size"].to_numpy(), "q_p": g["sum"].to_numpy()})
 
-    return (
+    return group_agg(
         cogroup(
             [
                 _keyed(lineitem, "l_orderkey", "okey"),
@@ -792,9 +731,10 @@ def q_asia_order_volume(sf_dir: str):
             "okey",
             nation_partials,
             {"n_name": pa.string(), "n_p": pa.int64(), "q_p": pa.float64()},
-        )
-        .groupby("n_name")
-        .aggregate(Sum("n_p", alias_name="n_lineitems"), Sum("q_p", alias_name="sum_qty"))
+        ),
+        "n_name",
+        n_lineitems=("sum", "n_p"),
+        sum_qty=("sum", "q_p"),
     )
 
 
@@ -810,7 +750,6 @@ def q_customers_without_orders(sf_dir: str):
     with shuffle volume proportional to the MATCHING side, not the corpus.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.sketches import build_bloom
 
@@ -881,7 +820,7 @@ def q_customers_without_orders(sf_dir: str):
         anti,
         {"c_mktsegment": pa.string(), "partial": pa.int64()},
     )
-    return partials.groupby("c_mktsegment").aggregate(Sum("partial", alias_name="n_customers"))
+    return group_agg(partials, "c_mktsegment", n_customers=("sum", "partial"))
 
 
 def q_distinct_sources(sf_dir: str):
@@ -893,36 +832,15 @@ def q_distinct_sources(sf_dir: str):
 def q_doc_length_percentiles(sf_dir: str):
     """Exact per-language length percentiles (G1 distribution semantics:
     p50 = median with even-count interpolation, p95 = sorted[int(.95*(n-1))])
-    via a distributed value histogram: per-batch (lang, n_chars) counts →
-    one groupby-sum → rank walk over the tiny histogram.
+    via a distributed value histogram: one grouped (lang, n_chars) count →
+    rank walk over the tiny histogram.
 
     Scale note: a per-language ``map_groups`` would materialize a whole
     language's rows in one task (10^11+ at corpus scale); the histogram is
     bounded by the number of DISTINCT lengths per language instead, and the
     percentile is still exact for integer-valued columns.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[tuple[str, int], int] = {}
-        for lang, n_chars in zip(
-            batch["lang"].to_pylist(), batch["n_chars"].to_pylist()
-        ):
-            agg[(lang, int(n_chars))] = agg.get((lang, int(n_chars)), 0) + 1
-        return pa.table(
-            {
-                "lang": pa.array([k[0] for k in agg], pa.string()),
-                "n_chars": pa.array([k[1] for k in agg], pa.int64()),
-                "c": pa.array(list(agg.values()), pa.int64()),
-            }
-        )
-
-    hist = (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("c", alias_name="c"))
-    )
+    hist = group_agg(_read(sf_dir, "documents", ["lang", "n_chars"]), ["lang", "n_chars"], c=("count",))
 
     by_lang: dict[str, list[tuple[int, int]]] = {}
     for row in hist.take_all():  # |distinct (lang, length)| rows — small
@@ -1025,8 +943,6 @@ def _documents_as_pages(sf_dir: str, columns=("doc_id", "text", "lang")):
 def q_deid_entity_counts(sf_dir: str):
     """Resolved entity counts by (lang, type) over documents — the regex
     detect + conflict-resolve path, entities exploded then pre-aggregated."""
-    from ray.data.aggregate import Sum
-
     cfg = EngineConfig()
     deid = make_deid_batch_fn(cfg)
 
@@ -1046,7 +962,7 @@ def q_deid_entity_counts(sf_dir: str):
         )
 
     ds = _documents_as_pages(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return ds.groupby(["lang", "type"]).aggregate(Sum("partial", alias_name="n"))
+    return group_agg(ds, ["lang", "type"], n=("sum", "partial"))
 
 
 def q_deid_blackbox_stats(sf_dir: str):
@@ -1141,41 +1057,16 @@ def q_deid_context_hashes(sf_dir: str):
 
 def q_exact_dedup_groups(sf_dir: str):
     """Exact dedup groups over documents ∪ documents (forced duplicates):
-    md5 content hash → single groupby → (copies, keeper=min id).
+    md5 content hash → one grouped aggregate → (copies, keeper=min id).
 
-    The (count, min) pair is pre-aggregated per batch so the groupby shuffle
-    ships three narrow columns per distinct hash — never the text rows."""
-    from ray.data.aggregate import Min, Sum
+    ``group_agg`` pre-aggregates each block, so its shuffle ships three
+    narrow columns per distinct hash — never the text rows."""
 
-    from ..functions.dedup import md5_hex
+    def hashed(batch: pa.Table) -> pa.Table:
+        return add_md5_column(batch).select(["text_md5", "doc_id"])
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    doubled = ds.union(ds)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for d, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            h = md5_hex(t or "")
-            slot = agg.get(h)
-            if slot is None:
-                agg[h] = [1, d]
-            else:
-                slot[0] += 1
-                if d < slot[1]:
-                    slot[1] = d
-        return pa.table(
-            {
-                "text_md5": pa.array(list(agg.keys()), pa.string()),
-                "pc": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "pm": pa.array([v[1] for v in agg.values()], pa.int64()),
-            }
-        )
-
-    return (
-        doubled.map_batches(partial, batch_format="pyarrow")
-        .groupby("text_md5")
-        .aggregate(Sum("pc", alias_name="n_copies"), Min("pm", alias_name="keeper"))
-    )
+    hashes = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(hashed, batch_format="pyarrow")
+    return group_agg([hashes, hashes], "text_md5", n_copies=("count",), keeper=("min", "doc_id"))
 
 
 def q_minhash_near_dups(sf_dir: str):
@@ -1215,13 +1106,11 @@ def q_near_dup_clusters(sf_dir: str):
     perturbed copies.  Oracle: DuckDB recursive-CTE transitive closure over
     the exact pair set, component = min reachable id (the same label the
     int CC path converges to)."""
-    from ray.data.aggregate import Count
-
     from ..functions.dedup import connected_components
 
     pairs = q_minhash_near_dups(sf_dir)
     components = connected_components(pairs, max_iter=6)
-    return components.groupby("component").aggregate(Count(alias_name="cluster_size"))
+    return group_agg(components, "component", cluster_size=("count",))
 
 
 def q_ngram_jaccard_pairs(sf_dir: str):
@@ -1515,9 +1404,10 @@ def pages_rows_for(sf_dir: str) -> int:
 
 
 # Fixed path the pages oracles read via read_parquet() — the harness runs
-# the query BEFORE its oracle, and each pages query (re)materializes this
-# fixture for its sf at build time, so the SQL always sees the corpus the
-# engine just processed.
+# the query BEFORE its oracle, and each pages query points this path at the
+# fixture of its sf at build time, so the SQL always sees the corpus the
+# engine just processed.  The fixture files themselves live in one
+# directory per stamp next to it (``_keyed_fixture``).
 _PAGES_FIXTURE = "/tmp/eds_pages_fixture/pages.parquet"
 
 _OUTLINK_BASE_RE = re.compile(r"^(https?://[^/]+)")
@@ -1567,6 +1457,33 @@ def _write_fixture(marker: str, stamp: str, tables: dict) -> None:
         f.write(stamp)
 
 
+def _keyed_fixture(root: str, stamp: str, names: list[str], build) -> list[str]:
+    """The fixture files ``names`` of ``stamp``: ``build()`` returns their
+    tables, written once into a directory of the stamp's own under
+    ``root``, so processes at different sf never overwrite each other's
+    corpus.  Each fixed path ``root/name`` the oracle SQL reads is then
+    re-pointed at this stamp's file (a symlink swapped in with
+    ``os.replace``)."""
+    d = os.path.join(root, stamp.replace(" ", "_"))
+    paths = [os.path.join(d, name) for name in names]
+    marker = os.path.join(d, "_MARKER")
+    built = False
+    if os.path.exists(marker):
+        with open(marker) as f:
+            built = f.read() == stamp
+    if not built:
+        os.makedirs(d, exist_ok=True)
+        _write_fixture(marker, stamp, dict(zip(paths, build())))
+    for name, path in zip(names, paths):
+        link = os.path.join(root, name)
+        tmp = f"{link}.{os.getpid()}.lnk"
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        os.symlink(path, tmp)
+        os.replace(tmp, link)
+    return paths
+
+
 def _ensure_pages_fixture(sf_dir: str) -> str:
     """Materialize the DECODED synthetic pages corpus once per (n, seed,
     generator version) so oracle SQL can re-derive extraction semantics from
@@ -1577,20 +1494,23 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
     the extractor); page (decoded html string, html route only); text (the
     passthrough payload).  Pure driver-side generation (no Ray): the fixture
     is test infrastructure, not the operator under test; idempotent via a
-    version marker so repeated bench runs pay the write once."""
-    from ..kernels.html_text import decode_html_bytes
-    from ..kernels.pdf_text import is_pdf
-    from ..sources.pages import GENERATOR_VERSION, synthesize_pages_table
+    version marker so repeated bench runs pay the write once.  Returns the
+    fixture of this sf, and points ``_PAGES_FIXTURE`` at it."""
+    from ..sources.pages import GENERATOR_VERSION
 
     n = pages_rows_for(sf_dir)
-    d = os.path.dirname(_PAGES_FIXTURE)
-    marker = os.path.join(d, "_MARKER")
     stamp = f"n={n} seed=42 v={GENERATOR_VERSION} fx=1"
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read() == stamp:
-                return _PAGES_FIXTURE
-    os.makedirs(d, exist_ok=True)
+    root, name = os.path.split(_PAGES_FIXTURE)
+    (path,) = _keyed_fixture(root, stamp, [name], lambda: [_decoded_pages(n)])
+    return path
+
+
+def _decoded_pages(n: int) -> pa.Table:
+    """The fixture rows of the first ``n`` synthetic pages."""
+    from ..kernels.html_text import decode_html_bytes
+    from ..kernels.pdf_text import is_pdf
+    from ..sources.pages import synthesize_pages_table
+
     chunks = []
     for lo in range(0, n, 2048):
         raw = synthesize_pages_table(range(lo, min(lo + 2048, n)))
@@ -1620,8 +1540,7 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
                 }
             )
         )
-    _write_fixture(marker, stamp, {_PAGES_FIXTURE: pa.concat_tables(chunks)})
-    return _PAGES_FIXTURE
+    return pa.concat_tables(chunks)
 
 
 # Staged-output oracles: the query writes parquet and its ORACLE_SQL reads
@@ -1776,8 +1695,6 @@ def q_pages_link_stats(sf_dir: str):
     fixture.  Scope = fetched-html route without U+FFFD decodes (see
     _oracle_visible_pages) — links live in markup, so the pdf/csv/
     passthrough routes are out of domain by definition."""
-    from ray.data.aggregate import Sum
-
     from ..kernels.html_text import decode_html_bytes, extract_links
 
     _ensure_pages_fixture(sf_dir)
@@ -1801,16 +1718,19 @@ def q_pages_link_stats(sf_dir: str):
             }
         )
 
-    out = (
-        _oracle_visible_pages(sf_dir, include_text_route=False)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("href")
-        .aggregate(
-            Sum("n_total_p", alias_name="n_total"),
-            Sum("n_pages_p", alias_name="n_pages"),
-        )
+    out = group_agg(
+        _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(partial, batch_format="pyarrow"),
+        "href",
+        n_total=("sum", "n_total_p"),
+        n_pages=("sum", "n_pages_p"),
     )
     return out.sort(["n_total", "href"], descending=[True, False]).limit(20)
+
+
+def _url_host(urls) -> pa.Array:
+    """The ``^https?://([^/]+)`` host of each url, ``""`` when none matches
+    (the oracles' ``regexp_extract``)."""
+    return pc.fill_null(pc.struct_field(pc.extract_regex(urls, r"^https?://(?P<host>[^/]+)"), [0]), "")
 
 
 # Staging dir for the training-data flow: the query writes the deid output
@@ -1831,42 +1751,21 @@ def q_pages_host_rollup(sf_dir: str):
     the exchange is one tiny grouped sum.  Oracle-checked from first
     principles: the SQL re-derives get_text extraction over the decoded
     page fixture and groups by the regexp host."""
-    import re as _re
-
-    from ray.data.aggregate import Sum
-
     from ..pipelines.deid import build_deid_pipeline
 
     _ensure_pages_fixture(sf_dir)
     ds = build_deid_pipeline(_oracle_visible_pages(sf_dir, include_text_route=True))
-    host_re = _re.compile(r"^https?://([^/]+)")
 
-    def fold(batch: pa.Table) -> pa.Table:
-        pages: Counter = Counter()
-        chars: Counter = Counter()
-        for url, t in zip(
-            batch["url"].to_pylist(), batch["extracted_text"].to_pylist()
-        ):
-            m = host_re.match(url)
-            host = m.group(1) if m else ""
-            pages[host] += 1
-            chars[host] += len(t or "")
-        keys = list(pages)
+    def hosts(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "host": pa.array(keys, pa.string()),
-                "n_pages_p": pa.array([pages[k] for k in keys], pa.int64()),
-                "n_chars_p": pa.array([chars[k] for k in keys], pa.int64()),
+                "host": _url_host(batch["url"]),
+                "n_chars": pa.array([len(t or "") for t in batch["extracted_text"].to_pylist()], pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(fold, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum("n_pages_p", alias_name="n_pages"),
-            Sum("n_chars_p", alias_name="n_chars"),
-        )
+    return group_agg(
+        ds.map_batches(hosts, batch_format="pyarrow"), "host", n_pages=("count",), n_chars=("sum", "n_chars")
     )
 
 
@@ -1886,8 +1785,6 @@ def q_pages_anchor_text(sf_dir: str):
     fixture with a regex and re-derives the same aggregation with window
     functions.  Scope = html route without U+FFFD decodes (links live in
     markup; see _oracle_visible_pages)."""
-    from ray.data.aggregate import Sum
-
     from ..kernels.html_text import decode_html_bytes, extract_links
 
     _ensure_pages_fixture(sf_dir)
@@ -1907,11 +1804,10 @@ def q_pages_anchor_text(sf_dir: str):
             }
         )
 
-    summed = (
-        _oracle_visible_pages(sf_dir, include_text_route=False)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["href", "anchor"])
-        .aggregate(Sum("n_p", alias_name="n"))
+    summed = group_agg(
+        _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(partial, batch_format="pyarrow"),
+        ["href", "anchor"],
+        n=("sum", "n_p"),
     )
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -1958,8 +1854,6 @@ def q_pages_line_dedup(sf_dir: str):
     decoded page fixture, splits on newline and re-aggregates.  The full
     deid pipeline still executes upstream — compared columns are
     extraction-side."""
-    from ray.data.aggregate import Sum
-
     from ..pipelines.deid import build_deid_pipeline
 
     _ensure_pages_fixture(sf_dir)
@@ -1982,11 +1876,11 @@ def q_pages_line_dedup(sf_dir: str):
         )
 
     out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("line")
-        .aggregate(
-            Sum("n_total_p", alias_name="n_total"),
-            Sum("n_pages_p", alias_name="n_pages"),
+        group_agg(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "line",
+            n_total=("sum", "n_total_p"),
+            n_pages=("sum", "n_pages_p"),
         )
         .map_batches(
             lambda t: t.filter(pc.greater_equal(t["n_pages"], 2)),
@@ -2008,54 +1902,36 @@ def q_pages_pii_density(sf_dir: str):
     rows-only by pages_pipeline_counters — with the same CJK carve-out the
     documents oracles use (Python's unicode ``\\b`` and RE2's ASCII ``\\b``
     disagree around CJK word chars, so CJK-bearing extractions score 0).
-    Partials fold (host → pages, chars, spans) map-side; host cardinality
-    is web-bounded, so ONE tiny grouped sum ships per batch.
+    Each page yields (host, chars, spans); host cardinality is
+    web-bounded, so ONE tiny grouped sum ships per block.
 
     Oracle: SQL re-derives extraction over the decoded page fixture and
     re-counts the same regex under the same carve-out."""
     import re as _re
 
-    from ray.data.aggregate import Sum
-
     from ..pipelines.deid import build_deid_pipeline
 
     _ensure_pages_fixture(sf_dir)
     ds = build_deid_pipeline(_oracle_visible_pages(sf_dir, include_text_route=True))
-    host_re = _re.compile(r"^https?://([^/]+)")
     med_re = _re.compile(_MEDICAL_RE)
     cjk_re = _re.compile("[一-鿿]")
 
-    def fold(batch: pa.Table) -> pa.Table:
-        pages: Counter = Counter()
-        chars: Counter = Counter()
-        spans: Counter = Counter()
-        for url, t in zip(
-            batch["url"].to_pylist(), batch["extracted_text"].to_pylist()
-        ):
-            m = host_re.match(url)
-            host = m.group(1) if m else ""
-            t = t or ""
-            pages[host] += 1
-            chars[host] += len(t)
-            spans[host] += 0 if cjk_re.search(t) else len(med_re.findall(t))
-        keys = list(pages)
+    def density(batch: pa.Table) -> pa.Table:
+        texts = [t or "" for t in batch["extracted_text"].to_pylist()]
         return pa.table(
             {
-                "host": pa.array(keys, pa.string()),
-                "n_pages_p": pa.array([pages[k] for k in keys], pa.int64()),
-                "n_chars_p": pa.array([chars[k] for k in keys], pa.int64()),
-                "n_pii_p": pa.array([spans[k] for k in keys], pa.int64()),
+                "host": _url_host(batch["url"]),
+                "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+                "n_pii": pa.array([0 if cjk_re.search(t) else len(med_re.findall(t)) for t in texts], pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(fold, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum("n_pages_p", alias_name="n_pages"),
-            Sum("n_chars_p", alias_name="n_chars"),
-            Sum("n_pii_p", alias_name="n_pii"),
-        )
+    return group_agg(
+        ds.map_batches(density, batch_format="pyarrow"),
+        "host",
+        n_pages=("count",),
+        n_chars=("sum", "n_chars"),
+        n_pii=("sum", "n_pii"),
     )
 
 
@@ -2072,7 +1948,6 @@ def q_doc_script_ratios(sf_dir: str):
     Oracle: the same char classes re-counted with RE2 in SQL (codepoint
     semantics match: Python len() and DuckDB length() both count
     codepoints)."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
@@ -2107,17 +1982,14 @@ def q_doc_script_ratios(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", columns=["text", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n_alpha_p", alias_name="n_alpha"),
-            Sum("n_digit_p", alias_name="n_digit"),
-            Sum("n_space_p", alias_name="n_space"),
-            Sum("n_cjk_p", alias_name="n_cjk"),
-            Sum("n_chars_p", alias_name="n_chars"),
-        )
+    return group_agg(
+        _read(sf_dir, "documents", columns=["text", "lang"]).map_batches(partial, batch_format="pyarrow"),
+        "lang",
+        n_alpha=("sum", "n_alpha_p"),
+        n_digit=("sum", "n_digit_p"),
+        n_space=("sum", "n_space_p"),
+        n_cjk=("sum", "n_cjk_p"),
+        n_chars=("sum", "n_chars_p"),
     )
 
 
@@ -2244,21 +2116,22 @@ def _ensure_synth_fixture(sf_dir: str) -> tuple[str, str]:
     type, start, end, ent_text) — once per (n, seed, mutation version), so
     oracle SQL can re-derive the validation semantics from first principles.
     Driver-side generation: fixture infrastructure, not the operator under
-    test (the distributed path regenerates the same rows per slice)."""
+    test (the distributed path regenerates the same rows per slice).
+    Returns the fixture of this sf, and points the two files the oracle
+    reads under ``_SYNTH_FIXTURE_DIR`` at it."""
+    n = _synth_rows_for(sf_dir)
+    stamp = f"n={n} seed=9 mut={_SYNTH_MUTATE_EVERY} fx=1"
+    names = ["examples.parquet", "entities.parquet"]
+    ex_path, ent_path = _keyed_fixture(_SYNTH_FIXTURE_DIR, stamp, names, lambda: _synth_tables(n))
+    return ex_path, ent_path
+
+
+def _synth_tables(n: int) -> tuple[pa.Table, pa.Table]:
+    """The examples and unnested entities of the first ``n`` synthetic
+    span examples, with the corruption slice applied."""
     from ..kernels.synthetic import generate_synthetic_span_examples
     from ..pipelines.training_data import _entities_to_arrow
 
-    n = _synth_rows_for(sf_dir)
-    d = _SYNTH_FIXTURE_DIR
-    ex_path = os.path.join(d, "examples.parquet")
-    ent_path = os.path.join(d, "entities.parquet")
-    marker = os.path.join(d, "_MARKER")
-    stamp = f"n={n} seed=9 mut={_SYNTH_MUTATE_EVERY} fx=1"
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read() == stamp:
-                return ex_path, ent_path
-    os.makedirs(d, exist_ok=True)
     exs = generate_synthetic_span_examples(num_examples=n, seed=9, language="zh")
     erows: list[tuple[int, int, str, int, int, str]] = []
     for i, ex in enumerate(exs):
@@ -2281,8 +2154,7 @@ def _ensure_synth_fixture(sf_dir: str) -> tuple[str, str]:
             "ent_text": pa.array([r[5] for r in erows], pa.string()),
         }
     )
-    _write_fixture(marker, stamp, {ex_path: examples, ent_path: entities})
-    return ex_path, ent_path
+    return examples, entities
 
 
 def q_synthetic_quality_report(sf_dir: str):
@@ -2339,14 +2211,12 @@ def q_ner_stub_entity_counts(sf_dir: str):
     Oracle-checked at the AGGREGATION layer via the staged-output pattern
     (same contract as pages_pipeline_counters): the detected per-entity
     rows are staged to parquet, the Ray side runs its distributed
-    groupby-count over the staged rows, and the SQL re-derives the same
+    grouped count over the staged rows, and the SQL re-derives the same
     counts — so the shuffle/aggregate machinery is value-checked.  The
     per-row DETECTION semantics (stub regexes + full YAML detector +
     composite overlap-priority resolution) stay pinned by the reference
     parity tests — re-deriving that rule set in SQL would be a second
     engine, not an oracle."""
-    from ray.data.aggregate import Count
-
     from ..pipelines.training_data import synthetic_span_dataset
     from ..stages.ner import NerDetectStage
 
@@ -2381,7 +2251,7 @@ def q_ner_stub_entity_counts(sf_dir: str):
         _NER_STUB_STAGING,
         pa.schema({"example_id": pa.string(), "type": pa.string(), "source": pa.string()}),
     )
-    return staged.groupby(["type", "source"]).aggregate(Count(alias_name="n"))
+    return group_agg(staged, ["type", "source"], n=("count",))
 
 
 _PLACEHOLDER_SPANS = pa.schema(
@@ -2532,8 +2402,6 @@ def q_dataset_mix(sf_dir: str):
     shuffle (O2/O3) over the documents table, counted per source — the
     counts are oracle-checkable (capped = n//2, full = n).  The span-corpus
     mix variant (zh/en synthetic) is exercised in tests/test_training_*."""
-    from ray.data.aggregate import Count
-
     from ..pipelines.training_data import mix_datasets
 
     base = _read(sf_dir, "documents", ["doc_id"])
@@ -2550,7 +2418,7 @@ def q_dataset_mix(sf_dir: str):
     capped = base.map_batches(tag("capped"), batch_format="pyarrow")
     full = base.map_batches(tag("full"), batch_format="pyarrow")
     mixed = mix_datasets([(capped, n // 2), (full, 0)], seed=3)
-    return mixed.groupby("mix_source").aggregate(Count(alias_name="n_examples"))
+    return group_agg(mixed, "mix_source", n_examples=("count",))
 
 
 # ---------------------------------------------------------------------------
@@ -2584,29 +2452,9 @@ def q_orders_rollup(sf_dir: str):
     and grand-total levels.  The detail aggregate is pre-reduced per batch,
     one tiny groupby produces ~15 rows, and the two rollup levels derive
     from that small result (no second scan of the fact table)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[tuple[str, str], int] = {}
-        for pri, st in zip(
-            batch["o_orderpriority"].to_pylist(), batch["o_orderstatus"].to_pylist()
-        ):
-            agg[(pri, st)] = agg.get((pri, st), 0) + 1
-        return pa.table(
-            {
-                "o_orderpriority": pa.array([k[0] for k in agg], pa.string()),
-                "o_orderstatus": pa.array([k[1] for k in agg], pa.string()),
-                "partial": pa.array(list(agg.values()), pa.int64()),
-            }
-        )
-
-    detail = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["o_orderpriority", "o_orderstatus"])
-        .aggregate(Sum("partial", alias_name="n_orders"))
-    )
+    detail = group_agg(ds, ["o_orderpriority", "o_orderstatus"], n_orders=("count",))
     # detail is ≤ |priorities|×|statuses| rows — deriving rollup levels from
     # the small aggregate on the driver is the documented small-result path
     rows = detail.take_all()
@@ -2629,28 +2477,21 @@ def q_orders_rollup(sf_dir: str):
 
 def q_customer_segment_pivot(sf_dir: str):
     """Pivot (conditional aggregation): customer counts per nation spread
-    across market-segment columns — per-batch crosstab partials, one
-    groupby-sum over the 25-row result."""
-    from ray.data.aggregate import Sum
-
+    across market-segment columns — one 0/1 column per segment, one
+    grouped sum over the 25-row result."""
     segments = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]
     ds = _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        ct = pd.crosstab(df["c_nationkey"], df["c_mktsegment"])
-        out: dict[str, Any] = {
-            "c_nationkey": pa.array([int(k) for k in ct.index], pa.int64())
-        }
+    def one_hot(batch: pa.Table) -> pa.Table:
+        out = {"c_nationkey": batch["c_nationkey"]}
         for seg in segments:
-            vals = ct[seg] if seg in ct.columns else pd.Series(0, index=ct.index)
-            out["n_" + seg.lower()] = pa.array([int(v) for v in vals], pa.int64())
+            out["n_" + seg.lower()] = pc.cast(pc.fill_null(pc.equal(batch["c_mktsegment"], seg), False), pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_nationkey")
-        .aggregate(*[Sum("n_" + s.lower(), alias_name="n_" + s.lower()) for s in segments])
+    return group_agg(
+        ds.map_batches(one_hot, batch_format="pyarrow"),
+        "c_nationkey",
+        **{"n_" + s.lower(): ("sum", "n_" + s.lower()) for s in segments},
     )
 
 
@@ -2659,8 +2500,6 @@ def q_orders_exists_semi(sf_dir: str):
     quantity ≥ 45, counted per status.  Filtered lineitem keys and orders
     co-group on the order key — no driver-side key set, no full join
     output materialized."""
-    from ray.data.aggregate import Sum
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
 
@@ -2680,38 +2519,24 @@ def q_orders_exists_semi(sf_dir: str):
         semi,
         {"o_orderstatus": pa.string(), "partial": pa.int64()},
     )
-    return matched.groupby("o_orderstatus").aggregate(Sum("partial", alias_name="n_orders"))
+    return group_agg(matched, "o_orderstatus", n_orders=("sum", "partial"))
 
 
 def q_lineitem_price_histogram(sf_dir: str):
     """Fixed-width histogram over l_extendedprice (5000-wide buckets) —
-    vectorized pyarrow bucketing + per-batch partial counts, one tiny
-    groupby-sum."""
-    from ray.data.aggregate import Sum
-
+    vectorized pyarrow bucketing, one tiny grouped count."""
     ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        buckets = pc.floor(pc.divide(batch["l_extendedprice"], pa.scalar(5000.0)))
-        counts = pd.Series(buckets.to_numpy(zero_copy_only=False)).value_counts()
-        return pa.table(
-            {
-                "bucket": pa.array([int(b) for b in counts.index], pa.int64()),
-                "partial": pa.array(counts.to_numpy().astype("int64"), pa.int64()),
-            }
-        )
+    def bucket(batch: pa.Table) -> pa.Table:
+        return pa.table({"bucket": pc.cast(pc.floor(pc.divide(batch["l_extendedprice"], 5000.0)), pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow").groupby("bucket").aggregate(
-        Sum("partial", alias_name="n_items")
-    )
+    return group_agg(ds.map_batches(bucket, batch_format="pyarrow"), "bucket", n_items=("count",))
 
 
 def q_part_brand_stats(sf_dir: str):
     """Vectorized string kernels (pyarrow.compute match_substring/utf8_lower)
     feeding a grouped aggregate: per-brand part counts, 'green'-named part
     counts, max size."""
-    from ray.data.aggregate import Count, Max, Sum
-
     ds = _read(sf_dir, "part", ["p_brand", "p_name", "p_size"])
 
     def enrich(batch: pa.Table) -> pa.Table:
@@ -2724,10 +2549,12 @@ def q_part_brand_stats(sf_dir: str):
             }
         )
 
-    return ds.map_batches(enrich, batch_format="pyarrow").groupby("p_brand").aggregate(
-        Count(alias_name="n_parts"),
-        Sum("is_green", alias_name="n_green"),
-        Max("p_size", alias_name="max_size"),
+    return group_agg(
+        ds.map_batches(enrich, batch_format="pyarrow"),
+        "p_brand",
+        n_parts=("count",),
+        n_green=("sum", "is_green"),
+        max_size=("max", "p_size"),
     )
 
 
@@ -2816,71 +2643,34 @@ def q_docs_per_source_cap(sf_dir: str):
 
 def q_lang_source_distinct(sf_dir: str):
     """Distinct-count aggregate per group: number of distinct sources per
-    language — per-batch partial distinct sets, merged in one groupby (the
-    two-level exact count-distinct shape; swap in HLL from
+    language — the distinct (lang, source) pairs, then a count per
+    language (the two-level exact count-distinct shape; swap in HLL from
     functions/sketches.py when approximate is acceptable at scale)."""
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        seen = sorted(
-            {
-                (lang, src)
-                for lang, src in zip(
-                    batch["lang"].to_pylist(), batch["source"].to_pylist()
-                )
-            }
-        )
-        return pa.table(
-            {
-                "lang": pa.array([p[0] for p in seen], pa.string()),
-                "source": pa.array([p[1] for p in seen], pa.string()),
-            }
-        )
-
-    distinct_pairs = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-    )
-    return distinct_pairs.groupby("lang").aggregate(Count(alias_name="n_sources"))
+    distinct_pairs = group_agg(ds, ["lang", "source"], _n=("count",)).drop_columns(["_n"])
+    return group_agg(distinct_pairs, "lang", n_sources=("count",))
 
 
 def q_events_json_props(sf_dir: str):
     """JSON scalar extraction (§2.8): parse the events ``props`` JSON column,
-    extract ``k``, aggregate per event type — per-batch partial sums, one
-    tiny groupby."""
+    extract ``k``, aggregate per event type — one tiny grouped sum."""
     import json
 
-    from ray.data.aggregate import Sum
+    def prop_k(props: str | None) -> int:
+        try:
+            return int(json.loads(props or "{}").get("k", 0))
+        except (ValueError, TypeError):
+            return 0
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for etype, props in zip(
-            batch["event_type"].to_pylist(), batch["props"].to_pylist()
-        ):
-            try:
-                k = int(json.loads(props or "{}").get("k", 0))
-            except (ValueError, TypeError):
-                k = 0
-            slot = agg.setdefault(etype, [0, 0])
-            slot[0] += k
-            slot[1] += 1
-        return pa.table(
-            {
-                "event_type": pa.array(list(agg.keys()), pa.string()),
-                "k": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "n": pa.array([v[1] for v in agg.values()], pa.int64()),
-            }
-        )
+    def extract(batch: pa.Table) -> pa.Table:
+        ks = [prop_k(p) for p in batch["props"].to_pylist()]
+        return pa.table({"event_type": batch["event_type"], "k": pa.array(ks, pa.int64())})
 
-    return (
-        _read(sf_dir, "events", ["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("k", alias_name="sum_k"), Sum("n", alias_name="n_events"))
+    return group_agg(
+        _read(sf_dir, "events", ["event_type", "props"]).map_batches(extract, batch_format="pyarrow"),
+        "event_type",
+        sum_k=("sum", "k"),
+        n_events=("count",),
     )
 
 
@@ -3177,32 +2967,21 @@ def q_near_dedup_survivors(sf_dir: str):
 
 def q_sources_except(sf_dir: str):
     """Set difference (EXCEPT): sources that publish en documents but no zh
-    documents — per-batch distinct (source, side) partials, one co-grouped
-    difference (§2.7 set ops beyond the reference)."""
-    from ray.data.aggregate import Max
-
+    documents — per-source (has en, has zh) flags from one grouped max
+    (§2.7 set ops beyond the reference)."""
     ds = _read(sf_dir, "documents", ["source", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        seen: dict[str, list[int]] = {}
-        for src_name, lang in zip(batch["source"].to_pylist(), batch["lang"].to_pylist()):
-            slot = seen.setdefault(src_name, [0, 0])
-            if lang == "en":
-                slot[0] = 1
-            elif lang == "zh":
-                slot[1] = 1
-        return pa.table(
-            {
-                "source": pa.array(list(seen.keys()), pa.string()),
-                "has_en": pa.array([v[0] for v in seen.values()], pa.int64()),
-                "has_zh": pa.array([v[1] for v in seen.values()], pa.int64()),
-            }
-        )
+    def sides(batch: pa.Table) -> pa.Table:
+        def has(lang: str) -> pa.Array:
+            return pc.cast(pc.fill_null(pc.equal(batch["lang"], lang), False), pa.int64())
 
-    flags = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Max("has_en", alias_name="has_en"), Max("has_zh", alias_name="has_zh"))
+        return pa.table({"source": batch["source"], "has_en": has("en"), "has_zh": has("zh")})
+
+    flags = group_agg(
+        ds.map_batches(sides, batch_format="pyarrow"),
+        "source",
+        has_en=("max", "has_en"),
+        has_zh=("max", "has_zh"),
     )
 
     # finalize driver-side over the tiny flag table (≤ distinct sources):
@@ -3404,16 +3183,9 @@ def q_lang_temperature_sample(sf_dir: str):
     map in the closure.  Output = per-language attrition summary, exact ints
     plus the rounded rate; the whole computation (pow, hash, compare) is
     mirrored bit-for-bit in the oracle."""
-    from ray.data.aggregate import Count
-
     from ..functions.corpusops import temperature_rates, temperature_sample_summary
 
-    counts_rows = (
-        _read(sf_dir, "documents", ["lang"])
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"))
-        .take_all()
-    )
+    counts_rows = group_agg(_read(sf_dir, "documents", ["lang"]), "lang", n_docs=("count",)).take_all()
     counts = {r["lang"]: int(r["n_docs"]) for r in counts_rows}
     rates = temperature_rates(counts, temperature=0.7)
     out = temperature_sample_summary(
@@ -3550,33 +3322,18 @@ def q_dataset_split_counts(sf_dir: str):
     the SQL oracle) assigns identically with zero coordination, and a
     re-run after adding data never reshuffles existing assignments.
     Output = per (lang, split) count + exact id sum."""
-    from ray.data.aggregate import Sum
-
     from ..functions.corpusops import md5_uniform
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg: dict[tuple[str, str], list[int]] = {}
-        for doc_id, lang in zip(batch["doc_id"].to_pylist(), batch["lang"].to_pylist()):
-            u = md5_uniform(doc_id)
-            split = "train" if u < 0.8 else ("val" if u < 0.9 else "test")
-            a = agg.setdefault((lang, split), [0, 0])
-            a[0] += 1
-            a[1] += doc_id
-        keys = list(agg)
-        return pa.table(
-            {
-                "lang": pa.array([k[0] for k in keys], pa.string()),
-                "split": pa.array([k[1] for k in keys], pa.string()),
-                "n_p": pa.array([agg[k][0] for k in keys], pa.int64()),
-                "s_p": pa.array([agg[k][1] for k in keys], pa.int64()),
-            }
-        )
+    def assign(batch: pa.Table) -> pa.Table:
+        us = [md5_uniform(d) for d in batch["doc_id"].to_pylist()]
+        split = ["train" if u < 0.8 else ("val" if u < 0.9 else "test") for u in us]
+        return batch.append_column("split", pa.array(split, pa.string()))
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "split"])
-        .aggregate(Sum("n_p", alias_name="n_docs"), Sum("s_p", alias_name="sum_ids"))
+    return group_agg(
+        _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(assign, batch_format="pyarrow"),
+        ["lang", "split"],
+        n_docs=("count",),
+        sum_ids=("sum", "doc_id"),
     )
 
 
@@ -3631,21 +3388,22 @@ def q_orders_lineitem_ship_band(sf_dir: str):
     row replication; when the small side outgrows broadcast (sub-second
     key granularity), the fallback is the replicate-to-adjacent-bucket
     interval join documented in SURVEY §2."""
-    from ray.data.aggregate import Count, Sum
-
     days = (
-        _read(sf_dir, "lineitem", ["l_shipdate", "l_quantity"])
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "day_us": t["l_shipdate"].cast(pa.int64()),
-                    "l_quantity": t["l_quantity"],
-                }
+        group_agg(
+            _read(sf_dir, "lineitem", ["l_shipdate", "l_quantity"])
+            .map_batches(
+                lambda t: pa.table(
+                    {
+                        "day_us": t["l_shipdate"].cast(pa.int64()),
+                        "l_quantity": t["l_quantity"],
+                    }
+                ),
+                batch_format="pyarrow",
             ),
-            batch_format="pyarrow",
+            "day_us",
+            n=("count",),
+            qty=("sum", "l_quantity"),
         )
-        .groupby("day_us")
-        .aggregate(Count(alias_name="n"), Sum("l_quantity", alias_name="qty"))
         .take_all()
     )
     days.sort(key=lambda r: r["day_us"])
@@ -3691,7 +3449,6 @@ def q_word_pmi_top20(sf_dir: str):
     totals; no O(vocabulary) object ever leaves the cluster.
     The float arithmetic mirrors the oracle operation-for-operation (same
     division order), rounded to 6dp; ties broken by bigram text."""
-    from ray.data.aggregate import Sum
 
     def grams(batch: pa.Table) -> pa.Table:
         uni: Counter = Counter()
@@ -3714,14 +3471,15 @@ def q_word_pmi_top20(sf_dir: str):
         )
 
     counts = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(grams, batch_format="pyarrow")
-        .groupby(["kind", "gram"])
-        .aggregate(Sum("n_p", alias_name="n"))
+        group_agg(
+            _read(sf_dir, "documents", ["text"]).map_batches(grams, batch_format="pyarrow"),
+            ["kind", "gram"],
+            n=("sum", "n_p"),
+        )
     ).materialize()  # consumed twice: scalar totals + the co-group join
     totals = {
         r["kind"]: int(r["t"])
-        for r in counts.groupby("kind").aggregate(Sum("n", alias_name="t")).take_all()
+        for r in group_agg(counts, "kind", t=("sum", "n")).take_all()
     }
     w_total = totals.get("u", 0)
     b_total = totals.get("b", 0)
@@ -3797,36 +3555,21 @@ def q_word_pmi_top20(sf_dir: str):
 
 def q_events_new_users_daily(sf_dir: str):
     """New-vs-returning attribution: per day, how many users appear for the
-    FIRST time, with a running cumulative.  Per-batch (user, min-day)
-    partials → one grouped min (the only corpus-sized shuffle) → per-day
-    counts (calendar-bounded, so the cumulative runs on the driver)."""
-    from ray.data.aggregate import Count, Min
-
+    FIRST time, with a running cumulative.  One grouped min of each
+    event's day per user (the only corpus-sized shuffle) → per-day counts
+    (calendar-bounded, so the cumulative runs on the driver)."""
     day_us = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
-        first: dict[int, int] = {}
-        us = batch["ts"].cast(pa.int64()).to_pylist()
-        for t, u in zip(us, batch["user_id"].to_pylist()):
-            d = int(t) // day_us * day_us
-            if u not in first or d < first[u]:
-                first[u] = d
-        return pa.table(
-            {
-                "user_id": pa.array(list(first.keys()), pa.int64()),
-                "day_p": pa.array(list(first.values()), pa.int64()),
-            }
-        )
+    def to_day(batch: pa.Table) -> pa.Table:
+        us = batch["ts"].cast(pa.int64()).to_numpy()
+        return pa.table({"user_id": batch["user_id"], "day": us // day_us * day_us})
 
-    per_day = (
-        _read(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("day_p", alias_name="day_us"))
-        .groupby("day_us")
-        .aggregate(Count(alias_name="n_new"))
-        .take_all()
+    first = group_agg(
+        _read(sf_dir, "events", ["ts", "user_id"]).map_batches(to_day, batch_format="pyarrow"),
+        "user_id",
+        day_us=("min", "day"),
     )
+    per_day = group_agg(first, "day_us", n_new=("count",)).take_all()
     per_day.sort(key=lambda r: r["day_us"])
     cum = 0
     out_day, out_new, out_cum = [], [], []
@@ -3908,11 +3651,10 @@ def q_events_value_percentiles(sf_dir: str):
 
 def q_supplier_nation_volume(sf_dir: str):
     """Lineitem volume by supplier nation: both dimension tables
-    (supplier, nation) broadcast once via ray.put, per-batch partial
-    aggregation — the fact table never shuffles raw rows, only
-    (nation, count, qty) partials reach the tiny final groupby."""
+    (supplier, nation) broadcast once via ray.put, a per-row nation lookup
+    — the fact table never shuffles raw rows, only ``group_agg``'s
+    (nation, count, qty) partials reach its tiny merge."""
     import ray
-    from ray.data.aggregate import Sum
 
     nation = {
         n["n_nationkey"]: n["n_name"]
@@ -3924,26 +3666,16 @@ def q_supplier_nation_volume(sf_dir: str):
     }
     ref = ray.put(supp_to_nation)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def to_nation(batch: pa.Table) -> pa.Table:
         lookup = ray.get(ref)
-        agg: dict[str, list[float]] = {}
-        for sk, qty in zip(batch["l_suppkey"].to_pylist(), batch["l_quantity"].to_pylist()):
-            slot = agg.setdefault(lookup[sk], [0, 0.0])
-            slot[0] += 1
-            slot[1] += qty
-        return pa.table(
-            {
-                "n_name": pa.array(list(agg.keys()), pa.string()),
-                "c": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "q": pa.array([v[1] for v in agg.values()], pa.float64()),
-            }
-        )
+        names = [lookup[sk] for sk in batch["l_suppkey"].to_pylist()]
+        return pa.table({"n_name": pa.array(names, pa.string()), "l_quantity": batch["l_quantity"]})
 
-    return (
-        _read(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("c", alias_name="n_lineitems"), Sum("q", alias_name="sum_qty"))
+    return group_agg(
+        _read(sf_dir, "lineitem", ["l_suppkey", "l_quantity"]).map_batches(to_nation, batch_format="pyarrow"),
+        "n_name",
+        n_lineitems=("count",),
+        sum_qty=("sum", "l_quantity"),
     )
 
 
@@ -4004,25 +3736,9 @@ def q_docs_global_rank(sf_dir: str):
     Partitioning assumption: one key's rows fit a group task (salt the
     hot key with a sub-rank pass when they don't)."""
     import ray
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
-
-    def key_counts(batch: pa.Table) -> pa.Table:
-        c = Counter(batch["n_chars"].to_pylist())
-        return pa.table(
-            {
-                "n_chars": pa.array(list(c.keys()), pa.int64()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(key_counts, batch_format="pyarrow")
-        .groupby("n_chars")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )
+    hist = group_agg(ds, "n_chars", n=("count",)).take_all()
     hist.sort(key=lambda r: r["n_chars"])
     offsets, run = {}, 0
     for r in hist:
@@ -4139,39 +3855,13 @@ def q_events_value_outliers(sf_dir: str):
 def q_events_per_user_histogram(sf_dir: str):
     """Aggregation-of-aggregation: events-per-user counts, then the
     distribution of those counts (how many users produced exactly N
-    events).  Both levels pre-aggregate inside ``map_batches`` — the first
-    shuffle ships one (user, n) row per user per batch, the second one
-    (n_events, n_users) partial per batch — so no raw event row ever moves
-    and the second exchange is tiny regardless of corpus size."""
-    from ray.data.aggregate import Sum
-
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        c = Counter(batch["user_id"].to_pylist())
-        return pa.table(
-            {
-                "user_id": pa.array(list(c.keys()), pa.int64()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        c = Counter(batch["n_events"].to_pylist())
-        return pa.table(
-            {
-                "n_events": pa.array(list(c.keys()), pa.int64()),
-                "u": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    return (
-        _read(sf_dir, "events", ["user_id"])
-        .map_batches(per_user_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("n", alias_name="n_events"))
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("n_events")
-        .aggregate(Sum("u", alias_name="n_users"))
-    )
+    events).  Both levels are ``group_agg`` counts, which pre-aggregate
+    each block — the first shuffle ships one (user, n) row per user per
+    block, the second one (n_events, n_users) partial per block — so no raw
+    event row ever moves and the second exchange is tiny regardless of
+    corpus size."""
+    per_user = group_agg(_read(sf_dir, "events", ["user_id"]), "user_id", n_events=("count",))
+    return group_agg(per_user, "n_events", n_users=("count",))
 
 
 def q_customer_order_cohorts(sf_dir: str):
@@ -4183,9 +3873,8 @@ def q_customer_order_cohorts(sf_dir: str):
     folded block, so the per-block merge derives the cohort with a plain
     grouped min AND counts distinct customers exactly, no global distinct
     needed); only per-block (cohort, month, n_orders, n_customers) partial
-    sums leave the fold for the final tiny groupby.  No raw order row ever shuffles and
-    nothing materializes."""
-    from ray.data.aggregate import Sum
+    sums leave the fold for the final tiny groupby.  No raw order row ever
+    shuffles and nothing materializes."""
 
     def month_partial(batch: pa.Table) -> pa.Table:
         months = pc.strftime(batch["o_orderdate"], format="%Y-%m")
@@ -4209,7 +3898,7 @@ def q_customer_order_cohorts(sf_dir: str):
             .agg(o=("n", "sum"), u=("o_custkey", "nunique"))
         )
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
                 month_partial, batch_format="pyarrow"
@@ -4222,12 +3911,10 @@ def q_customer_order_cohorts(sf_dir: str):
                 "o": pa.int64(),
                 "u": pa.int64(),
             },
-        )
-        .groupby(["cohort_month", "order_month"])
-        .aggregate(
-            Sum("o", alias_name="n_orders"),
-            Sum("u", alias_name="n_customers"),
-        )
+        ),
+        ["cohort_month", "order_month"],
+        n_orders=("sum", "o"),
+        n_customers=("sum", "u"),
     )
 
 
@@ -4346,7 +4033,6 @@ def q_nation_trade_flow(sf_dir: str):
     sorted block per nation pair.  Revenue is int64 units end to end (see
     ``_money_units``)."""
     import ray
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1995-01-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-12-31", "us"), pa.timestamp("us"))
@@ -4425,8 +4111,11 @@ def q_nation_trade_flow(sf_dir: str):
         flow_partials,
         {"supp_nation": pa.string(), "cust_nation": pa.string(), "units": pa.int64(), "n": pa.int64()},
     )
-    agg = partials.groupby(["supp_nation", "cust_nation"]).aggregate(
-        Sum("units", alias_name="units"), Sum("n", alias_name="n_lineitems")
+    agg = group_agg(
+        partials,
+        ["supp_nation", "cust_nation"],
+        units=("sum", "units"),
+        n_lineitems=("sum", "n"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -4507,42 +4196,38 @@ def q_lineitem_qty_discount_corr(sf_dir: str):
     """Pearson correlation (quantity vs discount) per return flag from
     EXACT integer moment sums: both columns are small 0–2-dp values, so the
     five moments (Σx, Σy, Σxy, Σx², Σy²) accumulate as order-independent
-    int64 partials per batch (one tiny row per flag per batch — no raw row
+    int64 partials per block (one tiny row per flag per block — no raw row
     ever shuffles) and the closed-form corr is evaluated with the identical
     expression tree in SQL, making the double bit-identical with NO
     rounding.  Regime bound (pinned by the n*sxx test): the closed-form
     products stay exact int64 up to ~6e7 rows per flag; beyond that the
     final combine switches to python-int/HUGEINT — the per-batch partials
     themselves are never the binding constraint."""
-    from ray.data.aggregate import Sum
 
     def moments(batch: pa.Table) -> pa.Table:
-        x = pc.cast(pc.round(batch["l_quantity"]), pa.int64()).to_numpy(zero_copy_only=False)
-        y = pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        flags = batch["l_returnflag"].to_pylist()
-        df = pd.DataFrame({"f": flags, "x": x, "y": y, "xy": x * y, "xx": x * x, "yy": y * y})
-        g = df.groupby("f", as_index=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sy=("y", "sum"),
-            sxy=("xy", "sum"), sxx=("xx", "sum"), syy=("yy", "sum"),
-        )
-        return _strip_meta(
-            pa.Table.from_pandas(g.rename(columns={"f": "l_returnflag"}), preserve_index=False)
+        x = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
+        y = pc.cast(pc.round(pc.multiply(batch["l_discount"], 100.0)), pa.int64())
+        return pa.table(
+            {
+                "l_returnflag": batch["l_returnflag"],
+                "x": x,
+                "y": y,
+                "xy": pc.multiply(x, y),
+                "xx": pc.multiply(x, x),
+                "yy": pc.multiply(y, y),
+            }
         )
 
-    agg = (
+    agg = group_agg(
         _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_discount"])
-        .map_batches(moments, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"),
-            Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"),
-            Sum("syy", alias_name="syy"),
-        )
+        .map_batches(moments, batch_format="pyarrow"),
+        "l_returnflag",
+        n=("count",),
+        sx=("sum", "x"),
+        sy=("sum", "y"),
+        sxy=("sum", "xy"),
+        sxx=("sum", "xx"),
+        syy=("sum", "yy"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -4708,7 +4393,6 @@ def q_events_interarrival_hist(sf_dir: str):
     tiny histograms.  Tie contract: equal timestamps sort by event type
     then gap 0 — deterministic on both engines because the SQL mirror
     orders its window identically (ts, event_type)."""
-    from ray.data.aggregate import Sum
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g, start = _timeline(group, ["us", "event_type"])
@@ -4719,15 +4403,15 @@ def q_events_interarrival_hist(sf_dir: str):
             columns={"size": "n"}
         )
 
-    return (
+    return group_agg(
         cogroup(
             _events(sf_dir, ["user_id", "event_type"]),
             "user_id",
             fold_bucket,
             {"event_type": pa.string(), "gap_min": pa.int64(), "n": pa.int64()},
-        )
-        .groupby(["event_type", "gap_min"])
-        .aggregate(Sum("n", alias_name="n_gaps"))
+        ),
+        ["event_type", "gap_min"],
+        n_gaps=("sum", "n"),
     )
 
 
@@ -4782,8 +4466,6 @@ def q_corpus_snapshot_diff(sf_dir: str):
     partials, so the final exchange is ≤ blocks×4 rows."""
     import hashlib
 
-    from ray.data.aggregate import Sum
-
     def sides(batch: pa.Table) -> pa.Table:
         out_id: list[int] = []
         out_side: list[int] = []
@@ -4835,16 +4517,19 @@ def q_corpus_snapshot_diff(sf_dir: str):
         )
 
     return (
-        cogroup(
-            _read_spread(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-                sides, batch_format="pyarrow"
+        group_agg(
+            cogroup(
+                _read_spread(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+                    sides, batch_format="pyarrow"
+                ),
+                "doc_id",
+                classify,
+                {"status": pa.string(), "n": pa.int64(), "ids": pa.int64()},
             ),
-            "doc_id",
-            classify,
-            {"status": pa.string(), "n": pa.int64(), "ids": pa.int64()},
+            "status",
+            n_docs=("sum", "n"),
+            id_sum=("sum", "ids"),
         )
-        .groupby("status")
-        .aggregate(Sum("n", alias_name="n_docs"), Sum("ids", alias_name="id_sum"))
         .sort("status")
     )
 
@@ -4952,7 +4637,6 @@ def q_event_type_cooccurrence(sf_dir: str):
     per-user distinct sets and pre-counts its pairs locally, then a tiny
     pair-key groupby sums blocks×C(T,2) partial rows.  Pair space is
     C(distinct_types, 2) — small by construction."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         seen = set(zip(batch["user_id"].to_pylist(), batch["event_type"].to_pylist()))
@@ -4988,16 +4672,18 @@ def q_event_type_cooccurrence(sf_dir: str):
         )
 
     return (
-        cogroup(
-            _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
-                partial, batch_format="pyarrow"
+        group_agg(
+            cogroup(
+                _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+                    partial, batch_format="pyarrow"
+                ),
+                "user_id",
+                bucket_pairs,
+                {"pair_key": pa.string(), "n": pa.int64()},
             ),
-            "user_id",
-            bucket_pairs,
-            {"pair_key": pa.string(), "n": pa.int64()},
+            "pair_key",
+            n_users=("sum", "n"),
         )
-        .groupby("pair_key")
-        .aggregate(Sum("n", alias_name="n_users"))
         .map_batches(split, batch_format="pyarrow")
         .sort(["type_a", "type_b"])
     )
@@ -5065,38 +4751,26 @@ def q_events_value_quantile_sketch(sf_dir: str):
 def q_orders_monthly_revenue_growth(sf_dir: str):
     """Time-series aggregate with month-over-month delta (LAG over the
     AGGREGATED series, not the raw log): monthly order count + exact-cents
-    revenue + delta vs the previous month.  Scale shape: per-batch
-    (month, n, cents) partials — the shuffle ships one row per month per
-    batch — one tiny grouped sum, then the LAG runs on the driver over the
+    revenue + delta vs the previous month.  Scale shape: one grouped sum
+    of (month, cents) rows — the shuffle ships one partial per month per
+    block — then the LAG runs on the driver over the
     calendar-bounded series (≤ months rows).  Money stays int64 cents
     through every sum; the one division happens at emit."""
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        months = pc.strftime(batch["o_orderdate"], format="%Y-%m").to_pylist()
-        cents = pc.cast(
-            pc.round(pc.multiply(batch["o_totalprice"], 100.0)), pa.int64()
-        ).to_pylist()
-        agg: dict[str, list[int]] = {}
-        for mth, c in zip(months, cents):
-            slot = agg.setdefault(mth, [0, 0])
-            slot[0] += 1
-            slot[1] += c
+    def month_cents(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "o_month": pa.array(list(agg.keys()), pa.string()),
-                "n": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "c": pa.array([v[1] for v in agg.values()], pa.int64()),
+                "o_month": pc.strftime(batch["o_orderdate"], format="%Y-%m"),
+                "c": pc.cast(pc.round(pc.multiply(batch["o_totalprice"], 100.0)), pa.int64()),
             }
         )
 
-    rows = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("o_month")
-        .aggregate(Sum("n", alias_name="n_orders"), Sum("c", alias_name="cents"))
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"]).map_batches(month_cents, batch_format="pyarrow"),
+        "o_month",
+        n_orders=("count",),
+        cents=("sum", "c"),
+    ).take_all()
     rows.sort(key=lambda r: r["o_month"])
     deltas = [
         None if i == 0 else int(r["cents"]) - int(rows[i - 1]["cents"])
@@ -5124,7 +4798,6 @@ def q_customer_acctbal_quartiles(sf_dir: str):
     no global sort materialization.  NTILE sizes follow the SQL rule:
     first (n mod 4) buckets get ceil(n/4) rows."""
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
 
@@ -5139,22 +4812,7 @@ def q_customer_acctbal_quartiles(sf_dir: str):
         )
 
     cents_ds = ds.map_batches(to_cents, batch_format="pyarrow")
-
-    def key_counts(batch: pa.Table) -> pa.Table:
-        c = Counter(batch["cents"].to_pylist())
-        return pa.table(
-            {
-                "cents": pa.array(list(c.keys()), pa.int64()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    hist = (
-        cents_ds.map_batches(key_counts, batch_format="pyarrow")
-        .groupby("cents")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )
+    hist = group_agg(cents_ds, "cents", n=("count",)).take_all()
     hist.sort(key=lambda r: r["cents"])
     offsets, run = {}, 0
     for r in hist:
@@ -5180,28 +4838,16 @@ def q_customer_acctbal_quartiles(sf_dir: str):
         base = np.array([off[int(c)] for c in cents[run_start]], dtype=np.int64)
         ranks = base[run_id] + 1 + pos_in_run  # order within ties: c_custkey
         quartiles = np.searchsorted(boundaries, ranks, side="left") + 1
-        df = pd.DataFrame({"quartile": quartiles, "cents": cents})
-        return df.groupby("quartile", as_index=False)["cents"].agg(n="size", s="sum", mn="min", mx="max")
+        return pd.DataFrame({"quartile": quartiles, "cents": cents})
 
     return (
-        cogroup(
-            cents_ds,
-            "cents",
-            fold_bucket,
-            {
-                "quartile": pa.int64(),
-                "n": pa.int64(),
-                "s": pa.int64(),
-                "mn": pa.int64(),
-                "mx": pa.int64(),
-            },
-        )
-        .groupby("quartile")
-        .aggregate(
-            Sum("n", alias_name="n_customers"),
-            Sum("s", alias_name="sum_cents"),
-            Min("mn", alias_name="min_cents"),
-            Max("mx", alias_name="max_cents"),
+        group_agg(
+            cogroup(cents_ds, "cents", fold_bucket, {"quartile": pa.int64(), "cents": pa.int64()}),
+            "quartile",
+            n_customers=("count",),
+            sum_cents=("sum", "cents"),
+            min_cents=("min", "cents"),
+            max_cents=("max", "cents"),
         )
         .sort("quartile")
     )
@@ -5218,22 +4864,15 @@ def q_events_rolling_7d_users(sf_dir: str):
     and emits per-day partial counts; the final exchange is blocks×days
     rows.  No row replication of the raw log, no global distinct."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     day_us = 86_400_000_000
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
-    def day_partial(batch: pa.Table) -> pa.Table:
-        us = batch["ts"].cast(pa.int64()).to_pylist()
-        days = sorted({int(t) // day_us * day_us for t in us})
-        return pa.table({"day_us": pa.array(days, pa.int64())})
+    def to_day(batch: pa.Table) -> pa.Table:
+        us = batch["ts"].cast(pa.int64()).to_numpy()
+        return pa.table({"day_us": us // day_us * day_us})
 
-    day_rows = (
-        ev.map_batches(day_partial, batch_format="pyarrow")
-        .groupby("day_us")
-        .aggregate(Count(alias_name="n"))
-        .take_all()
-    )
+    day_rows = group_agg(ev.map_batches(to_day, batch_format="pyarrow"), "day_us", n=("count",)).take_all()
     days_present = np.array(sorted(r["day_us"] for r in day_rows), dtype=np.int64)
     days_ref = ray.put(days_present)
 
@@ -5267,14 +4906,16 @@ def q_events_rolling_7d_users(sf_dir: str):
         return pd.DataFrame({"day_us": list(cnt.keys()), "n": list(cnt.values())})
 
     return (
-        cogroup(
-            ev.map_batches(pair_partial, batch_format="pyarrow"),
-            "user_id",
-            bucket_counts,
-            {"day_us": pa.int64(), "n": pa.int64()},
+        group_agg(
+            cogroup(
+                ev.map_batches(pair_partial, batch_format="pyarrow"),
+                "user_id",
+                bucket_counts,
+                {"day_us": pa.int64(), "n": pa.int64()},
+            ),
+            "day_us",
+            n_users_7d=("sum", "n"),
         )
-        .groupby("day_us")
-        .aggregate(Sum("n", alias_name="n_users_7d"))
         .sort("day_us")
     )
 
@@ -5368,9 +5009,9 @@ def q_important_parts(sf_dir: str):
     scalar subquery): parts whose lineitem value exceeds 1.05× the mean
     per-part value (mean-relative, so the predicate is non-degenerate at
     every scale — Q11's fixed fraction must itself be rescaled by SF).
-    Scale shape: per-batch integer partials (price-cents × integral qty)
-    collapse lineitem to ≤ one row per partkey per batch before the ONE
-    grouped sum; the grouped per-part table is bounded by |part|
+    Scale shape: integer units (price-cents × integral qty) per row, ONE
+    grouped sum (its per-block partials collapse lineitem to ≤ one row per
+    partkey per block); the grouped per-part table is bounded by |part|
     (dimension-sized) so it materializes once, the total AND the group
     count fold from it as one tiny aggregate (no second fact scan), and
     the threshold compare stays integer-exact
@@ -5380,27 +5021,17 @@ def q_important_parts(sf_dir: str):
     SQL mirror."""
     from ray.data.aggregate import Sum
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def to_units(batch: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(batch["l_extendedprice"], 100.0)), pa.int64())
         qty = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
-        units = pc.multiply(cents, qty)
-        c: Counter = Counter()
-        for k, u in zip(batch["l_partkey"].to_pylist(), units.to_pylist()):
-            c[k] += u
-        return pa.table(
-            {
-                "l_partkey": pa.array(list(c.keys()), pa.int64()),
-                "units": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+        return pa.table({"l_partkey": batch["l_partkey"], "units": pc.multiply(cents, qty)})
 
-    per_part = (
+    per_part = group_agg(
         _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_quantity"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("units", alias_name="units"))
-        .materialize()  # bounded by |part|; reused for the total AND the filter
-    )
+        .map_batches(to_units, batch_format="pyarrow"),
+        "l_partkey",
+        units=("sum", "units"),
+    ).materialize()  # bounded by |part|; reused for the total AND the filter
     from ray.data.aggregate import Count
 
     scal = per_part.aggregate(Sum("units", alias_name="t"), Count(alias_name="n"))
@@ -5427,41 +5058,32 @@ def q_important_parts(sf_dir: str):
 def q_top_revenue_suppliers(sf_dir: str):
     """TPC-H-Q15-shaped argmax-equality: the supplier(s) whose 1996-Q1
     shipped revenue equals the global maximum.  Scale shape: lineitem
-    collapses to per-supplier integer partials per batch, ONE grouped sum
+    rows become integer units, ONE grouped sum
     produces the |supplier|-bounded revenue table (materialized once), the
     max folds from it as a tiny aggregate, and the equality filter plus the
     broadcast supplier-name lookup finish map-side.  Ties surface every
     argmax row, exactly as the SQL mirror's ``= (SELECT max(..))`` does."""
     import ray
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-04-01", "us"), pa.timestamp("us"))
 
     names_ref = ray.put(_broadcast_dim(sf_dir, "supplier", "s_suppkey", "s_name"))
 
-    def partials(batch: pa.Table) -> pa.Table:
+    def to_units(batch: pa.Table) -> pa.Table:
         batch = batch.filter(
             pc.and_(pc.greater_equal(batch["l_shipdate"], lo), pc.less(batch["l_shipdate"], hi))
         )
         units = _money_units(batch["l_extendedprice"], batch["l_discount"])
-        c: Counter = Counter()
-        for k, u in zip(batch["l_suppkey"].to_pylist(), units.to_pylist()):
-            c[k] += u
-        return pa.table(
-            {
-                "s_suppkey": pa.array(list(c.keys()), pa.int64()),
-                "units": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+        return pa.table({"s_suppkey": batch["l_suppkey"], "units": pc.cast(units, pa.int64())})
 
-    per_supp = (
+    per_supp = group_agg(
         _read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("s_suppkey")
-        .aggregate(Sum("units", alias_name="units"))
-        .materialize()  # bounded by |supplier|
-    )
+        .map_batches(to_units, batch_format="pyarrow"),
+        "s_suppkey",
+        units=("sum", "units"),
+    ).materialize()  # bounded by |supplier|
     best_agg = per_supp.aggregate(Max("units", alias_name="m"))
     if not best_agg or best_agg["m"] is None:  # empty window → empty, typed
         return pa.table(
@@ -5507,7 +5129,6 @@ def q_part_supplier_variety(sf_dir: str):
     never double-count), and a final tiny grouped sum
     yields the exact distinct count."""
     import ray
-    from ray.data.aggregate import Sum
 
     brand_ref = ray.put(_broadcast_dim(sf_dir, "part", "p_partkey", "p_brand"))
 
@@ -5532,16 +5153,18 @@ def q_part_supplier_variety(sf_dir: str):
         return pd.DataFrame({"p_brand": agg.index, "n_p": agg.to_numpy()})
 
     return (
-        cogroup(
-            _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
-                pairs, batch_format="pyarrow"
+        group_agg(
+            cogroup(
+                _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
+                    pairs, batch_format="pyarrow"
+                ),
+                ["p_brand", "l_suppkey"],
+                bucket_counts,
+                {"p_brand": pa.string(), "n_p": pa.int64()},
             ),
-            ["p_brand", "l_suppkey"],
-            bucket_counts,
-            {"p_brand": pa.string(), "n_p": pa.int64()},
+            "p_brand",
+            supplier_cnt=("sum", "n_p"),
         )
-        .groupby("p_brand")
-        .aggregate(Sum("n_p", alias_name="supplier_cnt"))
         .sort("p_brand")
     )
 
@@ -5734,17 +5357,20 @@ def q_wealthy_inactive_customers(sf_dir: str):
         )
 
     return (
-        cogroup(
-            [
-                orders.map_batches(order_keys, batch_format="pyarrow"),
-                customers.map_batches(split_customers, batch_format="pyarrow"),
-            ],
-            "key",
-            anti,
-            {"c_nationkey": pa.int64(), "n_p": pa.int64(), "cents_p": pa.int64()},
+        group_agg(
+            cogroup(
+                [
+                    orders.map_batches(order_keys, batch_format="pyarrow"),
+                    customers.map_batches(split_customers, batch_format="pyarrow"),
+                ],
+                "key",
+                anti,
+                {"c_nationkey": pa.int64(), "n_p": pa.int64(), "cents_p": pa.int64()},
+            ),
+            "c_nationkey",
+            numcust=("sum", "n_p"),
+            cents=("sum", "cents_p"),
         )
-        .groupby("c_nationkey")
-        .aggregate(Sum("n_p", alias_name="numcust"), Sum("cents_p", alias_name="cents"))
         .map_batches(finish, batch_format="pyarrow")
         .sort("c_nationkey")
     )
@@ -5762,44 +5388,31 @@ def q_url_canonical_dedup(sf_dir: str):
     kernel rule (case, port, www, param sort/strip, fragment) is
     value-checked, not regression-pinned.  Scale shape: construction +
     canonicalization are stateless map-side work; the ONE exchange is the
-    grouped merge of per-batch (canonical → count/min-id) partials."""
-    from ray.data.aggregate import Min, Sum
-
+    grouped count / min-id per canonical URL."""
     from ..kernels.urlnorm import canonicalize_url
 
-    def canon_partials(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for d, s in zip(batch["doc_id"].to_pylist(), batch["source"].to_pylist()):
-            base = d // 2
-            if d % 2 == 0:
-                raw = f"https://crawl.example.org/doc/{base}?a=1&b={base % 7}"
-            else:
-                # the odd sibling re-crawls the SAME page with every messy
-                # surface difference the canonicalizer must erase (source
-                # rides in a tracking param, which must be dropped)
-                raw = (
-                    f"HTTPS://WWW.CRAWL.EXAMPLE.ORG:443/doc/{base}"
-                    f"?b={base % 7}&utm_source={s}&a=1&fbclid=xyz#frag"
-                )
-            canon = canonicalize_url(raw)
-            acc = agg.setdefault(canon, [0, d])
-            acc[0] += 1
-            acc[1] = min(acc[1], d)
-        return pa.table(
-            {
-                "canonical_url": pa.array(list(agg.keys()), pa.string()),
-                "n_p": pa.array([v[0] for v in agg.values()], pa.int64()),
-                "min_p": pa.array([v[1] for v in agg.values()], pa.int64()),
-            }
-        )
+    def crawl_url(d: int, s: str) -> str:
+        base = d // 2
+        if d % 2 == 0:
+            return f"https://crawl.example.org/doc/{base}?a=1&b={base % 7}"
+        # the odd sibling re-crawls the SAME page with every messy surface
+        # difference the canonicalizer must erase (source rides in a
+        # tracking param, which must be dropped)
+        return f"HTTPS://WWW.CRAWL.EXAMPLE.ORG:443/doc/{base}?b={base % 7}&utm_source={s}&a=1&fbclid=xyz#frag"
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "source"])
-        .map_batches(canon_partials, batch_format="pyarrow")
-        .groupby("canonical_url")
-        .aggregate(Sum("n_p", alias_name="n_urls"), Min("min_p", alias_name="min_doc_id"))
-        .sort("canonical_url")
-    )
+    def canon(batch: pa.Table) -> pa.Table:
+        urls = [
+            canonicalize_url(crawl_url(d, s))
+            for d, s in zip(batch["doc_id"].to_pylist(), batch["source"].to_pylist())
+        ]
+        return pa.table({"canonical_url": pa.array(urls, pa.string()), "doc_id": batch["doc_id"]})
+
+    return group_agg(
+        _read(sf_dir, "documents", ["doc_id", "source"]).map_batches(canon, batch_format="pyarrow"),
+        "canonical_url",
+        n_urls=("count",),
+        min_doc_id=("min", "doc_id"),
+    ).sort("canonical_url")
 
 
 def q_bm25_top20(sf_dir: str):
@@ -5923,7 +5536,6 @@ def q_dsir_importance_weights(sf_dir: str):
     import math
 
     import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.corpusops import finish_trigram_model
 
@@ -5952,9 +5564,7 @@ def q_dsir_importance_weights(sf_dir: str):
         )
 
     rows = (
-        docs.map_batches(both_partial, batch_format="pyarrow")
-        .groupby(["lang", "tri"])
-        .aggregate(Sum("n", alias_name="c"))
+        group_agg(docs.map_batches(both_partial, batch_format="pyarrow"), ["lang", "tri"], c=("sum", "n"))
         .take_all()
     )
     lp, den = finish_trigram_model(rows)
@@ -6125,25 +5735,9 @@ def q_doc_percent_rank(sf_dir: str):
     map-side.  Exact — one int/int IEEE division per row, bit-identical to
     the SQL window function; single-row groups define pr = 0."""
     import ray
-    from ray.data.aggregate import Sum
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        c = Counter(zip(batch["lang"].to_pylist(), batch["n_chars"].to_pylist()))
-        return pa.table(
-            {
-                "lang": pa.array([k[0] for k in c], pa.string()),
-                "n_chars": pa.array([k[1] for k in c], pa.int64()),
-                "c": pa.array(list(c.values()), pa.int64()),
-            }
-        )
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    hist_rows = (
-        docs.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("c", alias_name="c"))
-        .take_all()
-    )
+    hist_rows = group_agg(docs, ["lang", "n_chars"], c=("count",)).take_all()
     below: dict[str, dict[int, int]] = {}
     totals: dict[str, int] = {}
     by_lang: dict[str, list[tuple[int, int]]] = {}
@@ -6253,7 +5847,6 @@ def q_nation_customer_supplier_outer(sf_dir: str):
     the two tiny grouped results union with a side marker, and ONE grouped
     merge applies the outer semantics (COALESCE-to-0 on the absent side).
     """
-    from ray.data.aggregate import Sum
 
     def side_partial(col: str, side: str):
         def f(batch: pa.Table) -> pa.Table:
@@ -6280,11 +5873,11 @@ def q_nation_customer_supplier_outer(sf_dir: str):
         side_partial("s_nationkey", "s"), batch_format="pyarrow"
     )
     return (
-        cust.union(supp)
-        .groupby("nationkey")
-        .aggregate(
-            Sum("n_customers", alias_name="n_customers"),
-            Sum("n_suppliers", alias_name="n_suppliers"),
+        group_agg(
+            [cust, supp],
+            "nationkey",
+            n_customers=("sum", "n_customers"),
+            n_suppliers=("sum", "n_suppliers"),
         )
         .sort("nationkey")
     )
@@ -6364,20 +5957,21 @@ def q_events_type_transitions(sf_dir: str):
     grouped sum merges them.  Order contract: (ts, event_id) — a TOTAL
     order, so the transition sequence is identical on both engines even
     under timestamp ties."""
-    from ray.data.aggregate import Sum
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         return _bigram_counts(group).rename(columns={"cur": "from_type", "nxt": "to_type", "n": "n_p"})
 
     return (
-        cogroup(
-            _events(sf_dir, ["event_id", "user_id", "event_type"]),
-            "user_id",
-            fold_bucket,
-            {"from_type": pa.string(), "to_type": pa.string(), "n_p": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["event_id", "user_id", "event_type"]),
+                "user_id",
+                fold_bucket,
+                {"from_type": pa.string(), "to_type": pa.string(), "n_p": pa.int64()},
+            ),
+            ["from_type", "to_type"],
+            n_transitions=("sum", "n_p"),
         )
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum("n_p", alias_name="n_transitions"))
         .sort(["from_type", "to_type"])
     )
 
@@ -6587,8 +6181,6 @@ def q_copurchase_top_pairs(sf_dir: str):
     keeps the LIMIT deterministic on both engines."""
     from itertools import combinations
 
-    from ray.data.aggregate import Sum
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -6679,7 +6271,6 @@ def q_gopher_quality_flags(sf_dir: str):
     reason-keyed groupby.  A doc failing k rules counts in all k buckets
     (reason attribution, not first-match), `kept` = zero failures —
     matching the SQL mirror's FILTER clauses exactly."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter[str] = Counter(
@@ -6738,25 +6329,25 @@ def q_gopher_quality_flags(sf_dir: str):
         )
 
     return (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("reason")
-        .aggregate(Sum("partial", alias_name="n_docs"))
+        group_agg(
+            _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+            "reason",
+            n_docs=("sum", "partial"),
+        )
         .sort("reason")
     )
 
 
 def q_small_quantity_revenue(sf_dir: str):
     """TPC-H-Q17-shaped correlated-average threshold: revenue from
-    small-quantity lineitems of one brand's parts (`qty < 0.2 × that
-    part's average quantity`, compared as `qty·5·cnt < sum_qty` — exact
-    int64, no division).  Scale shape: pass 1 collapses lineitem to
-    per-part (sum_qty, cnt) integer partials per batch before ONE grouped
-    sum bounded by the brand's slice of |part| (dimension-sized, so the
-    driver-side dict broadcast via ``ray.put`` is the documented
-    small-side assumption); pass 2 re-scans the fact table filtering
-    map-side against the broadcast thresholds — two narrow scans, zero
-    fact-table shuffles.  The single output row divides once at the end,
+    small-quantity lineitems of one brand's parts (`qty < 0.2 × that part's
+    average quantity`, compared as `qty·5·cnt < sum_qty` — exact int64, no
+    division).  Scale shape: pass 1 is ONE grouped (sum_qty, cnt) of the
+    brand's lineitems, bounded by the brand's slice of |part|
+    (dimension-sized, so the driver-side dict broadcast via ``ray.put`` is
+    the documented small-side assumption); pass 2 re-scans the fact table
+    filtering map-side against the broadcast thresholds — two narrow scans,
+    zero fact-table shuffles.  The single output row divides once at the end,
     bit-identical to the SQL mirror."""
     import ray
     from ray.data.aggregate import Count, Sum
@@ -6769,29 +6360,17 @@ def q_small_quantity_revenue(sf_dir: str):
         brand_parts.update(batch.filter(mask)["p_partkey"].to_pylist())
     brand_ref = ray.put(brand_parts)
 
-    def qty_partial(batch: pa.Table) -> pa.Table:
+    def brand_qty(batch: pa.Table) -> pa.Table:
         keys = ray.get(brand_ref)
         mask = pa.array([k in keys for k in batch["l_partkey"].to_pylist()], pa.bool_())
         batch = batch.filter(mask)
-        qty = pc.cast(pc.round(batch["l_quantity"]), pa.int64())
-        sums: Counter = Counter()
-        cnts: Counter = Counter()
-        for k, q in zip(batch["l_partkey"].to_pylist(), qty.to_pylist()):
-            sums[k] += q
-            cnts[k] += 1
-        return pa.table(
-            {
-                "pk": pa.array(list(sums.keys()), pa.int64()),
-                "sq": pa.array(list(sums.values()), pa.int64()),
-                "cnt": pa.array([cnts[k] for k in sums.keys()], pa.int64()),
-            }
-        )
+        return pa.table({"pk": batch["l_partkey"], "q": pc.cast(pc.round(batch["l_quantity"]), pa.int64())})
 
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Sum("sq", alias_name="sq"), Sum("cnt", alias_name="cnt"))
+    per_part = group_agg(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"]).map_batches(brand_qty, batch_format="pyarrow"),
+        "pk",
+        sq=("sum", "q"),
+        cnt=("count",),
     )
     thresholds = {
         int(r["pk"]): (int(r["sq"]), int(r["cnt"])) for r in per_part.take_all()
@@ -6835,51 +6414,22 @@ def q_customer_order_counts(sf_dir: str):
     """TPC-H-Q13-shaped left-join count distribution: how many customers
     placed exactly k (non-'4-NOT SPECIFIED') orders, INCLUDING the zero
     bucket.  Scale shape: no join at all — orders collapse to per-custkey
-    integer partials per batch before ONE grouped sum, that |customer|-
-    bounded table histograms map-side into (c_count, partial) rows merged
-    by a second tiny groupby, and the zero bucket folds from two scalar
+    counts in ONE grouped count, that |customer|-bounded table histograms
+    in a second tiny grouped count, and the zero bucket folds from two scalar
     aggregates (|customer| − customers-with-orders) — the LEFT JOIN is
     pure arithmetic, never an exchange."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
-    def per_cust_partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.not_equal(batch["o_orderpriority"], "4-NOT SPECIFIED")
-        )
-        c: Counter = Counter()
-        for k in batch["o_custkey"].to_pylist():
-            c[k] += 1
-        return pa.table(
-            {
-                "ck": pa.array(list(c.keys()), pa.int64()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+    def specified(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.not_equal(batch["o_orderpriority"], "4-NOT SPECIFIED"))
+        return pa.table({"ck": batch["o_custkey"]})
 
-    per_cust = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(per_cust_partial, batch_format="pyarrow")
-        .groupby("ck")
-        .aggregate(Sum("n", alias_name="c_count"))
-        .materialize()  # bounded by |customer|; reused for histogram + zero bucket
-    )
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for n in batch["c_count"].to_pylist():
-            c[n] += 1
-        return pa.table(
-            {
-                "c_count": pa.array(list(c.keys()), pa.int64()),
-                "partial": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    hist = (
-        per_cust.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("c_count")
-        .aggregate(Sum("partial", alias_name="custdist"))
-    )
+    per_cust = group_agg(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(specified, batch_format="pyarrow"),
+        "ck",
+        c_count=("count",),
+    ).materialize()  # bounded by |customer|; reused for histogram + zero bucket
+    hist = group_agg(per_cust, "c_count", custdist=("count",))
     # NOTE: a SOLO ungrouped Count() without `on` returns 0 in Ray 2.49 (the
     # lone-Count metadata path); grouped Counts and Count+Sum combos are fine.
     # Counting a non-null key column sidesteps it.
@@ -6980,7 +6530,6 @@ def q_returned_top_customers(sf_dir: str):
     lookups broadcast once via ``ray.put``.  Revenue stays int64 until one
     final division, bit-identical to the SQL mirror."""
     import ray
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1995-10-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
@@ -7034,10 +6583,10 @@ def q_returned_top_customers(sf_dir: str):
             return None
         return facts.merge(dims, on="okey").groupby("ck", as_index=False)["units"].sum()
 
-    per_cust = (
-        cogroup([line, orders], "okey", bucket_cust, {"ck": pa.int64(), "units": pa.int64()})
-        .groupby("ck")
-        .aggregate(Sum("units", alias_name="units"))
+    per_cust = group_agg(
+        cogroup([line, orders], "okey", bucket_cust, {"ck": pa.int64(), "units": pa.int64()}),
+        "ck",
+        units=("sum", "units"),
     )
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -7081,8 +6630,6 @@ def q_word_zipf_slope(sf_dir: str):
     same ln/6dp contract as bm25_top20."""
     import math
 
-    from ray.data.aggregate import Sum
-
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter[tuple[str, str]] = Counter()
         for lang, text in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
@@ -7097,11 +6644,10 @@ def q_word_zipf_slope(sf_dir: str):
             }
         )
 
-    counts = (
-        _read(sf_dir, "documents", ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "word"])
-        .aggregate(Sum("partial", alias_name="n"))
+    counts = group_agg(
+        _read(sf_dir, "documents", ["lang", "text"]).map_batches(partial, batch_format="pyarrow"),
+        ["lang", "word"],
+        n=("sum", "partial"),
     )
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -7154,7 +6700,6 @@ def q_events_debounced(sf_dir: str):
     partial counts merged by a tiny final groupby.  Tie contract: equal
     timestamps order by event_id, mirroring the SQL window's
     ORDER BY ts, event_id."""
-    from ray.data.aggregate import Sum
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g, start = _timeline(group, ["event_type", "us", "event_id"])
@@ -7167,14 +6712,16 @@ def q_events_debounced(sf_dir: str):
         return out.rename(columns={"size": "n"})
 
     return (
-        cogroup(
-            _events(sf_dir, ["user_id", "event_type", "event_id"]),
-            "user_id",
-            fold_bucket,
-            {"event_type": pa.string(), "n": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["user_id", "event_type", "event_id"]),
+                "user_id",
+                fold_bucket,
+                {"event_type": pa.string(), "n": pa.int64()},
+            ),
+            "event_type",
+            n_kept=("sum", "n"),
         )
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n_kept"))
         .sort("event_type")
     )
 
@@ -7197,7 +6744,6 @@ def q_waiting_suppliers(sf_dir: str):
     once via ``ray.put``; the final count groupby sees one row per blamed
     order."""
     import ray
-    from ray.data.aggregate import Sum
 
     supp_name = {
         r["s_suppkey"]: r["s_name"]
@@ -7261,9 +6807,11 @@ def q_waiting_suppliers(sf_dir: str):
         )
 
     return (
-        cogroup([line, orders], "okey", blame, {"skey": pa.int64(), "n": pa.int64()})
-        .groupby("skey")
-        .aggregate(Sum("n", alias_name="numwait"))
+        group_agg(
+            cogroup([line, orders], "okey", blame, {"skey": pa.int64(), "n": pa.int64()}),
+            "skey",
+            numwait=("sum", "n"),
+        )
         .map_batches(finish, batch_format="pyarrow")
         .sort(["numwait", "s_name"], descending=[True, False])
         .limit(20)
@@ -7321,8 +6869,6 @@ def q_returnflag_priority_counts(sf_dir: str):
     row per order-flag; the fold joins each sorted block, splits the CASE
     and sums per flag, so the final groupby sees two int64 partials per
     flag and block."""
-    from ray.data.aggregate import Sum
-
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"), pa.timestamp("us"))
 
@@ -7360,16 +6906,16 @@ def q_returnflag_priority_counts(sf_dir: str):
         return joined.groupby("l_returnflag", as_index=False)[["high", "low"]].sum()
 
     return (
-        cogroup(
-            [line, orders],
-            "okey",
-            case_split,
-            {"l_returnflag": pa.string(), "high": pa.int64(), "low": pa.int64()},
-        )
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("high", alias_name="high_line_count"),
-            Sum("low", alias_name="low_line_count"),
+        group_agg(
+            cogroup(
+                [line, orders],
+                "okey",
+                case_split,
+                {"l_returnflag": pa.string(), "high": pa.int64(), "low": pa.int64()},
+            ),
+            "l_returnflag",
+            high_line_count=("sum", "high"),
+            low_line_count=("sum", "low"),
         )
         .sort("l_returnflag")
     )
@@ -7386,7 +6932,6 @@ def q_market_share(sf_dir: str):
     final share division of two exact int64 sums is bit-identical to the
     SQL mirror."""
     import ray
-    from ray.data.aggregate import Sum
 
     lo = pa.scalar(np.datetime64("1996-01-01", "us"), pa.timestamp("us"))
     hi = pa.scalar(np.datetime64("1998-01-01", "us"), pa.timestamp("us"))
@@ -7474,9 +7019,11 @@ def q_market_share(sf_dir: str):
         year_partials,
         {"o_year": pa.int64(), "total_units": pa.int64(), "nation_units": pa.int64()},
     )
-    agg = partials.groupby("o_year").aggregate(
-        Sum("total_units", alias_name="total_units"),
-        Sum("nation_units", alias_name="nation_units"),
+    agg = group_agg(
+        partials,
+        "o_year",
+        total_units=("sum", "total_units"),
+        nation_units=("sum", "nation_units"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -7505,7 +7052,6 @@ def q_product_profit(sf_dir: str):
     narrow (orderkey, year) orders projection, whose fold sums per
     (nation, year), then a small (nation, year) aggregate."""
     import ray
-    from ray.data.aggregate import Sum
 
     nation = {
         r["n_nationkey"]: r["n_name"]
@@ -7570,9 +7116,7 @@ def q_product_profit(sf_dir: str):
         profit_partials,
         {"nation": pa.string(), "o_year": pa.int64(), "profit_units": pa.int64()},
     )
-    agg = partials.groupby(["nation", "o_year"]).aggregate(
-        Sum("profit_units", alias_name="profit_units")
-    )
+    agg = group_agg(partials, ["nation", "o_year"], profit_units=("sum", "profit_units"))
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -7667,7 +7211,6 @@ def q_orders_cube(sf_dir: str):
     single grouped merge finishes count/max/min for every grouping set at
     once.  'ALL' is the roll-up sentinel on both engines (no NULL keys in the
     data, so COALESCE is unambiguous)."""
-    from ray.data.aggregate import Max, Min, Sum
 
     def partials(batch: pa.Table) -> pa.Table:
         years = pc.cast(pc.year(batch["o_orderdate"]), pa.int64()).to_pylist()
@@ -7700,10 +7243,12 @@ def q_orders_cube(sf_dir: str):
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_orderpriority", "o_totalprice"]).map_batches(
         partials, batch_format="pyarrow"
     )
-    return ds.groupby(["o_year", "priority"]).aggregate(
-        Sum("n_partial", alias_name="n_orders"),
-        Max("max_partial", alias_name="max_price"),
-        Min("min_partial", alias_name="min_price"),
+    return group_agg(
+        ds,
+        ["o_year", "priority"],
+        n_orders=("sum", "n_partial"),
+        max_price=("max", "max_partial"),
+        min_price=("min", "min_partial"),
     )
 
 
@@ -7712,37 +7257,21 @@ def q_events_gapfill(sf_dir: str):
     the FULL global [min, max] hour span — missing (type, hour) cells emitted
     as explicit zeros (the gap-fill / date-spine operator).
 
-    Scale shape: counts come from a map-side partial aggregate + one small
-    grouped sum; the spine fill happens on the FINISHED aggregate, whose size
-    is bounded by |types| × |hours| (calendar-bounded — hours grow with wall
-    time, not data volume), so densifying it driver-side is the documented
-    small-result exception, not a materialization of the input."""
-    from ray.data.aggregate import Sum
-
+    Scale shape: counts come from one small grouped count; the spine fill
+    happens on the FINISHED aggregate, whose size is bounded by |types| ×
+    |hours| (calendar-bounded — hours grow with wall time, not data
+    volume), so densifying it driver-side is the documented small-result
+    exception, not a materialization of the input."""
     HOUR_US = 3_600_000_000
 
-    def partials(batch: pa.Table) -> pa.Table:
-        hours = pc.multiply(
-            pc.divide(batch["ts"].cast(pa.int64()), HOUR_US), HOUR_US
-        )
-        t = pa.table({"event_type": batch["event_type"], "hour_us": hours})
-        # arrow-side partial aggregate: one row per (type, hour) per batch
-        agg: dict[tuple[str, int], int] = {}
-        for et, h in zip(t["event_type"].to_pylist(), t["hour_us"].to_pylist()):
-            agg[(et, h)] = agg.get((et, h), 0) + 1
-        return pa.table(
-            {
-                "event_type": pa.array([k[0] for k in agg], pa.string()),
-                "hour_us": pa.array([k[1] for k in agg], pa.int64()),
-                "partial": pa.array(list(agg.values()), pa.int64()),
-            }
-        )
+    def to_hour(batch: pa.Table) -> pa.Table:
+        hours = pc.multiply(pc.divide(batch["ts"].cast(pa.int64()), HOUR_US), HOUR_US)
+        return pa.table({"event_type": batch["event_type"], "hour_us": hours})
 
-    counts = (
-        _read(sf_dir, "events", ["event_type", "ts"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby(["event_type", "hour_us"])
-        .aggregate(Sum("partial", alias_name="n_events"))
+    counts = group_agg(
+        _read(sf_dir, "events", ["event_type", "ts"]).map_batches(to_hour, batch_format="pyarrow"),
+        ["event_type", "hour_us"],
+        n_events=("count",),
     )
     df = counts.to_pandas()  # bounded: |types| × |hours|
     lo, hi = int(df["hour_us"].min()), int(df["hour_us"].max())
@@ -8073,57 +7602,32 @@ def q_events_above_user_median(sf_dir: str):
 
 def q_lineitem_ols(sf_dir: str):
     """Grouped OLS (extendedprice-in-cents ~ quantity per returnflag) from
-    EXACT integer sufficient statistics: each batch folds (n, Σx, Σy, Σx²,
-    Σxy) as int64 partials (quantities are integral, prices scale to cents),
-    one tiny grouped sum merges them, and the closed-form slope/intercept is
+    EXACT integer sufficient statistics: each row yields int64 (x, y, x²,
+    xy) (quantities are integral, prices scale to cents), one tiny grouped
+    sum folds (n, Σx, Σy, Σx², Σxy), and the closed-form slope/intercept is
     computed from the exact integers.  The one-pass sufficient-statistics
     fold is the canonical distributed regression shape — no residual pass,
     no driver-side matrix.  Cross-engine determinism: numerator/denominator
     are rounded int→double ONCE each (float(num)/float(den)), the same two
     correctly-rounded casts DuckDB performs on its HUGEINT sums, so the
     resulting doubles are bit-identical."""
-    from ray.data.aggregate import Sum
 
-    def partials(batch: pa.Table) -> pa.Table:
-        flags = batch["l_returnflag"].to_pylist()
-        qty = batch["l_quantity"].to_pylist()
-        price = batch["l_extendedprice"].to_pylist()
-        acc: dict[str, list[int]] = {}
-        for f, q, p in zip(flags, qty, price):
-            x = int(q)
-            y = int(round(p * 100))
-            s = acc.get(f)
-            if s is None:
-                acc[f] = [1, x, y, x * x, x * y]
-            else:
-                s[0] += 1
-                s[1] += x
-                s[2] += y
-                s[3] += x * x
-                s[4] += x * y
-        keys = list(acc.keys())
+    def moments(batch: pa.Table) -> pa.Table:
+        x = pc.cast(pc.trunc(batch["l_quantity"]), pa.int64())
+        y = pc.cast(pc.round(pc.multiply(batch["l_extendedprice"], 100.0)), pa.int64())
         return pa.table(
-            {
-                "l_returnflag": pa.array(keys, pa.string()),
-                "n_p": pa.array([acc[k][0] for k in keys], pa.int64()),
-                "sx_p": pa.array([acc[k][1] for k in keys], pa.int64()),
-                "sy_p": pa.array([acc[k][2] for k in keys], pa.int64()),
-                "sxx_p": pa.array([acc[k][3] for k in keys], pa.int64()),
-                "sxy_p": pa.array([acc[k][4] for k in keys], pa.int64()),
-            }
+            {"l_returnflag": batch["l_returnflag"], "x": x, "y": y, "xx": pc.multiply(x, x), "xy": pc.multiply(x, y)}
         )
 
-    stats = (
+    stats = group_agg(
         _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("n_p", alias_name="n"),
-            Sum("sx_p", alias_name="sx"),
-            Sum("sy_p", alias_name="sy"),
-            Sum("sxx_p", alias_name="sxx"),
-            Sum("sxy_p", alias_name="sxy"),
-        )
+        .map_batches(moments, batch_format="pyarrow"),
+        "l_returnflag",
+        n=("count",),
+        sx=("sum", "x"),
+        sy=("sum", "y"),
+        sxx=("sum", "xx"),
+        sxy=("sum", "xy"),
     )
     df = stats.to_pandas()  # |returnflag| rows
     rows = []
@@ -8165,7 +7669,6 @@ def q_lineitem_unpivot(sf_dir: str):
     reshaped to long (l_returnflag, measure, value) rows — the wide→long
     reshape operator.  The melt happens map-side on the finished aggregate
     (|flags| rows), so it costs nothing at any scale."""
-    from ray.data.aggregate import Count, Sum
 
     def to_int(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -8175,11 +7678,11 @@ def q_lineitem_unpivot(sf_dir: str):
             }
         )
 
-    wide = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-        .map_batches(to_int, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("qty", alias_name="sum_qty"), Count(alias_name="n_rows"))
+    wide = group_agg(
+        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"]).map_batches(to_int, batch_format="pyarrow"),
+        "l_returnflag",
+        sum_qty=("sum", "qty"),
+        n_rows=("count",),
     )
 
     def melt(batch: pa.Table) -> pa.Table:
@@ -8239,13 +7742,10 @@ def q_bpe_pair_counts(sf_dir: str):
     batch bounded by charset², not text size) → one small grouped sum →
     map-side top-20 prune before the final sort.  Deterministic (n desc,
     pair asc) tie-break keeps LIMIT stable on both engines."""
-    from ray.data.aggregate import Sum
-
-    counts = (
-        _read_spread(sf_dir, "documents", ["text"])
-        .map_batches(_bpe_pair_partial, batch_format="pyarrow")
-        .groupby("pair")
-        .aggregate(Sum("partial", alias_name="n"))
+    counts = group_agg(
+        _read_spread(sf_dir, "documents", ["text"]).map_batches(_bpe_pair_partial, batch_format="pyarrow"),
+        "pair",
+        n=("sum", "partial"),
     )
 
     def prune(batch: pa.Table) -> pa.Table:
@@ -8640,8 +8140,6 @@ def q_blocklist_term_stats(sf_dir: str):
     ``lower(text)`` (Python ``str.count``), mirrored in SQL by the
     replace-length fold; both engines count code points, so CJK rows are
     consistent."""
-    from ray.data.aggregate import Sum
-
     terms = _BLOCKLIST_TERMS
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -8665,9 +8163,7 @@ def q_blocklist_term_stats(sf_dir: str):
     ds = _read(sf_dir, "documents", ["text"]).map_batches(
         partial, batch_format="pyarrow"
     )
-    return ds.groupby("term").aggregate(
-        Sum("d", alias_name="n_docs"), Sum("o", alias_name="n_occurrences")
-    )
+    return group_agg(ds, "term", n_docs=("sum", "d"), n_occurrences=("sum", "o"))
 
 
 _SYLLABLE_RE = re.compile(r"[aeiouy]+")
@@ -9074,7 +8570,6 @@ def q_events_path_trigrams(sf_dir: str):
     grouped sum merges them (path cardinality ≤ |types|³), and the sort +
     limit runs on that small table.  Order contract: (ts, event_id) — a
     TOTAL order, identical on both engines under timestamp ties."""
-    from ray.data.aggregate import Sum
 
     def fold_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g, start = _timeline(group, ["us", "event_id"])
@@ -9084,14 +8579,16 @@ def q_events_path_trigrams(sf_dir: str):
         return pd.DataFrame({"path": paths}).groupby("path", as_index=False).size().rename(columns={"size": "n_p"})
 
     return (
-        cogroup(
-            _events(sf_dir, ["event_id", "user_id", "event_type"]),
-            "user_id",
-            fold_bucket,
-            {"path": pa.string(), "n_p": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["event_id", "user_id", "event_type"]),
+                "user_id",
+                fold_bucket,
+                {"path": pa.string(), "n_p": pa.int64()},
+            ),
+            "path",
+            n_paths=("sum", "n_p"),
         )
-        .groupby("path")
-        .aggregate(Sum("n_p", alias_name="n_paths"))
         .sort(["n_paths", "path"], descending=[True, False])
         .limit(20)
     )
@@ -9420,33 +8917,19 @@ def q_kmeans_spherical(sf_dir: str):
 def q_lang_confusion_matrix(sf_dir: str):
     """Language-ID evaluation: the (labeled lang × predicted lang)
     confusion matrix over the corpus — the quality gate for the n-gram
-    langid heuristic itself.  Scale shape: stateless per-batch prediction
-    folds straight into ≤|langs|² partial rows; the only exchange is the
-    tiny pair-keyed grouped sum."""
-    from ray.data.aggregate import Sum
-
+    langid heuristic itself.  Scale shape: stateless per-row prediction,
+    then one tiny pair-keyed grouped count (≤|langs|² partial rows per
+    block)."""
     from ..functions.textstats import lang_id
 
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lang, text in zip(
-            batch["lang"].to_pylist(), batch["text"].to_pylist()
-        ):
-            c[(lang, lang_id(text or ""))] += 1
-        keys = list(c.keys())
-        return pa.table(
-            {
-                "actual": pa.array([k[0] for k in keys], pa.string()),
-                "predicted": pa.array([k[1] for k in keys], pa.string()),
-                "n_p": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+    def predict(batch: pa.Table) -> pa.Table:
+        predicted = [lang_id(text or "") for text in batch["text"].to_pylist()]
+        return pa.table({"actual": batch["lang"], "predicted": pa.array(predicted, pa.string())})
 
-    return (
-        _read(sf_dir, "documents", ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["actual", "predicted"])
-        .aggregate(Sum("n_p", alias_name="n_docs"))
+    return group_agg(
+        _read(sf_dir, "documents", ["lang", "text"]).map_batches(predict, batch_format="pyarrow"),
+        ["actual", "predicted"],
+        n_docs=("count",),
     )
 
 
@@ -9476,12 +8959,8 @@ def q_nb_lang_confusion(sf_dir: str):
     the trigram_lm_nll contract)."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    langrows = (
-        _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
-    )
-    docs_l = {r["lang"]: int(r["count()"]) for r in langrows}
+    langrows = group_agg(_read(sf_dir, "documents", ["lang"]), "lang", n=("count",)).take_all()
+    docs_l = {r["lang"]: int(r["n"]) for r in langrows}
     langs = sorted(docs_l)
     total_docs = sum(docs_l.values())
     scols = [f"s_{i}" for i in range(len(langs))]
@@ -9583,15 +9062,15 @@ def q_nb_lang_confusion(sf_dir: str):
         )
         return out.groupby(["lang", "nb_pred"], sort=False).size().reset_index(name="n_p")
 
-    return (
+    return group_agg(
         cogroup(
             staged.map_batches(keep_docs, batch_format="pyarrow"),
             "doc_id",
             fold_and_argmax,
             {"lang": pa.string(), "nb_pred": pa.string(), "n_p": pa.int64()},
-        )
-        .groupby(["lang", "nb_pred"])
-        .aggregate(Sum("n_p", alias_name="n"))
+        ),
+        ["lang", "nb_pred"],
+        n=("sum", "n_p"),
     )
 
 
@@ -9613,10 +9092,8 @@ def q_chi2_term_lang(sf_dir: str):
     over exact ints, mirrored as CAST(HUGEINT AS DOUBLE)/CAST(... AS
     DOUBLE) in SQL (operands rounded to double first on both engines);
     ranking uses the raw identical doubles with (term, lang) tie-break."""
-    langrows = (
-        _read(sf_dir, "documents", ["lang"]).groupby("lang").count().take_all()
-    )
-    n_l = {r["lang"]: int(r["count()"]) for r in langrows}
+    langrows = group_agg(_read(sf_dir, "documents", ["lang"]), "lang", n=("count",)).take_all()
+    n_l = {r["lang"]: int(r["n"]) for r in langrows}
     langs = sorted(n_l)
     n_total = sum(n_l.values())
 
@@ -9693,7 +9170,6 @@ def q_k_anonymity_audit(sf_dir: str):
     fold, final ≤|k-values| grouped merge.  All-integer: cents via the
     exact-int money contract, band = floor(cents/100000) mirrored as
     floor(CAST AS DOUBLE / 100000) (quotients ≲1e7 are exact doubles)."""
-    from ray.data.aggregate import Min, Sum
 
     def class_partials(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -9721,7 +9197,7 @@ def q_k_anonymity_audit(sf_dir: str):
         hist["n_rows_p"] = hist.index.to_numpy() * hist["n_classes_p"].to_numpy()
         return hist.reset_index()
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_acctbal"]).map_batches(
                 class_partials, batch_format="pyarrow"
@@ -9734,13 +9210,11 @@ def q_k_anonymity_audit(sf_dir: str):
                 "n_rows_p": pa.int64(),
                 "min_l_p": pa.int64(),
             },
-        )
-        .groupby("k")
-        .aggregate(
-            Sum("n_classes_p", alias_name="n_classes"),
-            Sum("n_rows_p", alias_name="n_rows"),
-            Min("min_l_p", alias_name="min_l"),
-        )
+        ),
+        "k",
+        n_classes=("sum", "n_classes_p"),
+        n_rows=("sum", "n_rows_p"),
+        min_l=("min", "min_l_p"),
     )
 
 
@@ -9769,8 +9243,6 @@ def q_events_funnel_conformance(sf_dir: str):
     DP runs per user inside the fold, and per-block histogram partials
     make the final exchange ≤|distinct distances| rows.  All-integer —
     DuckDB's levenshtein is the oracle."""
-    from ray.data.aggregate import Sum
-
     target = "svcp"
     lev = _levenshtein
 
@@ -9797,7 +9269,7 @@ def q_events_funnel_conformance(sf_dir: str):
             hist[lev(path, target)] += 1
         return pd.DataFrame({"dist": list(hist.keys()), "n_p": list(hist.values())})
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).map_batches(
                 project, batch_format="pyarrow"
@@ -9805,9 +9277,9 @@ def q_events_funnel_conformance(sf_dir: str):
             "user_id",
             fold,
             {"dist": pa.int64(), "n_p": pa.int64()},
-        )
-        .groupby("dist")
-        .aggregate(Sum("n_p", alias_name="n_users"))
+        ),
+        "dist",
+        n_users=("sum", "n_p"),
     )
 
 
@@ -9895,8 +9367,6 @@ def q_incremental_refresh(sf_dir: str):
     changed slice ships text."""
     import hashlib
 
-    from ray.data.aggregate import Sum
-
     from ..functions.textstats import quality_score
 
     def classify(batch: pa.Table) -> pa.Table:
@@ -9958,7 +9428,7 @@ def q_incremental_refresh(sf_dir: str):
         c["rows_v1"] = c["unchanged"] + c["removed"] + c["modified"]
         return pd.DataFrame({"metric": list(c), "n_p": list(c.values())})
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
                 classify, batch_format="pyarrow"
@@ -9966,9 +9436,9 @@ def q_incremental_refresh(sf_dir: str):
             "hh",
             refresh_fold,
             {"metric": pa.string(), "n_p": pa.int64()},
-        )
-        .groupby("metric")
-        .aggregate(Sum("n_p", alias_name="value"))
+        ),
+        "metric",
+        value=("sum", "n_p"),
     )
 
 
@@ -9978,53 +9448,31 @@ def q_lang_quality_ols(sf_dir: str):
     language?), complementing the single global regression
     (lineitem_ols).
 
-    Scale shape: per-batch exact sufficient statistics (n, Σx, Σy₆, Σxy₆,
-    Σx²) fold map-side into ≤|langs| rows; the slope finishes with scalar
+    Scale shape: exact sufficient statistics (n, Σx, Σy₆, Σxy₆, Σx²) in
+    one grouped sum of ≤|langs| rows; the slope finishes with scalar
     math.  Integer-exact: the 6dp score lifts to EXACT millionths
     (score·10⁶ is integral by construction), every moment is a bigint
     (HUGEINT in SQL — Σxy₆ overflows int64 at corpus scale), and the
     slope is ONE operands-rounded division chain (/den, /10⁶, round 6)."""
-    from ray.data.aggregate import Sum
-
     from ..functions.textstats import quality_score, token_count
 
     def moments(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[int]] = {}
-        for lang, t in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
-            t = t or ""
-            x = token_count(t)
-            y6 = int(round(quality_score(t) * 1e6))
-            s = agg.setdefault(lang, [0, 0, 0, 0, 0])
-            s[0] += 1
-            s[1] += x
-            s[2] += y6
-            s[3] += x * y6
-            s[4] += x * x
-        keys = list(agg)
+        texts = [t or "" for t in batch["text"].to_pylist()]
+        x = pa.array([token_count(t) for t in texts], pa.int64())
+        y6 = pa.array([int(round(quality_score(t) * 1e6)) for t in texts], pa.int64())
         return pa.table(
-            {
-                "lang": pa.array(keys, pa.string()),
-                "n_p": pa.array([agg[k][0] for k in keys], pa.int64()),
-                "sx_p": pa.array([agg[k][1] for k in keys], pa.int64()),
-                "sy_p": pa.array([agg[k][2] for k in keys], pa.int64()),
-                "sxy_p": pa.array([agg[k][3] for k in keys], pa.int64()),
-                "sxx_p": pa.array([agg[k][4] for k in keys], pa.int64()),
-            }
+            {"lang": batch["lang"], "x": x, "y": y6, "xy": pc.multiply(x, y6), "xx": pc.multiply(x, x)}
         )
 
-    rows = (
-        _read(sf_dir, "documents", ["lang", "text"])
-        .map_batches(moments, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n_p", alias_name="n"),
-            Sum("sx_p", alias_name="sx"),
-            Sum("sy_p", alias_name="sy"),
-            Sum("sxy_p", alias_name="sxy"),
-            Sum("sxx_p", alias_name="sxx"),
-        )
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "documents", ["lang", "text"]).map_batches(moments, batch_format="pyarrow"),
+        "lang",
+        n=("count",),
+        sx=("sum", "x"),
+        sy=("sum", "y"),
+        sxy=("sum", "xy"),
+        sxx=("sum", "xx"),
+    ).take_all()
     langs, ns, slopes = [], [], []
     for r in sorted(rows, key=lambda r: r["lang"]):
         n, sx, sy, sxy, sxx = (int(r[k]) for k in ("n", "sx", "sy", "sxy", "sxx"))
@@ -10051,33 +9499,24 @@ def q_quality_auc_en(sf_dir: str):
 
     Scale shape: the score is discrete (a product of four factors), so
     the whole computation reduces over the (score, label) contingency
-    cells — per-batch partials fold map-side, one tiny grouped sum ships
-    ≤ 2·|score values| rows, driver finishes with exact bigint rank sums
+    cells — one tiny grouped count ships ≤ 2·|score values| rows per
+    block, driver finishes with exact bigint rank sums
     (HUGEINT in SQL) and ONE operands-rounded division."""
-    from ray.data.aggregate import Sum
-
     from ..functions.textstats import quality_score
 
-    def cell_partials(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lang, t in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
-            c[(quality_score(t or ""), 1 if lang == "en" else 0)] += 1
-        keys = list(c)
-        return pa.table(
-            {
-                "s": pa.array([k[0] for k in keys], pa.float64()),
-                "y": pa.array([k[1] for k in keys], pa.int8()),
-                "c_p": pa.array([c[k] for k in keys], pa.int64()),
-            }
-        )
+    def cell(batch: pa.Table) -> pa.Table:
+        s = [quality_score(t or "") for t in batch["text"].to_pylist()]
+        y = [1 if lang == "en" else 0 for lang in batch["lang"].to_pylist()]
+        return pa.table({"s": pa.array(s, pa.float64()), "y": pa.array(y, pa.int8())})
 
     cells = {
         (r["s"], int(r["y"])): int(r["c"])
         for r in (
-            _read(sf_dir, "documents", ["lang", "text"])
-            .map_batches(cell_partials, batch_format="pyarrow")
-            .groupby(["s", "y"])
-            .aggregate(Sum("c_p", alias_name="c"))
+            group_agg(
+                _read(sf_dir, "documents", ["lang", "text"]).map_batches(cell, batch_format="pyarrow"),
+                ["s", "y"],
+                c=("count",),
+            )
             .take_all()
         )
     }
@@ -10198,46 +9637,27 @@ def q_events_welch_ttest(sf_dir: str):
     Welch–Satterthwaite degrees of freedom from one-pass sufficient
     statistics (n, Σv, Σv²).
 
-    Scale shape: per-batch partial moments fold map-side; the only
-    exchange is a 2-row grouped sum; the driver finishes with scalar
-    arithmetic.  Float contract: both engines compute the identical
-    (ss − s²/n)/(n−1) → /n → t/df chains over the summed doubles; the
-    summation-order drift (~1e-12 relative) is absorbed by the 6dp round
-    (trigram_lm_nll contract)."""
+    Scale shape: the only exchange is a 2-row grouped sum of (1, v, v²); the
+    driver finishes with scalar arithmetic.  Float contract: both engines
+    compute the identical (ss − s²/n)/(n−1) → /n → t/df chains over the
+    summed doubles; the summation-order drift (~1e-12 relative) is absorbed
+    by the 6dp round (trigram_lm_nll contract)."""
     import math
 
-    from ray.data.aggregate import Count, Sum
-
     def moments(batch: pa.Table) -> pa.Table:
-        agg: dict[str, list[float]] = {}
-        for t, v in zip(
-            batch["event_type"].to_pylist(), batch["value"].to_pylist()
-        ):
-            if t in ("purchase", "view") and v is not None:
-                a = agg.setdefault(t, [0, 0.0, 0.0])
-                a[0] += 1
-                a[1] += v
-                a[2] += v * v
-        keys = list(agg)
-        return pa.table(
-            {
-                "event_type": pa.array(keys, pa.string()),
-                "n_p": pa.array([agg[k][0] for k in keys], pa.int64()),
-                "s_p": pa.array([agg[k][1] for k in keys], pa.float64()),
-                "ss_p": pa.array([agg[k][2] for k in keys], pa.float64()),
-            }
-        )
+        keep = pc.and_(pc.is_in(batch["event_type"], pa.array(["purchase", "view"])), pc.is_valid(batch["value"]))
+        batch = batch.filter(keep)
+        return batch.append_column("vv", pc.multiply(batch["value"], batch["value"]))
 
     rows = {
         r["event_type"]: r
         for r in (
-            _read(sf_dir, "events", ["event_type", "value"])
-            .map_batches(moments, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(
-                Sum("n_p", alias_name="n"),
-                Sum("s_p", alias_name="s"),
-                Sum("ss_p", alias_name="ss"),
+            group_agg(
+                _read(sf_dir, "events", ["event_type", "value"]).map_batches(moments, batch_format="pyarrow"),
+                "event_type",
+                n=("count",),
+                s=("sum", "value"),
+                ss=("sum", "vv"),
             )
             .take_all()
         )
@@ -10266,43 +9686,36 @@ def q_quality_len_spearman(sf_dir: str):
     audit for curation-filter design (are two signals redundant?).
 
     Scale shape: rank statistics WITHOUT a global sort — both signals are
-    discrete (the score is a product of four factors, token counts are
-    small ints), so the whole computation reduces over the JOINT
-    CONTINGENCY TABLE: per-batch (x, y) pair-count partials fold map-side,
-    one grouped sum ships ≤|X|·|Y| cells (≈150 at every tested sf —
-    bounded by signal cardinality, not corpus size), and the driver
-    finishes with exact Python-int sufficient statistics over doubled
+    discrete (the score is a product of four factors, token counts are small
+    ints), so the whole computation reduces over the JOINT CONTINGENCY
+    TABLE: one grouped (x, y) pair count ships ≤|X|·|Y| cells (≈150 at every
+    tested sf — bounded by signal cardinality, not corpus size), and the
+    driver finishes with exact Python-int sufficient statistics over doubled
     average ranks (r2 = 2·lt + cnt + 1 keeps tie-averaged ranks integral;
     n·Σr2x·r2y-style products overflow int64 at corpus scale → bigints,
-    HUGEINT in SQL).  Float contract: ONE div-over-sqrt-of-product chain
-    on operands each rounded to double first, 6dp output."""
+    HUGEINT in SQL).  Float contract: ONE div-over-sqrt-of-product chain on
+    operands each rounded to double first, 6dp output."""
     import math
-
-    from ray.data.aggregate import Sum
 
     from ..functions.textstats import quality_score, token_count
 
-    def cell_partials(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            t = t or ""
-            c[(quality_score(t), token_count(t))] += 1
-        keys = list(c)
+    def cell(batch: pa.Table) -> pa.Table:
+        texts = [t or "" for t in batch["text"].to_pylist()]
         return pa.table(
             {
-                "x": pa.array([k[0] for k in keys], pa.float64()),
-                "y": pa.array([k[1] for k in keys], pa.int64()),
-                "c_p": pa.array([c[k] for k in keys], pa.int64()),
+                "x": pa.array([quality_score(t) for t in texts], pa.float64()),
+                "y": pa.array([token_count(t) for t in texts], pa.int64()),
             }
         )
 
     cells = {
         (r["x"], r["y"]): int(r["c"])
         for r in (
-            _read(sf_dir, "documents", ["text"])
-            .map_batches(cell_partials, batch_format="pyarrow")
-            .groupby(["x", "y"])
-            .aggregate(Sum("c_p", alias_name="c"))
+            group_agg(
+                _read(sf_dir, "documents", ["text"]).map_batches(cell, batch_format="pyarrow"),
+                ["x", "y"],
+                c=("count",),
+            )
             .take_all()
         )
     }
@@ -10400,23 +9813,12 @@ def q_dp_noisy_counts(sf_dir: str):
     bridge uniform for a secret-seeded DRBG — the mechanism, sensitivity
     bound and inverse-CDF transform are exactly what ships.
 
-    Scale shape: per-batch count partials → one tiny grouped sum (≤|langs|
-    rows) → noise added in a final driver-free map.  Float contract: the
-    inverse-CDF chain (u→ln→±) is bit-identical; the count+noise sum is
-    one float op; ROUND 6dp on both engines."""
+    Scale shape: one tiny grouped count (≤|langs| rows) → noise added in a
+    final driver-free map.  Float contract: the inverse-CDF chain (u→ln→±)
+    is bit-identical; the count+noise sum is one float op; ROUND 6dp on
+    both engines."""
     import hashlib
     import math
-
-    from ray.data.aggregate import Sum
-
-    def count_partials(batch: pa.Table) -> pa.Table:
-        c = Counter(batch["lang"].to_pylist())
-        return pa.table(
-            {
-                "lang": pa.array(list(c.keys()), pa.string()),
-                "n_p": pa.array(list(c.values()), pa.int64()),
-            }
-        )
 
     def add_noise(batch: pa.Table) -> pa.Table:
         out_lang, out_v = [], []
@@ -10438,12 +9840,8 @@ def q_dp_noisy_counts(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["lang"])
-        .map_batches(count_partials, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .map_batches(add_noise, batch_format="pyarrow")
+    return group_agg(_read(sf_dir, "documents", ["lang"]), "lang", n=("count",)).map_batches(
+        add_noise, batch_format="pyarrow"
     )
 
 
@@ -10632,8 +10030,6 @@ def q_countmin_word_freqs(sf_dir: str):
     shuffles."""
     import hashlib
 
-    from ray.data.aggregate import Sum
-
     D, W = 4, 1024
     salts = [f"{d}|".encode() for d in range(D)]
 
@@ -10672,10 +10068,11 @@ def q_countmin_word_freqs(sf_dir: str):
     # so both the sketch fold and the top-20 sort read it without
     # re-scanning the documents table
     counts = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(word_partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("n_p", alias_name="n"))
+        group_agg(
+            _read(sf_dir, "documents", ["text"]).map_batches(word_partial, batch_format="pyarrow"),
+            "word",
+            n=("sum", "n_p"),
+        )
         .materialize()
     )
 
@@ -10809,10 +10206,11 @@ def q_revenue_concentration(sf_dir: str):
     # materialized ONCE (customer-dimension-sized aggregate) so the scalar
     # pass and the top-k pass don't each re-scan and re-group orders
     rev_ds = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(cents, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("c_p", alias_name="cents"))
+        group_agg(
+            _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(cents, batch_format="pyarrow"),
+            "o_custkey",
+            cents=("sum", "c_p"),
+        )
         .materialize()
     )
 
@@ -11001,8 +10399,6 @@ def q_curation_funnel(sf_dir: str):
     attribution — that's `gopher_quality_flags`).  One stateless scan
     emits a 4-value partial per batch; the only exchange is the tiny
     stage-keyed grouped sum."""
-    from ray.data.aggregate import Sum
-
     stop = _STOP_WORDS
     token_re = re.compile(r"\S+")
     stages = ("0_input", "1_word_count", "2_stopwords", "3_symbol_ratio")
@@ -11030,11 +10426,10 @@ def q_curation_funnel(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("stage")
-        .aggregate(Sum("n_p", alias_name="n_surviving"))
+    return group_agg(
+        _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "stage",
+        n_surviving=("sum", "n_p"),
     )
 
 
@@ -11135,9 +10530,7 @@ def q_bpe_apply_merge(sf_dir: str):
 
     docs = _read_spread(sf_dir, "documents", ["text"])
     counts = (
-        docs.map_batches(_bpe_pair_partial, batch_format="pyarrow")
-        .groupby("pair")
-        .aggregate(Sum("partial", alias_name="n"))
+        group_agg(docs.map_batches(_bpe_pair_partial, batch_format="pyarrow"), "pair", n=("sum", "partial"))
         .take_all()
     )
     if not counts:
@@ -11230,34 +10623,20 @@ def q_supplier_balance_gini(sf_dir: str):
     view).  With x sorted ascending and rank ties irrelevant within equal
     values, G = Σ(2i − n − 1)·x_i / (n·Σx) — and each equal-value group's
     numerator has a CLOSED FORM in (value, count, prefix-count), so the
-    entire statistic folds from the value HISTOGRAM: one grouped sum of
-    per-batch cent counters (the shuffle ships one (cents, n) row per
-    distinct value per batch, never supplier rows), then an exact-int64
+    entire statistic folds from the value HISTOGRAM: one grouped count of
+    cents (the shuffle ships one (cents, n) row per distinct value per
+    block, never supplier rows), then an exact-int64
     driver fold over the histogram.  Float contract: numerator and
     denominator are exact ints; both engines convert each to double
     (round-nearest) and divide once — bit-identical.  All-non-positive
     input yields the SQL aggregate's single NULL row on both engines."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
 
-    def cent_counts(batch: pa.Table) -> pa.Table:
+    def positive_cents(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.greater(batch["s_acctbal"], 0.0))
-        cents = pc.cast(pc.round(pc.multiply(t["s_acctbal"], 100.0)), pa.int64())
-        c = Counter(cents.to_pylist())
-        return pa.table(
-            {
-                "c": pa.array(list(c.keys()), pa.int64()),
-                "m_p": pa.array(list(c.values()), pa.int64()),
-            }
-        )
+        return pa.table({"c": pc.cast(pc.round(pc.multiply(t["s_acctbal"], 100.0)), pa.int64())})
 
-    hist = (
-        ds.map_batches(cent_counts, batch_format="pyarrow")
-        .groupby("c")
-        .aggregate(Sum("m_p", alias_name="m"))
-        .take_all()
-    )
+    hist = group_agg(ds.map_batches(positive_cents, batch_format="pyarrow"), "c", m=("count",)).take_all()
     if not hist:
         return pa.table(
             {
@@ -11289,18 +10668,16 @@ def q_benford_price_audit(sf_dir: str):
     data-quality screen for fabricated/synthetic numeric columns (here it
     quantifies HOW non-Benford the uniform-ish TPC-H prices are).
 
-    Scale shape: per-batch digit-histogram partials (leading digit via a
-    ≤19-pass vectorized integer-halving loop — no string formatting, no
-    per-row Python) fold map-side; exactly ONE ≤9-row grouped sum leaves
-    the workers; the driver finishes with the χ² scalar chain.  Float
-    contract: expected shares ln(1+1/d)/ln(10) and the (o−e)²/e terms
+    Scale shape: the leading digit of each price comes from a ≤19-pass
+    vectorized integer-halving loop (no string formatting, no per-row
+    Python); exactly ONE ≤9-row grouped count leaves the workers; the
+    driver finishes with the χ² scalar chain.  Float contract: expected
+    shares ln(1+1/d)/ln(10) and the (o−e)²/e terms
     mirror the oracle op-for-op on doubles, both sides round to 6dp (the
     9-term SUM-order drift is ~1e-11 absolute at χ²≈1e5)."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def first_digit(batch: pa.Table) -> pa.Table:
         cents = (
             pc.cast(pc.round(pc.multiply(batch["o_totalprice"], 100.0)), pa.int64())
             .to_numpy(zero_copy_only=False)
@@ -11309,22 +10686,13 @@ def q_benford_price_audit(sf_dir: str):
         cents = cents[cents > 0]
         while cents.size and (cents >= 10).any():
             cents = np.where(cents >= 10, cents // 10, cents)
-        counts = np.bincount(cents, minlength=10)[1:10]
-        keep = counts > 0
-        return pa.table(
-            {
-                "digit": pa.array(np.arange(1, 10, dtype=np.int64)[keep]),
-                "n_p": pa.array(counts[keep].astype(np.int64)),
-            }
-        )
+        return pa.table({"digit": pa.array(cents, pa.int64())})
 
-    rows = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("digit")
-        .aggregate(Sum("n_p", alias_name="n_obs"))
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "orders", ["o_totalprice"]).map_batches(first_digit, batch_format="pyarrow"),
+        "digit",
+        n_obs=("count",),
+    ).take_all()
     rows.sort(key=lambda r: int(r["digit"]))
     n = sum(int(r["n_obs"]) for r in rows)
     digits = [int(r["digit"]) for r in rows]
@@ -11341,6 +10709,24 @@ def q_benford_price_audit(sf_dir: str):
     )
 
 
+def _daily_counts(sf_dir: str):
+    """Events per UTC day (``day`` as int32 days since the epoch)."""
+
+    def to_day(batch: pa.Table) -> pa.Table:
+        return pa.table({"day": pc.cast(pc.cast(batch["ts"], pa.date32()), pa.int32())})
+
+    return group_agg(_read(sf_dir, "events", ["ts"]).map_batches(to_day, batch_format="pyarrow"), "day", n=("count",))
+
+
+def _hourly_counts(sf_dir: str):
+    """Events per hour (``hour`` as int64 hours since the epoch)."""
+
+    def to_hour(batch: pa.Table) -> pa.Table:
+        return pa.table({"hour": pc.divide(pc.cast(batch["ts"], pa.int64()), 3_600_000_000)})
+
+    return group_agg(_read(sf_dir, "events", ["ts"]).map_batches(to_hour, batch_format="pyarrow"), "hour", n=("count",))
+
+
 def q_events_mann_kendall(sf_dir: str):
     """Mann–Kendall trend test + Theil–Sen slope over the daily event-count
     series — the standard nonparametric "is traffic drifting?" monitor
@@ -11348,34 +10734,15 @@ def q_events_mann_kendall(sf_dir: str):
     slopes robust to outlier days).
 
     Scale shape: the DAILY series is bounded by the corpus time span, not
-    the corpus size — per-batch (day, count) partials fold map-side, one
-    ≤|days|-row grouped sum leaves the workers, and the driver runs the
-    O(days²) pair scan on the tiny series (30 days ⇒ 435 pairs; ten years
-    ⇒ 6.7M pairs, still trivial).  Exactness: S, n and the variance
-    numerator are exact Python ints; var_s, z and the Sen slope mirror the
-    oracle's double op order and round to 6dp (numpy median = DuckDB
-    median for doubles: both average the two middles)."""
+    the corpus size — one ≤|days|-row grouped count leaves the workers, and
+    the driver runs the O(days²) pair scan on the tiny series (30 days ⇒ 435
+    pairs; ten years ⇒ 6.7M pairs, still trivial).  Exactness: S, n and the
+    variance numerator are exact Python ints; var_s, z and the Sen slope
+    mirror the oracle's double op order and round to 6dp (numpy median =
+    DuckDB median for doubles: both average the two middles)."""
     import math
 
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(batch["ts"], pa.date32())
-        vc = pc.value_counts(days)
-        return pa.table(
-            {
-                "day": vc.field("values").cast(pa.int32()),
-                "n_p": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    rows = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = _daily_counts(sf_dir).take_all()
     rows.sort(key=lambda r: int(r["day"]))
     day = np.array([int(r["day"]) for r in rows], np.int64)
     x = np.array([int(r["n"]) for r in rows], np.int64)
@@ -11412,34 +10779,14 @@ def q_events_acf(sf_dir: str):
     the 24-lag harmonic; short-memory burstiness decays geometrically).
 
     Scale shape: like the trend test, the HOURLY series is time-bounded —
-    per-batch (hour, count) partials, one grouped sum, then the driver
-    zero-fills interior gaps and runs the O(hours × lags) numpy scan
-    (720 hours here; a decade is 87k floats).  Float contract: x̄ =
-    exact-int Σx / n (one division), then the Σ(xₜ−x̄)(xₜ₊ₖ−x̄)/Σ(xₜ−x̄)²
-    chain mirrors the oracle; 6dp absorbs the SUM-order drift on values
-    in [−1, 1]."""
-    from ray.data.aggregate import Sum
-
+    one grouped count per hour, then the driver zero-fills interior gaps and
+    runs the O(hours × lags) numpy scan (720 hours here; a decade is 87k
+    floats).  Float contract: x̄ = exact-int Σx / n (one division), then the
+    Σ(xₜ−x̄)(xₜ₊ₖ−x̄)/Σ(xₜ−x̄)² chain mirrors the oracle; 6dp absorbs the
+    SUM-order drift on values in [−1, 1]."""
     US_PER_HOUR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        hours = us // US_PER_HOUR
-        hu, hc = np.unique(hours, return_counts=True)
-        return pa.table(
-            {
-                "hour": pa.array(hu, pa.int64()),
-                "n_p": pa.array(hc.astype(np.int64)),
-            }
-        )
-
-    rows = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = _hourly_counts(sf_dir).take_all()
     counts = {int(r["hour"]): int(r["n"]) for r in rows}
     h_lo, h_hi = min(counts), max(counts)
     x = np.array([counts.get(h, 0) for h in range(h_lo, h_hi + 1)], np.int64)
@@ -11472,14 +10819,14 @@ def q_user_retention_km(sf_dir: str):
 
     Scale shape: one narrow user-keyed grouped min/min (the only
     corpus-scale exchange — (id, 2×int64) rows; absent first-purchase
-    encodes as an int64-max sentinel so Ray's Min folds it for free), then
-    per-batch (t_hour, censored) histogram partials and a second grouped
-    sum bounded by 2×|window hours|; the driver finishes the KM scan on
-    the tiny life table.  The corpus-min timestamp is a separate
-    one-scalar aggregate.  Float contract: the ordered product Π(1−dᵢ/nᵢ)
-    multiplies ascending-t in BOTH engines (DuckDB windowed product() —
-    no exp/ln detour), each factor one double division; 6dp round."""
-    from ray.data.aggregate import Min, Sum
+    encodes as an int64-max sentinel so the grouped min folds it for free),
+    then a second grouped count of (t_hour, censored) bounded by 2×|window
+    hours|; the driver finishes the KM scan on the tiny life table.  The
+    corpus-min timestamp is a separate one-scalar aggregate.  Float contract:
+    the ordered product Π(1−dᵢ/nᵢ) multiplies ascending-t in BOTH engines
+    (DuckDB windowed product() — no exp/ln detour), each factor one double
+    division; 6dp round."""
+    from ray.data.aggregate import Min
 
     US_PER_HOUR = 3_600_000_000
     WINDOW_US = 48 * US_PER_HOUR
@@ -11488,54 +10835,26 @@ def q_user_retention_km(sf_dir: str):
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
         lambda t: pa.table(
             {"user_id": t["user_id"], "us": pc.cast(t["ts"], pa.int64()),
-             "is_p": pc.equal(t["event_type"], "purchase")}
+             "p_us": pc.if_else(pc.equal(t["event_type"], "purchase"), pc.cast(t["ts"], pa.int64()), NO_PURCHASE)}
         ),
         batch_format="pyarrow",
     )
     corpus_min = int(events.aggregate(Min("us", alias_name="m"))["m"])
     wend = corpus_min + WINDOW_US
 
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        f = df.groupby("user_id")["us"].min()
-        pdf = df[df["is_p"]]
-        fp = pdf.groupby("user_id")["us"].min().reindex(f.index)
-        return pa.table(
-            {
-                "user_id": pa.array(f.index.to_numpy(), pa.int64()),
-                "f_p": pa.array(f.to_numpy(), pa.int64()),
-                "fp_p": pa.array(
-                    fp.fillna(NO_PURCHASE).astype(np.int64).to_numpy(), pa.int64()
-                ),
-            }
-        )
-
-    def life_partial(batch: pa.Table) -> pa.Table:
+    def lifetime(batch: pa.Table) -> pa.Table:
         f = batch["f"].to_numpy(zero_copy_only=False)
         fp = batch["fp"].to_numpy(zero_copy_only=False)
         keep = f < wend
         f, fp = f[keep], fp[keep]
         death = fp <= wend
         t = np.where(death, (fp - f) // US_PER_HOUR, (wend - f) // US_PER_HOUR)
-        key = t * 2 + (~death).astype(np.int64)
-        ku, kc = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "t_hours": pa.array(ku // 2, pa.int64()),
-                "cens": pa.array((ku % 2).astype(np.int8), pa.int8()),
-                "n_p": pa.array(kc.astype(np.int64)),
-            }
-        )
+        return pa.table({"t_hours": pa.array(t, pa.int64()), "cens": pa.array((~death).astype(np.int8), pa.int8())})
 
-    life = (
-        events.map_batches(per_user_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("f_p", alias_name="f"), Min("fp_p", alias_name="fp"))
-        .map_batches(life_partial, batch_format="pyarrow")
-        .groupby(["t_hours", "cens"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    firsts = group_agg(events, "user_id", f=("min", "us"), fp=("min", "p_us"))
+    life = group_agg(
+        firsts.map_batches(lifetime, batch_format="pyarrow"), ["t_hours", "cens"], n=("count",)
+    ).take_all()
     total = {}  # t -> users leaving the risk set at t (death or censoring)
     deaths = {}  # t -> uncensored deaths at t
     for r in life:
@@ -11588,7 +10907,7 @@ def q_hll_user_overlap(sf_dir: str):
     contract: integer-exact register folds (`hll_estimate`), 4dp rounds,
     and the inclusion–exclusion runs over the ROUNDED estimates in both
     engines."""
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
     from ..functions.sketches import _hash_column, _hll_update, hll_estimate
 
@@ -11627,23 +10946,13 @@ def q_hll_user_overlap(sf_dir: str):
     est_i = round(est_v + est_p - est_u, 4)
 
     def flags(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.assign(
-            v=(df["event_type"] == "view").astype(np.int64),
-            p=(df["event_type"] == "purchase").astype(np.int64),
-        ).groupby("user_id")[["v", "p"]].max()
-        return pa.table(
-            {
-                "user_id": pa.array(g.index.to_numpy(), pa.int64()),
-                "v_p": pa.array(g["v"].to_numpy(), pa.int64()),
-                "p_p": pa.array(g["p"].to_numpy(), pa.int64()),
-            }
-        )
+        def is_type(name: str) -> pa.Array:
+            return pc.cast(pc.fill_null(pc.equal(batch["event_type"], name), False), pa.int64())
+
+        return pa.table({"user_id": batch["user_id"], "v": is_type("view"), "p": is_type("purchase")})
 
     both = (
-        events.map_batches(flags, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Max("v_p", alias_name="v"), Max("p_p", alias_name="p"))
+        group_agg(events.map_batches(flags, batch_format="pyarrow"), "user_id", v=("max", "v"), p=("max", "p"))
         .map_batches(
             lambda t: pa.table(
                 {
@@ -11694,7 +11003,7 @@ def q_user_rfm_segments(sf_dir: str):
     ((n+3)//4, (n+1)//2, (3n+3)//4) — no reliance on any engine's
     quantile interpolation.  Codes: 1 + Σ (v > b_q), ascending in the
     metric value.  Output ≤64 exact-int rows."""
-    from ray.data.aggregate import Count, Max, Sum
+    from ray.data.aggregate import Max
 
     US_PER_DAY = 86_400_000_000
 
@@ -11710,13 +11019,12 @@ def q_user_rfm_segments(sf_dir: str):
         )
 
     per_user = (
-        _read(sf_dir, "events", ["user_id", "ts", "value"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Max("us", alias_name="last_us"),
-            Count(alias_name="f"),
-            Sum("cents", alias_name="cents"),
+        group_agg(
+            _read(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(prep, batch_format="pyarrow"),
+            "user_id",
+            last_us=("max", "us"),
+            f=("count",),
+            cents=("sum", "cents"),
         )
         .materialize()
     )
@@ -11736,27 +11044,16 @@ def q_user_rfm_segments(sf_dir: str):
 
     met = per_user.map_batches(metrics, batch_format="pyarrow")
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        ms, vs, ns = [], [], []
-        for mname in ("r", "f", "m"):
-            vu, vn = np.unique(batch[mname].to_numpy(zero_copy_only=False), return_counts=True)
-            ms.extend([mname] * vu.size)
-            vs.extend(vu.tolist())
-            ns.extend(vn.tolist())
+    def melt(batch: pa.Table) -> pa.Table:
+        names = ("r", "f", "m")
         return pa.table(
             {
-                "metric": pa.array(ms, pa.string()),
-                "value": pa.array(vs, pa.int64()),
-                "n": pa.array(ns, pa.int64()),
+                "metric": pa.array([m for m in names for _ in range(batch.num_rows)], pa.string()),
+                "value": pa.concat_arrays([batch[m].combine_chunks() for m in names]),
             }
         )
 
-    hist = (
-        met.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["metric", "value"])
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
-    )
+    hist = group_agg(met.map_batches(melt, batch_format="pyarrow"), ["metric", "value"], n=("count",)).take_all()
     bounds: dict[str, tuple[int, int, int]] = {}
     for mname in ("r", "f", "m"):
         rows = sorted(
@@ -11782,24 +11079,9 @@ def q_user_rfm_segments(sf_dir: str):
             out[f"{mname}_code"] = (
                 1 + (v > b[0]).astype(np.int64) + (v > b[1]) + (v > b[2])
             )
-        key = out["r_code"] * 100 + out["f_code"] * 10 + out["m_code"]
-        ku, kc = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "r_code": pa.array(ku // 100, pa.int64()),
-                "f_code": pa.array((ku // 10) % 10, pa.int64()),
-                "m_code": pa.array(ku % 10, pa.int64()),
-                "n_p": pa.array(kc.astype(np.int64)),
-            }
-        )
+        return pa.table({name: pa.array(v, pa.int64()) for name, v in out.items()})
 
-    from ray.data.aggregate import Sum as _Sum
-
-    return (
-        met.map_batches(code, batch_format="pyarrow")
-        .groupby(["r_code", "f_code", "m_code"])
-        .aggregate(_Sum("n_p", alias_name="n_users"))
-    )
+    return group_agg(met.map_batches(code, batch_format="pyarrow"), ["r_code", "f_code", "m_code"], n_users=("count",))
 
 
 def q_orders_profile(sf_dir: str):
@@ -11923,31 +11205,12 @@ def q_events_changepoint(sf_dir: str):
     shift?" alerts; iterating it on the halves gives full binary
     segmentation.
 
-    Scale shape: same as the trend test — per-batch (day, count)
-    partials, one time-bounded grouped sum, O(days) prefix scan on the
-    driver.  Float contract: gain is computed as the identical
-    double-op chain in both engines from exact integer prefix sums
-    (A·A/n_l + B·B/n_r), argmax tie-broken by earliest day; means and
-    the SSE reduction round to 6dp."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        days = pc.cast(batch["ts"], pa.date32())
-        vc = pc.value_counts(days)
-        return pa.table(
-            {
-                "day": vc.field("values").cast(pa.int32()),
-                "n_p": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    rows = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    Scale shape: same as the trend test — one time-bounded grouped count per
+    day, O(days) prefix scan on the driver.  Float contract: gain is computed
+    as the identical double-op chain in both engines from exact integer
+    prefix sums (A·A/n_l + B·B/n_r), argmax tie-broken by earliest day;
+    means and the SSE reduction round to 6dp."""
+    rows = _daily_counts(sf_dir).take_all()
     rows.sort(key=lambda r: int(r["day"]))
     day = [int(r["day"]) for r in rows]
     x = [int(r["n"]) for r in rows]
@@ -11997,15 +11260,13 @@ def q_event_type_entropy_rate(sf_dir: str):
     each per-source sum folds ≤|types| doubles, so SUM-order drift is
     below the 6dp grid, and the rate folds the UNROUNDED per-source
     entropies weighted by exact integer shares."""
-    from ray.data.aggregate import Sum
-
     counts = cogroup(
         _events(sf_dir, ["user_id", "event_id", "event_type"]),
         "user_id",
         _bigram_counts,
         {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
     )
-    rows = counts.groupby(["cur", "nxt"]).aggregate(Sum("n", alias_name="n")).take_all()
+    rows = group_agg(counts, ["cur", "nxt"], n=("sum", "n")).take_all()
     import math
 
     per_src: dict[str, dict[str, int]] = {}
@@ -12049,8 +11310,6 @@ def q_crawl_frontier(sf_dir: str):
     from the decoded page fixture with the same LIKE/regexp rules and
     re-derives the cap with a window rank (scope: html route without
     U+FFFD decodes, the pages_anchor_text contract)."""
-    from ray.data.aggregate import Sum
-
     from ..kernels.html_text import decode_html_bytes, extract_links
     from ..sources.pages import pages_dataset
 
@@ -12426,11 +11685,11 @@ def q_join_size_estimate(sf_dir: str):
     hash is the md5 bridge (`md5_number_upper(d||'|'||key) % W`), so the
     oracle rebuilds the very same cells.
 
-    Scale shape: each batch folds its keys into ONE flat D×W int64
-    partial row per side (sketches merge by +, the driver holds 4×1024
-    cells per side — O(1) in the corpus); the EXACT sizes use per-key
-    grouped counts co-located by the groupby (narrow int rows).  All
-    arithmetic integer-exact; the ratio rounds to 6dp."""
+    Scale shape: each batch folds its keys into ONE flat D×W int64 partial
+    row per side (sketches merge by +, the driver holds 4×1024 cells per
+    side — O(1) in the corpus); the EXACT sizes use per-key grouped counts
+    (narrow int rows).  All arithmetic integer-exact; the ratio rounds to
+    6dp."""
     import hashlib
 
     from ray.data.aggregate import Sum
@@ -12466,19 +11725,7 @@ def q_join_size_estimate(sf_dir: str):
         return merged
 
     def key_counts(ds, col: str):
-        def partial(batch: pa.Table) -> pa.Table:
-            vu, vn = np.unique(
-                batch[col].to_numpy(zero_copy_only=False), return_counts=True
-            )
-            return pa.table(
-                {"k": pa.array(vu, pa.int64()), "n_p": pa.array(vn.astype(np.int64))}
-            )
-
-        return (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("k")
-            .aggregate(Sum("n_p", alias_name="n"))
-        )
+        return group_agg(ds.rename_columns({col: "k"}), "k", n=("count",))
 
     def ev_cms_job():
         return cms_of(_read(sf_dir, "events", ["user_id"]), "user_id")
@@ -12571,27 +11818,11 @@ def q_events_hourly_ewma(sf_dir: str):
     intermediate double matches bit-for-bit before the final 6dp round.
 
     Scale shape: identical to the ACF — the hourly series is
-    time-bounded; per-batch (hour, count) partials, one grouped sum, a
-    driver-side O(hours) scan.  Output: the last 24 hours with their
-    smoothed values."""
-    from ray.data.aggregate import Sum
-
+    time-bounded; one grouped count per hour, a driver-side O(hours)
+    scan.  Output: the last 24 hours with their smoothed values."""
     US_PER_HOUR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        hu, hc = np.unique(us // US_PER_HOUR, return_counts=True)
-        return pa.table(
-            {"hour": pa.array(hu, pa.int64()), "n_p": pa.array(hc.astype(np.int64))}
-        )
-
-    rows = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = _hourly_counts(sf_dir).take_all()
     counts = {int(r["hour"]): int(r["n"]) for r in rows}
     h_lo, h_hi = min(counts), max(counts)
     hours = list(range(h_lo, h_hi + 1))
@@ -12810,28 +12041,12 @@ def q_events_holt_linear(sf_dir: str):
     bit-for-bit before the final 6dp round.
 
     Scale shape: identical to the EWMA — the hourly series is
-    time-bounded (O(hours), never O(events)); per-batch (hour, count)
-    partials, one grouped sum, a driver-side O(hours) recurrence scan.
-    Output: the last 24 hours with level, trend and the one-step-ahead
-    forecast."""
-    from ray.data.aggregate import Sum
-
+    time-bounded (O(hours), never O(events)); one grouped count per hour,
+    a driver-side O(hours) recurrence scan.  Output: the last 24 hours
+    with level, trend and the one-step-ahead forecast."""
     US_PER_HOUR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        hu, hc = np.unique(us // US_PER_HOUR, return_counts=True)
-        return pa.table(
-            {"hour": pa.array(hu, pa.int64()), "n_p": pa.array(hc.astype(np.int64))}
-        )
-
-    rows = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = _hourly_counts(sf_dir).take_all()
     counts = {int(r["hour"]): int(r["n"]) for r in rows}
     x = []
     if counts:
@@ -12893,8 +12108,6 @@ def q_user_erasure_audit(sf_dir: str):
     fingerprints sum mod 1e9+7 (the `cdc_merge_apply` bridge) so
     corpus-scale sums stay in int64."""
     import hashlib
-
-    from ray.data.aggregate import Sum
 
     MOD = 1_000_000_007
 
@@ -12988,16 +12201,12 @@ def q_user_erasure_audit(sf_dir: str):
         {"tbl": pa.string(), "n_e": pa.int64(), "n_r": pa.int64(), "fp": pa.int64()},
     )
 
-    return (
-        ev.union(cu)
-        .union(od)
-        .union(li)
-        .groupby("tbl")
-        .aggregate(
-            Sum("n_e", alias_name="n_erased"),
-            Sum("n_r", alias_name="n_remaining"),
-            Sum("fp", alias_name="remaining_fp"),
-        )
+    return group_agg(
+        [ev, cu, od, li],
+        "tbl",
+        n_erased=("sum", "n_e"),
+        n_remaining=("sum", "n_r"),
+        remaining_fp=("sum", "fp"),
     )
 
 
@@ -13011,14 +12220,13 @@ def q_zone_map_pruning(sf_dir: str):
     layout.  This is the exact computation behind "sort your table by the
     filter column" advice — the output quantifies the skipping win.
 
-    Scale shape: per-block min/max fold map-side into (blk, mn, mx)
-    partials (one narrow grouped Min/Max per layout); the date-rank layout
-    reuses the `docs_global_rank` two-phase pattern — a tiny per-DAY
-    histogram (O(days in corpus), never O(rows)) broadcast as prefix
-    offsets, then within-day ranking in a grouped fold.  The final audit
-    is a constant-size scalar fold."""
+    Scale shape: one narrow grouped (blk, min, max) per layout; the
+    date-rank layout reuses the `docs_global_rank` two-phase pattern — a
+    tiny per-DAY histogram (O(days in corpus), never O(rows)) broadcast as
+    prefix offsets, then within-day ranking in a grouped fold.  The final
+    audit is a constant-size scalar fold."""
     import ray
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Sum
 
     B = 250
     LO = int(pd.Timestamp("1998-01-01").value // 1000)
@@ -13053,16 +12261,7 @@ def q_zone_map_pruning(sf_dir: str):
 
     def key_blocks(batch: pa.Table) -> pa.Table:
         key = batch["o_orderkey"].to_numpy(zero_copy_only=False)
-        us = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"blk": key // B, "us": us})
-        g = df.groupby("blk")["us"].agg(["min", "max"]).reset_index()
-        return pa.table(
-            {
-                "blk": pa.array(g["blk"].to_numpy(), pa.int64()),
-                "mn_p": pa.array(g["min"].to_numpy(), pa.int64()),
-                "mx_p": pa.array(g["max"].to_numpy(), pa.int64()),
-            }
-        )
+        return pa.table({"blk": pa.array(key // B, pa.int64()), "us": pc.cast(batch["o_orderdate"], pa.int64())})
 
     def audit(layout: str, blocks_ds) -> tuple[str, int, int]:
         def part(batch: pa.Table) -> pa.Table:
@@ -13083,25 +12282,11 @@ def q_zone_map_pruning(sf_dir: str):
 
     key_layout = audit(
         "key_order",
-        ds.map_batches(key_blocks, batch_format="pyarrow")
-        .groupby("blk")
-        .aggregate(Min("mn_p", alias_name="mn"), Max("mx_p", alias_name="mx")),
+        group_agg(ds.map_batches(key_blocks, batch_format="pyarrow"), "blk", mn=("min", "us"), mx=("max", "us")),
     )
 
     # date-clustered layout: global (date, key) rank via day-histogram prefix
-    def day_counts(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
-        du, dc = np.unique(us, return_counts=True)
-        return pa.table(
-            {"us": pa.array(du, pa.int64()), "n_p": pa.array(dc.astype(np.int64))}
-        )
-
-    hist = (
-        ds.map_batches(day_counts, batch_format="pyarrow")
-        .groupby("us")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    hist = group_agg(ds.rename_columns({"o_orderdate": "us"}), "us", n=("count",)).take_all()
     hist.sort(key=lambda r: r["us"])
     offsets, run = {}, 0
     for r in hist:
@@ -13130,14 +12315,17 @@ def q_zone_map_pruning(sf_dir: str):
 
     date_layout = audit(
         "date_sorted",
-        cogroup(
-            ds.map_batches(date_tag, batch_format="pyarrow"),
-            "us",
-            each_key("us", rank_blocks),
-            {"blk": pa.int64(), "mn_p": pa.int64(), "mx_p": pa.int64()},
-        )
-        .groupby("blk")
-        .aggregate(Min("mn_p", alias_name="mn"), Max("mx_p", alias_name="mx")),
+        group_agg(
+            cogroup(
+                ds.map_batches(date_tag, batch_format="pyarrow"),
+                "us",
+                each_key("us", rank_blocks),
+                {"blk": pa.int64(), "mn_p": pa.int64(), "mx_p": pa.int64()},
+            ),
+            "blk",
+            mn=("min", "mn_p"),
+            mx=("max", "mx_p"),
+        ),
     )
 
     layouts = [key_layout, date_layout]
@@ -13250,8 +12438,6 @@ def q_rake_word_scores(sf_dir: str):
     per-block top-20 prune so the final sort sees O(20·blocks) rows.  The
     selection key is the UNROUNDED quotient (one IEEE div of exact ints —
     identical in both engines)."""
-    from ray.data.aggregate import Sum
-
     stop = set(_STOP_WORDS)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -13519,7 +12705,6 @@ def q_attribution_first_touch(sf_dir: str):
     co-resident); sessionize + first-value + purchase counting fold inside
     the group, so the only exchange after the narrow (user, us, id, type)
     shuffle is a tiny (first_touch, n) grouped sum."""
-    from ray.data.aggregate import Sum
 
     def attribute(bucket: pd.DataFrame) -> pd.DataFrame:
         g, start = _timeline(bucket, ["us", "event_id"], _SESSION_GAP_US)
@@ -13528,15 +12713,15 @@ def q_attribution_first_touch(sf_dir: str):
         counts = pd.Series(first[types == "purchase"]).value_counts(dropna=False)
         return pd.DataFrame({"first_touch": counts.index, "n_p": counts.to_numpy()})
 
-    return (
+    return group_agg(
         cogroup(
             _events(sf_dir, ["user_id", "event_id", "event_type"]),
             "user_id",
             attribute,
             {"first_touch": pa.string(), "n_p": pa.int64()},
-        )
-        .groupby("first_touch")
-        .aggregate(Sum("n_p", alias_name="n_purchases"))
+        ),
+        "first_touch",
+        n_purchases=("sum", "n_p"),
     )
 
 
@@ -13552,8 +12737,6 @@ def q_user_weekly_retention(sf_dir: str):
     events); per-user cohort + offsets fold in the group and only
     (cohort, offset, n) partial counts reach the final tiny grouped
     sum."""
-    from ray.data.aggregate import Sum
-
     WEEK_US = 7 * 24 * 3_600_000_000
 
     start = int(
@@ -13585,15 +12768,15 @@ def q_user_weekly_retention(sf_dir: str):
         cells = pd.DataFrame({"cohort_week": cohort, "week_offset": active["week"] - cohort})
         return cells.groupby(["cohort_week", "week_offset"], as_index=False).size().rename(columns={"size": "n_p"})
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "events", ["user_id", "ts"]).map_batches(partial, batch_format="pyarrow"),
             "user_id",
             fold,
             {"cohort_week": pa.int64(), "week_offset": pa.int64(), "n_p": pa.int64()},
-        )
-        .groupby(["cohort_week", "week_offset"])
-        .aggregate(Sum("n_p", alias_name="n_users"))
+        ),
+        ["cohort_week", "week_offset"],
+        n_users=("sum", "n_p"),
     )
 
 
@@ -13605,63 +12788,37 @@ def q_conversion_latency_quantiles(sf_dir: str):
     selection mirrors DuckDB ``quantile_disc`` (1-based ``ceil(q·n)``), so
     the picked values are bit-identical.
 
-    Scale shape: per-batch (user, min_view, min_purchase) partials, one
-    user-grouped min-merge, then latencies collapse to a (latency, n)
-    histogram whose driver-side merge is bounded by the corpus TIME SPAN
-    in seconds (like the hourly/ACF ops), never by event count."""
+    Scale shape: one user-grouped (min_view, min_purchase), then
+    latencies collapse to a grouped (latency, n) histogram whose merge is
+    bounded by the corpus TIME SPAN in seconds (like the hourly/ACF ops),
+    never by event count."""
     import math
 
-    from ray.data.aggregate import Min
-
-    def partial(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_pylist()
-        ty = batch["event_type"].to_pylist()
-        us = batch["ts"].cast(pa.int64()).to_pylist()
-        mv: dict[int, int] = {}
-        mp: dict[int, int] = {}
-        for u, t, s in zip(uid, ty, us):
-            if t == "view":
-                if u not in mv or s < mv[u]:
-                    mv[u] = s
-            elif t == "purchase":
-                if u not in mp or s < mp[u]:
-                    mp[u] = s
-        users = sorted(set(mv) | set(mp))
-        BIG = 1 << 62
-        return pa.table(
-            {
-                "user_id": pa.array(users, pa.int64()),
-                "v_p": pa.array([mv.get(u, BIG) for u in users], pa.int64()),
-                "p_p": pa.array([mp.get(u, BIG) for u in users], pa.int64()),
-            }
-        )
-
     BIG = 1 << 62
-    per_user = (
-        _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("v_p", alias_name="v"), Min("p_p", alias_name="p"))
+
+    def steps(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_in(batch["event_type"], pa.array(["view", "purchase"])))
+        us = batch["ts"].cast(pa.int64())
+
+        def at(name: str) -> pa.Array:
+            return pc.if_else(pc.equal(batch["event_type"], name), us, BIG)
+
+        return pa.table({"user_id": batch["user_id"], "v": at("view"), "p": at("purchase")})
+
+    per_user = group_agg(
+        _read(sf_dir, "events", ["user_id", "event_type", "ts"]).map_batches(steps, batch_format="pyarrow"),
+        "user_id",
+        v=("min", "v"),
+        p=("min", "p"),
     )
 
-    def lat_hist(batch: pa.Table) -> pa.Table:
+    def latency(batch: pa.Table) -> pa.Table:
         v = batch["v"].to_numpy(zero_copy_only=False)
         p = batch["p"].to_numpy(zero_copy_only=False)
         ok = (v < BIG) & (p < BIG) & (p >= v)
-        lat = (p[ok] - v[ok]) // 1_000_000
-        lu, lc = np.unique(lat, return_counts=True)
-        return pa.table(
-            {"lat": pa.array(lu, pa.int64()), "n_p": pa.array(lc.astype(np.int64))}
-        )
+        return pa.table({"lat": pa.array((p[ok] - v[ok]) // 1_000_000, pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    rows = (
-        per_user.map_batches(lat_hist, batch_format="pyarrow")
-        .groupby("lat")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = group_agg(per_user.map_batches(latency, batch_format="pyarrow"), "lat", n=("count",)).take_all()
     rows.sort(key=lambda r: r["lat"])
     values = np.array([r["lat"] for r in rows], dtype=np.int64)
     cum = np.array([r["n"] for r in rows], dtype=np.int64).cumsum()
@@ -13706,26 +12863,11 @@ def q_systematic_sample(sf_dir: str):
     don't)."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     K = 997
     HOUR_US = 3_600_000_000
 
     ds = _read(sf_dir, "events", ["event_id", "ts"])
-
-    def hour_counts(batch: pa.Table) -> pa.Table:
-        us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        hu, hc = np.unique(us // HOUR_US, return_counts=True)
-        return pa.table(
-            {"hour": pa.array(hu, pa.int64()), "n_p": pa.array(hc.astype(np.int64))}
-        )
-
-    hist = (
-        ds.map_batches(hour_counts, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    hist = _hourly_counts(sf_dir).take_all()
     hist.sort(key=lambda r: r["hour"])
     offsets, run = {}, 0
     for r in hist:
@@ -13772,7 +12914,6 @@ def q_orders_constraint_audit(sf_dir: str):
     rule is an anti-join of order custkeys against customer marks
     co-grouped on the custkey (narrow int rows).  One final tiny grouped
     sum emits the five-row report."""
-    from ray.data.aggregate import Sum
 
     def value_rules(batch: pa.Table) -> pa.Table:
         tp = batch["o_totalprice"].to_numpy(zero_copy_only=False)
@@ -13845,11 +12986,10 @@ def q_orders_constraint_audit(sf_dir: str):
         rule_schema,
     )
 
-    return (
-        values.union(dups)
-        .union(orphans)
-        .groupby("rule")
-        .aggregate(Sum("n_p", alias_name="n_violations"))
+    return group_agg(
+        [values, dups, orphans],
+        "rule",
+        n_violations=("sum", "n_p"),
     )
 
 
@@ -13861,35 +13001,21 @@ def q_events_dow_hour_profile(sf_dir: str):
     0 = Sunday) IDENTICALLY in both engines — no engine-specific
     calendar/locale builtin on either side.
 
-    Scale shape: embarrassingly parallel per-batch (dow, hour) partial
-    counts; one ≤168-key grouped sum; the share division is a single
+    Scale shape: embarrassingly parallel per-row (dow, hour) keys; one
+    ≤168-key grouped count; the share division is a single
     IEEE op on exact integers."""
-    from ray.data.aggregate import Sum
-
     DAY_US = 86_400_000_000
     HOUR_US = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def dow_hour(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dow = ((us // DAY_US) + 4) % 7
-        hour = (us // HOUR_US) % 24
-        keys = dow * 24 + hour
-        ku, kc = np.unique(keys, return_counts=True)
         return pa.table(
-            {
-                "dow": pa.array(ku // 24, pa.int64()),
-                "hour": pa.array(ku % 24, pa.int64()),
-                "n_p": pa.array(kc.astype(np.int64)),
-            }
+            {"dow": pa.array(((us // DAY_US) + 4) % 7, pa.int64()), "hour": pa.array((us // HOUR_US) % 24, pa.int64())}
         )
 
-    cells = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["dow", "hour"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    cells = group_agg(
+        _read(sf_dir, "events", ["ts"]).map_batches(dow_hour, batch_format="pyarrow"), ["dow", "hour"], n=("count",)
+    ).take_all()
     total = sum(int(r["n"]) for r in cells)
     cells.sort(key=lambda r: (r["dow"], r["hour"]))
     return pa.table(
@@ -13984,20 +13110,7 @@ def q_zorder_layout_audit(sf_dir: str):
     # selectivity count) — materialize the narrow 4-int projection once
     tagged = ds.map_batches(z_tag, batch_format="pyarrow").materialize()
 
-    def z_counts(batch: pa.Table) -> pa.Table:
-        zu, zc = np.unique(
-            batch["z"].to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"z": pa.array(zu, pa.int64()), "n_p": pa.array(zc.astype(np.int64))}
-        )
-
-    hist = (
-        tagged.map_batches(z_counts, batch_format="pyarrow")
-        .groupby("z")
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    hist = group_agg(tagged, "z", n=("count",)).take_all()
     hist.sort(key=lambda r: r["z"])
     offsets, run = {}, 0
     for r in hist:
@@ -14018,35 +13131,11 @@ def q_zorder_layout_audit(sf_dir: str):
         within = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
         bases = np.array([off[int(z_arr[s])] for s in starts], dtype=np.int64)
         rank = np.repeat(bases, counts) + within
-        df = pd.DataFrame(
-            {"blk": rank // B, "ck": g["ck"].to_numpy(), "us": g["us"].to_numpy()}
-        )
-        a = df.groupby("blk").agg(
-            cmn_p=("ck", "min"),
-            cmx_p=("ck", "max"),
-            dmn_p=("us", "min"),
-            dmx_p=("us", "max"),
-        )
-        return a.reset_index()
+        return pd.DataFrame({"blk": rank // B, "ck": g["ck"].to_numpy(), "us": g["us"].to_numpy()})
 
-    def key_blocks2(batch: pa.Table) -> pa.Table:
+    def key_blocks(batch: pa.Table) -> pa.Table:
         key = batch["key"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {
-                "blk": key // B,
-                "ck": batch["ck"].to_numpy(zero_copy_only=False),
-                "us": batch["us"].to_numpy(zero_copy_only=False),
-            }
-        )
-        a = df.groupby("blk").agg(
-            cmn_p=("ck", "min"),
-            cmx_p=("ck", "max"),
-            dmn_p=("us", "min"),
-            dmx_p=("us", "max"),
-        )
-        return _strip_meta(
-            pa.Table.from_pandas(a.reset_index().astype("int64"), preserve_index=False)
-        )
+        return pa.table({"blk": pa.array(key // B, pa.int64()), "ck": batch["ck"], "us": batch["us"]})
 
     def audit(layout: str, blocks_ds) -> tuple[str, int, int]:
         def part(batch: pa.Table) -> pa.Table:
@@ -14067,35 +13156,11 @@ def q_zorder_layout_audit(sf_dir: str):
         )
         return layout, int(totals["nb"]), int(totals["sc"])
 
-    aggs = (
-        Min("cmn_p", alias_name="cmn"),
-        Max("cmx_p", alias_name="cmx"),
-        Min("dmn_p", alias_name="dmn"),
-        Max("dmx_p", alias_name="dmx"),
-    )
-    key_layout = audit(
-        "key_order",
-        tagged.map_batches(key_blocks2, batch_format="pyarrow")
-        .groupby("blk")
-        .aggregate(*aggs),
-    )
-    z_layout = audit(
-        "zorder",
-        cogroup(
-            tagged,
-            "z",
-            z_blocks,
-            {
-                "blk": pa.int64(),
-                "cmn_p": pa.int64(),
-                "cmx_p": pa.int64(),
-                "dmn_p": pa.int64(),
-                "dmx_p": pa.int64(),
-            },
-        )
-        .groupby("blk")
-        .aggregate(*aggs),
-    )
+    # each block's zone map: min/max custkey and orderdate
+    aggs = {"cmn": ("min", "ck"), "cmx": ("max", "ck"), "dmn": ("min", "us"), "dmx": ("max", "us")}
+    key_layout = audit("key_order", group_agg(tagged.map_batches(key_blocks, batch_format="pyarrow"), "blk", **aggs))
+    z_rows = cogroup(tagged, "z", z_blocks, {"blk": pa.int64(), "ck": pa.int64(), "us": pa.int64()})
+    z_layout = audit("zorder", group_agg(z_rows, "blk", **aggs))
 
     def sel_part(batch: pa.Table) -> pa.Table:
         ck = batch["ck"].to_numpy(zero_copy_only=False)
@@ -14134,8 +13199,6 @@ def q_customer_order_gaps(sf_dir: str):
     never by order count."""
     import math
 
-    from ray.data.aggregate import Sum
-
     DAY_US = 86_400_000_000
 
     def to_rows(batch: pa.Table) -> pa.Table:
@@ -14168,16 +13231,19 @@ def q_customer_order_gaps(sf_dir: str):
         )
 
     rows = (
-        cogroup(
-            _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"]).map_batches(
-                to_rows, batch_format="pyarrow"
+        group_agg(
+            cogroup(
+                _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"]).map_batches(
+                    to_rows, batch_format="pyarrow"
+                ),
+                "ck",
+                fold,
+                {"gap": pa.int64(), "n_p": pa.int64(), "multi_p": pa.int64()},
             ),
-            "ck",
-            fold,
-            {"gap": pa.int64(), "n_p": pa.int64(), "multi_p": pa.int64()},
+            "gap",
+            n=("sum", "n_p"),
+            m=("sum", "multi_p"),
         )
-        .groupby("gap")
-        .aggregate(Sum("n_p", alias_name="n"), Sum("multi_p", alias_name="m"))
         .take_all()
     )
     rows.sort(key=lambda r: r["gap"])
@@ -14314,7 +13380,6 @@ def q_knn_mutual_pairs(sf_dir: str):
     sf0.1).  Mutuality resolves in ONE co-group on the unordered pair
     (count == 2 ⇒ both directions present)."""
     import ray
-    from ray.data.aggregate import Sum
 
     from ..functions.simsearch import _normalize, _vec_matrix
 
@@ -14458,7 +13523,6 @@ def q_events_bounce_rate(sf_dir: str):
     Scale shape: one co-group on user_id emits per-type
     (n_sessions, n_bounces) partials; the rate divides two exact int64
     sums in ONE double op after the tiny grouped sum."""
-    from ray.data.aggregate import Sum
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         g, start = _timeline(bucket, ["us", "event_id"], _SESSION_GAP_US)
@@ -14469,17 +13533,16 @@ def q_events_bounce_rate(sf_dir: str):
         )
         return sessions.groupby("first_touch", as_index=False, dropna=False).sum()
 
-    sums = (
+    sums = group_agg(
         cogroup(
             _events(sf_dir, ["user_id", "event_id", "event_type"]),
             "user_id",
             fold,
             {"first_touch": pa.string(), "s_p": pa.int64(), "b_p": pa.int64()},
-        )
-        .groupby("first_touch")
-        .aggregate(
-            Sum("s_p", alias_name="n_sessions"), Sum("b_p", alias_name="n_bounces")
-        )
+        ),
+        "first_touch",
+        n_sessions=("sum", "s_p"),
+        n_bounces=("sum", "b_p"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -14514,8 +13577,6 @@ def q_event_audience_jaccard(sf_dir: str):
     Scale shape: per-batch (user, mask-OR) partials → one OR-fold
     co-grouped on user_id → a ≤32-key histogram to the driver (constant,
     independent of users)."""
-    from ray.data.aggregate import Sum
-
     bit = {t: i for i, t in enumerate(_AUDIENCE_TYPES)}
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -14537,16 +13598,18 @@ def q_event_audience_jaccard(sf_dir: str):
         return pd.DataFrame({"mask": mu, "n_p": mc})
 
     hist = (
-        cogroup(
-            _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
-                partial, batch_format="pyarrow"
+        group_agg(
+            cogroup(
+                _read(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+                    partial, batch_format="pyarrow"
+                ),
+                "user_id",
+                or_fold,
+                {"mask": pa.int64(), "n_p": pa.int64()},
             ),
-            "user_id",
-            or_fold,
-            {"mask": pa.int64(), "n_p": pa.int64()},
+            "mask",
+            n=("sum", "n_p"),
         )
-        .groupby("mask")
-        .aggregate(Sum("n_p", alias_name="n"))
         .take_all()
     )
     counts = {int(r["mask"]): int(r["n"]) for r in hist}
@@ -14587,7 +13650,6 @@ def q_orders_basket_profile(sf_dir: str):
     fold co-grouped on the orderkey (a key's partials all land in one
     block) → per-block size histogram partials → tiny grouped sum.  Never a
     generic hash aggregate over the open orderkey domain."""
-    from ray.data.aggregate import Sum
 
     def key_partial(batch: pa.Table) -> pa.Table:
         k = batch["l_orderkey"].to_numpy(zero_copy_only=False)
@@ -14604,7 +13666,7 @@ def q_orders_basket_profile(sf_dir: str):
         su, sc = np.unique(per_key.to_numpy(), return_counts=True)
         return pd.DataFrame({"n_lines": su, "n_p": sc})
 
-    return (
+    return group_agg(
         cogroup(
             _read(sf_dir, "lineitem", ["l_orderkey"]).map_batches(
                 key_partial, batch_format="pyarrow"
@@ -14612,9 +13674,9 @@ def q_orders_basket_profile(sf_dir: str):
             "key",
             hist_fold,
             {"n_lines": pa.int64(), "n_p": pa.int64()},
-        )
-        .groupby("n_lines")
-        .aggregate(Sum("n_p", alias_name="n_orders"))
+        ),
+        "n_lines",
+        n_orders=("sum", "n_p"),
     )
 
 
@@ -14732,8 +13794,6 @@ def q_link_degree_histogram(sf_dir: str):
     co-grouped on dst computes exact in-degrees (a target's edges are
     co-resident) and emits per-block (degree, n) histogram
     partials; the final grouped sum is O(distinct degrees)."""
-    from ray.data.aggregate import Sum
-
     _ensure_pages_fixture(sf_dir)
 
     def edge_rows(batch: pa.Table) -> pa.Table:
@@ -14754,7 +13814,7 @@ def q_link_degree_histogram(sf_dir: str):
         du, dc = np.unique(deg.to_numpy(), return_counts=True)
         return pd.DataFrame({"degree": du, "n_p": dc})
 
-    return (
+    return group_agg(
         cogroup(
             _oracle_visible_pages(sf_dir, include_text_route=False).map_batches(
                 edge_rows, batch_format="pyarrow"
@@ -14762,9 +13822,9 @@ def q_link_degree_histogram(sf_dir: str):
             "dst",
             indeg_fold,
             {"degree": pa.int64(), "n_p": pa.int64()},
-        )
-        .groupby("degree")
-        .aggregate(Sum("n_p", alias_name="n_targets"))
+        ),
+        "degree",
+        n_targets=("sum", "n_p"),
     )
 
 
@@ -14778,11 +13838,9 @@ def q_pages_route_stats(sf_dir: str):
     truncation) before any extraction runs.  Routing mirrors the fixture
     rule verbatim: text present / .csv suffix / %PDF- magic / html.
 
-    Scale shape: stateless per-batch partials (count/sum/max/fp per
-    route), one ≤4-key grouped fold — zero shuffles of page bytes."""
+    Scale shape: a stateless per-page (route, chars, fp) map, one ≤4-key
+    grouped count/sum/max — zero shuffles of page bytes."""
     import hashlib
-
-    from ray.data.aggregate import Max, Sum
 
     from ..kernels.html_text import decode_html_bytes
     from ..kernels.pdf_text import is_pdf
@@ -14791,8 +13849,8 @@ def q_pages_route_stats(sf_dir: str):
     MOD = 1_000_000_007
     _ensure_pages_fixture(sf_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        stats: dict[str, list[int]] = {}
+    def payload(batch: pa.Table) -> pa.Table:
+        routes, chars, fps = [], [], []
         for url, raw, text in zip(
             batch["url"].to_pylist(),
             batch["html"].to_pylist(),
@@ -14808,33 +13866,24 @@ def q_pages_route_stats(sf_dir: str):
             else:
                 route, n = "html", len(decode_html_bytes(raw))
             digest = hashlib.md5(f"{url}|{n}".encode()).digest()
-            fp = int.from_bytes(digest[:8], "little") % MOD
-            s = stats.setdefault(route, [0, 0, 0, 0])
-            s[0] += 1
-            s[1] += n
-            s[2] = max(s[2], n)
-            s[3] += fp
-        routes = sorted(stats)
+            routes.append(route)
+            chars.append(n)
+            fps.append(int.from_bytes(digest[:8], "little") % MOD)
         return pa.table(
             {
                 "route": pa.array(routes, pa.string()),
-                "n_p": pa.array([stats[r][0] for r in routes], pa.int64()),
-                "c_p": pa.array([stats[r][1] for r in routes], pa.int64()),
-                "m_p": pa.array([stats[r][2] for r in routes], pa.int64()),
-                "f_p": pa.array([stats[r][3] for r in routes], pa.int64()),
+                "n_chars": pa.array(chars, pa.int64()),
+                "fp": pa.array(fps, pa.int64()),
             }
         )
 
-    return (
-        pages_dataset(pages_rows_for(sf_dir))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("route")
-        .aggregate(
-            Sum("n_p", alias_name="n_pages"),
-            Sum("c_p", alias_name="total_chars"),
-            Max("m_p", alias_name="max_chars"),
-            Sum("f_p", alias_name="payload_fp"),
-        )
+    return group_agg(
+        pages_dataset(pages_rows_for(sf_dir)).map_batches(payload, batch_format="pyarrow"),
+        "route",
+        n_pages=("count",),
+        total_chars=("sum", "n_chars"),
+        max_chars=("max", "n_chars"),
+        payload_fp=("sum", "fp"),
     )
 
 
@@ -14851,8 +13900,6 @@ def q_session_duration_quantiles(sf_dir: str):
     O(sessions) rows."""
     import math
 
-    from ray.data.aggregate import Sum
-
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         s = _sessionize(bucket, _SESSION_GAP_US)
         dur = (s["session_end_us"] - s["session_start_us"]).to_numpy() // 1_000_000
@@ -14862,14 +13909,16 @@ def q_session_duration_quantiles(sf_dir: str):
         return vals.groupby(["kind", "val"], as_index=False).size().rename(columns={"size": "n_p"})
 
     rows = (
-        cogroup(
-            _events(sf_dir, ["user_id"]),
-            "user_id",
-            fold,
-            {"kind": pa.string(), "val": pa.int64(), "n_p": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["user_id"]),
+                "user_id",
+                fold,
+                {"kind": pa.string(), "val": pa.int64(), "n_p": pa.int64()},
+            ),
+            ["kind", "val"],
+            n=("sum", "n_p"),
         )
-        .groupby(["kind", "val"])
-        .aggregate(Sum("n_p", alias_name="n"))
         .take_all()
     )
 
@@ -14915,7 +13964,6 @@ def q_vocab_coverage_k(sf_dir: str):
     partial — Zipf keeps distinct frequency values ~O(√tokens), so the
     driver merge is sublinear in vocabulary and independent of the raw
     corpus."""
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -14935,14 +13983,16 @@ def q_vocab_coverage_k(sf_dir: str):
         return pd.DataFrame({"freq": fu, "nw_p": fc})
 
     rows = (
-        cogroup(
-            _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
-            "word",
-            freq_hist,
-            {"freq": pa.int64(), "nw_p": pa.int64()},
+        group_agg(
+            cogroup(
+                _read(sf_dir, "documents", ["text"]).map_batches(partial, batch_format="pyarrow"),
+                "word",
+                freq_hist,
+                {"freq": pa.int64(), "nw_p": pa.int64()},
+            ),
+            "freq",
+            nw=("sum", "nw_p"),
         )
-        .groupby("freq")
-        .aggregate(Sum("nw_p", alias_name="nw"))
         .take_all()
     )
     rows.sort(key=lambda r: -int(r["freq"]))
@@ -15028,38 +14078,23 @@ def q_events_error_pchart(sf_dir: str):
     the UNROUNDED doubles through the identical IEEE chain on both
     engines.
 
-    Scale shape: per-batch (day, n, n_err) partials, one day-keyed
-    grouped sum (days are time-bounded), scalar p̄, stateless limit
-    arithmetic."""
+    Scale shape: one day-keyed grouped (n, n_err) (days are
+    time-bounded), scalar p̄, stateless limit arithmetic."""
     import math
-
-    from ray.data.aggregate import Sum
 
     DAY_US = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def day_err(batch: pa.Table) -> pa.Table:
         us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // DAY_US
-        err = np.array(
-            [t == "error" for t in batch["event_type"].to_pylist()], dtype=np.int64
-        )
-        df = pd.DataFrame({"day": day, "e": err})
-        g = df.groupby("day")["e"].agg(["size", "sum"]).reset_index()
-        return pa.table(
-            {
-                "day": pa.array(g["day"].to_numpy(), pa.int64()),
-                "n_p": pa.array(g["size"].to_numpy().astype(np.int64)),
-                "e_p": pa.array(g["sum"].to_numpy().astype(np.int64)),
-            }
-        )
+        err = pc.cast(pc.fill_null(pc.equal(batch["event_type"], "error"), False), pa.int64())
+        return pa.table({"day": pa.array(us // DAY_US, pa.int64()), "e": err})
 
-    rows = (
-        _read(sf_dir, "events", ["ts", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("day")
-        .aggregate(Sum("n_p", alias_name="n"), Sum("e_p", alias_name="e"))
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "events", ["ts", "event_type"]).map_batches(day_err, batch_format="pyarrow"),
+        "day",
+        n=("count",),
+        e=("sum", "e"),
+    ).take_all()
     rows.sort(key=lambda r: r["day"])
     if not rows:  # empty stream: the oracle's day histogram is empty → 0 rows
         return pa.table(
@@ -15113,13 +14148,13 @@ def q_events_value_psi_bins(sf_dir: str):
     ``floor(v·100 + 0.5)`` and the decile cuts (quantile_disc ceil rule)
     are integer-exact on both engines.
 
-    Scale shape: per-batch (half, cent, n) histogram partials — the
-    shuffle ships one row per distinct cent per batch, and the driver
+    Scale shape: one grouped (half, cent) count — the shuffle ships one
+    row per distinct cent per block, and the driver
     merge is bounded by the value DOMAIN (range × 100), not by event
     count."""
     import math
 
-    from ray.data.aggregate import Min, Max, Sum
+    from ray.data.aggregate import Min, Max
 
     bounds = (
         _read(sf_dir, "events", ["ts"])
@@ -15143,30 +14178,19 @@ def q_events_value_psi_bins(sf_dir: str):
     else:
         mid = (int(bounds["mn"]) + int(bounds["mx"])) // 2
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def half_cent(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["value"]))
         us = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         cents = np.floor(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0 + 0.5
         ).astype(np.int64)
-        half = (us >= mid).astype(np.int64)
-        df = pd.DataFrame({"half": half, "cent": cents})
-        g = df.groupby(["half", "cent"]).size().reset_index(name="n")
-        return pa.table(
-            {
-                "half": pa.array(g["half"].to_numpy(), pa.int64()),
-                "cent": pa.array(g["cent"].to_numpy(), pa.int64()),
-                "n_p": pa.array(g["n"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({"half": pa.array((us >= mid).astype(np.int64)), "cent": pa.array(cents)})
 
-    rows = (
-        _read(sf_dir, "events", ["ts", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["half", "cent"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "events", ["ts", "value"]).map_batches(half_cent, batch_format="pyarrow"),
+        ["half", "cent"],
+        n=("count",),
+    ).take_all()
     ref = sorted((int(r["cent"]), int(r["n"])) for r in rows if r["half"] == 0)
     cur = {int(r["cent"]): int(r["n"]) for r in rows if r["half"] == 1}
     ref_bins = np.zeros(10, dtype=np.int64)
@@ -15233,8 +14257,6 @@ def q_sessions_concurrency_profile(sf_dir: str):
     session emits per-HOUR partial counts (bounded by duration/3600 s —
     gap-bounded sessions are short); a tiny hour-keyed grouped sum
     finishes.  No pairwise interval join anywhere."""
-    from ray.data.aggregate import Sum
-
     HOUR_US = 3_600_000_000
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
@@ -15255,14 +14277,16 @@ def q_sessions_concurrency_profile(sf_dir: str):
         )
 
     return (
-        cogroup(
-            _events(sf_dir, ["user_id"]),
-            "user_id",
-            fold,
-            {"hour": pa.int64(), "n_p": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["user_id"]),
+                "user_id",
+                fold,
+                {"hour": pa.int64(), "n_p": pa.int64()},
+            ),
+            "hour",
+            n_active_sessions=("sum", "n_p"),
         )
-        .groupby("hour")
-        .aggregate(Sum("n_p", alias_name="n_active_sessions"))
         .map_batches(finish, batch_format="pyarrow")
     )
 
@@ -15301,7 +14325,6 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     import shutil
     import zlib
 
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     K1, B = 1.2, 0.75
@@ -15352,9 +14375,8 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     )
 
     # ---- online: stats + scoring from the staged index only ----
-    dl_ds = rd.read_parquet(os.path.join(staging, "doclens")).map_batches(
-        _strip_meta, batch_format="pyarrow"
-    )
+    dl_dir, post_dir = os.path.join(staging, "doclens"), os.path.join(staging, "postings")
+    dl_ds = read_parquet(dl_dir, schema=bare_schema(dl_dir))
     agg = dl_ds.map_batches(
         lambda b: pa.table(
             {
@@ -15367,9 +14389,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     n_docs = int(agg["nd"])
     avgdl = float(agg["nw"]) / n_docs
 
-    post_ds = rd.read_parquet(
-        os.path.join(staging, "postings")
-    ).map_batches(_strip_meta, batch_format="pyarrow")
+    post_ds = read_parquet(post_dir, schema=bare_schema(post_dir))
 
     def term_rows(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch["term"], value_set=pa.array(TERMS))
@@ -15487,38 +14507,25 @@ def q_stump_lang_classifier(sf_dir: str):
     sentinel max+1; errors are exact integer counts; ties prefer the
     smallest threshold.
 
-    Scale shape: a (feature, n_en, n_other) histogram folds map-side —
+    Scale shape: one grouped (feature, is_en) count —
     the feature domain is ≤1001 values by construction, so the driver
     scan is constant-size regardless of corpus scale."""
-    from ray.data.aggregate import Sum
-
     stop = set(_STOP_WORDS)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
+    def feature(batch: pa.Table) -> pa.Table:
+        fs, ens = [], []
         for lang, text in zip(batch["lang"].to_pylist(), batch["text"].to_pylist()):
             words = (text or "").lower().split()
-            if not words:
-                continue
-            hits = sum(1 for w in words if w in stop)
-            f = (1000 * hits) // len(words)
-            c[(f, 1 if lang == "en" else 0)] += 1
-        keys = list(c.keys())
-        return pa.table(
-            {
-                "f": pa.array([k[0] for k in keys], pa.int64()),
-                "en": pa.array([k[1] for k in keys], pa.int64()),
-                "n_p": pa.array([c[k] for k in keys], pa.int64()),
-            }
-        )
+            if words:
+                fs.append((1000 * sum(1 for w in words if w in stop)) // len(words))
+                ens.append(1 if lang == "en" else 0)
+        return pa.table({"f": pa.array(fs, pa.int64()), "en": pa.array(ens, pa.int64())})
 
-    rows = (
-        _read(sf_dir, "documents", ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["f", "en"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = group_agg(
+        _read(sf_dir, "documents", ["lang", "text"]).map_batches(feature, batch_format="pyarrow"),
+        ["f", "en"],
+        n=("count",),
+    ).take_all()
     hist: dict[int, list[int]] = {}
     for r in rows:
         slot = hist.setdefault(int(r["f"]), [0, 0])
@@ -15634,17 +14641,17 @@ def q_markov_next_accuracy(sf_dir: str):
     ``_bigram_counts`` fold of `event_type_transitions`) into a ≤|types|² count
     table; the argmax and the accuracy division are driver arithmetic on
     that constant-size table."""
-    from ray.data.aggregate import Sum
-
     rows = (
-        cogroup(
-            _events(sf_dir, ["user_id", "event_id", "event_type"]),
-            "user_id",
-            _bigram_counts,
-            {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
+        group_agg(
+            cogroup(
+                _events(sf_dir, ["user_id", "event_id", "event_type"]),
+                "user_id",
+                _bigram_counts,
+                {"cur": pa.string(), "nxt": pa.string(), "n": pa.int64()},
+            ),
+            ["cur", "nxt"],
+            n=("sum", "n"),
         )
-        .groupby(["cur", "nxt"])
-        .aggregate(Sum("n", alias_name="n"))
         .take_all()
     )
     by_cur: dict[str, list[tuple[str, int]]] = {}
@@ -15699,13 +14706,7 @@ def q_near_dup_cluster_sizes(sf_dir: str):
     Scale shape: layers one ≤|distinct sizes|-key grouped count on top of
     `q_near_dup_clusters` (LSH → pointer-doubling CC); no new shuffle of
     corpus data."""
-    from ray.data.aggregate import Count
-
-    return (
-        q_near_dup_clusters(sf_dir)
-        .groupby("cluster_size")
-        .aggregate(Count(alias_name="n_clusters"))
-    )
+    return group_agg(q_near_dup_clusters(sf_dir), "cluster_size", n_clusters=("count",))
 
 
 
@@ -15738,7 +14739,6 @@ def q_lang_hapax_ratio(sf_dir: str):
     the word; each folded block emits ONE (lang, vocab_p, hapax_p) partial — the
     open vocabulary never reaches a generic hash aggregate or the
     driver."""
-    from ray.data.aggregate import Sum
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
@@ -15747,7 +14747,7 @@ def q_lang_hapax_ratio(sf_dir: str):
         )
         return a.reset_index()
 
-    sums = (
+    sums = group_agg(
         cogroup(
             _read(sf_dir, "documents", ["lang", "text"]).map_batches(
                 _lang_word_count_partial, batch_format="pyarrow"
@@ -15755,9 +14755,10 @@ def q_lang_hapax_ratio(sf_dir: str):
             "word",
             fold,
             {"lang": pa.string(), "v_p": pa.int64(), "h_p": pa.int64()},
-        )
-        .groupby("lang")
-        .aggregate(Sum("v_p", alias_name="vocab"), Sum("h_p", alias_name="hapax"))
+        ),
+        "lang",
+        vocab=("sum", "v_p"),
+        hapax=("sum", "h_p"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -15789,14 +14790,13 @@ def q_lang_yule_k(sf_dir: str):
     Scale shape: per-(lang, word) exact counts in a fold co-grouped on
     the word; each folded block emits ONE (lang, Σf, Σf²) partial — constant rows
     per bucket, open vocabulary never aggregated globally."""
-    from ray.data.aggregate import Sum
 
     def fold(bucket: pd.DataFrame) -> pd.DataFrame:
         g = bucket.groupby(["lang", "word"], as_index=False)["n_p"].sum()
         g["sq"] = g["n_p"] * g["n_p"]
         return g.groupby("lang", as_index=False)[["n_p", "sq"]].sum().rename(columns={"sq": "sq_p"})
 
-    sums = (
+    sums = group_agg(
         cogroup(
             _read(sf_dir, "documents", ["lang", "text"]).map_batches(
                 _lang_word_count_partial, batch_format="pyarrow"
@@ -15804,9 +14804,10 @@ def q_lang_yule_k(sf_dir: str):
             "word",
             fold,
             {"lang": pa.string(), "n_p": pa.int64(), "sq_p": pa.int64()},
-        )
-        .groupby("lang")
-        .aggregate(Sum("n_p", alias_name="n_tokens"), Sum("sq_p", alias_name="sq"))
+        ),
+        "lang",
+        n_tokens=("sum", "n_p"),
+        sq=("sum", "sq_p"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -15837,31 +14838,10 @@ def q_source_lang_diversity(sf_dir: str):
     EXACT: the numerator and denominator are integers; one mirrored
     double division.
 
-    Scale shape: per-batch (source, lang) partial counts; one grouped
-    sum over the ≤|sources|·|langs| key domain; driver-free arithmetic
+    Scale shape: one grouped (source, lang) count over the
+    ≤|sources|·|langs| key domain; driver-free arithmetic
     in a final stateless map."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = Counter(
-            zip(batch["source"].to_pylist(), batch["lang"].to_pylist())
-        )
-        keys = list(c.keys())
-        return pa.table(
-            {
-                "source": pa.array([k[0] for k in keys], pa.string()),
-                "lang": pa.array([k[1] for k in keys], pa.string()),
-                "n_p": pa.array([c[k] for k in keys], pa.int64()),
-            }
-        )
-
-    rows = (
-        _read(sf_dir, "documents", ["source", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n_p", alias_name="n"))
-        .take_all()
-    )
+    rows = group_agg(_read(sf_dir, "documents", ["source", "lang"]), ["source", "lang"], n=("count",)).take_all()
     per: dict[str, list[int]] = {}
     for r in rows:
         s = per.setdefault(r["source"], [0, 0])

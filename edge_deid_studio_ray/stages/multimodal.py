@@ -23,7 +23,6 @@ Scale note: binary rows are large — callers should use small ``batch_size``
 from __future__ import annotations
 
 import hashlib
-from typing import Any
 
 import numpy as np
 import pyarrow as pa
@@ -209,10 +208,3 @@ class VideoFrameSampleStage:
                 out["feature"].append(self._pool(frame))
                 out["decode_backend"].append(self.demux.name)
         return pa.Table.from_pydict(out, schema=VIDEO_FRAME_SCHEMA)
-
-
-def video_frame_sample_stub(*_args: Any, **_kwargs: Any):
-    """Back-compat alias for the pre-stage stub; use VideoFrameSampleStage."""
-    raise NotImplementedError(
-        "video decode requires pyav/ffmpeg; use VideoFrameSampleStage (fake demuxer)"
-    )

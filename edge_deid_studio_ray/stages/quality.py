@@ -5,8 +5,8 @@ Ray-native restatement of ``analyze_span_examples``
 ``aggregate_reports`` (training/deid_eval.py:258-292):
 
 - per-example validation + metrics run inside ``map_batches`` (parallel);
-- counts (issue kinds, entity types, invalid counts) pre-aggregate per batch
-  and reduce through a tiny ``groupby().sum()``;
+- counts (issue kinds, entity types, invalid counts) pre-aggregate into one
+  partial row per batch, summed on the driver;
 - distributions (text length, entities/example, span length) reduce via
   per-batch reservoir samples merged on the driver (the reference itself
   caps quality sampling at 5000 via a reservoir, training/mix.py:96-124) —

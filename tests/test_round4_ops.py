@@ -200,6 +200,57 @@ def test_queries_fold_only_through_cogroup():
     assert sorted(unions) == [("functions/corpusops.py", "duplicate_ngram_spans"), ("functions/dedup.py", "_dedupe_pair_rows")]
 
 
+def test_grouped_aggregates_only_through_group_agg():
+    """Every grouped aggregate in the package goes through ``group_agg``: no
+    module chains ``.groupby(...).aggregate(...)``, and no Ray grouped
+    shorthand (``.groupby(...).count()`` and kin) follows a Dataset-building
+    call.  ``ray.data.aggregate`` is imported only inside functions that
+    call a global ``Dataset.aggregate``, and every name it imports there is
+    used."""
+    import ast
+    import pathlib
+
+    import edge_deid_studio_ray
+
+    datasets = {"_read", "_read_spread", "_events", "read_parquet", "map_batches", "union", "cogroup", "group_agg"}
+    shorthand = {"count", "sum", "min", "max", "mean", "std"}
+
+    def method(node) -> str | None:
+        ok = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        return node.func.attr if ok else None
+
+    def called(node) -> str | None:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id
+        return method(node)
+
+    root = pathlib.Path(edge_deid_studio_ray.__file__).parent
+    grouped, imports = [], []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if method(node) in shorthand | {"aggregate"} and method(node.func.value) == "groupby":
+                if method(node) == "aggregate" or called(node.func.value.func.value) in datasets:
+                    grouped.append((rel, node.lineno))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for imp in ast.walk(tree):
+            if not (isinstance(imp, ast.ImportFrom) and imp.module == "ray.data.aggregate"):
+                continue
+            scope = parent[imp]
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                scope = parent[scope]
+            if isinstance(scope, ast.Module):
+                imports.append((rel, imp.lineno, "module level"))
+                continue
+            names = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            if not any(method(n) == "aggregate" and method(n.func.value) != "groupby" for n in ast.walk(scope)):
+                imports.append((rel, imp.lineno, "no global aggregate"))
+            imports += [(rel, imp.lineno, a.name) for a in imp.names if (a.asname or a.name) not in names]
+    assert grouped == []
+    assert imports == []
+
+
 def test_events_folds_scan_one_timeline():
     """Every ordered per-user events fold in ``queries.py`` sorts through
     ``_timeline``: no ``for`` loop iterates a ``.groupby("user_id", ...)``
@@ -551,10 +602,11 @@ class TestSizedReadsMatchParentShape:
     def test_results_invariant_under_read_blocks(self, ray_session, monkeypatch):
         from edge_deid_studio_ray.config import cluster_cpus
         from edge_deid_studio_ray.pipelines import queries
+        from edge_deid_studio_ray.sources import parquet
 
         sf = "/root/testdata/sf0.001"
         sized = {n: self._canon(queries.QUERIES[n](sf)) for n in self.NAMES}
-        monkeypatch.setattr(queries, "_read_blocks", lambda path, columns=None: 2 * cluster_cpus())
+        monkeypatch.setattr(parquet, "read_blocks", lambda path, columns=None: 2 * cluster_cpus())
         for n in self.NAMES:
             assert self._canon(queries.QUERIES[n](sf)).equals(sized[n]), n
 
@@ -564,7 +616,7 @@ class TestFooterSizedRead:
         from edge_deid_studio_ray.pipelines.queries import _read
 
         stats = _read("/root/testdata/sf0.001", "events", ["user_id", "ts"]).materialize().stats()
-        assert "Operator 1 ReadParquet->MapBatches(_strip_meta): 1 tasks executed, 1 blocks" in stats
+        assert "Operator 1 ReadParquet: 1 tasks executed, 1 blocks" in stats
         assert "SplitBlocks" not in stats and "Operator 2" not in stats
 
     def test_spread_read_has_no_repartition(self, ray_session):
@@ -579,7 +631,7 @@ class TestFooterSizedRead:
         import pyarrow.parquet as pq
 
         from edge_deid_studio_ray.config import cluster_cpus
-        from edge_deid_studio_ray.pipelines.queries import _read_blocks
+        from edge_deid_studio_ray.sources.parquet import read_blocks as _read_blocks
 
         floor_mib = 2 * cluster_cpus()
         rows = (floor_mib << 20) // 8 + 1
@@ -592,6 +644,42 @@ class TestFooterSizedRead:
         # read as its own MiB count of blocks
         pq.write_table(t.slice(0, rows // 2), path, use_dictionary=False, compression="none")
         assert _read_blocks(path, ["a"]) == floor_mib // 2
+
+
+def test_read_logs_no_schema_hash_warning(ray_session, capfd, monkeypatch):
+    """With a 1 MiB target block size, ``lineitem_corr_matrix``'s read at
+    sf0.001 builds a block from several parquet batches, and Ray hashes the
+    batches' schemas to unify them.  The read strips the pandas schema
+    metadata from each batch, so no worker logs ``Failed to hash the
+    schemas``.  A plain ``read_parquet`` of the same file does log it, which
+    shows that the worker log reaches the capture."""
+    import time
+
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from edge_deid_studio_ray.pipelines.queries import q_lineitem_corr_matrix
+
+    warning = "Failed to hash the schemas"
+    sf = "/root/testdata/sf0.001"
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1 << 20)
+
+    def logged(wait_s: float, stop_at: str | None = None) -> str:
+        text = ""
+        for _ in range(int(wait_s / 0.25)):
+            time.sleep(0.25)
+            out = capfd.readouterr()
+            text += out.out + out.err
+            if stop_at and stop_at in text:
+                break
+        return text
+
+    capfd.readouterr()
+    q_lineitem_corr_matrix(sf)
+    assert warning not in logged(3.0)
+    cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
+    rd.read_parquet(f"{sf}/lineitem.parquet", columns=cols, override_num_blocks=1).materialize()
+    assert warning in logged(15.0, stop_at=warning)
 
 
 class TestQueryReadsStructure:
@@ -945,3 +1033,40 @@ def test_fixture_rewrite_survives_a_crash_before_the_marker(which, tmp_path, mon
     monkeypatch.delattr(q, "open")
     assert rows(small) == rows_for(small)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("which", ["pages", "synth"])
+def test_fixtures_of_two_sf_coexist(which, tmp_path, monkeypatch):
+    """Each sf's fixture lives in a directory keyed by its stamp: building
+    a second sf leaves the first one's files in place, both read back with
+    their own row counts, and the fixed path the oracle SQL reads follows
+    the last build."""
+    import pyarrow.parquet as pq
+
+    from edge_deid_studio_ray.pipelines import queries as q
+
+    if which == "pages":
+        monkeypatch.setattr(q, "_PAGES_FIXTURE", str(tmp_path / "pages.parquet"))
+
+        def ensure(sf: str) -> str:
+            return q._ensure_pages_fixture(sf)
+
+        rows_for, oracle_path = q.pages_rows_for, tmp_path / "pages.parquet"
+    else:
+        monkeypatch.setattr(q, "_SYNTH_FIXTURE_DIR", str(tmp_path))
+
+        def ensure(sf: str) -> str:
+            return q._ensure_synth_fixture(sf)[0]
+
+        rows_for, oracle_path = q._synth_rows_for, tmp_path / "examples.parquet"
+
+    small, large = "/data/sf0.001", "/data/sf0.01"
+    assert rows_for(small) != rows_for(large)
+    small_path, large_path = ensure(small), ensure(large)
+    assert small_path != large_path
+    assert pq.read_metadata(small_path).num_rows == rows_for(small)
+    assert pq.read_metadata(large_path).num_rows == rows_for(large)
+    assert pq.read_metadata(oracle_path).num_rows == rows_for(large)
+    assert ensure(small) == small_path
+    assert pq.read_metadata(oracle_path).num_rows == rows_for(small)
+    assert pq.read_metadata(large_path).num_rows == rows_for(large)
