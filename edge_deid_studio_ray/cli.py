@@ -63,9 +63,10 @@ def main(argv: list[str] | None = None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
+    import ray.data as rd
+
     from .config import EngineConfig
     from .pipelines.deid import run_deid_job
-    from .sources.parquet import read_parquet
 
     cfg = EngineConfig(
         mode=args.mode,
@@ -95,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     groups = [files[i::n_shards] for i in range(n_shards)]
 
     shards = [
-        (f"s{i:04d}", (lambda paths=paths: read_parquet(paths)))
+        (f"s{i:04d}", (lambda paths=paths: rd.read_parquet(paths)))
         for i, paths in enumerate(groups)
         if paths
     ]

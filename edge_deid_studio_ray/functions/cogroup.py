@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..config import cluster_cpus
+
 # the internal sort column cogroup appends, and what a null key hashes to
 _HASH = "__cogroup_hash"
 # prefix of the column marking one input's rows in a multi-input co-group
@@ -133,13 +135,16 @@ def cogroup(ds, key, fn, schema):
     )
 
 
-def _hash_sort(inputs: list, keys: list[str], mark: bool = False):
+def _hash_sort(inputs: list, keys: list[str], mark: bool = False, parts: int | None = None):
     """The inputs with the key hash appended, each in one map that fuses
     with the input's last map, unioned and sorted on the hash: every row of
     a key lands in one sorted block.  With ``mark``, the map also casts
     integer keys to int64 and appends a column marking the input (its name
     lists the input's columns, so no ``Dataset.schema()`` call runs the
-    plan)."""
+    plan).  Without ``parts`` Ray samples the hash for its boundaries and
+    sorts into one block per input block; with ``parts`` the sort takes
+    evenly spaced boundaries over int64, where the hash is uniform, and
+    gives that many blocks with no sampling wave."""
 
     def hashed(i: int):
         def add_hash(block: pa.Table) -> pa.Table:
@@ -154,7 +159,11 @@ def _hash_sort(inputs: list, keys: list[str], mark: bool = False):
         return add_hash
 
     first, *rest = [d.map_batches(hashed(i), batch_size=None, batch_format="pyarrow") for i, d in enumerate(inputs)]
-    return (first.union(*rest) if rest else first).sort(_HASH)
+    out = first.union(*rest) if rest else first
+    if parts is None:
+        return out.sort(_HASH)
+    step = 2**64 // parts
+    return out.sort(_HASH, boundaries=[-(2**63) + i * step for i in range(1, parts)])
 
 
 # how each aggregate's per-block partials merge
@@ -175,9 +184,12 @@ def group_agg(ds, key, /, **aggs):
     Execution: a pyarrow ``group_by`` partial over each whole input block,
     in a map that fuses with the input's last map (with each input's, for a
     list, which a ``Dataset.union`` in front would stop); the partials take
-    :func:`cogroup`'s hash-and-sort on the key, and each sorted block is
-    merged by one more ``group_by`` (sum of counts and sums, min of mins,
-    max of maxes).  Types follow from the input: a count and an integer sum
+    :func:`cogroup`'s hash-and-sort on the key, into one block per cluster
+    CPU (two at least), and each sorted block is merged by one more
+    ``group_by`` (sum of counts and sums, min of mins, max of maxes).  A
+    partial holds one row per key of its block, so its size does not
+    follow the input's block count, and neither does the merge's task
+    count.  Types follow from the input: a count and an integer sum
     are int64, a float sum is float64, min / max keep the column's type.
     Over zero rows no merge runs, so the result has no schema, as Ray's
     grouped aggregate gave."""
@@ -209,7 +221,8 @@ def group_agg(ds, key, /, **aggs):
 
     inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
     partials = [d.map_batches(partial, batch_size=None, batch_format="pyarrow") for d in inputs]
-    return _hash_sort(partials, keys).map_batches(merge, batch_size=None, batch_format="pyarrow")
+    sorted_partials = _hash_sort(partials, keys, parts=max(2, cluster_cpus()))
+    return sorted_partials.map_batches(merge, batch_size=None, batch_format="pyarrow")
 
 
 def each_key(key, fn):

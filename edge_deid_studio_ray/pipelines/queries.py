@@ -69,7 +69,7 @@ from ..functions.dedup import add_md5_column, minhash_candidates
 from ..functions.simsearch import knn_bruteforce
 from ..functions.textstats import lang_id, quality_counts, simhash64, fingerprint64
 from ..kernels.docpipe import process_document
-from ..sources.parquet import bare_schema, read_parquet
+from ..sources.parquet import read_parquet
 from ..stages.deid import make_deid_batch_fn
 
 
@@ -95,11 +95,9 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, blocks: int
     """Every query read of an ``sf_dir`` table: ``blocks`` output blocks when
     given, else footer-sized (``sources.parquet.read_parquet``).  A table of
     under 2 MiB of projected columns is one block, fused
-    ``ReadParquet->MapBatches(<first map>)``.  It reads with the file's
-    schema stripped of the pandas metadata (``bare_schema``), so no block
-    carries that metadata out of the read task."""
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    return read_parquet(path, columns, blocks, schema=bare_schema(path, columns))
+    ``ReadParquet->MapBatches(<first map>)``, with no pandas schema
+    metadata on its blocks."""
+    return read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns, blocks)
 
 
 def _events(sf_dir: str, columns: list[str]):
@@ -1403,12 +1401,12 @@ def pages_rows_for(sf_dir: str) -> int:
     return _SF_PAGES.get(tail, 500)
 
 
-# Fixed path the pages oracles read via read_parquet() — the harness runs
-# the query BEFORE its oracle, and each pages query points this path at the
-# fixture of its sf at build time, so the SQL always sees the corpus the
-# engine just processed.  The fixture files themselves live in one
-# directory per stamp next to it (``_keyed_fixture``).
-_PAGES_FIXTURE = "/tmp/eds_pages_fixture/pages.parquet"
+# The path the pages oracles read via read_parquet().  Its directory is
+# this driver process's own link (``_keyed_fixture``): the harness runs the
+# query BEFORE its oracle, and each pages query points the link at the
+# fixture of its sf, so the SQL sees the corpus the engine just processed,
+# whatever sf another process on the host builds meanwhile.
+_PAGES_FIXTURE = f"/tmp/eds_pages_fixture/pid{os.getpid()}/pages.parquet"
 
 _OUTLINK_BASE_RE = re.compile(r"^(https?://[^/]+)")
 
@@ -1457,14 +1455,16 @@ def _write_fixture(marker: str, stamp: str, tables: dict) -> None:
         f.write(stamp)
 
 
-def _keyed_fixture(root: str, stamp: str, names: list[str], build) -> list[str]:
+def _keyed_fixture(link: str, stamp: str, names: list[str], build) -> list[str]:
     """The fixture files ``names`` of ``stamp``: ``build()`` returns their
-    tables, written once into a directory of the stamp's own under
-    ``root``, so processes at different sf never overwrite each other's
-    corpus.  Each fixed path ``root/name`` the oracle SQL reads is then
-    re-pointed at this stamp's file (a symlink swapped in with
-    ``os.replace``)."""
-    d = os.path.join(root, stamp.replace(" ", "_"))
+    tables, written once into a directory of the stamp's own next to
+    ``link``, so processes at different sf never overwrite each other's
+    corpus.  ``link``, the directory this process's oracle SQL reads, is
+    then pointed at it (a symlink swapped in with ``os.replace``) and goes
+    away when the process exits."""
+    import atexit
+
+    d = os.path.join(os.path.dirname(link), stamp.replace(" ", "_"))
     paths = [os.path.join(d, name) for name in names]
     marker = os.path.join(d, "_MARKER")
     built = False
@@ -1474,13 +1474,13 @@ def _keyed_fixture(root: str, stamp: str, names: list[str], build) -> list[str]:
     if not built:
         os.makedirs(d, exist_ok=True)
         _write_fixture(marker, stamp, dict(zip(paths, build())))
-    for name, path in zip(names, paths):
-        link = os.path.join(root, name)
-        tmp = f"{link}.{os.getpid()}.lnk"
-        if os.path.lexists(tmp):
-            os.remove(tmp)
-        os.symlink(path, tmp)
-        os.replace(tmp, link)
+    if not os.path.lexists(link):
+        atexit.register(lambda: os.path.lexists(link) and os.remove(link))
+    tmp = f"{link}.lnk"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    os.symlink(d, tmp)
+    os.replace(tmp, link)
     return paths
 
 
@@ -1495,13 +1495,13 @@ def _ensure_pages_fixture(sf_dir: str) -> str:
     passthrough payload).  Pure driver-side generation (no Ray): the fixture
     is test infrastructure, not the operator under test; idempotent via a
     version marker so repeated bench runs pay the write once.  Returns the
-    fixture of this sf, and points ``_PAGES_FIXTURE`` at it."""
+    fixture of this sf, and points this process's ``_PAGES_FIXTURE`` at it."""
     from ..sources.pages import GENERATOR_VERSION
 
     n = pages_rows_for(sf_dir)
     stamp = f"n={n} seed=42 v={GENERATOR_VERSION} fx=1"
-    root, name = os.path.split(_PAGES_FIXTURE)
-    (path,) = _keyed_fixture(root, stamp, [name], lambda: [_decoded_pages(n)])
+    link, name = os.path.split(_PAGES_FIXTURE)
+    (path,) = _keyed_fixture(link, stamp, [name], lambda: [_decoded_pages(n)])
     return path
 
 
@@ -2077,11 +2077,12 @@ def _synth_rows_for(sf_dir: str) -> int:
     return _SF_SYNTH.get(tail, 200)
 
 
-# Fixed paths the synthetic-corpus oracles read via read_parquet() — same
-# contract as the pages fixture: the query (or oracle_sql()) materializes the
-# deterministic corpus driver-side, so the SQL re-derives validation/count
-# semantics from the raw example/entity rows, not from the engine's output.
-_SYNTH_FIXTURE_DIR = "/tmp/eds_synth_fixture"
+# The directory the synthetic-corpus oracles read via read_parquet() — same
+# contract as the pages fixture (this process's own link): the query (or
+# oracle_sql()) materializes the deterministic corpus driver-side, so the
+# SQL re-derives validation/count semantics from the raw example/entity
+# rows, not from the engine's output.
+_SYNTH_FIXTURE_DIR = f"/tmp/eds_synth_fixture/pid{os.getpid()}"
 _SYNTH_MUTATE_EVERY = 37
 
 
@@ -2117,8 +2118,8 @@ def _ensure_synth_fixture(sf_dir: str) -> tuple[str, str]:
     oracle SQL can re-derive the validation semantics from first principles.
     Driver-side generation: fixture infrastructure, not the operator under
     test (the distributed path regenerates the same rows per slice).
-    Returns the fixture of this sf, and points the two files the oracle
-    reads under ``_SYNTH_FIXTURE_DIR`` at it."""
+    Returns the fixture of this sf, and points this process's
+    ``_SYNTH_FIXTURE_DIR`` at it."""
     n = _synth_rows_for(sf_dir)
     stamp = f"n={n} seed=9 mut={_SYNTH_MUTATE_EVERY} fx=1"
     names = ["examples.parquet", "entities.parquet"]
@@ -14376,7 +14377,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
 
     # ---- online: stats + scoring from the staged index only ----
     dl_dir, post_dir = os.path.join(staging, "doclens"), os.path.join(staging, "postings")
-    dl_ds = read_parquet(dl_dir, schema=bare_schema(dl_dir))
+    dl_ds = read_parquet(dl_dir)
     agg = dl_ds.map_batches(
         lambda b: pa.table(
             {
@@ -14389,7 +14390,7 @@ def q_search_index_pipeline(sf_dir: str, *, keep_index: bool = False):
     n_docs = int(agg["nd"])
     avgdl = float(agg["nw"]) / n_docs
 
-    post_ds = read_parquet(post_dir, schema=bare_schema(post_dir))
+    post_ds = read_parquet(post_dir)
 
     def term_rows(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(batch["term"], value_set=pa.array(TERMS))
@@ -15422,8 +15423,8 @@ ORACLE_SQL = {
                      END AS clean_len
         FROM documents
     """,
-    "pages_extract_hashes": """
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+    "pages_extract_hashes": f"""
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         html_rows AS (
           SELECT url, route,
                  replace(array_to_string(list_filter(regexp_split_to_array(
@@ -15438,8 +15439,8 @@ ORACLE_SQL = {
                CAST(length(extracted) AS BIGINT) AS n_extract_chars
         FROM (SELECT * FROM html_rows UNION ALL SELECT * FROM text_rows)
     """,
-    "pages_host_rollup": """
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+    "pages_host_rollup": f"""
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         html_rows AS (
           SELECT url,
                  replace(array_to_string(list_filter(regexp_split_to_array(
@@ -15456,10 +15457,10 @@ ORACLE_SQL = {
                SUM(length(extracted))::BIGINT AS n_chars
         FROM u GROUP BY host
     """,
-    "pages_anchor_text": """
+    "pages_anchor_text": f"""
         WITH m AS (
           SELECT unnest(regexp_extract_all(page, '<a href="[^"]*">[^<]*</a>')) AS tag
-          FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')
+          FROM read_parquet('{_PAGES_FIXTURE}')
           WHERE route = 'html' AND instr(page, chr(65533)) = 0
         ), pairs AS (
           SELECT regexp_extract(tag, '"([^"]*)"', 1) AS href,
@@ -15479,8 +15480,8 @@ ORACLE_SQL = {
         FROM ranked WHERE rk = 1
         ORDER BY n_total DESC, href LIMIT 20
     """,
-    "pages_line_dedup": """
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+    "pages_line_dedup": f"""
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         html_rows AS (
           SELECT url, replace(array_to_string(list_filter(regexp_split_to_array(
                regexp_replace(regexp_replace(page,
@@ -15501,7 +15502,7 @@ ORACLE_SQL = {
         ORDER BY n_pages DESC, n_total DESC, line LIMIT 20
     """,
     "pages_pii_density": f"""
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         html_rows AS (
           SELECT url, replace(array_to_string(list_filter(regexp_split_to_array(
                regexp_replace(regexp_replace(page,
@@ -15528,10 +15529,10 @@ ORACLE_SQL = {
                CAST(SUM(length(text)) AS BIGINT) AS n_chars
         FROM documents GROUP BY lang
     """,
-    "pages_link_stats": """
+    "pages_link_stats": f"""
         WITH links AS (
           SELECT url, unnest(regexp_extract_all(page, '<a href="([^"]*)"', 1)) AS href
-          FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')
+          FROM read_parquet('{_PAGES_FIXTURE}')
           WHERE route = 'html' AND instr(page, chr(65533)) = 0
         )
         SELECT href, CAST(count(*) AS BIGINT) AS n_total,
@@ -15539,7 +15540,7 @@ ORACLE_SQL = {
         FROM links GROUP BY href
         ORDER BY n_total DESC, href LIMIT 20
     """,
-    "pages_main_content": """
+    "pages_main_content": f"""
         WITH mains AS (
           -- COALESCE: DuckDB's array_to_string over an EMPTY list is NULL,
           -- but a page whose every block is boilerplate extracts to '' in
@@ -15551,7 +15552,7 @@ ORACLE_SQL = {
                              x -> trim(regexp_replace(x, ' +', ' ', 'g'))),
               t -> length(t) >= 25 OR regexp_matches(t, '[.!?。！？…"”]$')
             ), chr(10)), '') AS main
-          FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')
+          FROM read_parquet('{_PAGES_FIXTURE}')
           WHERE route = 'html' AND instr(page, chr(65533)) = 0
         )
         SELECT url, md5(main) AS main_md5,
@@ -18520,8 +18521,8 @@ ORACLE_SQL = {
     """,
     # integer-exact PageRank: 4 unrolled rounds, rank = scaled int64,
     # every engine/oracle op is an integer sum or floor division
-    "link_pagerank": """
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+    "link_pagerank": f"""
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         m AS (
           SELECT url, unnest(regexp_extract_all(page, '<a href="[^"]*">[^<]*</a>')) AS tag
           FROM fx WHERE route = 'html' AND instr(page, chr(65533)) = 0
@@ -18581,8 +18582,8 @@ ORACLE_SQL = {
         SELECT node AS url, CAST(r AS BIGINT) AS rank
         FROM r4 ORDER BY r DESC, node LIMIT 20
     """,
-    "crawl_frontier": """
-        WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+    "crawl_frontier": f"""
+        WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
         m AS (
           SELECT url, unnest(regexp_extract_all(page, '<a href="[^"]*">[^<]*</a>')) AS tag
           FROM fx WHERE route = 'html' AND instr(page, chr(65533)) = 0
@@ -19657,8 +19658,8 @@ ORACLE_SQL["part_cheapest_supplier"] = """
 
 # reciprocity over the pagerank-contract edges: reciprocated directed
 # edges / all directed edges
-ORACLE_SQL["link_reciprocity"] = """
-    WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+ORACLE_SQL["link_reciprocity"] = f"""
+    WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
     mt AS (
       SELECT url, unnest(regexp_extract_all(page, '<a href="[^"]*">[^<]*</a>')) AS tag
       FROM fx WHERE route = 'html' AND instr(page, chr(65533)) = 0),
@@ -19681,8 +19682,8 @@ ORACLE_SQL["link_reciprocity"] = """
 
 # link-target IN-degree histogram over the pagerank-contract edges
 # (targets only — a page with zero in-links emits no row)
-ORACLE_SQL["link_degree_histogram"] = """
-    WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+ORACLE_SQL["link_degree_histogram"] = f"""
+    WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
     pg AS (SELECT url, page FROM fx
            WHERE route = 'html' AND instr(page, chr(65533)) = 0),
     mt AS (
@@ -19703,8 +19704,8 @@ ORACLE_SQL["link_degree_histogram"] = """
 """
 
 # per-route text-layer census over the fixture's visibility contract
-ORACLE_SQL["pages_route_stats"] = """
-    WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+ORACLE_SQL["pages_route_stats"] = f"""
+    WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
     c AS (
       SELECT route, url,
              CASE WHEN route = 'html' THEN length(page)
@@ -19736,8 +19737,8 @@ ORACLE_SQL["knn_mutual_pairs"] = """
 
 # HITS, 2 unrolled rounds: integer message sums over the fixture-derived
 # edges (same edge contract as link_pagerank), max-normalized via (v·S)//max
-ORACLE_SQL["link_hits"] = """
-    WITH fx AS (SELECT * FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet')),
+ORACLE_SQL["link_hits"] = f"""
+    WITH fx AS (SELECT * FROM read_parquet('{_PAGES_FIXTURE}')),
     mt AS (
       SELECT url, unnest(regexp_extract_all(page, '<a href="[^"]*">[^<]*</a>')) AS tag
       FROM fx WHERE route = 'html' AND instr(page, chr(65533)) = 0

@@ -606,7 +606,7 @@ class TestSizedReadsMatchParentShape:
 
         sf = "/root/testdata/sf0.001"
         sized = {n: self._canon(queries.QUERIES[n](sf)) for n in self.NAMES}
-        monkeypatch.setattr(parquet, "read_blocks", lambda path, columns=None: 2 * cluster_cpus())
+        monkeypatch.setattr(parquet, "read_blocks", lambda dataset, columns=None: 2 * cluster_cpus())
         for n in self.NAMES:
             assert self._canon(queries.QUERIES[n](sf)).equals(sized[n]), n
 
@@ -628,10 +628,14 @@ class TestFooterSizedRead:
         assert ds.num_blocks() == cluster_cpus()
 
     def test_table_past_cpu_floor_gets_no_override(self, ray_session, tmp_path):
+        import pyarrow.dataset as pads
         import pyarrow.parquet as pq
 
         from edge_deid_studio_ray.config import cluster_cpus
-        from edge_deid_studio_ray.sources.parquet import read_blocks as _read_blocks
+        from edge_deid_studio_ray.sources.parquet import read_blocks
+
+        def _read_blocks(path, columns=None):
+            return read_blocks(pads.dataset(path, format="parquet"), columns)
 
         floor_mib = 2 * cluster_cpus()
         rows = (floor_mib << 20) // 8 + 1
@@ -651,10 +655,13 @@ def test_read_logs_no_schema_hash_warning(ray_session, capfd, monkeypatch):
     sf0.001 builds a block from several parquet batches, and Ray hashes the
     batches' schemas to unify them.  The read strips the pandas schema
     metadata from each batch, so no worker logs ``Failed to hash the
-    schemas``.  A plain ``read_parquet`` of the same file does log it, which
-    shows that the worker log reaches the capture."""
+    schemas``.  Worker logs reach the driver late, so the query's logs are
+    taken up to a marker line that a task prints after the query.  A plain
+    ``read_parquet`` of the same file, run next, does log the warning, which
+    shows that the capture sees it."""
     import time
 
+    import ray
     import ray.data as rd
     from ray.data import DataContext
 
@@ -664,22 +671,31 @@ def test_read_logs_no_schema_hash_warning(ray_session, capfd, monkeypatch):
     sf = "/root/testdata/sf0.001"
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1 << 20)
 
-    def logged(wait_s: float, stop_at: str | None = None) -> str:
+    @ray.remote(num_cpus=0)
+    def mark(line: str) -> None:
+        print(line)
+
+    def logged(until: str, grace_s: float = 0.0) -> str:
+        """The captured output until ``until`` shows (30 s at most), plus
+        ``grace_s`` more, for lines of other workers written before it."""
         text = ""
-        for _ in range(int(wait_s / 0.25)):
+        for _ in range(120):
             time.sleep(0.25)
             out = capfd.readouterr()
             text += out.out + out.err
-            if stop_at and stop_at in text:
+            if until in text:
                 break
-        return text
+        time.sleep(grace_s)
+        out = capfd.readouterr()
+        return text + out.out + out.err
 
     capfd.readouterr()
     q_lineitem_corr_matrix(sf)
-    assert warning not in logged(3.0)
+    ray.get(mark.remote("corr matrix query done"))
+    assert warning not in logged("corr matrix query done", grace_s=2.0)
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
     rd.read_parquet(f"{sf}/lineitem.parquet", columns=cols, override_num_blocks=1).materialize()
-    assert warning in logged(15.0, stop_at=warning)
+    assert warning in logged(warning)
 
 
 class TestQueryReadsStructure:
@@ -1005,14 +1021,14 @@ def test_fixture_rewrite_survives_a_crash_before_the_marker(which, tmp_path, mon
     from edge_deid_studio_ray.pipelines import queries as q
 
     if which == "pages":
-        monkeypatch.setattr(q, "_PAGES_FIXTURE", str(tmp_path / "pages.parquet"))
+        monkeypatch.setattr(q, "_PAGES_FIXTURE", str(tmp_path / "pid" / "pages.parquet"))
         ensure, rows_for = q._ensure_pages_fixture, q.pages_rows_for
 
         def rows(sf: str) -> int:
             return pq.read_metadata(ensure(sf)).num_rows
 
     else:
-        monkeypatch.setattr(q, "_SYNTH_FIXTURE_DIR", str(tmp_path))
+        monkeypatch.setattr(q, "_SYNTH_FIXTURE_DIR", str(tmp_path / "pid"))
         ensure, rows_for = q._ensure_synth_fixture, q._synth_rows_for
 
         def rows(sf: str) -> int:
@@ -1036,37 +1052,37 @@ def test_fixture_rewrite_survives_a_crash_before_the_marker(which, tmp_path, mon
 
 
 @pytest.mark.parametrize("which", ["pages", "synth"])
-def test_fixtures_of_two_sf_coexist(which, tmp_path, monkeypatch):
-    """Each sf's fixture lives in a directory keyed by its stamp: building
-    a second sf leaves the first one's files in place, both read back with
-    their own row counts, and the fixed path the oracle SQL reads follows
-    the last build."""
+def test_fixtures_of_two_sf_coexist(which):
+    """Each sf's fixture lives in a directory keyed by its stamp, and the
+    path the oracle SQL reads is the driver process's own: another process
+    building another sf leaves this process's oracle reading the sf its
+    query built, and both fixtures read back with their own row counts."""
+    import os
+    import subprocess
+    import sys
+
     import pyarrow.parquet as pq
 
     from edge_deid_studio_ray.pipelines import queries as q
 
     if which == "pages":
-        monkeypatch.setattr(q, "_PAGES_FIXTURE", str(tmp_path / "pages.parquet"))
-
-        def ensure(sf: str) -> str:
-            return q._ensure_pages_fixture(sf)
-
-        rows_for, oracle_path = q.pages_rows_for, tmp_path / "pages.parquet"
+        ensure, rows_for, oracle_path = q._ensure_pages_fixture, q.pages_rows_for, q._PAGES_FIXTURE
     else:
-        monkeypatch.setattr(q, "_SYNTH_FIXTURE_DIR", str(tmp_path))
 
         def ensure(sf: str) -> str:
             return q._ensure_synth_fixture(sf)[0]
 
-        rows_for, oracle_path = q._synth_rows_for, tmp_path / "examples.parquet"
+        rows_for, oracle_path = q._synth_rows_for, os.path.join(q._SYNTH_FIXTURE_DIR, "examples.parquet")
 
     small, large = "/data/sf0.001", "/data/sf0.01"
     assert rows_for(small) != rows_for(large)
-    small_path, large_path = ensure(small), ensure(large)
+    small_path = ensure(small)
+    other = f"from edge_deid_studio_ray.pipelines import queries as q; q._ensure_{which}_fixture({large!r})"
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", other], cwd=repo, check=True)
+    assert pq.read_metadata(oracle_path).num_rows == rows_for(small)
+    large_path = ensure(large)
     assert small_path != large_path
     assert pq.read_metadata(small_path).num_rows == rows_for(small)
     assert pq.read_metadata(large_path).num_rows == rows_for(large)
     assert pq.read_metadata(oracle_path).num_rows == rows_for(large)
-    assert ensure(small) == small_path
-    assert pq.read_metadata(oracle_path).num_rows == rows_for(small)
-    assert pq.read_metadata(large_path).num_rows == rows_for(large)

@@ -457,12 +457,12 @@ class TestBatch6Ops:
     def test_route_stats_counts_match_fixture(self, ray_session):
         import duckdb
 
-        from edge_deid_studio_ray.pipelines.queries import q_pages_route_stats
+        from edge_deid_studio_ray.pipelines.queries import _PAGES_FIXTURE, q_pages_route_stats
 
         df = _canon(q_pages_route_stats(SF))
         con = duckdb.connect()
         fx = con.sql(
-            "SELECT route, COUNT(*) AS n FROM read_parquet('/tmp/eds_pages_fixture/pages.parquet') GROUP BY 1"
+            f"SELECT route, COUNT(*) AS n FROM read_parquet('{_PAGES_FIXTURE}') GROUP BY 1"
         ).df().set_index("route")["n"]
         for _, row in df.iterrows():
             assert row["n_pages"] == fx[row["route"]], row["route"]
