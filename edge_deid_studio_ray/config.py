@@ -54,12 +54,13 @@ def install_empty_schema_log_filter() -> None:
     """Drop Ray Data's "RefBundle with a different schema" warning ONLY when
     one side of the comparison is an *empty* schema.
 
-    The sort behind every ``cogroup`` / ``group_agg`` (and a Repartition)
-    range-partitions into ~num-input-blocks output partitions; when the key
-    cardinality is below that (tiny dimensions, low-cardinality grouped
-    aggregates at test scale), the empty partitions carry a schema-less
-    block and Ray's executor warns once per empty bundle
-    (streaming_executor_state.py:793): 10 of the 40 "different schema"
+    The sort behind every ``cogroup`` (and a Repartition) range-partitions
+    into ~num-input-blocks output partitions, and the one behind
+    ``group_agg`` into one per CPU (two at least); when the key cardinality
+    is below that (tiny dimensions, low-cardinality grouped aggregates at
+    test scale), the empty partitions carry a schema-less block and Ray's
+    executor warns once per empty bundle
+    (streaming_executor_state.py:793): 25 of the 55 "different schema"
     warnings of an sf0.001 sweep at 1 CPU.  That is a known small-data
     artifact, not real divergence — a genuinely different non-empty schema
     still warns.  Idempotent; call from entry points (bench.py,

@@ -186,10 +186,10 @@ def group_agg(ds, key, /, **aggs):
     list, which a ``Dataset.union`` in front would stop); the partials take
     :func:`cogroup`'s hash-and-sort on the key, into one block per cluster
     CPU (two at least), and each sorted block is merged by one more
-    ``group_by`` (sum of counts and sums, min of mins, max of maxes).  A
-    partial holds one row per key of its block, so its size does not
-    follow the input's block count, and neither does the merge's task
-    count.  Types follow from the input: a count and an integer sum
+    ``group_by`` (sum of counts and sums, min of mins, max of maxes).
+    Ray's sampled sort would give one block per input block, and a merge
+    task for each, even when the partials are a row or two; the CPU count
+    sets the merge's task count instead.  Types follow from the input: a count and an integer sum
     are int64, a float sum is float64, min / max keep the column's type.
     Over zero rows no merge runs, so the result has no schema, as Ray's
     grouped aggregate gave."""
@@ -221,6 +221,7 @@ def group_agg(ds, key, /, **aggs):
 
     inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
     partials = [d.map_batches(partial, batch_size=None, batch_format="pyarrow") for d in inputs]
+    # two at least: Ray samples for boundaries when given none
     sorted_partials = _hash_sort(partials, keys, parts=max(2, cluster_cpus()))
     return sorted_partials.map_batches(merge, batch_size=None, batch_format="pyarrow")
 

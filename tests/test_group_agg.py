@@ -90,3 +90,17 @@ def test_dictionary_key_is_decoded(ray_session):
     out = group_agg(_blocks(t, 2), "k", s=("sum", "v"), hi=("max", "v"))
     assert out.schema().base_schema.field("k").type == pa.string()
     assert _rows(out) == [{"k": "a", "s": 7, "hi": 5}, {"k": "b", "s": 4, "hi": 3}, {"k": "c", "s": 4, "hi": 4}]
+
+
+def test_merge_runs_one_task_per_cpu_not_per_block(ray_session):
+    """The partials are sorted into one block per cluster CPU (two at
+    least), whatever the input's block count: 16 one-row blocks run as many
+    merge tasks as CPUs."""
+    from edge_deid_studio_ray.config import cluster_cpus
+    from edge_deid_studio_ray.functions.cogroup import group_agg
+
+    t = pa.table({"k": [f"t{i % 4}" for i in range(16)], "v": list(range(16))})
+    out = group_agg(_blocks(t, 16), "k", s=("sum", "v")).materialize()
+    assert _rows(out) == [{"k": f"t{i}", "s": sum(range(i, 16, 4))} for i in range(4)]
+    parts = max(2, cluster_cpus())
+    assert f"MapBatches(merge): {parts} tasks executed, {parts} blocks" in out.stats()

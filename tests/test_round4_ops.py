@@ -1048,7 +1048,7 @@ def test_fixture_rewrite_survives_a_crash_before_the_marker(which, tmp_path, mon
         ensure(large)
     monkeypatch.delattr(q, "open")
     assert rows(small) == rows_for(small)
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("which", ["pages", "synth"])
