@@ -12202,8 +12202,11 @@ def q_user_erasure_audit(sf_dir: str):
         {"tbl": pa.string(), "n_e": pa.int64(), "n_r": pa.int64(), "fp": pa.int64()},
     )
 
+    # the lineitem cascade first: the executor starts a union's inputs in
+    # order, and this co-grouped branch is the longest (sf0.1, 1 CPU:
+    # 3.27 s median against 4.12 s with it last)
     return group_agg(
-        [ev, cu, od, li],
+        [li, ev, cu, od],
         "tbl",
         n_erased=("sum", "n_e"),
         n_remaining=("sum", "n_r"),
