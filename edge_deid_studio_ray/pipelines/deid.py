@@ -5,13 +5,15 @@ Ray-native restatement of the reference flagship (SURVEY.md §3.1):
     read_parquet(pages)
       → map_batches(add_pid)                 # url-hash partition column
       → map_batches(fused extract+deid)      # Arrow in / Arrow out
-      → write_datasink(out/shard=<id>/)      # resumable partitioned sink
+      → write_datasink(out/shard=<id>/)      # one pid-sorted file per task
       → per-pid counters + lineage manifest  # state/manifest.py
 
 The pipeline is lazy/streaming end to end: nothing materializes the full
-dataset.  Each write task counts the rows it writes and returns that
-partial with its write result; the driver merges the partials into the
-shard manifest, so nothing scans the written output again.
+dataset.  Each write task writes one parquet file, its rows sorted by
+the url-hash ``pid`` (a stored column, not a ``pid=K/`` directory), counts
+the rows it writes and returns that partial with its write result; the
+driver merges the partials into the shard manifest, so nothing scans the
+written output again.
 """
 
 from __future__ import annotations
@@ -64,14 +66,9 @@ def _value_counts(column) -> dict[str, int]:
     return dict(zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist()))
 
 
-def _write_partial(blocks: list) -> dict[str, Any]:
+def _write_partial(table: pa.Table) -> dict[str, Any]:
     """The counters of the rows one write task wrote: per-pid docs / bytes /
     spans, the per-stage millisecond sums, and route and error counts."""
-    columns = ["pid", "n_bytes", "n_spans", "route", "error"]
-    columns += [col for _, col in _TIMING_COLUMNS]
-    table = pa.concat_tables(
-        [BlockAccessor.for_block(block).to_arrow().select(columns) for block in blocks]
-    )
     # one vectorized hash aggregate (pids ≤ num_partitions keys) — never a
     # per-row Python loop
     agg = table.group_by("pid").aggregate(
@@ -97,30 +94,31 @@ def _write_partial(blocks: list) -> dict[str, Any]:
 
 
 class _CountingParquetSink(ParquetDatasink):
-    """The sink of ``write_parquet(path, partition_cols=["pid"])``, with no
-    parquet min/max statistics, whose write tasks also return the counters
-    of the rows they wrote.  After the write, ``write_returns`` holds one
+    """A parquet sink that writes one file per write task, with no parquet
+    min/max statistics, and whose write tasks also return the counters of
+    the rows they wrote.  After the write, ``write_returns`` holds one
     partial per task for :func:`_shard_counters`, so nothing reads the
     written files back.
 
-    No reader of the deid output prunes on statistics, and a pid file holds
-    a handful of rows, so statistics would only copy whole documents (raw
-    PII) into every page header and footer."""
+    A file holds the task's rows sorted by ``(pid, url)``, with ``pid`` a
+    stored column: its row order does not depend on the order its blocks
+    arrived in, and the per-pid lineage is the manifest's, not a directory
+    per pid.  No reader of the deid output prunes on statistics, so they
+    would only copy whole documents (raw PII) into every page header and
+    footer."""
 
     def __init__(self, path: str):
-        super().__init__(
-            path,
-            partition_cols=["pid"],
-            arrow_parquet_args={"write_statistics": False},
-        )
+        super().__init__(path, arrow_parquet_args={"write_statistics": False})
         self.write_returns: list = []
 
     def write(self, blocks, ctx) -> dict[str, Any] | None:
-        blocks = list(blocks)
-        super().write(blocks, ctx)
-        if any(BlockAccessor.for_block(block).num_rows() for block in blocks):
-            return _write_partial(blocks)
-        return None
+        tables = [BlockAccessor.for_block(block).to_arrow() for block in blocks]
+        tables = [table for table in tables if table.num_rows]
+        if not tables:
+            return None
+        table = pa.concat_tables(tables).sort_by([("pid", "ascending"), ("url", "ascending")])
+        super().write([table], ctx)
+        return _write_partial(table)
 
     def on_write_complete(self, write_result) -> None:
         # the parent deletes the directory of a zero-row shard
@@ -201,10 +199,9 @@ def _process_shard(
     rename).  Thread-safe: every path it touches is derived from shard_id."""
     clear_partial_output(out_dir, shard_id)
     ds = build_deid_pipeline(factory(), cfg)
-    # url-hash partitioned layout (north rule): each shard's output is
-    # split into pid=K subdirectories, so downstream consumers and
-    # re-runs address balanced key ranges instead of whole files.  The
-    # sink is per shard, so concurrent shards share nothing.
+    # url-hash partitioned layout (north rule): each write task writes one
+    # file sorted by pid, and the manifest records the per-pid counters.
+    # The sink is per shard, so concurrent shards share nothing.
     sink = _CountingParquetSink(shard_output_dir(out_dir, shard_id))
     ds.write_datasink(sink)
     manifest = ShardManifest(

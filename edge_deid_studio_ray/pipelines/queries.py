@@ -1591,10 +1591,10 @@ def q_pages_pipeline_counters(sf_dir: str):
 
     Oracle-checked via the staged-output pattern (same contract as
     training_data_pipeline): the job's written shard parquet
-    (``shard=s0/pid=K/`` hive dirs) IS the fixture, and the SQL re-derives
-    docs/spans/bytes per pid from those rows — so the whole counter path
-    (pyarrow group_by in _shard_counters + manifest JSON roundtrip) is
-    value-checked, not just executed.  The n_spans VALUES come from the
+    (``shard=s0/*.parquet``, ``pid`` a stored column) IS the fixture, and
+    the SQL re-derives docs/spans/bytes per pid from those rows — so the
+    whole counter path (pyarrow group_by in _shard_counters + manifest JSON
+    roundtrip) is value-checked, not just executed.  The n_spans VALUES come from the
     full YAML regex detector over all routes, whose per-row semantics are
     oracled by pages_extract_hashes / deid_entity_counts; this query's
     oracle pins the aggregation + lineage layer above them."""
@@ -19790,14 +19790,14 @@ ORACLE_SQL["link_hits"] = f"""
 
 # staged-output oracle for the flagship lineage counters: re-derives
 # docs/spans/bytes per pid in SQL from the shard parquet the job itself
-# wrote (shard=s0/pid=K hive layout) — value-checks the _shard_counters
+# wrote (one pid-sorted file per write task) — value-checks the _shard_counters
 # aggregation and the manifest JSON roundtrip above the per-row kernels
 ORACLE_SQL["pages_pipeline_counters"] = f"""
     SELECT CAST(pid AS BIGINT) AS pid,
            COUNT(*)::BIGINT AS docs,
            CAST(SUM(n_spans) AS BIGINT) AS spans,
            CAST(SUM(n_bytes) AS BIGINT) AS bytes
-    FROM read_parquet('{_PPC_STAGING}/shard=s0/*/*.parquet', hive_partitioning = true)
+    FROM read_parquet('{_PPC_STAGING}/shard=s0/*.parquet', hive_partitioning = false)
     GROUP BY pid
 """
 

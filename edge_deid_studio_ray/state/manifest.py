@@ -18,8 +18,8 @@ commit protocol suitable for a multi-node streaming job:
   output directory is removed before reprocessing (idempotent: all kernels
   are deterministic).
 
-Within a shard, rows additionally carry the ``pid = crc32(url) % P`` column,
-used for skew-aware output partitioning and per-pid counters.
+Within a shard, rows additionally carry the ``pid = crc32(url) % P`` column:
+each write task's file is sorted by it, and the manifest counts per pid.
 """
 
 from __future__ import annotations

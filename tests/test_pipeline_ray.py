@@ -178,18 +178,83 @@ def test_pdf_route_bbox_anchors(ray_session):
     assert list(ent["bbox"]) == [10, 20, 300, 40]
 
 
-def test_partitioned_output_layout(ray_session, tmp_path):
-    """Output is hive-partitioned by the url-hash pid (north-rule layout)."""
+def test_partitioned_output_layout(ray_session, tmp_path, monkeypatch):
+    """Each write task writes one parquet file of one row group, its rows
+    sorted by (pid, url) with the url-hash pid a stored int32 column; the
+    shard holds no pid=K/ directory."""
+    import glob
     import os
 
-    from edge_deid_studio_ray.pipelines.deid import run_deid_job
+    import pyarrow.parquet as pq
+
+    from edge_deid_studio_ray.pipelines import deid
     from edge_deid_studio_ray.state.manifest import shard_output_dir
 
+    real = deid._CountingParquetSink
+    sinks: list = []
+
+    def keep(path):
+        sinks.append(real(path))
+        return sinks[-1]
+
+    monkeypatch.setattr(deid, "_CountingParquetSink", keep)
     out = str(tmp_path / "out")
-    run_deid_job([("s0", _shard_factory(0, 100))], out)
+    deid.run_deid_job([("s0", _shard_factory(0, 100))], out)
     sdir = shard_output_dir(out, "s0")
-    pid_dirs = [d for d in os.listdir(sdir) if d.startswith("pid=")]
-    assert len(pid_dirs) > 10  # 100 urls spread over 64 pids
+    assert not [d for d in os.listdir(sdir) if d.startswith("pid=")]
+    files = sorted(glob.glob(f"{sdir}/**/*.parquet", recursive=True))
+    assert files == sorted(glob.glob(f"{sdir}/*.parquet"))
+    (sink,) = sinks
+    assert len(files) == sum(1 for part in sink.write_returns if part) >= 1
+
+    pids: set = set()
+    for f in files:
+        assert pq.read_metadata(f).num_row_groups == 1, f
+        assert pq.read_schema(f).field("pid").type == pa.int32()
+        table = pq.read_table(f, columns=["pid", "url"])
+        rows = list(zip(table["pid"].to_pylist(), table["url"].to_pylist()))
+        assert rows == sorted(rows), f
+        pids.update(pid for pid, _ in rows)
+    assert len(pids) > 10  # 100 urls spread over 64 pids
+
+
+def test_every_written_file_goes_through_write_parquet_files(ray_session, tmp_path, monkeypatch):
+    """A run_deid_job shard calls ParquetDatasink._write_parquet_files once
+    per file it writes.  That call is where the ray.write layer is timed, so
+    a file written around it would count as Ray overhead instead."""
+    import glob
+    import os
+    import uuid
+
+    from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
+
+    from edge_deid_studio_ray.pipelines import deid
+
+    calls = str(tmp_path / "calls")
+    os.makedirs(calls)
+    real = deid._CountingParquetSink
+
+    def recording(path):
+        # the sink travels to the write tasks with its instance attributes,
+        # so each worker-side call leaves one file in ``calls``
+        sink = real(path)
+
+        def write_files(*args, **kwargs):
+            open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+            return ParquetDatasink._write_parquet_files(sink, *args, **kwargs)
+
+        sink._write_parquet_files = write_files
+        return sink
+
+    monkeypatch.setattr(deid, "_CountingParquetSink", recording)
+    out = str(tmp_path / "out")
+    report = deid.run_deid_job(
+        [("s0", _shard_factory(0, 150)), ("s1", _shard_factory(150, 200))], out
+    )
+    assert report["docs"] == 200
+    files = glob.glob(f"{out}/shard=*/**/*.parquet", recursive=True)
+    assert len(files) >= 2
+    assert len(os.listdir(calls)) == len(files)
 
 
 def test_main_content_mode_strips_boilerplate(ray_session):
@@ -436,8 +501,10 @@ def test_shard_counters_merge_partials():
             }
         )
 
-    a = _write_partial([block([1, 2, 1], ["html", "pdf", "html"], [None, "bad_pdf", None])])
-    b = _write_partial([block([2], ["pdf"], ["bad_pdf"]), block([3], ["text"], [None])])
+    a = _write_partial(block([1, 2, 1], ["html", "pdf", "html"], [None, "bad_pdf", None]))
+    b = _write_partial(
+        pa.concat_tables([block([2], ["pdf"], ["bad_pdf"]), block([3], ["text"], [None])])
+    )
     got = _shard_counters([a, None, b])
     assert got == {
         "docs": 5,
@@ -468,7 +535,7 @@ def test_sink_writes_no_statistics(ray_session, tmp_path):
 
     out = str(tmp_path / "out")
     run_deid_job([("s0", _shard_factory(0, 80))], out)
-    files = sorted(glob.glob(f"{shard_output_dir(out, 's0')}/pid=*/*.parquet"))
+    files = sorted(glob.glob(f"{shard_output_dir(out, 's0')}/**/*.parquet", recursive=True))
     assert files
     span_texts: set = set()
     for f in files:

@@ -3,7 +3,7 @@
 Generates a 1M-page synthetic Common-Crawl-style corpus (~0.5 GB as
 snappy parquet, one
 mega page per 2000 — the bench skew mix), runs the flagship end to end
-(read parquet → fused deid → partitioned parquet write), then the N
+(read parquet → fused deid → the job's pid-sorted parquet sink), then the N
 slowest registry queries at the bench SF, while a sampler thread records
 the memory high-water (system MemAvailable minimum) and Ray spill volume.
 
@@ -96,7 +96,10 @@ def main() -> int:
 
     from bench import _stage_wall  # repo-root bench.py: stats parser
     from edge_deid_studio_ray.config import install_empty_schema_log_filter
-    from edge_deid_studio_ray.pipelines.deid import build_deid_pipeline
+    from edge_deid_studio_ray.pipelines.deid import (
+        _CountingParquetSink,
+        build_deid_pipeline,
+    )
     from edge_deid_studio_ray.sources.pages import (
         GENERATOR_VERSION,
         ensure_pages_parquet,
@@ -130,7 +133,8 @@ def main() -> int:
     sampler.start()
     t0 = time.perf_counter()
     ds = build_deid_pipeline(rd.read_parquet(pages_dir))
-    ds.write_parquet(out_dir, partition_cols=["pid"])
+    # the sink run_deid_job writes through, so the soak measures its layout
+    ds.write_datasink(_CountingParquetSink(out_dir))
     wall = time.perf_counter() - t0
     fused = _stage_wall(ds.stats(), "deid_batch")
 
